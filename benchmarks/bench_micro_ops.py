@@ -10,6 +10,7 @@ performance are visible.
 import json
 import os
 import time
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -220,12 +221,31 @@ def test_controller_alloc_release(benchmark):
     benchmark(alloc_release)
 
 
-def test_frame_allocator_churn(benchmark):
-    allocator = FrameAllocator(65536)
+@pytest.mark.parametrize("shape", ["buffer", "buffer-fragmented", "single"])
+def test_frame_allocator_churn(benchmark, shape):
+    """The allocator's two real shapes on a 512 MiB host (131 072 frames).
 
-    def churn():
-        frames = allocator.alloc_many(1024)
-        allocator.free_many(frames)
+    ``buffer``: carve and return one 16 MiB buffer (4 096 frames), what
+    ``carve_buffers``/``reclaim`` do per buffer.  ``buffer-fragmented``:
+    the same on a checker-boarded pool, where every free frame is an
+    isolated single — the worst case for the extent representation.
+    ``single``: the fault path's pair — evict (free the oldest resident
+    frame) then fill (alloc one) — with a VM's 8 192 frames resident.
+    """
+    allocator = FrameAllocator(131072)
+    if shape == "buffer-fragmented":
+        for frame in list(allocator.alloc_many(131072))[::2]:
+            allocator.free(frame)
+
+    if shape == "single":
+        resident = deque(allocator.alloc() for _ in range(8192))
+
+        def churn():
+            allocator.free(resident.popleft())
+            resident.append(allocator.alloc())
+    else:
+        def churn():
+            allocator.free_many(allocator.alloc_many(4096))
 
     benchmark(churn)
 

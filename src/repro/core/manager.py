@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.protocol import BufferDescriptor, BufferKind, Method
 from repro.errors import BufferError_, ControllerError, FencingError, RpcError
 from repro.memory.buffers import BufferLease, RemotePageStore
-from repro.memory.frames import Frame, FrameAllocator
+from repro.memory.frames import FrameAllocator, FrameRun
 from repro.rdma.fabric import RdmaNode
 from repro.rdma.rpc import RpcClient, RpcServer
 from repro.units import DEFAULT_BUFF_SIZE, PAGE_SIZE
@@ -31,10 +31,13 @@ _buffer_ids = itertools.count(1)
 
 
 class _LentBuffer:
-    """Lender-side record of one buffer we are serving."""
+    """Lender-side record of one buffer we are serving.
+
+    One frame run backs one registered memory region.
+    """
 
     def __init__(self, descriptor: BufferDescriptor, rkey: int,
-                 frames: List[Frame]):
+                 frames: FrameRun):
         self.descriptor = descriptor
         self.rkey = rkey
         self.frames = frames
@@ -120,6 +123,10 @@ class RemoteMemoryManager:
     @property
     def lent_bytes(self) -> int:
         return sum(b.descriptor.size_bytes for b in self._lent.values())
+
+    @property
+    def lent_frames(self) -> int:
+        return sum(len(b.frames) for b in self._lent.values())
 
     @property
     def lent_buffer_ids(self) -> List[int]:

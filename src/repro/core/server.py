@@ -58,7 +58,7 @@ class RackServer:
         )
         self.node: RdmaNode = fabric.add_node(name, platform=self.platform)
         usable = memory_bytes - host_reserve_bytes
-        self.allocator = FrameAllocator(pages(usable) )
+        self.allocator = FrameAllocator(pages(usable))
         self.hypervisor = Hypervisor(name, self.allocator,
                                      telemetry=fabric.telemetry)
         self.manager = RemoteMemoryManager(name, self.node, self.allocator,
@@ -84,6 +84,18 @@ class RackServer:
     @property
     def free_bytes(self) -> int:
         return self.allocator.free_frames * PAGE_SIZE
+
+    @property
+    def unaccounted_frames(self) -> int:
+        """Frames handed out that no lent buffer and no VM accounts for.
+
+        Zero whenever lender-side bookkeeping conserves frames: every
+        allocated frame backs either a lent buffer's run or a VM's
+        resident page.
+        """
+        held = self.manager.lent_frames + sum(
+            vm.local_frames_used for vm in self.hypervisor.vms.values())
+        return self.allocator.used_frames - held
 
     def roles(self) -> set:
         """The dynamic role set of this server right now."""

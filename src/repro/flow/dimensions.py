@@ -152,6 +152,8 @@ SEED_ANNOTATIONS: Dict[str, Dict[str, str]] = {
     "memory.frames.FrameAllocator.__init__": {"total_frames": "frames"},
     "memory.frames.FrameAllocator.free_frames": {"return": "frames"},
     "memory.frames.FrameAllocator.used_frames": {"return": "frames"},
+    "memory.frames.FrameAllocator.alloc_many": {"count": "frames"},
+    "memory.frames.FrameRun.__len__": {"return": "frames"},
     "memory.buffers.BufferLease.slots": {"return": "pages"},
 }
 

@@ -11,7 +11,7 @@
   RDMA, local SSD, local HDD).
 """
 
-from repro.memory.frames import Frame, FrameAllocator
+from repro.memory.frames import Frame, FrameAllocator, FrameRun
 from repro.memory.page_table import PageTable, PageTableEntry, PageLocation
 from repro.memory.replacement import (ReplacementPolicy, FifoPolicy,
                                       ClockPolicy, MixedPolicy, make_policy)
@@ -20,7 +20,8 @@ from repro.memory.swap import (SwapDevice, RemoteRamSwap, SsdSwap, HddSwap,
                                SWAP_DEVICE_FACTORIES)
 
 __all__ = [
-    "Frame", "FrameAllocator", "PageTable", "PageTableEntry", "PageLocation",
+    "Frame", "FrameAllocator", "FrameRun",
+    "PageTable", "PageTableEntry", "PageLocation",
     "ReplacementPolicy", "FifoPolicy", "ClockPolicy", "MixedPolicy",
     "make_policy", "BufferLease", "RemotePageStore",
     "SwapDevice", "RemoteRamSwap", "SsdSwap", "HddSwap",

@@ -4,7 +4,8 @@
 (:class:`~repro.memory.buffers.RemotePageStore` lease/page management,
 :class:`~repro.rdma.fabric.RdmaNode` one-sided verbs,
 :class:`~repro.core.database.BufferDatabase.set_kind`,
-:class:`~repro.rdma.rpc.RpcServer.dispatch`); ``uninstall`` restores the
+:class:`~repro.rdma.rpc.RpcServer.dispatch`,
+:class:`~repro.core.server.RackServer` construction); ``uninstall`` restores the
 originals.  The shadow is keyed by ``(serving host, rkey)`` — the identity a
 one-sided verb actually presents on the wire — so it catches accesses made
 through *any* queue pair, including ones the buggy code opened itself.
@@ -75,6 +76,19 @@ class LeakedStore:
                 f"{len(self.lease_ids)} lease(s): buffers [{ids}]")
 
 
+@dataclass
+class LeakedFrames:
+    """One rack server whose allocator and lender/VM records disagree."""
+
+    host: str
+    unaccounted: int
+
+    def __str__(self) -> str:
+        return (f"server {self.host!r}: allocator has {self.unaccounted:+d} "
+                f"frame(s) handed out beyond what its lent buffers and "
+                f"VMs account for")
+
+
 class MemorySanitizer:
     """Shadow-state sanitizer; one instance drives one install() session."""
 
@@ -97,6 +111,8 @@ class MemorySanitizer:
             weakref.WeakKeyDictionary())
         #: Every store that ever held a lease while installed (leak report).
         self._stores: "weakref.WeakSet[Any]" = weakref.WeakSet()
+        #: Every rack server built while installed (frame leak report).
+        self._servers: "weakref.WeakSet[Any]" = weakref.WeakSet()
         self.findings: List[MemSanFinding] = []
         self._installed = False
         self._originals: Dict[Tuple[type, str], Any] = {}
@@ -243,6 +259,20 @@ class MemorySanitizer:
         leaks.sort(key=lambda leak: leak.node)
         return leaks
 
+    def frame_leak_report(self) -> List[LeakedFrames]:
+        """Live servers whose handed-out frames are not all accounted for.
+
+        Lender-side conservation: every allocated frame backs a lent
+        buffer's run or a VM's resident page (call after gc.collect()).
+        """
+        leaks: List[LeakedFrames] = []
+        for server in list(self._servers):
+            unaccounted = server.unaccounted_frames
+            if unaccounted:
+                leaks.append(LeakedFrames(server.name, unaccounted))
+        leaks.sort(key=lambda leak: leak.host)
+        return leaks
+
     # -- install / uninstall ---------------------------------------------
     def install(self) -> "MemorySanitizer":
         """Patch the hook points; a second install() raises, never stacks."""
@@ -250,6 +280,7 @@ class MemorySanitizer:
             raise RuntimeError("MemorySanitizer is already installed")
         from repro.core.database import BufferDatabase
         from repro.core.protocol import BufferKind
+        from repro.core.server import RackServer
         from repro.memory.buffers import RemotePageStore
         from repro.rdma.fabric import RdmaNode
         from repro.rdma.rpc import RpcServer
@@ -268,6 +299,11 @@ class MemorySanitizer:
         orig_write = RdmaNode.rdma_write_timed
         orig_set_kind = BufferDatabase.set_kind
         orig_dispatch = RpcServer.dispatch
+        orig_server_init = RackServer.__init__
+
+        def server_init(self, *args, **kwargs):
+            orig_server_init(self, *args, **kwargs)
+            san._servers.add(self)
 
         def add_lease(self, lease):
             result = orig_add_lease(self, lease)
@@ -338,6 +374,7 @@ class MemorySanitizer:
         _patch(RdmaNode, "rdma_write_timed", rdma_write_timed)
         _patch(BufferDatabase, "set_kind", set_kind)
         _patch(RpcServer, "dispatch", dispatch)
+        _patch(RackServer, "__init__", server_init)
         self._installed = True
         return self
 

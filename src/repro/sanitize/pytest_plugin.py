@@ -5,7 +5,8 @@ is installed for the session.  An autouse fixture drains findings after
 every test and fails the test that produced them (so a violation is pinned
 to the test that triggered it, not discovered at the end); session finish
 garbage-collects and prints a leak report of page stores still holding
-leases, failing the run if any exist.
+leases and of rack servers whose allocator disagrees with their lent buffers
+and VMs, failing the run if any exist.
 
 Without ``--memsan`` the plugin is inert — zero patching, zero overhead.
 """
@@ -35,7 +36,7 @@ def pytest_addoption(parser) -> None:
         "--memsan", action="store_true", default=False,
         help="run the suite under the MemSan shadow-state sanitizer "
              "(fails tests that trigger silent memory-safety violations; "
-             "reports leaked buffer leases at end of session)")
+             "reports leaked buffer leases and frames at end of session)")
 
 
 def pytest_configure(config) -> None:
@@ -65,7 +66,7 @@ def pytest_sessionfinish(session, exitstatus) -> None:
     # Collect first so stores owned by dead fixtures do not count: a leak
     # is a *reachable* store still holding leases.
     gc.collect()
-    leaks = sanitizer.leak_report()
+    leaks = sanitizer.leak_report() + sanitizer.frame_leak_report()
     session.config._memsan_leaks = leaks
     if leaks:
         session.exitstatus = 1
@@ -83,4 +84,4 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config) -> None:
             terminalreporter.write_line(f"  LEAK: {leak}")
     else:
         terminalreporter.write_line(
-            "MemSan: no shadow-state violations, no leaked leases")
+            "MemSan: no shadow-state violations, no leaked leases or frames")

@@ -139,3 +139,93 @@ class TestPower:
         before = small_rack.total_power_watts()
         small_rack.make_zombie("s3")
         assert small_rack.total_power_watts() < before
+
+
+class TestLenderFrameConservation:
+    """``used_frames`` == frames behind lent buffers + VM-resident frames.
+
+    The per-frame set gave this for free; the extent map must still give
+    it across every path that carves or returns a buffer's frame run.
+    """
+
+    @staticmethod
+    def _assert_conserved(rack):
+        for server in rack.servers.values():
+            assert server.unaccounted_frames == 0, server.name
+            assert (server.allocator.free_frames + server.allocator.used_frames
+                    == server.allocator.total_frames), server.name
+
+    def _borrowing_rack(self):
+        rack = Rack(["user", "z1", "z2"], memory_bytes=128 * MiB,
+                    buff_size=8 * MiB)
+        rack.make_zombie("z1")
+        rack.make_zombie("z2")
+        vm = rack.create_vm("user", VmSpec("vm", 48 * MiB),
+                            local_fraction=0.5)
+        hv = rack.server("user").hypervisor
+        for ppn in range(vm.spec.total_pages):
+            hv.access(vm, ppn, write=True)
+        return rack, vm, hv
+
+    def test_zombie_borrow_wake_reclaim(self):
+        rack, vm, hv = self._borrowing_rack()
+        self._assert_conserved(rack)
+        z1 = rack.server("z1")
+        assert z1.manager.lent_frames == z1.allocator.used_frames > 0
+        rack.wake("z1", reclaim_bytes=z1.manager.lent_bytes // 2)
+        self._assert_conserved(rack)
+        assert 0 < z1.manager.lent_frames < z1.allocator.total_frames
+        rack.wake("z2", reclaim_bytes=rack.server("z2").manager.lent_bytes)
+        assert rack.server("z2").allocator.used_frames == 0
+        for ppn in range(vm.spec.total_pages):
+            hv.access(vm, ppn)
+        self._assert_conserved(rack)
+        rack.destroy_vm("user", "vm")
+        self._assert_conserved(rack)
+        assert rack.server("user").allocator.used_frames == 0
+
+    def test_crash_reset_then_resync(self):
+        rack, vm, hv = self._borrowing_rack()
+        rack.start_host_monitoring(probe_period_s=0.5, miss_threshold=3)
+        rack.crash_server("z1")
+        rack.engine.run(until=5.0)
+        self._assert_conserved(rack)           # records held while down
+        rack.heal_server("z1")                 # reset_after_crash
+        z1 = rack.server("z1")
+        assert z1.allocator.used_frames == 0 == z1.manager.lent_frames
+        rack.engine.run(until=12.0)            # AS_resync: nothing left
+        self._assert_conserved(rack)
+        rack.make_zombie("z1")                 # the freed runs carve again
+        assert z1.manager.lent_frames == z1.allocator.total_frames
+        self._assert_conserved(rack)
+
+    def test_partition_heal_resync_drops_stale_runs(self):
+        rack, vm, hv = self._borrowing_rack()
+        rack.start_host_monitoring(probe_period_s=0.5, miss_threshold=3)
+        rack.fabric.partition("z1")
+        rack.engine.run(until=5.0)
+        rack.fabric.heal("z1")
+        rack.engine.run(until=12.0)
+        z1 = rack.server("z1")
+        assert z1.manager.lent_frames > 0      # stale, CPU still off
+        rack.wake("z1")
+        rack.engine.run(until=14.0)            # AS_resync frees the runs
+        assert z1.manager.lent_frames == 0 == z1.allocator.used_frames
+        self._assert_conserved(rack)
+
+    def test_migration_between_lender_and_user(self):
+        rack = Rack(["a", "b", "z"], memory_bytes=128 * MiB,
+                    buff_size=8 * MiB)
+        rack.make_zombie("z")
+        vm = rack.create_vm("a", VmSpec("vm", 32 * MiB), local_fraction=0.5)
+        hv = rack.server("a").hypervisor
+        for ppn in range(vm.spec.total_pages):
+            hv.access(vm, ppn, write=True)
+        rack.migrate_vm("vm", "a", "b")       # adopt_vm backs pages by a run
+        self._assert_conserved(rack)
+        hv_b = rack.server("b").hypervisor
+        for ppn in range(vm.spec.total_pages):
+            hv_b.access(vm, ppn)               # evictions free run frames singly
+        self._assert_conserved(rack)
+        rack.destroy_vm("b", "vm")
+        assert rack.server("b").allocator.used_frames == 0

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import (ConfigurationError, OutOfFramesError,
                           PageTableError)
-from repro.memory.frames import Frame, FrameAllocator
+from repro.memory.frames import Frame, FrameAllocator, FrameRun
 from repro.memory.page_table import PageLocation, PageTable
 
 
@@ -58,15 +58,106 @@ class TestFrameAllocator:
             FrameAllocator(3).alloc_many(4)
 
     def test_alloc_many_zero(self):
-        assert FrameAllocator(3).alloc_many(0) == []
+        alloc = FrameAllocator(3)
+        empty = alloc.alloc_many(0)
+        assert len(empty) == 0 and list(empty) == [] and empty == []
+        alloc.free_many(empty)
+        assert alloc.free_frames == 3
+
+    def test_alloc_many_negative_rejected(self):
+        with pytest.raises(ConfigurationError):
+            FrameAllocator(3).alloc_many(-1)
+
+    def test_alloc_many_fresh_pool_is_one_ascending_extent(self):
+        alloc = FrameAllocator(10)
+        assert alloc.alloc().mfn == 0
+        run = alloc.alloc_many(4)
+        assert run.extents == (range(1, 5),)
+        assert alloc.alloc().mfn == 5
 
     def test_free_many_all_or_nothing(self):
         alloc = FrameAllocator(4)
         frames = alloc.alloc_many(2)
+        for foreign in (range(99, 100), range(3, 5), range(2, 3)):
+            with pytest.raises(PageTableError):
+                alloc.free_many(FrameRun(frames.extents + (foreign,)))
+            # nothing was freed by the failing call
+            assert alloc.free_frames == 2
+            assert all(alloc.is_allocated(f) for f in frames)
+
+    def test_free_many_duplicate_frame_rejected(self):
+        # Regression: the per-frame set passed validation for [f, f], freed
+        # the first copy, then died with a bare KeyError on the second.
+        alloc = FrameAllocator(4)
+        frame = alloc.alloc()
+        twice = FrameRun([range(frame.mfn, frame.mfn + 1)] * 2)
         with pytest.raises(PageTableError):
-            alloc.free_many(frames + [Frame(99)])
-        # nothing was freed by the failing call
-        assert alloc.free_frames == 2
+            alloc.free_many(twice)
+        assert (alloc.free_frames, alloc.used_frames) == (3, 1)
+        assert alloc.is_allocated(frame)
+        alloc.free(frame)
+        assert alloc.free_frames == 4
+
+    def test_free_many_overlapping_extents_rejected(self):
+        alloc = FrameAllocator(8)
+        alloc.alloc_many(6)
+        with pytest.raises(PageTableError):
+            alloc.free_many(FrameRun([range(0, 4), range(3, 6)]))
+        assert alloc.used_frames == 6
+
+    def test_double_free_many_rejected(self):
+        alloc = FrameAllocator(8)
+        run = alloc.alloc_many(4)
+        alloc.free_many(run)
+        with pytest.raises(PageTableError):
+            alloc.free_many(run)
+        assert alloc.free_frames == 8
+
+    def test_runs_and_singles_interchange(self):
+        alloc = FrameAllocator(8)
+        run = alloc.alloc_many(4)
+        alloc.free(run[1])           # a frame of a run, freed singly
+        assert alloc.used_frames == 3
+        with pytest.raises(PageTableError):
+            alloc.free_many(run)     # the run is no longer whole
+        assert alloc.used_frames == 3
+        singles = [alloc.alloc() for _ in range(5)]
+        assert singles[0] == run[1]  # LIFO reuse of the singly-freed frame
+        assert alloc.free_frames == 0
+        alloc.free_many(FrameRun(range(f.mfn, f.mfn + 1) for f in singles))
+        assert alloc.free_frames == 5
+
+    def test_alloc_many_on_checkerboarded_pool(self):
+        alloc = FrameAllocator(16)
+        frames = list(alloc.alloc_many(16))
+        for frame in frames[::2]:
+            alloc.free(frame)
+        run = alloc.alloc_many(8)
+        assert sorted(f.mfn for f in run) == list(range(0, 16, 2))
+        assert len(run.extents) == 8
+        with pytest.raises(OutOfFramesError):
+            alloc.alloc_many(1)
+
+    def test_alloc_many_coalesces_adjacent_singles(self):
+        alloc = FrameAllocator(8)
+        frames = [alloc.alloc() for _ in range(8)]
+        for frame in frames:
+            alloc.free(frame)
+        assert alloc.alloc_many(8).extents == (range(0, 8),)
+
+    def test_recycled_extents_are_reused_lifo(self):
+        alloc = FrameAllocator(12)
+        first, second = alloc.alloc_many(4), alloc.alloc_many(4)
+        alloc.free_many(first)
+        alloc.free_many(second)
+        assert alloc.alloc_many(4) == second
+        assert alloc.alloc_many(6).extents == (range(0, 4), range(8, 10))
+
+    def test_free_out_of_range_rejected(self):
+        alloc = FrameAllocator(2)
+        with pytest.raises(PageTableError):
+            alloc.free(Frame(2))
+        assert not alloc.is_allocated(Frame(2))
 
     def test_negative_size_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -78,6 +169,53 @@ class TestFrameAllocator:
         assert alloc.is_allocated(frame)
         alloc.free(frame)
         assert not alloc.is_allocated(frame)
+
+
+class TestFrameRun:
+    def test_len_counts_frames_not_extents(self):
+        run = FrameRun([range(4, 7), range(0, 2)])
+        assert len(run) == 5
+        assert len(FrameRun()) == 0
+
+    def test_iteration_yields_frames_in_extent_order(self):
+        run = FrameRun([range(4, 7), range(0, 2)])
+        frames = list(run)
+        assert all(isinstance(f, Frame) for f in frames)
+        assert [f.mfn for f in frames] == [4, 5, 6, 0, 1]
+
+    def test_indexing(self):
+        run = FrameRun([range(4, 7), range(0, 2)])
+        assert [run[i].mfn for i in range(5)] == [4, 5, 6, 0, 1]
+        assert run[-1] == Frame(1) and run[-5] == Frame(4)
+        for bad in (5, -6):
+            with pytest.raises(IndexError):
+                run[bad]
+        assert Frame(6) in run and Frame(7) not in run
+
+    def test_equality_is_by_frames_in_order(self):
+        run = FrameRun([range(0, 3)])
+        assert run == [Frame(0), Frame(1), Frame(2)]
+        assert run == FrameRun([range(0, 1), range(1, 3)])
+        assert run != [Frame(0), Frame(2), Frame(1)]
+        assert run != [Frame(0), Frame(1)]
+        assert run != FrameRun([range(1, 4)])
+        assert FrameRun() == []
+
+    def test_malformed_extents_rejected(self):
+        for bad in (range(3, 3), range(-1, 2), range(0, 6, 2), range(5, 0, -1)):
+            with pytest.raises(ConfigurationError):
+                FrameRun([bad])
+
+    def test_alloc_many_creates_no_frame_objects(self, monkeypatch):
+        import repro.memory.frames as frames_module
+
+        def boom(mfn):
+            raise AssertionError("alloc_many/free_many materialised a Frame")
+
+        alloc = FrameAllocator(64)
+        monkeypatch.setattr(frames_module, "Frame", boom)
+        alloc.free_many(alloc.alloc_many(32))
+        assert alloc.free_frames == 64
 
 
 class TestPageTable:

@@ -227,3 +227,17 @@ class TestLeakReport:
         del store
         gc.collect()
         assert all(leak.node != "user" for leak in san.leak_report())
+
+    def test_server_with_unaccounted_frames_is_reported(self, san):
+        from repro.core.rack import Rack
+        from repro.units import MiB
+        rack = Rack(["lender", "leaky"], memory_bytes=64 * MiB,
+                    buff_size=8 * MiB)
+        rack.make_zombie("lender")           # every frame backs a lent run
+        assert san.frame_leak_report() == []
+        stray = rack.server("leaky").allocator.alloc_many(3)
+        leaks = san.frame_leak_report()
+        assert [(leak.host, leak.unaccounted) for leak in leaks] == [
+            ("leaky", 3)]
+        rack.server("leaky").allocator.free_many(stray)
+        assert san.frame_leak_report() == []

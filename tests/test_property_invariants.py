@@ -1,7 +1,9 @@
 """Property-based tests (hypothesis) on the core data structures.
 
 Each property encodes an invariant the system relies on:
-- the frame allocator conserves frames under any alloc/free interleaving;
+- the frame allocator conserves frames under any alloc/free interleaving,
+  and its extent bookkeeping agrees with a plain ``set`` of held mfns under
+  any mix of single and bulk operations (state machine);
 - page-table residency counters always match the entries;
 - every replacement policy only ever evicts resident pages;
 - the remote page store never loses a stored page, even across lease
@@ -12,13 +14,17 @@ Each property encodes an invariant the system relies on:
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from repro.core.database import BufferDatabase
 from repro.core.protocol import BufferDescriptor, BufferKind
 from repro.energy.meter import EnergyMeter
 from repro.memory.buffers import BufferLease, RemotePageStore
-from repro.memory.frames import FrameAllocator
+from repro.errors import OutOfFramesError, PageTableError
+from repro.memory.frames import Frame, FrameAllocator, FrameRun
 from repro.memory.page_table import PageLocation, PageTable
 from repro.memory.replacement import make_policy
 from repro.rdma.fabric import Fabric
@@ -42,6 +48,121 @@ def test_frame_allocator_conserves_frames(ops):
     assert alloc.free_frames + alloc.used_frames == 16
     assert alloc.used_frames == len(held)
     assert len({f.mfn for f in held}) == len(held)  # no double handout
+
+
+class FrameAllocatorMachine(RuleBasedStateMachine):
+    """Singles and runs against a reference ``set`` of handed-out mfns."""
+
+    TOTAL = 48
+
+    def __init__(self):
+        super().__init__()
+        self.alloc = FrameAllocator(self.TOTAL)
+        self.held = set()      # the model: every mfn currently handed out
+        self.singles = []      # frames we hold one by one
+        self.runs = []         # FrameRuns we hold whole
+
+    def _take(self, mfns):
+        mfns = list(mfns)
+        assert len(set(mfns)) == len(mfns), "frame handed out twice at once"
+        assert not self.held & set(mfns), "frame handed out while held"
+        self.held.update(mfns)
+
+    @rule()
+    def alloc_one(self):
+        if len(self.held) == self.TOTAL:
+            with pytest.raises(OutOfFramesError):
+                self.alloc.alloc()
+            assert self.alloc.try_alloc() is None
+            return
+        frame = self.alloc.alloc()
+        self._take([frame.mfn])
+        self.singles.append(frame)
+
+    @rule(count=st.integers(0, TOTAL))
+    def alloc_run(self, count):
+        if count > self.TOTAL - len(self.held):
+            with pytest.raises(OutOfFramesError):
+                self.alloc.alloc_many(count)
+            return
+        run = self.alloc.alloc_many(count)
+        assert len(run) == count
+        self._take(f.mfn for f in run)
+        self.runs.append(run)
+
+    @precondition(lambda self: self.singles)
+    @rule(pick=st.integers(0, TOTAL))
+    def free_one(self, pick):
+        frame = self.singles.pop(pick % len(self.singles))
+        self.alloc.free(frame)
+        self.held.remove(frame.mfn)
+        with pytest.raises(PageTableError):
+            self.alloc.free(frame)
+
+    @precondition(lambda self: self.runs)
+    @rule(pick=st.integers(0, TOTAL))
+    def free_run(self, pick):
+        run = self.runs.pop(pick % len(self.runs))
+        self.alloc.free_many(run)
+        self.held.difference_update(f.mfn for f in run)
+
+    @precondition(lambda self: any(len(run) for run in self.runs))
+    @rule(pick=st.integers(0, TOTAL), offset=st.integers(0, TOTAL))
+    def free_one_frame_out_of_a_run(self, pick, offset):
+        candidates = [i for i, run in enumerate(self.runs) if len(run)]
+        run = self.runs.pop(candidates[pick % len(candidates)])
+        frame = run[offset % len(run)]
+        self.alloc.free(frame)
+        self.held.remove(frame.mfn)
+        # The rest of the run is now held frame by frame.
+        self.singles.extend(f for f in run if f != frame)
+
+    @precondition(lambda self: self.runs)
+    @rule(pick=st.integers(0, TOTAL), stray=st.integers(0, TOTAL + 3))
+    def failed_free_many_changes_nothing(self, pick, stray):
+        run = self.runs[pick % len(self.runs)]
+        # A stray frame that is free, out of range, or already in the run.
+        if stray in self.held and Frame(stray) not in run:
+            return
+        bad = FrameRun(run.extents + (range(stray, stray + 1),))
+        before = (self.alloc.free_frames, self.alloc.used_frames)
+        with pytest.raises(PageTableError):
+            self.alloc.free_many(bad)
+        assert (self.alloc.free_frames, self.alloc.used_frames) == before
+
+    @rule()
+    def checkerboard_then_take_everything(self):
+        # Fragment as hard as possible: hold every frame singly, free every
+        # other one, then ask for all free frames in one call.
+        self.singles.extend(self.alloc.alloc_many(self.alloc.free_frames))
+        for run in self.runs:
+            self.singles.extend(run)
+        self.runs.clear()
+        self.held = {f.mfn for f in self.singles}
+        self.singles.sort(key=lambda f: f.mfn)
+        for frame in self.singles[::2]:
+            self.alloc.free(frame)
+            self.held.remove(frame.mfn)
+        self.singles = self.singles[1::2]
+        run = self.alloc.alloc_many(self.alloc.free_frames)
+        self._take(f.mfn for f in run)
+        self.runs.append(run)
+        assert self.alloc.free_frames == 0
+
+    @invariant()
+    def agrees_with_model(self):
+        assert self.alloc.used_frames == len(self.held)
+        assert self.alloc.free_frames + self.alloc.used_frames == self.TOTAL
+        for mfn in range(self.TOTAL + 2):
+            assert self.alloc.is_allocated(Frame(mfn)) == (mfn in self.held)
+        assert (len(self.singles) + sum(len(run) for run in self.runs)
+                == len(self.held))
+
+
+FrameAllocatorMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None,
+)
+TestFrameAllocatorMachine = FrameAllocatorMachine.TestCase
 
 
 @settings(max_examples=50, deadline=None)
