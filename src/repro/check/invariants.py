@@ -14,7 +14,8 @@ checker cannot disagree on what constitutes a violation — a divergence
 would be a bug in the *model*, which is exactly what the ZL006 lint rule
 and the drift check in ``python -m repro.check`` exist to catch.
 
-Everything here is pure: no imports from the runtime system, no state.
+Everything here is pure: no imports from the runtime system, no state
+(:func:`replicated_entries` reads a database it is handed, duck-typed).
 """
 
 from __future__ import annotations
@@ -106,12 +107,29 @@ def double_free(already_freed: bool) -> bool:
 
 # -- state-level predicates ---------------------------------------------------
 
+def replicated_entries(db) -> frozenset:
+    """THE definition of "replicated state", as hashable rows.
+
+    One ``buf`` row per :class:`~repro.core.database.BufferDatabase`
+    record (the model's ``(bid, host, kind, user, purpose)``, field for
+    field) plus the zombie and known-host sets.  Every agreement check —
+    trace replayer, stateful rack machine, chaos matrices — compares
+    these rows and nothing narrower.
+    """
+    rows = {("buf", d.buffer_id, d.host, d.kind.value, d.user, d.purpose)
+            for d in db.all_buffers()}
+    rows |= {("zombie", host) for host in db.zombie_hosts}
+    rows |= {("known", host) for host in db.known_hosts}
+    return frozenset(rows)
+
+
 def mirror_divergence(primary_entries: Iterable, standby_entries: Iterable
                       ) -> bool:
     """Primary and standby must agree on the buffer table at quiescence.
 
     Entries are compared as sets so representation order never matters;
-    callers pass hashable per-buffer tuples.
+    the real rack passes :func:`replicated_entries` rows, the model its
+    own per-buffer tuples.
     """
     return set(primary_entries) != set(standby_entries)
 

@@ -159,11 +159,11 @@ class DoubleLendMutant(Mutant):
                 free.sort(key=lambda b: b.buffer_id)
             return free
 
-        def assign(self, buffer_id, user):
-            descriptor = self._get(buffer_id)  # bug: no allocated guard
-            updated = descriptor.with_user(user)
+        def assign(self, buffer_id, user, purpose=None):
+            descriptor = self.get(buffer_id)  # bug: no allocated guard
+            updated = descriptor.with_user(user, purpose)
             self._buffers[buffer_id] = updated
-            self.journal.append(("assign", (buffer_id, user)))
+            self.journal.append(("assign", (buffer_id, user, purpose)))
             return updated
 
         self._patch(BufferDatabase, "free_buffers", free_buffers)

@@ -194,13 +194,14 @@ class TraceReplayer:
         rack.engine.advance(period * 6)
         if rack.secondary.promoted is None:
             raise ReproError("secondary did not promote within 6 periods")
-        self._promotion_snapshot = self._standby_entries()
+        self._promotion_snapshot = invariants.replicated_entries(
+            rack.secondary.db)
 
     def _do_stale_mirror_op(self) -> None:
         # The deposed primary tries to keep mirroring; a fenced system
         # rejects the stale epoch, an unfenced one corrupts the standby.
-        host = self.bounds.host_names()[0]
-        self._old_primary._emit("zombie_add", (host,))
+        self._old_primary.db.zombie_add(self.bounds.host_names()[0])
+        self._old_primary._pump_mirror()
 
     # -- duplicate deliveries (dup_ model actions) -------------------------
     def _dup_step(self, verb: str, base, *args) -> None:
@@ -309,35 +310,19 @@ class TraceReplayer:
             findings.append((invariants.DOUBLE_LEND, (
                 f"buffers {dupes} are leased by more than one user "
                 "at end of trace")))
+        standby = invariants.replicated_entries(rack.secondary.db)
         if self._promotion_snapshot is not None:
-            if invariants.fenced_write(self._promotion_snapshot,
-                                       self._standby_entries()):
+            if invariants.fenced_write(self._promotion_snapshot, standby):
                 findings.append((invariants.FENCED_WRITE, (
                     "the standby's mirrored state drifted after promotion "
                     "— a deposed primary kept writing")))
         elif not self._old_primary.fenced:
-            primary = self._primary_entries()
-            standby = self._standby_entries()
+            primary = invariants.replicated_entries(rack.controller.db)
             if invariants.mirror_divergence(primary, standby):
                 findings.append((invariants.MIRROR_DIVERGENCE, (
                     "primary and standby disagree on the buffer table "
                     "at quiescence")))
         return findings
-
-    def _standby_entries(self) -> frozenset:
-        secondary = self._rack.secondary
-        return self._entries(secondary.db, secondary.zombie_hosts)
-
-    def _primary_entries(self) -> frozenset:
-        controller = self._rack.controller
-        return self._entries(controller.db, controller.zombie_hosts)
-
-    @staticmethod
-    def _entries(db, zombie_hosts) -> frozenset:
-        rows = {("buf", d.buffer_id, d.host, d.kind.value, d.user)
-                for d in db.all_buffers()}
-        rows |= {("zombie", host) for host in zombie_hosts}
-        return frozenset(rows)
 
 
 def replay_trace(bounds: Bounds, names: Sequence[str],

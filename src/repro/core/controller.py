@@ -5,14 +5,15 @@ suspend (``GS_goto_zombie``), reclaim it on wake (``GS_reclaim``), user
 servers allocate RAM-Extension memory (``GS_alloc_ext``, guaranteed by
 admission control) and best-effort swap memory (``GS_alloc_swap``).
 
-Every mutation is mirrored synchronously to the secondary controller through
-the ``mirror`` callback; the Rack wires that callback to an RPC over the
-fabric.
+All replicated state lives in :class:`~repro.core.database.BufferDatabase`,
+whose journal is the replication log: every handler ends by offering the
+un-acknowledged suffix to the secondary through the ``mirror`` callback
+(``_pump_mirror``); the Rack wires that callback to an RPC over the fabric.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.database import BufferDatabase
 from repro.core.events import EventKind, EventLog
@@ -23,8 +24,8 @@ from repro.rdma.fabric import RdmaNode
 from repro.rdma.rpc import RpcClient, RpcServer
 from repro.units import DEFAULT_BUFF_SIZE, buffers_for
 
-#: ``(op, args, seq)`` — seq is the position in the primary's replicated-op
-#: log, making re-sends idempotent on the secondary.
+#: ``(op, args, seq)`` — seq is the entry's position in the stream of
+#: everything the primary ever journaled, making re-sends idempotent.
 MirrorFn = Callable[[str, tuple, Optional[int]], None]
 
 
@@ -38,19 +39,14 @@ class GlobalMemoryController:
         #: Round-robin allocations across serving hosts (the paper's
         #: failure-impact minimization).  False = fill one host at a time.
         self.stripe = stripe
+        #: Every replicated fact (buffers, purposes, host sets) and the
+        #: journal of mutations the standby has not acknowledged yet.
         self.db = BufferDatabase()
-        self.zombie_hosts: Set[str] = set()
-        self.known_hosts: Set[str] = set()
-        #: buffer_id → "ext" | "swap"; swap allocations are revocable.
-        self.allocation_purpose: Dict[int, str] = {}
         self.mirror: Optional[MirrorFn] = None
-        #: Replicated-op log and sent watermark.  Every mirrored mutation
-        #: is appended here with its index as a sequence number; ops the
-        #: mirror channel could not deliver stay queued past the watermark
-        #: until a later pump retries them, so one lost mirror call can no
-        #: longer silently desynchronise the standby.
-        self._mirror_log: List[Tuple[str, tuple]] = []
-        self._mirror_sent = 0
+        #: Journal entries acknowledged so far == the sequence number of
+        #: the journal's head.  Undelivered ops stay in the journal until
+        #: a later pump retries them: no lost call desynchronises the standby.
+        self._mirror_acked = 0
         #: Pump stalls: a transport fault left the suffix queued.
         self.mirror_deferred = 0
         self.agent_clients: Dict[str, RpcClient] = {}
@@ -124,22 +120,37 @@ class GlobalMemoryController:
                         idempotency="read_only"))
 
     def _guard(self, handler):
-        """Refuse to serve authority-bearing calls once deposed."""
+        """Refuse to serve authority-bearing calls once deposed.
+
+        The closing pump is the RPC path's handler boundary: a handler
+        that raised half way still replicates what it changed.
+        """
         def guarded(*args, **kwargs):
             if self.fenced:
                 raise FencingError(
                     f"controller at epoch {self.epoch} is fenced "
                     "(a newer primary was promoted)"
                 )
-            return handler(*args, **kwargs)
+            try:
+                return handler(*args, **kwargs)
+            finally:
+                if not self.fenced:
+                    self._pump_mirror()
         return guarded
+
+    @property
+    def zombie_hosts(self) -> Set[str]:
+        return self.db.zombie_hosts
+
+    @property
+    def known_hosts(self) -> Set[str]:
+        return self.db.known_hosts
 
     def attach_agent(self, host: str, client: RpcClient) -> None:
         """Register the RPC path to ``host``'s remote-mem-mgr."""
         self.agent_clients[host] = client
-        if host not in self.known_hosts:
-            self.known_hosts.add(host)
-            self._emit("host_add", (host,))
+        self.db.host_add(host)
+        self._pump_mirror()
 
     def _agent_call(self, host: str, method: Method, *args):
         """Epoch-stamped RPC to one agent (fenced on the receiving side)."""
@@ -160,41 +171,36 @@ class GlobalMemoryController:
             self.events.emit(EventKind.CONTROLLER_FENCED, self.node.name,
                              epoch=self.epoch)
 
-    def _emit(self, op: str, args: tuple) -> None:
-        if self.mirror is not None:
-            self._mirror_log.append((op, args))
-            self._pump_mirror()
-
     @property
     def mirror_lag(self) -> int:
         """Mirrored ops queued but not yet acknowledged by the secondary."""
-        return len(self._mirror_log) - self._mirror_sent
+        return len(self.db.journal)
 
     def _pump_mirror(self) -> None:
-        """Deliver queued mirror ops in order, pausing on transport faults.
+        """Offer the journal to the standby, oldest first; drop what it acks.
 
-        A timeout (or open breaker) leaves the watermark in place, so the
-        next mutation — or the next heartbeat the standby's watchdog sends
-        — retries the undelivered suffix.  Sequence numbers make the
-        re-send idempotent: a re-delivered op the secondary already
-        applied (e.g. its reply was the lost message) is skipped there.
+        Called at every handler boundary.  A timeout (or open breaker)
+        leaves the suffix queued, so the next boundary — or the standby's
+        next heartbeat — retries it.  Sequence numbers make the re-send
+        idempotent: an op the secondary already applied (its reply was
+        the lost message) is skipped there.  No standby: nothing to keep.
         """
-        while self._mirror_sent < len(self._mirror_log):
-            op, args = self._mirror_log[self._mirror_sent]
+        journal = self.db.journal
+        if self.mirror is None:
+            journal.clear()
+            return
+        while journal:
+            op, args = journal[0]
             try:
-                self.mirror(op, args, self._mirror_sent)
+                self.mirror(op, args, self._mirror_acked)
             except FencingError:
                 self._mark_fenced()
                 raise
             except (RpcTimeoutError, CircuitOpenError, RdmaError):
                 self.mirror_deferred += 1
                 return
-            self._mirror_sent += 1
-
-    def _flush_journal(self, start: int) -> None:
-        """Mirror every database mutation journaled since ``start``."""
-        for op, args in self.db.journal[start:]:
-            self._emit(op, args)
+            journal.popleft()
+            self._mirror_acked += 1
 
     # -- RPC handlers -----------------------------------------------------
     def heartbeat(self) -> str:
@@ -224,23 +230,20 @@ class GlobalMemoryController:
         Buffers the host already lent while active are re-labelled zombie.
         Returns the number of buffers now lent by the host.
         """
-        mark = len(self.db.journal)
-        if host not in self.known_hosts:
-            self.known_hosts.add(host)
-            self._emit("host_add", (host,))
-        self.zombie_hosts.add(host)
-        self._emit("zombie_add", (host,))
         for descriptor in buffers:
             if descriptor.host != host:
                 raise ControllerError(
                     f"{host} lends buffer {descriptor.buffer_id} it does "
                     f"not serve (host={descriptor.host})"
                 )
+        self.db.host_add(host)
+        self.db.zombie_add(host)
+        for descriptor in buffers:
             self.db.add(descriptor.with_kind(BufferKind.ZOMBIE))
         for existing in self.db.by_host(host):
             if existing.kind is not BufferKind.ZOMBIE:
                 self.db.set_kind(existing.buffer_id, BufferKind.ZOMBIE)
-        self._flush_journal(mark)
+        self._pump_mirror()
         self.events.emit(EventKind.ZOMBIE_ENTER, host,
                          buffers=len(self.db.by_host(host)))
         tel = self.node.fabric.telemetry
@@ -256,13 +259,11 @@ class GlobalMemoryController:
 
     def gs_wake(self, host: str) -> None:
         """A zombie resumed to S0; its remaining buffers become active-kind."""
-        mark = len(self.db.journal)
-        self.zombie_hosts.discard(host)
-        self._emit("zombie_remove", (host,))
+        self.db.zombie_remove(host)
         for descriptor in self.db.by_host(host):
             if descriptor.kind is not BufferKind.ACTIVE:
                 self.db.set_kind(descriptor.buffer_id, BufferKind.ACTIVE)
-        self._flush_journal(mark)
+        self._pump_mirror()
         self.events.emit(EventKind.ZOMBIE_EXIT, host)
         tel = self.node.fabric.telemetry
         if tel.enabled:
@@ -286,7 +287,6 @@ class GlobalMemoryController:
         servers are revoked via ``US_reclaim``.  Returns the buffer ids the
         host may now free.
         """
-        mark = len(self.db.journal)
         own = self.db.by_host(host)
         own.sort(key=lambda b: (b.allocated, b.buffer_id))
         if nb_buffers > len(own):
@@ -306,9 +306,8 @@ class GlobalMemoryController:
             if descriptor.buffer_id not in self.db:
                 continue
             self.db.remove(descriptor.buffer_id)
-            self.allocation_purpose.pop(descriptor.buffer_id, None)
             reclaimed.append(descriptor.buffer_id)
-        self._flush_journal(mark)
+        self._pump_mirror()
         self.events.emit(EventKind.BUFFERS_RECLAIMED, host,
                          count=len(reclaimed))
         return reclaimed
@@ -349,19 +348,11 @@ class GlobalMemoryController:
 
     def gs_release(self, user: str, buffer_ids: List[int]) -> None:
         """A user returns buffers it no longer needs."""
-        mark = len(self.db.journal)
-        for buffer_id in buffer_ids:
-            descriptor = self.db.get(buffer_id)
-            if descriptor.user != user:
-                raise ControllerError(
-                    f"{user} releases buffer {buffer_id} owned by "
-                    f"{descriptor.user!r}"
-                )
-            self.db.unassign(buffer_id)
-            self.allocation_purpose.pop(buffer_id, None)
-        self._flush_journal(mark)
-        self.events.emit(EventKind.BUFFERS_RELEASED, user,
-                         count=len(buffer_ids))
+        held = self._held_by(user, buffer_ids)
+        for descriptor in held:
+            self.db.unassign(descriptor.buffer_id)
+        self._pump_mirror()
+        self.events.emit(EventKind.BUFFERS_RELEASED, user, count=len(held))
 
     def gs_transfer(self, old_user: str, new_user: str,
                     buffer_ids: List[int]) -> None:
@@ -371,21 +362,28 @@ class GlobalMemoryController:
         memory components" (Section 5.3) — the buffers and their content
         never move.
         """
-        mark = len(self.db.journal)
-        for buffer_id in buffer_ids:
-            descriptor = self.db.get(buffer_id)
-            if descriptor.user != old_user:
-                raise ControllerError(
-                    f"transfer of buffer {buffer_id}: owned by "
-                    f"{descriptor.user!r}, not {old_user!r}"
-                )
-            purpose = self.allocation_purpose.get(buffer_id, "ext")
-            self.db.unassign(buffer_id)
-            self.db.assign(buffer_id, new_user)
-            self.allocation_purpose[buffer_id] = purpose
-        self._flush_journal(mark)
+        held = self._held_by(old_user, buffer_ids)
+        for descriptor in held:
+            self.db.unassign(descriptor.buffer_id)
+            self.db.assign(descriptor.buffer_id, new_user,
+                           descriptor.purpose or "ext")
+        self._pump_mirror()
         self.events.emit(EventKind.BUFFERS_TRANSFERRED, new_user,
-                         from_host=old_user, count=len(buffer_ids))
+                         from_host=old_user, count=len(held))
+
+    def _held_by(self, user: str,
+                 buffer_ids: List[int]) -> List[BufferDescriptor]:
+        """The request's records, validated whole before the first
+        mutation (a verb that rejects must change nothing); an id named
+        twice counts once."""
+        held = [self.db.get(b) for b in dict.fromkeys(buffer_ids)]
+        for descriptor in held:
+            if descriptor.user != user:
+                raise ControllerError(
+                    f"buffer {descriptor.buffer_id} is held by "
+                    f"{descriptor.user!r}, not by {user!r}"
+                )
+        return held
 
     # -- cross-rack federation (ZomFed) -----------------------------------
     def fed_borrow(self, borrower: str,
@@ -400,7 +398,6 @@ class GlobalMemoryController:
         raises :class:`AllocationError`, which is the borrower's signal
         to mark this rack dry in its federation directory.
         """
-        mark = len(self.db.journal)
         eligible = [b for b in self.db.free_buffers(zombie_first=True)
                     if b.kind is BufferKind.ZOMBIE]
         if not eligible or nb_buffers <= 0:
@@ -410,9 +407,9 @@ class GlobalMemoryController:
             )
         granted = []
         for descriptor in eligible[:nb_buffers]:
-            granted.append(self.db.assign(descriptor.buffer_id, borrower))
-            self.allocation_purpose[descriptor.buffer_id] = "fed"
-        self._flush_journal(mark)
+            granted.append(self.db.assign(descriptor.buffer_id, borrower,
+                                          "fed"))
+        self._pump_mirror()
         self.events.emit(EventKind.FED_LENT, borrower, count=len(granted))
         tel = self.node.fabric.telemetry
         if tel.enabled:
@@ -429,21 +426,12 @@ class GlobalMemoryController:
         them, which is what makes retried/duplicated returns converge.
         Returns the number of buffers actually freed.
         """
-        mark = len(self.db.journal)
-        freed = 0
-        for buffer_id in buffer_ids:
-            if buffer_id not in self.db:
-                continue
-            descriptor = self.db.get(buffer_id)
-            if descriptor.user != borrower:
-                raise ControllerError(
-                    f"{borrower} returns buffer {buffer_id} lent to "
-                    f"{descriptor.user!r}"
-                )
-            self.db.unassign(buffer_id)
-            self.allocation_purpose.pop(buffer_id, None)
-            freed += 1
-        self._flush_journal(mark)
+        held = self._held_by(borrower,
+                             [b for b in buffer_ids if b in self.db])
+        for descriptor in held:
+            self.db.unassign(descriptor.buffer_id)
+        freed = len(held)
+        self._pump_mirror()
         self.events.emit(EventKind.FED_RETURNED, borrower, count=freed)
         tel = self.node.fabric.telemetry
         if tel.enabled:
@@ -462,7 +450,6 @@ class GlobalMemoryController:
         normal zombie-first priority.  Journaled like any mutation, so
         the secondary mirrors the imported pool too.
         """
-        mark = len(self.db.journal)
         imported = 0
         for descriptor in descriptors:
             if descriptor.buffer_id in self.db:
@@ -470,7 +457,7 @@ class GlobalMemoryController:
             self.db.add(descriptor.with_kind(BufferKind.ZOMBIE)
                         .with_user(None))
             imported += 1
-        self._flush_journal(mark)
+        self._pump_mirror()
         if imported:
             self.events.emit(EventKind.FED_IMPORTED, self.node.name,
                              count=imported)
@@ -484,7 +471,6 @@ class GlobalMemoryController:
         yield points: re-validate against the database before removing
         (ZL010).  Returns the buffer ids actually dropped.
         """
-        mark = len(self.db.journal)
         present = [self.db.get(b) for b in buffer_ids if b in self.db]
         self._revoke([d for d in present if d.allocated])
         dropped = []
@@ -492,9 +478,8 @@ class GlobalMemoryController:
             if descriptor.buffer_id not in self.db:
                 continue
             self.db.remove(descriptor.buffer_id)
-            self.allocation_purpose.pop(descriptor.buffer_id, None)
             dropped.append(descriptor.buffer_id)
-        self._flush_journal(mark)
+        self._pump_mirror()
         if dropped:
             self.events.emit(EventKind.FED_RECALLED, self.node.name,
                              count=len(dropped))
@@ -503,7 +488,6 @@ class GlobalMemoryController:
     # -- allocation engine ------------------------------------------------
     def _allocate(self, user: str, nb: int, purpose: str,
                   best_effort: bool) -> List[BufferDescriptor]:
-        mark = len(self.db.journal)
         chosen = self._pick_free(user, nb)
         if len(chosen) < nb:
             self._grow_pool_from_active(user)
@@ -511,7 +495,6 @@ class GlobalMemoryController:
         if len(chosen) < nb and not best_effort:
             chosen += self._revoke_swap_from_users(user, nb - len(chosen))
         if len(chosen) < nb and not best_effort:
-            self._flush_journal(mark)
             raise AllocationError(
                 f"cannot satisfy guaranteed allocation of {nb} buffers for "
                 f"{user} ({len(chosen)} available); admission control "
@@ -519,9 +502,9 @@ class GlobalMemoryController:
             )
         granted = []
         for descriptor in chosen[:nb]:
-            granted.append(self.db.assign(descriptor.buffer_id, user))
-            self.allocation_purpose[descriptor.buffer_id] = purpose
-        self._flush_journal(mark)
+            granted.append(self.db.assign(descriptor.buffer_id, user,
+                                          purpose))
+        self._pump_mirror()
         return granted
 
     def _pick_free(self, user: str, nb: int) -> List[BufferDescriptor]:
@@ -584,15 +567,13 @@ class GlobalMemoryController:
         """Take back best-effort swap buffers to honour a guarantee."""
         revocable = [
             b for b in self.db.all_buffers()
-            if (b.allocated and b.user != requesting_user
-                and self.allocation_purpose.get(b.buffer_id) == "swap")
+            if b.user != requesting_user and b.purpose == "swap"
         ]
         revocable.sort(key=lambda b: b.buffer_id)
         victims = revocable[:nb]
         self._revoke(victims)
         freed = []
         for descriptor in victims:
-            self.allocation_purpose.pop(descriptor.buffer_id, None)
             freed.append(self.db.unassign(descriptor.buffer_id))
         return freed
 

@@ -1,25 +1,33 @@
-"""The controller's in-memory buffer database.
+"""The controller's replicated state machine.
 
 Pure bookkeeping (no RPC, no fabric): which buffers exist, who serves them,
-who uses them.  The controller wraps every mutation so it can be mirrored to
-the secondary; the database itself also journals mutations as ``(op, args)``
-tuples, which is what flows over the mirroring channel.
+who uses them and why, which hosts are known / parked in Sz — every fact a
+promoted standby must know.  Each mutator journals itself as ``(op, args)``;
+the journal is the replication log: the controller offers it to the secondary
+at every handler boundary and drops what is acknowledged, and the secondary
+replays it through :meth:`BufferDatabase.apply`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.protocol import BufferDescriptor, BufferKind
 from repro.errors import BufferError_, ControllerError
 
 
 class BufferDatabase:
-    """Buffer records indexed by id, host and user."""
+    """Buffer records indexed by id, host and user, plus the host sets."""
 
     def __init__(self) -> None:
         self._buffers: Dict[int, BufferDescriptor] = {}
-        self.journal: List[Tuple[str, tuple]] = []
+        self.zombie_hosts: Set[str] = set()     # currently parked in Sz
+        #: Every host ever attached or seen going zombie — the active
+        #: ones too, so a promotion does not forget them.
+        self.known_hosts: Set[str] = set()
+        #: Mutations not yet acknowledged by the standby, oldest first.
+        self.journal: Deque[Tuple[str, tuple]] = deque()
 
     # -- mutations (journaled) ------------------------------------------------
     def add(self, descriptor: BufferDescriptor) -> None:
@@ -35,19 +43,20 @@ class BufferDatabase:
         self.journal.append(("remove", (buffer_id,)))
         return descriptor
 
-    def assign(self, buffer_id: int, user: str) -> BufferDescriptor:
-        descriptor = self._get(buffer_id)
+    def assign(self, buffer_id: int, user: str,
+               purpose: Optional[str] = None) -> BufferDescriptor:
+        descriptor = self.get(buffer_id)
         if descriptor.allocated:
             raise BufferError_(
                 f"buffer {buffer_id} already allocated to {descriptor.user!r}"
             )
-        updated = descriptor.with_user(user)
+        updated = descriptor.with_user(user, purpose)
         self._buffers[buffer_id] = updated
-        self.journal.append(("assign", (buffer_id, user)))
+        self.journal.append(("assign", (buffer_id, user, purpose)))
         return updated
 
     def unassign(self, buffer_id: int) -> BufferDescriptor:
-        descriptor = self._get(buffer_id)
+        descriptor = self.get(buffer_id)
         if not descriptor.allocated:
             raise BufferError_(f"buffer {buffer_id} is not allocated")
         updated = descriptor.with_user(None)
@@ -57,32 +66,67 @@ class BufferDatabase:
 
     def set_kind(self, buffer_id: int, kind: BufferKind) -> BufferDescriptor:
         """Re-label a buffer when its serving host changes power state."""
-        updated = self._get(buffer_id).with_kind(kind)
+        updated = self.get(buffer_id).with_kind(kind)
         self._buffers[buffer_id] = updated
         self.journal.append(("set_kind", (buffer_id, kind)))
         return updated
 
+    def host_add(self, host: str) -> None:
+        """Remember ``host``; a host already known journals nothing."""
+        if host not in self.known_hosts:
+            self.known_hosts.add(host)
+            self.journal.append(("host_add", (host,)))
+
+    def zombie_add(self, host: str) -> None:
+        self.zombie_hosts.add(host)
+        self.known_hosts.add(host)
+        self.journal.append(("zombie_add", (host,)))
+
+    def zombie_remove(self, host: str) -> None:
+        self.zombie_hosts.discard(host)
+        self.journal.append(("zombie_remove", (host,)))
+
     def apply(self, op: str, args: tuple) -> None:
-        """Apply a journaled mutation (the secondary's mirroring path)."""
-        handlers = {
-            "add": lambda d: self._buffers.__setitem__(d.buffer_id, d),
-            "remove": lambda bid: self._buffers.pop(bid, None),
-            "assign": lambda bid, user: self._buffers.__setitem__(
-                bid, self._get(bid).with_user(user)),
-            "unassign": lambda bid: self._buffers.__setitem__(
-                bid, self._get(bid).with_user(None)),
-            "set_kind": lambda bid, kind: self._buffers.__setitem__(
-                bid, self._get(bid).with_kind(kind)),
-        }
-        handler = handlers.get(op)
-        if handler is None:
+        """Replay one journaled mutation (the standby's mirroring path).
+
+        Lenient where the mutators are strict (``add`` overwrites, an
+        unknown ``remove`` is a no-op): sequence numbers de-duplicated the
+        stream already.  Journals nothing: nobody reads a standby's log.
+        """
+        buffers = self._buffers
+        if op == "add":
+            buffers[args[0].buffer_id] = args[0]
+        elif op == "remove":
+            buffers.pop(args[0], None)
+        elif op == "assign":
+            buffers[args[0]] = self.get(args[0]).with_user(args[1], args[2])
+        elif op == "unassign":
+            buffers[args[0]] = self.get(args[0]).with_user(None)
+        elif op == "set_kind":
+            buffers[args[0]] = self.get(args[0]).with_kind(args[1])
+        elif op == "host_add":
+            self.known_hosts.add(args[0])
+        elif op == "zombie_add":
+            self.zombie_hosts.add(args[0])
+            self.known_hosts.add(args[0])
+        elif op == "zombie_remove":
+            self.zombie_hosts.discard(args[0])
+        else:
             raise ControllerError(f"unknown mirrored operation {op!r}")
-        handler(*args)
-        self.journal.append((op, args))
+
+    def adopt(self, other: "BufferDatabase") -> None:
+        """Become a copy of ``other``'s state (a promotion's seed); it is
+        the new log's origin, so nothing is journaled."""
+        self._buffers = dict(other._buffers)
+        self.zombie_hosts = set(other.zombie_hosts)
+        self.known_hosts = set(other.known_hosts)
 
     # -- queries --------------------------------------------------------
     def get(self, buffer_id: int) -> BufferDescriptor:
-        return self._get(buffer_id)
+        descriptor = self._buffers.get(buffer_id)
+        if descriptor is None:
+            raise BufferError_(f"unknown buffer id {buffer_id}")
+        return descriptor
 
     def __len__(self) -> int:
         return len(self._buffers)
@@ -128,16 +172,4 @@ class BufferDatabase:
     def total_bytes(self) -> int:
         return sum(b.size_bytes for b in self._buffers.values())
 
-    def snapshot(self) -> List[BufferDescriptor]:
-        """Full-state copy (bootstrap of a fresh secondary)."""
-        return list(self._buffers.values())
-
-    def load_snapshot(self, buffers: List[BufferDescriptor]) -> None:
-        self._buffers = {b.buffer_id: b for b in buffers}
-        self.journal.append(("snapshot", (len(buffers),)))
-
-    def _get(self, buffer_id: int) -> BufferDescriptor:
-        descriptor = self._buffers.get(buffer_id)
-        if descriptor is None:
-            raise BufferError_(f"unknown buffer id {buffer_id}")
-        return descriptor
+    snapshot = all_buffers

@@ -137,7 +137,9 @@ class BufferDescriptor:
     Matches the paper's record: "an identifier, offset, size, its type
     (active/zombie), the host serving the buffer, and the server currently
     using this buffer (nil if it is not yet allocated)."  ``rkey`` is the
-    RDMA registration users need to address it.
+    RDMA registration users need to address it; ``purpose`` says why the
+    user holds it (``"ext"`` guaranteed, ``"swap"`` and ``"fed"``
+    revocable) and is nil whenever ``user`` is.
     """
 
     buffer_id: int
@@ -147,6 +149,7 @@ class BufferDescriptor:
     kind: BufferKind
     rkey: int
     user: Optional[str] = None
+    purpose: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
@@ -162,8 +165,9 @@ class BufferDescriptor:
     def allocated(self) -> bool:
         return self.user is not None
 
-    def with_user(self, user: Optional[str]) -> "BufferDescriptor":
-        return replace(self, user=user)
+    def with_user(self, user: Optional[str],
+                  purpose: Optional[str] = None) -> "BufferDescriptor":
+        return replace(self, user=user, purpose=purpose)
 
     def with_kind(self, kind: BufferKind) -> "BufferDescriptor":
         return replace(self, kind=kind)

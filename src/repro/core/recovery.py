@@ -194,7 +194,6 @@ class RecoveryCoordinator:
         with tel.tracer.span("recover.host_lost", host=host,
                              node=controller.node.name,
                              reported_by=reported_by or "monitor") as span:
-            mark = len(controller.db.journal)
             descriptors = sorted(controller.db.by_host(host),
                                  key=lambda b: b.buffer_id)
             stats = HostRecoveryStats(host=host, detected_at=self.engine.now,
@@ -238,11 +237,9 @@ class RecoveryCoordinator:
                 if descriptor.buffer_id not in controller.db:
                     continue
                 controller.db.remove(descriptor.buffer_id)
-                controller.allocation_purpose.pop(descriptor.buffer_id, None)
             if host in controller.zombie_hosts:
-                controller.zombie_hosts.discard(host)
-                controller._emit("zombie_remove", (host,))
-            controller._flush_journal(mark)
+                controller.db.zombie_remove(host)
+            controller._pump_mirror()
             self.lost_hosts.add(host)
             self._misses[host] = 0
             self._pending_resync[host] = [d.buffer_id for d in descriptors]

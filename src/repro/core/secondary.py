@@ -30,11 +30,8 @@ class SecondaryController:
                  heartbeat_period_s: float = 1.0, miss_threshold: int = 3):
         self.node = node
         self.engine = engine
+        #: The mirrored replica of everything the primary's database holds.
         self.db = BufferDatabase()
-        self.zombie_hosts: Set[str] = set()
-        #: Every host the primary ever attached or saw go zombie — the
-        #: active ones too, so a promotion does not forget them.
-        self.known_hosts: Set[str] = set()
         #: Highest fencing epoch observed on the mirror channel; after a
         #: promotion it is the *new* primary's epoch, and mirror ops from
         #: the deposed primary are rejected with :class:`FencingError`.
@@ -83,35 +80,24 @@ class SecondaryController:
         if seq is not None and seq <= self.mirror_applied_seq:
             self.mirror_skips += 1
             return
-        if op == "zombie_add":
-            self.zombie_hosts.add(args[0])
-            self.known_hosts.add(args[0])
-        elif op == "zombie_remove":
-            self.zombie_hosts.discard(args[0])
-        elif op == "host_add":
-            self.known_hosts.add(args[0])
-        elif op == "host_remove":
-            self.known_hosts.discard(args[0])
-        else:
-            self.db.apply(op, args)
+        self.db.apply(op, args)
         if seq is not None:
             self.mirror_applied_seq = seq
 
-    def mirror_fn(self):
-        """The callback to install as the primary's ``mirror``.
+    @property
+    def zombie_hosts(self) -> Set[str]:
+        return self.db.zombie_hosts
 
-        Returned as a closure over an RPC client so mirroring crosses the
-        fabric like the real system (and fails if this node is down).
-        """
-        def forward(op: str, args: tuple,
-                    seq: Optional[int] = None) -> None:
-            self.apply_mirror(op, args, seq=seq)
-        return forward
+    @property
+    def known_hosts(self) -> Set[str]:
+        return self.db.known_hosts
 
     def attach_rpc_mirror(self, client: RpcClient,
                           epoch_fn: Optional[EpochFn] = None):
-        """Fabric-crossing variant: primary mirrors via RPC to our server.
+        """The callback to install as the primary's ``mirror``.
 
+        A closure over an RPC client, so mirroring crosses the fabric
+        like the real system (and fails if this node is down).
         ``epoch_fn`` (usually ``lambda: primary.epoch``) stamps every
         mirrored op with the emitting controller's fencing epoch so a
         deposed primary cannot keep writing after a failover.
@@ -160,10 +146,9 @@ class SecondaryController:
         old primary ever stamped, so its stale mirror ops and agent calls
         are rejected once the rack has re-learned the new epoch.  The
         mirrored database (built by replaying the primary's journaled
-        mutations as they arrived) seeds the fresh controller, the full
-        ``known_hosts`` set (active hosts included — not just zombies) is
-        restored, and ``agent_clients`` are re-attached when provided;
-        otherwise the caller (the rack) must re-attach every agent's RPC
+        mutations as they arrived: buffers, purposes, zombie and known
+        hosts) seeds the fresh controller in one copy, and
+        ``agent_clients`` are re-attached when provided; otherwise the caller (the rack) must re-attach every agent's RPC
         client to the returned controller.
         """
         if self.promoted is not None:
@@ -171,9 +156,7 @@ class SecondaryController:
         self.epoch += 1
         controller = GlobalMemoryController(self.node, buff_size=buff_size,
                                             stripe=stripe, epoch=self.epoch)
-        controller.db.load_snapshot(self.db.snapshot())
-        controller.zombie_hosts = set(self.zombie_hosts)
-        controller.known_hosts = set(self.known_hosts) | set(self.zombie_hosts)
+        controller.db.adopt(self.db)
         for host, client in sorted((agent_clients or {}).items()):
             controller.attach_agent(host, client)
         self.promoted = controller

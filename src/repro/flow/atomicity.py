@@ -45,22 +45,20 @@ ATOMICITY_MODULE_TAILS = (
 )
 
 #: Shared-state attribute → family.  A family is the unit of the
-#: read/write race: reading ``db`` and writing ``allocation_purpose``
-#: both touch the lease book, so they belong to one family.
+#: read/write race: reading ``db`` and writing ``_lent`` both touch the
+#: lease book, so they belong to one family.
 STATE_FAMILIES: Dict[str, str] = {
     "db": "leases",
     "_lent": "leases",
     "_stores_by_buffer": "leases",
     "_stores_needing_repair": "leases",
-    "allocation_purpose": "leases",
     "epoch": "epochs",
     "controller_epoch": "epochs",
     "fenced": "epochs",
     "zombie_hosts": "zombie-pool",
     "known_hosts": "zombie-pool",
     "agent_clients": "zombie-pool",
-    "_mirror_log": "mirror",
-    "_mirror_sent": "mirror",
+    "_mirror_acked": "mirror",
     "mirror_applied_seq": "mirror",
     "mirror_deferred": "mirror",
     "lost_hosts": "recovery",
@@ -73,9 +71,9 @@ STATE_FAMILIES: Dict[str, str] = {
 #: Method names that mutate their receiver.  A call
 #: ``<...family-attr...>.<mutator>(...)`` is a write to the family.
 _MUTATORS = {
-    "add", "remove", "set_kind", "assign", "unassign", "apply",
-    "load_snapshot", "pop", "append", "extend", "clear", "update",
-    "discard", "insert", "setdefault", "popitem",
+    "add", "remove", "set_kind", "assign", "unassign", "apply", "adopt",
+    "host_add", "zombie_add", "zombie_remove", "pop", "popleft", "append",
+    "extend", "clear", "update", "discard", "insert", "setdefault", "popitem",
 }
 
 #: Attribute-call names that ARE the outgoing-RPC surface, matched

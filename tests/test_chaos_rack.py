@@ -18,6 +18,7 @@ from repro.rdma.fabric import DUPLICATE, LinkFaults
 from repro.hypervisor.vm import VmSpec
 from repro.sim.rng import DeterministicRng
 from repro.units import MiB
+from tests.agreement import assert_standby_agrees
 
 ZOMBIES = ["z1", "z2", "z3"]
 
@@ -215,6 +216,7 @@ class TestRandomizedChaos:
                 rack.wake(name)
         rack.engine.run(until=duration + 20.0)
         assert not rack.recovery._pending_resync
+        assert_standby_agrees(rack)
 
 
 class TestBlastRadius:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check.invariants import replicated_entries
 from repro.core.database import BufferDatabase
 from repro.core.protocol import BufferDescriptor, BufferKind
 from repro.errors import BufferError_, ControllerError
@@ -29,10 +30,10 @@ class TestMutations:
     def test_assign_unassign(self):
         db = BufferDatabase()
         db.add(_desc(1))
-        assert db.assign(1, "user-a").user == "user-a"
-        assert db.get(1).allocated
+        assert db.assign(1, "user-a", "swap").user == "user-a"
+        assert db.get(1).allocated and db.get(1).purpose == "swap"
         db.unassign(1)
-        assert not db.get(1).allocated
+        assert not db.get(1).allocated and db.get(1).purpose is None
 
     def test_double_assign_rejected(self):
         db = BufferDatabase()
@@ -105,22 +106,34 @@ class TestJournalAndMirroring:
         db.assign(1, "u")
         db.unassign(1)
         db.remove(1)
+        db.host_add("h1")
+        db.host_add("h1")      # already known: journals nothing
+        db.zombie_add("h1")
+        db.zombie_remove("h1")
         ops = [op for op, _ in db.journal]
-        assert ops == ["add", "assign", "unassign", "remove"]
+        assert ops == ["add", "assign", "unassign", "remove",
+                       "host_add", "zombie_add", "zombie_remove"]
 
     def test_replaying_journal_reproduces_state(self):
         primary = BufferDatabase()
         primary.add(_desc(1))
         primary.add(_desc(2, host="h2"))
-        primary.assign(1, "user-a")
+        primary.assign(1, "user-a", "swap")
         primary.set_kind(2, BufferKind.ZOMBIE)
         primary.remove(2)
+        primary.host_add("h3")
+        primary.zombie_add("h2")
+        primary.zombie_add("h1")
+        primary.zombie_remove("h2")
 
         replica = BufferDatabase()
         for op, args in primary.journal:
             replica.apply(op, args)
-        assert len(replica) == len(primary)
-        assert replica.get(1).user == primary.get(1).user
+        assert replicated_entries(replica) == replicated_entries(primary)
+        assert replica.get(1).purpose == "swap"
+        assert replica.zombie_hosts == {"h1"}
+        assert replica.known_hosts == {"h1", "h2", "h3"}
+        assert not replica.journal      # a standby's apply journals nothing
 
     def test_unknown_mirror_op_rejected(self):
         with pytest.raises(ControllerError):
@@ -129,13 +142,19 @@ class TestJournalAndMirroring:
     def test_snapshot_round_trip(self):
         db = self._make_db()
         replica = BufferDatabase()
-        replica.load_snapshot(db.snapshot())
-        assert len(replica) == len(db)
-        assert replica.get(1).user == "u"
+        replica.adopt(db)
+        assert replicated_entries(replica) == replicated_entries(db)
+        assert replica.snapshot() == db.snapshot()
+        assert replica.get(1).purpose == "ext"
+        assert not replica.journal      # the adopted state is the log's origin
+        replica.unassign(1)             # ... and a copy, not a view
+        replica.zombie_remove("h1")
+        assert db.get(1).user == "u" and db.zombie_hosts == {"h1"}
 
     @staticmethod
     def _make_db():
         db = BufferDatabase()
         db.add(_desc(1))
-        db.assign(1, "u")
+        db.assign(1, "u", "ext")
+        db.zombie_add("h1")
         return db

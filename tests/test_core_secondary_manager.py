@@ -325,8 +325,9 @@ class TestRackFailoverEndToEnd:
                 Method.GS_ALLOC_SWAP.value, "user", 4 * MiB
             )
         # Its mirror stream is stale too: the secondary refuses the write.
+        old.db.zombie_add("rogue")
         with pytest.raises(FencingError):
-            old._emit("zombie_add", ("rogue",))
+            old._pump_mirror()
         assert "rogue" not in rack.secondary.zombie_hosts
 
     def test_recovery_coordinator_survives_failover(self):

@@ -27,6 +27,7 @@ from repro.errors import AllocationError, FencingError
 from repro.fed import Federation
 from repro.rdma.fabric import DUPLICATE, REPLY_LOSS, LinkFaults
 from repro.units import MiB
+from tests.agreement import assert_standby_agrees
 
 BUFF = 16 * MiB
 
@@ -146,6 +147,8 @@ class TestDonorFailover:
         assert fed.lending.loans_from("rack1") == []
         assert fed.lending.recalls > 0
         assert fed.lending.pending_recalls == []
+        for rack in fed.racks.values():
+            assert_standby_agrees(rack)
 
 
 class TestInterRackMessageFaults:
@@ -170,6 +173,8 @@ class TestInterRackMessageFaults:
         assert injected[REPLY_LOSS] + injected[DUPLICATE] >= 1, (
             "the inter-rack fault plan never fired — the storm has no "
             "cross-rack traffic to attack?")
+        for rack in (*clean.racks.values(), *faulty.racks.values()):
+            assert_standby_agrees(rack)
 
     @pytest.mark.parametrize("kind", (REPLY_LOSS, DUPLICATE))
     @pytest.mark.parametrize("verb", ("FED_borrow", "FED_return"))
@@ -184,3 +189,5 @@ class TestInterRackMessageFaults:
         assert _fingerprint(fed) == baseline
         fired = sum(fed.fabric.message_faults.injected.values())
         assert fired >= 1, f"scripted {kind} on {verb!r} never fired"
+        for rack in fed.racks.values():
+            assert_standby_agrees(rack)

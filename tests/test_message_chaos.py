@@ -31,6 +31,7 @@ from repro.obs import Telemetry
 from repro.rdma.fabric import DUPLICATE, REPLY_LOSS, LinkFaults
 from repro.sanitize.pytest_plugin import get_session_sanitizer
 from repro.units import MiB
+from tests.agreement import assert_standby_agrees
 
 
 def _chaos_seeds():
@@ -78,6 +79,7 @@ def _drive_full_protocol(rack):
                                miss_threshold=6)   # heartbeat, AS_resync
     rack.engine.run(until=3.0)
 
+    assert_standby_agrees(rack)     # everything a promotion is about to copy
     deposed = rack.controller
     rack.kill_controller()                         # the failover
     rack.engine.run(until=12.0)
@@ -186,6 +188,8 @@ class TestChaosMatrix:
 
         if san is not None:
             assert _shadow_delta(san, before) == clean_shadow
+        assert_standby_agrees(clean_rack)
+        assert_standby_agrees(faulty_rack)
 
 
 class TestPerVerbEquivalence:
@@ -207,3 +211,4 @@ class TestPerVerbEquivalence:
         assert fired >= 1, f"scripted {kind} on {verb!r} never fired"
         if san is not None:
             assert _shadow_delta(san, before) == base_shadow
+        assert_standby_agrees(rack)

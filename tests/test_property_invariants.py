@@ -19,11 +19,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule)
 
+from repro.check.invariants import replicated_entries
 from repro.core.database import BufferDatabase
 from repro.core.protocol import BufferDescriptor, BufferKind
 from repro.energy.meter import EnergyMeter
 from repro.memory.buffers import BufferLease, RemotePageStore
-from repro.errors import OutOfFramesError, PageTableError
+from repro.errors import BufferError_, OutOfFramesError, PageTableError
 from repro.memory.frames import Frame, FrameAllocator, FrameRun
 from repro.memory.page_table import PageLocation, PageTable
 from repro.memory.replacement import make_policy
@@ -244,34 +245,44 @@ def test_remote_store_never_loses_pages(payloads, revoke_first):
         assert data[:len(payload)] == payload
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(ops=st.lists(
-    st.tuples(st.sampled_from(["add", "assign", "unassign", "remove"]),
-              st.integers(1, 8)),
+    st.tuples(st.sampled_from(["add", "assign", "unassign", "remove",
+                               "set_kind", "host_add", "zombie_add",
+                               "zombie_remove"]),
+              st.integers(1, 8),
+              st.sampled_from([None, "ext", "swap", "fed"])),
     max_size=40))
 def test_buffer_db_journal_replay_is_faithful(ops):
     primary = BufferDatabase()
-    for op, buffer_id in ops:
+    for op, buffer_id, purpose in ops:
+        host = f"h{buffer_id % 3}"
         try:
             if op == "add":
                 primary.add(BufferDescriptor(
-                    buffer_id=buffer_id, host="h", offset=0, size_bytes=64,
+                    buffer_id=buffer_id, host=host, offset=0, size_bytes=64,
                     kind=BufferKind.ZOMBIE, rkey=buffer_id,
                 ))
             elif op == "assign":
-                primary.assign(buffer_id, "user")
+                primary.assign(buffer_id, "user", purpose)
             elif op == "unassign":
                 primary.unassign(buffer_id)
-            else:
+            elif op == "remove":
                 primary.remove(buffer_id)
-        except Exception:
+            elif op == "set_kind":
+                primary.set_kind(buffer_id, BufferKind.ACTIVE)
+            else:
+                getattr(primary, op)(host)
+        except BufferError_:
             continue  # invalid op on current state: skipped, not journaled
     replica = BufferDatabase()
     for op, args in primary.journal:
         replica.apply(op, args)
-    assert len(replica) == len(primary)
-    for descriptor in primary.all_buffers():
-        assert replica.get(descriptor.buffer_id) == descriptor
+    assert replicated_entries(replica) == replicated_entries(primary)
+    assert not replica.journal
+    promoted = BufferDatabase()
+    promoted.adopt(replica)
+    assert replicated_entries(promoted) == replicated_entries(primary)
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,6 +20,7 @@ from repro.core.rack import Rack
 from repro.errors import ReproError
 from repro.hypervisor.vm import VmSpec
 from repro.units import MiB
+from tests.agreement import assert_standby_agrees
 
 SERVERS = ["s0", "s1", "s2", "s3"]
 
@@ -114,13 +115,8 @@ class RackMachine(RuleBasedStateMachine):
 
     @invariant()
     def secondary_mirror_in_sync(self):
-        if not hasattr(self, "rack"):
-            return
-        if self.rack.secondary.promoted is not None:
-            return
-        assert len(self.rack.secondary.db) == len(self.rack.controller.db)
-        assert (self.rack.secondary.zombie_hosts
-                == self.rack.controller.zombie_hosts)
+        if hasattr(self, "rack"):
+            assert_standby_agrees(self.rack)
 
     @invariant()
     def frame_accounting_conservative(self):
