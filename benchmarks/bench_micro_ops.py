@@ -64,7 +64,7 @@ def test_rpc_round_trip_traced(benchmark):
     tel = Telemetry(enabled=True)
     fabric = Fabric(telemetry=tel)
     server = RpcServer(fabric.add_node("srv"))
-    server.register("echo", server.traced("echo", lambda x: x))
+    server.register("echo", lambda x: x)
     client = RpcClient(fabric.add_node("cli"), server)
     assert benchmark(client.call, "echo", 42) == 42
 
@@ -89,7 +89,7 @@ def test_disabled_telemetry_rpc_overhead():
     from repro.rdma.rpc import RpcClient, RpcServer
     fabric = Fabric()  # default hub: disabled
     server = RpcServer(fabric.add_node("srv"))
-    server.register("echo", server.traced("echo", lambda x: x))
+    server.register("echo", lambda x: x)
     client = RpcClient(fabric.add_node("cli"), server)
     assert not fabric.telemetry.enabled
 

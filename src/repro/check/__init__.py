@@ -19,12 +19,11 @@ Run it: ``python -m repro.check --bound small``.
 
 from repro.check.explorer import ExploreResult, Explorer
 from repro.check.invariants import FINDING_KINDS, INVARIANTS, Invariant
-from repro.check.model import (BOUNDS, Action, Bounds, ProtocolModel,
-                               RPC_ACTION_VERBS)
+from repro.check.model import BOUNDS, Action, Bounds, ProtocolModel
 from repro.check.trace import Trace, TraceStep, minimize_trace
 
 __all__ = [
     "Action", "Bounds", "BOUNDS", "Explorer", "ExploreResult",
     "FINDING_KINDS", "INVARIANTS", "Invariant", "ProtocolModel",
-    "RPC_ACTION_VERBS", "Trace", "TraceStep", "minimize_trace",
+    "Trace", "TraceStep", "minimize_trace",
 ]

@@ -1,10 +1,10 @@
 """ZomCheck CLI: ``python -m repro.check --bound small``.
 
-Runs two gates and exits with a distinct code for each failure class:
+Exits with a distinct code for each outcome:
 
-- **exit 2** — model/dispatch drift: the ZL006 cross-check found a
-  registered RPC handler the model does not know (or a model verb no
-  handler serves).  Exploration would be unsound, so it does not run.
+- **exit 2** — the model does not cover the protocol: an action names a
+  verb outside ``Method``, or a ``Method`` verb has no action.
+  Exploration would be unsound, so it does not run.
 - **exit 1** — an invariant violation: the minimal counterexample trace
   is printed, replayable via :mod:`repro.check.replay`.
 - **exit 0** — the bounded state space was explored clean.
@@ -19,17 +19,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
 from repro.check.explorer import Explorer
 from repro.check.model import BOUNDS, MUTANTS, ProtocolModel
-
-
-def _drift_findings():
-    """Run the ZL006 model/dispatch cross-check over the source tree."""
-    from repro.lint.engine import lint_paths
-    src_root = Path(__file__).resolve().parents[2]
-    return lint_paths([str(src_root)], rules=["ZL006"])
 
 
 def main(argv=None) -> int:
@@ -47,24 +39,13 @@ def main(argv=None) -> int:
                         help="disable sleep-set partial-order reduction")
     parser.add_argument("--max-states", type=int, default=None,
                         help="override the bound's state-count cap")
-    parser.add_argument("--skip-drift-check", action="store_true",
-                        help="skip the ZL006 model/dispatch drift gate")
     args = parser.parse_args(argv)
-
-    if not args.skip_drift_check:
-        drift = _drift_findings()
-        if drift:
-            print("model/dispatch drift — the model checker would be "
-                  "unsound:", file=sys.stderr)
-            for finding in drift:
-                print(f"  {finding}", file=sys.stderr)
-            return 2
 
     bounds = BOUNDS[args.bound]
     model = ProtocolModel(bounds, mutant=args.mutant)
     contract_errors = model.verb_contract_errors()
     if contract_errors:
-        print("verb-contract drift — the model checker would be unsound:",
+        print("verb coverage gap — the model checker would be unsound:",
               file=sys.stderr)
         for error in contract_errors:
             print(f"  {error}", file=sys.stderr)

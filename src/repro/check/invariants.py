@@ -11,8 +11,9 @@ rack's remote-memory plane.  Both checkers consume it:
 
 Because both tools call the same functions, the sanitizer and the model
 checker cannot disagree on what constitutes a violation — a divergence
-would be a bug in the *model*, which is exactly what the ZL006 lint rule
-and the drift check in ``python -m repro.check`` exist to catch.
+would be a bug in the *model*, whose verb universe is the same ``Method``
+table the servers register from (``python -m repro.check`` refuses to
+explore a model that does not cover it).
 
 Everything here is pure: no imports from the runtime system, no state
 (:func:`replicated_entries` reads a database it is handed, duck-typed).

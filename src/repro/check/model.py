@@ -29,10 +29,10 @@ user is notified in the same step — made eventually true in the real
 tree by the recovery coordinator's pending-invalidate queue), and the
 mirror channel to the standby is synchronous and lossless.
 
-``RPC_ACTION_VERBS`` below is the checkable contract between this model
-and ``rdma/rpc.py`` dispatch reality: ZomLint rule ZL006 cross-checks it
-against every ``Server.register()`` call in the tree, in both
-directions, so the model cannot silently drift from the code.
+The model's verb universe is :class:`repro.core.protocol.Method` — the
+table ``RpcServer.register`` serves from — so there is no verb list here
+to drift; :meth:`ProtocolModel.verb_contract_errors` checks that the
+action set covers exactly that table.
 """
 
 from __future__ import annotations
@@ -43,55 +43,12 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.check import invariants
 from repro.check.invariants import ShadowState
-
-#: Every RPC verb the model's action set exercises.  Kept as a plain
-#: tuple literal so ZL006 can read it with ``ast`` alone; must stay in
-#: bijection with the handler names passed to ``Server.register()``
-#: across the tree (``python -m repro.lint`` enforces this).
-RPC_ACTION_VERBS = (
-    "AS_get_free_mem",
-    "AS_resync",
-    "FED_borrow",
-    "FED_return",
-    "GS_alloc_ext",
-    "GS_alloc_swap",
-    "GS_get_lru_zombie",
-    "GS_goto_zombie",
-    "GS_reclaim",
-    "GS_release",
-    "GS_report_failure",
-    "GS_transfer",
-    "GS_wake",
-    "US_invalidate",
-    "US_reclaim",
-    "heartbeat",
-    "mirror_op",
-)
+from repro.core.protocol import READ_ONLY, Method
 
 #: Seedable protocol bugs; ``ProtocolModel(bounds, mutant=...)`` explores
 #: the broken state machine and :mod:`repro.check.mutants` applies the
 #: matching concrete patch for counterexample replay.
 MUTANTS = ("skip-epoch-bump", "dispatch-in-sz", "double-lend", "no-dedup")
-
-#: Idempotency class per mutating verb-action kind, mirrored from
-#: :data:`repro.core.protocol.VERB_IDEMPOTENCY` (a literal, like
-#: ``RPC_ACTION_VERBS`` above; ``tests/test_check_model.py`` asserts the
-#: two stay in agreement).  Only kinds listed here get ``dup_``
-#: variants; read-only verbs re-execute for free and are deliberately
-#: absent.
-_DUP_CLASSES = {
-    "GS_goto_zombie": "dedup_required",
-    "GS_reclaim": "dedup_required",
-    "GS_alloc_ext": "dedup_required",
-    "GS_alloc_swap": "dedup_required",
-    "GS_release": "dedup_required",
-    "GS_transfer": "dedup_required",
-    "GS_wake": "idempotent",
-    "GS_report_failure": "idempotent",
-    "AS_resync": "idempotent",
-    "FED_borrow": "dedup_required",
-    "FED_return": "dedup_required",
-}
 
 S0 = "S0"
 SZ = "Sz"
@@ -191,7 +148,7 @@ class Action:
     ``name`` is the stable identity used in traces and sleep sets (it
     encodes the parameters, e.g. ``GS_reclaim(h2)``); ``verbs`` declares
     which RPC verbs the step exercises (checked against
-    ``RPC_ACTION_VERBS``); ``footprint`` is the set of entities the step
+    ``Method``); ``footprint`` is the set of entities the step
     reads or writes, used for independence in partial-order reduction;
     ``readonly`` steps can never change state nor violate an invariant.
 
@@ -303,6 +260,11 @@ class ProtocolModel:
         self.bounds = bounds
         self.mutant = mutant
         self._initial_epoch = 1
+        #: Class per verb whose re-delivery is a step of its own: an
+        #: action of such a kind gets a ``dup_`` twin.  Read-only verbs
+        #: re-execute for free and get none.
+        self._dup_classes = {m.value: m.idempotency for m in Method
+                             if m.idempotency != READ_ONLY}
 
     # -- naming -----------------------------------------------------------
     def host_name(self, idx: int) -> str:
@@ -637,7 +599,7 @@ class ProtocolModel:
         """
         dups = []
         for act in acts:
-            cls = _DUP_CLASSES.get(act.kind)
+            cls = self._dup_classes.get(act.kind)
             if cls is None:
                 continue
             dups.append(Action(
@@ -720,24 +682,24 @@ class ProtocolModel:
         return None
 
     def verb_contract_errors(self) -> List[str]:
-        """Drift between :data:`RPC_ACTION_VERBS` and the action set.
+        """Coverage gaps between the ``Method`` table and the action set.
 
         Each message carries the configured host/rack layout so a
         counterexample replayed from a multi-rack bound is attributable
         to the right rack.
         """
-        declared = set(RPC_ACTION_VERBS)
+        declared = {m.value for m in Method}
         emitted = self.action_verbs()
         layout = (f"bound {self.bounds.name!r}: {self.bounds.hosts} hosts "
                   f"in {self.bounds.racks} rack(s)")
         errors = [
-            f"model action verb {verb!r} is absent from the "
-            f"RPC_ACTION_VERBS contract ({layout})"
+            f"model action verb {verb!r} is not a protocol Method "
+            f"({layout})"
             for verb in sorted(emitted - declared)
         ]
         errors += [
-            f"RPC_ACTION_VERBS contract verb {verb!r} is never emitted "
-            f"by any model action ({layout})"
+            f"protocol verb {verb!r} is never emitted by any model "
+            f"action ({layout})"
             for verb in sorted(declared - emitted)
         ]
         return errors

@@ -71,53 +71,23 @@ class GlobalMemoryController:
     # -- wiring ----------------------------------------------------------
     def _register_handlers(self) -> None:
         register = self.rpc.register
-        traced = self.rpc.traced
         register(Method.GS_GOTO_ZOMBIE.value,
-                 traced(Method.GS_GOTO_ZOMBIE.value,
-                        self._guard(self.gs_goto_zombie),
-                        idempotency="dedup_required"))
-        register(Method.GS_RECLAIM.value,
-                 traced(Method.GS_RECLAIM.value, self._guard(self.gs_reclaim),
-                        idempotency="dedup_required"))
-        register(Method.GS_ALLOC_EXT.value,
-                 traced(Method.GS_ALLOC_EXT.value,
-                        self._guard(self.gs_alloc_ext),
-                        idempotency="dedup_required"))
-        register(Method.GS_ALLOC_SWAP.value,
-                 traced(Method.GS_ALLOC_SWAP.value,
-                        self._guard(self.gs_alloc_swap),
-                        idempotency="dedup_required"))
+                 self._guard(self.gs_goto_zombie))
+        register(Method.GS_RECLAIM.value, self._guard(self.gs_reclaim))
+        register(Method.GS_ALLOC_EXT.value, self._guard(self.gs_alloc_ext))
+        register(Method.GS_ALLOC_SWAP.value, self._guard(self.gs_alloc_swap))
         register(Method.GS_GET_LRU_ZOMBIE.value,
-                 traced(Method.GS_GET_LRU_ZOMBIE.value,
-                        self._guard(self.gs_get_lru_zombie),
-                        idempotency="read_only"))
-        register(Method.GS_RELEASE.value,
-                 traced(Method.GS_RELEASE.value, self._guard(self.gs_release),
-                        idempotency="dedup_required"))
-        register(Method.GS_TRANSFER.value,
-                 traced(Method.GS_TRANSFER.value,
-                        self._guard(self.gs_transfer),
-                        idempotency="dedup_required"))
-        register(Method.GS_WAKE.value,
-                 traced(Method.GS_WAKE.value, self._guard(self.gs_wake),
-                        idempotency="idempotent"))
+                 self._guard(self.gs_get_lru_zombie))
+        register(Method.GS_RELEASE.value, self._guard(self.gs_release))
+        register(Method.GS_TRANSFER.value, self._guard(self.gs_transfer))
+        register(Method.GS_WAKE.value, self._guard(self.gs_wake))
         register(Method.GS_REPORT_FAILURE.value,
-                 traced(Method.GS_REPORT_FAILURE.value,
-                        self._guard(self.gs_report_failure),
-                        idempotency="idempotent"))
-        register(Method.FED_BORROW.value,
-                 traced(Method.FED_BORROW.value,
-                        self._guard(self.fed_borrow),
-                        idempotency="dedup_required"))
-        register(Method.FED_RETURN.value,
-                 traced(Method.FED_RETURN.value,
-                        self._guard(self.fed_return),
-                        idempotency="dedup_required"))
+                 self._guard(self.gs_report_failure))
+        register(Method.FED_BORROW.value, self._guard(self.fed_borrow))
+        register(Method.FED_RETURN.value, self._guard(self.fed_return))
         # Heartbeat stays unguarded: monitors may still probe a fenced
         # (deposed) controller without tripping FencingError.
-        register(Method.HEARTBEAT.value,
-                 traced(Method.HEARTBEAT.value, self.heartbeat,
-                        idempotency="read_only"))
+        register(Method.HEARTBEAT.value, self.heartbeat)
 
     def _guard(self, handler):
         """Refuse to serve authority-bearing calls once deposed.

@@ -58,26 +58,11 @@ class RemoteMemoryManager:
         self.lend_reserve_fraction = lend_reserve_fraction
         self.controller: Optional[RpcClient] = None
         self.rpc = RpcServer(node)
-        self.rpc.register(Method.US_RECLAIM.value,
-                          self.rpc.traced(Method.US_RECLAIM.value,
-                                          self.us_reclaim,
-                                          idempotency="idempotent"))
-        self.rpc.register(Method.US_INVALIDATE.value,
-                          self.rpc.traced(Method.US_INVALIDATE.value,
-                                          self.us_invalidate,
-                                          idempotency="idempotent"))
-        self.rpc.register(Method.AS_GET_FREE_MEM.value,
-                          self.rpc.traced(Method.AS_GET_FREE_MEM.value,
-                                          self.as_get_free_mem,
-                                          idempotency="dedup_required"))
-        self.rpc.register(Method.AS_RESYNC.value,
-                          self.rpc.traced(Method.AS_RESYNC.value,
-                                          self.as_resync,
-                                          idempotency="idempotent"))
-        self.rpc.register(Method.HEARTBEAT.value,
-                          self.rpc.traced(Method.HEARTBEAT.value,
-                                          self.heartbeat,
-                                          idempotency="read_only"))
+        self.rpc.register(Method.US_RECLAIM.value, self.us_reclaim)
+        self.rpc.register(Method.US_INVALIDATE.value, self.us_invalidate)
+        self.rpc.register(Method.AS_GET_FREE_MEM.value, self.as_get_free_mem)
+        self.rpc.register(Method.AS_RESYNC.value, self.as_resync)
+        self.rpc.register(Method.HEARTBEAT.value, self.heartbeat)
         self._lent: Dict[int, _LentBuffer] = {}
         self._stores_by_buffer: Dict[int, RemotePageStore] = {}
         self._stores_needing_repair: List[RemotePageStore] = []

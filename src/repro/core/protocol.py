@@ -14,106 +14,88 @@ from typing import Optional
 
 from repro.errors import ConfigurationError
 
-
-class Method(str, enum.Enum):
-    """RPC method names, exactly as the paper spells them."""
-
-    GS_GOTO_ZOMBIE = "GS_goto_zombie"
-    GS_RECLAIM = "GS_reclaim"
-    GS_ALLOC_EXT = "GS_alloc_ext"
-    GS_ALLOC_SWAP = "GS_alloc_swap"
-    GS_GET_LRU_ZOMBIE = "GS_get_lru_zombie"
-    GS_RELEASE = "GS_release"          # user returns buffers it no longer needs
-    GS_TRANSFER = "GS_transfer"        # migration: move buffer ownership
-    GS_WAKE = "GS_wake"                # zombie became active again
-    US_RECLAIM = "US_reclaim"
-    US_INVALIDATE = "US_invalidate"    # serving host died: drop its leases
-    AS_GET_FREE_MEM = "AS_get_free_mem"
-    AS_RESYNC = "AS_resync"            # healed lender drops stale lent state
-    GS_REPORT_FAILURE = "GS_report_failure"  # user reports a dead server
-    MIRROR_OP = "mirror_op"            # controller → secondary replication
-    HEARTBEAT = "heartbeat"
-    # Cross-rack federation verbs (ZomFed): served by a rack's controller
-    # on behalf of another rack's gateway when its zombie pool runs dry.
-    FED_BORROW = "FED_borrow"          # lend free zombie buffers to a peer rack
-    FED_RETURN = "FED_return"          # peer rack returns borrowed buffers
-
-
-# -- delivery semantics -------------------------------------------------------
-#: Idempotency classes every protocol verb declares at registration
-#: (``RpcServer.traced(verb, handler, idempotency=...)``).  The class
-#: decides what the server must do when the same logical request is
-#: delivered twice (duplicated on the wire, or retried after a lost
-#: reply):
-#:
-#: - ``read_only`` — no rack state is written; re-execution is free.
-#: - ``idempotent`` — re-execution converges to the same state (the
-#:   handler is a set-style operation); the server may re-run it.
-#: - ``dedup_required`` — re-execution allocates/moves/destroys state
-#:   (picks *different* buffers, carves *new* MRs, raises on repeat);
-#:   the server must replay the cached response instead of re-running.
 READ_ONLY = "read_only"
 IDEMPOTENT = "idempotent"
 DEDUP_REQUIRED = "dedup_required"
 
 IDEMPOTENCY_CLASSES = (READ_ONLY, IDEMPOTENT, DEDUP_REQUIRED)
 
-#: The idempotency class of every protocol verb.  Kept as a pure
-#: string-keyed dict literal so ZomLint's ZL008 rule can read it
-#: statically (the same technique as the model's RPC_ACTION_VERBS) and
-#: cross-check it against the registration sites and the verb contract.
-VERB_IDEMPOTENCY = {
-    "GS_goto_zombie": "dedup_required",
-    "GS_reclaim": "dedup_required",
-    "GS_alloc_ext": "dedup_required",
-    "GS_alloc_swap": "dedup_required",
-    "GS_get_lru_zombie": "read_only",
-    "GS_release": "dedup_required",
-    "GS_transfer": "dedup_required",
-    "GS_wake": "idempotent",
-    "US_reclaim": "idempotent",
-    "US_invalidate": "idempotent",
-    "AS_get_free_mem": "dedup_required",
-    "AS_resync": "idempotent",
-    "GS_report_failure": "idempotent",
-    "mirror_op": "dedup_required",
-    "heartbeat": "read_only",
-    "FED_borrow": "dedup_required",
-    "FED_return": "dedup_required",
-}
 
+class Method(str, enum.Enum):
+    """The verb table: one row per RPC verb, spelled as the paper does.
 
-#: The *error contract* of every protocol verb: the exception types a
-#: handler may let escape to the RPC boundary (a declared base class
-#: covers its subclasses).  Anything escaping a verb is serialized back
-#: to the caller, so this tuple IS part of the wire contract — callers
-#: decide retry/abort/fence from it.  The transport-retryable family
-#: (``rdma.rpc.is_retryable``) and ``FencingError`` are implicitly
-#: allowed on every verb and never listed here.  Kept as a pure literal
-#: so ZomFlow's ZL011 pass can read it statically and verify every raise
-#: site interprocedurally (see ``docs/FLOWCHECK.md``).
-VERB_ERRORS = {
-    "GS_goto_zombie": (),
-    "GS_reclaim": (),
-    "GS_alloc_ext": ("AllocationError",),
-    "GS_alloc_swap": ("AllocationError",),
-    "GS_get_lru_zombie": (),
-    "GS_release": (),
-    "GS_transfer": ("BufferError_",),
-    "GS_wake": (),
-    "US_reclaim": ("BufferError_",),
-    "US_invalidate": (),
-    "AS_get_free_mem": ("AllocationError",),
-    "AS_resync": (),
-    "GS_report_failure": (),
-    "mirror_op": (),
-    "heartbeat": (),
+    A row is ``(verb, idempotency class, declared errors)`` and is the
+    only place a verb's facts are written down.  ``RpcServer.register``
+    takes the class from the row, the ZomCheck model asks the row which
+    verbs need a ``dup_`` twin, and ZomLint/ZomFlow read the rows
+    statically — so keep every row a pure literal.
+
+    The *idempotency class* decides what a server does when the same
+    logical request is delivered twice (duplicated on the wire, or
+    retried after a lost reply):
+
+    - ``read_only`` — no rack state is written; re-execution is free.
+    - ``idempotent`` — re-execution converges to the same state (the
+      handler is a set-style operation); the server may re-run it.
+    - ``dedup_required`` — re-execution allocates/moves/destroys state
+      (picks *different* buffers, carves *new* MRs, raises on repeat);
+      the server must replay the cached response instead of re-running.
+
+    The *declared errors* are the exception types a handler may let
+    escape to the RPC boundary (a declared base class covers its
+    subclasses).  Anything escaping a verb is serialized back to the
+    caller, so the tuple IS part of the wire contract — callers decide
+    retry/abort/fence from it, and ZomFlow's ZL011 pass verifies every
+    raise site against it (``docs/FLOWCHECK.md``).  The
+    transport-retryable family (``rdma.rpc.is_retryable``) and
+    ``FencingError`` are implicitly allowed on every verb and never
+    listed.
+    """
+
+    def __new__(cls, verb: str, idempotency: str, errors: tuple = ()):
+        if idempotency not in IDEMPOTENCY_CLASSES:
+            raise ConfigurationError(
+                f"verb {verb!r} declares unknown idempotency class "
+                f"{idempotency!r}"
+            )
+        member = str.__new__(cls, verb)
+        member._value_ = verb
+        member.idempotency = idempotency
+        member.errors = tuple(errors)
+        return member
+
+    GS_GOTO_ZOMBIE = ("GS_goto_zombie", "dedup_required", ())
+    GS_RECLAIM = ("GS_reclaim", "dedup_required", ())
+    GS_ALLOC_EXT = ("GS_alloc_ext", "dedup_required", ("AllocationError",))
+    GS_ALLOC_SWAP = ("GS_alloc_swap", "dedup_required", ("AllocationError",))
+    GS_GET_LRU_ZOMBIE = ("GS_get_lru_zombie", "read_only", ())
+    # user returns buffers it no longer needs
+    GS_RELEASE = ("GS_release", "dedup_required", ())
+    # migration: move buffer ownership
+    GS_TRANSFER = ("GS_transfer", "dedup_required", ("BufferError_",))
+    # zombie became active again
+    GS_WAKE = ("GS_wake", "idempotent", ())
+    US_RECLAIM = ("US_reclaim", "idempotent", ("BufferError_",))
+    # serving host died: drop its leases
+    US_INVALIDATE = ("US_invalidate", "idempotent", ())
+    AS_GET_FREE_MEM = ("AS_get_free_mem", "dedup_required",
+                       ("AllocationError",))
+    # healed lender drops stale lent state
+    AS_RESYNC = ("AS_resync", "idempotent", ())
+    # user reports a dead server
+    GS_REPORT_FAILURE = ("GS_report_failure", "idempotent", ())
+    # controller → secondary replication
+    MIRROR_OP = ("mirror_op", "dedup_required", ())
+    HEARTBEAT = ("heartbeat", "read_only", ())
+    # Cross-rack federation verbs (ZomFed): served by a rack's controller
+    # on behalf of another rack's gateway when its zombie pool runs dry.
     # ConfigurationError covers metric-registry conflicts surfacing
     # through the lending audit trail (same escape the GS verbs carry
     # as baselined ZL011 debt; the FED verbs declare it honestly).
-    "FED_borrow": ("AllocationError", "BufferError_", "ConfigurationError"),
-    "FED_return": ("ControllerError", "BufferError_", "ConfigurationError"),
-}
+    FED_BORROW = ("FED_borrow", "dedup_required",
+                  ("AllocationError", "BufferError_", "ConfigurationError"))
+    FED_RETURN = ("FED_return", "dedup_required",
+                  ("ControllerError", "BufferError_", "ConfigurationError"))
 
 
 class BufferKind(str, enum.Enum):

@@ -43,10 +43,7 @@ class SecondaryController:
         self.mirror_applied_seq = -1
         self.mirror_skips = 0
         self.rpc = RpcServer(node)
-        self.rpc.register(Method.MIRROR_OP.value,
-                          self.rpc.traced(Method.MIRROR_OP.value,
-                                          self.apply_mirror,
-                                          idempotency="dedup_required"))
+        self.rpc.register(Method.MIRROR_OP.value, self.apply_mirror)
         self.miss_threshold = miss_threshold
         self.consecutive_misses = 0
         self.heartbeats_ok = 0

@@ -54,22 +54,11 @@ class LendingAgent:
         #: as :class:`~repro.core.manager.RemoteMemoryManager`).
         self.donor_epoch = 0
         register = self.rpc.register
-        traced = self.rpc.traced
-        register(Method.US_RECLAIM.value,
-                 traced(Method.US_RECLAIM.value, self.us_reclaim,
-                        idempotency="idempotent"))
-        register(Method.US_INVALIDATE.value,
-                 traced(Method.US_INVALIDATE.value, self.us_invalidate,
-                        idempotency="idempotent"))
-        register(Method.AS_GET_FREE_MEM.value,
-                 traced(Method.AS_GET_FREE_MEM.value, self.as_get_free_mem,
-                        idempotency="dedup_required"))
-        register(Method.AS_RESYNC.value,
-                 traced(Method.AS_RESYNC.value, self.as_resync,
-                        idempotency="idempotent"))
-        register(Method.HEARTBEAT.value,
-                 traced(Method.HEARTBEAT.value, self.heartbeat,
-                        idempotency="read_only"))
+        register(Method.US_RECLAIM.value, self.us_reclaim)
+        register(Method.US_INVALIDATE.value, self.us_invalidate)
+        register(Method.AS_GET_FREE_MEM.value, self.as_get_free_mem)
+        register(Method.AS_RESYNC.value, self.as_resync)
+        register(Method.HEARTBEAT.value, self.heartbeat)
 
     def _fence(self, epoch: Optional[int]) -> None:
         if epoch is None:

@@ -9,7 +9,7 @@ edges record *may-call* relations resolved module-qualifiedly —
 ``self.method(...)``, attribute calls through ``__init__``-assigned
 instance types, local variables bound to constructor calls, property
 return annotations, and bare function references passed as callbacks
-(``rpc.register(Method.X.value, traced(..., self.handler))``,
+(``rpc.register(Method.X.value, self._guard(self.handler))``,
 ``engine.schedule(..., cb)``, ``PeriodicProcess(engine, period, fn)``).
 
 Resolution is deliberately an over-approximation where it must be (an
@@ -580,8 +580,8 @@ class _FunctionResolver(ast.NodeVisitor):
     def _function_refs(self, expr: ast.AST) -> List[Tuple[str, int]]:
         """Known-function references inside an argument expression.
 
-        Descends through wrapper calls (``traced(..., self._guard(fn))``)
-        and lambdas, so the innermost bound handler is still found.
+        Descends through wrapper calls (``self._guard(fn)``) and
+        lambdas, so the innermost bound handler is still found.
         """
         refs: List[Tuple[str, int]] = []
         for sub in ast.walk(expr):
@@ -590,7 +590,7 @@ class _FunctionResolver(ast.NodeVisitor):
             qual = self._ref_target(sub)
             if qual is not None:
                 refs.append((qual, getattr(sub, "lineno", expr.lineno)))
-        # Callee positions inside wrapper calls are walked too: traced(...)
+        # Callee positions inside wrapper calls are walked too: _guard(...)
         # is a call, but its *arguments* were covered by ast.walk above.
         return refs
 
@@ -667,22 +667,3 @@ def build_graph(sources: Dict[Path, str]) -> CallGraph:
             if fn.module == info.name and fn.path == info.path:
                 _FunctionResolver(graph, info, fn).resolve()
     return graph
-
-
-def verb_of_member(sources: Dict[Path, str]) -> Dict[str, str]:
-    """``Method`` member name → verb string, from ``core/protocol.py``."""
-    protocol = next((p for p in sorted(sources)
-                     if p.parts[-2:] == ("core", "protocol.py")), None)
-    if protocol is None:
-        return {}
-    mapping: Dict[str, str] = {}
-    tree = ast.parse(sources[protocol])
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "Method":
-            for stmt in node.body:
-                if (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, str)):
-                    mapping[stmt.targets[0].id] = stmt.value.value
-    return mapping

@@ -7,9 +7,9 @@ of exception types that can cross a verb boundary IS part of the wire
 contract — callers decide retry/abort/fence from it.  This pass makes
 that contract explicit and checks it interprocedurally:
 
-- ``core/protocol.py`` declares ``VERB_ERRORS``: verb → tuple of
-  exception class names the verb may raise (a declared base class covers
-  its subtree);
+- each ``Method`` row in ``core/protocol.py`` declares the exception
+  class names its verb may raise (a declared base class covers its
+  subtree);
 - the transport-retryable family (``is_retryable``: ``RpcTimeoutError``
   plus ``RdmaError`` descendants outside the ``RpcError`` subtree) and
   ``FencingError`` are implicitly allowed on every verb — they belong to
@@ -28,8 +28,9 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.flow.callgraph import CallGraph, _dotted, verb_of_member
+from repro.flow.callgraph import CallGraph, _dotted
 from repro.flow.report import FlowFinding
+from repro.lint.rules import protocol_rows
 
 #: Exception families allowed to cross every verb boundary regardless of
 #: the per-verb declaration (see module docstring).
@@ -87,48 +88,6 @@ def parse_hierarchy(sources: Dict[Path, str]) -> ErrorHierarchy:
                          if b is not None]
                 parents[node.name] = [b.split(".")[-1] for b in bases]
     return ErrorHierarchy(parents)
-
-
-def parse_verb_errors(sources: Dict[Path, str]
-                      ) -> Tuple[Optional[Dict[str, Tuple[str, ...]]],
-                                 Optional[Path]]:
-    """``VERB_ERRORS`` literal from ``core/protocol.py``, if present."""
-    protocol = next((p for p in sorted(sources)
-                     if p.parts[-2:] == ("core", "protocol.py")), None)
-    if protocol is None:
-        return None, None
-    try:
-        tree = ast.parse(sources[protocol])
-    except SyntaxError:
-        return None, protocol
-    for node in tree.body:
-        targets = (node.targets if isinstance(node, ast.Assign)
-                   else [node.target] if isinstance(node, ast.AnnAssign)
-                   else [])
-        if not any(isinstance(t, ast.Name) and t.id == "VERB_ERRORS"
-                   for t in targets):
-            continue
-        value = node.value
-        if not isinstance(value, ast.Dict):
-            return None, protocol
-        contract: Dict[str, Tuple[str, ...]] = {}
-        for key, val in zip(value.keys, value.values):
-            if not (isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)):
-                continue
-            names: List[str] = []
-            if isinstance(val, (ast.Tuple, ast.List, ast.Set)):
-                for elt in val.elts:
-                    if (isinstance(elt, ast.Constant)
-                            and isinstance(elt.value, str)):
-                        names.append(elt.value)
-                        continue
-                    dotted = _dotted(elt)
-                    if dotted is not None:
-                        names.append(dotted.split(".")[-1])
-            contract[key.value] = tuple(names)
-        return contract, protocol
-    return None, protocol
 
 
 class _EscapeAnalysis:
@@ -280,20 +239,14 @@ def _handler_types(handler: ast.ExceptHandler) -> List[str]:
 def check_contracts(graph: CallGraph,
                     sources: Dict[Path, str]) -> List[FlowFinding]:
     """Run ZL011 over a built call graph."""
-    contract, protocol_path = parse_verb_errors(sources)
-    if protocol_path is None:
-        return []  # fixture tree without a protocol module: nothing to check
-    if contract is None:
-        return [FlowFinding(
-            rule="ZL011", path=str(protocol_path), line=1,
-            message="core/protocol.py declares no VERB_ERRORS literal; "
-                    "the error contract of every verb is unchecked",
-            fingerprint="ZL011:missing-contract",
-        )]
+    _, rows = protocol_rows(sources)
+    if not rows:
+        return []  # fixture tree without a verb table: nothing to check
+    contract = {row.verb: row.errors for row in rows}
+    member_map = {row.member: row.verb for row in rows}
     hierarchy = parse_hierarchy(sources)
     implicitly_allowed = (set(hierarchy.retryable_family())
                           | set(IMPLICITLY_ALLOWED_ROOTS))
-    member_map = verb_of_member(sources)
     analysis = _EscapeAnalysis(graph, hierarchy)
     analysis.run()
     findings: List[FlowFinding] = []
@@ -338,8 +291,8 @@ def _finding_for(graph: CallGraph, analysis: _EscapeAnalysis,
     return FlowFinding(
         rule="ZL011", path=fn.path, line=site_line,
         message=(f"{exc_type} escapes verb {verb!r} via {chain_text} but is "
-                 f"not in the verb's VERB_ERRORS declaration nor the "
-                 "transport-retryable family; declare it, catch it, or map "
-                 "it to a declared type at the boundary"),
+                 f"not among the errors the verb's Method row declares nor "
+                 "the transport-retryable family; declare it, catch it, or "
+                 "map it to a declared type at the boundary"),
         fingerprint=f"ZL011:{verb}:{exc_type}",
     )

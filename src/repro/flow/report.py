@@ -19,8 +19,8 @@ FLOW_RULE_DESCRIPTIONS: Dict[str, str] = {
              "dependent write straddle an outgoing RPC (or yield/await) "
              "without re-validation or a fencing check in between",
     "ZL011": "error-contract flow: a raise site escapes a protocol verb "
-             "handler's boundary without being declared in the verb's "
-             "VERB_ERRORS contract (or the transport-retryable family)",
+             "handler's boundary without being declared in the errors "
+             "of the verb's Method row (or the transport-retryable family)",
     "ZL012": "dimension soundness: values carrying different physical "
              "dimensions (bytes/pages/joules/watts/seconds/...) meet in "
              "+/-/comparison, a call argument, an assignment or a return "

@@ -14,19 +14,19 @@ ZL002     module-level ``random`` calls instead of ``repro.sim.rng``
 ZL003     protocol verbs without a dispatch handler or a PROTOCOL.md entry
 ZL004     float ``==``/``!=`` on simulated timestamps
 ZL005     ``RpcError`` swallowed without a raise, return, or event emission
-ZL006     drift between the ZomCheck model's verb contract and the dispatch
-          tables (either direction)
-ZL007     protocol verbs registered without a ``server.traced(...)`` wrapper
-ZL008     traced protocol verbs missing (or contradicting) their declared
-          idempotency class, and ``VERB_IDEMPOTENCY`` drift
+ZL007     fleet-audit metrics no longer registered by their owning module
 ZL009     impurity sources (wall clock, global random, ``os.urandom``,
           unordered set iteration) transitively reaching sim context
           (interprocedural; lives in :mod:`repro.flow`)
 ZL010     shared rack state read before and written after an RPC yield
           point without re-validation or fencing (:mod:`repro.flow`)
-ZL011     exception types escaping a verb handler outside the verb's
-          declared ``VERB_ERRORS`` family (:mod:`repro.flow`)
+ZL011     exception types escaping a verb handler outside the errors its
+          ``Method`` row declares (:mod:`repro.flow`)
 ========  ====================================================================
+
+The two ids missing from the sequence are retired (their rules compared
+copies of a verb's facts that now live only on its ``Method`` row) and
+are not reused.
 
 Run it as ``python -m repro.lint src`` (exit status 1 on findings; add
 ``--stats`` for per-rule finding and suppression counts).  ZL009–ZL011 are

@@ -118,7 +118,7 @@ def lint_paths_counted(paths: Sequence[str],
     for path, source in sources.items():
         findings.extend(lint_source(source, str(path), rules=rules,
                                     suppressed_counts=suppressed_counts))
-    if rules is None or {"ZL003", "ZL006", "ZL007", "ZL008"} & set(rules):
+    if rules is None or {"ZL003", "ZL007"} & set(rules):
         project = check_project(sources, rules=rules)
         for finding in project:
             source = next((s for p, s in sources.items()

@@ -1,16 +1,17 @@
 """The ZomLint rule implementations.
 
 Per-file rules (ZL001/ZL002/ZL004/ZL005) are plain AST walks; the
-project-wide rule (ZL003) cross-references the :class:`Method` enum in
+project-wide rules cross-reference the :class:`Method` verb table in
 ``core/protocol.py`` against every ``rpc.register(...)`` call in the tree
-and against ``docs/PROTOCOL.md``.
+and against ``docs/PROTOCOL.md`` (ZL003), and keep the fleet-audit
+metrics registered (ZL007).
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.lint.engine import Finding
 
@@ -20,14 +21,8 @@ RULE_DESCRIPTIONS = {
     "ZL003": "protocol verb lacks a dispatch handler or a PROTOCOL.md entry",
     "ZL004": "float ==/!= on a simulated timestamp",
     "ZL005": "RpcError swallowed without raise, return, or event emission",
-    "ZL006": "registered RPC handler missing from the ZomCheck model "
-             "action set (or vice versa)",
-    "ZL007": "instrumentation dropped from the observability contract: a "
-             "protocol-verb RPC handler registered without a "
-             "server.traced(...) span wrapper, or a fleet-audit metric "
-             "no longer registered by its owning module",
-    "ZL008": "traced protocol verb missing its idempotency class "
-             "declaration (or VERB_IDEMPOTENCY drift)",
+    "ZL007": "fleet-audit metric no longer registered by its owning "
+             "module",
 }
 
 ALL_RULES = tuple(sorted(RULE_DESCRIPTIONS))
@@ -224,21 +219,49 @@ def check_file(source: str, path: str = "<string>",
 
 # -- ZL003: protocol-verb exhaustiveness --------------------------------------
 
-def _protocol_members(source: str) -> List[tuple]:
-    """``(member_name, verb_string, lineno)`` for each Method enum member."""
-    members = []
-    tree = ast.parse(source)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "Method":
-            for stmt in node.body:
-                if (isinstance(stmt, ast.Assign)
-                        and len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                        and isinstance(stmt.value, ast.Constant)
-                        and isinstance(stmt.value.value, str)):
-                    members.append((stmt.targets[0].id, stmt.value.value,
-                                    stmt.lineno))
-    return members
+class VerbRow(NamedTuple):
+    """One ``Method`` member as written in ``core/protocol.py``."""
+
+    member: str
+    verb: str
+    idempotency: str
+    errors: Tuple[str, ...]
+    lineno: int
+
+
+def protocol_rows(sources: Dict[Path, str]
+                  ) -> Tuple[Optional[Path], List[VerbRow]]:
+    """The verb table of the tree's ``core/protocol.py``, read statically.
+
+    The one parser of the ``Method`` class body: a member is a literal
+    ``NAME = ("verb", "class", ("ErrorName", ...))`` row.  Returns
+    ``(None, [])`` for a tree that carries no protocol module.
+    """
+    path = next((p for p in sorted(sources)
+                 if p.parts[-2:] == ("core", "protocol.py")), None)
+    if path is None:
+        return None, []
+    try:
+        tree = ast.parse(sources[path])
+    except SyntaxError:
+        return path, []
+    rows: List[VerbRow] = []
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name == "Method"):
+            continue
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+                    and isinstance(stmt.targets[0], ast.Name)
+                    and isinstance(stmt.value, ast.Tuple)):
+                continue
+            try:
+                verb, idempotency, *rest = ast.literal_eval(stmt.value)
+            except ValueError:
+                continue  # not a literal row
+            rows.append(VerbRow(stmt.targets[0].id, verb, idempotency,
+                                tuple(rest[0]) if rest else (),
+                                stmt.lineno))
+    return path, rows
 
 
 def _registered_members(sources: Dict[Path, str]) -> set:
@@ -268,138 +291,7 @@ def _registered_members(sources: Dict[Path, str]) -> set:
     return registered
 
 
-def _model_action_verbs(source: str) -> Optional[tuple]:
-    """``(verbs, lineno)`` parsed from the ``RPC_ACTION_VERBS`` literal.
-
-    The model keeps its verb contract as a pure tuple literal precisely
-    so this check can read it statically, without importing the module.
-    """
-    tree = ast.parse(source)
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "RPC_ACTION_VERBS"
-                and isinstance(node.value, (ast.Tuple, ast.List))):
-            verbs = [e.value for e in node.value.elts
-                     if isinstance(e, ast.Constant)
-                     and isinstance(e.value, str)]
-            return tuple(verbs), node.lineno
-    return None
-
-
-def check_model_drift(sources: Dict[Path, str]) -> List[Finding]:
-    """ZL006: the ZomCheck model and the RPC dispatch tables must agree.
-
-    Every ``Server.register()``-ed handler verb must appear in the
-    model's :data:`RPC_ACTION_VERBS` contract and vice versa; otherwise
-    the model checker is silently blind to part of the protocol (or
-    checks verbs nothing can send).
-    """
-    model_path = next(
-        (p for p in sorted(sources)
-         if p.parts[-2:] == ("check", "model.py")), None
-    )
-    protocol_path = next(
-        (p for p in sorted(sources)
-         if p.parts[-2:] == ("core", "protocol.py")), None
-    )
-    if model_path is None or protocol_path is None:
-        return []  # not linting a tree that carries both sides
-    parsed = _model_action_verbs(sources[model_path])
-    if parsed is None:
-        return [Finding("ZL006", str(model_path), 1,
-                        "check/model.py carries no RPC_ACTION_VERBS tuple "
-                        "literal; the drift check cannot run")]
-    model_verbs, lineno = parsed
-    members = _protocol_members(sources[protocol_path])
-    registered = _registered_members(sources)
-    registered_verbs = {verb for member, verb, _ in members
-                        if member in registered}
-    findings = []
-    for verb in sorted(registered_verbs - set(model_verbs)):
-        findings.append(Finding(
-            "ZL006", str(model_path), lineno,
-            f"RPC handler {verb!r} is registered in the tree but absent "
-            "from the model's RPC_ACTION_VERBS — ZomCheck never explores it"
-        ))
-    for verb in sorted(set(model_verbs) - registered_verbs):
-        findings.append(Finding(
-            "ZL006", str(model_path), lineno,
-            f"model action verb {verb!r} has no rpc.register(Method.X.value,"
-            " ...) handler anywhere in the tree — the model checks a verb "
-            "nothing dispatches"
-        ))
-    return findings
-
-
-def check_traced_registrations(sources: Dict[Path, str]) -> List[Finding]:
-    """ZL007: every protocol-verb registration must go through ``traced``.
-
-    ZomTrace's causal RPC tracing hangs off the server-side
-    ``serve.<verb>`` span that :meth:`RpcServer.traced` opens; a protocol
-    verb registered with a bare handler silently drops out of every
-    trace.  The verb set is the model's :data:`RPC_ACTION_VERBS` contract
-    (the same source of truth ZL006 checks), so ad-hoc verbs used by unit
-    fixtures (plain-string registrations) stay exempt.  The wrapper must
-    also be built *for the same verb* it is registered under — a
-    mismatched ``traced`` verb mislabels every span it emits.
-    """
-    model_path = next(
-        (p for p in sorted(sources)
-         if p.parts[-2:] == ("check", "model.py")), None
-    )
-    protocol_path = next(
-        (p for p in sorted(sources)
-         if p.parts[-2:] == ("core", "protocol.py")), None
-    )
-    if model_path is None or protocol_path is None:
-        return []  # not linting a tree that carries both sides
-    parsed = _model_action_verbs(sources[model_path])
-    if parsed is None:
-        return []  # ZL006 already reports the missing contract
-    model_verbs = set(parsed[0])
-    verb_of_member = {member: verb for member, verb, _
-                      in _protocol_members(sources[protocol_path])}
-    findings: List[Finding] = []
-    for path, source in sorted(sources.items()):
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            continue
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or len(node.args) < 2:
-                continue
-            if _terminal_name(node.func) != "register":
-                continue
-            member = _method_member(node.args[0])
-            if member is None:
-                continue  # plain-string fixture verbs are exempt
-            verb = verb_of_member.get(member)
-            if verb is None or verb not in model_verbs:
-                continue
-            handler = node.args[1]
-            if (not isinstance(handler, ast.Call)
-                    or _terminal_name(handler.func) != "traced"):
-                findings.append(Finding(
-                    "ZL007", str(path), node.lineno,
-                    f"verb {verb!r} registered without a server.traced(...) "
-                    "wrapper; its handler never appears in any trace"
-                ))
-                continue
-            wrapped_member = (_method_member(handler.args[0])
-                              if handler.args else None)
-            if wrapped_member is not None and wrapped_member != member:
-                findings.append(Finding(
-                    "ZL007", str(path), node.lineno,
-                    f"verb {verb!r} registered with traced(Method."
-                    f"{wrapped_member}.value, ...); the span wrapper must "
-                    "carry the verb it is registered under"
-                ))
-    return findings
-
-
-#: The fleet-audit metric contract (ZL007's second leg): metric-name
+#: The fleet-audit metric contract (ZL007): metric-name
 #: literals each module must register via ``registry.gauge("...")`` /
 #: ``.counter("...")`` calls.  ZomAudit's scored dimensions read these
 #: series from registry snapshots, so a deleted registration silently
@@ -425,7 +317,7 @@ _AUDIT_METRIC_CONTRACT = (
 
 def check_audit_metric_registrations(sources: Dict[Path, str]
                                      ) -> List[Finding]:
-    """ZL007 (audit leg): the fleet-audit metrics must stay registered.
+    """ZL007: the fleet-audit metrics must stay registered.
 
     Statically scans each contract module for instrument-factory calls
     (``.gauge(...)``, ``.counter(...)``, ``.histogram(...)``) whose first
@@ -460,205 +352,18 @@ def check_audit_metric_registrations(sources: Dict[Path, str]
     return findings
 
 
-def _str_tuple_literal(source: str, name: str) -> Optional[tuple]:
-    """``(strings, lineno)`` parsed from a module-level tuple literal.
-
-    Elements may be string constants or names bound to module-level
-    string constants (``READ_ONLY = "read_only"`` then
-    ``(READ_ONLY, ...)``) — the idiom ``core/protocol.py`` uses.
-    """
-    tree = ast.parse(source)
-    aliases = {
-        node.targets[0].id: node.value.value
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Assign)
-        and len(node.targets) == 1
-        and isinstance(node.targets[0], ast.Name)
-        and isinstance(node.value, ast.Constant)
-        and isinstance(node.value.value, str)
-    }
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == name
-                and isinstance(node.value, (ast.Tuple, ast.List))):
-            values = []
-            for elem in node.value.elts:
-                if (isinstance(elem, ast.Constant)
-                        and isinstance(elem.value, str)):
-                    values.append(elem.value)
-                elif isinstance(elem, ast.Name) and elem.id in aliases:
-                    values.append(aliases[elem.id])
-            return tuple(values), node.lineno
-    return None
-
-
-def _verb_idempotency_literal(source: str) -> Optional[tuple]:
-    """``(mapping, lineno)`` parsed from the ``VERB_IDEMPOTENCY`` literal.
-
-    Like :data:`RPC_ACTION_VERBS`, the delivery-semantics contract is a
-    pure dict literal precisely so this check can read it statically.
-    """
-    tree = ast.parse(source)
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and node.targets[0].id == "VERB_IDEMPOTENCY"
-                and isinstance(node.value, ast.Dict)):
-            mapping = {}
-            for key, value in zip(node.value.keys, node.value.values):
-                if (isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                        and isinstance(value, ast.Constant)
-                        and isinstance(value.value, str)):
-                    mapping[key.value] = value.value
-            return mapping, node.lineno
-    return None
-
-
-def check_idempotency_declarations(sources: Dict[Path, str]) -> List[Finding]:
-    """ZL008: the delivery-semantics contract must cover every verb.
-
-    Exactly-once dispatch hangs off :data:`VERB_IDEMPOTENCY` in
-    ``core/protocol.py``: the server's dedup table only guards verbs
-    declared ``dedup_required``, so an undeclared (or wrongly declared)
-    verb silently falls back to at-least-once delivery.  Three drifts
-    are flagged: the contract disagreeing with the model's
-    :data:`RPC_ACTION_VERBS` (either direction), a class name outside
-    :data:`IDEMPOTENCY_CLASSES`, and a ``traced(...)`` registration of a
-    contract verb whose ``idempotency=`` keyword is missing, dynamic, or
-    contradicts the contract.  Trees without a ``VERB_IDEMPOTENCY``
-    literal predate the contract and are exempt.
-    """
-    protocol_path = next(
-        (p for p in sorted(sources)
-         if p.parts[-2:] == ("core", "protocol.py")), None
-    )
-    if protocol_path is None:
-        return []  # not linting a tree that carries the protocol
-    parsed = _verb_idempotency_literal(sources[protocol_path])
-    if parsed is None:
-        return []  # tree carries no delivery-semantics contract
-    idempotency, lineno = parsed
-    findings: List[Finding] = []
-    classes = _str_tuple_literal(sources[protocol_path],
-                                 "IDEMPOTENCY_CLASSES")
-    if classes is None:
-        findings.append(Finding(
-            "ZL008", str(protocol_path), lineno,
-            "VERB_IDEMPOTENCY is declared but IDEMPOTENCY_CLASSES carries "
-            "no tuple literal; the class names cannot be validated"))
-        allowed = set(idempotency.values())
-    else:
-        allowed = set(classes[0])
-        for verb in sorted(idempotency):
-            if idempotency[verb] not in allowed:
-                findings.append(Finding(
-                    "ZL008", str(protocol_path), lineno,
-                    f"verb {verb!r} declares unknown idempotency class "
-                    f"{idempotency[verb]!r}; expected one of "
-                    f"{', '.join(sorted(allowed))}"))
-    model_path = next(
-        (p for p in sorted(sources)
-         if p.parts[-2:] == ("check", "model.py")), None
-    )
-    if model_path is not None:
-        parsed_verbs = _model_action_verbs(sources[model_path])
-        if parsed_verbs is not None:
-            model_verbs = set(parsed_verbs[0])
-            for verb in sorted(model_verbs - set(idempotency)):
-                findings.append(Finding(
-                    "ZL008", str(protocol_path), lineno,
-                    f"model action verb {verb!r} has no entry in "
-                    "VERB_IDEMPOTENCY — its delivery semantics are "
-                    "undeclared"))
-            for verb in sorted(set(idempotency) - model_verbs):
-                findings.append(Finding(
-                    "ZL008", str(protocol_path), lineno,
-                    f"VERB_IDEMPOTENCY declares {verb!r} which is absent "
-                    "from the model's RPC_ACTION_VERBS — the contract "
-                    "covers a verb nothing dispatches"))
-    verb_of_member = {member: verb for member, verb, _
-                      in _protocol_members(sources[protocol_path])}
-    for path, source in sorted(sources.items()):
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            continue
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            if _terminal_name(node.func) != "traced":
-                continue
-            member = _method_member(node.args[0])
-            if member is None:
-                continue  # plain-string fixture verbs are exempt
-            verb = verb_of_member.get(member)
-            if verb is None or verb not in idempotency:
-                continue
-            keyword = next((k for k in node.keywords
-                            if k.arg == "idempotency"), None)
-            if keyword is None:
-                findings.append(Finding(
-                    "ZL008", str(path), node.lineno,
-                    f"verb {verb!r} wrapped in traced(...) without an "
-                    "idempotency= declaration; delivery semantics must be "
-                    "stated at the registration site"))
-                continue
-            if (not isinstance(keyword.value, ast.Constant)
-                    or not isinstance(keyword.value.value, str)):
-                findings.append(Finding(
-                    "ZL008", str(path), node.lineno,
-                    f"verb {verb!r} declares a computed idempotency class; "
-                    "use a string literal so the contract stays statically "
-                    "checkable"))
-                continue
-            declared = keyword.value.value
-            if declared != idempotency[verb]:
-                findings.append(Finding(
-                    "ZL008", str(path), node.lineno,
-                    f"verb {verb!r} registered as {declared!r} but "
-                    f"VERB_IDEMPOTENCY declares {idempotency[verb]!r}; "
-                    "the registration contradicts the contract"))
-    return findings
-
-
-def _method_member(node: ast.AST) -> Optional[str]:
-    """``Method.X.value`` → ``"X"`` (None for anything else)."""
-    dotted = _dotted_name(node)
-    if dotted is None:
-        return None
-    parts = dotted.split(".")
-    if len(parts) >= 3 and parts[-3] == "Method" and parts[-1] == "value":
-        return parts[-2]
-    return None
-
-
 def check_project(sources: Dict[Path, str],
                   rules: Optional[Sequence[str]] = None) -> List[Finding]:
-    """The project-wide rules: ZL003, ZL006, ZL007 and ZL008."""
+    """The project-wide rules: ZL003 and ZL007."""
     active = set(rules or ALL_RULES)
     findings: List[Finding] = []
-    if "ZL006" in active:
-        findings.extend(check_model_drift(sources))
     if "ZL007" in active:
-        findings.extend(check_traced_registrations(sources))
         findings.extend(check_audit_metric_registrations(sources))
-    if "ZL008" in active:
-        findings.extend(check_idempotency_declarations(sources))
     if "ZL003" not in active:
         return findings
-    protocol_path = next(
-        (p for p in sorted(sources)
-         if p.parts[-2:] == ("core", "protocol.py")), None
-    )
-    if protocol_path is None:
+    protocol_path, rows = protocol_rows(sources)
+    if not rows:
         return findings  # not linting a tree that carries the protocol
-    members = _protocol_members(sources[protocol_path])
-    if not members:
-        return findings
     registered = _registered_members(sources)
     # src/<pkg>/core/protocol.py → repo root is three levels up from core/.
     root = protocol_path.parents[3] if len(protocol_path.parents) >= 4 \
@@ -666,7 +371,7 @@ def check_project(sources: Dict[Path, str],
     doc_path = root / "docs" / "PROTOCOL.md"
     doc_text = doc_path.read_text(encoding="utf-8") if doc_path.is_file() \
         else None
-    for member, verb, lineno in members:
+    for member, verb, _, _, lineno in rows:
         if member not in registered:
             findings.append(Finding(
                 "ZL003", str(protocol_path), lineno,

@@ -4,8 +4,8 @@
 a fully instrumented rack and verifies the observability contract:
 
 - the **golden scenario** drives every intra-rack protocol verb
-  (``RPC_ACTION_VERBS`` minus the ``FED_*`` pair) through the RPC
-  layer — Sz entry/exit with
+  (``Method`` minus the ``FED_*`` pair) through the RPC layer — Sz
+  entry/exit with
   reclaim, RAM-Ext and swap allocation, pool growth from active servers,
   live migration, serving-host crash recovery, probe heartbeats and the
   healed-host resync — and checks that each verb shows up in the
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.check.model import RPC_ACTION_VERBS
 from repro.core.protocol import Method
 from repro.errors import FencingError, RpcTimeoutError
 from repro.hypervisor.vm import VmSpec
@@ -38,9 +37,9 @@ from repro.obs import Telemetry
 
 #: The golden rack drives every intra-rack verb; the federation
 #: scenario below covers the cross-rack ``FED_*`` pair.
-INTRA_RACK_VERBS = tuple(v for v in RPC_ACTION_VERBS
-                         if not v.startswith("FED_"))
-FED_VERBS = tuple(v for v in RPC_ACTION_VERBS if v.startswith("FED_"))
+FED_VERBS = tuple(m.value for m in Method if m.name.startswith("FED_"))
+INTRA_RACK_VERBS = tuple(m.value for m in Method
+                         if m.value not in FED_VERBS)
 from repro.obs.export import (to_chrome_trace, to_prometheus_text,
                               validate_chrome_trace,
                               validate_prometheus_text)
@@ -49,7 +48,7 @@ from repro.units import MiB
 
 
 def run_golden_scenario(telemetry: Optional[Telemetry] = None):
-    """Drive all 15 intra-rack protocol verbs on one instrumented rack.
+    """Drive every intra-rack protocol verb on one instrumented rack.
 
     Returns the rack; its ``telemetry`` hub holds the resulting metrics
     and spans.
@@ -194,9 +193,7 @@ def run_failover_retry_scenario(telemetry: Optional[Telemetry] = None
     # Safe under exactly-once dedup: the injected RpcTimeoutError is a
     # retryable outcome, which the dedup table never caches, so each
     # retry genuinely re-executes the flaky handler.
-    rpc.register(Method.GS_GOTO_ZOMBIE.value,
-                 rpc.traced(Method.GS_GOTO_ZOMBIE.value, flaky,
-                            idempotency="dedup_required"))
+    rpc.register(Method.GS_GOTO_ZOMBIE.value, flaky)
     rack.make_zombie("h2")
 
     calls = tel.tracer.finished(f"call.{verb}")

@@ -214,11 +214,12 @@ class RpcServer:
     """A dispatch table served from one fabric node's daemon.
 
     Beyond dispatch, the server owns the *exactly-once* half of the RPC
-    plane: verbs registered through :meth:`traced` declare an idempotency
-    class, and for ``dedup_required`` verbs a bounded, epoch-aware dedup
-    table keyed by the client-stamped request id replays the cached
-    response instead of re-executing when the same logical request is
-    delivered again (wire duplicate, or a retry after a lost reply).
+    plane: :meth:`register` records each verb's idempotency class (a
+    protocol verb's comes from its ``Method`` row), and for
+    ``dedup_required`` verbs a bounded, epoch-aware dedup table keyed by
+    the client-stamped request id replays the cached response instead of
+    re-executing when the same logical request is delivered again (wire
+    duplicate, or a retry after a lost reply).
     """
 
     #: Upper bound on cached responses; oldest entries are evicted first.
@@ -228,7 +229,7 @@ class RpcServer:
         self.node = node
         self.handlers: Dict[str, Handler] = {}
         self.calls_served = 0
-        #: Idempotency class per verb, recorded by :meth:`traced`.
+        #: Idempotency class per verb, recorded by :meth:`register`.
         self.idempotency: Dict[str, str] = {}
         #: ``(method, req_id) -> (status, payload, epoch)`` where status
         #: is ``"ok"``/``"error"``.  Only *answered* requests live here;
@@ -239,18 +240,50 @@ class RpcServer:
         self._dedup_watermark = 0
         self.dedup_replays = 0
 
-    def register(self, method: str, handler: Handler) -> None:
+    def register(self, method: str, handler: Handler,
+                 idempotency: Optional[str] = None) -> None:
+        """Serve ``method`` with ``handler`` — the only way to serve a verb.
+
+        A protocol verb takes its delivery class from its
+        :class:`~repro.core.protocol.Method` row, so it cannot be served
+        under any other; ``idempotency`` classifies ad-hoc (fixture)
+        verbs only, and an ad-hoc verb registered without it stays
+        unclassified and is never deduplicated.  Every handler is served
+        inside a ``serve.<verb>`` span (see :meth:`_serving`).
+        """
         if method in self.handlers:
             raise RpcError(f"{self.node.name}: duplicate RPC method {method!r}")
-        self.handlers[method] = handler
+        # Runtime import: the transport layer must not depend on the
+        # protocol layer at module scope.
+        from repro.core.protocol import IDEMPOTENCY_CLASSES, Method
+        try:
+            declared = Method(method).idempotency
+        except ValueError:
+            declared = None  # an ad-hoc verb
+        if idempotency is None:
+            idempotency = declared
+        elif declared is not None:
+            raise ConfigurationError(
+                f"{self.node.name}: {method!r} is a protocol verb; its "
+                f"class {declared!r} comes from its Method row and cannot "
+                "be restated at registration"
+            )
+        elif idempotency not in IDEMPOTENCY_CLASSES:
+            raise ConfigurationError(
+                f"{self.node.name}: verb {method!r} declares unknown "
+                f"idempotency class {idempotency!r}"
+            )
+        if idempotency is not None:
+            self.idempotency[method] = idempotency
+        self.handlers[method] = self._serving(method, handler)
 
     def unregister(self, method: str) -> None:
         if method not in self.handlers:
             raise RpcError(f"{self.node.name}: unknown RPC method {method!r}")
         del self.handlers[method]
+        self.idempotency.pop(method, None)
 
-    def traced(self, verb: str, handler: Handler,
-               idempotency: Optional[str] = None) -> Handler:
+    def _serving(self, verb: str, handler: Handler) -> Handler:
         """Wrap ``handler`` in a server-side ``serve.<verb>`` span.
 
         The span adopts the caller's propagated wire context as its
@@ -259,35 +292,7 @@ class RpcServer:
         promoted secondary.  A :class:`~repro.errors.FencingError` from
         the handler tags the span ``fenced`` (the epoch-stale branch is
         an *outcome* worth seeing in a timeline, not just an exception).
-        ZomLint rule ZL007 statically requires every protocol-verb
-        registration to pass through this wrapper.
-
-        ``idempotency`` declares the verb's delivery-semantics class
-        (see :data:`repro.core.protocol.VERB_IDEMPOTENCY`); it must match
-        the protocol contract for protocol verbs (ZomLint rule ZL008
-        enforces this statically, this check enforces it at runtime),
-        and defaults to the contract's class when omitted.  Non-protocol
-        verbs (test fixtures) may omit it and stay unclassified, which
-        disables dedup for them.
         """
-        # Runtime import: the transport layer must not depend on the
-        # protocol layer at module scope.
-        from repro.core.protocol import IDEMPOTENCY_CLASSES, VERB_IDEMPOTENCY
-        declared = VERB_IDEMPOTENCY.get(verb)
-        if idempotency is None:
-            idempotency = declared
-        elif idempotency not in IDEMPOTENCY_CLASSES:
-            raise ConfigurationError(
-                f"{self.node.name}: verb {verb!r} declares unknown "
-                f"idempotency class {idempotency!r}"
-            )
-        elif declared is not None and idempotency != declared:
-            raise ConfigurationError(
-                f"{self.node.name}: verb {verb!r} declares idempotency "
-                f"{idempotency!r} but the protocol contract says {declared!r}"
-            )
-        if idempotency is not None:
-            self.idempotency[verb] = idempotency
         def serve(*args: Any, **kwargs: Any) -> Any:
             tel = self.node.fabric.telemetry
             if not tel.enabled:

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.check import RPC_ACTION_VERBS, ProtocolModel
+from repro.check import ProtocolModel
 from repro.check.model import BOUNDS, MUTANTS, S0, SZ, Bounds
 from repro.check.trace import run_trace
+from repro.core.protocol import READ_ONLY, Method
 
 
 def _step(model, state, name):
@@ -65,11 +66,11 @@ class TestActionEnumeration:
         assert first == second == sorted(first)
 
     def test_verb_contract_matches_the_literal(self):
-        # action_verbs() is the dynamic union; RPC_ACTION_VERBS is the
-        # static tuple ZL006 parses.  They must never drift apart.
+        # The model's verb universe is the Method table itself: every
+        # action verb is a row and every row has an action.
         model = ProtocolModel(BOUNDS["small"])
-        assert model.action_verbs() == set(RPC_ACTION_VERBS)
-        assert RPC_ACTION_VERBS == tuple(sorted(RPC_ACTION_VERBS))
+        assert model.action_verbs() == {m.value for m in Method}
+        assert model.verb_contract_errors() == []
 
     def test_readonly_probes_are_enumerated(self):
         model = ProtocolModel(BOUNDS["tiny"])
@@ -133,24 +134,26 @@ class TestProtocolSemantics:
 
 
 class TestDuplicateDelivery:
-    def test_dup_classes_mirror_the_protocol_contract(self):
-        # model._DUP_CLASSES is a literal copy of the non-read_only slice
-        # of core.protocol.VERB_IDEMPOTENCY, restricted to the verbs that
-        # name model actions.  This is the drift test that copy promises.
-        from repro.check.model import _DUP_CLASSES
-        from repro.core.protocol import READ_ONLY, VERB_IDEMPOTENCY
-
-        model = ProtocolModel(BOUNDS["tiny"])
-        action_kinds = {a.kind for a in
-                        model.enabled_actions(model.initial_state())}
-        # Every dup-classed kind is a protocol verb with the same class.
-        for kind, cls in _DUP_CLASSES.items():
-            assert VERB_IDEMPOTENCY.get(kind) == cls, kind
-        # No RPC-verb action kind with mutable semantics is missing.
-        for kind in action_kinds:
-            declared = VERB_IDEMPOTENCY.get(kind)
-            if declared is not None and declared != READ_ONLY:
-                assert kind in _DUP_CLASSES, kind
+    def test_verb_action_has_a_dup_twin_iff_its_row_is_not_read_only(self):
+        model = ProtocolModel(BOUNDS["fed"])
+        rows = {m.value: m for m in Method}
+        twinned, untwinned = set(), set()
+        frontier = [model.initial_state()]
+        for _ in range(3):  # three levels reach 10 of the 11 twinned kinds
+            successors = set()
+            for state in frontier:
+                actions = model.enabled_actions(state)
+                names = {a.name for a in actions}
+                for action in actions:
+                    if action.kind in rows:
+                        has_twin = f"dup_{action.name}" in names
+                        assert has_twin == (rows[action.kind].idempotency
+                                            != READ_ONLY), action.name
+                        (twinned if has_twin else untwinned).add(action.kind)
+                    successors.add(action.apply()[0])
+            frontier = successors - {None}
+        assert untwinned == {"heartbeat", "GS_get_lru_zombie"}
+        assert len(twinned) == 10 and "FED_borrow" in twinned
 
     def test_dup_actions_are_enumerated(self):
         model = ProtocolModel(BOUNDS["tiny"])

@@ -10,7 +10,10 @@ the delivered remainder for nested RPCs to inherit.
 
 import pytest
 
-from repro.errors import DeadlineExceededError, RpcTimeoutError
+from repro.core.protocol import Method
+from repro.errors import (ConfigurationError, DeadlineExceededError,
+                          RpcTimeoutError)
+from repro.obs import Telemetry
 from repro.rdma.fabric import DUPLICATE, REPLY_LOSS, Fabric, LinkFaults
 from repro.rdma.rpc import (DEADLINE_KEY, REQUEST_ID_KEY, RetryPolicy,
                             RpcClient, RpcServer, is_retryable)
@@ -30,7 +33,7 @@ def _register_counter(server, verb, calls, idempotency="dedup_required"):
     def bump():
         calls.append(1)
         return len(calls)
-    server.register(verb, server.traced(verb, bump, idempotency=idempotency))
+    server.register(verb, bump, idempotency=idempotency)
 
 
 class TestExactlyOnce:
@@ -86,8 +89,7 @@ class TestExactlyOnce:
                 raise RpcTimeoutError("response lost")
             return "ok"
 
-        server.register("flaky", server.traced(
-            "flaky", flaky, idempotency="dedup_required"))
+        server.register("flaky", flaky, idempotency="dedup_required")
         assert client.call("flaky") == "ok"
         assert len(calls) == 2
         assert server.dedup_replays == 0
@@ -100,8 +102,7 @@ class TestExactlyOnce:
             calls.append(1)
             raise ValueError("handler bug")
 
-        server.register("boom", server.traced(
-            "boom", boom, idempotency="dedup_required"))
+        server.register("boom", boom, idempotency="dedup_required")
         req_id = ("client#1", 1)
         with pytest.raises(ValueError):
             server.dispatch("boom", (), {REQUEST_ID_KEY: req_id})
@@ -137,8 +138,7 @@ class TestExactlyOnce:
         def work(epoch=None):
             return epoch
 
-        server.register("work", server.traced(
-            "work", work, idempotency="dedup_required"))
+        server.register("work", work, idempotency="dedup_required")
         server.dispatch("work", (), {REQUEST_ID_KEY: ("c#1", 1), "epoch": 1})
         server.dispatch("work", (), {REQUEST_ID_KEY: ("c#1", 2), "epoch": 1})
         assert len(server._dedup) == 2
@@ -146,6 +146,52 @@ class TestExactlyOnce:
         # replay anyway, so they are purged rather than kept warm.
         server.dispatch("work", (), {REQUEST_ID_KEY: ("c#1", 3), "epoch": 2})
         assert set(server._dedup) == {("work", ("c#1", 3))}
+
+
+class TestRegistration:
+    """``register`` is the only way to serve a verb: class and span
+    come with it, for a rack's handlers and for a test's fakes alike."""
+
+    def test_unregister_forgets_the_class_with_the_handler(self):
+        fabric, server, client = _channel()
+        calls = []
+        _register_counter(server, "work", calls)
+        server.unregister("work")
+        server.register("work", lambda: calls.append(1))  # unclassified
+        req_id = ("c#1", 1)
+        server.dispatch("work", (), {REQUEST_ID_KEY: req_id})
+        server.dispatch("work", (), {REQUEST_ID_KEY: req_id})
+        assert len(calls) == 2
+        assert server.dedup_replays == 0
+
+    def test_bare_fake_of_a_protocol_verb_is_deduplicated_and_traced(self):
+        # The tests/test_core_controller.py FakeAgent pattern: a plain
+        # RpcServer, a bare handler, a dedup_required protocol verb.
+        verb = Method.AS_GET_FREE_MEM.value
+        tel = Telemetry(enabled=True)
+        fabric = Fabric(telemetry=tel)
+        server = RpcServer(fabric.add_node("server"))
+        client = RpcClient(fabric.add_node("client"), server)
+        calls = []
+        server.register(verb, lambda epoch=None: calls.append(1) or [])
+        fabric.message_faults.script("client", "server", DUPLICATE,
+                                     method=verb)
+        assert client.call(verb) == []
+        assert len(calls) == 1
+        assert server.dedup_replays == 1
+        assert len(tel.tracer.finished(f"serve.{verb}")) == 1
+
+    def test_restating_a_protocol_verbs_class_is_refused(self):
+        fabric, server, client = _channel()
+        with pytest.raises(ConfigurationError):
+            server.register(Method.GS_WAKE.value, lambda: None,
+                            idempotency="dedup_required")
+        assert Method.GS_WAKE.value not in server.handlers
+
+    def test_unknown_class_for_an_ad_hoc_verb_is_refused(self):
+        fabric, server, client = _channel()
+        with pytest.raises(ConfigurationError):
+            server.register("work", lambda: None, idempotency="best_effort")
 
 
 class TestDeadlinePropagation:
@@ -193,10 +239,10 @@ class TestDeadlinePropagation:
             seen["mid"] = fabric.current_deadline()
             return inner.call("leaf_work")
 
-        server_leaf.register("leaf_work", server_leaf.traced(
-            "leaf_work", leaf_work, idempotency="dedup_required"))
-        server_mid.register("mid_work", server_mid.traced(
-            "mid_work", mid_work, idempotency="dedup_required"))
+        server_leaf.register("leaf_work", leaf_work,
+                             idempotency="dedup_required")
+        server_mid.register("mid_work", mid_work,
+                            idempotency="dedup_required")
         outer = RpcClient(edge, server_mid, timeout_s=1.0,
                           retry_policy=RetryPolicy(max_attempts=2,
                                                    deadline_s=4.0,
@@ -220,11 +266,10 @@ class TestDeadlinePropagation:
             seen["leaf"] = fabric.current_deadline()
             return "leaf-ok"
 
-        server_leaf.register("leaf_work", server_leaf.traced(
-            "leaf_work", leaf_work, idempotency="dedup_required"))
-        server_mid.register("mid_work", server_mid.traced(
-            "mid_work", lambda: inner.call("leaf_work"),
-            idempotency="dedup_required"))
+        server_leaf.register("leaf_work", leaf_work,
+                             idempotency="dedup_required")
+        server_mid.register("mid_work", lambda: inner.call("leaf_work"),
+                            idempotency="dedup_required")
         outer = RpcClient(edge, server_mid, timeout_s=1.0,
                           retry_policy=RetryPolicy(max_attempts=2,
                                                    deadline_s=4.0,

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from repro.flow import build_graph, load_sources
-from repro.flow.callgraph import module_name_for, verb_of_member
+from repro.flow.callgraph import module_name_for
+from repro.lint.rules import protocol_rows
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +26,7 @@ class TestRealTreeResolution:
     def test_register_binding_resolves_through_guard_wrapper(self,
                                                              real_graph):
         # register(Method.GS_GOTO_ZOMBIE.value,
-        #          traced(..., self._guard(self.gs_goto_zombie), ...))
+        #          self._guard(self.gs_goto_zombie))
         bindings = [b for b in real_graph.handler_bindings
                     if b.member == "GS_GOTO_ZOMBIE"]
         assert bindings, "GS_GOTO_ZOMBIE register site not found"
@@ -56,11 +57,12 @@ class TestRealTreeResolution:
         sim = real_graph.reachable_from(sorted(real_graph.sim_roots()))
         assert "repro.core.database.BufferDatabase.remove" in sim
 
-    def test_verb_of_member_maps_the_protocol_enum(self):
-        sources = load_sources(["src"])
-        mapping = verb_of_member(sources)
-        assert mapping["GS_GOTO_ZOMBIE"] == "GS_goto_zombie"
-        assert mapping["MIRROR_OP"] == "mirror_op"
+    def test_row_reader_agrees_with_the_imported_enum(self):
+        from repro.core.protocol import Method
+        path, rows = protocol_rows(load_sources(["src"]))
+        assert path.parts[-2:] == ("core", "protocol.py")
+        assert [(r.member, r.verb, r.idempotency, r.errors) for r in rows] \
+            == [(m.name, m.value, m.idempotency, m.errors) for m in Method]
 
 
 class TestFixtureResolution:

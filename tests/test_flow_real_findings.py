@@ -84,13 +84,14 @@ class TestInjectedDefects:
 
     def test_dropping_verb_errors_declaration_fires_zl011(self,
                                                           real_sources):
-        # AllocationError is declared for GS_alloc_ext; removing the
-        # declaration must surface the escape again.
+        # AllocationError is declared in the GS_alloc_ext row; emptying
+        # its errors cell must surface the escape again.
         fp = "ZL011:GS_alloc_ext:AllocationError"
         assert fp not in _fingerprints(real_sources, rules=["ZL011"])
-        patched = _unfix(real_sources, "core/protocol.py",
-                         '"GS_alloc_ext": ("AllocationError",),',
-                         '"GS_alloc_ext": (),')
+        patched = _unfix(
+            real_sources, "core/protocol.py",
+            '("GS_alloc_ext", "dedup_required", ("AllocationError",))',
+            '("GS_alloc_ext", "dedup_required", ())')
         assert fp in _fingerprints(patched, rules=["ZL011"])
 
 

@@ -239,8 +239,8 @@ def _contract_fixture(raise_stmt, declared=("DeclaredError",)):
         "fx/errors.py": ERRORS_FIXTURE,
         "fx/core/protocol.py": (
             "class Method:\n"
-            "    DO_THING = 'do_thing'\n"
-            f"VERB_ERRORS = {{'do_thing': ({decl}{trailing})}}\n"
+            f"    DO_THING = ('do_thing', 'dedup_required', "
+            f"({decl}{trailing}))\n"
         ),
         "fx/core/server.py": (
             "from fx.errors import DeclaredError, UndeclaredError\n"
@@ -324,15 +324,6 @@ class TestContracts:
         graph = _graph(sources)
         assert check_contracts(
             graph, {Path(p): s for p, s in sources.items()}) == []
-
-    def test_missing_contract_literal_is_one_finding(self):
-        sources = _contract_fixture("raise DeclaredError('boom')")
-        sources["fx/core/protocol.py"] = (
-            "class Method:\n    DO_THING = 'do_thing'\n")
-        graph = _graph(sources)
-        findings = check_contracts(
-            graph, {Path(p): s for p, s in sources.items()})
-        assert [f.fingerprint for f in findings] == ["ZL011:missing-contract"]
 
 
 # -- suppressions, baseline, CLI ----------------------------------------------

@@ -198,27 +198,19 @@ class TestSuppressions:
         assert [(f.rule, f.line) for f in findings] == [("ZL001", 3)]
 
 
-def _protocol_tree(tmp_path, register=True, document=True, verbs=("GS_ping",),
-                   traced=False):
-    """A minimal src/ tree carrying a Method enum, wiring, and docs."""
+def _protocol_tree(tmp_path, register=True, document=True, verbs=("GS_ping",)):
+    """A minimal src/ tree carrying a Method verb table, wiring, and docs."""
     core = tmp_path / "src" / "repro" / "core"
     core.mkdir(parents=True)
     members = "\n".join(
-        f'    {v.upper()} = "{v}"' for v in verbs)
+        f'    {v.upper()} = ("{v}", "read_only", ())' for v in verbs)
     (core / "protocol.py").write_text(
         "import enum\n\n"
         "class Method(str, enum.Enum):\n" + members + "\n")
     if register:
-        if traced:
-            registrations = "\n".join(
-                f"    rpc.register(Method.{v.upper()}.value,\n"
-                f"                 rpc.traced(Method.{v.upper()}.value, "
-                f"handler))"
-                for v in verbs)
-        else:
-            registrations = "\n".join(
-                f"    rpc.register(Method.{v.upper()}.value, handler)"
-                for v in verbs)
+        registrations = "\n".join(
+            f"    rpc.register(Method.{v.upper()}.value, handler)"
+            for v in verbs)
         (core / "wiring.py").write_text(
             "from repro.core.protocol import Method\n\n"
             "def wire(rpc, handler):\n" + registrations + "\n")
@@ -263,110 +255,6 @@ class TestZL003ProtocolExhaustiveness:
             "    register = rpc.register\n"
             "    register(Method.GS_PING.value, handler)\n")
         assert lint_paths([str(src)]) == []
-
-
-def _model_file(tmp_path, verbs):
-    """A minimal check/model.py carrying only the verb contract."""
-    check = tmp_path / "src" / "repro" / "check"
-    check.mkdir(parents=True, exist_ok=True)
-    (check / "model.py").write_text(
-        "RPC_ACTION_VERBS = (\n"
-        + "".join(f'    "{v}",\n' for v in verbs) + ")\n")
-
-
-class TestZL006ModelDrift:
-    def test_agreeing_model_is_clean(self, tmp_path):
-        src = _protocol_tree(tmp_path, traced=True)
-        _model_file(tmp_path, ("GS_ping",))
-        assert lint_paths([str(src)]) == []
-
-    def test_unmodelled_handler_flagged(self, tmp_path):
-        src = _protocol_tree(tmp_path, verbs=("GS_ping", "GS_pong"))
-        _model_file(tmp_path, ("GS_ping",))
-        findings = lint_paths([str(src)], rules=["ZL006"])
-        assert _rules(findings) == ["ZL006"]
-        assert "GS_pong" in findings[0].message
-        assert "absent from the model" in findings[0].message
-
-    def test_phantom_model_verb_flagged(self, tmp_path):
-        src = _protocol_tree(tmp_path)
-        _model_file(tmp_path, ("GS_ping", "GS_phantom"))
-        findings = lint_paths([str(src)], rules=["ZL006"])
-        assert _rules(findings) == ["ZL006"]
-        assert "GS_phantom" in findings[0].message
-        assert "nothing dispatches" in findings[0].message
-
-    def test_missing_verb_tuple_flagged(self, tmp_path):
-        src = _protocol_tree(tmp_path)
-        check = tmp_path / "src" / "repro" / "check"
-        check.mkdir(parents=True, exist_ok=True)
-        (check / "model.py").write_text("ACTIONS = ()\n")
-        findings = lint_paths([str(src)], rules=["ZL006"])
-        assert _rules(findings) == ["ZL006"]
-        assert "cannot run" in findings[0].message
-
-    def test_tree_without_model_is_exempt(self, tmp_path):
-        src = _protocol_tree(tmp_path)
-        assert lint_paths([str(src)], rules=["ZL006"]) == []
-
-    def test_repository_model_matches_dispatch_tables(self):
-        assert lint_paths([str(REPO_SRC)], rules=["ZL006"]) == []
-
-
-class TestZL007TracedRegistrations:
-    def test_traced_registration_is_clean(self, tmp_path):
-        src = _protocol_tree(tmp_path, traced=True)
-        _model_file(tmp_path, ("GS_ping",))
-        assert lint_paths([str(src)], rules=["ZL007"]) == []
-
-    def test_bare_protocol_registration_flagged(self, tmp_path):
-        src = _protocol_tree(tmp_path)
-        _model_file(tmp_path, ("GS_ping",))
-        findings = lint_paths([str(src)], rules=["ZL007"])
-        assert _rules(findings) == ["ZL007"]
-        assert "GS_ping" in findings[0].message
-        assert "traced" in findings[0].message
-
-    def test_verb_outside_model_contract_is_exempt(self, tmp_path):
-        # A registered verb the model does not check (ZL006's finding)
-        # is not also piled on by ZL007.
-        src = _protocol_tree(tmp_path, verbs=("GS_ping", "GS_pong"))
-        _model_file(tmp_path, ("GS_ping", "GS_pong"))
-        wiring = tmp_path / "src" / "repro" / "core" / "wiring.py"
-        wiring.write_text(
-            "from repro.core.protocol import Method\n\n"
-            "def wire(rpc, handler):\n"
-            "    rpc.register(Method.GS_PING.value,\n"
-            "                 rpc.traced(Method.GS_PING.value, handler))\n"
-            "    rpc.register('fixture_only', handler)\n"
-            "    register = rpc.register\n"
-            "    register(Method.GS_PONG.value, handler)\n")
-        findings = lint_paths([str(src)], rules=["ZL007"])
-        # plain-string fixtures exempt; the aliased bare GS_pong is not.
-        assert _rules(findings) == ["ZL007"]
-        assert "GS_pong" in findings[0].message
-
-    def test_mismatched_traced_verb_flagged(self, tmp_path):
-        src = _protocol_tree(tmp_path, verbs=("GS_ping", "GS_pong"))
-        _model_file(tmp_path, ("GS_ping", "GS_pong"))
-        wiring = tmp_path / "src" / "repro" / "core" / "wiring.py"
-        wiring.write_text(
-            "from repro.core.protocol import Method\n\n"
-            "def wire(rpc, handler):\n"
-            "    rpc.register(Method.GS_PING.value,\n"
-            "                 rpc.traced(Method.GS_PONG.value, handler))\n"
-            "    rpc.register(Method.GS_PONG.value,\n"
-            "                 rpc.traced(Method.GS_PONG.value, handler))\n")
-        findings = lint_paths([str(src)], rules=["ZL007"])
-        assert _rules(findings) == ["ZL007"]
-        assert "carry the verb" in findings[0].message
-
-    def test_tree_without_model_is_exempt(self, tmp_path):
-        src = _protocol_tree(tmp_path)  # bare registrations, no model.py
-        assert lint_paths([str(src)], rules=["ZL007"]) == []
-
-    def test_repository_registrations_all_traced(self):
-        assert lint_paths([str(REPO_SRC)], rules=["ZL007"]) == []
 
 
 class TestZL007AuditMetricContract:
@@ -415,107 +303,6 @@ class TestZL007AuditMetricContract:
 
     def test_repository_satisfies_audit_metric_contract(self):
         assert lint_paths([str(REPO_SRC)], rules=["ZL007"]) == []
-
-
-def _idem_tree(tmp_path, contract=None, registered=None, classes=True,
-               model_verbs=("GS_ping",)):
-    """A minimal tree carrying the delivery-semantics contract.
-
-    ``contract`` maps verb → class in ``VERB_IDEMPOTENCY``;
-    ``registered`` maps verb → the ``idempotency=`` argument source text
-    at the ``traced(...)`` site (None omits the keyword entirely).
-    """
-    contract = {"GS_ping": "read_only"} if contract is None else contract
-    registered = ({v: f'"{c}"' for v, c in contract.items()}
-                  if registered is None else registered)
-    core = tmp_path / "src" / "repro" / "core"
-    core.mkdir(parents=True)
-    lines = ["import enum\n", "\n", "class Method(str, enum.Enum):\n"]
-    lines += [f'    {v.upper()} = "{v}"\n'
-              for v in sorted(set(contract) | set(registered))]
-    if classes:
-        lines += ['\nIDEMPOTENCY_CLASSES = ("read_only", "idempotent", '
-                  '"dedup_required")\n']
-    lines += ["\nVERB_IDEMPOTENCY = {\n"]
-    lines += [f'    "{v}": "{c}",\n' for v, c in contract.items()]
-    lines += ["}\n"]
-    (core / "protocol.py").write_text("".join(lines))
-    registrations = []
-    for verb, arg in registered.items():
-        kw = "" if arg is None else f", idempotency={arg}"
-        registrations.append(
-            f"    rpc.register(Method.{verb.upper()}.value,\n"
-            f"                 rpc.traced(Method.{verb.upper()}.value, "
-            f"handler{kw}))\n")
-    (core / "wiring.py").write_text(
-        "from repro.core.protocol import Method\n\n"
-        "def wire(rpc, handler):\n" + "".join(registrations))
-    _model_file(tmp_path, model_verbs)
-    return tmp_path / "src"
-
-
-class TestZL008IdempotencyDeclarations:
-    def test_declared_registration_is_clean(self, tmp_path):
-        src = _idem_tree(tmp_path)
-        assert lint_paths([str(src)], rules=["ZL008"]) == []
-
-    def test_missing_keyword_flagged(self, tmp_path):
-        src = _idem_tree(tmp_path, registered={"GS_ping": None})
-        findings = lint_paths([str(src)], rules=["ZL008"])
-        assert _rules(findings) == ["ZL008"]
-        assert "without an idempotency=" in findings[0].message
-
-    def test_contradicting_class_flagged(self, tmp_path):
-        src = _idem_tree(tmp_path, registered={"GS_ping": '"idempotent"'})
-        findings = lint_paths([str(src)], rules=["ZL008"])
-        assert _rules(findings) == ["ZL008"]
-        assert "contradicts the contract" in findings[0].message
-
-    def test_computed_class_flagged(self, tmp_path):
-        src = _idem_tree(tmp_path, registered={"GS_ping": "some_variable"})
-        findings = lint_paths([str(src)], rules=["ZL008"])
-        assert _rules(findings) == ["ZL008"]
-        assert "computed idempotency class" in findings[0].message
-
-    def test_unknown_class_name_flagged(self, tmp_path):
-        src = _idem_tree(tmp_path, contract={"GS_ping": "best_effort"})
-        findings = lint_paths([str(src)], rules=["ZL008"])
-        rules = _rules(findings)
-        assert "ZL008" in rules
-        assert any("unknown idempotency class" in f.message
-                   for f in findings)
-
-    def test_undeclared_model_verb_flagged(self, tmp_path):
-        src = _idem_tree(tmp_path, model_verbs=("GS_ping", "GS_pong"))
-        findings = lint_paths([str(src)], rules=["ZL008"])
-        assert _rules(findings) == ["ZL008"]
-        assert "GS_pong" in findings[0].message
-        assert "undeclared" in findings[0].message
-
-    def test_contract_verb_outside_model_flagged(self, tmp_path):
-        src = _idem_tree(
-            tmp_path,
-            contract={"GS_ping": "read_only", "GS_ghost": "idempotent"},
-            registered={"GS_ping": '"read_only"'})
-        findings = lint_paths([str(src)], rules=["ZL008"])
-        assert _rules(findings) == ["ZL008"]
-        assert "GS_ghost" in findings[0].message
-        assert "nothing dispatches" in findings[0].message
-
-    def test_missing_classes_tuple_flagged(self, tmp_path):
-        src = _idem_tree(tmp_path, classes=False)
-        findings = lint_paths([str(src)], rules=["ZL008"])
-        assert _rules(findings) == ["ZL008"]
-        assert "IDEMPOTENCY_CLASSES" in findings[0].message
-
-    def test_tree_without_contract_is_exempt(self, tmp_path):
-        # Pre-contract trees (like every other rule's fixtures) carry no
-        # VERB_IDEMPOTENCY literal and must stay clean.
-        src = _protocol_tree(tmp_path, traced=True)
-        assert lint_paths([str(src)], rules=["ZL008"]) == []
-
-    def test_repository_contract_and_registrations_agree(self):
-        assert lint_paths([str(REPO_SRC)], rules=["ZL008"]) == []
 
 
 class TestZL007FedMetricContract:
@@ -567,38 +354,6 @@ class TestZL007FedMetricContract:
         assert "fed_rack_alive" in findings[0].message
 
 
-class TestZL008FedVerbs:
-    """The delivery-semantics contract over the cross-rack verb pair."""
-
-    def test_declared_fed_registration_is_clean(self, tmp_path):
-        src = _idem_tree(tmp_path,
-                         contract={"FED_borrow": "dedup_required",
-                                   "FED_return": "dedup_required"},
-                         model_verbs=("FED_borrow", "FED_return"))
-        assert lint_paths([str(src)], rules=["ZL008"]) == []
-
-    def test_fed_borrow_registered_as_idempotent_flagged(self, tmp_path):
-        # Re-executing a borrow grants the loan twice; the registration
-        # literal must match the contract's dedup_required.
-        src = _idem_tree(tmp_path,
-                         contract={"FED_borrow": "dedup_required"},
-                         registered={"FED_borrow": '"idempotent"'},
-                         model_verbs=("FED_borrow",))
-        findings = lint_paths([str(src)], rules=["ZL008"])
-        assert _rules(findings) == ["ZL008"]
-        assert "FED_borrow" in findings[0].message
-        assert "contradicts the contract" in findings[0].message
-
-    def test_fed_verb_missing_from_contract_flagged(self, tmp_path):
-        src = _idem_tree(tmp_path,
-                         contract={"FED_borrow": "dedup_required"},
-                         model_verbs=("FED_borrow", "FED_return"))
-        findings = lint_paths([str(src)], rules=["ZL008"])
-        assert _rules(findings) == ["ZL008"]
-        assert "FED_return" in findings[0].message
-        assert "undeclared" in findings[0].message
-
-
 class TestDriver:
     def test_syntax_error_reported_as_zl000(self):
         findings = lint_source("def broken(:\n")
@@ -606,7 +361,7 @@ class TestDriver:
 
     def test_rule_catalogue_is_complete(self):
         assert ALL_RULES == ("ZL001", "ZL002", "ZL003", "ZL004", "ZL005",
-                             "ZL006", "ZL007", "ZL008")
+                             "ZL007")
         assert all(RULE_DESCRIPTIONS[r] for r in ALL_RULES)
 
     def test_repository_source_tree_is_clean(self):

@@ -1,6 +1,6 @@
 """ZomNet end-to-end: the full protocol under an adversarial fabric.
 
-The acceptance scenario drives all 15 protocol verbs plus one controller
+The acceptance scenario drives every intra-rack verb plus one controller
 failover, twice — once fault-free, once with reply loss and duplication
 injected on every link from a fixed seed — and asserts the final rack
 states are identical: no double-executed mutating verb, no lease leak,
@@ -17,14 +17,13 @@ import os
 
 import pytest
 
-from repro.check.model import RPC_ACTION_VERBS
 from repro.core.protocol import Method
 
 #: The single-rack scenario serves every intra-rack verb; the cross-rack
 #: FED_borrow/FED_return pair needs a federation and gets the same
 #: fault-equivalence treatment in tests/test_fed_chaos.py.
-INTRA_RACK_VERBS = tuple(v for v in RPC_ACTION_VERBS
-                         if not v.startswith("FED_"))
+INTRA_RACK_VERBS = tuple(m.value for m in Method
+                         if not m.name.startswith("FED_"))
 from repro.core.rack import Rack
 from repro.hypervisor.vm import VmSpec
 from repro.obs import Telemetry
@@ -45,7 +44,7 @@ def _pattern(ppn):
 
 
 def _drive_full_protocol(rack):
-    """All 15 verbs + one failover (mirrors the obs self-check golden run).
+    """Every verb + one failover (mirrors the obs self-check golden run).
 
     Returns the VM that survives to the end (its pages are part of the
     state fingerprint).

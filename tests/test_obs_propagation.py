@@ -25,7 +25,7 @@ def _traced_channel(policy=None, verb="GS_ping", handler=None):
     a = fabric.add_node("client")
     b = fabric.add_node("server")
     server = RpcServer(b)
-    server.register(verb, server.traced(verb, handler or (lambda: "ok")))
+    server.register(verb, handler or (lambda: "ok"))
     client = RpcClient(a, server, retry_policy=policy)
     return tel, fabric, server, client
 
@@ -134,7 +134,7 @@ class TestDisabledTelemetry:
         a = fabric.add_node("client")
         b = fabric.add_node("server")
         server = RpcServer(b)
-        server.register("GS_ping", server.traced("GS_ping", lambda: "ok"))
+        server.register("GS_ping", lambda: "ok")
         client = RpcClient(a, server, retry_policy=policy)
         assert client.call("GS_ping") == "ok"
         tel = fabric.telemetry

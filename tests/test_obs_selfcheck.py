@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.check.model import RPC_ACTION_VERBS
+from repro.core.protocol import Method
 from repro.obs import Telemetry
 from repro.obs.__main__ import main as obs_main
 from repro.obs.selfcheck import (FED_VERBS, INTRA_RACK_VERBS,
@@ -27,7 +27,7 @@ class TestGoldenScenario:
         seen = {labels.get("verb") for labels
                 in tel.registry.labels_for("rpc_call_seconds")}
         assert set(INTRA_RACK_VERBS) <= seen
-        assert len(RPC_ACTION_VERBS) == 17
+        assert len(Method) == 17
         assert len(INTRA_RACK_VERBS) == 15
 
     def test_span_forest_is_connected(self, golden_rack):
