@@ -119,8 +119,11 @@ class RecoveryCoordinator:
         controller = self.controller
         if controller.fenced:
             return
+        # Resolved once per round, not once per host: the tables and
+        # sets are live, so a loss declared mid-round still shows.
+        view = self._probe_view(controller)
         for host in sorted(controller.known_hosts):
-            alive = self._probe(host)
+            alive = self._probe(host, view)
             if host in self.lost_hosts:
                 if alive:
                     self.declare_host_recovered(host)
@@ -134,27 +137,38 @@ class RecoveryCoordinator:
         self._flush_pending_resyncs()
         self._flush_pending_invalidates()
 
-    def _probe(self, host: str) -> bool:
+    @staticmethod
+    def _probe_view(controller: GlobalMemoryController) -> tuple:
+        """What a probe reads: the primary, its fabric's node table and
+        partition set, the zombie set, and the probe counter (or None)."""
+        fabric = controller.node.fabric
+        counter = None
+        if fabric.telemetry.enabled:
+            counter = fabric.telemetry.registry.counter(
+                "recovery_probes_total",
+                "Liveness probes sent by the recovery monitor.")
+        return (controller, fabric.nodes, fabric.partitioned,
+                controller.zombie_hosts, counter)
+
+    def _probe(self, host: str, view: Optional[tuple] = None) -> bool:
         """Liveness check fitted to the host's role.
 
         Zombies answer on the NIC-to-DRAM path only; active hosts answer
         RPC.  An *intentionally* suspended host (S3/S4/S5, nothing lent
         from there) is not a failure.
         """
-        controller = self.controller
-        fabric = controller.node.fabric
+        controller, nodes, partitioned, zombies, counter = (
+            view or self._probe_view(self.controller))
         self.probes_sent += 1
-        if fabric.telemetry.enabled:
-            fabric.telemetry.registry.counter(
-                "recovery_probes_total",
-                "Liveness probes sent by the recovery monitor.").inc()
-        if not fabric.is_reachable(host):
+        if counter is not None:
+            counter.inc()
+        node = nodes.get(host)
+        if node is None or host in partitioned:
             return False
-        if host in controller.zombie_hosts:
-            return fabric.probe_memory_path(host)
-        node = fabric.nodes.get(host)
-        if node is None:
-            return False
+        if host in zombies:
+            # CPU off by design: the NIC-to-DRAM path its one-sided
+            # verbs use is what has to be up.
+            return node.memory_reachable
         if not node.cpu_alive:
             return True  # asleep on purpose, not crashed
         try:

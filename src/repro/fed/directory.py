@@ -16,6 +16,7 @@ from typing import Dict, List, Optional
 
 from repro.core.protocol import BufferKind, Method
 from repro.errors import RdmaError, RpcError
+from repro.fed.channels import ChannelCache, primary_channel
 from repro.rdma.rpc import RpcClient
 
 
@@ -39,19 +40,15 @@ class FederationDirectory:
         self.digests: Dict[str, RackDigest] = {
             name: RackDigest(rack=name) for name in federation.racks
         }
-        #: Heartbeat clients, re-resolved after a rack's failover (the
-        #: promoted secondary serves a different RpcServer instance).
-        self._clients: Dict[int, RpcClient] = {}
+        #: Heartbeat clients per rack name, re-resolved after the rack's
+        #: failover (the promoted secondary serves a different RpcServer).
+        self._clients: ChannelCache = {}
         self.refreshes = 0
 
     def _heartbeat_client(self, rack) -> RpcClient:
-        key = id(rack.controller.rpc)
-        client = self._clients.get(key)
-        if client is None:
-            client = RpcClient(self.fed.gateway_node, rack.controller.rpc,
-                               retry_policy=self.fed.monitor_policy)
-            self._clients[key] = client
-        return client
+        return primary_channel(self._clients, rack.name, rack,
+                               self.fed.gateway_node,
+                               self.fed.monitor_policy)
 
     def _probe(self, rack) -> bool:
         """One liveness heartbeat; ``False`` means unusable as a donor."""

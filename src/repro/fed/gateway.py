@@ -15,10 +15,11 @@ borrows enough buffers to cover the request, and replays the verb once.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.core.protocol import Method
 from repro.errors import AllocationError, ConfigurationError
+from repro.fed.channels import ChannelCache, primary_channel
 from repro.rdma.rpc import RpcClient
 from repro.units import buffers_for
 
@@ -31,9 +32,9 @@ class FederationGateway:
 
     def __init__(self, federation):
         self.fed = federation
-        #: Verb channels keyed (tenant, home, id(server rpc)) so a home
-        #: rack failover transparently re-resolves to the new primary.
-        self._clients: Dict[Tuple[str, str, int], RpcClient] = {}
+        #: Verb channels keyed (tenant, home); a home rack failover
+        #: transparently re-resolves to the new primary.
+        self._clients: ChannelCache = {}
         self.routed = 0
         self.lending_triggers = 0
         self.borrow_failures = 0
@@ -45,14 +46,9 @@ class FederationGateway:
 
     def _client(self, tenant: str, home: str) -> RpcClient:
         rack = self.fed.racks[home]
-        key = (tenant, home, id(rack.controller.rpc))
-        client = self._clients.get(key)
-        if client is None:
-            origin = self.fed.fabric.nodes.get(tenant,
-                                               self.fed.gateway_node)
-            client = RpcClient(origin, rack.controller.rpc,
-                               retry_policy=rack.retry_policy)
-            self._clients[key] = client
+        origin = self.fed.fabric.nodes.get(tenant, self.fed.gateway_node)
+        client = primary_channel(self._clients, (tenant, home), rack,
+                                 origin, rack.retry_policy)
         self._ensure_tenant_agent(tenant, rack)
         return client
 

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.protocol import Method
 from repro.errors import (BufferError_, ConfigurationError, ControllerError,
                           FencingError, RpcError)
+from repro.fed.channels import ChannelCache, primary_channel
 from repro.rdma.rpc import RpcClient, RpcServer
 
 
@@ -106,7 +107,7 @@ class LendingManager:
         self.loans: Dict[int, Loan] = {}
         self.agents: Dict[Tuple[str, str], LendingAgent] = {}
         #: Borrow clients per agent, re-resolved after a donor failover.
-        self._borrow_clients: Dict[Tuple[str, str, int], RpcClient] = {}
+        self._borrow_clients: ChannelCache = {}
         #: Recalls whose borrower-side drop hit a transport/controller
         #: fault; retried by :meth:`pump_recalls`.
         self.pending_recalls: List[Tuple[str, List[int]]] = []
@@ -156,15 +157,10 @@ class LendingManager:
                 self._ensure_attached(agent)
 
     def _borrow_client(self, agent: LendingAgent) -> RpcClient:
-        donor_rack = self.fed.racks[agent.donor]
-        key = (agent.borrower, agent.donor, id(donor_rack.controller.rpc))
-        client = self._borrow_clients.get(key)
-        if client is None:
-            client = RpcClient(agent.node, donor_rack.controller.rpc,
-                               retry_policy=self.fed.racks[
-                                   agent.borrower].retry_policy)
-            self._borrow_clients[key] = client
-        return client
+        return primary_channel(
+            self._borrow_clients, (agent.borrower, agent.donor),
+            self.fed.racks[agent.donor], agent.node,
+            self.fed.racks[agent.borrower].retry_policy)
 
     # -- borrow / return --------------------------------------------------
     def borrow(self, borrower: str, donor: str, nb_buffers: int) -> int:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.acpi.platform import ServerPlatform
+from repro.acpi.states import SleepState
 from repro.errors import ConfigurationError, RdmaError
 from repro.obs import Telemetry
 from repro.rdma.costs import RdmaCostModel
@@ -340,7 +341,15 @@ class RdmaNode:
     # -- power gating -----------------------------------------------------
     @property
     def cpu_alive(self) -> bool:
-        return self.platform is None or self.platform.state.cpu_alive
+        """Whether this node's CPU runs (S0, or no board modelled).
+
+        Reads the OSPM's state directly: every RPC checks both ends and
+        every probe its target, and ``platform.state.cpu_alive`` is two
+        more property frames per check.
+        """
+        platform = self.platform
+        return (platform is None
+                or platform.ospm.current_state is SleepState.S0)
 
     @property
     def memory_reachable(self) -> bool:
@@ -472,11 +481,12 @@ class Fabric:
         #: downstream clients (controller → serving host) inherit the
         #: shrunk remainder; single-threaded simulation makes a plain
         #: stack exact.
-        self._deadlines: List[Optional[float]] = []
+        self.deadlines: List[Optional[float]] = []
         #: Node → rack membership (ZomFed).  Nodes never placed in a
         #: rack pay no cross-rack surcharge, so single-rack setups are
-        #: bit-identical to the pre-federation fabric.
-        self._racks: Dict[str, str] = {}
+        #: bit-identical to the pre-federation fabric (and the RPC path
+        #: skips the surcharge lookup while this is empty).
+        self.racks: Dict[str, str] = {}
         #: Inter-rack cost models per (src_rack, dst_rack) pair, with
         #: the catch-all default below.  None = cross-rack costing off.
         self._rack_links: Dict[Tuple[str, str], InterRackLink] = {}
@@ -488,18 +498,11 @@ class Fabric:
         self.message_faults.bind_rack_resolver(self.rack_of)
 
     # -- deadline propagation ---------------------------------------------
-    def push_deadline(self, budget_s: Optional[float]) -> None:
-        self._deadlines.append(budget_s)
-
-    def pop_deadline(self) -> None:
-        if self._deadlines:
-            self._deadlines.pop()
-
     def current_deadline(self) -> Optional[float]:
         """The innermost propagated budget (None = unconstrained)."""
-        if not self._deadlines:
+        if not self.deadlines:
             return None
-        return self._deadlines[-1]
+        return self.deadlines[-1]
 
     # -- breaker registry --------------------------------------------------
     def register_breaker(self, server_name: str, breaker) -> None:
@@ -529,11 +532,11 @@ class Fabric:
     def set_rack(self, name: str, rack: str) -> None:
         """Place a node in a rack (enables inter-rack costing for it)."""
         self.node(name)  # validate
-        self._racks[name] = rack
+        self.racks[name] = rack
 
     def rack_of(self, name: str) -> Optional[str]:
         """The rack a node lives in (None = not federation-placed)."""
-        return self._racks.get(name)
+        return self.racks.get(name)
 
     def set_inter_rack_link(self, link: InterRackLink,
                             src_rack: str = "*",
@@ -546,8 +549,8 @@ class Fabric:
 
     def cross_rack_link(self, src: str, dst: str) -> Optional[InterRackLink]:
         """The link a ``src → dst`` message pays, or None when intra-rack."""
-        src_rack = self._racks.get(src)
-        dst_rack = self._racks.get(dst)
+        src_rack = self.racks.get(src)
+        dst_rack = self.racks.get(dst)
         if src_rack is None or dst_rack is None or src_rack == dst_rack:
             return None
         for key in ((src_rack, dst_rack), ("*", dst_rack), (src_rack, "*")):
@@ -572,8 +575,8 @@ class Fabric:
         self.cross_rack_bytes += nbytes
         self.cross_rack_joules += joules
         registry = self.telemetry.registry
-        labels = {"src_rack": self._racks[src],
-                  "dst_rack": self._racks[dst]}
+        labels = {"src_rack": self.racks[src],
+                  "dst_rack": self.racks[dst]}
         if rpcs:
             registry.counter(
                 "fed_cross_rack_ops_total",
@@ -615,17 +618,6 @@ class Fabric:
     def is_reachable(self, name: str) -> bool:
         """Non-raising reachability check (recovery probes)."""
         return name in self.nodes and name not in self.partitioned
-
-    def probe_memory_path(self, name: str) -> bool:
-        """Whether a one-sided verb to ``name`` would currently work.
-
-        This is the liveness signal recovery uses for *zombie* serving
-        hosts, whose CPU is off by design: the NIC-to-DRAM path, not the
-        RPC daemon, is what matters.
-        """
-        if not self.is_reachable(name):
-            return False
-        return self.nodes[name].memory_reachable
 
     # -- Wake-on-LAN --------------------------------------------------------
     def wake_on_lan(self, name: str) -> float:

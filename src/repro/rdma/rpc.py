@@ -248,8 +248,9 @@ class RpcServer:
         :class:`~repro.core.protocol.Method` row, so it cannot be served
         under any other; ``idempotency`` classifies ad-hoc (fixture)
         verbs only, and an ad-hoc verb registered without it stays
-        unclassified and is never deduplicated.  Every handler is served
-        inside a ``serve.<verb>`` span (see :meth:`_serving`).
+        unclassified and is never deduplicated.  With telemetry on, every
+        handler is served inside a ``serve.<verb>`` span (see
+        :meth:`_serve_traced`).
         """
         if method in self.handlers:
             raise RpcError(f"{self.node.name}: duplicate RPC method {method!r}")
@@ -275,7 +276,7 @@ class RpcServer:
             )
         if idempotency is not None:
             self.idempotency[method] = idempotency
-        self.handlers[method] = self._serving(method, handler)
+        self.handlers[method] = handler
 
     def unregister(self, method: str) -> None:
         if method not in self.handlers:
@@ -283,8 +284,9 @@ class RpcServer:
         del self.handlers[method]
         self.idempotency.pop(method, None)
 
-    def _serving(self, verb: str, handler: Handler) -> Handler:
-        """Wrap ``handler`` in a server-side ``serve.<verb>`` span.
+    def _serve_traced(self, tel, verb: str, handler: Handler, ctx,
+                      args: tuple, kwargs: dict) -> Any:
+        """Run ``handler`` inside a server-side ``serve.<verb>`` span.
 
         The span adopts the caller's propagated wire context as its
         parent, so the server side of an RPC hangs off the exact attempt
@@ -293,15 +295,13 @@ class RpcServer:
         the handler tags the span ``fenced`` (the epoch-stale branch is
         an *outcome* worth seeing in a timeline, not just an exception).
         """
-        def serve(*args: Any, **kwargs: Any) -> Any:
-            tel = self.node.fabric.telemetry
-            if not tel.enabled:
-                return handler(*args, **kwargs)
-            tracer = tel.tracer
+        tracer = tel.tracer
+        tracer.push_wire_context(ctx)
+        try:
             tel.registry.counter(
                 "rpc_served_total", "Server-side handler invocations.",
                 verb=verb, node=self.node.name).inc()
-            with tracer.span(f"serve.{verb}", parent=tracer.wire_context(),
+            with tracer.span(f"serve.{verb}", parent=ctx,
                              verb=verb, node=self.node.name) as span:
                 if "epoch" in kwargs:
                     span.set_tag("epoch", kwargs["epoch"])
@@ -310,9 +310,8 @@ class RpcServer:
                 except FencingError:
                     span.set_tag("fenced", True)
                     raise
-        serve.__name__ = f"serve_{verb}"
-        serve.__wrapped__ = handler  # type: ignore[attr-defined]
-        return serve
+        finally:
+            tracer.pop_wire_context()
 
     def _dedup_lookup(self, method: str, req_id: tuple) -> Optional[tuple]:
         """Cached ``(status, payload)`` for a request id, or ``None``."""
@@ -369,52 +368,59 @@ class RpcServer:
         ctx = kwargs.pop(WIRE_CONTEXT_KEY, None)
         req_id = kwargs.pop(REQUEST_ID_KEY, None)
         budget = kwargs.pop(DEADLINE_KEY, None)
-        if not self.node.cpu_alive:
+        node = self.node
+        if not node.cpu_alive:
             raise RpcTimeoutError(
-                f"{self.node.name}: server suspended, RPC daemon not running"
+                f"{node.name}: server suspended, RPC daemon not running"
             )
         handler = self.handlers.get(method)
         if handler is None:
-            raise RpcError(f"{self.node.name}: unknown RPC method {method!r}")
-        tel = self.node.fabric.telemetry
-        epoch = kwargs.get("epoch")
-        epoch = epoch if isinstance(epoch, int) else None
+            raise RpcError(f"{node.name}: unknown RPC method {method!r}")
+        fabric = node.fabric
+        tel = fabric.telemetry
+        traced = tel.enabled  # the server side's one traced-or-not decision
+        epoch = None
         dedup = (req_id is not None
                  and self.idempotency.get(method) == _DEDUP_REQUIRED)
         if dedup:
-            if epoch is not None:
+            epoch = kwargs.get("epoch")
+            if isinstance(epoch, int):
                 self._dedup_advance_epoch(epoch)
+            else:
+                epoch = None
             hit = self._dedup_lookup(method, req_id)
             if hit is not None:
                 self.dedup_replays += 1
-                if tel.enabled:
+                if traced:
                     tel.registry.counter(
                         "rpc_dedup_replays_total",
                         "Re-delivered requests answered from the dedup "
                         "table instead of re-executed.",
-                        verb=method, node=self.node.name).inc()
+                        verb=method, node=node.name).inc()
                 status, payload = hit
                 if status == "error":
                     raise payload
                 return payload
         if budget is not None and budget <= 0.0:
-            if tel.enabled:
+            if traced:
                 tel.registry.counter(
                     "rpc_deadline_rejections_total",
                     "Requests fast-failed because their propagated "
                     "deadline budget was already spent.",
-                    verb=method, node=self.node.name).inc()
+                    verb=method, node=node.name).inc()
             raise DeadlineExceededError(
-                f"{self.node.name}: RPC {method!r} arrived with "
+                f"{node.name}: RPC {method!r} arrived with "
                 f"{budget:.6f}s of deadline budget left; fast-failing"
             )
         self.calls_served += 1
-        fabric = self.node.fabric
-        if tel.enabled:
-            tel.tracer.push_wire_context(ctx)
-        fabric.push_deadline(budget)
+        deadlines = fabric.deadlines
+        deadlines.append(budget)
         try:
-            result = handler(*args, **kwargs)
+            if traced:
+                result = self._serve_traced(tel, method, handler, ctx,
+                                            args, kwargs)
+            else:
+                result = handler(*args, **kwargs)
         # Any outcome the handler produced *is* the response; cache it
         # for dedup before letting it propagate.  Retryable faults mean
         # no response formed, so they are deliberately not cached.
@@ -423,9 +429,7 @@ class RpcServer:
                 self._dedup_store(method, req_id, "error", exc, epoch)
             raise
         finally:
-            fabric.pop_deadline()
-            if tel.enabled:
-                tel.tracer.pop_wire_context()
+            deadlines.pop()
         if dedup:
             self._dedup_store(method, req_id, "ok", result, epoch)
         return result
@@ -474,15 +478,24 @@ class RpcClient:
         client's polls never observe a response) and every configured
         retry attempt was exhausted.
         """
-        result, _ = self.call_timed(method, *args, **kwargs)
-        return result
+        # The client side's one traced-or-not decision per logical call
+        # (:meth:`call_timed` is the same entry point, keeping the time).
+        tel = self.node.fabric.telemetry
+        if tel.enabled:
+            return self._call_traced(tel, method, args, kwargs)[0]
+        return self._call_with_retries(method, args, kwargs)[0]
 
     def call_timed(self, method: str, *args: Any,
                    **kwargs: Any) -> Tuple[Any, float]:
         """Like :meth:`call` but also returns the simulated elapsed time."""
         tel = self.node.fabric.telemetry
-        if not tel.enabled:
-            return self._call_with_retries(method, args, kwargs)
+        if tel.enabled:
+            return self._call_traced(tel, method, args, kwargs)
+        return self._call_with_retries(method, args, kwargs)
+
+    def _call_traced(self, tel, method: str, args: tuple,
+                     kwargs: dict) -> Tuple[Any, float]:
+        """The retry loop inside a ``call.<verb>`` span, with its metrics."""
         registry = tel.registry
         registry.counter(
             "rpc_calls_total", "Logical RPC calls issued (before retries).",
@@ -495,7 +508,8 @@ class RpcClient:
             if "epoch" in kwargs:
                 span.set_tag("epoch", kwargs["epoch"])
             try:
-                result, elapsed = self._call_with_retries(method, args, kwargs)
+                result, elapsed = self._call_with_retries(
+                    method, args, kwargs, traced=True)
             except BaseException as exc:
                 if isinstance(exc, CircuitOpenError):
                     outcome = "breaker_open"
@@ -533,9 +547,9 @@ class RpcClient:
                              "Retry attempts beyond the first.",
                              verb=method).inc(retried)
 
-    def _call_with_retries(self, method: str, args: tuple,
-                           kwargs: dict) -> Tuple[Any, float]:
-        """The uninstrumented retry loop (single attempt without a policy).
+    def _call_with_retries(self, method: str, args: tuple, kwargs: dict,
+                           traced: bool = False) -> Tuple[Any, float]:
+        """The retry loop (single attempt without a policy).
 
         Each logical call gets one ``(client_id, seq)`` request id here —
         all its retries present the same id, which is what the server's
@@ -543,13 +557,17 @@ class RpcClient:
         budget capped by any budget this call *inherited* (when it is a
         nested RPC issued from inside a handler, the fabric's deadline
         stack holds the remaining budget the parent request delivered).
+        ``traced`` (decided once, by the caller) wraps every wire round
+        in its ``attempt.<verb>`` span.
         """
         policy = self.retry_policy
-        inherited = self.node.fabric.current_deadline()
+        deadlines = self.node.fabric.deadlines
+        inherited = deadlines[-1] if deadlines else None
         self._req_id = (self.client_id, next(self._seq))
+        attempt_once = self._attempt_traced if traced else self._attempt
         if policy is None:
             self._budget_left = inherited
-            return self._attempt(method, args, kwargs)
+            return attempt_once(method, args, kwargs)
         deadline = policy.deadline_s
         if inherited is not None:
             deadline = inherited if deadline is None else min(deadline,
@@ -567,7 +585,7 @@ class RpcClient:
             attempt += 1
             policy.stats.attempts += 1
             try:
-                result, elapsed = self._attempt(method, args, kwargs)
+                result, elapsed = attempt_once(method, args, kwargs)
             # Handlers may raise anything; the blind catch is deliberate —
             # non-retryable exceptions are re-raised right below, after
             # informing the breaker that the channel itself answered.
@@ -597,26 +615,23 @@ class RpcClient:
             self.breaker.record_success()
             return result, elapsed
 
-    def _attempt(self, method: str, args: tuple,
-                 kwargs: dict) -> Tuple[Any, float]:
-        """One un-retried request/poll round, as its own span.
+    def _attempt_traced(self, method: str, args: tuple,
+                        kwargs: dict) -> Tuple[Any, float]:
+        """One wire round (:meth:`_attempt`) as its own span.
 
         The trace context is (re-)injected into the request metadata per
         attempt — the server strips it on dispatch, so a retried request
         must carry it again, and each server-side span then parents to
         the attempt that actually reached it.
         """
-        tel = self.node.fabric.telemetry
-        if not tel.enabled:
-            return self._attempt_inner(method, args, kwargs)
-        tracer = tel.tracer
+        tracer = self.node.fabric.telemetry.tracer
         with tracer.span(f"attempt.{method}", verb=method,
                          node=self.node.name) as span:
             ctx = tracer.current_context()
             if ctx is not None:
                 kwargs[WIRE_CONTEXT_KEY] = ctx
             try:
-                result, elapsed = self._attempt_inner(method, args, kwargs)
+                result, elapsed = self._attempt(method, args, kwargs)
             except RpcTimeoutError:
                 span.span.end_s = span.span.start_s + self.timeout_s
                 raise
@@ -652,8 +667,8 @@ class RpcClient:
         except Exception:  # noqa: BLE001
             pass
 
-    def _attempt_inner(self, method: str, args: tuple,
-                       kwargs: dict) -> Tuple[Any, float]:
+    def _attempt(self, method: str, args: tuple,
+                 kwargs: dict) -> Tuple[Any, float]:
         """The wire-level request/poll round.
 
         Consults the fabric's message-fault injector for this link: a
@@ -664,60 +679,68 @@ class RpcClient:
         charged to the clock and deducted from the delivered deadline
         budget.
         """
-        if not self.node.cpu_alive:
-            raise RpcError(f"{self.node.name}: client CPU suspended")
-        self.node.fabric.require_reachable(self.node.name)
-        costs = self.node.fabric.costs
+        node = self.node
+        fabric = node.fabric
+        if not node.cpu_alive:
+            raise RpcError(f"{node.name}: client CPU suspended")
+        partitioned = fabric.partitioned
+        if node.name in partitioned:
+            fabric.require_reachable(node.name)  # raises
+        server = self.server
         self.calls_made += 1
-        fabric = self.node.fabric
-        if (self.server.node.name in fabric.partitioned
-                or not self.server.node.cpu_alive):
+        if server.node.name in partitioned or not server.node.cpu_alive:
             # The request lands in the server's receive ring, but no daemon
             # runs; the client polls until its deadline passes.
             self._burn_timeout(method, "server suspended")
-        injector = fabric.message_faults
         decision = None
+        extra_latency = 0.0
+        injector = fabric.message_faults
         if injector.active:
-            decision = injector.decide(self.node.name,
-                                       self.server.node.name, method)
-            if decision.kinds() and fabric.telemetry.enabled:
-                for kind in decision.kinds():
-                    fabric.telemetry.registry.counter(
-                        "rpc_injected_faults_total",
-                        "Message faults injected by the adversarial fabric.",
-                        kind=kind).inc()
-        extra_latency = decision.extra_latency_s if decision else 0.0
-        # Cross-rack federation surcharge: charged per attempt (every
-        # attempt is a fresh crossing of the inter-rack link) and folded
-        # into the latency so the delivered deadline budget shrinks too.
-        extra_latency += fabric.charge_cross_rack(
-            self.node.name, self.server.node.name, rpcs=1)
+            decision = injector.decide(node.name, server.node.name, method)
+            for kind in decision.kinds():
+                fabric.telemetry.registry.counter(
+                    "rpc_injected_faults_total",
+                    "Message faults injected by the adversarial fabric.",
+                    kind=kind).inc()
+            extra_latency = decision.extra_latency_s
+        if fabric.racks:
+            # Cross-rack federation surcharge: charged per attempt (every
+            # attempt is a fresh crossing of the inter-rack link) and
+            # folded into the latency so the delivered deadline budget
+            # shrinks too.
+            extra_latency += fabric.charge_cross_rack(
+                node.name, server.node.name, rpcs=1)
         # Stamp the exactly-once / deadline metadata (re-stamped per
-        # attempt: dispatch pops it, like the trace context above).
+        # attempt: dispatch pops it, like the trace context).
         if self._req_id is not None:
             kwargs[REQUEST_ID_KEY] = self._req_id
         if self._budget_left is not None:
             kwargs[DEADLINE_KEY] = self._budget_left - extra_latency
-        if decision is not None and decision.drop_request:
-            self._burn_timeout(method, "request lost")
-        if decision is not None and decision.reorder and self._last_request:
-            # The network delivers a stale retransmission of the previous
-            # request ahead of this one.
-            self._redeliver(self._last_request)
+        if decision is not None:
+            if decision.drop_request:
+                self._burn_timeout(method, "request lost")
+            if decision.reorder and self._last_request:
+                # The network delivers a stale retransmission of the
+                # previous request ahead of this one.
+                self._redeliver(self._last_request)
+        # The one copy: dispatch strips the metadata from the dict it is
+        # handed, a later reorder must re-present it intact.
         delivered = (method, args, dict(kwargs))
         self._last_request = delivered
-        result = self.server.dispatch(method, args, dict(kwargs))
-        if decision is not None and decision.duplicate:
-            self._redeliver(delivered)
-        if decision is not None and decision.drop_reply:
-            self._burn_timeout(method, "reply lost")
+        result = server.dispatch(method, args, kwargs)
+        if decision is not None:
+            if decision.duplicate:
+                self._redeliver(delivered)
+            if decision.drop_reply:
+                self._burn_timeout(method, "reply lost")
+        costs = fabric.costs
         elapsed = costs.rpc_time() + extra_latency
         # Model the polling loop: at least one poll observes completion.
-        poll_count = max(1, int(elapsed / costs.poll_interval_s))
-        self.polls += poll_count
+        self.polls += max(1, int(elapsed / costs.poll_interval_s))
         self.time_spent_s += elapsed
-        self.node.fabric.stats.rpcs += 1
-        self.node.fabric.stats.busy_seconds += elapsed
+        stats = fabric.stats
+        stats.rpcs += 1
+        stats.busy_seconds += elapsed
         return result, elapsed
 
     def close(self) -> None:

@@ -8,24 +8,25 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """Handle on a scheduled callback.
 
-    Events compare by ``(time, seq)`` so the heap pops them in schedule
-    order; the callback itself never participates in comparisons.
+    The heap orders ``(time, seq, event)`` tuples — ``seq`` is unique, so
+    the comparison never reaches the handle itself.
     """
 
-    time: float
-    seq: int
-    callback: Callable[[], Any] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "seq", "callback", "cancelled")
+
+    def __init__(self, time: float, seq: Any, callback: Callable[[], Any]):
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the event from firing; cancelling twice is harmless."""
@@ -37,7 +38,7 @@ class Engine:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[Event] = []
+        self._queue: list[tuple] = []
         self._seq = itertools.count()
         self._running = False
 
@@ -48,18 +49,18 @@ class Engine:
 
     def schedule(self, delay: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback)
 
     def schedule_at(self, when: float, callback: Callable[[], Any]) -> Event:
         """Schedule ``callback`` at absolute simulated time ``when``."""
-        if when < self._now:
+        if not when >= self._now:  # also refuses NaN, which would poison the clock
             raise SimulationError(
                 f"cannot schedule at {when}, clock is already at {self._now}"
             )
-        event = Event(time=when, seq=self._tiebreak(), callback=callback)
-        heapq.heappush(self._queue, event)
+        event = Event(when, self._tiebreak(), callback)
+        heapq.heappush(self._queue, (when, event.seq, event))
         return event
 
     def _tiebreak(self):
@@ -75,10 +76,10 @@ class Engine:
     def step(self) -> bool:
         """Run the next pending event.  Returns False if the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            when, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
-            self._now = event.time
+            self._now = when
             event.callback()
             return True
         return False
@@ -93,20 +94,23 @@ class Engine:
             raise SimulationError("engine is already running (re-entrant run())")
         self._running = True
         executed = 0
+        queue = self._queue
         try:
-            while self._queue:
+            while queue:
                 if executed >= max_events:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; runaway simulation?"
                     )
-                head = self._queue[0]
-                if head.cancelled:
-                    heapq.heappop(self._queue)
+                when, _, event = queue[0]
+                if event.cancelled:
+                    heapq.heappop(queue)
                     continue
-                if until is not None and head.time > until:
+                if until is not None and when > until:
                     break
-                if self.step():
-                    executed += 1
+                heapq.heappop(queue)
+                self._now = when
+                event.callback()
+                executed += 1
         finally:
             self._running = False
         if until is not None and self._now < until:
@@ -121,4 +125,4 @@ class Engine:
 
     def pending(self) -> int:
         """Number of scheduled, non-cancelled events."""
-        return sum(1 for e in self._queue if not e.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)

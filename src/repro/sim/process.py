@@ -53,6 +53,9 @@ class PeriodicProcess:
         if self._stopped:
             return
         self.ticks += 1
+        fired = self._event
         self.action()
-        if not self._stopped:  # action() may have called stop()
+        # action() may have called stop() — and start() again, which
+        # already scheduled the next tick as a new event.
+        if not self._stopped and self._event is fired:
             self._event = self.engine.schedule(self.period, self._tick)

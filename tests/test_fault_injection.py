@@ -166,6 +166,33 @@ class TestHostLossDetection:
         rack.start_host_monitoring(probe_period_s=0.5, miss_threshold=3)
         return rack, vm, hv
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_probe_tick_agrees_with_probing_each_host(self, traced):
+        """A round hoists what a probe reads; the verdicts must not move."""
+        from repro.obs import Telemetry
+        tel = Telemetry(enabled=True) if traced else None
+        rack = Rack(["active", "asleep", "cut", "zombie"],
+                    memory_bytes=128 * MiB, buff_size=8 * MiB, telemetry=tel)
+        rack.make_zombie("zombie")
+        rack.server("asleep").platform.suspend(SleepState.S3)
+        rack.fabric.partition("cut")
+        coordinator = rack.recovery
+        hosts = sorted(rack.controller.known_hosts)
+        assert hosts == ["active", "asleep", "cut", "zombie"]
+
+        coordinator.probe_tick()
+        assert coordinator.probes_sent == 4
+        assert coordinator._misses == {"active": 0, "asleep": 0, "cut": 1,
+                                       "zombie": 0}
+        verdicts = {host: coordinator._probe(host) for host in hosts}
+        assert verdicts == {host: misses == 0
+                            for host, misses in coordinator._misses.items()}
+        assert coordinator.probes_sent == 8
+        # Only the active host costs a heartbeat RPC, on either path.
+        assert rack.server("active").manager.rpc.calls_served == 2
+        if traced:
+            assert tel.registry.value("recovery_probes_total") == 8
+
     def test_partitioned_zombie_declared_lost(self):
         from repro.core.events import EventKind
         rack, vm, hv = self._monitored_rack()

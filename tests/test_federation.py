@@ -266,6 +266,43 @@ class TestLending:
                               for lbl in labels)
 
 
+class TestChannelCaches:
+    def test_one_client_per_channel_after_failovers(self):
+        """The three fed client caches follow the fencing epoch.
+
+        Keyed on ``id(controller.rpc)`` they kept one client per
+        generation forever (and an ``id`` can be reused once a deposed
+        controller is collected); now a failover supersedes the entry.
+        """
+        fed = _small_fed()
+        for host in ("rack1/h2", "rack1/h3", "rack2/h2"):
+            fed.make_zombie(host)
+        tenant = "rack2/h1"
+        _drain_until_borrow(fed, tenant)
+        caches = (fed.gateway._clients, fed.lending._borrow_clients,
+                  fed.directory._clients)
+        before = [dict(cache) for cache in caches]
+        assert all(before)
+
+        for rack in fed.racks.values():
+            rack.kill_controller()
+        fed.engine.run(until=10.0)
+        assert {r.controller.epoch for r in fed.racks.values()} == {2}
+        # Every channel is used again, through the promoted primaries.
+        fed.directory.refresh()
+        assert all(fed.directory.alive(name) for name in fed.racks)
+        assert fed.lending.return_loans("rack2", "rack1") > 0
+        assert fed.gateway.alloc_ext(tenant, BUFF)
+
+        for cache, old in zip(caches, before):
+            assert cache.keys() == old.keys()
+            for key, (epoch, client) in cache.items():
+                superseded = old[key][1]
+                assert epoch == 2 and client is not superseded
+                assert (superseded._qp.qp_num
+                        not in superseded.node.pd.queue_pairs)
+
+
 class TestFourRackAcceptance:
     """The issue's acceptance scenario, end to end."""
 

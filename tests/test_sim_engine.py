@@ -1,10 +1,15 @@
 """The discrete-event engine."""
 
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from repro.errors import SimulationError
+from repro.sim.determinism import ShuffledEngine
 from repro.sim.engine import Engine
 from repro.sim.process import PeriodicProcess
+from repro.sim.rng import DeterministicRng
 
 
 class TestScheduling:
@@ -45,6 +50,19 @@ class TestScheduling:
         engine = Engine(start_time=10.0)
         with pytest.raises(SimulationError):
             engine.schedule_at(5.0, lambda: None)
+
+    @pytest.mark.parametrize("start", [0.0, 10.0])
+    def test_nan_time_or_delay_rejected(self, start):
+        # nan < now is False, so a plain "in the past?" test lets NaN in;
+        # it would fire and turn the clock itself into NaN.
+        engine = Engine(start_time=start)
+        with pytest.raises(SimulationError):
+            engine.schedule_at(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            engine.schedule(float("nan"), lambda: None)
+        assert engine.pending() == 0
+        engine.run(until=start + 1.0)
+        assert engine.now == start + 1.0
 
     def test_cancelled_event_does_not_fire(self):
         engine = Engine()
@@ -153,6 +171,22 @@ class TestPeriodicProcess:
         engine.run(until=10.0)
         assert proc.ticks == 1
 
+    def test_restart_inside_action_ticks_once_per_period(self):
+        engine = Engine()
+        ticks = []
+
+        def action():
+            ticks.append(engine.now)
+            if len(ticks) == 1:  # e.g. a monitor re-arming itself
+                proc.stop()
+                proc.start()
+
+        proc = PeriodicProcess(engine, 1.0, action)
+        proc.start()
+        engine.run(until=4.5)
+        assert ticks == [1.0, 2.0, 3.0, 4.0]
+        assert engine.pending() == 1
+
     def test_double_start_is_noop(self):
         engine = Engine()
         proc = PeriodicProcess(engine, 1.0, lambda: None)
@@ -164,3 +198,104 @@ class TestPeriodicProcess:
     def test_invalid_period(self):
         with pytest.raises(ValueError):
             PeriodicProcess(Engine(), 0.0, lambda: None)
+
+
+class EngineMachine(RuleBasedStateMachine):
+    """``Engine`` against a sorted list of ``(time, schedule order)``.
+
+    Time order, FIFO among same-time events, cancelled events never
+    fire, ``pending()`` and the clock agree with the model.  Times sit
+    on a coarse grid so ties are common.
+    """
+
+    make_engine = Engine
+    fifo_ties = True
+
+    def __init__(self):
+        super().__init__()
+        self.engine = self.make_engine()
+        self.live = {}       # the model: tag -> (time, tag) still to fire
+        self.handles = {}    # tag -> Event
+        self.fired = []      # (time the engine showed, tag), in firing order
+        self.tags = iter(range(10**6))
+
+    def _add(self, schedule, arg, when):
+        tag = next(self.tags)
+        self.handles[tag] = schedule(
+            arg, lambda: self.fired.append((self.engine.now, tag)))
+        self.live[tag] = (when, tag)
+        assert self.handles[tag].time == when
+
+    def _expect_fired(self, due):
+        """``due`` model entries fired, in order, each at its own time."""
+        fired, self.fired = self.fired, []
+        assert [when for when, _ in fired] == [when for when, _ in due]
+        if self.fifo_ties:
+            assert fired == due
+        else:
+            assert sorted(fired) == due
+        for _, tag in due:
+            del self.live[tag]
+
+    @rule(ticks=st.integers(0, 6))
+    def schedule(self, ticks):
+        self._add(self.engine.schedule, ticks * 0.5,
+                  self.engine.now + ticks * 0.5)
+
+    @rule(ticks=st.integers(0, 6))
+    def schedule_at(self, ticks):
+        when = self.engine.now + ticks * 0.5
+        self._add(self.engine.schedule_at, when, when)
+
+    @rule()
+    def schedule_into_the_past_is_refused(self):
+        with pytest.raises(SimulationError):
+            self.engine.schedule_at(self.engine.now - 0.5, lambda: None)
+
+    @precondition(lambda self: self.handles)
+    @rule(pick=st.integers(0, 10**6))
+    def cancel(self, pick):
+        tag = sorted(self.handles)[pick % len(self.handles)]
+        self.handles[tag].cancel()  # fired or cancelled already: harmless
+        self.live.pop(tag, None)
+
+    @rule(ticks=st.integers(0, 8))
+    def run_until(self, ticks):
+        until = self.engine.now + ticks * 0.5
+        due = sorted(e for e in self.live.values() if e[0] <= until)
+        assert self.engine.run(until=until) == len(due)
+        self._expect_fired(due)
+        assert self.engine.now == until
+
+    @rule()
+    def step(self):
+        if not self.live:
+            assert self.engine.step() is False
+            return
+        first = min(self.live.values())
+        assert self.engine.step() is True
+        if self.fifo_ties:
+            self._expect_fired([first])
+        else:
+            (when, tag), = self.fired
+            assert when == first[0] and self.live[tag] == (when, tag)
+            self._expect_fired([(when, tag)])
+        assert self.engine.now == first[0]
+
+    @invariant()
+    def pending_agrees(self):
+        assert self.engine.pending() == len(self.live)
+
+
+class ShuffledEngineMachine(EngineMachine):
+    """The permuting engine keeps the time-order half of the contract."""
+
+    make_engine = staticmethod(lambda: ShuffledEngine(DeterministicRng(5)))
+    fifo_ties = False
+
+
+TestEngineMachine = EngineMachine.TestCase
+TestEngineMachine.settings = settings(max_examples=60,
+                                      stateful_step_count=40, deadline=None)
+TestShuffledEngineMachine = ShuffledEngineMachine.TestCase
+TestShuffledEngineMachine.settings = TestEngineMachine.settings
