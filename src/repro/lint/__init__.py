@@ -1,43 +1,85 @@
-"""ZomLint: domain-specific static checks for the Zombieland codebase.
+"""ZomLint: the static analyzer for the Zombieland codebase.
 
 Generic linters cannot see the invariants this reproduction lives by —
 simulated time must come from :class:`~repro.sim.engine.Engine`, randomness
 from :class:`~repro.sim.rng.DeterministicRng`, every protocol verb must be
-dispatchable and documented, and RPC failures must never vanish silently.
-ZomLint makes those invariants mechanical:
+dispatchable, documented and honest about what it raises, shared rack state
+must survive an RPC yield point, and every physical quantity must keep its
+unit.  ZomLint makes those invariants mechanical.  One run reads and parses
+each file once (:mod:`repro.lint.engine`); the per-file and project-wide
+rules walk those trees, and the whole-program passes share one call graph
+(:mod:`repro.lint.callgraph`), built only when one of them is selected:
 
-========  ====================================================================
-rule id   what it flags
-========  ====================================================================
-ZL001     wall-clock time (``time.time``/``datetime.now``/...) in library code
-ZL002     module-level ``random`` calls instead of ``repro.sim.rng``
-ZL003     protocol verbs without a dispatch handler or a PROTOCOL.md entry
-ZL004     float ``==``/``!=`` on simulated timestamps
-ZL005     ``RpcError`` swallowed without a raise, return, or event emission
-ZL007     fleet-audit metrics no longer registered by their owning module
-ZL009     impurity sources (wall clock, global random, ``os.urandom``,
-          unordered set iteration) transitively reaching sim context
-          (interprocedural; lives in :mod:`repro.flow`)
-ZL010     shared rack state read before and written after an RPC yield
-          point without re-validation or fencing (:mod:`repro.flow`)
-ZL011     exception types escaping a verb handler outside the errors its
-          ``Method`` row declares (:mod:`repro.flow`)
-========  ====================================================================
+=================  =============================================  ==========
+rules              implemented in                                 scope
+=================  =============================================  ==========
+ZL001 ZL002        :mod:`repro.lint.rules`                        per file
+ZL004 ZL005        :mod:`repro.lint.rules`                        per file
+ZL003 ZL007        :mod:`repro.lint.rules`                        project
+ZL009              :mod:`repro.lint.purity`                       call graph
+ZL010              :mod:`repro.lint.atomicity`                    call graph
+ZL011              :mod:`repro.lint.contracts`                    call graph
+ZL012 ZL013 ZL014  :mod:`repro.lint.dimensions`                   call graph
+=================  =============================================  ==========
 
-The two ids missing from the sequence are retired (their rules compared
-copies of a verb's facts that now live only on its ``Method`` row) and
-are not reused.
+What each rule flags is :data:`~repro.lint.rules.RULE_DESCRIPTIONS`
+(``python -m repro.lint --list-rules``).  ZL006 and ZL008 are retired
+(their rules compared copies of a verb's facts that now live only on its
+``Method`` row) and are not reused; ZL000 marks a file that cannot be read
+or parsed.
 
-Run it as ``python -m repro.lint src`` (exit status 1 on findings; add
-``--stats`` for per-rule finding and suppression counts).  ZL009–ZL011 are
-whole-program dataflow passes run by ``python -m repro.flow src`` — see
-``docs/FLOWCHECK.md`` — but share this rule namespace and the same
-suppression syntax.  Suppress a finding by putting ``# zl: ignore[ZLxxx]``
-on the flagged line, ideally followed by a short justification.
+Every finding meets the same line-scoped suppression (``# zl:
+ignore[ZLxxx]`` on the flagged line, ideally followed by a short
+justification) and the same fingerprint ratchet against the checked-in
+``flow_baseline.json`` (:mod:`repro.lint.baseline`).  Run ``python -m
+repro.lint src``: exit 0 when clean or fully baselined, 1 on any finding
+not in the baseline, 2 on a usage error.  See ``docs/FLOWCHECK.md``.
 """
 
-from repro.lint.engine import Finding, lint_paths, lint_source
-from repro.lint.rules import ALL_RULES, RULE_DESCRIPTIONS
+from __future__ import annotations
 
-__all__ = ["Finding", "lint_paths", "lint_source", "ALL_RULES",
-           "RULE_DESCRIPTIONS"]
+from pathlib import Path
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.lint.atomicity import check_atomicity
+from repro.lint.callgraph import build_graph
+from repro.lint.contracts import check_contracts
+from repro.lint.dimensions import check_dimensions
+from repro.lint.engine import (Finding, Text, apply_suppressions,
+                               load_sources, parse_sources)
+from repro.lint.purity import check_purity
+from repro.lint.rules import (ALL_RULES, PER_FILE_RULES, RULE_DESCRIPTIONS,
+                              WHOLE_PROGRAM_RULES, check_file, check_project)
+
+__all__ = ["ALL_RULES", "Finding", "RULE_DESCRIPTIONS", "check_sources",
+           "load_sources"]
+
+
+def check_sources(sources: Mapping[Path, Text],
+                  rules: Optional[Sequence[str]] = None
+                  ) -> Tuple[List[Finding], Dict[str, int]]:
+    """Run the enabled rules (default: all) over one tree.
+
+    Returns the findings that survive suppression, sorted, and the
+    per-rule count of suppressed ones.
+    """
+    enabled = frozenset(rules) if rules is not None else frozenset(ALL_RULES)
+    trees, findings = parse_sources(sources)
+    if enabled & PER_FILE_RULES:
+        for path, tree in trees.items():
+            findings.extend(check_file(tree, str(path), enabled))
+    findings.extend(check_project(trees, enabled))
+    if enabled & WHOLE_PROGRAM_RULES:
+        graph = build_graph(trees)
+        if "ZL009" in enabled:
+            findings.extend(check_purity(graph))
+        if "ZL010" in enabled:
+            findings.extend(check_atomicity(graph))
+        if "ZL011" in enabled:
+            findings.extend(check_contracts(graph, trees))
+        if enabled & {"ZL012", "ZL013", "ZL014"}:
+            findings.extend(f for f in check_dimensions(graph, trees)
+                            if f.rule in enabled)
+    kept, suppressed = apply_suppressions(findings, sources)
+    kept.sort(key=lambda f: (f.path, f.line, f.rule))
+    return kept, suppressed

@@ -31,8 +31,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.flow.callgraph import CallGraph, FunctionNode, _dotted
-from repro.flow.report import FlowFinding
+from repro.lint.callgraph import CallGraph, FunctionNode
+from repro.lint.engine import Finding, dotted_name
 
 #: Modules the pass scopes to (path tails).  The cooperative-concurrency
 #: hazard lives in the control-plane machines; applying the rule to pure
@@ -293,7 +293,7 @@ def _raised_name(node: ast.Raise) -> Optional[str]:
         exc = exc.func
     if exc is None:
         return None
-    dotted = _dotted(exc)
+    dotted = dotted_name(exc)
     return dotted.split(".")[-1] if dotted else None
 
 
@@ -305,7 +305,7 @@ def _in_scope(fn: FunctionNode, tails: Sequence[Tuple[str, ...]]) -> bool:
 
 def check_atomicity(graph: CallGraph,
                     module_tails: Sequence[Tuple[str, ...]] =
-                    ATOMICITY_MODULE_TAILS) -> List[FlowFinding]:
+                    ATOMICITY_MODULE_TAILS) -> List[Finding]:
     """Run ZL010 over a built call graph."""
     yield_fns = graph.reaching(sorted(direct_yield_functions(graph)))
     reader_summary = _transitive_reads(graph, _direct_family_reads(graph))
@@ -313,7 +313,7 @@ def check_atomicity(graph: CallGraph,
     for edge in graph.edges:
         callees_at.setdefault(edge.caller, {}).setdefault(
             edge.lineno, set()).add(edge.callee)
-    findings: List[FlowFinding] = []
+    findings: List[Finding] = []
     for qual in sorted(graph.functions):
         fn = graph.functions[qual]
         if not _in_scope(fn, module_tails):
@@ -326,13 +326,13 @@ def check_atomicity(graph: CallGraph,
 
 
 def _evaluate(graph: CallGraph, fn: FunctionNode,
-              events: List[_Event]) -> List[FlowFinding]:
+              events: List[_Event]) -> List[Finding]:
     last_read: Dict[str, int] = {}
     #: family → (read line, yield line) when a read is stale behind a
     #: yield point and not yet re-validated.
     pending: Dict[str, Tuple[int, int]] = {}
     reported: Set[str] = set()
-    findings: List[FlowFinding] = []
+    findings: List[Finding] = []
     for event in events:
         if event.fences:
             pending.clear()
@@ -346,7 +346,7 @@ def _evaluate(graph: CallGraph, fn: FunctionNode,
             stale = pending.get(family)
             if stale is not None and family not in reported:
                 read_line, yield_line = stale
-                findings.append(FlowFinding(
+                findings.append(Finding(
                     rule="ZL010", path=fn.path, line=event.line,
                     message=(f"write to {family} state depends on a read "
                              f"at line {read_line} made stale by the yield "

@@ -19,7 +19,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Sequence, Set, Tuple
 
-from repro.flow.report import FlowFinding
+from repro.lint.engine import Finding
 
 BASELINE_VERSION = 1
 
@@ -33,7 +33,7 @@ def load_baseline(path: Path) -> Set[str]:
     return set(entries)
 
 
-def write_baseline(path: Path, findings: Sequence[FlowFinding]) -> None:
+def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
     """Rewrite the baseline to exactly the current findings."""
     entries: Dict[str, Dict[str, str]] = {}
     for finding in findings:
@@ -50,13 +50,13 @@ def write_baseline(path: Path, findings: Sequence[FlowFinding]) -> None:
                     encoding="utf-8")
 
 
-def diff_against_baseline(findings: Sequence[FlowFinding],
+def diff_against_baseline(findings: Sequence[Finding],
                           baseline: Set[str]
-                          ) -> Tuple[List[FlowFinding], List[FlowFinding],
+                          ) -> Tuple[List[Finding], List[Finding],
                                      List[str]]:
     """Split findings into (new, baselined) and list burned-down entries."""
-    new: List[FlowFinding] = []
-    baselined: List[FlowFinding] = []
+    new: List[Finding] = []
+    baselined: List[Finding] = []
     fired: Set[str] = set()
     for finding in findings:
         fired.add(finding.fingerprint)

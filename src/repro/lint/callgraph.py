@@ -3,7 +3,7 @@
 ZomLint's per-file rules cannot see through a helper function: a
 wall-clock read laundered through one hop, or a raise three frames below
 a verb handler, escapes every single-file AST walk.  This module builds
-the shared substrate the interprocedural passes (ZL009/ZL010/ZL011) run
+the shared substrate the interprocedural passes (ZL009-ZL014) run
 on: every function and method in the analyzed tree becomes a node, and
 edges record *may-call* relations resolved module-qualifiedly —
 ``self.method(...)``, attribute calls through ``__init__``-assigned
@@ -26,6 +26,9 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from repro.lint.engine import (collect_aliases, dotted_name, expand_alias,
+                               module_name_for, terminal_name)
 
 #: Attribute-call names too generic to resolve by unique-name fallback:
 #: an edge guessed through one of these is far more likely to bind a
@@ -212,56 +215,6 @@ class CallGraph:
         return " -> ".join(parts)
 
 
-def module_name_for(path: Path) -> str:
-    """Dotted module name for a file, anchored at the ``repro`` package.
-
-    Falls back to a path-derived name for synthetic fixture trees that
-    do not carry the package root.
-    """
-    parts = list(path.parts)
-    if "repro" in parts:
-        parts = parts[parts.index("repro"):]
-    stem = [p for p in parts[:-1]] + [path.stem]
-    if stem and stem[-1] == "__init__":
-        stem = stem[:-1]
-    return ".".join(stem) if stem else path.stem
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _expand_alias(dotted: str, aliases: Dict[str, str]) -> str:
-    head, _, rest = dotted.partition(".")
-    target = aliases.get(head)
-    if target is None:
-        return dotted
-    return target + ("." + rest if rest else "")
-
-
-def _collect_imports(tree: ast.AST) -> Dict[str, str]:
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                aliases[alias.asname or alias.name.split(".")[0]] = (
-                    alias.name if alias.asname else alias.name.split(".")[0]
-                )
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-    return aliases
-
-
 class _ModuleCollector:
     """First pass: declare every function/method and instance-attr type."""
 
@@ -344,7 +297,7 @@ def _record_attr_types(graph: CallGraph, info: ModuleInfo) -> None:
             if (isinstance(stmt, ast.FunctionDef) and stmt.returns is not None
                     and any(isinstance(d, ast.Name) and d.id == "property"
                             for d in stmt.decorator_list)):
-                ann = _dotted(stmt.returns)
+                ann = dotted_name(stmt.returns)
                 if ann is not None:
                     resolved = _resolve_class(ann, info, graph)
                     if resolved is not None:
@@ -355,7 +308,7 @@ def _type_tag(value: ast.AST, info: ModuleInfo,
               graph: CallGraph) -> Optional[str]:
     """Class qual or builtin marker for an assigned expression."""
     if isinstance(value, ast.Call):
-        dotted = _dotted(value.func)
+        dotted = dotted_name(value.func)
         if dotted is None:
             return None
         if dotted in ("set", "frozenset"):
@@ -377,7 +330,7 @@ def _type_tag(value: ast.AST, info: ModuleInfo,
 def _resolve_class(dotted: str, info: ModuleInfo,
                    graph: CallGraph) -> Optional[str]:
     """Map a (possibly aliased) name to a known class qual."""
-    dotted = _expand_alias(dotted, info.aliases)
+    dotted = expand_alias(dotted, info.aliases)
     tail = dotted.split(".")[-1]
     if tail in info.classes:
         return info.classes[tail]
@@ -415,7 +368,7 @@ class _FunctionResolver(ast.NodeVisitor):
             return
         for arg in list(args.args) + list(args.kwonlyargs):
             if arg.annotation is not None:
-                dotted = _dotted(arg.annotation)
+                dotted = dotted_name(arg.annotation)
                 if dotted is not None:
                     resolved = _resolve_class(dotted, self.info, self.graph)
                     if resolved is not None:
@@ -462,9 +415,9 @@ class _FunctionResolver(ast.NodeVisitor):
             self.graph.edges.append(
                 Edge(self.fn.qual, qual, node.lineno, kind))
         else:
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted is not None:
-                expanded = _expand_alias(dotted, self.info.aliases)
+                expanded = expand_alias(dotted, self.info.aliases)
                 self.graph.external_calls.append(
                     ExternalCall(self.fn.qual, expanded, node.lineno))
         self._resolve_callback_refs(node)
@@ -472,7 +425,7 @@ class _FunctionResolver(ast.NodeVisitor):
     def _resolve_callable(self, func: ast.AST
                           ) -> Optional[Tuple[str, str]]:
         """Resolve the called expression to ``(edge kind, qual)``."""
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is None:
             return None
         parts = dotted.split(".")
@@ -512,10 +465,10 @@ class _FunctionResolver(ast.NodeVisitor):
             if resolved is not None:
                 return resolved
         # Module-qualified function (import m; m.f()).
-        expanded = _expand_alias(dotted, self.info.aliases)
+        expanded = expand_alias(dotted, self.info.aliases)
         if expanded in self.graph.functions:
             return ("call", expanded)
-        head = _expand_alias(base, self.info.aliases)
+        head = expand_alias(base, self.info.aliases)
         mod_fn = f"{head}.{attr}" if len(parts) == 2 else None
         if mod_fn is not None and mod_fn in self.graph.functions:
             return ("call", mod_fn)
@@ -557,7 +510,7 @@ class _FunctionResolver(ast.NodeVisitor):
     def _resolve_callback_refs(self, node: ast.Call) -> None:
         """Function refs passed as arguments become bind edges; register
         sites and scheduler calls feed the pass-specific side tables."""
-        terminal = _terminal(node.func)
+        terminal = terminal_name(node.func)
         refs: List[Tuple[str, int]] = []
         for arg in list(node.args) + [k.value for k in node.keywords]:
             refs.extend(self._function_refs(arg))
@@ -596,7 +549,7 @@ class _FunctionResolver(ast.NodeVisitor):
 
     def _ref_target(self, sub: ast.AST) -> Optional[str]:
         if isinstance(sub, ast.Attribute):
-            dotted = _dotted(sub)
+            dotted = dotted_name(sub)
             if dotted is None:
                 return None
             parts = dotted.split(".")
@@ -621,16 +574,8 @@ class _FunctionResolver(ast.NodeVisitor):
         return None
 
 
-def _terminal(node: ast.AST) -> Optional[str]:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _method_member(node: ast.AST) -> Optional[str]:
-    dotted = _dotted(node)
+    dotted = dotted_name(node)
     if dotted is None:
         return None
     parts = dotted.split(".")
@@ -645,17 +590,14 @@ def _verb_literal(node: ast.AST) -> Optional[str]:
     return None
 
 
-def build_graph(sources: Dict[Path, str]) -> CallGraph:
-    """Parse and resolve the whole tree; syntax errors skip the file."""
+def build_graph(trees: Dict[Path, ast.Module]) -> CallGraph:
+    """Resolve the whole tree from its parsed modules."""
     graph = CallGraph()
     infos: List[ModuleInfo] = []
-    for path in sorted(sources):
-        try:
-            tree = ast.parse(sources[path], filename=str(path))
-        except SyntaxError:
-            continue
+    for path in sorted(trees):
+        tree = trees[path]
         info = ModuleInfo(name=module_name_for(path), path=str(path),
-                          tree=tree, aliases=_collect_imports(tree))
+                          tree=tree, aliases=collect_aliases(tree))
         infos.append(info)
         graph.modules[info.name] = info
     for info in infos:

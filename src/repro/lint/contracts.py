@@ -28,8 +28,8 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.flow.callgraph import CallGraph, _dotted
-from repro.flow.report import FlowFinding
+from repro.lint.callgraph import CallGraph
+from repro.lint.engine import Finding, dotted_name
 from repro.lint.rules import protocol_rows
 
 #: Exception families allowed to cross every verb boundary regardless of
@@ -73,18 +73,14 @@ class ErrorHierarchy:
         return family
 
 
-def parse_hierarchy(sources: Dict[Path, str]) -> ErrorHierarchy:
+def parse_hierarchy(trees: Dict[Path, ast.Module]) -> ErrorHierarchy:
     parents: Dict[str, List[str]] = {}
-    for path in sorted(sources):
+    for path in sorted(trees):
         if path.name != "errors.py":
             continue
-        try:
-            tree = ast.parse(sources[path])
-        except SyntaxError:
-            continue
-        for node in tree.body:
+        for node in trees[path].body:
             if isinstance(node, ast.ClassDef):
-                bases = [b for b in (_dotted(base) for base in node.bases)
+                bases = [b for b in (dotted_name(base) for base in node.bases)
                          if b is not None]
                 parents[node.name] = [b.split(".")[-1] for b in bases]
     return ErrorHierarchy(parents)
@@ -187,7 +183,7 @@ class _EscapeAnalysis:
         if isinstance(exc, ast.Name) and exc.id == caught_name:
             return set(caught_types)  # ``raise e`` re-raise
         target = exc.func if isinstance(exc, ast.Call) else exc
-        dotted = _dotted(target)
+        dotted = dotted_name(target)
         if dotted is None:
             return set()
         name = dotted.split(".")[-1]
@@ -230,26 +226,26 @@ def _handler_types(handler: ast.ExceptHandler) -> List[str]:
              else [handler.type])
     names: List[str] = []
     for t in types:
-        dotted = _dotted(t)
+        dotted = dotted_name(t)
         if dotted is not None:
             names.append(dotted.split(".")[-1])
     return names
 
 
 def check_contracts(graph: CallGraph,
-                    sources: Dict[Path, str]) -> List[FlowFinding]:
+                    trees: Dict[Path, ast.Module]) -> List[Finding]:
     """Run ZL011 over a built call graph."""
-    _, rows = protocol_rows(sources)
+    _, rows = protocol_rows(trees)
     if not rows:
         return []  # fixture tree without a verb table: nothing to check
     contract = {row.verb: row.errors for row in rows}
     member_map = {row.member: row.verb for row in rows}
-    hierarchy = parse_hierarchy(sources)
+    hierarchy = parse_hierarchy(trees)
     implicitly_allowed = (set(hierarchy.retryable_family())
                           | set(IMPLICITLY_ALLOWED_ROOTS))
     analysis = _EscapeAnalysis(graph, hierarchy)
     analysis.run()
-    findings: List[FlowFinding] = []
+    findings: List[Finding] = []
     seen: Set[Tuple[str, str]] = set()
     for binding in sorted(graph.handler_bindings,
                           key=lambda b: (b.path, b.lineno)):
@@ -274,7 +270,7 @@ def check_contracts(graph: CallGraph,
 
 
 def _finding_for(graph: CallGraph, analysis: _EscapeAnalysis,
-                 handler: str, verb: str, exc_type: str) -> FlowFinding:
+                 handler: str, verb: str, exc_type: str) -> Finding:
     site_fn, site_line = handler, graph.functions[handler].lineno
     best_chain: Optional[List[str]] = None
     for qual in sorted(graph.reachable_from([handler])):
@@ -288,7 +284,7 @@ def _finding_for(graph: CallGraph, analysis: _EscapeAnalysis,
                                  if t == exc_type)
     fn = graph.functions[site_fn]
     chain_text = graph.render(best_chain) if best_chain else fn.short
-    return FlowFinding(
+    return Finding(
         rule="ZL011", path=fn.path, line=site_line,
         message=(f"{exc_type} escapes verb {verb!r} via {chain_text} but is "
                  f"not among the errors the verb's Method row declares nor "

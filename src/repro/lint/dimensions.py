@@ -3,7 +3,7 @@
 Zombieland's headline numbers are physical quantities — joules, watts,
 zPUE, kJ per served GiB-hour — and ``repro.units`` documents the
 conventions every ``float`` in the tree is supposed to follow.  This
-module *enforces* them over ZomFlow's whole-program call graph:
+module *enforces* them over the whole-program call graph:
 
 - **ZL012 dimension soundness** — a dimension lattice (bytes, pages,
   frames, GiB, joules, kWh, watts, seconds, fractions, dollars) is
@@ -34,7 +34,7 @@ silent rather than noisy.  Where correct code is unprovable, add a seed
 annotation here (or rename to the convention) instead of suppressing.
 
 Findings carry line-free fingerprints and ratchet against
-``flow_baseline.json`` like every other ZomFlow pass.  See
+``flow_baseline.json`` like every other ZomLint rule.  See
 ``docs/FLOWCHECK.md``.
 """
 
@@ -46,10 +46,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import units as _units
-from repro.flow.callgraph import (CallGraph, FunctionNode, _dotted,
-                                  _expand_alias, _FALLBACK_BLOCKLIST)
-from repro.flow.purity import WALL_CLOCK_CALLS
-from repro.flow.report import FlowFinding
+from repro.lint.callgraph import (CallGraph, FunctionNode,
+                                  _FALLBACK_BLOCKLIST)
+from repro.lint.engine import Finding, dotted_name, expand_alias
+from repro.lint.rules import WALL_CLOCK_CALLS
 
 #: A known dimension is carried as ``(dim, why)`` — the ``why`` string is
 #: the inference provenance that ends up in the finding message.
@@ -236,7 +236,7 @@ def _default_tables() -> UnitTables:
     )
 
 
-def load_unit_tables(sources: Dict[Path, str]) -> UnitTables:
+def load_unit_tables(trees: Dict[Path, ast.Module]) -> UnitTables:
     """The built-in tables, overlaid with any ``units.py`` in the tree.
 
     A fixture tree (or a future split package) may declare its own
@@ -244,14 +244,10 @@ def load_unit_tables(sources: Dict[Path, str]) -> UnitTables:
     literals; they extend the defaults entry-by-entry.
     """
     tables = _default_tables()
-    for path in sorted(sources):
+    for path in sorted(trees):
         if path.name != "units.py":
             continue
-        try:
-            tree = ast.parse(sources[path])
-        except SyntaxError:
-            continue
-        for node in tree.body:
+        for node in trees[path].body:
             if not (isinstance(node, ast.Assign) and len(node.targets) == 1
                     and isinstance(node.targets[0], ast.Name)):
                 continue
@@ -305,7 +301,7 @@ class _DimAnalysis:
     def __init__(self, graph: CallGraph, tables: UnitTables):
         self.graph = graph
         self.tables = tables
-        self.findings: List[FlowFinding] = []
+        self.findings: List[Finding] = []
         self._seen: Set[Tuple[str, int]] = set()
         #: qual → (dim, why); declared entries double as return contracts.
         self.returns: Dict[str, Dim] = {}
@@ -320,7 +316,7 @@ class _DimAnalysis:
                                      []).append(qual)
 
     # -- driver --------------------------------------------------------------
-    def run(self) -> List[FlowFinding]:
+    def run(self) -> List[Finding]:
         self._seed_return_contracts()
         self._collect_attributes()
         for _ in range(2):  # interprocedural return-dim fixpoint
@@ -770,10 +766,10 @@ class _DimAnalysis:
         if isinstance(expr, ast.Name):
             return expr.id if expr.id in self.tables.constants else None
         if isinstance(expr, ast.Attribute):
-            dotted = _dotted(expr)
+            dotted = dotted_name(expr)
             if dotted is None:
                 return None
-            expanded = _expand_alias(dotted, ctx.aliases)
+            expanded = expand_alias(dotted, ctx.aliases)
             module, _, tail = expanded.rpartition(".")
             if tail in self.tables.constants \
                     and module.rsplit(".", 1)[-1] == "units":
@@ -786,8 +782,8 @@ class _DimAnalysis:
         kw_dims = [(kw.arg, self._dim(kw.value, ctx))
                    for kw in expr.keywords]
         self._check_metric_sink(expr, arg_dims, ctx)
-        dotted = _dotted(expr.func)
-        expanded = _expand_alias(dotted, ctx.aliases) if dotted else None
+        dotted = dotted_name(expr.func)
+        expanded = expand_alias(dotted, ctx.aliases) if dotted else None
         if expanded in WALL_CLOCK_CALLS:
             return ("wall-seconds", f"wall-clock {expanded}()")
         if expanded in WALL_SINK_CALLS and arg_dims and arg_dims[0] \
@@ -880,7 +876,7 @@ class _DimAnalysis:
             if info is not None:
                 cls = info.classes.get(parts[0])
                 if cls is None:
-                    alias = _expand_alias(parts[0], info.aliases)
+                    alias = expand_alias(parts[0], info.aliases)
                     if f"{alias}.__init__" in self.graph.functions:
                         cls = alias
                 if cls is not None \
@@ -893,7 +889,7 @@ class _DimAnalysis:
             if candidate in self.graph.functions:
                 return candidate
         if len(parts) == 2:
-            head = _expand_alias(parts[0], ctx.aliases)
+            head = expand_alias(parts[0], ctx.aliases)
             candidate = f"{head}.{parts[1]}"
             if candidate in self.graph.functions:
                 return candidate
@@ -1045,7 +1041,7 @@ class _DimAnalysis:
         self._seen.add(key)
         if len(message) > 360:
             message = message[:357] + "..."
-        self.findings.append(FlowFinding(
+        self.findings.append(Finding(
             rule=rule, path=ctx.fn.path, line=lineno,
             message=f"{message} [in {ctx.fn.short}]",
             fingerprint=fingerprint,
@@ -1053,7 +1049,7 @@ class _DimAnalysis:
 
 
 def check_dimensions(graph: CallGraph,
-                     sources: Dict[Path, str]) -> List[FlowFinding]:
+                     trees: Dict[Path, ast.Module]) -> List[Finding]:
     """Run ZomDim (ZL012/ZL013/ZL014) over a resolved call graph."""
-    tables = load_unit_tables(sources)
+    tables = load_unit_tables(trees)
     return _DimAnalysis(graph, tables).run()

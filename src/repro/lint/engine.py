@@ -1,7 +1,15 @@
-"""ZomLint driver: file walking, suppression parsing, finding collection.
+"""ZomLint's shared substrate: findings, the loader, suppressions, names.
 
-A *finding* is one rule violation anchored to a file and line.  Suppression
-is line-scoped: ``# zl: ignore[ZL001]`` (or a comma list,
+A *finding* is one rule violation anchored to a file and line, plus a
+line-free *fingerprint* — the identity the baseline ratchet keys on, so
+unrelated edits moving a finding a few lines never churn the baseline.
+
+Every file of a run is read by :func:`load_sources` and parsed by
+:func:`parse_sources` exactly once; every rule reads those trees.  A file
+that cannot be read or parsed becomes one ``ZL000`` finding, never a
+silent skip.
+
+Suppression is line-scoped: ``# zl: ignore[ZL001]`` (or a comma list,
 ``# zl: ignore[ZL001,ZL005]``) on the flagged line silences those rules for
 that line only — there is deliberately no file- or project-wide opt-out, so
 every suppression sits next to the code it excuses.
@@ -9,12 +17,17 @@ every suppression sits next to the code it excuses.
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Set,
+                    Tuple, Union)
 
 _SUPPRESS_RE = re.compile(r"#\s*zl:\s*ignore\[([A-Za-z0-9_,\s]+)\]")
+
+#: A loaded file: its text, or the error that kept it from being read.
+Text = Union[str, OSError, UnicodeDecodeError]
 
 
 @dataclass(frozen=True)
@@ -25,10 +38,66 @@ class Finding:
     path: str        # file the violation lives in
     line: int        # 1-based line number
     message: str
+    #: Stable, line-free identity for the baseline ratchet.  Rules that
+    #: leave it empty get ``rule:module:message``.
+    fingerprint: str = ""
+
+    def __post_init__(self) -> None:
+        if not self.fingerprint:
+            module = module_name_for(Path(self.path))
+            object.__setattr__(self, "fingerprint",
+                               f"{self.rule}:{module}:{self.message}")
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
 
+
+# -- the loader ----------------------------------------------------------------
+
+def iter_python_files(paths: Sequence[str]) -> List[Path]:
+    out: List[Path] = []
+    for raw in paths:
+        path = Path(raw)
+        if path.is_file() and path.suffix == ".py":
+            out.append(path)
+        elif path.is_dir():
+            out.extend(sorted(p for p in path.rglob("*.py")
+                              if "__pycache__" not in p.parts))
+    return out
+
+
+def load_sources(paths: Sequence[str]) -> Dict[Path, Text]:
+    """Read every python file under ``paths`` (an unreadable one keeps
+    its error, which :func:`parse_sources` reports)."""
+    sources: Dict[Path, Text] = {}
+    for path in iter_python_files(paths):
+        try:
+            sources[path] = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            sources[path] = exc
+    return sources
+
+
+def parse_sources(sources: Mapping[Path, Text]
+                  ) -> Tuple[Dict[Path, ast.Module], List[Finding]]:
+    """Each file's tree, parsed once, and a ZL000 for each file without one."""
+    trees: Dict[Path, ast.Module] = {}
+    broken: List[Finding] = []
+    for path in sorted(sources):
+        text = sources[path]
+        if not isinstance(text, str):
+            broken.append(Finding("ZL000", str(path), 1,
+                                  f"unreadable file: {text}"))
+            continue
+        try:
+            trees[path] = ast.parse(text, filename=str(path))
+        except SyntaxError as exc:
+            broken.append(Finding("ZL000", str(path), exc.lineno or 1,
+                                  f"syntax error: {exc.msg}"))
+    return trees, broken
+
+
+# -- suppressions ---------------------------------------------------------------
 
 def parse_suppressions(source: str) -> Dict[int, Set[str]]:
     """Map line number → rule ids suppressed on that line."""
@@ -45,86 +114,90 @@ def parse_suppressions(source: str) -> Dict[int, Set[str]]:
 
 
 def apply_suppressions(findings: Iterable[Finding],
-                       suppressed: Dict[int, Set[str]],
-                       counts: Optional[Dict[str, int]] = None
-                       ) -> List[Finding]:
-    """Drop suppressed findings; ``counts`` (rule → n) tallies the drops."""
-    kept = []
+                       sources: Mapping[Path, Text]
+                       ) -> Tuple[List[Finding], Dict[str, int]]:
+    """Drop suppressed findings; also return the drops per rule."""
+    by_path: Dict[str, Dict[int, Set[str]]] = {}
+    kept: List[Finding] = []
+    counts: Dict[str, int] = {}
     for finding in findings:
-        rules = suppressed.get(finding.line, ())
-        if finding.rule in rules or "*" in rules:
-            if counts is not None:
-                counts[finding.rule] = counts.get(finding.rule, 0) + 1
+        if finding.path not in by_path:
+            text = sources.get(Path(finding.path))
+            by_path[finding.path] = (parse_suppressions(text)
+                                     if isinstance(text, str) else {})
+        if finding.rule in by_path[finding.path].get(finding.line, ()):
+            counts[finding.rule] = counts.get(finding.rule, 0) + 1
             continue
         kept.append(finding)
-    return kept
+    return kept, counts
 
 
-def lint_source(source: str, path: str = "<string>",
-                rules: Optional[Sequence[str]] = None,
-                suppressed_counts: Optional[Dict[str, int]] = None
-                ) -> List[Finding]:
-    """Run the per-file rules over one source text (honouring suppressions).
+# -- names ------------------------------------------------------------------------
 
-    ``rules`` limits the run to a subset of rule ids (fixture tests use
-    this); the project-wide ZL003 check needs a tree and only runs from
-    :func:`lint_paths`.
+def module_name_for(path: Path) -> str:
+    """Dotted module name for a file, anchored at the ``repro`` package.
+
+    Falls back to a path-derived name for synthetic fixture trees that
+    do not carry the package root.
     """
-    from repro.lint.rules import check_file
-    findings = check_file(source, path, rules=rules)
-    return apply_suppressions(findings, parse_suppressions(source),
-                              counts=suppressed_counts)
+    parts = list(path.parts)
+    if "repro" in parts:
+        parts = parts[parts.index("repro"):]
+    stem = [p for p in parts[:-1]] + [path.stem]
+    if stem and stem[-1] == "__init__":
+        stem = stem[:-1]
+    return ".".join(stem) if stem else path.stem
 
 
-def iter_python_files(paths: Sequence[str]) -> List[Path]:
-    out: List[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_file() and path.suffix == ".py":
-            out.append(path)
-        elif path.is_dir():
-            out.extend(sorted(p for p in path.rglob("*.py")
-                              if "__pycache__" not in p.parts))
-    return out
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """Best-effort dotted name for a Name/Attribute chain."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
 
 
-def lint_paths(paths: Sequence[str],
-               rules: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Lint every python file under ``paths``, plus the project-wide checks."""
-    findings, _ = lint_paths_counted(paths, rules=rules)
-    return findings
+def terminal_name(node: ast.AST) -> Optional[str]:
+    """The last identifier of a Name/Attribute chain (``a.b.c`` → ``c``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
 
 
-def lint_paths_counted(paths: Sequence[str],
-                       rules: Optional[Sequence[str]] = None
-                       ) -> "tuple[List[Finding], Dict[str, int]]":
-    """Like :func:`lint_paths`, plus per-rule suppressed-finding counts.
+def collect_aliases(tree: ast.AST) -> Dict[str, str]:
+    """Import alias → canonical dotted prefix for one module.
 
-    The counts feed ``python -m repro.lint --stats`` so baseline burn-down
-    (how much debt hides behind ``# zl: ignore[...]`` lines) stays visible
-    in CI logs.
+    ``import random as rnd`` maps ``rnd`` → ``random``; ``from time
+    import monotonic as _mono`` (and the un-aliased form) maps the bound
+    name → ``time.monotonic``; a plain ``import a.b`` binds ``a`` to
+    itself.  Call names are expanded through this table so aliasing
+    cannot launder a wall-clock read or a global random draw past a
+    dotted-name match.
     """
-    from repro.lint.rules import check_project
-    findings: List[Finding] = []
-    suppressed_counts: Dict[str, int] = {}
-    files = iter_python_files(paths)
-    sources: Dict[Path, str] = {}
-    for path in files:
-        try:
-            sources[path] = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            findings.append(Finding("ZL000", str(path), 1,
-                                    f"unreadable file: {exc}"))
-    for path, source in sources.items():
-        findings.extend(lint_source(source, str(path), rules=rules,
-                                    suppressed_counts=suppressed_counts))
-    if rules is None or {"ZL003", "ZL007"} & set(rules):
-        project = check_project(sources, rules=rules)
-        for finding in project:
-            source = next((s for p, s in sources.items()
-                           if str(p) == finding.path), "")
-            kept = apply_suppressions([finding], parse_suppressions(source),
-                                      counts=suppressed_counts)
-            findings.extend(kept)
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings, suppressed_counts
+    aliases: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.split(".")[0]
+                aliases[alias.asname or head] = (
+                    alias.name if alias.asname else head)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                aliases[alias.asname or alias.name] = (
+                    f"{node.module}.{alias.name}"
+                )
+    return aliases
+
+
+def expand_alias(dotted: str, aliases: Dict[str, str]) -> str:
+    head, _, rest = dotted.partition(".")
+    target = aliases.get(head)
+    if target is None:
+        return dotted
+    return target + ("." + rest if rest else "")

@@ -22,21 +22,13 @@ report shows exactly how the impurity launders into replayed state.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional
 
-from repro.flow.callgraph import CallGraph, _dotted, _expand_alias
-from repro.flow.report import FlowFinding
-
-#: The wall-clock suffix set ZL001 uses — one source of truth would be
-#: ideal, but the lint layer must stay importable without the flow
-#: package; the regression tests pin the two sets equal instead.
-WALL_CLOCK_CALLS = {
-    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
-    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
-    "datetime.now", "datetime.utcnow", "datetime.today", "date.today",
-}
-
-RANDOM_ALLOWED = {"Random", "SystemRandom", "getstate", "setstate"}
+from repro.lint.callgraph import CallGraph
+from repro.lint.engine import Finding, dotted_name
+# The same sets ZL001/ZL002 match per file: a source here is exactly what
+# they would flag at its line.
+from repro.lint.rules import RANDOM_ALLOWED, WALL_CLOCK_CALLS
 
 
 class _Source:
@@ -95,7 +87,7 @@ class _SetIterationVisitor(ast.NodeVisitor):
 
     def _check(self, iter_expr: ast.AST) -> None:
         if self._is_unordered_set(iter_expr):
-            detail = _dotted(iter_expr) or "set expression"
+            detail = dotted_name(iter_expr) or "set expression"
             self.sources.append(_Source(
                 self.fn.qual, iter_expr.lineno, "unordered-iteration",
                 f"iteration over unordered set {detail!r}"))
@@ -103,7 +95,7 @@ class _SetIterationVisitor(ast.NodeVisitor):
     def _is_unordered_set(self, expr: ast.AST) -> bool:
         # sorted(...) / min(...) / max(...) impose or ignore order.
         if isinstance(expr, ast.Call):
-            dotted = _dotted(expr.func)
+            dotted = dotted_name(expr.func)
             if dotted in ("set", "frozenset"):
                 return True
             return False
@@ -133,14 +125,14 @@ def _iteration_sources(graph: CallGraph) -> List[_Source]:
     return sources
 
 
-def check_purity(graph: CallGraph) -> List[FlowFinding]:
+def check_purity(graph: CallGraph) -> List[Finding]:
     """Run ZL009 over a built call graph."""
     sources = _call_sources(graph) + _iteration_sources(graph)
     if not sources:
         return []
     roots = graph.sim_roots()
     sim_context = graph.reachable_from(sorted(roots))
-    findings: List[FlowFinding] = []
+    findings: List[Finding] = []
     for source in sources:
         if source.func not in sim_context:
             continue
@@ -148,7 +140,7 @@ def check_purity(graph: CallGraph) -> List[FlowFinding]:
         if fn is None:
             continue
         chain = graph.shortest_chain(roots, source.func) or [source.func]
-        findings.append(FlowFinding(
+        findings.append(Finding(
             rule="ZL009", path=fn.path, line=source.lineno,
             message=(f"{source.kind} source {source.detail} reaches sim "
                      f"context via {graph.render(chain)}; simulated code "

@@ -1,19 +1,21 @@
-"""The ZomLint rule implementations.
+"""The rule catalogue and the per-file and project-wide rules.
 
 Per-file rules (ZL001/ZL002/ZL004/ZL005) are plain AST walks; the
 project-wide rules cross-reference the :class:`Method` verb table in
 ``core/protocol.py`` against every ``rpc.register(...)`` call in the tree
 and against ``docs/PROTOCOL.md`` (ZL003), and keep the fleet-audit
-metrics registered (ZL007).
+metrics registered (ZL007).  ZL009-ZL014 are the whole-program passes
+over the call graph (:mod:`repro.lint.callgraph`).
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.lint.engine import Finding
+from repro.lint.engine import (Finding, collect_aliases, dotted_name,
+                               expand_alias, terminal_name)
 
 RULE_DESCRIPTIONS = {
     "ZL001": "wall-clock time in library code (use Engine.now)",
@@ -23,13 +25,40 @@ RULE_DESCRIPTIONS = {
     "ZL005": "RpcError swallowed without raise, return, or event emission",
     "ZL007": "fleet-audit metric no longer registered by its owning "
              "module",
+    "ZL009": "transitive sim-purity taint: a wall-clock/global-random/"
+             "urandom/unordered-iteration source reaches sim context "
+             "through the call graph",
+    "ZL010": "yield-point atomicity: a read of shared rack state and its "
+             "dependent write straddle an outgoing RPC (or yield/await) "
+             "without re-validation or a fencing check in between",
+    "ZL011": "error-contract flow: a raise site escapes a protocol verb "
+             "handler's boundary without being declared in the errors "
+             "of the verb's Method row (or the transport-retryable family)",
+    "ZL012": "dimension soundness: values carrying different physical "
+             "dimensions (bytes/pages/joules/watts/seconds/...) meet in "
+             "+/-/comparison, a call argument, an assignment or a return "
+             "whose declared dimension disagrees",
+    "ZL013": "time-domain separation: a simulated-clock timestamp "
+             "(engine.now) and a wall-clock value mix in arithmetic, or "
+             "a sim timestamp feeds a wall-clock API",
+    "ZL014": "metric unit contract: the dimension of a value passed to "
+             "inc()/set()/observe() contradicts the unit declared by the "
+             "metric's name suffix (_joules_total, _watts, _bytes, ...)",
 }
 
 ALL_RULES = tuple(sorted(RULE_DESCRIPTIONS))
 
+#: The rules that walk one file at a time, and those that run on the
+#: whole-program call graph.
+PER_FILE_RULES = frozenset({"ZL001", "ZL002", "ZL004", "ZL005"})
+WHOLE_PROGRAM_RULES = frozenset(
+    {"ZL009", "ZL010", "ZL011", "ZL012", "ZL013", "ZL014"})
+
 #: Dotted-call suffixes that read the wall clock.  The simulation must get
 #: time exclusively from ``Engine.now`` so trace replays are bit-identical.
-_WALL_CLOCK_CALLS = {
+#: ZL001 flags them where they happen, ZL009 where they reach sim context
+#: and ZL013 where they meet sim time.
+WALL_CLOCK_CALLS = {
     "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
     "time.perf_counter", "time.perf_counter_ns", "time.process_time",
     "datetime.now", "datetime.utcnow", "datetime.today", "date.today",
@@ -37,7 +66,7 @@ _WALL_CLOCK_CALLS = {
 
 #: ``random.Random(seed)`` is how DeterministicRng itself is built; every
 #: other attribute of the module is the shared, unseeded global stream.
-_RANDOM_ALLOWED = {"Random", "SystemRandom", "getstate", "setstate"}
+RANDOM_ALLOWED = {"Random", "SystemRandom", "getstate", "setstate"}
 
 #: Identifiers that (by project convention) carry simulated timestamps.
 _TIMESTAMP_EXACT = {
@@ -50,73 +79,21 @@ _TIMESTAMP_SUFFIXES = ("_time", "_time_s", "_timestamp", "_now", "_at_s")
 _RPC_ERROR_NAMES = {"RpcError", "RpcTimeoutError", "CircuitOpenError"}
 
 
-def _dotted_name(node: ast.AST) -> Optional[str]:
-    """Best-effort dotted name for a Name/Attribute chain."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _terminal_name(node: ast.AST) -> Optional[str]:
-    """The last identifier of a Name/Attribute chain (``a.b.c`` → ``c``)."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
 def _is_timestamp_operand(node: ast.AST) -> bool:
-    name = _terminal_name(node)
+    name = terminal_name(node)
     if name is None:
         return False
     return name in _TIMESTAMP_EXACT or name.endswith(_TIMESTAMP_SUFFIXES)
 
 
-def _collect_aliases(tree: ast.AST) -> Dict[str, str]:
-    """Import alias → canonical dotted prefix for one module.
-
-    ``import random as rnd`` maps ``rnd`` → ``random``; ``from time
-    import monotonic as _mono`` (and the un-aliased form) maps the bound
-    name → ``time.monotonic``.  ZL001/ZL002 expand call names through
-    this table so aliasing cannot launder a wall-clock read or a global
-    random draw past the dotted-name match.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname is not None:
-                    aliases[alias.asname] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-    return aliases
-
-
-def _expand_alias(dotted: str, aliases: Dict[str, str]) -> str:
-    head, _, rest = dotted.partition(".")
-    target = aliases.get(head)
-    if target is None:
-        return dotted
-    return target + ("." + rest if rest else "")
-
-
 class _FileVisitor(ast.NodeVisitor):
     """One pass collecting ZL001/ZL002/ZL004/ZL005 findings."""
 
-    def __init__(self, path: str, rules: Sequence[str],
-                 aliases: Optional[Dict[str, str]] = None):
+    def __init__(self, path: str, rules: AbstractSet[str],
+                 aliases: Dict[str, str]):
         self.path = path
-        self.rules = set(rules)
-        self.aliases = aliases or {}
+        self.rules = rules
+        self.aliases = aliases
         self.findings: List[Finding] = []
 
     def _add(self, rule: str, node: ast.AST, message: str) -> None:
@@ -127,14 +104,14 @@ class _FileVisitor(ast.NodeVisitor):
 
     # -- ZL001 / ZL002: calls --------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = _dotted_name(node.func)
+        dotted = dotted_name(node.func)
         if dotted is not None:
             # Expand through the module's import aliases so
             # ``from time import monotonic as _mono; _mono()`` and
             # ``import random as rnd; rnd.random()`` cannot evade the
             # dotted-name match.
-            expanded = _expand_alias(dotted, self.aliases)
-            for suffix in _WALL_CLOCK_CALLS:
+            expanded = expand_alias(dotted, self.aliases)
+            for suffix in WALL_CLOCK_CALLS:
                 if expanded == suffix or expanded.endswith("." + suffix):
                     self._add("ZL001", node,
                               f"wall-clock call {dotted}(); simulated code "
@@ -142,7 +119,7 @@ class _FileVisitor(ast.NodeVisitor):
                     break
             parts = expanded.split(".")
             if (len(parts) == 2 and parts[0] == "random"
-                    and parts[1] not in _RANDOM_ALLOWED):
+                    and parts[1] not in RANDOM_ALLOWED):
                 self._add("ZL002", node,
                           f"module-level random.{parts[1]}(); use a seeded "
                           "repro.sim.rng.DeterministicRng")
@@ -150,7 +127,7 @@ class _FileVisitor(ast.NodeVisitor):
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module == "random":
-            bad = [a.name for a in node.names if a.name not in _RANDOM_ALLOWED]
+            bad = [a.name for a in node.names if a.name not in RANDOM_ALLOWED]
             if bad:
                 self._add("ZL002", node,
                           f"from random import {', '.join(bad)}; use a "
@@ -165,7 +142,7 @@ class _FileVisitor(ast.NodeVisitor):
                 continue
             for side in (left, right):
                 if _is_timestamp_operand(side):
-                    name = _terminal_name(side)
+                    name = terminal_name(side)
                     self._add("ZL004", node,
                               f"float equality on timestamp {name!r}; "
                               "compare with a tolerance or ordering")
@@ -187,7 +164,7 @@ class _FileVisitor(ast.NodeVisitor):
             return False
         nodes = (type_node.elts if isinstance(type_node, ast.Tuple)
                  else [type_node])
-        return any(_terminal_name(n) in _RPC_ERROR_NAMES for n in nodes)
+        return any(terminal_name(n) in _RPC_ERROR_NAMES for n in nodes)
 
     @staticmethod
     def _body_handles(body: List[ast.stmt]) -> bool:
@@ -203,16 +180,10 @@ class _FileVisitor(ast.NodeVisitor):
         return False
 
 
-def check_file(source: str, path: str = "<string>",
-               rules: Optional[Sequence[str]] = None) -> List[Finding]:
-    """Run the per-file rules; returns raw (unsuppressed) findings."""
-    active = [r for r in (rules or ALL_RULES) if r != "ZL003"]
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [Finding("ZL000", path, exc.lineno or 1,
-                        f"syntax error: {exc.msg}")]
-    visitor = _FileVisitor(path, active, aliases=_collect_aliases(tree))
+def check_file(tree: ast.Module, path: str,
+               rules: AbstractSet[str]) -> List[Finding]:
+    """Run the enabled per-file rules; returns raw (unsuppressed) findings."""
+    visitor = _FileVisitor(path, rules, aliases=collect_aliases(tree))
     visitor.visit(tree)
     return visitor.findings
 
@@ -229,7 +200,7 @@ class VerbRow(NamedTuple):
     lineno: int
 
 
-def protocol_rows(sources: Dict[Path, str]
+def protocol_rows(trees: Dict[Path, ast.Module]
                   ) -> Tuple[Optional[Path], List[VerbRow]]:
     """The verb table of the tree's ``core/protocol.py``, read statically.
 
@@ -237,16 +208,12 @@ def protocol_rows(sources: Dict[Path, str]
     ``NAME = ("verb", "class", ("ErrorName", ...))`` row.  Returns
     ``(None, [])`` for a tree that carries no protocol module.
     """
-    path = next((p for p in sorted(sources)
+    path = next((p for p in sorted(trees)
                  if p.parts[-2:] == ("core", "protocol.py")), None)
     if path is None:
         return None, []
-    try:
-        tree = ast.parse(sources[path])
-    except SyntaxError:
-        return path, []
     rows: List[VerbRow] = []
-    for node in tree.body:
+    for node in trees[path].body:
         if not (isinstance(node, ast.ClassDef) and node.name == "Method"):
             continue
         for stmt in node.body:
@@ -264,24 +231,20 @@ def protocol_rows(sources: Dict[Path, str]
     return path, rows
 
 
-def _registered_members(sources: Dict[Path, str]) -> set:
+def _registered_members(trees: Dict[Path, ast.Module]) -> set:
     """Method member names passed to some ``*.register(Method.X.value, ...)``."""
     registered = set()
-    for source in sources.values():
-        try:
-            tree = ast.parse(source)
-        except SyntaxError:
-            continue
+    for tree in trees.values():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             # Both `rpc.register(...)` and the local-alias pattern
             # `register = self.rpc.register; register(...)`.
-            func_name = _terminal_name(node.func)
+            func_name = terminal_name(node.func)
             if func_name != "register":
                 continue
             for arg in node.args:
-                dotted = _dotted_name(arg)
+                dotted = dotted_name(arg)
                 if dotted is None:
                     continue
                 parts = dotted.split(".")
@@ -315,7 +278,7 @@ _AUDIT_METRIC_CONTRACT = (
 )
 
 
-def check_audit_metric_registrations(sources: Dict[Path, str]
+def check_audit_metric_registrations(trees: Dict[Path, ast.Module]
                                      ) -> List[Finding]:
     """ZL007: the fleet-audit metrics must stay registered.
 
@@ -328,12 +291,12 @@ def check_audit_metric_registrations(sources: Dict[Path, str]
     """
     findings: List[Finding] = []
     for tail, required in _AUDIT_METRIC_CONTRACT:
-        path = next((p for p in sorted(sources)
+        path = next((p for p in sorted(trees)
                      if p.parts[-len(tail):] == tail), None)
         if path is None:
             continue
         registered = set()
-        for node in ast.walk(ast.parse(sources[path])):
+        for node in ast.walk(trees[path]):
             if (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in ("gauge", "counter", "histogram")
@@ -352,19 +315,18 @@ def check_audit_metric_registrations(sources: Dict[Path, str]
     return findings
 
 
-def check_project(sources: Dict[Path, str],
-                  rules: Optional[Sequence[str]] = None) -> List[Finding]:
-    """The project-wide rules: ZL003 and ZL007."""
-    active = set(rules or ALL_RULES)
+def check_project(trees: Dict[Path, ast.Module],
+                  rules: AbstractSet[str]) -> List[Finding]:
+    """The enabled project-wide rules: ZL003 and ZL007."""
     findings: List[Finding] = []
-    if "ZL007" in active:
-        findings.extend(check_audit_metric_registrations(sources))
-    if "ZL003" not in active:
+    if "ZL007" in rules:
+        findings.extend(check_audit_metric_registrations(trees))
+    if "ZL003" not in rules:
         return findings
-    protocol_path, rows = protocol_rows(sources)
+    protocol_path, rows = protocol_rows(trees)
     if not rows:
         return findings  # not linting a tree that carries the protocol
-    registered = _registered_members(sources)
+    registered = _registered_members(trees)
     # src/<pkg>/core/protocol.py → repo root is three levels up from core/.
     root = protocol_path.parents[3] if len(protocol_path.parents) >= 4 \
         else Path(".")

@@ -5,7 +5,7 @@ all energies are ``float`` joules unless a name says otherwise.  Helper
 constants keep call sites readable (``4 * GiB`` instead of ``4294967296``).
 
 These conventions are *enforced*, not just documented: the ZomDim passes
-(``repro.flow.dimensions``, rules ZL012-ZL014, see ``docs/FLOWCHECK.md``)
+(``repro.lint.dimensions``, rules ZL012-ZL014, see ``docs/FLOWCHECK.md``)
 statically infer a dimension for every value from the declarative tables
 below (:data:`UNIT_DIMENSIONS`, :data:`UNIT_CONVERSIONS`,
 :data:`METRIC_UNIT_SUFFIXES`) plus naming conventions, and flag
@@ -49,7 +49,7 @@ KILOWATT = 1e3
 KILOWATT_HOUR = 3.6e6
 
 # --- ZomDim declarative annotation tables -----------------------------------
-# Parsed statically by ``repro.flow.dimensions`` (keep them literal dicts of
+# Parsed statically by ``repro.lint.dimensions`` (keep them literal dicts of
 # strings).  A tree under analysis may ship its own ``units.py`` with these
 # names to override the defaults; this file is the source of truth for the
 # real tree.

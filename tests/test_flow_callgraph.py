@@ -1,4 +1,4 @@
-"""Unit tests for the ZomFlow call-graph substrate.
+"""Unit tests for the call-graph substrate of the whole-program passes.
 
 The interesting property is *resolution*: handler bindings through
 wrapper calls, methods through ``__init__``-assigned instance types,
@@ -8,18 +8,16 @@ that silently breaks binding discovery fails here, not as a quietly
 empty analysis.
 """
 
+import ast
 from pathlib import Path
 
-import pytest
-
-from repro.flow import build_graph, load_sources
-from repro.flow.callgraph import module_name_for
+from repro.lint.callgraph import build_graph
+from repro.lint.engine import module_name_for
 from repro.lint.rules import protocol_rows
 
 
-@pytest.fixture(scope="module")
-def real_graph():
-    return build_graph(load_sources(["src"]))
+def _graph(path, source):
+    return build_graph({Path(path): ast.parse(source)})
 
 
 class TestRealTreeResolution:
@@ -57,9 +55,9 @@ class TestRealTreeResolution:
         sim = real_graph.reachable_from(sorted(real_graph.sim_roots()))
         assert "repro.core.database.BufferDatabase.remove" in sim
 
-    def test_row_reader_agrees_with_the_imported_enum(self):
+    def test_row_reader_agrees_with_the_imported_enum(self, real_trees):
         from repro.core.protocol import Method
-        path, rows = protocol_rows(load_sources(["src"]))
+        path, rows = protocol_rows(real_trees)
         assert path.parts[-2:] == ("core", "protocol.py")
         assert [(r.member, r.verb, r.idempotency, r.errors) for r in rows] \
             == [(m.name, m.value, m.idempotency, m.errors) for m in Method]
@@ -67,17 +65,16 @@ class TestRealTreeResolution:
 
 class TestFixtureResolution:
     def test_alias_expansion_on_external_calls(self):
-        src = {Path("fx/mod.py"): (
+        graph = _graph("fx/mod.py", (
             "from time import monotonic as _mono\n"
             "def f():\n"
             "    return _mono()\n"
-        )}
-        graph = build_graph(src)
+        ))
         assert any(c.dotted == "time.monotonic"
                    for c in graph.external_calls)
 
     def test_attr_typed_method_call_resolves(self):
-        src = {Path("fx/mod.py"): (
+        graph = _graph("fx/mod.py", (
             "class Store:\n"
             "    def save(self):\n"
             "        return 1\n"
@@ -86,21 +83,19 @@ class TestFixtureResolution:
             "        self.store = Store()\n"
             "    def run(self):\n"
             "        return self.store.save()\n"
-        )}
-        graph = build_graph(src)
+        ))
         edges = {(e.caller, e.callee) for e in graph.edges}
         assert ("fx.mod.App.run", "fx.mod.Store.save") in edges
 
     def test_shortest_chain_and_render(self):
-        src = {Path("fx/mod.py"): (
+        graph = _graph("fx/mod.py", (
             "def a():\n"
             "    return b()\n"
             "def b():\n"
             "    return c()\n"
             "def c():\n"
             "    return 1\n"
-        )}
-        graph = build_graph(src)
+        ))
         chain = graph.shortest_chain({"fx.mod.a"}, "fx.mod.c")
         assert chain == ["fx.mod.a", "fx.mod.b", "fx.mod.c"]
         assert graph.render(chain) == "a -> b -> c"

@@ -4,25 +4,31 @@ Each rule gets clean and violating in-memory fixture trees, exercising
 the inference paths the single-file lint rules cannot see: name-rule
 seeds, interprocedural return summaries, conversion-constant division,
 time-domain separation and metric unit contracts — plus the suppression
-and baseline-ratchet plumbing shared with the other ZomFlow passes.
+and baseline-ratchet plumbing shared with every other rule.
 """
 
+import ast
 from pathlib import Path
 
-from repro.flow import (analyze_sources, build_graph, check_dimensions,
-                        diff_against_baseline, load_baseline,
-                        write_baseline)
-from repro.flow.dimensions import (compatible, load_unit_tables, meet,
-                                   name_dim)
+from repro.lint import check_sources
+from repro.lint.baseline import (diff_against_baseline, load_baseline,
+                                 write_baseline)
+from repro.lint.callgraph import build_graph
+from repro.lint.dimensions import (check_dimensions, compatible,
+                                   load_unit_tables, meet, name_dim)
 
 
 def _sources(sources):
     return {Path(p): s for p, s in sources.items()}
 
 
+def _trees(sources):
+    return {Path(p): ast.parse(s) for p, s in sources.items()}
+
+
 def _findings(sources, rules=None):
-    paths = _sources(sources)
-    found = check_dimensions(build_graph(paths), paths)
+    trees = _trees(sources)
+    found = check_dimensions(build_graph(trees), trees)
     if rules is not None:
         found = [f for f in found if f.rule in rules]
     return found
@@ -312,7 +318,7 @@ class TestMetricContracts:
 
 class TestPlumbing:
     def test_tree_local_units_table_overrides(self):
-        sources = _sources({
+        trees = _trees({
             "fx/units.py": (
                 "METRIC_UNIT_SUFFIXES = {'_zaps': 'joules'}\n"
             ),
@@ -321,9 +327,9 @@ class TestPlumbing:
                 "    registry.counter('foo_zaps', 'h').inc(power_watts)\n"
             ),
         })
-        findings = check_dimensions(build_graph(sources), sources)
+        findings = check_dimensions(build_graph(trees), trees)
         assert [f.rule for f in findings] == ["ZL014"]
-        tables = load_unit_tables(sources)
+        tables = load_unit_tables(trees)
         assert tables.metric_dim("foo_zaps") == "joules"
         # Defaults survive the overlay.
         assert tables.metric_dim("x_watts") == "watts"
@@ -336,8 +342,8 @@ class TestPlumbing:
                 "  # zl: ignore[ZL012]\n"
             ),
         }
-        assert analyze_sources(_sources(sources),
-                               rules=["ZL012", "ZL013", "ZL014"]) == []
+        assert check_sources(_sources(sources),
+                             rules=["ZL012", "ZL013", "ZL014"])[0] == []
 
     def test_baseline_ratchet_roundtrip(self, tmp_path):
         sources = {
@@ -346,7 +352,7 @@ class TestPlumbing:
                 "    return size_bytes + duration_s\n"
             ),
         }
-        findings = analyze_sources(_sources(sources), rules=["ZL012"])
+        findings, _ = check_sources(_sources(sources), rules=["ZL012"])
         assert len(findings) == 1
         baseline_path = tmp_path / "flow_baseline.json"
         write_baseline(baseline_path, findings)

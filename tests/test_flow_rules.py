@@ -1,25 +1,40 @@
-"""Fixture tests for the three ZomFlow passes and the baseline ratchet.
+"""Fixture tests for three whole-program passes and the one CLI.
 
 Each rule gets a clean and a violating fixture tree (built as in-memory
 ``{path: source}`` dicts), including the two interprocedural shapes the
-single-file lint rules cannot see: a two-hop taint chain (ZL009) and a
-read-modify-write straddling an RPC yield (ZL010).
+single-file rules cannot see: a two-hop taint chain (ZL009) and a
+read-modify-write straddling an RPC yield (ZL010).  The CLI tests drive
+per-file and whole-program findings through one suppression and one
+baseline path.
 """
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.flow import (analyze_sources, build_graph, check_atomicity,
-                        check_contracts, check_purity,
-                        diff_against_baseline, load_baseline,
-                        write_baseline)
-from repro.flow.__main__ import main as flow_main
+from repro.lint import check_sources
+from repro.lint.__main__ import main
+from repro.lint.atomicity import check_atomicity
+from repro.lint.baseline import (diff_against_baseline, load_baseline,
+                                 write_baseline)
+from repro.lint.callgraph import build_graph
+from repro.lint.contracts import check_contracts
+from repro.lint.purity import check_purity
+
+
+def _trees(sources):
+    return {Path(p): ast.parse(s) for p, s in sources.items()}
 
 
 def _graph(sources):
-    return build_graph({Path(p): s for p, s in sources.items()})
+    return build_graph(_trees(sources))
+
+
+def _findings(sources, rules=None):
+    return check_sources({Path(p): s for p, s in sources.items()},
+                         rules=rules)[0]
 
 
 # -- ZL009: transitive sim-purity taint ---------------------------------------
@@ -257,10 +272,8 @@ def _contract_fixture(raise_stmt, declared=("DeclaredError",)):
 
 class TestContracts:
     def test_undeclared_escape_fires_with_chain(self):
-        findings = check_contracts(
-            _graph(_contract_fixture("raise UndeclaredError('boom')")),
-            {Path(p): s for p, s in
-             _contract_fixture("raise UndeclaredError('boom')").items()})
+        sources = _contract_fixture("raise UndeclaredError('boom')")
+        findings = check_contracts(_graph(sources), _trees(sources))
         assert [f.rule for f in findings] == ["ZL011"]
         finding = findings[0]
         assert finding.fingerprint == "ZL011:do_thing:UndeclaredError"
@@ -269,23 +282,17 @@ class TestContracts:
 
     def test_declared_escape_is_clean(self):
         sources = _contract_fixture("raise DeclaredError('boom')")
-        graph = _graph(sources)
-        assert check_contracts(
-            graph, {Path(p): s for p, s in sources.items()}) == []
+        assert check_contracts(_graph(sources), _trees(sources)) == []
 
     def test_declared_base_class_covers_subclass(self):
         sources = _contract_fixture("raise UndeclaredError('boom')",
                                     declared=("ReproError",))
-        graph = _graph(sources)
-        assert check_contracts(
-            graph, {Path(p): s for p, s in sources.items()}) == []
+        assert check_contracts(_graph(sources), _trees(sources)) == []
 
     def test_retryable_transport_family_is_implicitly_allowed(self):
         sources = _contract_fixture("raise RpcTimeoutError('slow')",
                                     declared=())
-        graph = _graph(sources)
-        assert check_contracts(
-            graph, {Path(p): s for p, s in sources.items()}) == []
+        assert check_contracts(_graph(sources), _trees(sources)) == []
 
     def test_caught_exception_does_not_escape(self):
         sources = _contract_fixture("raise UndeclaredError('boom')")
@@ -302,9 +309,7 @@ class TestContracts:
             "    def helper(self):\n"
             "        raise UndeclaredError('boom')\n"
         )
-        graph = _graph(sources)
-        assert check_contracts(
-            graph, {Path(p): s for p, s in sources.items()}) == []
+        assert check_contracts(_graph(sources), _trees(sources)) == []
 
     def test_catching_base_class_subtracts_subclass(self):
         sources = _contract_fixture("raise UndeclaredError('boom')")
@@ -321,25 +326,31 @@ class TestContracts:
             "    def helper(self):\n"
             "        raise UndeclaredError('boom')\n"
         )
-        graph = _graph(sources)
-        assert check_contracts(
-            graph, {Path(p): s for p, s in sources.items()}) == []
+        assert check_contracts(_graph(sources), _trees(sources)) == []
 
 
 # -- suppressions, baseline, CLI ----------------------------------------------
 
+#: One tree for the CLI: a ZL001 outside sim context, and the two-hop
+#: ZL009 chain whose source line suppresses its own ZL001.
+CLI_TREE = {
+    "svc.py": SERVICE_TWO_HOP["fx/svc.py"].replace(
+        "    return time.time()",
+        "    return time.time()  # zl: ignore[ZL001] ZL009 owns this line"),
+    "boot.py": "import time\nBOOT_STAMP = time.time()\n",
+}
+
+
 class TestSuppressionAndBaseline:
     def test_line_scoped_suppression_silences_flow_rule(self):
-        sources = {Path(p): s for p, s in SERVICE_TWO_HOP.items()}
-        key = Path("fx/svc.py")
-        sources[key] = sources[key].replace(
+        sources = dict(SERVICE_TWO_HOP)
+        sources["fx/svc.py"] = sources["fx/svc.py"].replace(
             "    return time.time()",
             "    return time.time()  # zl: ignore[ZL009] boot stamp only")
-        assert analyze_sources(sources) == []
+        assert _findings(sources, rules=["ZL009"]) == []
 
     def test_baseline_ratchet_roundtrip(self, tmp_path):
-        sources = {Path(p): s for p, s in SERVICE_TWO_HOP.items()}
-        findings = analyze_sources(sources)
+        findings = _findings(SERVICE_TWO_HOP)
         assert findings
         baseline_path = tmp_path / "flow_baseline.json"
         write_baseline(baseline_path, findings)
@@ -354,31 +365,43 @@ class TestSuppressionAndBaseline:
         assert data["version"] == 1
         assert set(data["findings"]) == {f.fingerprint for f in findings}
 
-    def test_cli_exit_codes(self, tmp_path):
+    @staticmethod
+    def _cli_tree(tmp_path):
         tree = tmp_path / "fx"
-        (tree / "core").mkdir(parents=True)
-        (tree / "svc.py").write_text(SERVICE_TWO_HOP["fx/svc.py"])
-        baseline = tmp_path / "flow_baseline.json"
-        # New finding, no baseline: exit 1.
-        assert flow_main([str(tree), "--baseline", str(baseline)]) == 1
-        # Regen writes the baseline and exits 0; the next run is clean.
-        assert flow_main([str(tree), "--baseline", str(baseline),
-                          "--regen"]) == 0
-        assert flow_main([str(tree), "--baseline", str(baseline)]) == 0
+        tree.mkdir()
+        for name, source in CLI_TREE.items():
+            (tree / name).write_text(source)
+        return str(tree), str(tmp_path / "flow_baseline.json")
+
+    def test_cli_exit_codes(self, tmp_path, capsys):
+        tree, baseline = self._cli_tree(tmp_path)
+        # New findings of both kinds, no baseline: exit 1.
+        assert main([tree, "--baseline", baseline]) == 1
+        # Regen baselines both kinds and exits 0; the next run is clean.
+        assert main([tree, "--baseline", baseline, "--regen"]) == 0
+        assert {fp.split(":")[0] for fp in load_baseline(Path(baseline))} \
+            == {"ZL001", "ZL009"}
+        assert main([tree, "--baseline", baseline]) == 0
         # --no-baseline ignores the ratchet again.
-        assert flow_main([str(tree), "--baseline", str(baseline),
-                          "--no-baseline"]) == 1
+        assert main([tree, "--baseline", baseline, "--no-baseline"]) == 1
+        # Rule ids are case-insensitive.
+        capsys.readouterr()
+        assert main([tree, "--no-baseline", "--rule", "zl001"]) == 1
+        flagged = [line for line in capsys.readouterr().out.splitlines()
+                   if ": ZL" in line]
+        assert len(flagged) == 1 and "boot.py:2: ZL001" in flagged[0]
         # Usage errors exit 2 (argparse convention).
         with pytest.raises(SystemExit) as excinfo:
-            flow_main([str(tree), "--rule", "ZL999"])
+            main([tree, "--rule", "ZL999"])
         assert excinfo.value.code == 2
 
     def test_cli_stats_lists_every_rule(self, tmp_path, capsys):
-        tree = tmp_path / "fx"
-        tree.mkdir()
-        (tree / "svc.py").write_text(SERVICE_TWO_HOP["fx/svc.py"])
-        baseline = tmp_path / "flow_baseline.json"
-        flow_main([str(tree), "--baseline", str(baseline), "--stats"])
-        out = capsys.readouterr().out
-        for rule in ("ZL009", "ZL010", "ZL011"):
-            assert rule in out
+        tree, baseline = self._cli_tree(tmp_path)
+        main([tree, "--baseline", baseline, "--stats"])
+        rows = {line.split()[0]: line.split()[1:]
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("ZL")}
+        # One table for both rule kinds; the suppressed ZL001 counted once.
+        assert rows["ZL001"] == ["1", "1", "0", "1"]
+        assert rows["ZL009"] == ["1", "1", "0", "0"]
+        assert {"ZL003", "ZL010", "ZL011", "ZL014"} <= set(rows)

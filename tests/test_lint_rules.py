@@ -1,17 +1,27 @@
 """ZomLint: a good/bad fixture pair per rule, suppressions, and the CLI."""
 
+import ast
 from pathlib import Path
 
 import pytest
 
-from repro.lint import ALL_RULES, RULE_DESCRIPTIONS, lint_paths, lint_source
+from repro.lint import (ALL_RULES, RULE_DESCRIPTIONS, check_sources,
+                        load_sources)
 from repro.lint.__main__ import main
-
-REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _rules(findings):
     return [f.rule for f in findings]
+
+
+def _lint(source):
+    """Findings of a one-file tree."""
+    return check_sources({Path("mod.py"): source})[0]
+
+
+def _lint_tree(paths, rules=None):
+    """Findings of every file under ``paths``."""
+    return check_sources(load_sources(paths), rules=rules)[0]
 
 
 class TestZL001WallClock:
@@ -26,19 +36,19 @@ class TestZL001WallClock:
     )
 
     def test_bad(self):
-        findings = lint_source(self.BAD)
+        findings = _lint(self.BAD)
         assert _rules(findings) == ["ZL001"]
         assert findings[0].line == 3
 
     def test_good(self):
-        assert lint_source(self.GOOD) == []
+        assert _lint(self.GOOD) == []
 
     def test_datetime_now_flagged(self):
         source = (
             "import datetime\n"
             "t = datetime.datetime.now()\n"
         )
-        assert _rules(lint_source(source)) == ["ZL001"]
+        assert _rules(_lint(source)) == ["ZL001"]
 
 
 class TestImportAliasResolution:
@@ -50,7 +60,7 @@ class TestImportAliasResolution:
             "def stamp():\n"
             "    return _mono()\n"
         )
-        findings = lint_source(source)
+        findings = _lint(source)
         assert _rules(findings) == ["ZL001"]
         assert findings[0].line == 3
 
@@ -59,21 +69,21 @@ class TestImportAliasResolution:
             "from time import perf_counter\n"
             "t = perf_counter()\n"
         )
-        assert _rules(lint_source(source)) == ["ZL001"]
+        assert _rules(_lint(source)) == ["ZL001"]
 
     def test_module_alias_wall_clock(self):
         source = (
             "import time as clk\n"
             "t = clk.monotonic()\n"
         )
-        assert _rules(lint_source(source)) == ["ZL001"]
+        assert _rules(_lint(source)) == ["ZL001"]
 
     def test_module_alias_random(self):
         source = (
             "import random as rnd\n"
             "jitter = rnd.uniform(0, 1)\n"
         )
-        findings = lint_source(source)
+        findings = _lint(source)
         assert _rules(findings) == ["ZL002"]
         assert "random.uniform" in findings[0].message
 
@@ -82,21 +92,21 @@ class TestImportAliasResolution:
             "import datetime as dt\n"
             "t = dt.datetime.now()\n"
         )
-        assert _rules(lint_source(source)) == ["ZL001"]
+        assert _rules(_lint(source)) == ["ZL001"]
 
     def test_aliased_seeded_random_class_still_allowed(self):
         source = (
             "import random as rnd\n"
             "r = rnd.Random(42)\n"
         )
-        assert lint_source(source) == []
+        assert _lint(source) == []
 
     def test_unrelated_alias_is_clean(self):
         source = (
             "import math as m\n"
             "x = m.floor(1.5)\n"
         )
-        assert lint_source(source) == []
+        assert _lint(source) == []
 
 
 class TestZL002UnseededRandom:
@@ -111,17 +121,17 @@ class TestZL002UnseededRandom:
     )
 
     def test_bad_call(self):
-        assert _rules(lint_source(self.BAD_CALL)) == ["ZL002"]
+        assert _rules(_lint(self.BAD_CALL)) == ["ZL002"]
 
     def test_bad_import(self):
-        assert _rules(lint_source(self.BAD_IMPORT)) == ["ZL002"]
+        assert _rules(_lint(self.BAD_IMPORT)) == ["ZL002"]
 
     def test_good(self):
-        assert lint_source(self.GOOD) == []
+        assert _lint(self.GOOD) == []
 
     def test_seeded_random_class_allowed(self):
         # DeterministicRng itself wraps random.Random(seed).
-        assert lint_source("import random\nr = random.Random(42)\n") == []
+        assert _lint("import random\nr = random.Random(42)\n") == []
 
 
 class TestZL004TimestampEquality:
@@ -129,17 +139,17 @@ class TestZL004TimestampEquality:
     GOOD = "fired = event.time_s >= deadline\n"
 
     def test_bad(self):
-        assert _rules(lint_source(self.BAD)) == ["ZL004"]
+        assert _rules(_lint(self.BAD)) == ["ZL004"]
 
     def test_good(self):
-        assert lint_source(self.GOOD) == []
+        assert _lint(self.GOOD) == []
 
     def test_suffix_convention(self):
-        assert _rules(lint_source("x = a.detected_at != b.opened_at\n")) \
+        assert _rules(_lint("x = a.detected_at != b.opened_at\n")) \
             == ["ZL004"]
 
     def test_non_timestamp_equality_untouched(self):
-        assert lint_source("same = left.host == right.host\n") == []
+        assert _lint("same = left.host == right.host\n") == []
 
 
 class TestZL005SwallowedRpcError:
@@ -155,13 +165,13 @@ class TestZL005SwallowedRpcError:
     GOOD_EMIT = BAD.replace("pass", "events.emit(EventKind.HOST_LOST, 'h')")
 
     def test_bad(self):
-        findings = lint_source(self.BAD)
+        findings = _lint(self.BAD)
         assert _rules(findings) == ["ZL005"]
         assert findings[0].line == 4
 
     @pytest.mark.parametrize("source", [GOOD_RAISE, GOOD_RETURN, GOOD_EMIT])
     def test_good(self, source):
-        assert lint_source(source) == []
+        assert _lint(source) == []
 
     def test_tuple_catch_flagged(self):
         source = (
@@ -170,7 +180,7 @@ class TestZL005SwallowedRpcError:
             "except (RpcTimeoutError, ValueError):\n"
             "    count += 1\n"
         )
-        assert _rules(lint_source(source)) == ["ZL005"]
+        assert _rules(_lint(source)) == ["ZL005"]
 
 
 class TestSuppressions:
@@ -179,14 +189,14 @@ class TestSuppressions:
             "import time\n"
             "t = time.time()  # zl: ignore[ZL001] boot wall-clock banner\n"
         )
-        assert lint_source(source) == []
+        assert _lint(source) == []
 
     def test_wrong_rule_does_not_silence(self):
         source = (
             "import time\n"
             "t = time.time()  # zl: ignore[ZL002]\n"
         )
-        assert _rules(lint_source(source)) == ["ZL001"]
+        assert _rules(_lint(source)) == ["ZL001"]
 
     def test_suppression_is_line_scoped(self):
         source = (
@@ -194,7 +204,7 @@ class TestSuppressions:
             "a = time.time()  # zl: ignore[ZL001]\n"
             "b = time.time()\n"
         )
-        findings = lint_source(source)
+        findings = _lint(source)
         assert [(f.rule, f.line) for f in findings] == [("ZL001", 3)]
 
 
@@ -225,11 +235,11 @@ def _protocol_tree(tmp_path, register=True, document=True, verbs=("GS_ping",)):
 class TestZL003ProtocolExhaustiveness:
     def test_registered_and_documented_verb_is_clean(self, tmp_path):
         src = _protocol_tree(tmp_path)
-        assert lint_paths([str(src)]) == []
+        assert _lint_tree([str(src)]) == []
 
     def test_unregistered_verb_flagged(self, tmp_path):
         src = _protocol_tree(tmp_path, register=False)
-        findings = lint_paths([str(src)])
+        findings = _lint_tree([str(src)])
         assert _rules(findings) == ["ZL003"]
         assert "dispatch handler" in findings[0].message
 
@@ -237,13 +247,13 @@ class TestZL003ProtocolExhaustiveness:
         src = _protocol_tree(tmp_path, verbs=("GS_ping", "GS_pong"))
         doc = tmp_path / "docs" / "PROTOCOL.md"
         doc.write_text(doc.read_text().replace("`GS_pong` does things.", ""))
-        findings = lint_paths([str(src)])
+        findings = _lint_tree([str(src)])
         assert _rules(findings) == ["ZL003"]
         assert "GS_pong" in findings[0].message
 
     def test_missing_protocol_doc_flagged(self, tmp_path):
         src = _protocol_tree(tmp_path, document=False)
-        findings = lint_paths([str(src)])
+        findings = _lint_tree([str(src)])
         assert _rules(findings) == ["ZL003"]
         assert "not found" in findings[0].message
 
@@ -254,7 +264,7 @@ class TestZL003ProtocolExhaustiveness:
             "def wire(rpc, handler):\n"
             "    register = rpc.register\n"
             "    register(Method.GS_PING.value, handler)\n")
-        assert lint_paths([str(src)]) == []
+        assert _lint_tree([str(src)]) == []
 
 
 class TestZL007AuditMetricContract:
@@ -276,13 +286,13 @@ class TestZL007AuditMetricContract:
 
     def test_all_audit_gauges_registered_is_clean(self, tmp_path):
         src = self._tree(tmp_path, self._MONITOR_OK)
-        assert lint_paths([str(src)], rules=["ZL007"]) == []
+        assert _lint_tree([str(src)], rules=["ZL007"]) == []
 
     def test_dropped_audit_gauge_flagged(self, tmp_path):
         dropped = self._MONITOR_OK.replace(
             "        registry.gauge('stranded_bytes', 'Idle.').set(0)\n", "")
         src = self._tree(tmp_path, dropped)
-        findings = lint_paths([str(src)], rules=["ZL007"])
+        findings = _lint_tree([str(src)], rules=["ZL007"])
         assert _rules(findings) == ["ZL007"]
         assert "stranded_bytes" in findings[0].message
         assert "unmeasurable" in findings[0].message
@@ -291,7 +301,7 @@ class TestZL007AuditMetricContract:
         renamed = self._MONITOR_OK.replace("'zombie_pool_bytes'",
                                            "'zombie_bytes'")
         src = self._tree(tmp_path, renamed)
-        findings = lint_paths([str(src)], rules=["ZL007"])
+        findings = _lint_tree([str(src)], rules=["ZL007"])
         assert [f for f in findings
                 if "zombie_pool_bytes" in f.message]
 
@@ -299,10 +309,10 @@ class TestZL007AuditMetricContract:
         src = tmp_path / "src" / "repro" / "util"
         src.mkdir(parents=True)
         (src / "misc.py").write_text("X = 1\n")
-        assert lint_paths([str(tmp_path / "src")], rules=["ZL007"]) == []
+        assert _lint_tree([str(tmp_path / "src")], rules=["ZL007"]) == []
 
-    def test_repository_satisfies_audit_metric_contract(self):
-        assert lint_paths([str(REPO_SRC)], rules=["ZL007"]) == []
+    def test_repository_satisfies_audit_metric_contract(self, real_findings):
+        assert [f for f in real_findings if f.rule == "ZL007"] == []
 
 
 class TestZL007FedMetricContract:
@@ -334,14 +344,14 @@ class TestZL007FedMetricContract:
 
     def test_all_fed_metrics_registered_is_clean(self, tmp_path):
         src = self._tree(tmp_path, self._FABRIC_OK, self._DIRECTORY_OK)
-        assert lint_paths([str(src)], rules=["ZL007"]) == []
+        assert _lint_tree([str(src)], rules=["ZL007"]) == []
 
     def test_dropped_cross_rack_energy_counter_flagged(self, tmp_path):
         dropped = self._FABRIC_OK.replace(
             "        registry.counter('fed_cross_rack_joules_total', 'J.')"
             ".inc(0.1)\n", "")
         src = self._tree(tmp_path, dropped, self._DIRECTORY_OK)
-        findings = lint_paths([str(src)], rules=["ZL007"])
+        findings = _lint_tree([str(src)], rules=["ZL007"])
         assert _rules(findings) == ["ZL007"]
         assert "fed_cross_rack_joules_total" in findings[0].message
 
@@ -349,34 +359,89 @@ class TestZL007FedMetricContract:
         dropped = self._DIRECTORY_OK.replace(
             "        registry.gauge('fed_rack_alive', 'Up.').set(1)\n", "")
         src = self._tree(tmp_path, self._FABRIC_OK, dropped)
-        findings = lint_paths([str(src)], rules=["ZL007"])
+        findings = _lint_tree([str(src)], rules=["ZL007"])
         assert _rules(findings) == ["ZL007"]
         assert "fed_rack_alive" in findings[0].message
 
 
 class TestDriver:
     def test_syntax_error_reported_as_zl000(self):
-        findings = lint_source("def broken(:\n")
+        findings = _lint("def broken(:\n")
         assert _rules(findings) == ["ZL000"]
+
+    @pytest.mark.parametrize("content, problem", [
+        (b"def f(:\n", "syntax error"),
+        (b'x = "\xff"\n', "unreadable file"),
+    ])
+    def test_cli_broken_file_is_one_zl000(self, tmp_path, capsys, content,
+                                          problem):
+        # Neither a crash nor a silently skipped file: one ZL000, exit 1.
+        energy = tmp_path / "repro" / "energy"
+        energy.mkdir(parents=True)
+        (energy / "__init__.py").write_text("")
+        (energy / "meter.py").write_bytes(content)
+        assert main([str(tmp_path), "--no-baseline"]) == 1
+        flagged = [line for line in capsys.readouterr().out.splitlines()
+                   if ": ZL" in line]
+        assert len(flagged) == 1
+        assert flagged[0].startswith(f"{energy / 'meter.py'}:1: ZL000 "
+                                     f"{problem}")
+
+    def test_each_file_is_parsed_once(self, tmp_path, monkeypatch):
+        # A tree that feeds every reader of a module: the per-file rules,
+        # ZL003's verb table and registrations, ZL007's contract module,
+        # the call graph, ZL011's errors.py and ZomDim's units.py.
+        src = _protocol_tree(tmp_path)
+        repro = src / "repro"
+        (repro / "errors.py").write_text(
+            "class ReproError(Exception):\n    pass\n")
+        (repro / "units.py").write_text("METRIC_UNIT_SUFFIXES = {}\n")
+        (repro / "energy").mkdir()
+        (repro / "energy" / "meter.py").write_text(
+            "def publish(registry):\n"
+            "    registry.gauge('host_power_watts', 'W.').set(0)\n")
+        parsed = []
+        real_parse = ast.parse
+
+        def counting_parse(source, *args, **kwargs):
+            parsed.append(kwargs.get("filename"))
+            return real_parse(source, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", counting_parse)
+        sources = load_sources([str(src)])
+        check_sources(sources)
+        assert sorted(parsed) == sorted(str(p) for p in sources)
 
     def test_rule_catalogue_is_complete(self):
         assert ALL_RULES == ("ZL001", "ZL002", "ZL003", "ZL004", "ZL005",
-                             "ZL007")
+                             "ZL007", "ZL009", "ZL010", "ZL011", "ZL012",
+                             "ZL013", "ZL014")
         assert all(RULE_DESCRIPTIONS[r] for r in ALL_RULES)
 
-    def test_repository_source_tree_is_clean(self):
-        assert lint_paths([str(REPO_SRC)]) == []
+    def test_repository_source_tree_is_clean(self, real_findings):
+        # The per-file and project rules carry no debt: every finding on
+        # the tree is a baselined whole-program one.
+        assert [f for f in real_findings
+                if f.rule in ("ZL000", "ZL001", "ZL002", "ZL003", "ZL004",
+                              "ZL005", "ZL007")] == []
 
-    def test_cli_exit_zero_on_clean_tree(self):
-        assert main([str(REPO_SRC)]) == 0
+    def test_cli_exit_zero_on_clean_tree(self, tmp_path):
+        # The real tree's verdict is TestBaselineParity's, over the
+        # session's one analysis of it.
+        src = _protocol_tree(tmp_path)
+        assert main([str(src), "--baseline",
+                     str(tmp_path / "flow_baseline.json")]) == 0
 
     def test_cli_exit_one_on_findings(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import time\nt = time.time()\n")
         assert main([str(bad)]) == 1
 
-    def test_cli_list_rules(self):
+    def test_cli_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
+        listed = [line.split()[0]
+                  for line in capsys.readouterr().out.splitlines()]
+        assert listed == list(ALL_RULES)
 
     def test_cli_stats_reports_suppression_counts(self, tmp_path, capsys):
         src = tmp_path / "mod.py"
@@ -385,20 +450,17 @@ class TestDriver:
             "boot = time.time()  # zl: ignore[ZL001] boot stamp only\n"
             "t = time.time()\n"
         )
-        assert main([str(src), "--stats"]) == 1
+        assert main([str(src), "--no-baseline", "--stats"]) == 1
         out = capsys.readouterr().out
         stats_line = next(line for line in out.splitlines()
                           if line.startswith("ZL001"))
-        # one surviving finding, one suppressed
-        assert stats_line.split() == ["ZL001", "1", "1"]
+        # one surviving (new) finding, one suppressed
+        assert stats_line.split() == ["ZL001", "1", "1", "0", "1"]
 
-    def test_lint_paths_counted_tallies_suppressions(self, tmp_path):
-        from repro.lint.engine import lint_paths_counted
-        src = tmp_path / "mod.py"
-        src.write_text(
+    def test_check_sources_tallies_suppressions(self):
+        findings, suppressed = check_sources({Path("mod.py"): (
             "import time\n"
             "boot = time.time()  # zl: ignore[ZL001] boot stamp only\n"
-        )
-        findings, suppressed = lint_paths_counted([str(src)])
+        )})
         assert findings == []
         assert suppressed == {"ZL001": 1}
