@@ -7,27 +7,10 @@ or in the captured section), and asserts the paper's *shape* — orderings,
 crossovers, approximate factors — not absolute numbers.
 """
 
-import math
-
-
-def fmt_cell(value, width=12):
-    """Render a penalty-% cell the way the paper's tables do."""
-    if value is None:
-        return "-".rjust(width)
-    if isinstance(value, float) and math.isinf(value):
-        return "inf".rjust(width)
-    if isinstance(value, float):
-        if abs(value) >= 1000:
-            return f"{value:,.0f}%".rjust(width)
-        return f"{value:.2f}%".rjust(width)
-    return str(value).rjust(width)
+from repro.tables import Table, to_text
 
 
 def print_table(title, header, rows):
-    """Print one paper-style table."""
+    """Print one paper-style table through the repo's one renderer."""
     print()
-    print(f"=== {title} ===")
-    print("  ".join(str(h).rjust(12) for h in header))
-    for row in rows:
-        print("  ".join(fmt_cell(c) if not isinstance(c, str) else c.rjust(12)
-                        for c in row))
+    print(to_text(Table(title, header, rows)), end="")

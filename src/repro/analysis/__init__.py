@@ -3,7 +3,10 @@
 :mod:`~repro.analysis.harness` builds scaled-down but fully wired rack
 environments; :mod:`~repro.analysis.experiments` runs each experiment and
 returns plain data structures that benches print and tests assert on;
-:mod:`~repro.analysis.figures` holds the motivation-figure series (Figs 2-3).
+:mod:`~repro.analysis.figures` holds the motivation-figure series (Figs 2-3);
+:mod:`~repro.analysis.report` tabulates each experiment once
+(``EXPERIMENTS``), for ``python -m repro experiment`` (text) and the
+generated report (markdown), both through :mod:`repro.tables`.
 """
 
 from repro.analysis.harness import RamExtHarness, ExplicitSdHarness
@@ -13,7 +16,7 @@ from repro.analysis.experiments import (
     dc_energy_comparison, INFINITE_PENALTY,
 )
 from repro.analysis.figures import aws_memory_cpu_ratio, server_capacity_ratio
-from repro.analysis.report import generate_report, write_report
+from repro.analysis.report import EXPERIMENTS, generate_report
 
 __all__ = [
     "RamExtHarness", "ExplicitSdHarness",
@@ -21,5 +24,5 @@ __all__ = [
     "swap_technology_table", "migration_comparison", "sz_energy_table",
     "dc_energy_comparison",
     "INFINITE_PENALTY", "aws_memory_cpu_ratio", "server_capacity_ratio",
-    "generate_report", "write_report",
+    "EXPERIMENTS", "generate_report",
 ]

@@ -1,40 +1,143 @@
-"""One-shot experiment report: every table and figure into one markdown file.
+"""The paper's experiments, each tabulated once.
 
-``python -m repro report out.md`` runs the whole evaluation and writes a
-self-contained report (the generated counterpart of the curated
-EXPERIMENTS.md).  ``quick=True`` shrinks workload sizes and the DC scale so
-the report builds in under a minute; ``quick=False`` uses the benchmark
-defaults.
+:data:`EXPERIMENTS` maps an experiment's CLI name (``fig1`` … ``table3``)
+to a function that runs it at a :class:`Scale` and returns its
+:class:`~repro.tables.Table` list.  ``python -m repro experiment <name>``
+prints those tables as text; :func:`generate_report` renders every one
+as markdown, plus the ZomAudit scorecard, into one self-contained report
+(the generated counterpart of the curated EXPERIMENTS.md) that
+``python -m repro report out.md`` writes.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import experiments, figures
 from repro.energy.model import energy_proportionality_curve, rack_scenarios
+from repro.tables import Table, to_markdown
 from repro.workloads.microbench import MicroBenchmark
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "∞"
-        if abs(value) >= 1000:
-            return f"{value:,.0f}"
-        return f"{value:.2f}"
-    return str(value)
+@dataclass(frozen=True)
+class Scale:
+    """How big the experiments run; the defaults are the benchmark scale."""
+
+    micro: MicroBenchmark = experiments.DEFAULT_MICRO
+    #: Tables 1-2 workloads; ``None`` is :func:`experiments.default_workloads`.
+    workloads: Optional[Tuple[Tuple[str, object], ...]] = None
+    servers: int = 1000
+    days: float = 7.0
+    seed: int = 42
 
 
-def _md_table(header: Iterable[str], rows: Iterable[Iterable]) -> List[str]:
-    header = list(header)
-    out = ["| " + " | ".join(header) + " |",
-           "|" + "|".join("---" for _ in header) + "|"]
-    for row in rows:
-        out.append("| " + " | ".join(_cell(cell) for cell in row) + " |")
-    out.append("")
-    return out
+def _quick_scale(pages: int, seed: int) -> Scale:
+    """Shrunk workloads and datacenter: the report builds in under a minute."""
+    micro = MicroBenchmark(wss_pages=pages, passes=12)
+    workloads = experiments.default_workloads(scale_pages=pages)
+    workloads[0] = ("micro-bench.", micro)
+    return Scale(micro=micro, workloads=tuple(workloads), servers=300,
+                 days=3.0, seed=seed)
+
+
+def _pct(fraction: float) -> str:
+    return f"{fraction * 100:.0f}%"
+
+
+_FRACTIONS = [_pct(f) for f in experiments.LOCAL_FRACTIONS]
+
+
+def _fig1(scale: Scale) -> List[Table]:
+    return [Table("Fig. 1 — energy vs utilization (% of max)",
+                  ("utilization %", "actual %", "ideal %"),
+                  energy_proportionality_curve(points=11))]
+
+
+def _fig2(scale: Scale) -> List[Table]:
+    return [Table("Fig. 2 — AWS memory:CPU demand ratio", ("year", "ratio"),
+                  figures.aws_memory_cpu_ratio())]
+
+
+def _fig3(scale: Scale) -> List[Table]:
+    return [Table("Fig. 3 — server memory:CPU capacity ratio",
+                  ("year", "normalized ratio"),
+                  figures.server_capacity_ratio())]
+
+
+def _fig4(scale: Scale) -> List[Table]:
+    return [Table("Fig. 4 — rack energy by architecture",
+                  ("architecture", "energy (Emax)"),
+                  [(s.name, s.total_energy) for s in rack_scenarios()])]
+
+
+def _fig8(scale: Scale) -> List[Table]:
+    data = experiments.replacement_policy_comparison(micro=scale.micro)
+    return [Table(f"Fig. 8 — replacement policies: {label}",
+                  ["policy"] + _FRACTIONS,
+                  [[policy] + [rows[f][metric]
+                               for f in experiments.LOCAL_FRACTIONS]
+                   for policy, rows in data.items()])
+            for metric, label in (("exec_s", "execution time (s)"),
+                                  ("faults", "page faults"),
+                                  ("cycles_per_fault",
+                                   "policy cycles per fault"))]
+
+
+def _table1(scale: Scale) -> List[Table]:
+    table = experiments.ram_ext_penalty_table(workloads=scale.workloads)
+    return [Table("Table 1 — RAM Ext penalty (%)", ["workload"] + _FRACTIONS,
+                  [[name] + [row[f] for f in experiments.LOCAL_FRACTIONS]
+                   for name, row in table.items()])]
+
+
+def _table2(scale: Scale) -> List[Table]:
+    table = experiments.swap_technology_table(workloads=scale.workloads)
+    return [Table(f"Table 2 — swap technologies, penalty (%): {name}",
+                  ("% local",) + experiments.SWAP_CONFIGS,
+                  [[_pct(f)] + [per_frac[f][c]
+                                for c in experiments.SWAP_CONFIGS]
+                   for f in experiments.LOCAL_FRACTIONS])
+            for name, per_frac in table.items()]
+
+
+def _fig9(scale: Scale) -> List[Table]:
+    return [Table("Fig. 9 — migration time (s), 8 GiB VM",
+                  ("WSS ratio", "native", "ZombieStack"),
+                  [(_pct(r["wss_ratio"]), r["native_s"], r["zombiestack_s"])
+                   for r in experiments.migration_comparison()])]
+
+
+def _table3(scale: Scale) -> List[Table]:
+    table = experiments.sz_energy_table()
+    columns = list(next(iter(table.values())))
+    return [Table("Table 3 — power per configuration (% of max)",
+                  ["machine"] + columns,
+                  [[machine] + [row[c] for c in columns]
+                   for machine, row in table.items()])]
+
+
+def _fig10(scale: Scale) -> List[Table]:
+    data = experiments.dc_energy_comparison(n_servers=scale.servers,
+                                            duration_days=scale.days,
+                                            seed=scale.seed)
+    tables = []
+    for trace_set, per_machine in data.items():
+        policies = list(next(iter(per_machine.values())))
+        tables.append(Table(
+            f"Fig. 10 — datacenter energy saving (%), {trace_set} traces",
+            ["machine"] + policies,
+            [[machine] + [row[p] for p in policies]
+             for machine, row in per_machine.items()]))
+    return tables
+
+
+#: Every paper experiment, in report order: name -> tables at a scale.
+EXPERIMENTS: Dict[str, Callable[[Scale], List[Table]]] = {
+    "fig1": _fig1, "fig2": _fig2, "fig3": _fig3, "fig4": _fig4,
+    "fig8": _fig8, "table1": _table1, "table2": _table2, "fig9": _fig9,
+    "table3": _table3, "fig10": _fig10,
+}
 
 
 def generate_report(quick: bool = True,
@@ -42,141 +145,30 @@ def generate_report(quick: bool = True,
                     scale_pages: Optional[int] = None) -> str:
     """Build the full markdown report; returns the text.
 
-    ``scale_pages`` overrides the workload dataset size (test hook).
+    ``quick`` shrinks the workloads (``scale_pages`` overrides their
+    size, a test hook) and the datacenter; otherwise the benchmark
+    defaults.
     """
-    fracs = experiments.LOCAL_FRACTIONS
-    if quick:
-        pages = scale_pages or 512
-        micro = MicroBenchmark(wss_pages=pages, passes=12)
-        workloads = experiments.default_workloads(scale_pages=pages)
-        workloads[0] = ("micro-bench.", micro)
-        dc_servers, dc_days = 300, 3.0
-    else:
-        micro = experiments.DEFAULT_MICRO
-        workloads = None
-        dc_servers, dc_days = 1000, 7.0
+    from repro.obs.audit import report_dict, report_tables, run_golden_audit
 
-    lines: List[str] = [
-        "# Zombieland reproduction — generated experiment report",
-        "",
-        f"Scale: {'quick' if quick else 'full benchmark defaults'}.",
+    scale = (_quick_scale(scale_pages or 512, seed) if quick
+             else Scale(seed=seed))
+    parts = [
+        "# Zombieland reproduction — generated experiment report\n\n"
+        f"Scale: {'quick' if quick else 'full benchmark defaults'}.\n"
         "Shapes, not absolute numbers, are the reproduction target; see "
-        "EXPERIMENTS.md for the curated paper-vs-measured discussion.",
-        "",
+        "EXPERIMENTS.md for the curated paper-vs-measured discussion.\n"
     ]
+    for tabulate in EXPERIMENTS.values():
+        parts += [to_markdown(table) for table in tabulate(scale)]
 
-    lines.append("## Fig. 1 — energy vs utilization (% of max)")
-    lines += _md_table(
-        ["utilization %", "actual %", "ideal %"],
-        energy_proportionality_curve(points=6),
-    )
-
-    lines.append("## Fig. 2 — AWS memory:CPU demand ratio")
-    lines += _md_table(["year", "ratio"], figures.aws_memory_cpu_ratio())
-
-    lines.append("## Fig. 3 — server memory:CPU capacity ratio")
-    lines += _md_table(["year", "normalized ratio"],
-                       figures.server_capacity_ratio())
-
-    lines.append("## Fig. 4 — rack energy by architecture (Emax units)")
-    lines += _md_table(
-        ["architecture", "energy"],
-        [(s.name, s.total_energy) for s in rack_scenarios()],
-    )
-
-    lines.append("## Fig. 8 — replacement policies (micro-benchmark)")
-    fig8 = experiments.replacement_policy_comparison(micro=micro)
-    for metric, label in (("exec_s", "execution time (s)"),
-                          ("faults", "page faults"),
-                          ("cycles_per_fault", "policy cycles per fault")):
-        lines.append(f"### {label}")
-        lines += _md_table(
-            ["policy"] + [f"{f * 100:.0f}%" for f in fracs],
-            [[policy] + [fig8[policy][f][metric] for f in fracs]
-             for policy in fig8],
-        )
-
-    lines.append("## Table 1 — RAM Ext penalty (%)")
-    table1 = experiments.ram_ext_penalty_table(workloads=workloads)
-    lines += _md_table(
-        ["workload"] + [f"{f * 100:.0f}%" for f in fracs],
-        [[name] + [row[f] for f in fracs] for name, row in table1.items()],
-    )
-
-    lines.append("## Table 2 — swap technologies, penalty (%)")
-    table2 = experiments.swap_technology_table(workloads=workloads)
-    for name, per_frac in table2.items():
-        lines.append(f"### {name}")
-        lines += _md_table(
-            ["% local"] + list(experiments.SWAP_CONFIGS),
-            [[f"{f * 100:.0f}%"] + [per_frac[f][c]
-                                    for c in experiments.SWAP_CONFIGS]
-             for f in fracs],
-        )
-
-    lines.append("## Fig. 9 — migration time (s)")
-    lines += _md_table(
-        ["WSS ratio", "native", "ZombieStack"],
-        [(f"{r['wss_ratio'] * 100:.0f}%", r["native_s"], r["zombiestack_s"])
-         for r in experiments.migration_comparison()],
-    )
-
-    lines.append("## Table 3 — power per configuration (% of max)")
-    table3 = experiments.sz_energy_table()
-    columns = list(next(iter(table3.values())))
-    lines += _md_table(
-        ["machine"] + columns,
-        [[machine] + [row[c] for c in columns]
-         for machine, row in table3.items()],
-    )
-
-    lines.append("## Fig. 10 — datacenter energy saving (%)")
-    fig10 = experiments.dc_energy_comparison(n_servers=dc_servers,
-                                             duration_days=dc_days,
-                                             seed=seed)
-    for trace_set, per_machine in fig10.items():
-        lines.append(f"### {trace_set} traces")
-        policies = list(next(iter(per_machine.values())))
-        lines += _md_table(
-            ["machine"] + policies,
-            [[machine] + [row[p] for p in policies]
-             for machine, row in per_machine.items()],
-        )
-
-    lines += _audit_section(seed=seed)
-
-    return "\n".join(lines) + "\n"
-
-
-def _audit_section(seed: int) -> List[str]:
-    """The ZomAudit scorecard for the golden fleet scenario."""
-    from repro.obs.audit import run_golden_audit
-
-    report = run_golden_audit(seed=seed)
-    lines = ["## Fleet energy audit (ZomAudit)", "",
-             f"Golden fleet scenario, seed {seed}: policy "
-             f"`{report.policy}` vs `{report.baseline_policy}` on the "
-             f"{report.profile} profile.  Overall grade: "
-             f"**{report.overall_grade}** (GPA {report.overall_points:.2f}).",
-             ""]
-    lines += _md_table(
-        ["dimension", "grade", "score", "value", "unit"],
-        [(dim.title, dim.grade, dim.score, dim.value, dim.unit)
-         for dim in report.dimensions if dim.available],
-    )
-    if report.recommendations:
-        lines.append("### Ranked recommendations")
-        lines += _md_table(
-            ["#", "action", "impact (J/hour)", "why"],
-            [(rank, rec.action, rec.impact_j_per_hour, rec.rationale)
-             for rank, rec in enumerate(report.recommendations, start=1)],
-        )
-    return lines
-
-
-def write_report(path: str, quick: bool = True, seed: int = 42) -> str:
-    """Generate and write the report; returns the path."""
-    text = generate_report(quick=quick, seed=seed)
-    with open(path, "w") as handle:
-        handle.write(text)
-    return path
+    audit = report_dict(run_golden_audit(seed=seed))
+    head = audit["audit"]
+    parts.append(
+        "## Fleet energy audit (ZomAudit)\n\n"
+        f"Golden fleet scenario, seed {seed}: policy `{head['policy']}` vs "
+        f"`{head['baseline_policy']}` on the {head['profile']} profile.  "
+        f"Overall grade: **{head['overall_grade']}** "
+        f"(GPA {head['overall_points']:.2f}).\n")
+    parts += [to_markdown(table) for table in report_tables(audit)]
+    return "\n".join(parts)

@@ -3,9 +3,8 @@
 Subcommands:
 
 - ``demo``        — the quickstart rack walkthrough
-- ``experiment``  — run one paper experiment and print its table/series
+- ``experiment``  — run one paper experiment and print its tables
 - ``trace``       — generate a synthetic Google-format trace CSV
-- ``energy``      — the Fig. 10 datacenter energy comparison
 - ``report``      — write the full generated experiment report
 - ``ycsb``        — sweep a YCSB workload over local-memory ratios
 """
@@ -13,7 +12,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import List, Optional
 
@@ -42,70 +40,18 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-_EXPERIMENTS = ("fig1", "fig2", "fig3", "fig4", "fig8", "fig9", "fig10",
-                "table1", "table2", "table3")
-
-
-def _print_cells(row):
-    return " ".join(
-        ("inf" if isinstance(v, float) and math.isinf(v)
-         else f"{v:.4g}" if isinstance(v, float) else str(v)).rjust(10)
-        for v in row
-    )
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.analysis import experiments, figures
-    from repro.energy.model import energy_proportionality_curve, rack_scenarios
+    from repro.analysis.report import EXPERIMENTS, Scale
+    from repro.tables import to_text
 
-    name = args.name
-    if name == "fig1":
-        for u, actual, ideal in energy_proportionality_curve(points=11):
-            print(_print_cells((u, actual, ideal)))
-    elif name == "fig2":
-        for year, ratio in figures.aws_memory_cpu_ratio():
-            print(_print_cells((year, ratio)))
-    elif name == "fig3":
-        for year, ratio in figures.server_capacity_ratio():
-            print(_print_cells((year, ratio)))
-    elif name == "fig4":
-        for scenario in rack_scenarios():
-            print(f"{scenario.name:<36} {scenario.total_energy:.3f} Emax")
-    elif name == "fig8":
-        data = experiments.replacement_policy_comparison()
-        for metric in ("exec_s", "faults", "cycles_per_fault"):
-            print(f"# {metric}")
-            for policy, rows in data.items():
-                print(policy.ljust(6),
-                      _print_cells([rows[f][metric] for f in sorted(rows)]))
-    elif name == "fig9":
-        for row in experiments.migration_comparison():
-            print(_print_cells((row["wss_ratio"], row["native_s"],
-                                row["zombiestack_s"])))
-    elif name == "fig10":
-        data = experiments.dc_energy_comparison(n_servers=args.servers)
-        for trace_set, per_machine in data.items():
-            for machine, row in per_machine.items():
-                print(trace_set, machine,
-                      _print_cells([row[p] for p in sorted(row)]))
-    elif name == "table1":
-        table = experiments.ram_ext_penalty_table()
-        for workload, row in table.items():
-            print(workload.ljust(16),
-                  _print_cells([row[f] for f in sorted(row)]))
-    elif name == "table2":
-        table = experiments.swap_technology_table()
-        for workload, per_frac in table.items():
-            print(f"# {workload}")
-            for fraction in sorted(per_frac):
-                cells = per_frac[fraction]
-                print(f"{fraction * 100:4.0f}%",
-                      _print_cells([cells[c] for c in sorted(cells)]))
-    elif name == "table3":
-        table = experiments.sz_energy_table()
-        for machine, row in table.items():
-            print(machine.ljust(6),
-                  _print_cells([row[c] for c in sorted(row)]))
+    if args.name != "fig10" and (args.servers, args.days) != (None, None):
+        print("repro experiment: --servers and --days apply to fig10 only",
+              file=sys.stderr)
+        return 2
+    scale = Scale(servers=500 if args.servers is None else args.servers,
+                  days=7.0 if args.days is None else args.days)
+    tables = EXPERIMENTS[args.name](scale)
+    print("\n".join(to_text(table) for table in tables), end="")
     return 0
 
 
@@ -124,23 +70,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_energy(args: argparse.Namespace) -> int:
-    from repro.analysis.experiments import dc_energy_comparison
-
-    data = dc_energy_comparison(n_servers=args.servers,
-                                duration_days=args.days)
-    for trace_set, per_machine in data.items():
-        print(f"[{trace_set} traces]")
-        for machine, row in per_machine.items():
-            cells = "  ".join(f"{p}={v:.1f}%" for p, v in row.items())
-            print(f"  {machine:<5} {cells}")
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.analysis.report import write_report
+    from repro.analysis.report import generate_report
 
-    write_report(args.output, quick=not args.full)
+    with open(args.output, "w") as handle:
+        handle.write(generate_report(quick=not args.full))
     print(f"report written to {args.output}")
     return 0
 
@@ -165,6 +99,8 @@ def _cmd_ycsb(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.analysis.report import EXPERIMENTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Zombieland reproduction (EuroSys 2018)",
@@ -177,8 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
     demo.set_defaults(fn=_cmd_demo)
 
     exp = sub.add_parser("experiment", help="run one paper experiment")
-    exp.add_argument("name", choices=_EXPERIMENTS)
-    exp.add_argument("--servers", type=int, default=500)
+    exp.add_argument("name", choices=list(EXPERIMENTS))
+    exp.add_argument("--servers", type=int,
+                     help="fig10 only: datacenter servers (default 500)")
+    exp.add_argument("--days", type=float,
+                     help="fig10 only: simulated days (default 7)")
     exp.set_defaults(fn=_cmd_experiment)
 
     trace = sub.add_parser("trace", help="generate a synthetic trace CSV")
@@ -189,11 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--modified", action="store_true",
                        help="memory demand = 2 x CPU demand")
     trace.set_defaults(fn=_cmd_trace)
-
-    energy = sub.add_parser("energy", help="Fig. 10 energy comparison")
-    energy.add_argument("--servers", type=int, default=500)
-    energy.add_argument("--days", type=float, default=7.0)
-    energy.set_defaults(fn=_cmd_energy)
 
     report = sub.add_parser("report",
                             help="write the full experiment report")

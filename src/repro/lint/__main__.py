@@ -15,16 +15,20 @@ from repro.lint import (ALL_RULES, RULE_DESCRIPTIONS, Finding, check_sources,
                         load_sources)
 from repro.lint.baseline import (diff_against_baseline, load_baseline,
                                  write_baseline)
+from repro.tables import Table, to_text
 
 
 def _print_stats(rules: Sequence[str], findings: List[Finding],
                  new: List[Finding], suppressed: Dict[str, int]) -> None:
-    print("rule    findings  new  baselined  suppressed")
+    rows = []
     for rule in rules:
         total = sum(1 for f in findings if f.rule == rule)
         fresh = sum(1 for f in new if f.rule == rule)
-        print(f"{rule}  {total:8d}  {fresh:3d}  {total - fresh:9d}  "
-              f"{suppressed.get(rule, 0):10d}")
+        rows.append((rule, total, fresh, total - fresh,
+                     suppressed.get(rule, 0)))
+    print(to_text(Table("ZomLint per-rule counts",
+                        ("rule", "findings", "new", "baselined",
+                         "suppressed"), rows)), end="")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

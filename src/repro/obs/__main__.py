@@ -130,12 +130,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         with open(args.perfetto, "w", encoding="utf-8") as fh:
             fh.write(to_chrome_trace(tel.tracer, tel.registry))
         print(f"wrote {args.perfetto}")
-    if args.format == "json":
-        from repro.obs.report import render_report_json
-        print(render_report_json(tel, top_n=args.top), end="")
-    else:
-        from repro.obs.report import render_report
-        print(render_report(tel, top_n=args.top))
+    from repro.obs.report import render_report, report_data
+    from repro.tables import dumps
+    data = report_data(tel, top_n=args.top)
+    print(dumps(data) if args.format == "json" else render_report(data),
+          end="")
     return 0
 
 

@@ -23,15 +23,16 @@ from repro.obs.audit.grading import (CALIBRATIONS, GRADE_POINTS, Calibration,
 from repro.obs.audit.inputs import AuditInputs, HostSample, collect_inputs
 from repro.obs.audit.recommend import (DEFAULT_CALCULATORS, ImpactCalculator,
                                        Recommendation, run_calculators)
-from repro.obs.audit.render import (render, report_dict, to_json,
-                                    to_prometheus, to_text)
+from repro.obs.audit.render import (render, report_dict, report_tables,
+                                    to_json, to_prometheus, to_text)
 
 __all__ = [
     "Analyzer", "AuditInputs", "AuditReport", "CALIBRATIONS", "Calibration",
     "DEFAULT_ANALYZERS", "DEFAULT_CALCULATORS", "Dimension", "GOLDEN_SEEDS",
     "GRADE_POINTS", "HostSample", "ImpactCalculator", "Recommendation",
     "collect_inputs", "letter_for_points", "letter_for_score",
-    "regen_baseline", "render", "report_dict", "run_analyzers", "run_audit",
+    "regen_baseline", "render", "report_dict", "report_tables",
+    "run_analyzers", "run_audit",
     "run_calculators", "run_golden_audit", "self_check", "to_json",
     "to_prometheus", "to_text",
 ]

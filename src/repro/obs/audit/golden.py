@@ -26,6 +26,7 @@ from repro.obs import Telemetry
 from repro.obs.audit.engine import AuditReport, run_audit
 from repro.obs.audit.inputs import collect_inputs
 from repro.obs.audit.render import to_json
+from repro.tables import dumps
 from repro.units import MiB
 
 #: Seeds whose golden audits must all land on the same letter grades.
@@ -113,7 +114,7 @@ def regen_baseline(path: Optional[Path] = None) -> Path:
     """Write the seed-42 golden baseline (``audit --regen``)."""
     target = path or BASELINE_PATH
     payload = baseline_payload(run_golden_audit(GOLDEN_SEEDS[0]))
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    target.write_text(dumps(payload))
     return target
 
 

@@ -1,6 +1,9 @@
 """Render an :class:`~repro.obs.audit.engine.AuditReport`.
 
-Three formats, all deterministic:
+:func:`report_dict` is the audit as data; :func:`report_tables` reads
+its rows, which both the text scorecard and the generated experiment
+report's audit section render through :mod:`repro.tables`.  Three
+formats, all deterministic:
 
 - ``to_text`` — the operator-facing scorecard;
 - ``to_json`` — byte-stable machine output (sorted keys, floats rounded
@@ -12,9 +15,9 @@ Three formats, all deterministic:
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List
+from typing import Dict, List, Union
 
+from repro import tables
 from repro.obs.export import to_prometheus_text, validate_prometheus_text
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.audit.engine import AuditReport
@@ -73,44 +76,54 @@ def report_dict(report: AuditReport) -> Dict:
 
 
 def to_json(report: AuditReport) -> str:
-    return json.dumps(report_dict(report), indent=2, sort_keys=True) + "\n"
+    return tables.dumps(report_dict(report))
 
 
-def to_text(report: AuditReport) -> str:
-    lines: List[str] = []
-    lines.append("== ZomAudit fleet report ==")
-    lines.append(f"policy: {report.policy}  (baseline: "
-                 f"{report.baseline_policy}, profile: {report.profile})")
-    if report.duration_s > 0:
-        lines.append(f"audited sim-time span: {report.duration_s:.0f} s")
-    lines.append(f"overall grade: {report.overall_grade} "
-                 f"(GPA {report.overall_points:.2f})")
-    lines.append("")
-    lines.append(f"{'dimension':<28} {'grade':>5} {'score':>6} "
-                 f"{'value':>12} unit")
-    for dim in report.dimensions:
-        if dim.available:
-            lines.append(f"{dim.title:<28} {dim.grade:>5} {dim.score:>6.2f} "
-                         f"{dim.value:>12.4f} {dim.unit}")
-        else:
-            lines.append(f"{dim.title:<28} {'-':>5} {'-':>6} {'-':>12} "
-                         f"(not measurable)")
-    lines.append("")
-    lines.append("-- findings --")
-    for dim in report.dimensions:
-        marker = dim.grade if dim.available else "-"
-        lines.append(f"  [{marker}] {dim.key}: {dim.summary}")
-    lines.append("")
-    if report.recommendations:
-        lines.append("-- ranked recommendations --")
-        for rank, rec in enumerate(report.recommendations, start=1):
-            lines.append(f"  {rank}. {rec.action}")
-            lines.append(f"     impact: ~{rec.impact_j_per_hour:,.0f} J/hour"
-                         f"  [{rec.dimension}]")
-            lines.append(f"     why: {rec.rationale}")
-    else:
-        lines.append("-- no recommendations: fleet is running clean --")
-    return "\n".join(lines) + "\n"
+def report_tables(data: Dict) -> List[tables.Table]:
+    """The scorecard's rows, read from :func:`report_dict` data.
+
+    One row per dimension (a not-measurable one keeps its row, with no
+    score or value) and one per ranked recommendation.
+    """
+    dimensions = [
+        (dim["title"], dim["grade"],
+         dim["score"] if dim["available"] else None,
+         dim["value"] if dim["available"] else None,
+         dim["unit"], dim["summary"])
+        for dim in data["dimensions"]
+    ]
+    recommendations = [
+        (rec["rank"], rec["action"], rec["impact_j_per_hour"],
+         rec["dimension"], rec["rationale"])
+        for rec in data["recommendations"]
+    ]
+    return [
+        tables.Table(
+            "ZomAudit dimensions",
+            ("dimension", "grade", "score", "value", "unit", "finding"),
+            dimensions),
+        tables.Table(
+            "ZomAudit ranked recommendations",
+            ("#", "action", "impact (J/hour)", "dimension", "why"),
+            recommendations,
+            empty="no recommendations: fleet is running clean"),
+    ]
+
+
+def to_text(report: Union[AuditReport, Dict]) -> str:
+    """The operator scorecard, from a report or its :func:`report_dict`
+    (``json.loads(to_json(report))`` renders the same text)."""
+    data = report if isinstance(report, dict) else report_dict(report)
+    audit = data["audit"]
+    lines = ["== ZomAudit fleet report ==",
+             f"policy: {audit['policy']}  (baseline: "
+             f"{audit['baseline_policy']}, profile: {audit['profile']})"]
+    if audit["duration_s"] > 0:
+        lines.append(f"audited sim-time span: {audit['duration_s']:.0f} s")
+    lines.append(f"overall grade: {audit['overall_grade']} "
+                 f"(GPA {audit['overall_points']:.2f})")
+    return "\n".join(lines) + "\n\n" + "\n".join(
+        tables.to_text(table) for table in report_tables(data))
 
 
 def to_prometheus(report: AuditReport) -> str:

@@ -137,7 +137,9 @@ class Histogram:
 
         Linear interpolation inside the winning bucket; the lowest
         bucket interpolates from 0 and the overflow bucket returns the
-        observed maximum (the honest upper bound we still have).
+        observed maximum (the honest upper bound we still have).  The
+        estimate is clamped to the observed ``[min, max]``: a bucket's
+        bounds are wider than the data that fell in it.
         """
         if not 0.0 < q <= 1.0:
             raise ConfigurationError(f"quantile out of (0, 1]: {q}")
@@ -145,18 +147,15 @@ class Histogram:
             return 0.0
         rank = q * self.count
         cumulative = 0
-        for i, bucket_count in enumerate(self.bucket_counts):
-            if bucket_count == 0:
-                continue
-            if cumulative + bucket_count >= rank:
-                if i == len(self.bounds):  # overflow bucket
-                    return self.max if self.max is not None else 0.0
+        estimate = self.max
+        for i, bucket_count in enumerate(self.bucket_counts[:-1]):
+            if bucket_count and cumulative + bucket_count >= rank:
                 lower = self.bounds[i - 1] if i > 0 else 0.0
-                upper = self.bounds[i]
                 fraction = (rank - cumulative) / bucket_count
-                return lower + (upper - lower) * fraction
+                estimate = lower + (self.bounds[i] - lower) * fraction
+                break
             cumulative += bucket_count
-        return self.max if self.max is not None else 0.0
+        return min(max(estimate, self.min), self.max)  # type: ignore[type-var]
 
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` rows, +Inf last."""

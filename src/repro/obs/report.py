@@ -1,182 +1,71 @@
-"""Per-run report: the human-readable summary behind ``python -m repro.obs``.
+"""Per-run report: the data behind ``python -m repro.obs``.
 
-Renders, from one :class:`~repro.obs.Telemetry` hub:
+:func:`report_data` reads one :class:`~repro.obs.Telemetry` hub into a
+JSON-serializable dict, and that dict *is* the report:
 
-- per-verb RPC latency percentiles (p50/p90/p99 from the registry's
-  ``rpc_call_seconds`` histograms) plus call/retry/failure counts,
+- per-verb RPC rows: completed calls with their p50/p90/p99 (from the
+  ``rpc_call_seconds`` histograms), retries, and failed calls summed
+  over every ``outcome``,
 - the top-N slowest finished spans with their trace lineage,
-- Sz residency (how long hosts dwelt in the zombie state, and how many
-  sit there now),
-- a one-line census of everything else the registry holds.
+- Sz residency (completed stays with their mean/p50/max dwell, hosts in
+  the zombie state now, transitions),
+- a census of the registry's families and the tracer's buffers.
 
-The default rendering is plain text so it drops into CI logs and BENCH
-JSON side-by-side; ``report_data``/``render_report_json`` expose the
-same tables machine-readably (``python -m repro.obs --format json``),
-and the exporters remain the right feed for scrapers.
+:func:`render_report` prints that dict through :mod:`repro.tables`;
+``python -m repro.obs --format json`` prints it with
+:func:`repro.tables.dumps`.  The exporters remain the feed for scrapers.
 """
 
 from __future__ import annotations
 
-import json
-from typing import List, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.tables import Table, to_text
+from repro.units import fmt_time
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import Telemetry
 
 
-def _fmt_s(seconds: float) -> str:
-    """Human-scale a simulated duration."""
-    if seconds >= 1.0:
-        return f"{seconds:.3f}s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.3f}ms"
-    return f"{seconds * 1e6:.1f}us"
-
-
 def _verb_rows(registry: MetricsRegistry) -> List[dict]:
-    """One dict per verb with calls/quantiles/retries/errors.
+    """One dict per verb that issued a call.
 
-    A verb whose histogram never completed a call (``count == 0``) but
-    which accumulated retries or failures still gets a row — quantiles
-    are ``None`` — so an all-timeouts verb cannot silently vanish from
-    the report.  Verbs with no activity at all are dropped.
+    The verb set is ``rpc_calls_total``'s, so a verb whose every call
+    failed still gets a row (quantiles ``None``); ``errors`` sums
+    ``rpc_failures_total`` over its ``outcome`` label.
     """
+    failures = registry.labels_for("rpc_failures_total")
     rows: List[dict] = []
-    for labels in registry.labels_for("rpc_call_seconds"):
-        verb = labels.get("verb", "?")
-        hist = registry.get("rpc_call_seconds", **labels)
-        if not isinstance(hist, Histogram):
-            continue
-        retries = int(registry.value("rpc_retries_total", verb=verb))
-        errors = int(registry.value("rpc_failures_total", verb=verb))
-        if hist.count == 0 and not retries and not errors:
-            continue
-        empty = hist.count == 0
+    for labels in registry.labels_for("rpc_calls_total"):
+        verb = labels["verb"]
+        hist = registry.get("rpc_call_seconds", verb=verb)
+        done = hist.count if isinstance(hist, Histogram) else 0
         rows.append({
             "verb": verb,
-            "calls": hist.count,
-            "p50_s": None if empty else hist.quantile(0.5),
-            "p90_s": None if empty else hist.quantile(0.9),
-            "p99_s": None if empty else hist.quantile(0.99),
-            "retries": retries,
-            "errors": errors,
+            "calls": done,
+            "p50_s": hist.quantile(0.5) if done else None,
+            "p90_s": hist.quantile(0.9) if done else None,
+            "p99_s": hist.quantile(0.99) if done else None,
+            "retries": int(registry.value("rpc_retries_total", verb=verb)),
+            "errors": sum(int(registry.value("rpc_failures_total", **series))
+                          for series in failures if series["verb"] == verb),
         })
     return rows
 
 
-def _verb_table(registry: MetricsRegistry) -> List[str]:
-    rows = _verb_rows(registry)
-    if not rows:
-        return ["  (no RPC calls recorded)"]
-    lines = [
-        f"  {'verb':<22} {'calls':>6} {'p50':>10} {'p90':>10} "
-        f"{'p99':>10} {'retries':>7} {'errors':>6}"
-    ]
-    for row in rows:
-        quantiles = [
-            "-" if row[q] is None else _fmt_s(row[q])
-            for q in ("p50_s", "p90_s", "p99_s")
-        ]
-        lines.append(
-            f"  {row['verb']:<22} {row['calls']:>6} "
-            f"{quantiles[0]:>10} {quantiles[1]:>10} {quantiles[2]:>10} "
-            f"{row['retries']:>7} {row['errors']:>6}"
-        )
-    return lines
-
-
-def _sz_residency(registry: MetricsRegistry) -> List[str]:
-    lines: List[str] = []
-    dwell = registry.get("sz_dwell_seconds")
-    if isinstance(dwell, Histogram) and dwell.count:
-        lines.append(
-            f"  completed Sz stays: {dwell.count} "
-            f"(mean {_fmt_s(dwell.mean)}, p50 {_fmt_s(dwell.quantile(0.5))}, "
-            f"max {_fmt_s(dwell.max or 0.0)})"
-        )
-    current = registry.get("zombie_hosts")
-    if current is not None:
-        lines.append(f"  hosts in Sz now: {int(current.value)}")  # type: ignore[union-attr]
-    entered = registry.value("sz_transitions_total", direction="enter")
-    left = registry.value("sz_transitions_total", direction="exit")
-    if entered or left:
-        lines.append(f"  transitions: {int(entered)} enter / {int(left)} exit")
-    if not lines:
-        lines.append("  (no Sz activity recorded)")
-    return lines
-
-
-def render_report(telemetry: "Telemetry", top_n: int = 10) -> str:
-    """The full plain-text per-run report."""
-    registry = telemetry.registry
-    tracer = telemetry.tracer
-    lines: List[str] = []
-    lines.append("=" * 72)
-    lines.append("ZomTrace run report")
-    lines.append("=" * 72)
-    if not telemetry.enabled:
-        lines.append("telemetry was DISABLED for this run; nothing recorded")
-        return "\n".join(lines) + "\n"
-
-    lines.append("")
-    lines.append("Per-verb RPC latency")
-    lines.append("-" * 72)
-    lines.extend(_verb_table(registry))
-
-    lines.append("")
-    lines.append(f"Top {top_n} slowest spans")
-    lines.append("-" * 72)
-    slowest = tracer.slowest(top_n)
-    if not slowest:
-        lines.append("  (no finished spans)")
-    for span in slowest:
-        parent = f" <- #{span.parent_id}" if span.parent_id else " (root)"
-        node = span.tags.get("node")
-        where = f" @{node}" if node else ""
-        lines.append(
-            f"  {_fmt_s(span.duration_s):>10}  {span.name}{where}"
-            f"  [trace {span.trace_id} span #{span.span_id}{parent}]"
-            + ("" if span.status == "ok" else f"  !{span.status}")
-        )
-    if tracer.dropped:
-        lines.append(f"  ({tracer.dropped} older spans dropped by ring buffer)")
-
-    lines.append("")
-    lines.append("Sz residency")
-    lines.append("-" * 72)
-    lines.extend(_sz_residency(registry))
-
-    lines.append("")
-    lines.append("Registry census")
-    lines.append("-" * 72)
-    families = registry.families()
-    if not families:
-        lines.append("  (empty)")
-    for family in families:
-        lines.append(
-            f"  {family.name} ({family.kind}): "
-            f"{len(family.children)} series"
-        )
-    lines.append(
-        f"  spans recorded: {len(tracer.spans)}"
-        f" | timeline samples: {len(tracer.samples)}"
-    )
-    return "\n".join(lines) + "\n"
-
-
 def report_data(telemetry: "Telemetry", top_n: int = 10) -> dict:
-    """The report's tables as one JSON-serializable dict."""
+    """The per-run report as one JSON-serializable dict."""
     registry = telemetry.registry
     tracer = telemetry.tracer
     if not telemetry.enabled:
         return {"enabled": False}
     dwell = registry.get("sz_dwell_seconds")
-    dwell_count = dwell.count if isinstance(dwell, Histogram) else 0
+    stays = dwell.count if isinstance(dwell, Histogram) else 0
     current = registry.get("zombie_hosts")
     return {
         "enabled": True,
+        "top_n": top_n,
         "verbs": _verb_rows(registry),
         "slowest_spans": [
             {"name": span.name, "duration_s": span.duration_s,
@@ -186,8 +75,10 @@ def report_data(telemetry: "Telemetry", top_n: int = 10) -> dict:
             for span in tracer.slowest(top_n)
         ],
         "sz_residency": {
-            "completed_stays": dwell_count,
-            "mean_dwell_s": (dwell.mean if dwell_count else None),
+            "completed_stays": stays,
+            "mean_dwell_s": dwell.mean if stays else None,
+            "p50_dwell_s": dwell.quantile(0.5) if stays else None,
+            "max_dwell_s": dwell.max if stays else None,
             "hosts_in_sz": (int(current.value)  # type: ignore[union-attr]
                             if current is not None else None),
             "entered": int(registry.value("sz_transitions_total",
@@ -208,7 +99,57 @@ def report_data(telemetry: "Telemetry", top_n: int = 10) -> dict:
     }
 
 
-def render_report_json(telemetry: "Telemetry", top_n: int = 10) -> str:
-    """``report_data`` as stable JSON (sorted keys, trailing newline)."""
-    return json.dumps(report_data(telemetry, top_n=top_n),
-                      indent=2, sort_keys=True) + "\n"
+def _time(seconds: Optional[float]) -> Optional[str]:
+    return None if seconds is None else fmt_time(seconds)
+
+
+def _sz_lines(sz: dict) -> List[str]:
+    lines: List[str] = []
+    if sz["completed_stays"]:
+        lines.append(
+            f"completed Sz stays: {sz['completed_stays']} "
+            f"(mean {fmt_time(sz['mean_dwell_s'])}, "
+            f"p50 {fmt_time(sz['p50_dwell_s'])}, "
+            f"max {fmt_time(sz['max_dwell_s'])})")
+    if sz["hosts_in_sz"] is not None:
+        lines.append(f"hosts in Sz now: {sz['hosts_in_sz']}")
+    if sz["entered"] or sz["exited"]:
+        lines.append(f"transitions: {sz['entered']} enter / "
+                     f"{sz['exited']} exit")
+    return lines
+
+
+def render_report(data: dict) -> str:
+    """The plain-text report, from :func:`report_data`'s dict alone."""
+    banner = "=" * 72 + "\nZomTrace run report\n" + "=" * 72 + "\n"
+    if not data["enabled"]:
+        return (banner
+                + "telemetry was DISABLED for this run; nothing recorded\n")
+    registry = data["registry"]
+    tables = [
+        Table("Per-verb RPC latency",
+              ("verb", "calls", "p50", "p90", "p99", "retries", "errors"),
+              [(row["verb"], row["calls"], _time(row["p50_s"]),
+                _time(row["p90_s"]), _time(row["p99_s"]), row["retries"],
+                row["errors"]) for row in data["verbs"]],
+              empty="(no RPC calls recorded)"),
+        Table(f"Top {data['top_n']} slowest spans",
+              ("span", "node", "duration", "trace", "span id", "parent",
+               "status"),
+              [(span["name"], span["node"], fmt_time(span["duration_s"]),
+                span["trace_id"], span["span_id"], span["parent_id"],
+                span["status"]) for span in data["slowest_spans"]],
+              empty="(no finished spans)"),
+        Table("Sz residency", (),
+              [(line,) for line in _sz_lines(data["sz_residency"])],
+              empty="(no Sz activity recorded)"),
+        Table("Registry census", ("family", "kind", "series"),
+              [(family["name"], family["kind"], family["series"])
+               for family in registry["families"]],
+              empty="(empty)"),
+    ]
+    footer = (f"  spans recorded: {registry['spans_recorded']}"
+              f" | timeline samples: {registry['timeline_samples']}"
+              f" | dropped by the ring buffer: {registry['spans_dropped']}\n")
+    return (banner + "\n" + "\n".join(to_text(table) for table in tables)
+            + footer)

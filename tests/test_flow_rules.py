@@ -400,7 +400,7 @@ class TestSuppressionAndBaseline:
         main([tree, "--baseline", baseline, "--stats"])
         rows = {line.split()[0]: line.split()[1:]
                 for line in capsys.readouterr().out.splitlines()
-                if line.startswith("ZL")}
+                if line.lstrip().startswith("ZL")}
         # One table for both rule kinds; the suppressed ZL001 counted once.
         assert rows["ZL001"] == ["1", "1", "0", "1"]
         assert rows["ZL009"] == ["1", "1", "0", "0"]

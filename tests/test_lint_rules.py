@@ -453,7 +453,7 @@ class TestDriver:
         assert main([str(src), "--no-baseline", "--stats"]) == 1
         out = capsys.readouterr().out
         stats_line = next(line for line in out.splitlines()
-                          if line.startswith("ZL001"))
+                          if line.lstrip().startswith("ZL001"))
         # one surviving (new) finding, one suppressed
         assert stats_line.split() == ["ZL001", "1", "1", "0", "1"]
 

@@ -184,6 +184,11 @@ def test_text_report_contents():
     assert "J/hour" in text
 
 
+def test_text_renders_from_the_json_alone():
+    report = run_golden_audit(GOLDEN_SEEDS[0])
+    assert to_text(json.loads(to_json(report))) == to_text(report)
+
+
 def test_json_report_is_sorted_and_stable():
     report = run_golden_audit(GOLDEN_SEEDS[0])
     text = to_json(report)

@@ -8,7 +8,8 @@ from repro.obs import Telemetry
 from repro.obs.export import (to_chrome_trace, to_prometheus_text,
                               validate_chrome_trace,
                               validate_prometheus_text)
-from repro.obs.report import render_report
+from repro.obs.report import render_report, report_data
+from repro.tables import dumps
 
 
 def _populated_hub():
@@ -24,6 +25,7 @@ def _populated_hub():
             inner.span.end_s = inner.span.start_s + 10e-6
         outer.span.end_s = outer.span.start_s + 40e-6
     tel.tracer.sample("rack_power_watts", 420.0, track="HP", time_s=3600.0)
+    tel.registry.histogram("sz_dwell_seconds", "Sz stays.").observe(90.0)
     return tel
 
 
@@ -119,7 +121,7 @@ class TestChromeTraceExport:
 
 class TestReport:
     def test_report_covers_every_section(self):
-        report = render_report(_populated_hub(), top_n=5)
+        report = render_report(report_data(_populated_hub(), top_n=5))
         assert "Per-verb RPC latency" in report
         assert "GS_wake" in report
         assert "Top 5 slowest spans" in report
@@ -130,36 +132,53 @@ class TestReport:
         assert "timeline samples: 1" in report
 
     def test_disabled_hub_renders_a_stub(self):
-        report = render_report(Telemetry(enabled=False))
+        report = render_report(report_data(Telemetry(enabled=False)))
         assert "DISABLED" in report
 
     def test_all_timeouts_verb_still_listed(self):
-        """A verb with retries/failures but zero completed calls must
-        appear (with '-' quantiles), not silently vanish."""
+        """A verb whose every call failed keeps its row: '-' quantiles,
+        its retries, and its failures summed over every outcome."""
+        from repro.errors import RpcError, RpcTimeoutError
+        from repro.rdma.fabric import Fabric
+        from repro.rdma.rpc import RetryPolicy, RpcClient, RpcServer
+        from repro.sim.rng import DeterministicRng
+
         tel = Telemetry(enabled=True)
-        tel.registry.histogram("rpc_call_seconds", "Latency.",
-                               verb="GS_wake")  # registered, never observed
-        tel.registry.counter("rpc_retries_total", "Retries.",
-                             verb="GS_wake").inc(3)
-        tel.registry.counter("rpc_failures_total", "Failures.",
-                             verb="GS_wake").inc(1)
-        report = render_report(tel)
-        line = next(l for l in report.splitlines() if "GS_wake" in l)
-        assert line.count("-") >= 3          # p50/p90/p99 placeholders
-        assert "3" in line and "1" in line   # retries and errors survive
+        fabric = Fabric(telemetry=tel)
+        server = RpcServer(fabric.add_node("server"))
+        client = RpcClient(fabric.add_node("client"), server,
+                           retry_policy=RetryPolicy(
+                               max_attempts=2, rng=DeterministicRng(7)))
+        fabric.partition("server")
+        for _ in range(2):
+            with pytest.raises(RpcTimeoutError):
+                client.call("GS_wake")
+        fabric.heal("server")
+        with pytest.raises(RpcError):  # never registered on the server
+            client.call("GS_wake")
+        retries = int(tel.registry.value("rpc_retries_total", verb="GS_wake"))
+        assert retries > 0
+        data = report_data(tel)
+        assert data["verbs"] == [{
+            "verb": "GS_wake", "calls": 0, "p50_s": None, "p90_s": None,
+            "p99_s": None, "retries": retries, "errors": 3,
+        }]
+        line = next(l for l in render_report(data).splitlines()
+                    if "GS_wake" in l)
+        assert line.split() == ["GS_wake", "0", "-", "-", "-",
+                                str(retries), "3"]
 
     def test_idle_registered_verb_renders_placeholder(self):
-        """Empty histograms with no retries/errors at all: the table
+        """A verb that never issued a call has no row: the table
         collapses to the no-calls placeholder, never a bare header."""
         tel = Telemetry(enabled=True)
         tel.registry.histogram("rpc_call_seconds", "Latency.",
                                verb="GS_wake")
-        report = render_report(tel)
+        report = render_report(report_data(tel))
         assert "(no RPC calls recorded)" in report
         assert "p50" not in report           # header not rendered rowless
 
     def test_report_data_machine_readable(self):
-        from repro.obs.report import render_report_json, report_data
         data = report_data(_populated_hub(), top_n=5)
         assert data["enabled"] is True
         assert data["verbs"][0]["verb"] == "GS_wake"
@@ -167,7 +186,16 @@ class TestReport:
         assert data["verbs"][0]["p50_s"] is not None
         assert data["sz_residency"]["hosts_in_sz"] == 2
         assert data["registry"]["timeline_samples"] == 1
-        text = render_report_json(_populated_hub(), top_n=5)
+        text = dumps(data)
         assert json.loads(text)["enabled"] is True
         assert text.endswith("\n")
         assert report_data(Telemetry(enabled=False)) == {"enabled": False}
+
+    def test_text_carries_nothing_the_json_lacks(self):
+        data = report_data(_populated_hub(), top_n=5)
+        text = render_report(data)
+        assert render_report(json.loads(dumps(data))) == text
+        # The dwell figures the text prints are in the data.
+        residency = data["sz_residency"]
+        assert residency["p50_dwell_s"] == residency["max_dwell_s"] == 90.0
+        assert "p50 90 s, max 90 s" in text

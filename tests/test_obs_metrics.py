@@ -43,7 +43,19 @@ class TestInstruments:
         # All mass sits in the (1, 2] bucket: every quantile lands there.
         assert 1.0 < hist.quantile(0.5) <= 2.0
         assert 1.0 < hist.quantile(0.99) <= 2.0
-        assert hist.quantile(0.99) > hist.quantile(0.5)
+        spread = Histogram(buckets=(1.0, 2.0, 4.0))
+        for i in range(100):
+            spread.observe(1.0 + i / 100)   # 1.00 .. 1.99
+        assert spread.quantile(0.99) > spread.quantile(0.5)
+        assert spread.min <= spread.quantile(0.5) <= spread.max
+
+    def test_histogram_quantile_stays_inside_the_data(self):
+        # Interpolating inside a bucket must not leave [min, max]: a
+        # single observation is every quantile of itself.
+        hist = Histogram()
+        hist.observe(12e-6)
+        for q in (0.01, 0.5, 0.9, 0.99, 1.0):
+            assert hist.quantile(q) == 12e-6
 
     def test_histogram_overflow_quantile_is_observed_max(self):
         hist = Histogram(buckets=(1.0,))

@@ -1,8 +1,11 @@
 """The generated experiment report."""
 
+import re
+
 import pytest
 
-from repro.analysis.report import generate_report, write_report
+import repro.analysis.report as report_module
+from repro.analysis.report import generate_report
 
 
 @pytest.fixture(scope="module")
@@ -33,11 +36,23 @@ class TestReport:
                 assert header.startswith("|")
                 assert header.count("|") == line.count("|")
 
-    def test_write_report(self, tmp_path, report_text, monkeypatch):
-        import repro.analysis.report as report_module
-        monkeypatch.setattr(report_module, "generate_report",
-                            lambda quick, seed: report_text)
-        path = str(tmp_path / "report.md")
-        assert write_report(path) == path
-        with open(path) as handle:
-            assert handle.read() == report_text
+    def test_audit_section_lists_what_the_text_lists(self, monkeypatch):
+        """Every dimension the text scorecard shows — a not-measurable
+        one included — is a row of the report's audit section, cell for
+        cell."""
+        from repro.obs import audit
+        report = audit.run_audit(audit.AuditInputs(snapshot={}))
+        assert not any(dim.available for dim in report.dimensions)
+        monkeypatch.setattr(audit, "run_golden_audit", lambda seed: report)
+        monkeypatch.setattr(report_module, "EXPERIMENTS", {})
+        markdown = generate_report()
+        text = audit.to_text(report)
+        for dim in report.dimensions:
+            (md_row,) = [line.strip("| ").split(" | ")
+                         for line in markdown.splitlines()
+                         if line.startswith(f"| {dim.title} |")]
+            (text_row,) = [re.split(r"\s{2,}", line.strip())
+                           for line in text.splitlines()
+                           if line.strip().startswith(dim.title)]
+            assert md_row == text_row == [dim.title, "-", "-", "-",
+                                          dim.unit, dim.summary]

@@ -74,7 +74,8 @@ class TestCli:
     def test_parser_covers_subcommands(self):
         parser = build_parser()
         for argv in (["demo"], ["experiment", "fig4"],
-                     ["trace", "x.csv"], ["energy"], ["ycsb", "A"]):
+                     ["trace", "x.csv"],
+                     ["experiment", "fig10", "--days", "1"], ["ycsb", "A"]):
             args = parser.parse_args(argv)
             assert callable(args.fn)
 
