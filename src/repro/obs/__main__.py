@@ -126,9 +126,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             fh.write(to_prometheus_text(tel.registry))
         print(f"wrote {args.prometheus}")
     if args.perfetto:
-        from repro.obs.export import to_chrome_trace
+        from repro.obs.export import iter_chrome_trace
         with open(args.perfetto, "w", encoding="utf-8") as fh:
-            fh.write(to_chrome_trace(tel.tracer, tel.registry))
+            fh.writelines(iter_chrome_trace(tel.tracer, tel.registry))
         print(f"wrote {args.perfetto}")
     from repro.obs.report import render_report, report_data
     from repro.tables import dumps

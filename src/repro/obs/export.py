@@ -13,11 +13,14 @@ third-party dependencies:
   loads in ``chrome://tracing`` and https://ui.perfetto.dev.  Simulated
   seconds become microseconds (the trace-viewer unit); span trees map to
   one pid per trace and one tid per node so flows read left-to-right.
+  :func:`iter_chrome_trace` streams the same text one event per line,
+  so exporting costs the output text, not a document of dicts.
 
 The paired validators (:func:`validate_prometheus_text`,
 :func:`validate_chrome_trace`) re-parse exporter output and are what the
 ``--self-check`` CI gate runs: an exporter regression fails the build
-before a human ever stares at a blank Perfetto screen.
+before a human ever stares at a blank Perfetto screen.  A malformed
+document is reported as problems, never raised.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Dict, List, Optional
+import sys
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 from repro.obs.metrics import Histogram, MetricsRegistry, format_labels
-from repro.obs.tracing import Span, Tracer, span_forest_errors
+from repro.obs.tracing import SpanRef, Tracer, span_forest_errors
 from repro.units import metric_unit
 
 _SAMPLE_RE = re.compile(
@@ -123,30 +127,52 @@ def validate_prometheus_text(text: str) -> List[str]:
     return problems
 
 
-def to_chrome_trace(tracer: Tracer,
-                    registry: Optional[MetricsRegistry] = None,
-                    label: str = "zomtrace") -> str:
-    """Render finished spans + timeline samples as Chrome-trace JSON."""
-    events: List[dict] = []
+#: CPython's C encoder: it serves ``encode`` whenever ``indent`` is None.
+#: Sorted keys make every event's text, and so the export, byte-stable.
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def _thread_name(pid: int, tid: int, name: str) -> str:
+    return _encode({"name": "thread_name", "ph": "M", "pid": pid,
+                    "tid": tid, "args": {"name": name}})
+
+
+def iter_chrome_trace(tracer: Tracer,
+                      registry: Optional[MetricsRegistry] = None,
+                      label: str = "zomtrace") -> Iterator[str]:
+    """Yield the Chrome-trace JSON text in chunks, one event per line.
+
+    Only one encoded event is alive at a time.  A ``thread_name``
+    metadata event names each (pid, tid) lane just before the lane's
+    first span, so a lane no span uses is never named; the counter
+    lane ``(0, 0)`` is always named first.  The tracer must not record
+    while the generator is suspended.
+    """
+    other: Dict[str, object] = {"exporter": label}
+    if registry is not None:
+        other["metric_families"] = len(registry.families())
+    # The document's keys, in the sorted order the encoder would use.
+    yield (f'{{"displayTimeUnit": "ms", "otherData": {_encode(other)}, '
+           f'"traceEvents": [\n{_thread_name(0, 0, "timeline")}')
     node_tids: Dict[str, int] = {}
-
-    def tid_for(node: object) -> int:
-        key = str(node) if node is not None else "?"
-        if key not in node_tids:
-            node_tids[key] = len(node_tids) + 1
-        return node_tids[key]
-
-    for span in tracer.finished():
+    lanes: Set[Tuple[int, int]] = set()
+    for span in tracer.spans:
         if span.end_s is None:
             continue
-        tid = tid_for(span.tags.get("node"))
-        args = {k: v for k, v in sorted(span.tags.items())}
+        node = span.tags.get("node")
+        key = str(node) if node is not None else "?"
+        tid = node_tids.setdefault(key, len(node_tids) + 1)
+        lane = (span.trace_id, tid)
+        if lane not in lanes:
+            lanes.add(lane)
+            yield ",\n" + _thread_name(span.trace_id, tid, key)
+        args = dict(span.tags)
         args["span_id"] = span.span_id
         if span.parent_id is not None:
             args["parent_id"] = span.parent_id
         if span.status != "ok":
             args["status"] = span.status
-        events.append({
+        yield ",\n" + _encode({
             "name": span.name,
             "cat": span.name.split(".", 1)[0],
             "ph": "X",
@@ -157,7 +183,7 @@ def to_chrome_trace(tracer: Tracer,
             "args": args,
         })
     for sample in tracer.samples:
-        events.append({
+        yield ",\n" + _encode({
             "name": sample.name,
             "cat": "timeline",
             "ph": "C",
@@ -166,61 +192,104 @@ def to_chrome_trace(tracer: Tracer,
             "tid": 0,
             "args": {sample.track: sample.value},
         })
-    metadata = [
-        {"name": "thread_name", "ph": "M", "pid": 0, "tid": 0,
-         "args": {"name": "timeline"}},
-    ]
-    trace_ids = sorted({e["pid"] for e in events if e["ph"] == "X"})
-    for trace_id in trace_ids:
-        for node, tid in sorted(node_tids.items(), key=lambda kv: kv[1]):
-            metadata.append({
-                "name": "thread_name", "ph": "M", "pid": trace_id,
-                "tid": tid, "args": {"name": node},
-            })
-    doc = {
-        "traceEvents": metadata + events,
-        "displayTimeUnit": "ms",
-        "otherData": {"exporter": label},
-    }
-    if registry is not None:
-        doc["otherData"]["metric_families"] = len(registry.families())
-    return json.dumps(doc, indent=1, sort_keys=True)
+    yield "\n]}\n"
+
+
+def to_chrome_trace(tracer: Tracer,
+                    registry: Optional[MetricsRegistry] = None,
+                    label: str = "zomtrace") -> str:
+    """Render finished spans + timeline samples as Chrome-trace JSON."""
+    return "".join(iter_chrome_trace(tracer, registry, label))
+
+
+class _Flagged(NamedTuple):
+    """What the parse hook made of an event with problems.
+
+    Each problem is its message minus the ``event <i>`` prefix, which
+    only the walk over ``traceEvents`` knows.
+    """
+
+    span: Optional[SpanRef]
+    problems: Tuple[str, ...]
+
+
+#: What the parse hook returns for a well-formed M or C event (``json``
+#: itself never yields a tuple, so this cannot be a parsed value).
+_CLEAN = ()
+
+
+def _reduce_event(obj: dict) -> object:
+    """``json.loads`` object hook: one event dict to the little it needs.
+
+    A clean X event becomes its :class:`SpanRef`, a clean M or C event
+    :data:`_CLEAN`, anything else a :class:`_Flagged`.  JSON objects
+    close innermost first, so ``args`` is already parsed here; objects
+    without ``ph`` (``args``, ``otherData``, the document) pass through.
+    """
+    if "ph" not in obj:
+        return obj
+    ph = obj["ph"]
+    if ph not in ("X", "C", "M"):
+        return _Flagged(None, (f": unknown phase {ph!r}",))
+    if "name" not in obj or "pid" not in obj:
+        return _Flagged(None, (": missing name/pid",))
+    name = obj["name"]
+    if ph == "M":
+        return _CLEAN
+    if ph == "C":
+        if obj.get("args"):
+            return _CLEAN
+        return _Flagged(None, (f" ({name}): counter w/o args",))
+    if type(name) is str:
+        name = sys.intern(name)  # a few dozen names across every span
+    problems: List[str] = []
+    dur = obj.get("dur")
+    if "dur" in obj and type(dur) not in (int, float):
+        problems.append(f" ({name}): non-numeric dur {dur!r}")
+    elif "dur" not in obj or dur < 0:
+        problems.append(f" ({name}): missing/negative dur")
+    args = obj.get("args")
+    if not isinstance(args, dict) or "span_id" not in args:
+        problems.append(f" ({name}): no span_id")
+        return _Flagged(None, tuple(problems))
+    span = SpanRef(obj["pid"], args["span_id"], args.get("parent_id"), name)
+    if (type(span.trace_id) is not int or type(span.span_id) is not int
+            or span.parent_id is not None and type(span.parent_id) is not int):
+        problems.append(f" ({name}): non-integer pid/span_id/parent_id")
+        return _Flagged(None, tuple(problems))
+    return _Flagged(span, tuple(problems)) if problems else span
 
 
 def validate_chrome_trace(text: str) -> List[str]:
-    """Re-parse Chrome-trace JSON and check event + span-tree structure."""
-    problems: List[str] = []
+    """Re-parse Chrome-trace JSON and check event + span-tree structure.
+
+    The parse hook shrinks each event as it is read, so the document is
+    never held whole: besides ``text``, memory is one small record per
+    event.
+    """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=_reduce_event)
     except json.JSONDecodeError as exc:
         return [f"not valid JSON: {exc}"]
     if not isinstance(doc, dict) or "traceEvents" not in doc:
         return ["missing traceEvents key"]
-    spans: List[Span] = []
-    for i, event in enumerate(doc["traceEvents"]):
-        ph = event.get("ph")
-        if ph not in ("X", "C", "M"):
-            problems.append(f"event {i}: unknown phase {ph!r}")
-            continue
-        if "name" not in event or "pid" not in event:
-            problems.append(f"event {i}: missing name/pid")
-            continue
-        if ph == "X":
-            if "dur" not in event or event["dur"] < 0:
-                problems.append(
-                    f"event {i} ({event['name']}): missing/negative dur"
-                )
-            args = event.get("args", {})
-            if "span_id" not in args:
-                problems.append(f"event {i} ({event['name']}): no span_id")
-                continue
-            spans.append(Span(
-                trace_id=event["pid"], span_id=args["span_id"],
-                parent_id=args.get("parent_id"), name=event["name"],
-                start_s=event.get("ts", 0.0) / 1e6,
-                end_s=(event.get("ts", 0.0) + event.get("dur", 0.0)) / 1e6,
-            ))
-        elif ph == "C" and not event.get("args"):
-            problems.append(f"event {i} ({event['name']}): counter w/o args")
+    events = doc["traceEvents"]
+    if not isinstance(events, list):
+        return ["traceEvents is not a list"]
+    problems: List[str] = []
+    spans: List[SpanRef] = []
+    for i, event in enumerate(events):
+        kind = type(event)
+        if kind is SpanRef:
+            spans.append(event)
+        elif kind is _Flagged:
+            problems.extend(f"event {i}{problem}"
+                            for problem in event.problems)
+            if event.span is not None:
+                spans.append(event.span)
+        elif kind is dict:
+            problems.append(f"event {i}: unknown phase None")
+        elif event is not _CLEAN:
+            problems.append(f"event {i}: not an object ({kind.__name__})")
     problems.extend(span_forest_errors(spans))
     return problems

@@ -95,6 +95,7 @@ def report_data(telemetry: "Telemetry", top_n: int = 10) -> dict:
             "spans_recorded": len(tracer.spans),
             "timeline_samples": len(tracer.samples),
             "spans_dropped": tracer.dropped,
+            "samples_dropped": tracer.dropped_samples,
         },
     }
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import (Callable, Deque, Dict, Iterable, List, NamedTuple,
+                    Optional, Tuple, Union)
 
 Clock = Callable[[], float]
 
@@ -66,6 +67,15 @@ class Span:
         extras = " ".join(f"{k}={v}" for k, v in sorted(self.tags.items()))
         return (f"[{self.start_s:.6f}+{self.duration_s:.6f}s] {self.name} "
                 f"({self.status}) {extras}".rstrip())
+
+
+class SpanRef(NamedTuple):
+    """A span's tree links and name: all :func:`span_forest_errors` reads."""
+
+    trace_id: int
+    span_id: int
+    parent_id: Optional[int]
+    name: str
 
 
 class SpanHandle:
@@ -130,16 +140,22 @@ class TimelineSample:
 
 
 class Tracer:
-    """Span factory, open-span stack, and finished-span ring buffer."""
+    """Span factory, open-span stack, and finished-span ring buffer.
+
+    ``spans`` and ``samples`` are rings of ``max_spans`` entries each;
+    the oldest entry goes first, counted in ``dropped`` (spans) and
+    ``dropped_samples``.
+    """
 
     def __init__(self, enabled: bool = True, clock: Optional[Clock] = None,
                  max_spans: int = 100_000):
         self.enabled = enabled
         self.clock: Clock = clock or (lambda: 0.0)
         self.spans: Deque[Span] = deque()
-        self.samples: List[TimelineSample] = []
+        self.samples: Deque[TimelineSample] = deque()
         self.max_spans = max_spans
         self.dropped = 0
+        self.dropped_samples = 0
         self._stack: List[Span] = []
         self._wire: List[Optional[SpanContext]] = []
         self._ids = itertools.count(1)
@@ -223,6 +239,9 @@ class Tracer:
         if not self.enabled:
             return
         when = self.clock() if time_s is None else time_s
+        if len(self.samples) >= self.max_spans:
+            self.samples.popleft()
+            self.dropped_samples += 1
         self.samples.append(TimelineSample(name=name, track=track,
                                            time_s=when, value=value))
 
@@ -239,7 +258,7 @@ class Tracer:
         return sorted(self.spans, key=lambda s: -s.duration_s)[:n]
 
 
-def span_forest_errors(spans: List[Span]) -> List[str]:
+def span_forest_errors(spans: Iterable[Union[Span, SpanRef]]) -> List[str]:
     """Structural validation: every parent must exist in its own trace.
 
     Returns human-readable problems (empty list = every trace is a
@@ -247,7 +266,7 @@ def span_forest_errors(spans: List[Span]) -> List[str]:
     parents fell out of the ring buffer are reported — a trace you can
     no longer walk to its root is a finding, not background noise.
     """
-    by_trace: Dict[int, Dict[int, Span]] = {}
+    by_trace: Dict[int, Dict[int, Union[Span, SpanRef]]] = {}
     for span in spans:
         by_trace.setdefault(span.trace_id, {})[span.span_id] = span
     problems: List[str] = []

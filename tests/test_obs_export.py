@@ -1,15 +1,37 @@
 """Exporters, their validators, the report renderer and the CLI gate."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from repro.obs import Telemetry
+from repro.obs.__main__ import main as obs_main
 from repro.obs.export import (to_chrome_trace, to_prometheus_text,
                               validate_chrome_trace,
                               validate_prometheus_text)
 from repro.obs.report import render_report, report_data
+from repro.obs.selfcheck import run_golden_scenario
+from repro.obs.tracing import Tracer
 from repro.tables import dumps
+
+
+def _synthetic_tracer(traces: int, nodes: int, depth: int) -> Tracer:
+    """``traces`` chains of ``depth`` nested spans, each on its own node
+    of ``nodes``, so every trace uses ``depth`` of the ``nodes`` lanes."""
+    now = [0.0]
+    tracer = Tracer(clock=lambda: now[0])
+    for t in range(traces):
+        handles = []
+        for level in range(depth):
+            handles.append(tracer.span(f"layer{level}.op",
+                                       node=f"n{(t + level) % nodes}",
+                                       verb="GS_wake"))
+            now[0] += 1e-6
+        for handle in reversed(handles):
+            now[0] += 1e-6
+            tracer.finish(handle)
+    return tracer
 
 
 def _populated_hub():
@@ -102,21 +124,128 @@ class TestChromeTraceExport:
         assert {"user", "ctrl"} <= set(thread_names)
 
     def test_validator_catches_regressions(self):
+        def problems(*events):
+            return validate_chrome_trace(json.dumps({"traceEvents": events}))
+
+        def span(**fields):
+            event = {"name": "a", "ph": "X", "pid": 1, "ts": 0, "dur": 1.0,
+                     "args": {"span_id": 5}}
+            event.update(fields)
+            return event
+
         assert validate_chrome_trace("{nope") == [
             "not valid JSON: Expecting property name enclosed in double "
             "quotes: line 1 column 2 (char 2)",
         ] or validate_chrome_trace("{nope")[0].startswith("not valid JSON")
         assert validate_chrome_trace('{"x": 1}') == ["missing traceEvents key"]
-        broken = json.dumps({"traceEvents": [
-            {"name": "a", "ph": "X", "pid": 1, "dur": 1.0, "args": {}},
-        ]})
-        assert any("no span_id" in p for p in validate_chrome_trace(broken))
-        dangling = json.dumps({"traceEvents": [
-            {"name": "a", "ph": "X", "pid": 1, "ts": 0, "dur": 1.0,
-             "args": {"span_id": 5, "parent_id": 99}},
-        ]})
+        assert problems(span()) == []
+        # The six structural checks.
+        assert problems({"name": "a", "ph": "Q", "pid": 1}) == [
+            "event 0: unknown phase 'Q'"]
+        assert problems({"name": "a", "pid": 1}) == [
+            "event 0: unknown phase None"]
+        assert problems({"ph": "M", "pid": 1}) == [
+            "event 0: missing name/pid"]
+        assert problems(span(dur=-1.0)) == [
+            "event 0 (a): missing/negative dur"]
+        no_dur = span()
+        del no_dur["dur"]
+        assert problems(no_dur) == ["event 0 (a): missing/negative dur"]
+        assert problems(span(args={})) == ["event 0 (a): no span_id"]
+        assert problems({"name": "c", "ph": "C", "pid": 0, "args": {}}) == [
+            "event 0 (c): counter w/o args"]
         assert any("dangling parent" in p
-                   for p in validate_chrome_trace(dangling))
+                   for p in problems(span(args={"span_id": 5,
+                                                "parent_id": 99})))
+        assert any("2 roots" in p for p in problems(
+            span(), span(args={"span_id": 6})))
+        # Malformed documents are problems too, never an exception or
+        # a clean bill.
+        assert problems(1, span()) == ["event 0: not an object (int)"]
+        assert problems(span(dur="x")) == [
+            "event 0 (a): non-numeric dur 'x'"]
+        assert validate_chrome_trace('{"traceEvents": {}}') == [
+            "traceEvents is not a list"]
+        assert problems(span(pid=[1])) == [
+            "event 0 (a): non-integer pid/span_id/parent_id"]
+
+    def test_metadata_names_exactly_the_used_lanes(self):
+        tracer = _synthetic_tracer(traces=40, nodes=10, depth=3)
+        events = json.loads(to_chrome_trace(tracer))["traceEvents"]
+        used = {(e["pid"], e["tid"]) for e in events if e["ph"] == "X"}
+        named = [(e["pid"], e["tid"]) for e in events if e["ph"] == "M"]
+        assert named[0] == (0, 0)
+        assert len(named) == len(set(named))  # each lane named once
+        assert set(named) == used | {(0, 0)}
+        # ... and before its first span.
+        seen = set()
+        for e in events:
+            if e["ph"] == "M":
+                seen.add((e["pid"], e["tid"]))
+            elif e["ph"] == "X":
+                assert (e["pid"], e["tid"]) in seen
+
+    def test_events_match_spans_and_samples_field_by_field(self):
+        tracer = _synthetic_tracer(traces=20, nodes=4, depth=3)
+        with tracer.span("orphan.op") as handle:  # no node tag
+            handle.span.status = "error"
+        tracer.sample("rack_power_watts", 420.0, track="HP", time_s=60.0)
+        tracer.sample("rack_power_watts", 380.5, track="HP", time_s=120.0)
+        events = json.loads(to_chrome_trace(tracer))["traceEvents"]
+        lane_names = {(e["pid"], e["tid"]): e["args"]["name"]
+                      for e in events if e["ph"] == "M"}
+        complete = [e for e in events if e["ph"] == "X"]
+        assert len(complete) == len(tracer.spans)
+        for event, span in zip(complete, tracer.spans):
+            args = dict(span.tags, span_id=span.span_id)
+            if span.parent_id is not None:
+                args["parent_id"] = span.parent_id
+            if span.status != "ok":
+                args["status"] = span.status
+            tid = event.pop("tid")
+            assert event == {
+                "name": span.name, "cat": span.name.split(".")[0],
+                "ph": "X", "ts": span.start_s * 1e6,
+                "dur": span.duration_s * 1e6, "pid": span.trace_id,
+                "args": args,
+            }
+            assert lane_names[span.trace_id, tid] == span.tags.get("node",
+                                                                   "?")
+        assert [e for e in events if e["ph"] == "C"] == [
+            {"name": s.name, "cat": "timeline", "ph": "C",
+             "ts": s.time_s * 1e6, "pid": 0, "tid": 0,
+             "args": {s.track: s.value}} for s in tracer.samples]
+
+    def test_golden_exports_are_byte_identical(self, tmp_path, capsys):
+        # One export streamed to a file by the CLI, one joined in memory,
+        # each from its own run of the golden scenario.
+        path = tmp_path / "trace.json"
+        assert obs_main(["--perfetto", str(path)]) == 0
+        capsys.readouterr()
+        tel = run_golden_scenario().telemetry
+        text = to_chrome_trace(tel.tracer, tel.registry)
+        assert path.read_text(encoding="utf-8") == text
+        lines = text.splitlines()
+        assert len(lines) == len(json.loads(text)["traceEvents"]) + 2
+
+    def test_export_and_validation_memory_is_bounded_by_the_text(self):
+        tracer = _synthetic_tracer(traces=5_000, nodes=10, depth=4)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            text = to_chrome_trace(tracer)
+            export_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            assert validate_chrome_trace(text) == []
+            validate_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert export_peak + validate_peak <= 4 * len(text)
 
 
 class TestReport:
@@ -186,6 +315,7 @@ class TestReport:
         assert data["verbs"][0]["p50_s"] is not None
         assert data["sz_residency"]["hosts_in_sz"] == 2
         assert data["registry"]["timeline_samples"] == 1
+        assert data["registry"]["samples_dropped"] == 0
         text = dumps(data)
         assert json.loads(text)["enabled"] is True
         assert text.endswith("\n")

@@ -82,7 +82,7 @@ class TestTracerModes:
             handle.set_tag("k", "v")
         tracer.sample("power", 40.0)
         assert tracer.finished() == []
-        assert tracer.samples == []
+        assert list(tracer.samples) == []
         assert tracer.current_context() is None
 
     def test_ring_buffer_bounds_finished_spans(self):
@@ -102,6 +102,14 @@ class TestTracerModes:
         assert [(s.time_s, s.value) for s in tracer.samples] == [
             (3600.0, 120.0), (5.0, 90.0),
         ]
+
+    def test_sample_ring_evicts_oldest_first_and_counts(self):
+        tracer = Tracer(max_spans=3)
+        for i in range(5):
+            tracer.sample("power", float(i), time_s=float(i))
+        assert [s.value for s in tracer.samples] == [2.0, 3.0, 4.0]
+        assert tracer.dropped_samples == 2
+        assert tracer.dropped == 0  # spans only
 
     def test_trace_and_slowest_queries(self):
         tracer = Tracer()
