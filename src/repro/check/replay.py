@@ -129,11 +129,16 @@ class TraceReplayer:
         if match is None:
             raise ValueError(f"unparseable trace step {name!r}")
         kind, a, b = match.group(1), match.group(2), match.group(3)
-        handler = getattr(self, "_do_" + kind, None)
+        # ``dup_<verb>`` runs the ``<verb>`` step with a wire duplicate.
+        verb = kind[len("dup_"):] if kind.startswith("dup_") else None
+        handler = getattr(self, "_do_" + (verb or kind), None)
         if handler is None:
             raise ValueError(f"trace step {name!r} has no concrete mapping")
         args = [x for x in (a, b) if x is not None]
-        handler(*args)
+        if verb is None:
+            handler(*args)
+        else:
+            self._dup_step(verb, handler, *args)
 
     # -- step handlers (one per model action kind) -------------------------
     def _do_GS_goto_zombie(self, host: str) -> None:
@@ -221,34 +226,6 @@ class TraceReplayer:
             # Drop the scripted fault if a defended refusal happened
             # before the verb ever crossed the wire.
             injector.clear("*", "*")
-
-    def _do_dup_GS_goto_zombie(self, host: str) -> None:
-        self._dup_step("GS_goto_zombie", self._do_GS_goto_zombie, host)
-
-    def _do_dup_GS_wake(self, host: str) -> None:
-        self._dup_step("GS_wake", self._do_GS_wake, host)
-
-    def _do_dup_GS_reclaim(self, host: str) -> None:
-        self._dup_step("GS_reclaim", self._do_GS_reclaim, host)
-
-    def _do_dup_GS_alloc_ext(self, user: str) -> None:
-        self._dup_step("GS_alloc_ext", self._do_GS_alloc_ext, user)
-
-    def _do_dup_GS_alloc_swap(self, user: str) -> None:
-        self._dup_step("GS_alloc_swap", self._do_GS_alloc_swap, user)
-
-    def _do_dup_GS_release(self, user: str) -> None:
-        self._dup_step("GS_release", self._do_GS_release, user)
-
-    def _do_dup_GS_transfer(self, src: str, dst: str) -> None:
-        self._dup_step("GS_transfer", self._do_GS_transfer, src, dst)
-
-    def _do_dup_GS_report_failure(self, failed: str) -> None:
-        self._dup_step("GS_report_failure", self._do_GS_report_failure,
-                       failed)
-
-    def _do_dup_AS_resync(self, host: str) -> None:
-        self._dup_step("AS_resync", self._do_AS_resync, host)
 
     # -- read-only probes: no concrete side effect worth modelling ---------
     def _do_GS_get_lru_zombie(self) -> None:

@@ -464,6 +464,11 @@ class GlobalMemoryController:
             chosen = self._pick_free(user, nb)
         if len(chosen) < nb and not best_effort:
             chosen += self._revoke_swap_from_users(user, nb - len(chosen))
+            # The US_reclaim round trips are yield points: an interleaved
+            # handler may have granted or removed a chosen buffer
+            # meanwhile.  Keep only those still free (ZL010).
+            chosen = [b for b in chosen if b.buffer_id in self.db
+                      and not self.db.get(b.buffer_id).allocated]
         if len(chosen) < nb and not best_effort:
             raise AllocationError(
                 f"cannot satisfy guaranteed allocation of {nb} buffers for "
@@ -544,6 +549,13 @@ class GlobalMemoryController:
         self._revoke(victims)
         freed = []
         for descriptor in victims:
+            # The revocations above are yield points: the victim's user
+            # may have released it meanwhile.  Unassign only what that
+            # user still holds (ZL010).
+            if (descriptor.buffer_id not in self.db
+                    or self.db.get(descriptor.buffer_id).user
+                    != descriptor.user):
+                continue
             freed.append(self.db.unassign(descriptor.buffer_id))
         return freed
 

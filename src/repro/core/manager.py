@@ -373,11 +373,16 @@ class RemoteMemoryManager:
                 self.extend_swap(store, shortfall)
             except RpcError:  # zl: ignore[ZL005] store re-queued below; the next repair pass retries
                 # Controller unreachable right now; pages stay on the
-                # local mirror and the next repair pass tries again.
-                self._stores_needing_repair.append(store)
+                # local mirror and the next repair pass tries again.  The
+                # GS_alloc_swap round trip is a yield point: a revocation
+                # served meanwhile may have queued the store already, so
+                # re-queue it only if it is not (ZL010).
+                if store not in self._stores_needing_repair:
+                    self._stores_needing_repair.append(store)
                 continue
             restored += store.restore_fallbacks()
-            if store.fallback_count:
+            if (store.fallback_count
+                    and store not in self._stores_needing_repair):
                 self._stores_needing_repair.append(store)
         return restored
 

@@ -47,9 +47,10 @@ class Method(str, enum.Enum):
     caller, so the tuple IS part of the wire contract — callers decide
     retry/abort/fence from it, and ZomFlow's ZL011 pass verifies every
     raise site against it (``docs/FLOWCHECK.md``).  The
-    transport-retryable family (``rdma.rpc.is_retryable``) and
-    ``FencingError`` are implicitly allowed on every verb and never
-    listed.
+    transport-retryable family (``rdma.rpc.is_retryable``),
+    ``FencingError`` and ``ConfigurationError`` (a misconfigured
+    component, which no caller branches on) are implicitly allowed on
+    every verb and never listed.
     """
 
     def __new__(cls, verb: str, idempotency: str, errors: tuple = ()):
@@ -64,38 +65,43 @@ class Method(str, enum.Enum):
         member.errors = tuple(errors)
         return member
 
-    GS_GOTO_ZOMBIE = ("GS_goto_zombie", "dedup_required", ())
-    GS_RECLAIM = ("GS_reclaim", "dedup_required", ())
-    GS_ALLOC_EXT = ("GS_alloc_ext", "dedup_required", ("AllocationError",))
-    GS_ALLOC_SWAP = ("GS_alloc_swap", "dedup_required", ("AllocationError",))
+    GS_GOTO_ZOMBIE = ("GS_goto_zombie", "dedup_required",
+                      ("BufferError_", "ControllerError"))
+    GS_RECLAIM = ("GS_reclaim", "dedup_required",
+                  ("BufferError_", "ControllerError"))
+    GS_ALLOC_EXT = ("GS_alloc_ext", "dedup_required",
+                    ("AllocationError", "BufferError_", "ControllerError"))
+    GS_ALLOC_SWAP = ("GS_alloc_swap", "dedup_required",
+                     ("AllocationError", "BufferError_", "ControllerError"))
     GS_GET_LRU_ZOMBIE = ("GS_get_lru_zombie", "read_only", ())
     # user returns buffers it no longer needs
-    GS_RELEASE = ("GS_release", "dedup_required", ())
+    GS_RELEASE = ("GS_release", "dedup_required",
+                  ("BufferError_", "ControllerError"))
     # migration: move buffer ownership
-    GS_TRANSFER = ("GS_transfer", "dedup_required", ("BufferError_",))
+    GS_TRANSFER = ("GS_transfer", "dedup_required",
+                   ("BufferError_", "ControllerError"))
     # zombie became active again
-    GS_WAKE = ("GS_wake", "idempotent", ())
+    GS_WAKE = ("GS_wake", "idempotent", ("BufferError_",))
     US_RECLAIM = ("US_reclaim", "idempotent", ("BufferError_",))
     # serving host died: drop its leases
     US_INVALIDATE = ("US_invalidate", "idempotent", ())
     AS_GET_FREE_MEM = ("AS_get_free_mem", "dedup_required",
-                       ("AllocationError",))
+                       ("AllocationError", "OutOfFramesError"))
     # healed lender drops stale lent state
-    AS_RESYNC = ("AS_resync", "idempotent", ())
+    AS_RESYNC = ("AS_resync", "idempotent", ("PageTableError",))
     # user reports a dead server
-    GS_REPORT_FAILURE = ("GS_report_failure", "idempotent", ())
+    GS_REPORT_FAILURE = ("GS_report_failure", "idempotent",
+                         ("BufferError_",))
     # controller → secondary replication
-    MIRROR_OP = ("mirror_op", "dedup_required", ())
+    MIRROR_OP = ("mirror_op", "dedup_required",
+                 ("BufferError_", "ControllerError"))
     HEARTBEAT = ("heartbeat", "read_only", ())
     # Cross-rack federation verbs (ZomFed): served by a rack's controller
     # on behalf of another rack's gateway when its zombie pool runs dry.
-    # ConfigurationError covers metric-registry conflicts surfacing
-    # through the lending audit trail (same escape the GS verbs carry
-    # as baselined ZL011 debt; the FED verbs declare it honestly).
     FED_BORROW = ("FED_borrow", "dedup_required",
-                  ("AllocationError", "BufferError_", "ConfigurationError"))
+                  ("AllocationError", "BufferError_"))
     FED_RETURN = ("FED_return", "dedup_required",
-                  ("ControllerError", "BufferError_", "ConfigurationError"))
+                  ("ControllerError", "BufferError_"))
 
 
 class BufferKind(str, enum.Enum):

@@ -27,7 +27,7 @@ a :class:`HostRecoveryStats` incident for benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.controller import GlobalMemoryController
 from repro.core.events import EventKind
@@ -124,16 +124,17 @@ class RecoveryCoordinator:
         view = self._probe_view(controller)
         for host in sorted(controller.known_hosts):
             alive = self._probe(host, view)
-            if host in self.lost_hosts:
+            # The miss bookkeeping comes first and the resync of a healed
+            # host (a round trip) last, so no write follows it (ZL010).
+            if host not in self.lost_hosts:
                 if alive:
-                    self.declare_host_recovered(host)
-                continue
-            if alive:
-                self._misses[host] = 0
-                continue
-            self._misses[host] = self._misses.get(host, 0) + 1
-            if self._misses[host] >= self.miss_threshold:
-                self.declare_host_lost(host)
+                    self._misses[host] = 0
+                    continue
+                self._misses[host] = self._misses.get(host, 0) + 1
+                if self._misses[host] >= self.miss_threshold:
+                    self.declare_host_lost(host)
+            elif alive:
+                self.declare_host_recovered(host)
         self._flush_pending_resyncs()
         self._flush_pending_invalidates()
 
@@ -226,6 +227,7 @@ class RecoveryCoordinator:
                 stats.user_buffers_lost.values())
             stats.max_user_buffers_lost = max(
                 stats.user_buffers_lost.values(), default=0)
+            unreached: List[Tuple[str, List[int]]] = []
             for user, ids in sorted(per_user.items()):
                 try:
                     fallbacks = controller._agent_call(
@@ -240,9 +242,7 @@ class RecoveryCoordinator:
                     raise  # we were deposed mid-recovery: abort loudly
                 except (RpcError, ControllerError):  # zl: ignore[ZL005] counted in notify_failures; HOST_LOST reports it
                     stats.notify_failures += 1
-                    owed = self._pending_invalidate.setdefault(
-                        user, {}).setdefault(host, [])
-                    owed.extend(x for x in ids if x not in owed)
+                    unreached.append((user, ids))
             for descriptor in descriptors:
                 # The US_invalidate round trips above are yield points:
                 # an interleaved handler (a release, another recovery) may
@@ -254,6 +254,16 @@ class RecoveryCoordinator:
             if host in controller.zombie_hosts:
                 controller.db.zombie_remove(host)
             controller._pump_mirror()
+            # Every round trip above is a yield point: a recovery of the
+            # same host that ran meanwhile has already opened the incident
+            # and queued its own owed invalidations.  Re-read before the
+            # first recovery-state write, so there is one incident (ZL010).
+            if host in self.lost_hosts:
+                return None
+            for user, ids in unreached:
+                owed = self._pending_invalidate.setdefault(user, {})
+                kept = owed.get(host, [])
+                owed[host] = kept + [x for x in ids if x not in kept]
             self.lost_hosts.add(host)
             self._misses[host] = 0
             self._pending_resync[host] = [d.buffer_id for d in descriptors]
@@ -357,9 +367,7 @@ class RecoveryCoordinator:
             if (node is None or not node.cpu_alive
                     or not fabric.is_reachable(user)):
                 continue
-            owed = self._pending_invalidate[user]
-            for host in sorted(owed):
-                ids = owed[host]
+            for host, ids in sorted(self._pending_invalidate[user].items()):
                 try:
                     fallbacks = controller._agent_call(
                         user, Method.US_INVALIDATE, host, ids
@@ -373,9 +381,17 @@ class RecoveryCoordinator:
                     buffers=len(ids), fallback_pages=fallbacks,
                     deferred=True,
                 )
-                del owed[host]
-            if not owed:
-                del self._pending_invalidate[user]
+                # The US_invalidate round trip is a yield point: a
+                # recovery that ran meanwhile may owe this user fresh ids.
+                # Drop only what this call delivered (ZL010).
+                owed = self._pending_invalidate.get(user, {})
+                remaining = [x for x in owed.get(host, ()) if x not in ids]
+                if remaining:
+                    owed[host] = remaining
+                else:
+                    owed.pop(host, None)
+                if not owed:
+                    self._pending_invalidate.pop(user, None)
 
     # -- introspection -----------------------------------------------------
     def stats_for(self, host: str) -> List[HostRecoveryStats]:

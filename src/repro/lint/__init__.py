@@ -3,11 +3,11 @@
 Generic linters cannot see the invariants this reproduction lives by —
 simulated time must come from :class:`~repro.sim.engine.Engine`, randomness
 from :class:`~repro.sim.rng.DeterministicRng`, every protocol verb must be
-dispatchable, documented and honest about what it raises, shared rack state
-must survive an RPC yield point, and every physical quantity must keep its
-unit.  ZomLint makes those invariants mechanical.  One run reads and parses
-each file once (:mod:`repro.lint.engine`); the per-file and project-wide
-rules walk those trees, and the whole-program passes share one call graph
+honest about what it raises, shared rack state must survive an RPC yield
+point, and every physical quantity must keep its unit.  ZomLint makes those
+invariants mechanical.  One run reads and parses each file once
+(:mod:`repro.lint.engine`); the per-file and project-wide rules walk those
+trees, and the whole-program passes share one call graph
 (:mod:`repro.lint.callgraph`), built only when one of them is selected:
 
 =================  =============================================  ==========
@@ -15,7 +15,7 @@ rules              implemented in                                 scope
 =================  =============================================  ==========
 ZL001 ZL002        :mod:`repro.lint.rules`                        per file
 ZL004 ZL005        :mod:`repro.lint.rules`                        per file
-ZL003 ZL007        :mod:`repro.lint.rules`                        project
+ZL007              :mod:`repro.lint.rules`                        project
 ZL009              :mod:`repro.lint.purity`                       call graph
 ZL010              :mod:`repro.lint.atomicity`                    call graph
 ZL011              :mod:`repro.lint.contracts`                    call graph
@@ -23,17 +23,16 @@ ZL012 ZL013 ZL014  :mod:`repro.lint.dimensions`                   call graph
 =================  =============================================  ==========
 
 What each rule flags is :data:`~repro.lint.rules.RULE_DESCRIPTIONS`
-(``python -m repro.lint --list-rules``).  ZL006 and ZL008 are retired
-(their rules compared copies of a verb's facts that now live only on its
-``Method`` row) and are not reused; ZL000 marks a file that cannot be read
-or parsed.
+(``python -m repro.lint --list-rules``).  ZL003, ZL006 and ZL008 are
+retired (they checked facts of a verb that its ``Method`` row and
+``tests/test_verb_table.py`` now hold) and are not reused; ZL000 marks a
+file that cannot be read or parsed.
 
 Every finding meets the same line-scoped suppression (``# zl:
 ignore[ZLxxx]`` on the flagged line, ideally followed by a short
-justification) and the same fingerprint ratchet against the checked-in
-``flow_baseline.json`` (:mod:`repro.lint.baseline`).  Run ``python -m
-repro.lint src``: exit 0 when clean or fully baselined, 1 on any finding
-not in the baseline, 2 on a usage error.  See ``docs/FLOWCHECK.md``.
+justification), and there is no other exception list.  Run ``python -m
+repro.lint src``: exit 0 when every finding is suppressed, 1 on any other
+finding, 2 on a usage error.  See ``docs/FLOWCHECK.md``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ from repro.lint.engine import (Finding, Text, apply_suppressions,
                                load_sources, parse_sources)
 from repro.lint.purity import check_purity
 from repro.lint.rules import (ALL_RULES, PER_FILE_RULES, RULE_DESCRIPTIONS,
-                              WHOLE_PROGRAM_RULES, check_file, check_project)
+                              WHOLE_PROGRAM_RULES,
+                              check_audit_metric_registrations, check_file)
 
 __all__ = ["ALL_RULES", "Finding", "RULE_DESCRIPTIONS", "check_sources",
            "load_sources"]
@@ -68,7 +68,8 @@ def check_sources(sources: Mapping[Path, Text],
     if enabled & PER_FILE_RULES:
         for path, tree in trees.items():
             findings.extend(check_file(tree, str(path), enabled))
-    findings.extend(check_project(trees, enabled))
+    if "ZL007" in enabled:
+        findings.extend(check_audit_metric_registrations(trees))
     if enabled & WHOLE_PROGRAM_RULES:
         graph = build_graph(trees)
         if "ZL009" in enabled:

@@ -15,9 +15,9 @@ return annotations, and bare function references passed as callbacks
 Resolution is deliberately an over-approximation where it must be (an
 unresolvable attribute call falls back to a unique-name match, excluding
 a blocklist of ubiquitous method names) and an under-approximation where
-guessing would flood the passes with junk edges.  Both choices are safe
-for a ratcheted analyzer: extra edges surface as baseline debt, missing
-edges as burn-down opportunities, never as silent test breakage.
+guessing would flood the passes with junk edges.  An extra edge surfaces
+as a finding to fix or suppress with a reason, a missing one as a blind
+spot the injected-defect tests guard, never as silent test breakage.
 """
 
 from __future__ import annotations

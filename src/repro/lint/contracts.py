@@ -11,9 +11,12 @@ that contract explicit and checks it interprocedurally:
   class names its verb may raise (a declared base class covers its
   subtree);
 - the transport-retryable family (``is_retryable``: ``RpcTimeoutError``
-  plus ``RdmaError`` descendants outside the ``RpcError`` subtree) and
-  ``FencingError`` are implicitly allowed on every verb — they belong to
-  the transport/fencing planes, not to any one verb;
+  plus ``RdmaError`` descendants outside the ``RpcError`` subtree),
+  ``FencingError`` and ``ConfigurationError`` are implicitly allowed on
+  every verb — they belong to the transport, fencing and configuration
+  planes, not to any one verb (a ``ConfigurationError`` marks a
+  misconfigured component, such as a bad metric name or a negative
+  increment, and no caller branches on it);
 - an *escaped-exception* summary is computed for every function by
   fixpoint over the call graph, with ``try/except`` subtraction that
   understands the ``errors.py`` class hierarchy;
@@ -34,7 +37,7 @@ from repro.lint.rules import protocol_rows
 
 #: Exception families allowed to cross every verb boundary regardless of
 #: the per-verb declaration (see module docstring).
-IMPLICITLY_ALLOWED_ROOTS = ("FencingError",)
+IMPLICITLY_ALLOWED_ROOTS = ("FencingError", "ConfigurationError")
 
 
 class ErrorHierarchy:

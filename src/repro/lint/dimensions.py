@@ -33,9 +33,8 @@ when *both* sides have a known dimension, so unannotated code stays
 silent rather than noisy.  Where correct code is unprovable, add a seed
 annotation here (or rename to the convention) instead of suppressing.
 
-Findings carry line-free fingerprints and ratchet against
-``flow_baseline.json`` like every other ZomLint rule.  See
-``docs/FLOWCHECK.md``.
+Like every other ZomLint rule, any unsuppressed finding fails the run.
+See ``docs/FLOWCHECK.md``.
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """ZomLint's shared substrate: findings, the loader, suppressions, names.
 
 A *finding* is one rule violation anchored to a file and line, plus a
-line-free *fingerprint* — the identity the baseline ratchet keys on, so
-unrelated edits moving a finding a few lines never churn the baseline.
+line-free *fingerprint* — its identity, so a test can name a finding
+without pinning the line an unrelated edit would move.
 
 Every file of a run is read by :func:`load_sources` and parsed by
 :func:`parse_sources` exactly once; every rule reads those trees.  A file
@@ -38,8 +38,8 @@ class Finding:
     path: str        # file the violation lives in
     line: int        # 1-based line number
     message: str
-    #: Stable, line-free identity for the baseline ratchet.  Rules that
-    #: leave it empty get ``rule:module:message``.
+    #: Stable, line-free identity.  Rules that leave it empty get
+    #: ``rule:module:message``.
     fingerprint: str = ""
 
     def __post_init__(self) -> None:

@@ -1,11 +1,10 @@
 """The rule catalogue and the per-file and project-wide rules.
 
-Per-file rules (ZL001/ZL002/ZL004/ZL005) are plain AST walks; the
-project-wide rules cross-reference the :class:`Method` verb table in
-``core/protocol.py`` against every ``rpc.register(...)`` call in the tree
-and against ``docs/PROTOCOL.md`` (ZL003), and keep the fleet-audit
-metrics registered (ZL007).  ZL009-ZL014 are the whole-program passes
-over the call graph (:mod:`repro.lint.callgraph`).
+Per-file rules (ZL001/ZL002/ZL004/ZL005) are plain AST walks; the one
+project-wide rule keeps the fleet-audit metrics registered (ZL007).
+ZL009-ZL014 are the whole-program passes over the call graph
+(:mod:`repro.lint.callgraph`); ZL011 reads the :class:`Method` verb table
+through :func:`protocol_rows`.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.lint.engine import (Finding, collect_aliases, dotted_name,
 RULE_DESCRIPTIONS = {
     "ZL001": "wall-clock time in library code (use Engine.now)",
     "ZL002": "module-level random instead of repro.sim.rng.DeterministicRng",
-    "ZL003": "protocol verb lacks a dispatch handler or a PROTOCOL.md entry",
     "ZL004": "float ==/!= on a simulated timestamp",
     "ZL005": "RpcError swallowed without raise, return, or event emission",
     "ZL007": "fleet-audit metric no longer registered by its owning "
@@ -188,7 +186,7 @@ def check_file(tree: ast.Module, path: str,
     return visitor.findings
 
 
-# -- ZL003: protocol-verb exhaustiveness --------------------------------------
+# -- the verb table -------------------------------------------------------------
 
 class VerbRow(NamedTuple):
     """One ``Method`` member as written in ``core/protocol.py``."""
@@ -229,29 +227,6 @@ def protocol_rows(trees: Dict[Path, ast.Module]
                                 tuple(rest[0]) if rest else (),
                                 stmt.lineno))
     return path, rows
-
-
-def _registered_members(trees: Dict[Path, ast.Module]) -> set:
-    """Method member names passed to some ``*.register(Method.X.value, ...)``."""
-    registered = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            # Both `rpc.register(...)` and the local-alias pattern
-            # `register = self.rpc.register; register(...)`.
-            func_name = terminal_name(node.func)
-            if func_name != "register":
-                continue
-            for arg in node.args:
-                dotted = dotted_name(arg)
-                if dotted is None:
-                    continue
-                parts = dotted.split(".")
-                if (len(parts) >= 3 and parts[-3] == "Method"
-                        and parts[-1] == "value"):
-                    registered.add(parts[-2])
-    return registered
 
 
 #: The fleet-audit metric contract (ZL007): metric-name
@@ -312,43 +287,4 @@ def check_audit_metric_registrations(trees: Dict[Path, ast.Module]
                     "in this module; the ZomAudit dimensions that read it "
                     "would silently go unmeasurable"
                 ))
-    return findings
-
-
-def check_project(trees: Dict[Path, ast.Module],
-                  rules: AbstractSet[str]) -> List[Finding]:
-    """The enabled project-wide rules: ZL003 and ZL007."""
-    findings: List[Finding] = []
-    if "ZL007" in rules:
-        findings.extend(check_audit_metric_registrations(trees))
-    if "ZL003" not in rules:
-        return findings
-    protocol_path, rows = protocol_rows(trees)
-    if not rows:
-        return findings  # not linting a tree that carries the protocol
-    registered = _registered_members(trees)
-    # src/<pkg>/core/protocol.py → repo root is three levels up from core/.
-    root = protocol_path.parents[3] if len(protocol_path.parents) >= 4 \
-        else Path(".")
-    doc_path = root / "docs" / "PROTOCOL.md"
-    doc_text = doc_path.read_text(encoding="utf-8") if doc_path.is_file() \
-        else None
-    for member, verb, _, _, lineno in rows:
-        if member not in registered:
-            findings.append(Finding(
-                "ZL003", str(protocol_path), lineno,
-                f"verb {verb!r} has no rpc.register(Method.{member}.value, "
-                "...) dispatch handler anywhere in the tree"
-            ))
-        if doc_text is None:
-            findings.append(Finding(
-                "ZL003", str(protocol_path), lineno,
-                f"verb {verb!r} cannot be checked against docs: "
-                f"{doc_path} not found"
-            ))
-        elif verb not in doc_text:
-            findings.append(Finding(
-                "ZL003", str(protocol_path), lineno,
-                f"verb {verb!r} is not documented in docs/PROTOCOL.md"
-            ))
     return findings

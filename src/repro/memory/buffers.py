@@ -353,15 +353,23 @@ class RemotePageStore:
         return rehomed, fallbacks
 
     def _fast_verb(self, state: _LeaseState, nbytes: int, read: bool):
-        """Timing-only verb: power gating + cost model, no byte movement."""
+        """Timing-only verb: the full verb's power gating, rkey check and
+        costs (the inter-rack surcharge included), no byte movement."""
         fabric = self.node.fabric
-        target = fabric.node(state.lease.host)
+        host = state.lease.host
+        target = fabric.node(host)
         if (not target.memory_reachable
-                or not fabric.is_reachable(state.lease.host)
+                or not fabric.is_reachable(host)
                 or not fabric.is_reachable(self.node.name)):
             # Route through the full verb for the proper error message.
             self.node.rdma_read_timed(state.qp, state.lease.rkey, 0, nbytes)
+        # A lender that deregistered the MR (crash reset, AS_resync)
+        # fails the verb here as it fails the full one.
+        target.pd.lookup(state.lease.rkey)
         elapsed = fabric.costs.transfer_time(nbytes)
+        if fabric.racks:
+            elapsed += fabric.charge_cross_rack(self.node.name, host,
+                                                nbytes=nbytes)
         if read:
             fabric.stats.reads += 1
             fabric.stats.bytes_read += nbytes

@@ -4,15 +4,13 @@ Each rule gets clean and violating in-memory fixture trees, exercising
 the inference paths the single-file lint rules cannot see: name-rule
 seeds, interprocedural return summaries, conversion-constant division,
 time-domain separation and metric unit contracts — plus the suppression
-and baseline-ratchet plumbing shared with every other rule.
+plumbing shared with every other rule.
 """
 
 import ast
 from pathlib import Path
 
 from repro.lint import check_sources
-from repro.lint.baseline import (diff_against_baseline, load_baseline,
-                                 write_baseline)
 from repro.lint.callgraph import build_graph
 from repro.lint.dimensions import (check_dimensions, compatible,
                                    load_unit_tables, meet, name_dim)
@@ -314,7 +312,7 @@ class TestMetricContracts:
         assert "metric 'dc_energy_joules_total'" in findings[0].message
 
 
-# -- tables, suppression, ratchet ---------------------------------------------
+# -- tables, suppression -------------------------------------------------------
 
 class TestPlumbing:
     def test_tree_local_units_table_overrides(self):
@@ -344,23 +342,6 @@ class TestPlumbing:
         }
         assert check_sources(_sources(sources),
                              rules=["ZL012", "ZL013", "ZL014"])[0] == []
-
-    def test_baseline_ratchet_roundtrip(self, tmp_path):
-        sources = {
-            "fx/energy.py": (
-                "def mix(size_bytes, duration_s):\n"
-                "    return size_bytes + duration_s\n"
-            ),
-        }
-        findings, _ = check_sources(_sources(sources), rules=["ZL012"])
-        assert len(findings) == 1
-        baseline_path = tmp_path / "flow_baseline.json"
-        write_baseline(baseline_path, findings)
-        baseline = load_baseline(baseline_path)
-        new, baselined, burned = diff_against_baseline(findings, baseline)
-        assert new == [] and burned == []
-        assert [f.fingerprint for f in baselined] == [
-            findings[0].fingerprint]
 
     def test_fingerprint_is_line_free(self):
         base = {

@@ -4,12 +4,11 @@ Each rule gets a clean and a violating fixture tree (built as in-memory
 ``{path: source}`` dicts), including the two interprocedural shapes the
 single-file rules cannot see: a two-hop taint chain (ZL009) and a
 read-modify-write straddling an RPC yield (ZL010).  The CLI tests drive
-per-file and whole-program findings through one suppression and one
-baseline path.
+per-file and whole-program findings through one suppression path and one
+verdict.
 """
 
 import ast
-import json
 from pathlib import Path
 
 import pytest
@@ -17,8 +16,6 @@ import pytest
 from repro.lint import check_sources
 from repro.lint.__main__ import main
 from repro.lint.atomicity import check_atomicity
-from repro.lint.baseline import (diff_against_baseline, load_baseline,
-                                 write_baseline)
 from repro.lint.callgraph import build_graph
 from repro.lint.contracts import check_contracts
 from repro.lint.purity import check_purity
@@ -329,7 +326,7 @@ class TestContracts:
         assert check_contracts(_graph(sources), _trees(sources)) == []
 
 
-# -- suppressions, baseline, CLI ----------------------------------------------
+# -- suppressions, CLI ----------------------------------------------------------
 
 #: One tree for the CLI: a ZL001 outside sim context, and the two-hop
 #: ZL009 chain whose source line suppresses its own ZL001.
@@ -349,59 +346,41 @@ class TestSuppressionAndBaseline:
             "    return time.time()  # zl: ignore[ZL009] boot stamp only")
         assert _findings(sources, rules=["ZL009"]) == []
 
-    def test_baseline_ratchet_roundtrip(self, tmp_path):
-        findings = _findings(SERVICE_TWO_HOP)
-        assert findings
-        baseline_path = tmp_path / "flow_baseline.json"
-        write_baseline(baseline_path, findings)
-        baseline = load_baseline(baseline_path)
-        new, baselined, burned = diff_against_baseline(findings, baseline)
-        assert new == [] and len(baselined) == len(findings) and burned == []
-        # A fixed finding shows up as burn-down debt.
-        new, baselined, burned = diff_against_baseline([], baseline)
-        assert burned == sorted(baseline)
-        # Baseline files are deterministic JSON with stable keys.
-        data = json.loads(baseline_path.read_text())
-        assert data["version"] == 1
-        assert set(data["findings"]) == {f.fingerprint for f in findings}
-
     @staticmethod
     def _cli_tree(tmp_path):
         tree = tmp_path / "fx"
         tree.mkdir()
         for name, source in CLI_TREE.items():
             (tree / name).write_text(source)
-        return str(tree), str(tmp_path / "flow_baseline.json")
+        return str(tree)
 
     def test_cli_exit_codes(self, tmp_path, capsys):
-        tree, baseline = self._cli_tree(tmp_path)
-        # New findings of both kinds, no baseline: exit 1.
-        assert main([tree, "--baseline", baseline]) == 1
-        # Regen baselines both kinds and exits 0; the next run is clean.
-        assert main([tree, "--baseline", baseline, "--regen"]) == 0
-        assert {fp.split(":")[0] for fp in load_baseline(Path(baseline))} \
-            == {"ZL001", "ZL009"}
-        assert main([tree, "--baseline", baseline]) == 0
-        # --no-baseline ignores the ratchet again.
-        assert main([tree, "--baseline", baseline, "--no-baseline"]) == 1
+        tree = self._cli_tree(tmp_path)
+        # Findings of both kinds: exit 1, each printed.
+        assert main([tree]) == 1
+        flagged = [line for line in capsys.readouterr().out.splitlines()
+                   if ": ZL" in line]
+        assert sorted(line.split()[1] for line in flagged) \
+            == ["ZL001", "ZL009"]
         # Rule ids are case-insensitive.
-        capsys.readouterr()
-        assert main([tree, "--no-baseline", "--rule", "zl001"]) == 1
+        assert main([tree, "--rule", "zl001"]) == 1
         flagged = [line for line in capsys.readouterr().out.splitlines()
                    if ": ZL" in line]
         assert len(flagged) == 1 and "boot.py:2: ZL001" in flagged[0]
-        # Usage errors exit 2 (argparse convention).
-        with pytest.raises(SystemExit) as excinfo:
-            main([tree, "--rule", "ZL999"])
-        assert excinfo.value.code == 2
+        # Usage errors exit 2 (argparse convention); there is no baseline
+        # to read, rewrite or ignore.
+        for argv in (["--rule", "ZL999"], ["--regen"], ["--no-baseline"],
+                     ["--baseline", "flow_baseline.json"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main([tree, *argv])
+            assert excinfo.value.code == 2
 
     def test_cli_stats_lists_every_rule(self, tmp_path, capsys):
-        tree, baseline = self._cli_tree(tmp_path)
-        main([tree, "--baseline", baseline, "--stats"])
+        main([self._cli_tree(tmp_path), "--stats"])
         rows = {line.split()[0]: line.split()[1:]
                 for line in capsys.readouterr().out.splitlines()
                 if line.lstrip().startswith("ZL")}
         # One table for both rule kinds; the suppressed ZL001 counted once.
-        assert rows["ZL001"] == ["1", "1", "0", "1"]
-        assert rows["ZL009"] == ["1", "1", "0", "0"]
-        assert {"ZL003", "ZL010", "ZL011", "ZL014"} <= set(rows)
+        assert rows["ZL001"] == ["1", "1"]
+        assert rows["ZL009"] == ["1", "0"]
+        assert {"ZL010", "ZL011", "ZL014"} <= set(rows)

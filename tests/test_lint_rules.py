@@ -208,63 +208,19 @@ class TestSuppressions:
         assert [(f.rule, f.line) for f in findings] == [("ZL001", 3)]
 
 
-def _protocol_tree(tmp_path, register=True, document=True, verbs=("GS_ping",)):
-    """A minimal src/ tree carrying a Method verb table, wiring, and docs."""
+def _protocol_tree(tmp_path):
+    """A minimal src/ tree carrying a Method verb table and its wiring."""
     core = tmp_path / "src" / "repro" / "core"
     core.mkdir(parents=True)
-    members = "\n".join(
-        f'    {v.upper()} = ("{v}", "read_only", ())' for v in verbs)
     (core / "protocol.py").write_text(
         "import enum\n\n"
-        "class Method(str, enum.Enum):\n" + members + "\n")
-    if register:
-        registrations = "\n".join(
-            f"    rpc.register(Method.{v.upper()}.value, handler)"
-            for v in verbs)
-        (core / "wiring.py").write_text(
-            "from repro.core.protocol import Method\n\n"
-            "def wire(rpc, handler):\n" + registrations + "\n")
-    if document:
-        docs = tmp_path / "docs"
-        docs.mkdir()
-        (docs / "PROTOCOL.md").write_text(
-            "# protocol\n\n" + "\n".join(f"`{v}` does things." for v in verbs))
+        "class Method(str, enum.Enum):\n"
+        '    GS_PING = ("GS_ping", "read_only", ())\n')
+    (core / "wiring.py").write_text(
+        "from repro.core.protocol import Method\n\n"
+        "def wire(rpc, handler):\n"
+        "    rpc.register(Method.GS_PING.value, handler)\n")
     return tmp_path / "src"
-
-
-class TestZL003ProtocolExhaustiveness:
-    def test_registered_and_documented_verb_is_clean(self, tmp_path):
-        src = _protocol_tree(tmp_path)
-        assert _lint_tree([str(src)]) == []
-
-    def test_unregistered_verb_flagged(self, tmp_path):
-        src = _protocol_tree(tmp_path, register=False)
-        findings = _lint_tree([str(src)])
-        assert _rules(findings) == ["ZL003"]
-        assert "dispatch handler" in findings[0].message
-
-    def test_undocumented_verb_flagged(self, tmp_path):
-        src = _protocol_tree(tmp_path, verbs=("GS_ping", "GS_pong"))
-        doc = tmp_path / "docs" / "PROTOCOL.md"
-        doc.write_text(doc.read_text().replace("`GS_pong` does things.", ""))
-        findings = _lint_tree([str(src)])
-        assert _rules(findings) == ["ZL003"]
-        assert "GS_pong" in findings[0].message
-
-    def test_missing_protocol_doc_flagged(self, tmp_path):
-        src = _protocol_tree(tmp_path, document=False)
-        findings = _lint_tree([str(src)])
-        assert _rules(findings) == ["ZL003"]
-        assert "not found" in findings[0].message
-
-    def test_local_alias_registration_counts(self, tmp_path):
-        src = _protocol_tree(tmp_path, register=False)
-        (tmp_path / "src" / "repro" / "core" / "wiring.py").write_text(
-            "from repro.core.protocol import Method\n\n"
-            "def wire(rpc, handler):\n"
-            "    register = rpc.register\n"
-            "    register(Method.GS_PING.value, handler)\n")
-        assert _lint_tree([str(src)]) == []
 
 
 class TestZL007AuditMetricContract:
@@ -380,7 +336,7 @@ class TestDriver:
         energy.mkdir(parents=True)
         (energy / "__init__.py").write_text("")
         (energy / "meter.py").write_bytes(content)
-        assert main([str(tmp_path), "--no-baseline"]) == 1
+        assert main([str(tmp_path)]) == 1
         flagged = [line for line in capsys.readouterr().out.splitlines()
                    if ": ZL" in line]
         assert len(flagged) == 1
@@ -389,8 +345,8 @@ class TestDriver:
 
     def test_each_file_is_parsed_once(self, tmp_path, monkeypatch):
         # A tree that feeds every reader of a module: the per-file rules,
-        # ZL003's verb table and registrations, ZL007's contract module,
-        # the call graph, ZL011's errors.py and ZomDim's units.py.
+        # ZL007's contract module, the call graph, ZL011's verb table and
+        # errors.py, and ZomDim's units.py.
         src = _protocol_tree(tmp_path)
         repro = src / "repro"
         (repro / "errors.py").write_text(
@@ -413,24 +369,20 @@ class TestDriver:
         assert sorted(parsed) == sorted(str(p) for p in sources)
 
     def test_rule_catalogue_is_complete(self):
-        assert ALL_RULES == ("ZL001", "ZL002", "ZL003", "ZL004", "ZL005",
-                             "ZL007", "ZL009", "ZL010", "ZL011", "ZL012",
-                             "ZL013", "ZL014")
+        assert ALL_RULES == ("ZL001", "ZL002", "ZL004", "ZL005", "ZL007",
+                             "ZL009", "ZL010", "ZL011", "ZL012", "ZL013",
+                             "ZL014")
         assert all(RULE_DESCRIPTIONS[r] for r in ALL_RULES)
 
     def test_repository_source_tree_is_clean(self, real_findings):
-        # The per-file and project rules carry no debt: every finding on
-        # the tree is a baselined whole-program one.
-        assert [f for f in real_findings
-                if f.rule in ("ZL000", "ZL001", "ZL002", "ZL003", "ZL004",
-                              "ZL005", "ZL007")] == []
+        # No rule carries debt and there is no exceptions list: the
+        # tree's verdict is exactly ``python -m repro.lint src``'s.
+        assert real_findings == [], "\n".join(map(str, real_findings))
 
     def test_cli_exit_zero_on_clean_tree(self, tmp_path):
-        # The real tree's verdict is TestBaselineParity's, over the
-        # session's one analysis of it.
-        src = _protocol_tree(tmp_path)
-        assert main([str(src), "--baseline",
-                     str(tmp_path / "flow_baseline.json")]) == 0
+        # The real tree's verdict is test_repository_source_tree_is_clean's,
+        # over the session's one analysis of it.
+        assert main([str(_protocol_tree(tmp_path))]) == 0
 
     def test_cli_exit_one_on_findings(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -450,12 +402,12 @@ class TestDriver:
             "boot = time.time()  # zl: ignore[ZL001] boot stamp only\n"
             "t = time.time()\n"
         )
-        assert main([str(src), "--no-baseline", "--stats"]) == 1
+        assert main([str(src), "--stats"]) == 1
         out = capsys.readouterr().out
         stats_line = next(line for line in out.splitlines()
                           if line.lstrip().startswith("ZL001"))
-        # one surviving (new) finding, one suppressed
-        assert stats_line.split() == ["ZL001", "1", "1", "0", "1"]
+        # one surviving finding, one suppressed
+        assert stats_line.split() == ["ZL001", "1", "1"]
 
     def test_check_sources_tallies_suppressions(self):
         findings, suppressed = check_sources({Path("mod.py"): (

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.errors import BufferError_, SwapError
+from repro.errors import BufferError_, MemoryRegionError, SwapError
 from repro.memory.buffers import LOCAL_FALLBACK_S, BufferLease, RemotePageStore
-from repro.rdma.fabric import Fabric
+from repro.rdma.fabric import Fabric, InterRackLink
 from repro.units import PAGE_SIZE
 
 
@@ -161,3 +161,35 @@ class TestFastMode:
         platform.suspend(SleepState.S3)
         with pytest.raises(RdmaError):
             store.load(key)
+
+    @staticmethod
+    def _deregistered_outcome(transfer_content):
+        # The lender dropped lease 100's MR (a crash reset, or AS_resync)
+        # while the user still holds the lease.
+        fabric, store = _store(lease_pages=(2, 2),
+                               transfer_content=transfer_content)
+        stale, _ = store.store()
+        fabric.node("server").deregister_mr(store.leases()[0].rkey)
+        with pytest.raises(MemoryRegionError):
+            store.load(stale)
+        key, _ = store.store()
+        return store._locations[key], store.degraded_skips
+
+    def test_deregistered_mr_fails_both_modes_alike(self):
+        # The timing-only path once skipped the rkey lookup, so a store or
+        # load against a deregistered MR succeeded silently.
+        assert self._deregistered_outcome(False) \
+            == self._deregistered_outcome(True) == ((101, 0), 1)
+
+    @pytest.mark.parametrize("transfer_content", [True, False])
+    def test_both_modes_charge_the_inter_rack_surcharge(self,
+                                                        transfer_content):
+        fabric, store = _store(transfer_content=transfer_content)
+        fabric.set_rack("user", "rack0")
+        fabric.set_rack("server", "rack1")
+        fabric.set_inter_rack_link(InterRackLink())
+        _, elapsed = store.store()
+        assert fabric.cross_rack_bytes == PAGE_SIZE
+        assert elapsed == pytest.approx(
+            fabric.costs.transfer_time(PAGE_SIZE)
+            + InterRackLink().extra_latency_s)
