@@ -8,7 +8,14 @@ and that the rule would catch the regression.  The pristine tree carries
 no finding at all (``TestDriver.test_repository_source_tree_is_clean``).
 """
 
+from pathlib import Path
+
+import pytest
+
 from repro.lint import check_sources
+from repro.lint.__main__ import main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 GS_RECLAIM_GUARD = (
     "            if descriptor.buffer_id not in self.db:\n"
@@ -250,3 +257,25 @@ class TestUnitMutations:
             "capacity_bytes=pages_to_bytes(server.allocator.total_frames)",
             "capacity_bytes=server.allocator.total_frames")
         assert fp in _fingerprints(_patched_findings(patched, "ZL012"))
+
+
+class TestBaselineParity:
+    """The accepted-findings list is empty by construction: no baseline
+    file is checked in, the CLI takes no option to read or write one, and
+    the pristine tree has nothing such a file would have to hold."""
+
+    def test_checked_in_baseline_matches_pristine_tree(self, real_findings,
+                                                       capsys):
+        assert not (REPO_ROOT / "flow_baseline.json").exists()
+        for option in ("--baseline", "--no-baseline", "--regen"):
+            with pytest.raises(SystemExit) as exc:
+                main(["src", option])
+            assert exc.value.code == 2
+            assert option in capsys.readouterr().err
+        assert real_findings == [], "\n".join(map(str, real_findings))
+
+    def test_tree_is_dimensionally_clean(self, real_findings):
+        # ZomDim found no real unit bugs left standing: the energy model
+        # is dimension-sound.
+        assert [f for f in real_findings
+                if f.rule in ("ZL012", "ZL013", "ZL014")] == []
