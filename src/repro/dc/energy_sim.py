@@ -21,7 +21,8 @@ rule:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Sequence)
 
 from repro.dc.datacenter import DemandSlot, aggregate_demand
 from repro.energy.model import estimate_sz_fraction
@@ -140,18 +141,34 @@ class PolicyEnergyResult:
         return (1.0 - self.joules / self.baseline_joules) * 100.0
 
 
-def _slot_power(plan: SlotPlan, profile: MachineProfile) -> float:
+class _ProfilePower(NamedTuple):
+    """One profile's per-server power terms, resolved once per sweep."""
+
+    idle: float           # S0 idle fraction (Infiniband on)
+    zombie: float         # Sz fraction, equation (1)
+    suspended: float      # S3 fraction (Infiniband on)
+    max_power_watts: float
+
+    @classmethod
+    def of(cls, profile: MachineProfile) -> "_ProfilePower":
+        return cls(idle=profile.fraction(PowerConfig.S0_W_IB_ON),
+                   zombie=estimate_sz_fraction(profile),
+                   suspended=profile.fraction(PowerConfig.S3_W_IB),
+                   max_power_watts=profile.max_power_watts)
+
+
+def _slot_power(plan: SlotPlan, power: _ProfilePower) -> float:
     """Rack power (watts) for one slot's plan."""
-    idle = profile.fraction(PowerConfig.S0_W_IB_ON)
+    idle = power.idle
     f_active = idle + (1.0 - idle) * plan.utilization
     fraction = (plan.active * f_active
-                + plan.zombies * estimate_sz_fraction(profile)
+                + plan.zombies * power.zombie
                 + plan.memory_servers * MEMORY_SERVER_FRACTION
-                + plan.suspended * profile.fraction(PowerConfig.S3_W_IB))
-    return fraction * profile.max_power_watts
+                + plan.suspended * power.suspended)
+    return fraction * power.max_power_watts
 
 
-def simulate_energy(tasks: List[Task], n_servers: int,
+def simulate_energy(tasks: Sequence[Task], n_servers: int,
                     profile: MachineProfile, policy: str,
                     slot_s: float = HOUR,
                     slots: Optional[List[DemandSlot]] = None,
@@ -202,6 +219,7 @@ def simulate_energy(tasks: List[Task], n_servers: int,
             "dc_slot_power_watts", "Per-slot rack power by policy.",
             buckets=(10.0, 100.0, 1e3, 1e4, 1e5, 1e6),
             policy=policy, profile=profile.name)
+    power = _ProfilePower.of(profile)
     joules = 0.0
     baseline_joules = 0.0
     active_sum = 0.0
@@ -220,7 +238,7 @@ def simulate_energy(tasks: List[Task], n_servers: int,
     fed_borrows = 0
     for slot in slots:
         plan = plan_fn(slot, n_servers)
-        watts = _slot_power(plan, profile)
+        watts = _slot_power(plan, power)
         joules += watts_x_seconds(watts, slot.duration_s)
         if fleet is not None:
             # The scale model's cross-rack surcharge, re-scaled to the
@@ -232,7 +250,7 @@ def simulate_energy(tasks: List[Task], n_servers: int,
             cross_rack_joules += surcharge
             fed_borrows += deltas["borrows"]
         baseline = plan_baseline(slot, n_servers)
-        baseline_joules += watts_x_seconds(_slot_power(baseline, profile),
+        baseline_joules += watts_x_seconds(_slot_power(baseline, power),
                                            slot.duration_s)
         active_sum += plan.active
         zombie_sum += plan.zombies
@@ -306,7 +324,7 @@ def simulate_energy(tasks: List[Task], n_servers: int,
     return result
 
 
-def energy_saving_comparison(tasks: List[Task], n_servers: int,
+def energy_saving_comparison(tasks: Sequence[Task], n_servers: int,
                              profiles: Iterable[MachineProfile],
                              policies: Iterable[str] = ("Neat", "Oasis",
                                                         "ZombieStack"),

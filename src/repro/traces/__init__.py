@@ -6,16 +6,18 @@ those are multi-hundred-GB and proprietary-hosted, so
 statistical shape (job/task structure, booked vs. used resources, low
 average utilization, diurnal swing), and
 :mod:`~repro.traces.transform` builds the paper's second trace set where
-memory demand is twice the CPU demand.
+memory demand is twice the CPU demand.  A generated or loaded trace is a
+columnar :class:`~repro.traces.schema.Trace` whose rows are
+:class:`~repro.traces.schema.Task` records.
 """
 
-from repro.traces.schema import Task, TraceConfig
+from repro.traces.schema import Task, Trace, TraceConfig
 from repro.traces.google import generate_trace, trace_to_csv, trace_from_csv
 from repro.traces.transform import double_memory_demand, scale_demand
 from repro.traces.stats import TraceStats, compute_stats, summarize
 
 __all__ = [
-    "Task", "TraceConfig", "generate_trace", "trace_to_csv",
+    "Task", "Trace", "TraceConfig", "generate_trace", "trace_to_csv",
     "trace_from_csv", "double_memory_demand", "scale_demand",
     "TraceStats", "compute_stats", "summarize",
 ]

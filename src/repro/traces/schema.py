@@ -4,12 +4,21 @@ A *job* is a set of *tasks*; each task runs in a container (treated as a VM
 by the paper).  Resource figures are normalized to the capacity of one
 server (the Google convention): a task with ``cpu_request=0.25`` books a
 quarter of a server's CPU.
+
+A :class:`Task` is one row.  A whole trace is a :class:`Trace`: the same
+eight fields stored as ``array`` columns, which is what the generator,
+the transforms and demand aggregation work on.  A ``Trace`` is still a
+sequence of ``Task`` rows to any caller that indexes or iterates it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+import math
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from operator import eq, lt
+from typing import Iterable, Iterator, List, Tuple, Union
 
 from repro.errors import TraceFormatError
 
@@ -28,11 +37,21 @@ class Task:
     mem_usage: float        # average actual memory use, fraction of one server
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.start_s) and math.isfinite(self.end_s)):
+            raise TraceFormatError(
+                f"task {self.job_id}/{self.task_index}: non-finite time "
+                f"start_s={self.start_s} end_s={self.end_s}"
+            )
+        if self.start_s < 0.0:
+            raise TraceFormatError(
+                f"task {self.job_id}/{self.task_index}: "
+                f"start_s={self.start_s} before time 0"
+            )
         if self.end_s <= self.start_s:
             raise TraceFormatError(
                 f"task {self.job_id}/{self.task_index}: end before start"
             )
-        for field in ("cpu_request", "mem_request", "cpu_usage", "mem_usage"):
+        for field in _FRACTIONS:
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
                 raise TraceFormatError(
@@ -51,6 +70,98 @@ class Task:
 
     def active_at(self, t: float) -> bool:
         return self.start_s <= t < self.end_s
+
+
+#: Task's fields in declaration order: the CSV header and Trace's columns.
+FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(Task))
+#: The four resource fields, each a fraction of one server in [0, 1].
+_FRACTIONS = FIELDS[4:]
+#: ``array`` typecode per column: two integer ids, six doubles.
+TYPECODES = ("q", "q") + ("d",) * 6
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Trace(Sequence[Task]):
+    """An immutable trace stored as one ``array`` column per Task field.
+
+    Indexing gives a :class:`Task`, slicing a ``Trace``, iteration yields
+    ``Task`` rows, and ``==`` compares with a ``Trace`` or a list of tasks.
+    A column passed in as an ``array`` of the right typecode is kept, not
+    copied, so transforms share the columns they do not change; treat
+    the columns as read-only.
+    """
+
+    job_id: array
+    task_index: array
+    start_s: array
+    end_s: array
+    cpu_request: array
+    mem_request: array
+    cpu_usage: array
+    mem_usage: array
+
+    def __post_init__(self) -> None:
+        for name, typecode in zip(FIELDS, TYPECODES):
+            column = getattr(self, name)
+            if not (isinstance(column, array)
+                    and column.typecode == typecode):
+                object.__setattr__(self, name, array(typecode, column))
+        if len({len(column) for column in self.columns}) > 1:
+            raise TraceFormatError("trace columns differ in length")
+        if self.job_id and not self._valid():
+            # Name the first bad row exactly as Task would.
+            for row in zip(*self.columns):
+                Task(*row)
+
+    def _valid(self) -> bool:
+        """Every row passes Task's checks; NaN fails every comparison."""
+        start, end = self.start_s, self.end_s
+        if not (min(start) >= 0.0 and max(end) < math.inf
+                and all(map(lt, start, end))):
+            return False
+        for name in _FRACTIONS:
+            column = getattr(self, name)
+            if not (min(column) >= 0.0 and max(column) <= 1.0
+                    and not math.isnan(sum(column))):
+                return False
+        return True
+
+    @classmethod
+    def from_tasks(cls, tasks: Iterable[Task]) -> "Trace":
+        """The columns of ``tasks``; a ``Trace`` is returned as is."""
+        if isinstance(tasks, Trace):
+            return tasks
+        rows = list(tasks)
+        return cls(*([getattr(task, name) for task in rows]
+                     for name in FIELDS))
+
+    @property
+    def columns(self) -> Tuple[array, ...]:
+        """The eight columns, in :data:`FIELDS` order."""
+        return (self.job_id, self.task_index, self.start_s, self.end_s,
+                self.cpu_request, self.mem_request, self.cpu_usage,
+                self.mem_usage)
+
+    def __len__(self) -> int:
+        return len(self.job_id)
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[Task, "Trace"]:
+        if isinstance(index, slice):
+            return Trace(*(column[index] for column in self.columns))
+        return Task(*(column[index] for column in self.columns))
+
+    def __iter__(self) -> Iterator[Task]:
+        return map(Task, *self.columns)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Trace):
+            return self.columns == other.columns
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"Trace({len(self)} tasks)"
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,11 @@ trace (generated or loaded from CSV) before burning simulation time on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from operator import mul, sub
+from typing import Sequence
 
 from repro.errors import TraceFormatError
-from repro.traces.schema import Task
+from repro.traces.schema import Task, Trace
 from repro.units import DAY, HOUR
 
 
@@ -52,34 +53,37 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     return sorted_values[index]
 
 
-def compute_stats(tasks: List[Task]) -> TraceStats:
-    """Compute :class:`TraceStats` for ``tasks``."""
+def compute_stats(tasks: Sequence[Task]) -> TraceStats:
+    """Compute :class:`TraceStats` for ``tasks``, reading its columns."""
     if not tasks:
         raise TraceFormatError("cannot compute statistics of an empty trace")
-    horizon = max(task.end_s for task in tasks)
-    cpu_b = sum(t.cpu_request * t.duration_s for t in tasks) / horizon
-    mem_b = sum(t.mem_request * t.duration_s for t in tasks) / horizon
-    cpu_u = sum(t.cpu_usage * t.duration_s for t in tasks) / horizon
-    mem_u = sum(t.mem_usage * t.duration_s for t in tasks) / horizon
-    durations = sorted(task.duration_s for task in tasks)
-    idle = sum(1 for task in tasks if task.idle) / len(tasks)
+    trace = Trace.from_tasks(tasks)
+    starts, ends, cpu_req = trace.start_s, trace.end_s, trace.cpu_request
+    horizon = max(ends)
+    durations = list(map(sub, ends, starts))
+    cpu_b = sum(map(mul, cpu_req, durations)) / horizon
+    mem_b = sum(map(mul, trace.mem_request, durations)) / horizon
+    cpu_u = sum(map(mul, trace.cpu_usage, durations)) / horizon
+    mem_u = sum(map(mul, trace.mem_usage, durations)) / horizon
+    durations.sort()
+    idle = sum(usage < 0.01 for usage in trace.cpu_usage) / len(trace)
 
     # Diurnal swing: booked CPU per hour-of-day bucket, weighted by overlap.
     buckets = [0.0] * 24
-    for task in tasks:
-        first = int(task.start_s // HOUR)
-        last = int((task.end_s - 1e-9) // HOUR)
+    for start_s, end_s, cpu in zip(starts, ends, cpu_req):
+        first = int(start_s // HOUR)
+        last = int((end_s - 1e-9) // HOUR)
         for hour_index in range(first, last + 1):
             start = hour_index * HOUR
-            overlap = min(task.end_s, start + HOUR) - max(task.start_s, start)
+            overlap = min(end_s, start + HOUR) - max(start_s, start)
             if overlap > 0:
-                buckets[hour_index % 24] += task.cpu_request * overlap
+                buckets[hour_index % 24] += cpu * overlap
     peak, trough = max(buckets), min(buckets)
     swing = peak / trough if trough > 0 else float("inf")
 
     return TraceStats(
-        tasks=len(tasks),
-        jobs=len({task.job_id for task in tasks}),
+        tasks=len(trace),
+        jobs=len(set(trace.job_id)),
         horizon_s=horizon,
         mean_cpu_booked=cpu_b,
         mean_mem_booked=mem_b,
@@ -92,7 +96,7 @@ def compute_stats(tasks: List[Task]) -> TraceStats:
     )
 
 
-def summarize(tasks: List[Task]) -> str:
+def summarize(tasks: Sequence[Task]) -> str:
     """Human-readable one-screen summary."""
     stats = compute_stats(tasks)
     lines = [

@@ -91,6 +91,23 @@ class TestPlans:
         plan = plan_neat(self._slot(cpu_b=500.0), 100)
         assert plan.active == 100
 
+    def test_slot_power_is_the_per_profile_formula_bit_for_bit(self):
+        from repro.dc.energy_sim import _ProfilePower, _slot_power
+        from repro.energy.model import estimate_sz_fraction
+        from repro.energy.profiles import PowerConfig
+        for profile in (HP_PROFILE, DELL_PROFILE):
+            power = _ProfilePower.of(profile)
+            for plan_fn in POLICIES.values():
+                plan = plan_fn(self._slot(), 100)
+                idle = profile.fraction(PowerConfig.S0_W_IB_ON)
+                fraction = (
+                    plan.active * (idle + (1.0 - idle) * plan.utilization)
+                    + plan.zombies * estimate_sz_fraction(profile)
+                    + plan.memory_servers * 0.40
+                    + plan.suspended * profile.fraction(PowerConfig.S3_W_IB))
+                assert (_slot_power(plan, power)
+                        == fraction * profile.max_power_watts)
+
 
 class TestEnergySimulation:
     @pytest.fixture(scope="class")
