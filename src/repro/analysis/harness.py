@@ -37,7 +37,7 @@ class RamExtHarness:
 
     def __init__(self, vm_pages: int, local_fraction: float,
                  policy: str = "Mixed", buff_pages: int = 256,
-                 transfer_content: bool = False, **policy_kwargs):
+                 **policy_kwargs):
         if not 0.0 < local_fraction <= 1.0:
             raise ConfigurationError(
                 f"local_fraction out of (0,1]: {local_fraction}"
@@ -50,9 +50,6 @@ class RamExtHarness:
             policy=policy, **policy_kwargs
         )
         self.hypervisor = self.rack.server("user").hypervisor
-        store = self.hypervisor.store_for("bench-vm")
-        if store is not None:
-            store.transfer_content = transfer_content
 
     def run(self, stream, compute_s: float) -> WorkloadResult:
         hv, vm = self.hypervisor, self.vm
@@ -78,8 +75,7 @@ class ExplicitSdHarness:
 
     def __init__(self, vm_pages: int, local_fraction: float,
                  device: str = "remote-ram", policy: str = "Clock",
-                 buff_pages: int = 256, transfer_content: bool = False,
-                 **vm_kwargs):
+                 buff_pages: int = 256, **vm_kwargs):
         if not 0.0 < local_fraction <= 1.0:
             raise ConfigurationError(
                 f"local_fraction out of (0,1]: {local_fraction}"
@@ -92,8 +88,7 @@ class ExplicitSdHarness:
             self.rack = _rack_for(vm_pages, buff_pages)
             self.rack.make_zombie("zombie")
             manager = self.rack.server("user").manager
-            store, granted = manager.request_swap(swap_pages * PAGE_SIZE)
-            store.transfer_content = transfer_content
+            store, _ = manager.request_swap(swap_pages * PAGE_SIZE)
             swap: SwapDevice = RemoteRamSwap(store)
         elif device == "local-ssd":
             swap = SsdSwap(swap_pages)

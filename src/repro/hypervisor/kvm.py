@@ -64,7 +64,6 @@ class Hypervisor:
     """
 
     def __init__(self, host: str, allocator: FrameAllocator,
-                 content_mode: bool = False,
                  prefetch_window: int = 0,
                  telemetry=None):
         self.host = host
@@ -90,13 +89,12 @@ class Hypervisor:
         #: one batched transfer (0 = off, the paper's configuration).
         self.prefetch_window = prefetch_window
         self._last_fill: Dict[str, int] = {}
-        #: With ``content_mode`` on, guest page contents are tracked and
-        #: round-tripped byte-for-byte through the remote store (slower;
-        #: used by integrity tests and demos).
-        self.content_mode = content_mode
         self.vms: Dict[str, Vm] = {}
         self._stores: Dict[str, Optional[RemotePageStore]] = {}
         self._stats: Dict[str, AccessStats] = {}
+        #: Per VM, the bytes :meth:`write_page` gave each page.  Only these
+        #: pages move bytes through the remote store; every other page is
+        #: a zero page that pays the verbs and copies nothing.
         self._contents: Dict[str, Dict[int, bytes]] = {}
 
     # -- VM lifecycle ---------------------------------------------------
@@ -155,8 +153,8 @@ class Hypervisor:
 
         Returns ``(vm, store, stats, contents)``; the page table keeps its
         entries (resident entries lose their frames — the destination
-        re-backs them after the hot-page copy), and ``contents`` is the
-        content-mode page map (empty when content tracking is off).
+        re-backs them after the hot-page copy), and ``contents`` maps the
+        pages :meth:`write_page` gave bytes to theirs.
         """
         vm = self.vms.pop(name, None)
         if vm is None:
@@ -227,20 +225,17 @@ class Hypervisor:
         return cost
 
     def write_page(self, vm: Vm, ppn: int, data: bytes) -> float:
-        """Content-mode write: store ``data`` as the page's content.
+        """Give the page bytes: from now on it round-trips ``data``
+        through the remote store and every fill is checked against it.
 
-        Requires ``content_mode``; faults the page in first if needed.
+        Faults the page in first if needed.
         """
-        if not self.content_mode:
-            raise HypervisorError(f"{self.host}: content_mode is off")
         cost = self.access(vm, ppn, write=True)
         self._contents[vm.name][ppn] = bytes(data)
         return cost
 
     def read_page(self, vm: Vm, ppn: int) -> bytes:
-        """Content-mode read: the page's current content (faults it in)."""
-        if not self.content_mode:
-            raise HypervisorError(f"{self.host}: content_mode is off")
+        """The bytes :meth:`write_page` gave the page (faults it in)."""
         self.access(vm, ppn)
         return self._contents[vm.name].get(ppn, b"")
 
@@ -263,15 +258,12 @@ class Hypervisor:
             stats.remote_fills += 1
             if self._tel is not None:
                 self._m_remote_fills.inc()
-            if self.content_mode:
-                expected = self._contents[vm.name].get(ppn)
-                if expected is not None and store.transfer_content:
-                    got = data[:len(expected)]
-                    if got != expected:
-                        raise HypervisorError(
-                            f"VM {vm.name!r} ppn {ppn}: remote fill "
-                            "returned corrupted content"
-                        )
+            expected = self._contents[vm.name].get(ppn)
+            if expected is not None and data[:len(expected)] != expected:
+                raise HypervisorError(
+                    f"VM {vm.name!r} ppn {ppn}: remote fill "
+                    "returned corrupted content"
+                )
         else:
             stats.demand_allocs += 1
 
@@ -334,9 +326,7 @@ class Hypervisor:
         victim = vm.policy.select_victim(vm.table)
         spent_cycles = vm.policy.cycles_total - before
         stats.policy_cycles += spent_cycles
-        payload = None
-        if self.content_mode:
-            payload = self._contents[vm.name].get(victim)
+        payload = self._contents[vm.name].get(victim)
         try:
             handle, elapsed = store.store(payload)
         except SwapError:

@@ -47,7 +47,6 @@ class SplitDriverSwap(SwapDevice):
         self._keys: Dict[Hashable, int] = {}
         self.grow_requests = 0
         self.grow_granted_bytes = 0
-        self.local_pages = 0  # pages currently on the slow local path
 
     # -- capacity management ------------------------------------------------
     def _ensure_slot(self) -> bool:
@@ -72,7 +71,6 @@ class SplitDriverSwap(SwapDevice):
             page_key, elapsed = self.store.store(data)
         else:
             page_key, elapsed = self.store.store_fallback(data)
-            self.local_pages += 1
         self._keys[key] = page_key
         return elapsed
 
@@ -81,10 +79,7 @@ class SplitDriverSwap(SwapDevice):
         return data, elapsed
 
     def _discard(self, key: Hashable) -> None:
-        page_key = self._keys.pop(key)
-        if self.store._locations.get(page_key) == ("local", 0):
-            self.local_pages = max(0, self.local_pages - 1)
-        self.store.free(page_key)
+        self.store.free(self._keys.pop(key))
 
     # -- operations the paper describes ----------------------------------
     def repair(self) -> int:
@@ -92,12 +87,10 @@ class SplitDriverSwap(SwapDevice):
         if self.store.fallback_count == 0:
             return 0
         self._ensure_slot()
-        restored = self.store.restore_fallbacks()
-        self.local_pages = max(0, self.local_pages - restored)
-        return restored
+        return self.store.restore_fallbacks()
 
     def remote_fraction(self) -> float:
         """Share of swapped pages currently served from remote memory."""
         if not self._keys:
             return 1.0
-        return 1.0 - self.local_pages / len(self._keys)
+        return 1.0 - self.store.fallback_count / len(self._keys)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import BufferError_, RdmaError, SwapError
 from repro.rdma.fabric import RdmaNode
@@ -26,6 +26,9 @@ from repro.units import MICROSECOND, PAGE_SIZE, pages_to_bytes
 #: Latency of serving a page from the local-storage backup (the slow path
 #: used after a reclaim left no remote slot for the page).  SSD-class.
 LOCAL_FALLBACK_S = 150 * MICROSECOND
+
+#: What every zero page loads back as: one shared constant, never a copy.
+ZERO_PAGE = bytes(PAGE_SIZE)
 
 #: Internal location marker for pages living on the local backup.
 _LOCAL = ("local", 0)
@@ -62,29 +65,30 @@ class RemotePageStore:
     """Page-granular storage across a set of leased remote buffers.
 
     The store fills leases in the order they were added (the controller
-    already ordered them zombie-first), allocates slots within a lease
-    lowest-first, and moves real bytes with one-sided verbs so content
-    round-trips are honest.  Every write is mirrored to the local backup,
-    which is what makes lease revocation safe.
+    already ordered them zombie-first) and allocates slots within a lease
+    lowest-first.  Whether bytes move is a property of the page: a page
+    stored with bytes round-trips them through the MR with one-sided verbs
+    and is mirrored to the local backup, which is what makes lease
+    revocation safe; a zero page (``store(None)``) pays the same verb but
+    copies and mirrors nothing.
     """
 
-    def __init__(self, node: RdmaNode, transfer_content: bool = True):
+    def __init__(self, node: RdmaNode):
         self.node = node
-        #: With ``transfer_content=False`` the store skips the byte-level MR
-        #: transfers and only simulates timing + slot bookkeeping — the fast
-        #: mode large experiment sweeps use.  Power-state gating still
-        #: applies either way.
-        self.transfer_content = transfer_content
         self._leases: Dict[int, _LeaseState] = {}
         self._order: List[int] = []          # allocation preference order
         self._locations: Dict[int, SlotHandle] = {}   # key -> slot or _LOCAL
-        self._backup: Dict[int, bytes] = {}  # the async local-storage mirror
+        #: The async local-storage mirror, holding exactly the pages that
+        #: have bytes; a key missing here is a zero page.
+        self._backup: Dict[int, bytes] = {}
         self._keys = itertools.count(1)
         self.pages_stored = 0
         self.pages_loaded = 0
         self.local_fallback_loads = 0
         self.local_fallback_stores = 0
         self.degraded_skips = 0
+        #: Pages currently served from the local backup.
+        self.fallback_count = 0
         self.time_spent_s = 0.0
         self._fallback_gauge = None
         self._op_counters: Dict[str, object] = {}
@@ -115,7 +119,9 @@ class RemotePageStore:
         if counter is not None:
             counter.inc(amount)
 
-    def _sync_fallback_gauge(self) -> None:
+    def _add_fallbacks(self, delta: int) -> None:
+        """Pages entered (``delta > 0``) or left the local backup."""
+        self.fallback_count += delta
         if self._fallback_gauge is not None:
             self._fallback_gauge.set(self.fallback_count)
 
@@ -134,25 +140,23 @@ class RemotePageStore:
         falling back to the local-storage backup otherwise.  Returns the
         number of pages that had to fall back.
         """
-        state = self._leases.pop(buffer_id, None)
-        if state is None:
+        if buffer_id not in self._leases:
             raise BufferError_(f"unknown buffer lease {buffer_id}")
-        self._order.remove(buffer_id)
-        self.node.pd.destroy_qp(state.qp.qp_num)
-        fallbacks = 0
-        for slot, key in sorted(state.used_slots.items()):
-            data = self._backup.get(key, bytes(PAGE_SIZE))
-            placed = self._place(data, key=key)
-            if placed is None:
-                self._locations[key] = _LOCAL
-                fallbacks += 1
-                self._count_op("orphaned")
-            else:
-                self._locations[key] = placed[0]
-                self.time_spent_s += placed[1]
-                self._count_op("rehomed")
-        self._sync_fallback_gauge()
-        return fallbacks
+        return self._rehome(self._drop_leases([buffer_id]))[1]
+
+    def drop_host(self, host: str) -> Tuple[int, int]:
+        """Drop every lease served by ``host`` and re-home their pages.
+
+        The controller's ``US_invalidate`` path: the serving host is dead,
+        so all of its leases go at once (re-homing must never target
+        another buffer on the same dead host).  Page content comes from
+        the local-storage mirror, lands on surviving leases when they have
+        room, and stays on the local backup otherwise.  Returns
+        ``(pages_rehomed, pages_fallback)``.
+        """
+        return self._rehome(self._drop_leases(
+            [bid for bid in self._order
+             if self._leases[bid].lease.host == host]))
 
     def rebind(self, node: RdmaNode) -> None:
         """Move this store to another fabric node (VM migration).
@@ -190,7 +194,11 @@ class RemotePageStore:
 
     # -- page operations ----------------------------------------------------
     def store(self, data: Optional[bytes] = None) -> Tuple[int, float]:
-        """Write one page; returns ``(stable key, seconds)``."""
+        """Write one page; returns ``(stable key, seconds)``.
+
+        ``data=None`` stores a zero page: it pays the full ``PAGE_SIZE``
+        verb but moves, scans and mirrors no bytes.
+        """
         payload = self._page_payload(data)
         key = next(self._keys)
         placed = self._place(payload, key=key)
@@ -198,8 +206,8 @@ class RemotePageStore:
             raise SwapError("remote page store exhausted (no free slots)")
         handle, elapsed = placed
         self._locations[key] = handle
-        if self.transfer_content and payload.count(0) != len(payload):
-            self._backup[key] = payload  # mirror non-zero pages only
+        if payload is not None:
+            self._backup[key] = payload
         self.pages_stored += 1
         self.time_spent_s += elapsed
         return key, elapsed
@@ -214,19 +222,14 @@ class RemotePageStore:
         payload = self._page_payload(data)
         key = next(self._keys)
         self._locations[key] = _LOCAL
-        if payload.count(0) != len(payload):
+        if payload is not None:
             self._backup[key] = payload
         self.pages_stored += 1
         self.local_fallback_stores += 1
         self._count_op("fallback_store")
-        self._sync_fallback_gauge()
+        self._add_fallbacks(1)
         self.time_spent_s += LOCAL_FALLBACK_S
         return key, LOCAL_FALLBACK_S
-
-    @property
-    def fallback_count(self) -> int:
-        """Pages currently served from the local backup."""
-        return sum(1 for loc in self._locations.values() if loc == _LOCAL)
 
     def restore_fallbacks(self) -> int:
         """Move local-fallback pages back into free remote slots.
@@ -238,35 +241,42 @@ class RemotePageStore:
         for key, location in list(self._locations.items()):
             if location != _LOCAL:
                 continue
-            data = self._backup.get(key, self._ZERO_PAGE)
-            placed = self._place(data, key=key)
+            placed = self._place(self._backup.get(key), key=key)
             if placed is None:
                 break  # still no room; remaining pages stay local
             self._locations[key] = placed[0]
             self.time_spent_s += placed[1]
             restored += 1
         self._count_op("rehomed", restored)
-        self._sync_fallback_gauge()
+        self._add_fallbacks(-restored)
         return restored
 
     def load(self, key: int) -> Tuple[bytes, float]:
-        """Read one page back; returns ``(data, seconds)``."""
+        """Read one page back; returns ``(data, seconds)``.
+
+        A zero page comes back as :data:`ZERO_PAGE` after paying the
+        verb; a page with bytes is read out of the MR.
+        """
         handle = self._location(key)
+        payload = self._backup.get(key)
         if handle == _LOCAL:
-            data = self._backup.get(key, bytes(PAGE_SIZE))
+            data = ZERO_PAGE if payload is None else payload
             elapsed = LOCAL_FALLBACK_S
             self.local_fallback_loads += 1
             self._count_op("fallback_load")
         else:
             buffer_id, slot = handle
             state = self._leases[buffer_id]
-            if self.transfer_content:
+            if payload is None:
+                data = ZERO_PAGE
+                _, elapsed = self.node.verb(state.qp, state.lease.rkey,
+                                            pages_to_bytes(slot), PAGE_SIZE,
+                                            write=False)
+            else:
                 data, elapsed = self.node.rdma_read_timed(
                     state.qp, state.lease.rkey, pages_to_bytes(slot),
                     PAGE_SIZE
                 )
-            else:
-                data, elapsed = self._fast_verb(state, PAGE_SIZE, read=True)
         self.pages_loaded += 1
         self.time_spent_s += elapsed
         return data, elapsed
@@ -274,19 +284,20 @@ class RemotePageStore:
     def free(self, key: int) -> None:
         """Release a stored page (and its backup copy)."""
         handle = self._location(key)
-        if handle != _LOCAL:
+        if handle == _LOCAL:
+            self._add_fallbacks(-1)
+        else:
             buffer_id, slot = handle
             state = self._leases[buffer_id]
             del state.used_slots[slot]
             state.free_slots.append(slot)
         del self._locations[key]
         self._backup.pop(key, None)
-        if handle == _LOCAL:
-            self._sync_fallback_gauge()
 
     # -- helpers ---------------------------------------------------------
-    def _place(self, payload: bytes, key: int):
-        """Write ``payload`` for ``key`` into the first free slot.
+    def _place(self, payload: Optional[bytes], key: int):
+        """Write ``payload`` (None: a zero page) for ``key`` into the
+        first free slot.
 
         Degraded-mode allocation order: a lease whose serving host is
         unreachable (crashed/partitioned, but not yet invalidated by the
@@ -301,14 +312,14 @@ class RemotePageStore:
                 continue
             slot = state.free_slots.pop()
             try:
-                if self.transfer_content:
+                if payload is None:
+                    _, elapsed = self.node.verb(
+                        state.qp, state.lease.rkey, pages_to_bytes(slot),
+                        PAGE_SIZE, write=True)
+                else:
                     elapsed = self.node.rdma_write_timed(
                         state.qp, state.lease.rkey, pages_to_bytes(slot),
-                        payload
-                    )
-                else:
-                    _, elapsed = self._fast_verb(state, len(payload),
-                                                 read=False)
+                        payload)
             except RdmaError:
                 state.free_slots.append(slot)
                 self.degraded_skips += 1
@@ -318,28 +329,22 @@ class RemotePageStore:
             return (buffer_id, slot), elapsed
         return None
 
-    def drop_host(self, host: str) -> Tuple[int, int]:
-        """Drop every lease served by ``host`` and re-home their pages.
-
-        The controller's ``US_invalidate`` path: the serving host is dead,
-        so all of its leases go at once (re-homing must never target
-        another buffer on the same dead host).  Page content comes from
-        the local-storage mirror, lands on surviving leases when they have
-        room, and stays on the local backup otherwise.  Returns
-        ``(pages_rehomed, pages_fallback)``.
-        """
-        doomed = [bid for bid in self._order
-                  if self._leases[bid].lease.host == host]
+    def _drop_leases(self, buffer_ids: List[int]) -> List[int]:
+        """Forget ``buffer_ids``; returns their page keys, slot order."""
         stranded: List[int] = []
-        for buffer_id in doomed:
+        for buffer_id in buffer_ids:
             state = self._leases.pop(buffer_id)
             self._order.remove(buffer_id)
             self.node.pd.destroy_qp(state.qp.qp_num)
             stranded.extend(key for _, key in sorted(state.used_slots.items()))
+        return stranded
+
+    def _rehome(self, keys: Iterable[int]) -> Tuple[int, int]:
+        """Place each key from its mirror, or leave it on the local
+        backup; returns ``(pages_rehomed, pages_fallback)``."""
         rehomed = fallbacks = 0
-        for key in stranded:
-            data = self._backup.get(key, self._ZERO_PAGE)
-            placed = self._place(data, key=key)
+        for key in keys:
+            placed = self._place(self._backup.get(key), key=key)
             if placed is None:
                 self._locations[key] = _LOCAL
                 fallbacks += 1
@@ -349,35 +354,8 @@ class RemotePageStore:
                 rehomed += 1
         self._count_op("rehomed", rehomed)
         self._count_op("orphaned", fallbacks)
-        self._sync_fallback_gauge()
+        self._add_fallbacks(fallbacks)
         return rehomed, fallbacks
-
-    def _fast_verb(self, state: _LeaseState, nbytes: int, read: bool):
-        """Timing-only verb: the full verb's power gating, rkey check and
-        costs (the inter-rack surcharge included), no byte movement."""
-        fabric = self.node.fabric
-        host = state.lease.host
-        target = fabric.node(host)
-        if (not target.memory_reachable
-                or not fabric.is_reachable(host)
-                or not fabric.is_reachable(self.node.name)):
-            # Route through the full verb for the proper error message.
-            self.node.rdma_read_timed(state.qp, state.lease.rkey, 0, nbytes)
-        # A lender that deregistered the MR (crash reset, AS_resync)
-        # fails the verb here as it fails the full one.
-        target.pd.lookup(state.lease.rkey)
-        elapsed = fabric.costs.transfer_time(nbytes)
-        if fabric.racks:
-            elapsed += fabric.charge_cross_rack(self.node.name, host,
-                                                nbytes=nbytes)
-        if read:
-            fabric.stats.reads += 1
-            fabric.stats.bytes_read += nbytes
-        else:
-            fabric.stats.writes += 1
-            fabric.stats.bytes_written += nbytes
-        fabric.stats.busy_seconds += elapsed
-        return bytes(0), elapsed
 
     def _location(self, key: int) -> SlotHandle:
         handle = self._locations.get(key)
@@ -385,12 +363,11 @@ class RemotePageStore:
             raise BufferError_(f"unknown page key {key}")
         return handle
 
-    _ZERO_PAGE = bytes(PAGE_SIZE)
-
     @staticmethod
-    def _page_payload(data: Optional[bytes]) -> bytes:
+    def _page_payload(data: Optional[bytes]) -> Optional[bytes]:
+        """``data`` padded to a page; None stays None (a zero page)."""
         if data is None:
-            return RemotePageStore._ZERO_PAGE
+            return None
         if len(data) > PAGE_SIZE:
             raise SwapError(
                 f"page payload of {len(data)} bytes exceeds PAGE_SIZE"

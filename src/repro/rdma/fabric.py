@@ -387,18 +387,8 @@ class RdmaNode:
     def rdma_read_timed(self, qp: QueuePair, rkey: int, offset: int,
                         length: int):
         """READ returning ``(payload, elapsed_seconds)``."""
-        self._pre_verb(qp)
-        target = self.fabric.node(qp.remote)
-        self._require_target_memory(target)
-        mr = target.pd.lookup(rkey)
-        payload = mr.read(offset, length)
-        elapsed = self.fabric.costs.transfer_time(length)
-        elapsed += self.fabric.charge_cross_rack(self.name, qp.remote,
-                                                 nbytes=length)
-        self._post_verb(qp, elapsed)
-        self.fabric.stats.reads += 1
-        self.fabric.stats.bytes_read += length
-        return payload, elapsed
+        mr, elapsed = self.verb(qp, rkey, offset, length, write=False)
+        return mr.read(offset, length), elapsed
 
     def rdma_write(self, qp: QueuePair, rkey: int, offset: int,
                    payload: bytes) -> None:
@@ -408,24 +398,26 @@ class RdmaNode:
     def rdma_write_timed(self, qp: QueuePair, rkey: int, offset: int,
                          payload: bytes) -> float:
         """WRITE returning the elapsed seconds."""
-        self._pre_verb(qp)
-        target = self.fabric.node(qp.remote)
-        self._require_target_memory(target)
-        mr = target.pd.lookup(rkey)
+        mr, elapsed = self.verb(qp, rkey, offset, len(payload), write=True)
         mr.write(offset, payload)
-        elapsed = self.fabric.costs.transfer_time(len(payload))
-        elapsed += self.fabric.charge_cross_rack(self.name, qp.remote,
-                                                 nbytes=len(payload))
-        self._post_verb(qp, elapsed)
-        self.fabric.stats.writes += 1
-        self.fabric.stats.bytes_written += len(payload)
         return elapsed
 
-    # -- helpers ---------------------------------------------------------
-    def _pre_verb(self, qp: QueuePair) -> None:
+    def verb(self, qp: QueuePair, rkey: int, offset: int, length: int,
+             write: bool) -> Tuple[MemoryRegion, float]:
+        """Post one one-sided READ or WRITE of ``length`` bytes.
+
+        The only place a verb is gated, costed and counted: the queue
+        pair must be in RTS and ours, both ends on the switch, the
+        initiator's CPU up, the target's NIC-to-DRAM path open and the
+        rkey's MR valid for the access.  Returns ``(mr, elapsed_seconds)``
+        and moves no bytes; the byte verbs above copy through the MR, and
+        a zero page (:class:`~repro.memory.buffers.RemotePageStore`) pays
+        the same verb without copying anything.
+        """
         qp.require_rts()
-        self.fabric.require_reachable(self.name)
-        self.fabric.require_reachable(qp.remote)
+        fabric = self.fabric
+        fabric.require_reachable(self.name)
+        fabric.require_reachable(qp.remote)
         if qp.local != self.name:
             raise RdmaError(
                 f"{self.name}: QP{qp.qp_num} belongs to {qp.local!r}"
@@ -435,8 +427,7 @@ class RdmaNode:
                 f"{self.name}: cannot post work requests while suspended "
                 "(initiator CPU required)"
             )
-
-    def _require_target_memory(self, target: "RdmaNode") -> None:
+        target = fabric.node(qp.remote)
         if not target.memory_reachable:
             state = target.platform.state if target.platform else "?"
             raise RdmaError(
@@ -444,11 +435,23 @@ class RdmaNode:
                 f"(state {state}); one-sided verbs need the Sz or S0 "
                 "NIC-to-DRAM path"
             )
-
-    def _post_verb(self, qp: QueuePair, elapsed: float) -> None:
+        mr = target.pd.lookup(rkey)
+        mr.check(offset, length, write)
+        elapsed = fabric.costs.transfer_time(length)
+        if fabric.racks:
+            elapsed += fabric.charge_cross_rack(self.name, qp.remote,
+                                                nbytes=length)
         qp.posted_sends += 1
         qp.completions += 1
-        self.fabric.stats.busy_seconds += elapsed
+        stats = fabric.stats
+        if write:
+            stats.writes += 1
+            stats.bytes_written += length
+        else:
+            stats.reads += 1
+            stats.bytes_read += length
+        stats.busy_seconds += elapsed
+        return mr, elapsed
 
 
 class Fabric:

@@ -69,7 +69,9 @@ class MemoryRegion:
         self.invalidated = True
         self._chunks.clear()
 
-    def _check(self, offset: int, length: int, need: AccessFlags) -> None:
+    def check(self, offset: int, length: int, write: bool) -> None:
+        """Refuse a remote access this MR does not allow."""
+        need = AccessFlags.REMOTE_WRITE if write else AccessFlags.REMOTE_READ
         if self.invalidated:
             raise MemoryRegionError(f"MR rkey={self.rkey:#x} was invalidated")
         if need not in self.access:
@@ -83,7 +85,7 @@ class MemoryRegion:
             )
 
     def read(self, offset: int, length: int) -> bytes:
-        self._check(offset, length, AccessFlags.REMOTE_READ)
+        self.check(offset, length, write=False)
         out = bytearray(length)
         pos = 0
         while pos < length:
@@ -97,7 +99,7 @@ class MemoryRegion:
         return bytes(out)
 
     def write(self, offset: int, payload: bytes) -> None:
-        self._check(offset, len(payload), AccessFlags.REMOTE_WRITE)
+        self.check(offset, len(payload), write=True)
         zero_payload = payload.count(0) == len(payload)
         pos = 0
         length = len(payload)

@@ -2,7 +2,7 @@
 
 :class:`MemorySanitizer.install` monkey-patches the hook points
 (:class:`~repro.memory.buffers.RemotePageStore` lease/page management,
-:class:`~repro.rdma.fabric.RdmaNode` one-sided verbs,
+:meth:`~repro.rdma.fabric.RdmaNode.verb`, the body of every one-sided verb,
 :class:`~repro.core.database.BufferDatabase.set_kind`,
 :class:`~repro.rdma.rpc.RpcServer.dispatch`,
 :class:`~repro.core.server.RackServer` construction); ``uninstall`` restores the
@@ -295,8 +295,7 @@ class MemorySanitizer:
         orig_remove_lease = RemotePageStore.remove_lease
         orig_drop_host = RemotePageStore.drop_host
         orig_free = RemotePageStore.free
-        orig_read = RdmaNode.rdma_read_timed
-        orig_write = RdmaNode.rdma_write_timed
+        orig_verb = RdmaNode.verb
         orig_set_kind = BufferDatabase.set_kind
         orig_dispatch = RpcServer.dispatch
         orig_server_init = RackServer.__init__
@@ -331,14 +330,9 @@ class MemorySanitizer:
             san._note_freed(self, key)
             return result
 
-        def rdma_read_timed(self, qp, rkey, offset, length):
-            result = orig_read(self, qp, rkey, offset, length)
-            san._check_verb(self, qp, rkey, "READ")
-            return result
-
-        def rdma_write_timed(self, qp, rkey, offset, payload):
-            result = orig_write(self, qp, rkey, offset, payload)
-            san._check_verb(self, qp, rkey, "WRITE")
+        def verb(self, qp, rkey, offset, length, write):
+            result = orig_verb(self, qp, rkey, offset, length, write)
+            san._check_verb(self, qp, rkey, "WRITE" if write else "READ")
             return result
 
         def set_kind(self, buffer_id, kind):
@@ -370,8 +364,7 @@ class MemorySanitizer:
         _patch(RemotePageStore, "remove_lease", remove_lease)
         _patch(RemotePageStore, "drop_host", drop_host)
         _patch(RemotePageStore, "free", free)
-        _patch(RdmaNode, "rdma_read_timed", rdma_read_timed)
-        _patch(RdmaNode, "rdma_write_timed", rdma_write_timed)
+        _patch(RdmaNode, "verb", verb)
         _patch(BufferDatabase, "set_kind", set_kind)
         _patch(RpcServer, "dispatch", dispatch)
         _patch(RackServer, "__init__", server_init)

@@ -14,8 +14,11 @@ from repro.analysis.experiments import (migration_comparison,
                                         swap_technology_table,
                                         sz_energy_table)
 from repro.analysis.figures import aws_memory_cpu_ratio, server_capacity_ratio
+from repro.acpi.states import SleepState
 from repro.analysis.harness import ExplicitSdHarness, RamExtHarness
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, QueuePairError, RdmaError
+from repro.memory.page_table import PageLocation
+from repro.rdma.verbs import QpState
 from repro.workloads.macro import DataCaching
 from repro.workloads.microbench import MicroBenchmark
 
@@ -50,6 +53,35 @@ class TestHarnesses:
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ConfigurationError):
             RamExtHarness(vm_pages=64, local_fraction=0.0)
+
+
+def _harness_with_remote_page():
+    """A timing-only RAM Ext harness after one pass over its VM; returns
+    the harness and a page that now lives remotely as a zero page."""
+    harness = RamExtHarness(vm_pages=300, local_fraction=0.5)
+    for ppn in range(harness.vm.spec.total_pages):
+        harness.hypervisor.access(harness.vm, ppn)
+    ppn = next(p for p in range(harness.vm.spec.total_pages)
+               if harness.vm.table.entry(p).location is PageLocation.REMOTE)
+    return harness, ppn
+
+
+class TestHarnessVerbGating:
+    """The harness's zero pages pay the full verb, refusals included."""
+
+    def test_zero_page_load_from_suspended_initiator_is_refused(self):
+        harness, ppn = _harness_with_remote_page()
+        harness.rack.server("user").platform.suspend(SleepState.S3)
+        with pytest.raises(RdmaError, match="suspended"):
+            harness.hypervisor.access(harness.vm, ppn)
+
+    def test_zero_page_load_on_a_reset_queue_pair_is_refused(self):
+        harness, ppn = _harness_with_remote_page()
+        store = harness.hypervisor.store_for("bench-vm")
+        for state in store._leases.values():
+            state.qp.modify(QpState.RESET)
+        with pytest.raises(QueuePairError):
+            harness.hypervisor.access(harness.vm, ppn)
 
 
 class TestExperimentShapes:

@@ -29,10 +29,7 @@ def _chaos_rack(stripe=True, rng_seed=0):
     for name in ZOMBIES:
         rack.make_zombie(name)
     hv = rack.server("user").hypervisor
-    hv.content_mode = True
     vm = rack.create_vm("user", VmSpec("cvm", 32 * MiB), local_fraction=0.25)
-    store = hv.store_for("cvm")
-    store.transfer_content = True
     return rack, hv, vm
 
 

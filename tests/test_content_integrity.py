@@ -1,9 +1,10 @@
 """End-to-end data integrity: page contents through demote/fill cycles.
 
-With ``content_mode`` the hypervisor ships each evicted page's real bytes
-through the registered memory regions and verifies every remote fill —
-catching any corruption in the store, the MR sparse backing, re-homing or
-migration paths.
+A page given bytes by ``write_page`` ships them through the registered
+memory regions on every eviction, and the hypervisor verifies each remote
+fill — catching any corruption in the store, the MR sparse backing,
+re-homing or migration paths.  No flag is involved: a page moves bytes
+exactly when it has some.
 """
 
 import pytest
@@ -24,11 +25,8 @@ def rack():
 
 def _content_vm(rack, host="user", pages_mib=16):
     hv = rack.server(host).hypervisor
-    hv.content_mode = True
     vm = rack.create_vm(host, VmSpec("cvm", pages_mib * MiB),
                         local_fraction=0.5)
-    store = hv.store_for("cvm")
-    store.transfer_content = True  # real byte movement
     return hv, vm
 
 
@@ -71,20 +69,10 @@ class TestContentRoundTrip:
         hv, vm = _content_vm(rack)
         for ppn in range(vm.spec.total_pages):
             hv.write_page(vm, ppn, _pattern(ppn))
-        rack.server("dst").hypervisor.content_mode = True
         rack.migrate_vm("cvm", "user", "dst")
         dst_hv = rack.server("dst").hypervisor
         for ppn in range(vm.spec.total_pages):
             assert dst_hv.read_page(vm, ppn)[:12] == _pattern(ppn)[:12]
-
-    def test_content_mode_off_rejects_api(self, rack):
-        hv = rack.server("user").hypervisor
-        vm = rack.create_vm("user", VmSpec("plain", 8 * MiB),
-                            local_fraction=1.0)
-        with pytest.raises(HypervisorError):
-            hv.write_page(vm, 0, b"x")
-        with pytest.raises(HypervisorError):
-            hv.read_page(vm, 0)
 
     def test_corruption_detected(self, rack):
         """Tampering with the remote MR is caught on the next fill."""

@@ -282,10 +282,8 @@ class TestRackFailoverEndToEnd:
         rack = Rack(["user", "z1"], memory_bytes=64 * MiB, buff_size=4 * MiB)
         rack.make_zombie("z1")
         hv = rack.server("user").hypervisor
-        hv.content_mode = True
         vm = rack.create_vm("user", VmSpec("cvm", 16 * MiB),
                             local_fraction=0.5)
-        hv.store_for("cvm").transfer_content = True
         for ppn in range(vm.spec.total_pages):
             hv.write_page(vm, ppn, b"failover-%04d" % ppn)
         return rack, hv, vm

@@ -1,18 +1,21 @@
 """The remote page store over leased buffers."""
 
+import random
+
 import pytest
 
 from repro.errors import BufferError_, MemoryRegionError, SwapError
-from repro.memory.buffers import LOCAL_FALLBACK_S, BufferLease, RemotePageStore
+from repro.memory.buffers import (_LOCAL, LOCAL_FALLBACK_S, ZERO_PAGE,
+                                  BufferLease, RemotePageStore)
 from repro.rdma.fabric import Fabric, InterRackLink
 from repro.units import PAGE_SIZE
 
 
-def _store(lease_pages=(8,), transfer_content=True):
+def _store(lease_pages=(8,)):
     fabric = Fabric()
     user = fabric.add_node("user")
     server = fabric.add_node("server")
-    store = RemotePageStore(user, transfer_content=transfer_content)
+    store = RemotePageStore(user)
     for i, n_pages in enumerate(lease_pages):
         mr = server.register_mr(n_pages * PAGE_SIZE)
         store.add_lease(BufferLease(
@@ -20,6 +23,11 @@ def _store(lease_pages=(8,), transfer_content=True):
             size_bytes=n_pages * PAGE_SIZE, zombie=True,
         ))
     return fabric, store
+
+
+#: The two kinds of page: one given bytes, and a zero page (``None``).
+PAGE_KINDS = pytest.mark.parametrize("data", [b"page-bytes", None],
+                                     ids=["bytes", "zero"])
 
 
 class TestStoreLoad:
@@ -134,17 +142,38 @@ class TestRevocation:
         assert data[:6] == b"wander"
 
 
-class TestFastMode:
-    def test_timing_only_mode_keeps_accounting(self):
-        _, store = _store(lease_pages=(4,), transfer_content=False)
-        key, elapsed = store.store(b"ignored")
-        assert elapsed > 0
-        data, _ = store.load(key)
-        assert data == bytes(0)  # no content moved
-        assert store.pages_stored == 1
-        assert store.pages_loaded == 1
+class TestPageKinds:
+    """A zero page pays exactly the verb a page with bytes pays."""
 
-    def test_fast_mode_still_power_gated(self):
+    @PAGE_KINDS
+    def test_round_trip_keeps_accounting(self, data):
+        fabric, store = _store(lease_pages=(4,))
+        key, stored_s = store.store(data)
+        loaded, loaded_s = store.load(key)
+        assert stored_s == loaded_s == fabric.costs.transfer_time(PAGE_SIZE)
+        assert (fabric.stats.reads, fabric.stats.writes) == (1, 1)
+        assert fabric.stats.bytes_read == fabric.stats.bytes_written \
+            == PAGE_SIZE
+        assert store.pages_stored == store.pages_loaded == 1
+        if data is None:
+            assert loaded is ZERO_PAGE
+        else:
+            assert loaded[:len(data)] == data and len(loaded) == PAGE_SIZE
+
+    def test_zero_page_moves_no_bytes(self):
+        fabric, store = _store(lease_pages=(1,))
+        key, _ = store.store(b"stale")
+        store.free(key)
+        # The slot keeps the old page's bytes in the MR; a zero page put
+        # there neither overwrites nor reads them, and is not mirrored.
+        key, _ = store.store()
+        mr = fabric.node("server").pd.lookup(store.leases()[0].rkey)
+        assert mr.read(0, 5) == b"stale"
+        assert store.load(key)[0] is ZERO_PAGE
+        assert store._backup == {}
+
+    @PAGE_KINDS
+    def test_power_gated(self, data):
         from repro.acpi.platform import build_platform
         from repro.acpi.states import SleepState
         from repro.errors import RdmaError
@@ -154,42 +183,86 @@ class TestFastMode:
         platform = build_platform("server", memory_bytes=1 * GiB)
         server = fabric.add_node("server", platform=platform)
         mr = server.register_mr(4 * PAGE_SIZE)
-        store = RemotePageStore(user, transfer_content=False)
+        store = RemotePageStore(user)
         store.add_lease(BufferLease(1, "server", mr.rkey,
                                     4 * PAGE_SIZE, zombie=False))
-        key, _ = store.store()
+        key, _ = store.store(data)
         platform.suspend(SleepState.S3)
         with pytest.raises(RdmaError):
             store.load(key)
 
-    @staticmethod
-    def _deregistered_outcome(transfer_content):
+    @PAGE_KINDS
+    def test_deregistered_mr_fails(self, data):
         # The lender dropped lease 100's MR (a crash reset, or AS_resync)
-        # while the user still holds the lease.
-        fabric, store = _store(lease_pages=(2, 2),
-                               transfer_content=transfer_content)
-        stale, _ = store.store()
+        # while the user still holds the lease: loads fail, and stores
+        # skip the lease.
+        fabric, store = _store(lease_pages=(2, 2))
+        stale, _ = store.store(data)
         fabric.node("server").deregister_mr(store.leases()[0].rkey)
         with pytest.raises(MemoryRegionError):
             store.load(stale)
-        key, _ = store.store()
-        return store._locations[key], store.degraded_skips
+        key, _ = store.store(data)
+        assert store._locations[key] == (101, 0)
+        assert store.degraded_skips == 1
 
-    def test_deregistered_mr_fails_both_modes_alike(self):
-        # The timing-only path once skipped the rkey lookup, so a store or
-        # load against a deregistered MR succeeded silently.
-        assert self._deregistered_outcome(False) \
-            == self._deregistered_outcome(True) == ((101, 0), 1)
-
-    @pytest.mark.parametrize("transfer_content", [True, False])
-    def test_both_modes_charge_the_inter_rack_surcharge(self,
-                                                        transfer_content):
-        fabric, store = _store(transfer_content=transfer_content)
+    @PAGE_KINDS
+    def test_charges_the_inter_rack_surcharge(self, data):
+        fabric, store = _store()
         fabric.set_rack("user", "rack0")
         fabric.set_rack("server", "rack1")
         fabric.set_inter_rack_link(InterRackLink())
-        _, elapsed = store.store()
+        _, elapsed = store.store(data)
         assert fabric.cross_rack_bytes == PAGE_SIZE
         assert elapsed == pytest.approx(
             fabric.costs.transfer_time(PAGE_SIZE)
             + InterRackLink().extra_latency_s)
+
+
+def _scanned_fallbacks(store):
+    return sum(1 for loc in store._locations.values() if loc == _LOCAL)
+
+
+class TestFallbackCount:
+    """``fallback_count`` is kept, not scanned: it must equal the scan."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_counter_matches_scan_over_random_ops(self, seed):
+        rng = random.Random(seed)
+        fabric = Fabric()
+        user = fabric.add_node("user")
+        servers = [fabric.add_node(f"s{i}") for i in range(3)]
+        store = RemotePageStore(user)
+        next_id = iter(range(1, 10_000))
+
+        def grant(server):
+            mr = server.register_mr(4 * PAGE_SIZE)
+            store.add_lease(BufferLease(next(next_id), server.name, mr.rkey,
+                                        4 * PAGE_SIZE, zombie=True))
+
+        for server in servers:
+            grant(server)
+        keys = []
+        peak = 0
+        for _ in range(300):
+            op = rng.randrange(7)
+            if op <= 1:
+                data = rng.choice([None, b"bytes"])
+                try:
+                    keys.append(store.store(data)[0])
+                except SwapError:
+                    keys.append(store.store_fallback(data)[0])
+            elif op == 2 and keys:
+                store.free(keys.pop(rng.randrange(len(keys))))
+            elif op == 3 and keys:
+                store.load(rng.choice(keys))
+            elif op == 4 and store.lease_ids():
+                store.remove_lease(rng.choice(store.lease_ids()))
+            elif op == 5 and store.lease_ids():
+                store.drop_host(rng.choice(store.leases()).host)
+            else:
+                grant(rng.choice(servers))
+                store.restore_fallbacks()
+            assert store.fallback_count == _scanned_fallbacks(store)
+            peak = max(peak, store.fallback_count)
+        assert peak > 0
+        assert store.fallback_count + store.used_slot_count == len(keys)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.acpi.platform import build_platform
 from repro.acpi.states import SleepState
+from repro.analysis.harness import RamExtHarness
 from repro.core.database import BufferDatabase
 from repro.core.protocol import BufferDescriptor, BufferKind
 from repro.errors import BufferError_, FencingError, RdmaError
@@ -106,6 +107,22 @@ class TestUseAfterReclaim:
         store.drop_host("server")
         qp = fabric.node("user").connect_qp("server")
         fabric.node("user").rdma_write_timed(qp, mr.rkey, 0, b"stale write")
+        assert USE_AFTER_RECLAIM in _kinds(san)
+
+
+    def test_zero_page_verb_on_reclaimed_buffer_is_flagged(self, san):
+        harness = RamExtHarness(vm_pages=300, local_fraction=0.5)
+        store = harness.hypervisor.store_for("bench-vm")
+        buffer_id = store.lease_ids()[0]
+        stale = store._leases[buffer_id]
+        harness.rack.server("user").manager.us_reclaim([buffer_id])
+        # The injected defect: the store keeps placing pages in the
+        # revoked lease, whose MR the lender never deregistered.
+        stale.qp = store.node.connect_qp(stale.lease.host)
+        store._leases[buffer_id] = stale
+        store._order.insert(0, buffer_id)
+        for ppn in range(harness.vm.spec.total_pages):
+            harness.hypervisor.access(harness.vm, ppn)
         assert USE_AFTER_RECLAIM in _kinds(san)
 
 

@@ -50,8 +50,6 @@ def _drive_full_protocol(rack):
     state fingerprint).
     """
     hv = rack.server("user").hypervisor
-    hv.content_mode = True
-    rack.server("active").hypervisor.content_mode = True
 
     rack.make_zombie("spare")                      # GS_goto_zombie, mirror_op
     vm1 = rack.create_vm("user", VmSpec("vm1", 128 * MiB),
@@ -62,8 +60,6 @@ def _drive_full_protocol(rack):
     rack.wake("spare", reclaim_bytes=512 * MiB)    # GS_wake, GS_reclaim,
     #                                              # US_reclaim, AS_get_free_mem
     vm2 = rack.create_vm("user", VmSpec("vm2", 64 * MiB), local_fraction=0.5)
-    store2 = hv.store_for("vm2")
-    store2.transfer_content = True
     for ppn in range(vm2.spec.total_pages):
         hv.write_page(vm2, ppn, _pattern(ppn))
     rack.migrate_vm("vm2", "user", "active")       # GS_transfer

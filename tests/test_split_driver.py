@@ -56,7 +56,7 @@ class TestLocalFallback:
         hoard, granted = manager.request_swap(1024 * MiB)
         device = _device(rack)
         device.swap_out("k", b"precious")
-        assert device.local_pages == 1
+        assert device.store.fallback_count == 1
         assert device.remote_fraction() == 0.0
         data, elapsed = device.swap_in("k")
         assert data[:8] == b"precious"
@@ -67,7 +67,7 @@ class TestLocalFallback:
         hoard, _ = manager.request_swap(1024 * MiB)
         device = _device(rack)
         device.swap_out("k", b"x")
-        assert device.local_pages == 1
+        assert device.store.fallback_count == 1
         manager.release_store(hoard)  # pool memory returns
         restored = device.repair()
         assert restored == 1
@@ -82,6 +82,21 @@ class TestLocalFallback:
         for i in range(8):
             data, _ = device.swap_in(i)
             assert data[:1] == b"v"
+
+    def test_revoked_pages_count_as_local(self, rack):
+        # A revocation pushes pages to the local backup behind the
+        # device's back; the remote share must still see them.
+        device = _device(rack)
+        for i in range(512):
+            device.swap_out(i)
+        manager = rack.server("user").manager
+        assert manager.us_reclaim(device.store.lease_ids()[:1]) == 1
+        assert device.store.fallback_count == 512
+        assert device.remote_fraction() == 0.0
+        for i in range(256):
+            device.swap_in(i)
+        assert device.remote_fraction() == 0.0
+        assert device.store.fallback_count == 256
 
 
 class TestGuestIntegration:
