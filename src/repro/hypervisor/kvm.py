@@ -14,12 +14,12 @@ can integrate execution time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
-from repro.errors import ConfigurationError, HypervisorError, SwapError
+from repro.errors import ConfigurationError, HypervisorError, ReproError
 from repro.memory.buffers import RemotePageStore
 from repro.memory.frames import FrameAllocator
-from repro.memory.page_table import PageLocation
+from repro.memory.page_table import PageLocation, PageTableEntry
 from repro.memory.replacement import make_policy
 from repro.hypervisor.vm import Vm, VmSpec, VmState
 from repro.units import MICROSECOND, NANOSECOND, PAGE_SIZE, pages
@@ -214,9 +214,9 @@ class Hypervisor:
                 entry.dirty = True
             stats.time_total_s += LOCAL_ACCESS_S
             return LOCAL_ACCESS_S
-        cost = self._handle_fault(vm, ppn, stats)
+        cost = self._handle_fault(vm, entry, stats)
         if write:
-            vm.table.entry(ppn).dirty = True
+            entry.dirty = True
         stats.time_total_s += cost
         stats.time_faults_s += cost
         if self._tel is not None:
@@ -239,51 +239,78 @@ class Hypervisor:
         self.access(vm, ppn)
         return self._contents[vm.name].get(ppn, b"")
 
-    def _handle_fault(self, vm: Vm, ppn: int, stats: AccessStats) -> float:
-        """The paper's fault handler: free a frame if needed, then fill."""
+    def _handle_fault(self, vm: Vm, entry: PageTableEntry,
+                      stats: AccessStats) -> float:
+        """The paper's fault handler: bring the page in, then verify it."""
         stats.page_faults += 1
-        cost = FAULT_BASE_S
-        store = self._stores[vm.name]
-
-        # Step 1: if the page lives remotely, fetch it and release its slot
-        # first — the freed slot guarantees the eviction below can store its
-        # victim even when the remote allocation is exactly sized.
-        entry = vm.table.entry(ppn)
-        was_remote_fill = entry.location is PageLocation.REMOTE
-        if entry.location is PageLocation.REMOTE:
-            assert store is not None
-            data, elapsed = store.load(entry.remote_slot)
-            store.free(entry.remote_slot)
-            cost += elapsed
-            stats.remote_fills += 1
-            if self._tel is not None:
-                self._m_remote_fills.inc()
-            expected = self._contents[vm.name].get(ppn)
-            if expected is not None and data[:len(expected)] != expected:
-                raise HypervisorError(
-                    f"VM {vm.name!r} ppn {ppn}: remote fill "
-                    "returned corrupted content"
-                )
-        else:
+        remote = entry.location is PageLocation.REMOTE
+        data, read_s, evict_s = self._page_in(vm, entry, stats)
+        cost = FAULT_BASE_S + read_s + evict_s
+        if not remote:
             stats.demand_allocs += 1
-
-        # Step 2: get a machine frame, evicting if the quota is exhausted.
-        if vm.local_frames_used < vm.local_frames_limit:
-            frame = self.allocator.alloc()
-            vm.local_frames_used += 1
-        else:
-            cost += self._evict_one(vm, stats)
-            frame = self.allocator.alloc()
-            vm.local_frames_used += 1
-
-        vm.table.map_local(ppn, frame)
-        vm.policy.note_resident(ppn)
-        if was_remote_fill:
-            if (self.prefetch_window
-                    and self._last_fill.get(vm.name) == ppn - 1):
-                cost += self._prefetch(vm, ppn, stats)
-            self._last_fill[vm.name] = ppn
+            return cost
+        ppn = entry.ppn
+        stats.remote_fills += 1
+        if self._tel is not None:
+            self._m_remote_fills.inc()
+        expected = self._contents[vm.name].get(ppn)
+        if expected is not None and data[:len(expected)] != expected:
+            raise HypervisorError(
+                f"VM {vm.name!r} ppn {ppn}: remote fill "
+                "returned corrupted content"
+            )
+        if self.prefetch_window and self._last_fill.get(vm.name) == ppn - 1:
+            cost += self._prefetch(vm, ppn, stats)
+        self._last_fill[vm.name] = ppn
         return cost
+
+    def _page_in(self, vm: Vm, entry: PageTableEntry, stats: AccessStats
+                 ) -> Tuple[Optional[bytes], float, float]:
+        """Map ``entry``'s page onto a frame in one pass.
+
+        Under the quota a free frame is taken.  At the quota the victim
+        is chosen first, one store exchange trades it for the page, and
+        the page takes the victim's frame: the allocator is never
+        touched.  Returns ``(bytes read or None, read seconds, eviction
+        seconds)``; a refused read puts the victim back in line.
+        """
+        store = self._stores[vm.name]
+        table = vm.table
+        policy = vm.policy
+        key = (entry.remote_slot if entry.location is PageLocation.REMOTE
+               else None)
+        if vm.local_frames_used < vm.local_frames_limit:
+            data, read_s = None, 0.0
+            if key is not None:
+                data, read_s = store.load(key)
+                store.free(key)
+            table.map_local(entry.ppn, self.allocator.alloc())
+            vm.local_frames_used += 1
+            policy.note_resident(entry.ppn)
+            return data, read_s, 0.0
+        if store is None:
+            raise HypervisorError(
+                f"VM {vm.name!r}: local quota exhausted and no remote store"
+            )
+        before = policy.cycles_total
+        victim = policy.select_victim(table)
+        spent_cycles = policy.cycles_total - before
+        try:
+            data, victim_key, read_s, write_s = store.exchange(
+                key, self._contents[vm.name].get(victim))
+        except ReproError:
+            policy.requeue(victim)
+            raise
+        stats.policy_cycles += spent_cycles
+        stats.evictions += 1
+        if self._tel is not None:
+            self._tel.registry.counter(
+                "hv_evictions_total",
+                "Victim pages demoted to the remote store.",
+                host=self.host, policy=policy.name).inc()
+        table.map_local(entry.ppn, table.demote(victim, victim_key))
+        policy.note_resident(entry.ppn)
+        return data, read_s, spent_cycles / CPU_HZ + write_s
 
     def _prefetch(self, vm: Vm, ppn: int, stats: AccessStats) -> float:
         """Sequential readahead: batch-fill the next remote pages.
@@ -291,8 +318,7 @@ class Hypervisor:
         The batch shares one wire latency, so each extra page costs only
         its bandwidth share — the win over demand faulting one by one.
         """
-        store = self._stores[vm.name]
-        costs = store.node.fabric.costs
+        costs = self._stores[vm.name].node.fabric.costs
         per_page_wire = PAGE_SIZE / costs.bandwidth_bytes_per_s
         cost = 0.0
         for next_ppn in range(ppn + 1,
@@ -301,48 +327,12 @@ class Hypervisor:
             entry = vm.table.entry(next_ppn)
             if entry.location is not PageLocation.REMOTE:
                 break
-            data, _ = store.load(entry.remote_slot)
-            store.free(entry.remote_slot)
-            if vm.local_frames_used >= vm.local_frames_limit:
-                # Readahead under memory pressure reclaims like Linux's
-                # does; the batch is bounded so the churn is too.
-                cost += self._evict_one(vm, stats)
-            frame = self.allocator.alloc()
-            vm.local_frames_used += 1
-            vm.table.map_local(next_ppn, frame)
-            vm.policy.note_resident(next_ppn)
+            # Readahead under memory pressure reclaims like Linux's does;
+            # the batch is bounded so the churn is too.
+            cost += self._page_in(vm, entry, stats)[2]
             stats.prefetches += 1
             cost += per_page_wire  # latency already paid by the batch head
         return cost
-
-    def _evict_one(self, vm: Vm, stats: AccessStats) -> float:
-        """Demote one victim page to the remote store."""
-        store = self._stores[vm.name]
-        if store is None:
-            raise HypervisorError(
-                f"VM {vm.name!r}: local quota exhausted and no remote store"
-            )
-        before = vm.policy.cycles_total
-        victim = vm.policy.select_victim(vm.table)
-        spent_cycles = vm.policy.cycles_total - before
-        stats.policy_cycles += spent_cycles
-        payload = self._contents[vm.name].get(victim)
-        try:
-            handle, elapsed = store.store(payload)
-        except SwapError:
-            # All remote slots gone (a reclaim just revoked buffers):
-            # demote to the local-storage mirror, the paper's slow path.
-            handle, elapsed = store.store_fallback(payload)
-        frame = vm.table.demote(victim, handle)
-        self.allocator.free(frame)
-        vm.local_frames_used -= 1
-        stats.evictions += 1
-        if self._tel is not None:
-            self._tel.registry.counter(
-                "hv_evictions_total",
-                "Victim pages demoted to the remote store.",
-                host=self.host, policy=vm.policy.name).inc()
-        return spent_cycles / CPU_HZ + elapsed
 
     # -- host-level views ----------------------------------------------------
     @property

@@ -67,10 +67,8 @@ class SplitDriverSwap(SwapDevice):
         return key in self._keys
 
     def _write(self, key: Hashable, data: Optional[bytes]) -> float:
-        if self._ensure_slot():
-            page_key, elapsed = self.store.store(data)
-        else:
-            page_key, elapsed = self.store.store_fallback(data)
+        self._ensure_slot()
+        _, page_key, _, elapsed = self.store.exchange(None, data)
         self._keys[key] = page_key
         return elapsed
 

@@ -67,15 +67,13 @@ class Vm:
                 f"[0, {spec.memory_bytes}]"
             )
         self.spec = spec
+        #: ``spec.name``, read on every access: a plain attribute.
+        self.name = spec.name
         self.local_frames_limit = pages(local_bytes) if local_bytes else 0
         self.policy = policy
         self.table = PageTable(spec.total_pages)
         self.state = VmState.BUILDING
         self.local_frames_used = 0
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
 
     @property
     def local_fraction(self) -> float:

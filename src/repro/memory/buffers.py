@@ -204,13 +204,7 @@ class RemotePageStore:
         placed = self._place(payload, key=key)
         if placed is None:
             raise SwapError("remote page store exhausted (no free slots)")
-        handle, elapsed = placed
-        self._locations[key] = handle
-        if payload is not None:
-            self._backup[key] = payload
-        self.pages_stored += 1
-        self.time_spent_s += elapsed
-        return key, elapsed
+        return key, self._settle(key, payload, *placed)
 
     def store_fallback(self, data: Optional[bytes] = None) -> Tuple[int, float]:
         """Store a page on the local backup (the slow path).
@@ -221,15 +215,29 @@ class RemotePageStore:
         """
         payload = self._page_payload(data)
         key = next(self._keys)
-        self._locations[key] = _LOCAL
-        if payload is not None:
-            self._backup[key] = payload
-        self.pages_stored += 1
-        self.local_fallback_stores += 1
-        self._count_op("fallback_store")
-        self._add_fallbacks(1)
-        self.time_spent_s += LOCAL_FALLBACK_S
-        return key, LOCAL_FALLBACK_S
+        return key, self._settle(key, payload, _LOCAL, LOCAL_FALLBACK_S)
+
+    def exchange(self, key: Optional[int], data: Optional[bytes] = None
+                 ) -> Tuple[Optional[bytes], int, float, float]:
+        """One fault's traffic in one call: read page ``key`` back and
+        free it, then store ``data`` (None: a zero page).
+
+        The new page takes the first free slot in lease order — the one
+        just freed when its lease comes first — and falls back to the
+        local backup when no reachable lease has room.  ``key=None``
+        only stores.  The read goes first, so a refused read leaves the
+        store as it was.  Returns ``(bytes read or None, new key, read
+        seconds, write seconds)``.
+        """
+        payload = self._page_payload(data)
+        loaded, read_s = None, 0.0
+        if key is not None:
+            loaded, read_s = self.load(key)
+            self.free(key)
+        new_key = next(self._keys)
+        placed = self._place(payload, new_key) or (_LOCAL, LOCAL_FALLBACK_S)
+        return loaded, new_key, read_s, self._settle(new_key, payload,
+                                                     *placed)
 
     def restore_fallbacks(self) -> int:
         """Move local-fallback pages back into free remote slots.
@@ -295,6 +303,20 @@ class RemotePageStore:
         self._backup.pop(key, None)
 
     # -- helpers ---------------------------------------------------------
+    def _settle(self, key: int, payload: Optional[bytes],
+                handle: SlotHandle, elapsed: float) -> float:
+        """Record a page just stored at ``handle``; returns ``elapsed``."""
+        self._locations[key] = handle
+        if payload is not None:
+            self._backup[key] = payload
+        self.pages_stored += 1
+        if handle is _LOCAL:
+            self.local_fallback_stores += 1
+            self._count_op("fallback_store")
+            self._add_fallbacks(1)
+        self.time_spent_s += elapsed
+        return elapsed
+
     def _place(self, payload: Optional[bytes], key: int):
         """Write ``payload`` (None: a zero page) for ``key`` into the
         first free slot.

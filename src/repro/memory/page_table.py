@@ -58,12 +58,14 @@ class PageTable:
 
     def entry(self, ppn: int) -> PageTableEntry:
         """The entry for ``ppn``, created lazily as UNALLOCATED."""
-        if not 0 <= ppn < self.total_pages:
-            raise PageTableError(
-                f"ppn {ppn} out of range [0, {self.total_pages})"
-            )
         entry = self._entries.get(ppn)
         if entry is None:
+            # Only in-range pages ever get an entry, so a hit needs no
+            # range check.
+            if not 0 <= ppn < self.total_pages:
+                raise PageTableError(
+                    f"ppn {ppn} out of range [0, {self.total_pages})"
+                )
             entry = PageTableEntry(ppn)
             self._entries[ppn] = entry
         return entry

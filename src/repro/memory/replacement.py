@@ -75,6 +75,11 @@ class ReplacementPolicy(abc.ABC):
         self.victims_selected += 1
         return victim
 
+    def requeue(self, ppn: int) -> None:
+        """Put back a victim whose eviction failed: it stays resident and
+        is the next candidate."""
+        self.fifo.appendleft(ppn)
+
     @property
     def mean_cycles_per_victim(self) -> float:
         if self.victims_selected == 0:

@@ -25,7 +25,7 @@ from repro.errors import ConfigurationError, RdmaError
 from repro.obs import Telemetry
 from repro.rdma.costs import RdmaCostModel
 from repro.rdma.verbs import (AccessFlags, MemoryRegion, ProtectionDomain,
-                              QueuePair)
+                              QpState, QueuePair)
 
 #: Message-fault kinds the injector understands.  ``request_loss`` drops
 #: the request before the handler sees it; ``reply_loss`` drops the
@@ -414,10 +414,12 @@ class RdmaNode:
         a zero page (:class:`~repro.memory.buffers.RemotePageStore`) pays
         the same verb without copying anything.
         """
-        qp.require_rts()
+        if qp.state is not QpState.RTS:
+            qp.require_rts()
         fabric = self.fabric
-        fabric.require_reachable(self.name)
-        fabric.require_reachable(qp.remote)
+        if fabric.partitioned:
+            fabric.require_reachable(self.name)
+            fabric.require_reachable(qp.remote)
         if qp.local != self.name:
             raise RdmaError(
                 f"{self.name}: QP{qp.qp_num} belongs to {qp.local!r}"

@@ -32,6 +32,9 @@ class AccessFlags(enum.Flag):
                 | cls.REMOTE_READ | cls.REMOTE_WRITE)
 
 
+_REMOTE_READ_BIT = AccessFlags.REMOTE_READ.value
+_REMOTE_WRITE_BIT = AccessFlags.REMOTE_WRITE.value
+
 _CHUNK = 4096  # sparse-backing granularity
 
 
@@ -71,12 +74,14 @@ class MemoryRegion:
 
     def check(self, offset: int, length: int, write: bool) -> None:
         """Refuse a remote access this MR does not allow."""
-        need = AccessFlags.REMOTE_WRITE if write else AccessFlags.REMOTE_READ
         if self.invalidated:
             raise MemoryRegionError(f"MR rkey={self.rkey:#x} was invalidated")
-        if need not in self.access:
+        # Flag membership goes through enum machinery; the raw bits
+        # answer the same question at a fraction of the cost per verb.
+        need = _REMOTE_WRITE_BIT if write else _REMOTE_READ_BIT
+        if not self.access._value_ & need:
             raise MemoryRegionError(
-                f"MR rkey={self.rkey:#x} lacks {need} permission"
+                f"MR rkey={self.rkey:#x} lacks {AccessFlags(need)} permission"
             )
         if offset < 0 or length < 0 or offset + length > self._length:
             raise MemoryRegionError(

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import (ConfigurationError, HypervisorError, VmStateError)
+from repro.errors import (ConfigurationError, HypervisorError, RdmaError,
+                          VmStateError)
 from repro.hypervisor.kvm import (FAULT_BASE_S, LOCAL_ACCESS_S, Hypervisor)
 from repro.hypervisor.vm import Vm, VmSpec, VmState
 from repro.memory.buffers import BufferLease, RemotePageStore
@@ -181,6 +182,69 @@ class TestFaultHandler:
             hv.access(vm, 2 + (rep % 30))
         assert vm.table.entry(0).present
         assert vm.table.entry(1).present
+
+
+class TestOnePassFault:
+    """At the quota a fault chooses its victim first, makes one store
+    exchange, and maps the page onto the victim's frame."""
+
+    def _full_quota(self, policy="FIFO"):
+        hv, store = _env()
+        vm = hv.create_vm(VmSpec("v", 8 * PAGE_SIZE), 4 * PAGE_SIZE,
+                          store=store, policy=policy)
+        for ppn in range(8):
+            hv.access(vm, ppn)
+        return hv, store, vm
+
+    def test_the_page_takes_the_victims_frame(self):
+        hv, _, vm = self._full_quota()
+        victim = vm.policy.fifo[0]
+        frame = vm.table.entry(victim).frame
+        free_before = hv.free_frames
+        hv.access(vm, 0)            # remote since the first pass
+        assert not vm.table.entry(victim).present
+        assert vm.table.entry(0).frame is frame
+        assert hv.free_frames == free_before
+
+    def test_one_store_call_per_fault(self, monkeypatch):
+        hv, store, vm = self._full_quota()
+        calls, depth = [], [0]
+
+        def outermost(name, method):
+            def wrapper(*args, **kwargs):
+                if not depth[0]:
+                    calls.append(name)
+                depth[0] += 1
+                try:
+                    return method(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return wrapper
+
+        for name in ("exchange", "load", "free", "store", "store_fallback"):
+            monkeypatch.setattr(store, name,
+                                outermost(name, getattr(store, name)))
+        for ppn in range(4):
+            hv.access(vm, ppn)
+        assert hv.stats("v").page_faults == 12
+        assert calls == ["exchange"] * 4
+
+    def test_a_refused_fill_keeps_the_victim_resident_and_first(self):
+        hv, store, vm = self._full_quota()
+        victim = vm.policy.fifo[0]
+        stats = hv.stats("v")
+        counts = (stats.evictions, stats.remote_fills, store.used_slot_count,
+                  hv.free_frames, vm.table.resident_pages)
+        store.node.fabric.partition("server")
+        with pytest.raises(RdmaError):
+            hv.access(vm, 0)
+        assert vm.table.entry(victim).present
+        assert vm.policy.fifo[0] == victim
+        assert (stats.evictions, stats.remote_fills, store.used_slot_count,
+                hv.free_frames, vm.table.resident_pages) == counts
+        store.node.fabric.heal("server")
+        hv.access(vm, 0)
+        assert not vm.table.entry(victim).present
 
 
 class TestPrefetch:

@@ -218,6 +218,96 @@ class TestPageKinds:
             + InterRackLink().extra_latency_s)
 
 
+def _observable(fabric, store):
+    """Everything a caller can see of a store, keys aside: the live pages
+    in store order with their homes and bytes, and every counter."""
+    pages = [(handle, store._backup.get(key))
+             for key, handle in store._locations.items()]
+    free = {bid: list(s.free_slots) for bid, s in store._leases.items()}
+    counters = (store.pages_stored, store.pages_loaded,
+                store.local_fallback_stores, store.local_fallback_loads,
+                store.degraded_skips, store.fallback_count,
+                store.time_spent_s)
+    stats = fabric.stats
+    return (pages, free, counters, stats.reads, stats.writes,
+            stats.bytes_read, stats.bytes_written, stats.busy_seconds)
+
+
+class TestExchange:
+    """``exchange`` is ``load`` + ``free`` + ``store`` (falling back to the
+    local backup) in one call, down to the last counter and float."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_load_free_store(self, seed):
+        rng = random.Random(seed)
+        twins = [_store(lease_pages=(3, 2)) for _ in range(2)]
+        keys = [[], []]
+        forced = 0
+        for _ in range(120):
+            data = rng.choice([None, b"bytes-%d" % rng.randrange(99)])
+            pick = rng.randrange(len(keys[0])) if keys[0] else None
+            if rng.random() < 0.1:
+                forced += 1
+                for (_, store), held in zip(twins, keys):
+                    held.append(store.store_fallback(data)[0])
+                continue
+            (fabric, fused), (_, split) = twins
+            old = keys[0].pop(pick) if pick is not None else None
+            loaded, new, read_s, write_s = fused.exchange(old, data)
+            keys[0].append(new)
+            want_data, want_read = None, 0.0
+            if pick is not None:
+                old = keys[1].pop(pick)
+                want_data, want_read = split.load(old)
+                split.free(old)
+            try:
+                new, want_write = split.store(data)
+            except SwapError:
+                new, want_write = split.store_fallback(data)
+            keys[1].append(new)
+            assert (loaded, read_s, write_s) == (want_data, want_read,
+                                                 want_write)
+            assert _observable(*twins[0]) == _observable(*twins[1])
+        # Some exchanges found every lease full and fell back themselves.
+        assert twins[0][1].local_fallback_stores > forced
+
+    def test_the_freed_slot_takes_the_new_page(self):
+        _, store = _store(lease_pages=(2,))
+        store.store()
+        key, _ = store.store(b"old")
+        data, new, _, _ = store.exchange(key, b"new")
+        assert data[:3] == b"old"
+        assert store._locations[new] == (100, 1)
+        assert store.load(new)[0][:3] == b"new"
+
+    def test_without_a_key_it_only_stores(self):
+        fabric, store = _store()
+        data, key, read_s, write_s = store.exchange(None)
+        assert (data, read_s) == (None, 0.0)
+        assert write_s == fabric.costs.transfer_time(PAGE_SIZE)
+        assert (fabric.stats.reads, fabric.stats.writes) == (0, 1)
+        assert store.load(key)[0] is ZERO_PAGE
+
+    def test_a_full_store_falls_back_to_the_local_backup(self):
+        _, store = _store(lease_pages=(1,))
+        store.store()
+        local, _ = store.store_fallback(b"slow")
+        _, new, read_s, write_s = store.exchange(local, b"still slow")
+        assert read_s == write_s == LOCAL_FALLBACK_S
+        assert store._locations[new] == _LOCAL
+        assert store.fallback_count == 1
+
+    @PAGE_KINDS
+    def test_a_refused_read_changes_nothing(self, data):
+        fabric, store = _store(lease_pages=(2,))
+        key, _ = store.store(data)
+        fabric.node("server").deregister_mr(store.leases()[0].rkey)
+        before = _observable(fabric, store)
+        with pytest.raises(MemoryRegionError):
+            store.exchange(key, data)
+        assert _observable(fabric, store) == before
+
+
 def _scanned_fallbacks(store):
     return sum(1 for loc in store._locations.values() if loc == _LOCAL)
 

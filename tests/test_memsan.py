@@ -135,6 +135,14 @@ class TestDoubleFree:
             store.free(key)
         assert DOUBLE_FREE in _kinds(san)
 
+    def test_free_after_exchange_is_flagged(self, san):
+        _, store, _ = _make_store()
+        key, _ = store.store(b"traded")
+        store.exchange(key, b"victim")
+        with pytest.raises(BufferError_):
+            store.free(key)
+        assert DOUBLE_FREE in _kinds(san)
+
     def test_freeing_a_never_valid_key_is_not_a_double_free(self, san):
         _, store, _ = _make_store()
         with pytest.raises(BufferError_):

@@ -83,6 +83,17 @@ class TestLocalFallback:
             data, _ = device.swap_in(i)
             assert data[:1] == b"v"
 
+    def test_unreachable_lease_falls_back_to_local(self, rack):
+        # The lease has free slots, but its host just dropped off the
+        # fabric and the controller has not invalidated it yet.
+        device = _device(rack)
+        device.swap_out("first", b"remote")
+        rack.fabric.partition("zombie")
+        device.swap_out("k", b"precious")
+        assert device.store.fallback_count == 1
+        assert device.store.degraded_skips == 1
+        assert device.swap_in("k")[0][:8] == b"precious"
+
     def test_revoked_pages_count_as_local(self, rack):
         # A revocation pushes pages to the local backup behind the
         # device's back; the remote share must still see them.
