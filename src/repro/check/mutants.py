@@ -77,10 +77,8 @@ class SkipEpochBumpMutant(Mutant):
 
         orig_promote = SecondaryController.promote
 
-        def promote(self, buff_size, agent_clients=None, stripe=True):
-            controller = orig_promote(self, buff_size,
-                                      agent_clients=agent_clients,
-                                      stripe=stripe)
+        def promote(self, buff_size, stripe=True):
+            controller = orig_promote(self, buff_size, stripe=stripe)
             # The bug: undo the epoch bump everywhere it was recorded, as
             # if the increment had never been written.
             self.epoch -= 1

@@ -55,6 +55,10 @@ class GlobalMemoryController:
         #: Fencing epoch: bumped on every failover; agents and the
         #: secondary reject control calls from lower (deposed) epochs.
         self.epoch = epoch
+        #: The rack whose epochs these are, stamped beside the epoch on
+        #: every agent call: an agent serving several racks' primaries
+        #: keeps one watermark per rack (None for a standalone rack).
+        self.rack = node.fabric.rack_of(node.name)
         #: Set once this controller learns it has been deposed; every
         #: subsequent GS_ handler call is rejected (split-brain guard).
         self.fenced = False
@@ -130,7 +134,8 @@ class GlobalMemoryController:
                 f"no agent channel to {host!r} for {method.value}"
             )
         try:
-            return client.call(method.value, *args, epoch=self.epoch)
+            return client.call(method.value, *args, epoch=self.epoch,
+                               rack=self.rack)
         except FencingError:
             self._mark_fenced()
             raise

@@ -22,12 +22,43 @@ from repro.errors import BufferError_, ControllerError, FencingError, RpcError
 from repro.memory.buffers import BufferLease, RemotePageStore
 from repro.memory.frames import FrameAllocator, FrameRun
 from repro.rdma.fabric import RdmaNode
-from repro.rdma.rpc import RpcClient, RpcServer
+from repro.rdma.rpc import RpcServer
 from repro.units import DEFAULT_BUFF_SIZE, PAGE_SIZE
 
 #: Global buffer-id allocator: the lender picks ids; a process-wide counter
 #: keeps them rack-unique (the paper leaves id assignment unspecified).
 _buffer_ids = itertools.count(1)
+
+
+class FencingWatermark:
+    """The highest fencing epoch an agent has seen, per issuing rack.
+
+    Every agent — a serving host's manager, a federation lending agent —
+    rejects a call stamped lower than the last epoch *that rack* used: a
+    deposed primary is fenced once the agent has heard from its
+    successor.  Epochs are per rack, so a tenant homed away from its own
+    rack keeps one watermark for each rack that calls it.
+    """
+
+    def __init__(self, owner: str):
+        self.owner = owner
+        self.epochs: Dict[Optional[str], int] = {}
+
+    def admit(self, epoch: Optional[int], rack: Optional[str]) -> None:
+        """Advance ``rack``'s watermark to ``epoch`` or raise if stale.
+
+        ``epoch=None`` (direct in-process calls, unit tests) bypasses the
+        check.
+        """
+        if epoch is None:
+            return
+        current = self.epochs.get(rack, 0)
+        if epoch < current:
+            raise FencingError(
+                f"{self.owner}: rejecting a call from rack {rack!r} with "
+                f"stale epoch {epoch} (current {current})"
+            )
+        self.epochs[rack] = epoch
 
 
 class _LentBuffer:
@@ -56,7 +87,10 @@ class RemoteMemoryManager:
         #: Fraction of free memory an *active* server keeps for itself when
         #: asked to lend (a zombie lends everything).
         self.lend_reserve_fraction = lend_reserve_fraction
-        self.controller: Optional[RpcClient] = None
+        #: The channel into the primary (the rack installs a
+        #: :class:`~repro.core.rack.PrimaryChannel`; anything with
+        #: ``call`` will do).
+        self.controller = None
         self.rpc = RpcServer(node)
         self.rpc.register(Method.US_RECLAIM.value, self.us_reclaim)
         self.rpc.register(Method.US_INVALIDATE.value, self.us_invalidate)
@@ -70,38 +104,20 @@ class RemoteMemoryManager:
         self.invalidations_served = 0
         self.pages_rehomed_after_loss = 0
         self.pages_fallback_after_loss = 0
-        #: Highest controller fencing epoch seen; stale-epoch calls from a
-        #: deposed (split-brain) primary are rejected.
-        self.controller_epoch = 0
+        #: Stale-epoch calls from a deposed (split-brain) primary are
+        #: rejected.
+        self.fencing = FencingWatermark(host)
 
     # -- wiring ----------------------------------------------------------
-    def attach_controller(self, client: RpcClient) -> None:
-        """(Re)point this agent at the current primary controller."""
-        self.controller = client
-
     def _call(self, method: Method, *args):
         if self.controller is None:
             raise ControllerError(f"{self.host}: no controller attached")
         return self.controller.call(method.value, *args)
 
-    def _fence(self, epoch: Optional[int]) -> None:
-        """Reject calls from a deposed primary (stale fencing epoch).
-
-        ``epoch=None`` (direct in-process calls, unit tests) bypasses the
-        check; any fenced RPC advances the watermark monotonically.
-        """
-        if epoch is None:
-            return
-        if epoch < self.controller_epoch:
-            raise FencingError(
-                f"{self.host}: rejecting controller call with stale epoch "
-                f"{epoch} (current {self.controller_epoch})"
-            )
-        self.controller_epoch = epoch
-
-    def heartbeat(self, epoch: Optional[int] = None) -> str:
+    def heartbeat(self, epoch: Optional[int] = None,
+                  rack: Optional[str] = None) -> str:
         """Controller-invoked liveness probe of this serving host."""
-        self._fence(epoch)
+        self.fencing.admit(epoch, rack)
         return "alive"
 
     # -- lender side ---------------------------------------------------------
@@ -151,23 +167,24 @@ class RemoteMemoryManager:
     def announce_wake(self) -> None:
         self._call(Method.GS_WAKE, self.host)
 
-    def as_get_free_mem(self,
-                        epoch: Optional[int] = None) -> List[BufferDescriptor]:
+    def as_get_free_mem(self, epoch: Optional[int] = None,
+                        rack: Optional[str] = None) -> List[BufferDescriptor]:
         """Controller-invoked: an active server lends part of its slack."""
-        self._fence(epoch)
+        self.fencing.admit(epoch, rack)
         free_bytes = self.allocator.free_frames * PAGE_SIZE
         lendable = int(free_bytes * (1.0 - self.lend_reserve_fraction))
         return self.carve_buffers(max_bytes=lendable)
 
     def as_resync(self, buffer_ids: List[int],
-                  epoch: Optional[int] = None) -> int:
+                  epoch: Optional[int] = None,
+                  rack: Optional[str] = None) -> int:
         """Controller-invoked after this host healed from a crash/partition.
 
         The controller already invalidated ``buffer_ids`` rack-wide while
         we were gone; drop the stale lender-side records and take the
         frames back so they can be lent again.  Returns bytes recovered.
         """
-        self._fence(epoch)
+        self.fencing.admit(epoch, rack)
         recovered = 0
         for buffer_id in buffer_ids:
             lent = self._lent.pop(buffer_id, None)
@@ -294,13 +311,14 @@ class RemoteMemoryManager:
             self._call(Method.GS_TRANSFER, old_user, self.host, ids)
 
     def us_reclaim(self, buffer_ids: List[int],
-                   epoch: Optional[int] = None) -> int:
+                   epoch: Optional[int] = None,
+                   rack: Optional[str] = None) -> int:
         """Controller-invoked revocation of buffers we are *using*.
 
         The store re-homes each page (remaining leases first, local backup
         as the slow path); outstanding page keys keep working.
         """
-        self._fence(epoch)
+        self.fencing.admit(epoch, rack)
         rehomed = 0
         for buffer_id in buffer_ids:
             store = self._stores_by_buffer.pop(buffer_id, None)
@@ -315,7 +333,8 @@ class RemoteMemoryManager:
         return rehomed
 
     def us_invalidate(self, host: str, buffer_ids: List[int],
-                      epoch: Optional[int] = None) -> int:
+                      epoch: Optional[int] = None,
+                      rack: Optional[str] = None) -> int:
         """Controller-invoked: serving host ``host`` is dead, drop its leases.
 
         Unlike ``US_reclaim`` (a cooperative revocation whose buffer is
@@ -325,7 +344,7 @@ class RemoteMemoryManager:
         :meth:`repair_stores` wins remote slots back.  Returns the number
         of pages that had to fall back to local storage.
         """
-        self._fence(epoch)
+        self.fencing.admit(epoch, rack)
         affected: List[RemotePageStore] = []
         for buffer_id in buffer_ids:
             store = self._stores_by_buffer.pop(buffer_id, None)

@@ -20,8 +20,8 @@ from repro.errors import ConfigurationError, PlacementError, RpcError
 from repro.hypervisor.vm import Vm, VmSpec
 from repro.obs import Telemetry
 from repro.rdma.costs import RdmaCostModel
-from repro.rdma.fabric import Fabric
-from repro.rdma.rpc import RetryPolicy, RpcClient
+from repro.rdma.fabric import Fabric, RdmaNode
+from repro.rdma.rpc import RetryPolicy, RpcClient, RpcServer
 from repro.sim.engine import Engine
 from repro.sim.rng import DeterministicRng
 from repro.units import DEFAULT_BUFF_SIZE, GiB
@@ -29,6 +29,32 @@ from repro.units import DEFAULT_BUFF_SIZE, GiB
 #: Nova's relaxed filter: a host qualifies if it can place at least this
 #: fraction of a VM's memory locally (Section 5.1's empirical 50 %).
 DEFAULT_LOCAL_FRACTION = 0.5
+
+
+class PrimaryChannel:
+    """One caller's RPC channel into a rack's *current* primary.
+
+    Managers, gateway tenants, lending agents and the federation
+    directory each hold one.  A failover replaces the rack's primary, so
+    the client is re-opened (and the superseded one closed) as soon as it
+    no longer targets ``rack.controller``; nothing re-wires the channel.
+    """
+
+    def __init__(self, rack: "Rack", origin: RdmaNode, policy: RetryPolicy):
+        self.rack = rack
+        self.origin = origin
+        self.policy = policy
+        self.client: Optional[RpcClient] = None
+
+    def call(self, method: str, *args, **kwargs):
+        server = self.rack.controller.rpc
+        client = self.client
+        if client is None or client.server is not server:
+            if client is not None:
+                client.close()
+            client = self.client = RpcClient(self.origin, server,
+                                             retry_policy=self.policy)
+        return client.call(method, *args, **kwargs)
 
 
 class Rack:
@@ -113,23 +139,31 @@ class Rack:
         self.controller.recovery = self.recovery
         self._crashed: set = set()
 
+        #: Every endpoint the primary revokes through: this rack's
+        #: servers, tenants homed here from other racks, and the lending
+        #: agents of loans this rack donated.  A promoted primary is
+        #: wired to all of them (:meth:`_failover`).
+        self.agents: Dict[str, RpcServer] = {}
+
         # General-purpose servers.
         self.servers: Dict[str, RackServer] = {}
         for name in server_names:
             server = RackServer(name, self.fabric,
                                 memory_bytes=memory_bytes,
                                 buff_size=buff_size)
-            server.manager.attach_controller(
-                RpcClient(server.node, self.controller.rpc,
-                          retry_policy=self.retry_policy)
-            )
-            self.controller.attach_agent(
-                name, RpcClient(ctr_node, server.manager.rpc,
-                                retry_policy=self.retry_policy)
-            )
+            server.manager.controller = PrimaryChannel(self, server.node,
+                                                       self.retry_policy)
+            self.attach_agent(name, server.manager.rpc)
             if self.name is not None:
                 self.fabric.set_rack(name, self.name)
             self.servers[name] = server
+
+    def attach_agent(self, name: str, rpc: RpcServer) -> None:
+        """Register ``rpc`` as agent ``name`` and wire the primary to it."""
+        self.agents[name] = rpc
+        self.controller.attach_agent(
+            name, RpcClient(self.controller.node, rpc,
+                            retry_policy=self.retry_policy))
 
     # -- lookups ----------------------------------------------------------
     def server(self, name: str) -> RackServer:
@@ -259,38 +293,30 @@ class Rack:
 
     # -- high availability ------------------------------------------------
     def _failover(self, secondary: SecondaryController) -> None:
-        """Promote the secondary and re-wire every agent to it.
+        """Promote the secondary and wire it to every registered agent.
 
-        The promotion bumps the fencing epoch; re-attaching the agents
-        (whose clients now stamp the new epoch on every call) is what
-        fences a healed old primary — its next stale-epoch call is
-        rejected rack-wide.
+        The promotion bumps the fencing epoch; pushing it to the agents
+        (whose watermarks then refuse anything older from this rack) is
+        what fences a healed old primary.  Callers into the primary
+        follow on their own: a :class:`PrimaryChannel` re-opens on its
+        next call.
         """
         tel = self.telemetry
         with tel.tracer.span("failover.promote",
                              node="secondary-ctr") as span:
-            agent_clients = {
-                name: RpcClient(secondary.node, server.manager.rpc,
-                                retry_policy=self.retry_policy)
-                for name, server in self.servers.items()
-            }
             new_controller = secondary.promote(self.buff_size,
-                                               agent_clients=agent_clients,
                                                stripe=self.stripe)
-            for name, server in self.servers.items():
-                server.manager.attach_controller(
-                    RpcClient(server.node, new_controller.rpc,
-                              retry_policy=self.retry_policy)
-                )
             new_controller.events = self.controller.events
             new_controller.recovery = self.recovery
             self.controller = new_controller
-            # Make sure every reachable agent learns the new epoch *now*,
-            # so a healed old primary is fenced even if the new one stays
-            # quiet.
-            for name, server in sorted(self.servers.items()):
-                if (not server.node.cpu_alive
-                        or not self.fabric.is_reachable(name)):
+            for name, rpc in sorted(self.agents.items()):
+                self.attach_agent(name, rpc)
+                # Make sure every reachable agent learns the new epoch
+                # *now*, so a healed old primary is fenced even if the
+                # new one stays quiet.
+                node = rpc.node
+                if (not node.cpu_alive
+                        or not self.fabric.is_reachable(node.name)):
                     continue  # zombies/partitioned hosts learn on contact
                 try:
                     new_controller._agent_call(name, Method.HEARTBEAT)
@@ -300,7 +326,6 @@ class Rack:
                     self.events.emit(EventKind.EPOCH_SYNC_SKIPPED, name,
                                      epoch=new_controller.epoch,
                                      error=type(exc).__name__)
-                    continue
             self.events.emit(EventKind.FAILOVER, "secondary-ctr",
                              epoch=new_controller.epoch)
             span.set_tag("epoch", new_controller.epoch)

@@ -9,7 +9,7 @@ a fresh :class:`GlobalMemoryController` is built from the mirrored state.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Set
+from typing import Callable, Optional, Set
 
 from repro.core.controller import GlobalMemoryController
 from repro.core.database import BufferDatabase
@@ -135,7 +135,6 @@ class SecondaryController:
 
     # -- failover ----------------------------------------------------------
     def promote(self, buff_size: int,
-                agent_clients: Optional[Dict[str, RpcClient]] = None,
                 stripe: bool = True) -> GlobalMemoryController:
         """Become the primary, seeded with the mirrored state.
 
@@ -144,9 +143,8 @@ class SecondaryController:
         are rejected once the rack has re-learned the new epoch.  The
         mirrored database (built by replaying the primary's journaled
         mutations as they arrived: buffers, purposes, zombie and known
-        hosts) seeds the fresh controller in one copy, and
-        ``agent_clients`` are re-attached when provided; otherwise the caller (the rack) must re-attach every agent's RPC
-        client to the returned controller.
+        hosts) seeds the fresh controller in one copy; the caller (the
+        rack) wires the returned controller to its agents.
         """
         if self.promoted is not None:
             raise FailoverError("secondary already promoted")
@@ -154,8 +152,6 @@ class SecondaryController:
         controller = GlobalMemoryController(self.node, buff_size=buff_size,
                                             stripe=stripe, epoch=self.epoch)
         controller.db.adopt(self.db)
-        for host, client in sorted((agent_clients or {}).items()):
-            controller.attach_agent(host, client)
         self.promoted = controller
         self._monitor.stop()
         return controller

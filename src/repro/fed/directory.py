@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.protocol import BufferKind, Method
+from repro.core.rack import PrimaryChannel
 from repro.errors import RdmaError, RpcError
-from repro.fed.channels import ChannelCache, primary_channel
-from repro.rdma.rpc import RpcClient
 
 
 @dataclass
@@ -40,20 +39,18 @@ class FederationDirectory:
         self.digests: Dict[str, RackDigest] = {
             name: RackDigest(rack=name) for name in federation.racks
         }
-        #: Heartbeat clients per rack name, re-resolved after the rack's
-        #: failover (the promoted secondary serves a different RpcServer).
-        self._clients: ChannelCache = {}
+        #: One heartbeat channel per rack, into its current primary.
+        self._channels: Dict[str, PrimaryChannel] = {
+            name: PrimaryChannel(rack, federation.gateway_node,
+                                 federation.monitor_policy)
+            for name, rack in federation.racks.items()
+        }
         self.refreshes = 0
-
-    def _heartbeat_client(self, rack) -> RpcClient:
-        return primary_channel(self._clients, rack.name, rack,
-                               self.fed.gateway_node,
-                               self.fed.monitor_policy)
 
     def _probe(self, rack) -> bool:
         """One liveness heartbeat; ``False`` means unusable as a donor."""
         try:
-            self._heartbeat_client(rack).call(Method.HEARTBEAT.value)
+            self._channels[rack.name].call(Method.HEARTBEAT.value)
         except (RpcError, RdmaError):
             # Dead, partitioned or failing over: the caller records the
             # rack as down (gauge + stale digest) until a later refresh.

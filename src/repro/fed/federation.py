@@ -79,21 +79,7 @@ class Federation:
         self.directory = FederationDirectory(self)
         self.lending = LendingManager(self)
         self.gateway = FederationGateway(self)
-        # A promoted primary rebuilds its agent table from the rack's
-        # own servers; chain the lending plane onto each rack's failover
-        # so cross-rack revocation channels are re-wired the same way.
-        for rname, rack in self.racks.items():
-            rack.secondary.on_failover = self._failover_hook(rname, rack)
         self.directory.refresh()
-
-    def _failover_hook(self, name: str, rack: Rack):
-        inner = rack._failover
-
-        def promote_and_reattach(secondary):
-            inner(secondary)
-            self.lending.reattach_donor(name)
-
-        return promote_and_reattach
 
     # -- lookups ----------------------------------------------------------
     def rack(self, name: str) -> Rack:

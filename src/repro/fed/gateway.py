@@ -15,12 +15,11 @@ borrows enough buffers to cover the request, and replays the verb once.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.core.protocol import Method
+from repro.core.rack import PrimaryChannel
 from repro.errors import AllocationError, ConfigurationError
-from repro.fed.channels import ChannelCache, primary_channel
-from repro.rdma.rpc import RpcClient
 from repro.units import buffers_for
 
 #: Verbs whose AllocationError should trigger a cross-rack borrow.
@@ -32,9 +31,9 @@ class FederationGateway:
 
     def __init__(self, federation):
         self.fed = federation
-        #: Verb channels keyed (tenant, home); a home rack failover
-        #: transparently re-resolves to the new primary.
-        self._clients: ChannelCache = {}
+        #: Verb channels keyed (tenant, home), each into the home rack's
+        #: current primary.
+        self._channels: Dict[Tuple[str, str], PrimaryChannel] = {}
         self.routed = 0
         self.lending_triggers = 0
         self.borrow_failures = 0
@@ -44,27 +43,27 @@ class FederationGateway:
         """The home rack serving ``tenant``'s control plane."""
         return self.fed.ring.home(tenant)
 
-    def _client(self, tenant: str, home: str) -> RpcClient:
-        rack = self.fed.racks[home]
-        origin = self.fed.fabric.nodes.get(tenant, self.fed.gateway_node)
-        client = primary_channel(self._clients, (tenant, home), rack,
-                                 origin, rack.retry_policy)
-        self._ensure_tenant_agent(tenant, rack)
-        return client
+    def _channel(self, tenant: str, home: str) -> PrimaryChannel:
+        channel = self._channels.get((tenant, home))
+        if channel is None:
+            rack = self.fed.racks[home]
+            origin = self.fed.fabric.nodes.get(tenant, self.fed.gateway_node)
+            channel = PrimaryChannel(rack, origin, rack.retry_policy)
+            self._channels[(tenant, home)] = channel
+            self._register_tenant(tenant, rack)
+        return channel
 
-    def _ensure_tenant_agent(self, tenant: str, home_rack) -> None:
-        """Give the home controller a revocation channel to ``tenant``.
+    def _register_tenant(self, tenant: str, home_rack) -> None:
+        """Register ``tenant``'s manager as an agent of its home rack.
 
         A tenant homed away from its physical rack must still honour
-        ``US_reclaim``/``US_invalidate``, so its manager is attached to
-        the home controller like any local serving host — re-attached
-        after a home failover, since promotion rebuilds the agent table
-        from the home rack's own servers only.  Synthetic (node-less)
-        tenants get no channel; buffers they hold can only be recalled
-        by releasing them.
+        ``US_reclaim``/``US_invalidate``, so its home rack wires the
+        primary to it like any local serving host (and so does every
+        primary the home rack promotes).  Synthetic (node-less) tenants
+        get no channel; buffers they hold can only be recalled by
+        releasing them.
         """
-        controller = home_rack.controller
-        if tenant in controller.agent_clients:
+        if tenant in home_rack.agents:
             return
         rack_name = self.fed.fabric.rack_of(tenant)
         if rack_name is None or rack_name not in self.fed.racks:
@@ -72,9 +71,7 @@ class FederationGateway:
         server = self.fed.racks[rack_name].servers.get(tenant)
         if server is None:
             return
-        controller.attach_agent(
-            tenant, RpcClient(controller.node, server.manager.rpc,
-                              retry_policy=home_rack.retry_policy))
+        home_rack.attach_agent(tenant, server.manager.rpc)
 
     # -- routing ----------------------------------------------------------
     def call(self, tenant: str, method: str, *args, **kwargs):
@@ -91,14 +88,14 @@ class FederationGateway:
             "fed_routed_total", "Verbs routed through the federation "
             "gateway.", rack=home, method=method).inc()
         try:
-            return self._client(tenant, home).call(method, *args, **kwargs)
+            return self._channel(tenant, home).call(method, *args, **kwargs)
         except AllocationError:
             if method not in _LENDING_VERBS:
                 raise
             mem_size = args[1] if len(args) > 1 else 0
             if not self._borrow_for(home, mem_size):
                 raise
-            return self._client(tenant, home).call(method, *args, **kwargs)
+            return self._channel(tenant, home).call(method, *args, **kwargs)
 
     # -- the lending trigger ----------------------------------------------
     def _borrow_for(self, home: str, mem_size: int) -> int:

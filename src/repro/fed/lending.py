@@ -11,10 +11,12 @@ the *borrower's* rack that the donor's controller talks to exactly the
 way it talks to its own serving hosts.  That buys recall-for-free — a
 donor host waking up revokes loaned buffers through the existing
 ``US_reclaim`` plane, and the agent re-homes the borrower side — plus
-per-donor fencing-epoch watermarks, so a deposed donor primary cannot
-recall loans it no longer owns.
+the same per-rack fencing-epoch watermark, so a deposed donor primary
+cannot recall loans it no longer owns.  The agent is registered in the
+donor rack's agent table, so a donor failover wires the promoted
+primary to it like any serving host.
 
-Both ``FED_*`` verbs are ``dedup_required``: the borrow client retries
+Both ``FED_*`` verbs are ``dedup_required``: the borrow channel retries
 under its policy, and the donor replays cached grants for re-delivered
 request ids — a lost reply or duplicated borrow can never double-lend.
 """
@@ -24,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.manager import FencingWatermark
 from repro.core.protocol import Method
+from repro.core.rack import PrimaryChannel
 from repro.errors import (BufferError_, ConfigurationError, ControllerError,
-                          FencingError, RpcError)
-from repro.fed.channels import ChannelCache, primary_channel
-from repro.rdma.rpc import RpcClient, RpcServer
+                          RpcError)
+from repro.rdma.rpc import RpcServer
 
 
 @dataclass
@@ -51,9 +54,11 @@ class LendingAgent:
         self.node = fed.fabric.add_node(f"{borrower}/fed-from-{donor}")
         fed.fabric.set_rack(self.node.name, borrower)
         self.rpc = RpcServer(self.node)
-        #: Highest donor fencing epoch seen (same watermark discipline
-        #: as :class:`~repro.core.manager.RemoteMemoryManager`).
-        self.donor_epoch = 0
+        #: Borrows and returns go to the donor's current primary.
+        self.channel = PrimaryChannel(fed.racks[donor], self.node,
+                                      fed.racks[borrower].retry_policy)
+        #: The same per-rack watermark a serving host's manager keeps.
+        self.fencing = FencingWatermark(self.node.name)
         register = self.rpc.register
         register(Method.US_RECLAIM.value, self.us_reclaim)
         register(Method.US_INVALIDATE.value, self.us_invalidate)
@@ -61,41 +66,36 @@ class LendingAgent:
         register(Method.AS_RESYNC.value, self.as_resync)
         register(Method.HEARTBEAT.value, self.heartbeat)
 
-    def _fence(self, epoch: Optional[int]) -> None:
-        if epoch is None:
-            return
-        if epoch < self.donor_epoch:
-            raise FencingError(
-                f"{self.node.name}: rejecting donor call with stale epoch "
-                f"{epoch} (current {self.donor_epoch})"
-            )
-        self.donor_epoch = epoch
-
     # -- the donor-facing revocation plane --------------------------------
-    def heartbeat(self, epoch: Optional[int] = None) -> str:
-        self._fence(epoch)
+    def heartbeat(self, epoch: Optional[int] = None,
+                  rack: Optional[str] = None) -> str:
+        self.fencing.admit(epoch, rack)
         return "alive"
 
     def us_reclaim(self, buffer_ids: List[int],
-                   epoch: Optional[int] = None) -> int:
+                   epoch: Optional[int] = None,
+                   rack: Optional[str] = None) -> int:
         """Donor-initiated recall: a waking host is taking loans back."""
-        self._fence(epoch)
+        self.fencing.admit(epoch, rack)
         return self.manager.recalled_by_donor(self.donor, buffer_ids)
 
     def us_invalidate(self, host: str, buffer_ids: List[int],
-                      epoch: Optional[int] = None) -> int:
+                      epoch: Optional[int] = None,
+                      rack: Optional[str] = None) -> int:
         """Donor lost a serving host: the loaned content is gone."""
-        self._fence(epoch)
+        self.fencing.admit(epoch, rack)
         return self.manager.recalled_by_donor(self.donor, buffer_ids)
 
-    def as_get_free_mem(self, epoch: Optional[int] = None) -> list:
+    def as_get_free_mem(self, epoch: Optional[int] = None,
+                        rack: Optional[str] = None) -> list:
         """A federation agent has no local frames to lend."""
-        self._fence(epoch)
+        self.fencing.admit(epoch, rack)
         return []
 
     def as_resync(self, buffer_ids: List[int],
-                  epoch: Optional[int] = None) -> int:
-        self._fence(epoch)
+                  epoch: Optional[int] = None,
+                  rack: Optional[str] = None) -> int:
+        self.fencing.admit(epoch, rack)
         return 0
 
 
@@ -106,8 +106,6 @@ class LendingManager:
         self.fed = federation
         self.loans: Dict[int, Loan] = {}
         self.agents: Dict[Tuple[str, str], LendingAgent] = {}
-        #: Borrow clients per agent, re-resolved after a donor failover.
-        self._borrow_clients: ChannelCache = {}
         #: Recalls whose borrower-side drop hit a transport/controller
         #: fault; retried by :meth:`pump_recalls`.
         self.pending_recalls: List[Tuple[str, List[int]]] = []
@@ -117,50 +115,18 @@ class LendingManager:
 
     # -- wiring -----------------------------------------------------------
     def agent_for(self, borrower: str, donor: str) -> LendingAgent:
-        """The (lazily built) agent of one borrower ← donor pair."""
+        """The agent of one borrower ← donor pair, built on first use.
+
+        A new agent is registered with the donor rack, which wires its
+        primary — and any primary it promotes later — to the agent.
+        """
         key = (borrower, donor)
         agent = self.agents.get(key)
         if agent is None:
             agent = LendingAgent(self, borrower, donor)
             self.agents[key] = agent
-        self._ensure_attached(agent)
+            self.fed.racks[donor].attach_agent(agent.node.name, agent.rpc)
         return agent
-
-    def _ensure_attached(self, agent: LendingAgent) -> None:
-        """(Re)attach the agent to the donor's *current* controller.
-
-        A donor failover rebuilds the promoted controller's agent table
-        from its own servers only, so the federation channel must be
-        re-established — under the new primary's epoch — before the
-        next borrow or recall can flow.
-        """
-        donor_rack = self.fed.racks[agent.donor]
-        controller = donor_rack.controller
-        if agent.node.name not in controller.agent_clients:
-            controller.attach_agent(
-                agent.node.name,
-                RpcClient(controller.node, agent.rpc,
-                          retry_policy=donor_rack.retry_policy))
-
-    def reattach_donor(self, donor: str) -> None:
-        """Re-wire ``donor``'s lending agents after its failover.
-
-        A promoted primary rebuilds its agent table from the rack's own
-        servers, so every federation revocation channel into it is gone;
-        without this, the next waking donor host would find no path to
-        ``US_reclaim`` its loaned buffers.  Called from the federation's
-        failover hook, symmetrically with how the rack re-attaches its
-        own serving hosts.
-        """
-        for (_, agent_donor), agent in sorted(self.agents.items()):
-            if agent_donor == donor:
-                self._ensure_attached(agent)
-
-    def _borrow_client(self, agent: LendingAgent) -> RpcClient:
-        return primary_channel(
-            self._borrow_clients, (agent.borrower, agent.donor),
-            self.fed.racks[agent.donor], agent.node,
-            self.fed.racks[agent.borrower].retry_policy)
 
     # -- borrow / return --------------------------------------------------
     def borrow(self, borrower: str, donor: str, nb_buffers: int) -> int:
@@ -172,7 +138,7 @@ class LendingManager:
         raises :class:`AllocationError` when the donor pool is dry.
         """
         agent = self.agent_for(borrower, donor)
-        granted = self._borrow_client(agent).call(
+        granted = agent.channel.call(
             Method.FED_BORROW.value, agent.node.name, nb_buffers)
         self.fed.racks[borrower].controller.fed_import(granted)
         for descriptor in granted:
@@ -204,8 +170,8 @@ class LendingManager:
         agent = self.agent_for(borrower, donor)
         dropped = self.fed.racks[borrower].controller.fed_recall(
             sorted(wanted))
-        self._borrow_client(agent).call(Method.FED_RETURN.value,
-                                        agent.node.name, sorted(wanted))
+        agent.channel.call(Method.FED_RETURN.value, agent.node.name,
+                           sorted(wanted))
         for buffer_id in wanted:
             self.loans.pop(buffer_id, None)
         self.returns += len(wanted)

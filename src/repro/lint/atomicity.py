@@ -21,9 +21,9 @@ The rule, per function in the scoped modules:
 
 with no re-validation between the yield and the write, is one finding.
 Re-validation is a fresh read of the family (directly or through a
-called helper that reads it) or a fencing check (``self.fenced``, a
-``_fence(...)`` call, an epoch read, or raising ``FencingError``) —
-exactly the idioms the fencing layer already uses.
+called helper that reads it) or a fencing check (``self.fenced``, an
+agent's ``self.fencing.admit(...)``, an epoch read, or raising
+``FencingError``) — exactly the idioms the fencing layer already uses.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ STATE_FAMILIES: Dict[str, str] = {
     "_stores_by_buffer": "leases",
     "_stores_needing_repair": "leases",
     "epoch": "epochs",
-    "controller_epoch": "epochs",
+    "fencing": "epochs",
+    "epochs": "epochs",
     "fenced": "epochs",
     "zombie_hosts": "zombie-pool",
     "known_hosts": "zombie-pool",
@@ -242,8 +243,6 @@ class _BodyScanner:
         if terminal in _DIRECT_YIELD_ATTRS and isinstance(func,
                                                           ast.Attribute):
             event.yields = True
-        if terminal == "_fence":
-            event.fences = True
         if terminal in _MUTATORS and chain_families:
             event.writes |= chain_families
         elif chain_families:

@@ -22,7 +22,8 @@ Finding classes:
 - ``power-domain``      — a verb *succeeded* against a host outside
   {S0, Sz} (a stale ``remote_ok`` cache let it through);
 - ``epoch-regression``  — an epoch-stamped RPC from a lower epoch than the
-  server has already seen was dispatched instead of fenced;
+  server has already seen from the same rack was dispatched instead of
+  fenced;
 - ``double-lend``       — the controller granted a buffer whose previous
   lease is still live (two users holding the same memory);
 - ``cpu-dead-dispatch`` — an RPC handler ran on a host whose CPU is dead

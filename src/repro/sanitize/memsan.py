@@ -98,11 +98,11 @@ class MemorySanitizer:
         #: sanitizer never keeps a dead store alive).
         self._freed: "weakref.WeakKeyDictionary[Any, Set[int]]" = (
             weakref.WeakKeyDictionary())
-        #: Per-RpcServer fencing-epoch watermark.  Weak-keyed by the server
-        #: *instance* (not node name): a fresh rack legitimately restarts
-        #: its epochs at 1, but one server instance must only ever see a
-        #: monotone sequence.
-        self._epochs: "weakref.WeakKeyDictionary[Any, int]" = (
+        #: Per-RpcServer fencing-epoch watermark, one per issuing rack.
+        #: Weak-keyed by the server *instance* (not node name): a fresh
+        #: rack legitimately restarts its epochs at 1, but one server
+        #: instance must only ever see a monotone sequence from each rack.
+        self._epochs: "weakref.WeakKeyDictionary[Any, Dict[Any, int]]" = (
             weakref.WeakKeyDictionary())
         #: Per-RpcServer set of ``(method, req_id)`` pairs whose handler
         #: genuinely *executed* (not replayed from the dedup table); a
@@ -203,7 +203,7 @@ class MemorySanitizer:
     def _note_freed(self, store: Any, key: int) -> None:
         self._freed.setdefault(store, set()).add(key)
 
-    def _check_dispatch(self, server: Any, epoch: Any) -> None:
+    def _check_dispatch(self, server: Any, epoch: Any, rack: Any) -> None:
         """Called after an RPC dispatch *succeeded*."""
         if not invariants.dispatch_permitted(server.node.cpu_alive):
             self._record(CPU_DEAD_DISPATCH, (
@@ -212,14 +212,15 @@ class MemorySanitizer:
                 f"run its RPC daemon"))
         if not isinstance(epoch, int):
             return
-        watermark = self._epochs.get(server)
+        watermarks = self._epochs.setdefault(server, {})
+        watermark = watermarks.get(rack)
         if invariants.epoch_regressed(watermark, epoch):
             self._record(EPOCH_REGRESSION, (
                 f"server {server.node.name!r} dispatched a call stamped "
-                f"epoch {epoch} after having seen epoch {watermark} — "
-                f"a deposed controller went unfenced"))
+                f"epoch {epoch} after having seen epoch {watermark} from "
+                f"rack {rack!r} — a deposed controller went unfenced"))
             return
-        self._epochs[server] = epoch
+        watermarks[rack] = epoch
 
     def _note_execution(self, server: Any, method: str, req_id: Any) -> None:
         """A handler genuinely ran (not a dedup replay) for ``req_id``.
@@ -357,7 +358,8 @@ class MemorySanitizer:
                 raise
             if self.calls_served > served_before:
                 san._note_execution(self, method, req_id)
-            san._check_dispatch(self, kwargs.get("epoch"))
+            san._check_dispatch(self, kwargs.get("epoch"),
+                                kwargs.get("rack"))
             return result
 
         _patch(RemotePageStore, "add_lease", add_lease)

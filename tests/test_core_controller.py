@@ -25,11 +25,11 @@ class FakeAgent:
         self.lendable = lendable
         self._next_id = hash(name) % 1000 + 5000
 
-    def us_reclaim(self, ids, epoch=None):
+    def us_reclaim(self, ids, epoch=None, rack=None):
         self.reclaimed.extend(ids)
         return len(ids)
 
-    def as_get_free_mem(self, epoch=None):
+    def as_get_free_mem(self, epoch=None, rack=None):
         out = []
         for _ in range(self.lendable):
             out.append(BufferDescriptor(

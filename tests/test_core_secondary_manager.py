@@ -40,7 +40,7 @@ def _wired(lender_pages=4 * BUFF_PAGES, user_pages=4 * BUFF_PAGES):
         node = fabric.add_node(name)
         manager = RemoteMemoryManager(name, node, FrameAllocator(pages),
                                       buff_size=BUFF)
-        manager.attach_controller(RpcClient(node, controller.rpc))
+        manager.controller = RpcClient(node, controller.rpc)
         controller.attach_agent(name, RpcClient(ctr_node, manager.rpc))
         managers[name] = manager
     return engine, fabric, controller, secondary, managers
@@ -193,13 +193,6 @@ class TestMirroringAndFailover:
         new_ctr = sec.promote(BUFF)
         assert new_ctr.known_hosts == {"lender", "user"}
         assert new_ctr.zombie_hosts == {"lender"}
-
-    def test_promotion_reattaches_agents(self):
-        _, fabric, _, sec, mgrs = _wired()
-        clients = {name: RpcClient(sec.node, mgr.rpc)
-                   for name, mgr in mgrs.items()}
-        new_ctr = sec.promote(BUFF, agent_clients=clients)
-        assert set(new_ctr.agent_clients) == {"lender", "user"}
 
 
 class TestMirrorCatchUp:

@@ -114,17 +114,16 @@ class TestDonorFailover:
             assert buffer_id in promoted.db
             assert promoted.db.get(buffer_id).allocated
 
-        # A fresh borrow re-attaches the lending agent under the new
-        # primary and keeps granting from the re-homed pool.
-        more = fed.lending.borrow("rack2", "rack1", 2)
-        assert more == 2
+        # The promoted primary is wired to the lending agent and keeps
+        # granting from the re-homed pool.
         agent = fed.lending.agents[("rack2", "rack1")]
         assert agent.node.name in promoted.agent_clients
+        more = fed.lending.borrow("rack2", "rack1", 2)
+        assert more == 2
 
-        # Once the agent has learnt the new epoch, the deposed primary
-        # is fenced out of the revocation channel it used to own.
-        promoted._agent_call(agent.node.name, Method.HEARTBEAT)
-        assert agent.donor_epoch == promoted.epoch
+        # The failover pushed the new epoch to the agent, so the deposed
+        # primary is fenced out of the revocation channel it used to own.
+        assert agent.fencing.epochs["rack1"] == promoted.epoch
         with pytest.raises(FencingError):
             deposed._agent_call(agent.node.name, Method.HEARTBEAT)
 
@@ -149,6 +148,80 @@ class TestDonorFailover:
         assert fed.lending.pending_recalls == []
         for rack in fed.racks.values():
             assert_standby_agrees(rack)
+
+
+def _tenant_homed_away(seed):
+    """``rack1/h1`` homed on ``rack2``, holding two buffers served by
+    ``rack2/h3``, after ``rack2``'s primary failed over."""
+    fed = Federation(n_racks=2, hosts_per_rack=3, memory_bytes=512 * MiB,
+                     buff_size=BUFF, rng_seed=seed)
+    tenant = "rack1/h1"
+    assert fed.gateway.home_of(tenant) == "rack2"
+    fed.make_zombie("rack2/h3")
+    granted = fed.gateway.alloc_ext(tenant, 2 * BUFF)
+    assert {d.host for d in granted} == {"rack2/h3"}
+    fed.racks["rack2"].kill_controller()
+    fed.engine.run(until=10.0)
+    assert fed.racks["rack2"].controller.epoch == 2
+    return fed, tenant
+
+
+class TestFailoverWiresEveryAgent:
+    """A promoted primary reaches every agent its rack registered — its
+    own servers, tenants homed here, lending agents of donated loans —
+    and each agent fences per issuing rack."""
+
+    @pytest.mark.parametrize("seed", _seeds())
+    def test_tenant_homed_away_stays_revocable(self, seed):
+        fed, tenant = _tenant_homed_away(seed)
+        fed.wake("rack2/h3", reclaim_bytes=512 * MiB)
+        assert fed.racks["rack2"].controller.db.by_user(tenant) == []
+        manager = fed.racks["rack1"].server(tenant).manager
+        assert manager.reclaims_served == 1
+        for rack in fed.racks.values():
+            assert_standby_agrees(rack)
+
+    @pytest.mark.parametrize("seed", _seeds())
+    def test_failover_pushes_the_epoch_to_lending_agents(self, seed):
+        fed = _build(seed)
+        _drain_until_borrow(fed)
+        loans = sorted(fed.lending.loans)
+        assert len(loans) >= 2
+        donor = fed.racks["rack1"]
+        deposed = donor.controller
+        donor.kill_controller()
+        fed.engine.run(until=10.0)
+
+        agent = fed.lending.agents[("rack2", "rack1")]
+        with pytest.raises(FencingError):
+            deposed._agent_call(agent.node.name, Method.US_RECLAIM,
+                                loans[:2])
+        assert sorted(fed.lending.loans) == loans
+        assert fed.lending.recalls == 0
+        assert agent.fencing.epochs["rack1"] == donor.controller.epoch
+
+    @pytest.mark.parametrize("seed", _seeds())
+    def test_each_issuing_rack_keeps_its_own_watermark(self, seed):
+        fed, tenant = _tenant_homed_away(seed)
+        fed.gateway.alloc_ext(tenant, BUFF)
+        own = fed.racks["rack1"]
+        home = fed.racks["rack2"]
+        heartbeat = Method.HEARTBEAT
+        assert home.controller._agent_call(tenant, heartbeat) == "alive"
+        # Epoch 2 from rack2 says nothing about rack1, still at epoch 1.
+        assert own.controller._agent_call(tenant, heartbeat) == "alive"
+        assert not own.controller.fenced
+        manager = own.server(tenant).manager
+        manager.request_swap(BUFF)  # rack1 still serves its GS_ verbs
+
+        # A stale epoch from the tenant's own rack is still refused.
+        deposed = own.controller
+        own.kill_controller()
+        fed.engine.run(until=20.0)
+        assert own.controller.epoch == 2
+        with pytest.raises(FencingError):
+            deposed._agent_call(tenant, Method.HEARTBEAT)
+        assert manager.fencing.epochs == {"rack1": 2, "rack2": 2}
 
 
 class TestInterRackMessageFaults:

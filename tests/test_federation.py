@@ -9,6 +9,7 @@ is exhausted — with the borrow visible in the J/hour energy accounting.
 import pytest
 
 from repro.core.protocol import Method
+from repro.core.rack import Rack
 from repro.errors import (AllocationError, ConfigurationError, FencingError)
 from repro.fed import Federation
 from repro.fed.ring import ConsistentHashRing
@@ -249,9 +250,10 @@ class TestLending:
     def test_stale_donor_epoch_is_fenced(self):
         fed = self._lend_pair()
         agent = fed.lending.agents[("rack2", "rack1")]
-        assert agent.heartbeat(epoch=agent.donor_epoch + 1) == "alive"
+        epoch = agent.fencing.epochs.get("rack1", 0)
+        assert agent.heartbeat(epoch=epoch + 1, rack="rack1") == "alive"
         with pytest.raises(FencingError):
-            agent.us_reclaim([], epoch=agent.donor_epoch - 1)
+            agent.us_reclaim([], epoch=epoch, rack="rack1")
 
     def test_cross_rack_traffic_is_priced(self):
         fed = self._lend_pair()
@@ -266,22 +268,30 @@ class TestLending:
                               for lbl in labels)
 
 
-class TestChannelCaches:
-    def test_one_client_per_channel_after_failovers(self):
-        """The three fed client caches follow the fencing epoch.
+def _fed_channels(fed):
+    """Every federation channel into a primary: gateway tenants,
+    lending agents (borrow/return) and the directory's heartbeats."""
+    return (list(fed.gateway._channels.values())
+            + [agent.channel for agent in fed.lending.agents.values()]
+            + list(fed.directory._channels.values()))
 
-        Keyed on ``id(controller.rpc)`` they kept one client per
-        generation forever (and an ``id`` can be reused once a deposed
-        controller is collected); now a failover supersedes the entry.
-        """
+
+def _qp_remotes(node):
+    return {qp.remote for qp in node.pd.queue_pairs.values()}
+
+
+class TestPrimaryChannels:
+    def test_one_client_per_channel_after_failovers(self):
+        """Each channel follows its rack's primary across a failover and
+        closes the client it supersedes: one client per channel, however
+        many failovers the rack goes through."""
         fed = _small_fed()
         for host in ("rack1/h2", "rack1/h3", "rack2/h2"):
             fed.make_zombie(host)
         tenant = "rack2/h1"
         _drain_until_borrow(fed, tenant)
-        caches = (fed.gateway._clients, fed.lending._borrow_clients,
-                  fed.directory._clients)
-        before = [dict(cache) for cache in caches]
+        channels = _fed_channels(fed)
+        before = [channel.client for channel in channels]
         assert all(before)
 
         for rack in fed.racks.values():
@@ -294,13 +304,33 @@ class TestChannelCaches:
         assert fed.lending.return_loans("rack2", "rack1") > 0
         assert fed.gateway.alloc_ext(tenant, BUFF)
 
-        for cache, old in zip(caches, before):
-            assert cache.keys() == old.keys()
-            for key, (epoch, client) in cache.items():
-                superseded = old[key][1]
-                assert epoch == 2 and client is not superseded
-                assert (superseded._qp.qp_num
-                        not in superseded.node.pd.queue_pairs)
+        assert _fed_channels(fed) == channels
+        for channel, superseded in zip(channels, before):
+            assert channel.client is not superseded
+            assert channel.client.server is channel.rack.controller.rpc
+            assert (superseded._qp.qp_num
+                    not in superseded.node.pd.queue_pairs)
+
+    def test_rack_failover_closes_the_managers_superseded_clients(self):
+        """A serving host's manager reaches the promoted primary through
+        its channel, and the QP to the deposed primary is destroyed."""
+        rack = Rack(["user", "z1"], memory_bytes=64 * MiB,
+                    buff_size=4 * MiB)
+        rack.make_zombie("z1")
+        manager = rack.server("user").manager
+        manager.request_swap(4 * MiB)
+        deposed = rack.controller
+        assert deposed.node.name in _qp_remotes(manager.node)
+
+        rack.kill_controller()
+        rack.engine.run(until=10.0)
+        assert rack.controller is not deposed
+        manager.request_swap(4 * MiB)
+
+        remotes = _qp_remotes(manager.node)
+        assert deposed.node.name not in remotes
+        assert rack.controller.node.name in remotes
+        assert manager.controller.client.server is rack.controller.rpc
 
 
 class TestFourRackAcceptance:

@@ -214,10 +214,20 @@ class TestEpochRegression:
     def test_unfenced_stale_epoch_is_flagged(self, san):
         server, client = self._channel()
         # Injected defect: a handler that takes the epoch stamp but never
-        # fences (forgot the _fence(epoch) call).
+        # fences (forgot to admit the epoch to its watermark).
         server.register("GS_reclaim", lambda nb, epoch=None: nb)
         client.call("GS_reclaim", 2, epoch=5)
         client.call("GS_reclaim", 1, epoch=3)  # deposed controller: silent
+        assert EPOCH_REGRESSION in _kinds(san)
+
+    def test_each_issuing_rack_has_its_own_watermark(self, san):
+        server, client = self._channel()
+        server.register("GS_reclaim", lambda nb, epoch=None, rack=None: nb)
+        client.call("GS_reclaim", 2, epoch=5, rack="rack2")
+        # Another rack's epochs are unrelated: not a regression.
+        client.call("GS_reclaim", 1, epoch=3, rack="rack1")
+        assert _kinds(san) == []
+        client.call("GS_reclaim", 1, epoch=2, rack="rack1")
         assert EPOCH_REGRESSION in _kinds(san)
 
     def test_fenced_call_is_defended_not_flagged(self, san):
