@@ -16,9 +16,10 @@ The four seeded bugs:
 - ``dispatch-in-sz``    — the RPC daemon keeps running on a CPU-dead
   host: the server-side ``cpu_alive`` guard and the client-side
   suspended-server timeout are both dropped (``cpu-dead-dispatch``);
-- ``double-lend``       — the buffer database forgets the allocated
-  filter, so the controller grants buffers whose previous lease is
-  still live (``double-lend``);
+- ``double-lend``       — the buffer database's ``assign`` drops the
+  allocated guard and leaves the buffer in its free bucket, so the
+  controller grants buffers whose previous lease is still live
+  (``double-lend``);
 - ``no-dedup``          — the server's exactly-once dedup table goes
   blind (lookups miss, stores vanish), so a re-delivered
   ``dedup_required`` verb re-executes its handler
@@ -146,25 +147,17 @@ class DoubleLendMutant(Mutant):
 
     def _apply(self) -> None:
         from repro.core.database import BufferDatabase
-        from repro.core.protocol import BufferKind
-
-        def free_buffers(self, zombie_first=True):
-            free = list(self._buffers.values())  # bug: allocated included
-            if zombie_first:
-                free.sort(key=lambda b: (b.kind is not BufferKind.ZOMBIE,
-                                         b.buffer_id))
-            else:
-                free.sort(key=lambda b: b.buffer_id)
-            return free
 
         def assign(self, buffer_id, user, purpose=None):
             descriptor = self.get(buffer_id)  # bug: no allocated guard
             updated = descriptor.with_user(user, purpose)
+            # bug: the record is stored past ``_put``, so its free bucket
+            # still lists it and the next allocation grants it again.
             self._buffers[buffer_id] = updated
+            self._by_host[updated.host][buffer_id] = updated
             self.journal.append(("assign", (buffer_id, user, purpose)))
             return updated
 
-        self._patch(BufferDatabase, "free_buffers", free_buffers)
         self._patch(BufferDatabase, "assign", assign)
 
 
@@ -184,7 +177,7 @@ class NoDedupMutant(Mutant):
         def _dedup_lookup(self, method, req_id):
             return None  # bug: every re-delivery looks brand new
 
-        def _dedup_store(self, method, req_id, status, payload, epoch):
+        def _dedup_store(self, method, req_id, status, payload, stamp):
             pass  # bug: nothing is ever remembered
 
         self._patch(RpcServer, "_dedup_lookup", _dedup_lookup)

@@ -13,6 +13,7 @@ un-acknowledged suffix to the secondary through the ``mirror`` callback
 
 from __future__ import annotations
 
+from itertools import chain, islice, zip_longest
 from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.database import BufferDatabase
@@ -373,15 +374,15 @@ class GlobalMemoryController:
         raises :class:`AllocationError`, which is the borrower's signal
         to mark this rack dry in its federation directory.
         """
-        eligible = [b for b in self.db.free_buffers(zombie_first=True)
-                    if b.kind is BufferKind.ZOMBIE]
-        if not eligible or nb_buffers <= 0:
+        eligible = self.db.free_in_tier(zombie=True,
+                                        limit=max(nb_buffers, 0))
+        if not eligible:
             raise AllocationError(
                 f"{self.node.name}: no free zombie buffer to lend to "
                 f"{borrower!r}"
             )
         granted = []
-        for descriptor in eligible[:nb_buffers]:
+        for descriptor in eligible:
             granted.append(self.db.assign(descriptor.buffer_id, borrower,
                                           "fed"))
         self._pump_mirror()
@@ -492,39 +493,23 @@ class GlobalMemoryController:
 
         Striping "minimizes the performance impact caused by a remote
         server failure".  Buffers served by the requesting host itself are
-        excluded (its local memory is not remote memory).
+        excluded (its local memory is not remote memory).  Reads the
+        database's free buckets, each already in ascending id order.
         """
-        free = [b for b in self.db.free_buffers(zombie_first=True)
-                if b.host != user]
-        tiers: Dict[bool, Dict[str, List[BufferDescriptor]]] = {}
-        for descriptor in free:
-            is_zombie = descriptor.kind is BufferKind.ZOMBIE
-            tiers.setdefault(is_zombie, {}).setdefault(
-                descriptor.host, []
-            ).append(descriptor)
-        chosen: List[BufferDescriptor] = []
+        chosen: List[int] = []
         # Exhaust the zombie tier before touching any active buffer, and
         # round-robin across hosts within each tier (unless striping is
         # disabled, in which case hosts are drained one at a time).
-        for is_zombie in (True, False):
-            buckets = [tiers[is_zombie][host]
-                       for host in sorted(tiers.get(is_zombie, {}))]
-            if not self.stripe:
-                for bucket in buckets:
-                    while bucket and len(chosen) < nb:
-                        chosen.append(bucket.pop(0))
-            while len(chosen) < nb and buckets:
-                for bucket in list(buckets):
-                    if not bucket:
-                        buckets.remove(bucket)
-                        continue
-                    chosen.append(bucket.pop(0))
-                    if len(chosen) == nb:
-                        break
-                buckets = [b for b in buckets if b]
-            if len(chosen) == nb:
-                break
-        return chosen
+        for zombie in (True, False):
+            tier = self.db.free_buckets(zombie)
+            buckets = [tier[host] for host in sorted(tier) if host != user]
+            if self.stripe:
+                order = (buffer_id for stripe in zip_longest(*buckets)
+                         for buffer_id in stripe if buffer_id is not None)
+            else:
+                order = chain.from_iterable(buckets)
+            chosen.extend(islice(order, max(nb - len(chosen), 0)))
+        return [self.db.get(buffer_id) for buffer_id in chosen]
 
     def _grow_pool_from_active(self, requesting_user: str) -> None:
         """Ask active servers to lend more memory (``AS_get_free_mem``)."""

@@ -43,7 +43,7 @@ class EventKind(enum.Enum):
     FED_RECALLED = "fed-recalled"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One audited event."""
 

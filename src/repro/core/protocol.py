@@ -9,7 +9,7 @@ more memory).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError
@@ -118,7 +118,7 @@ class BufferKind(str, enum.Enum):
     LOST = "lost"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BufferDescriptor:
     """One rack buffer as tracked by the controller's database.
 
@@ -153,9 +153,16 @@ class BufferDescriptor:
     def allocated(self) -> bool:
         return self.user is not None
 
+    # The copies below call the constructor directly (positional, in
+    # field order): ``dataclasses.replace`` costs twice as much on the
+    # allocation path, and ``__post_init__`` validates either way.
     def with_user(self, user: Optional[str],
                   purpose: Optional[str] = None) -> "BufferDescriptor":
-        return replace(self, user=user, purpose=purpose)
+        return BufferDescriptor(self.buffer_id, self.host, self.offset,
+                                self.size_bytes, self.kind, self.rkey,
+                                user, purpose)
 
     def with_kind(self, kind: BufferKind) -> "BufferDescriptor":
-        return replace(self, kind=kind)
+        return BufferDescriptor(self.buffer_id, self.host, self.offset,
+                                self.size_bytes, kind, self.rkey,
+                                self.user, self.purpose)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.protocol import BufferKind, Method
+from repro.core.protocol import Method
 from repro.core.rack import PrimaryChannel
 from repro.errors import RdmaError, RpcError
 
@@ -72,10 +72,8 @@ class FederationDirectory:
                 continue
             digest.alive = True
             digest.epoch = rack.controller.epoch
-            for descriptor in rack.controller.db.free_buffers():
-                if descriptor.kind is BufferKind.ZOMBIE:
-                    digest.free_zombie_buffers += 1
-                    digest.free_zombie_bytes += descriptor.size_bytes
+            (digest.free_zombie_buffers,
+             digest.free_zombie_bytes) = rack.controller.db.free_zombie_totals()
             digest.zombie_hosts = len(rack.controller.zombie_hosts)
             self.digests[name] = digest
             registry.gauge(

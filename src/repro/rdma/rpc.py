@@ -231,13 +231,15 @@ class RpcServer:
         self.calls_served = 0
         #: Idempotency class per verb, recorded by :meth:`register`.
         self.idempotency: Dict[str, str] = {}
-        #: ``(method, req_id) -> (status, payload, epoch)`` where status
-        #: is ``"ok"``/``"error"``.  Only *answered* requests live here;
-        #: retryable failures (timeouts) never produced a response, so
-        #: caching them would wrongly suppress the re-execution a retry
-        #: is asking for.
+        #: ``(method, req_id) -> (status, payload, stamp)`` where status
+        #: is ``"ok"``/``"error"`` and stamp is the request's ``(rack,
+        #: epoch)``, or ``None`` if it carried no epoch.  Only *answered*
+        #: requests live here; retryable failures (timeouts) never
+        #: produced a response, so caching them would wrongly suppress
+        #: the re-execution a retry is asking for.
         self._dedup: "OrderedDict[tuple, tuple]" = OrderedDict()
-        self._dedup_watermark = 0
+        #: The highest fencing epoch seen, per stamping rack.
+        self._dedup_watermarks: Dict[Optional[str], int] = {}
         self.dedup_replays = 0
 
     def register(self, method: str, handler: Handler,
@@ -322,26 +324,29 @@ class RpcServer:
         return entry[:2]
 
     def _dedup_store(self, method: str, req_id: tuple, status: str,
-                     payload: Any, epoch: Optional[int]) -> None:
+                     payload: Any, stamp: Optional[tuple]) -> None:
         """Remember a request's answered outcome; bounded LRU eviction."""
-        self._dedup[(method, req_id)] = (status, payload, epoch)
+        self._dedup[(method, req_id)] = (status, payload, stamp)
         self._dedup.move_to_end((method, req_id))
         while len(self._dedup) > self.dedup_capacity:
             self._dedup.popitem(last=False)
 
-    def _dedup_advance_epoch(self, epoch: int) -> None:
-        """Purge entries stamped with a now-stale fencing epoch.
+    def _dedup_advance_epoch(self, rack: Optional[str], epoch: int) -> None:
+        """Purge ``rack``'s entries stamped with a now-stale epoch.
 
         Once the rack has moved to epoch ``E``, a retry of an epoch
         ``< E`` request would be fenced by the handler anyway — there is
         no response left worth replaying, so the entries only waste
-        capacity.
+        capacity.  Epochs are per rack: an agent served by two racks (a
+        tenant homed away from its own rack) keeps the other rack's
+        entries, which that rack may still replay.
         """
-        if epoch <= self._dedup_watermark:
+        if epoch <= self._dedup_watermarks.get(rack, 0):
             return
-        self._dedup_watermark = epoch
-        stale = [key for key, (_, _, entry_epoch) in self._dedup.items()
-                 if entry_epoch is not None and entry_epoch < epoch]
+        self._dedup_watermarks[rack] = epoch
+        stale = [key for key, (_, _, stamp) in self._dedup.items()
+                 if stamp is not None and stamp[0] == rack
+                 and stamp[1] < epoch]
         for key in stale:
             del self._dedup[key]
 
@@ -379,15 +384,14 @@ class RpcServer:
         fabric = node.fabric
         tel = fabric.telemetry
         traced = tel.enabled  # the server side's one traced-or-not decision
-        epoch = None
+        stamp = None
         dedup = (req_id is not None
                  and self.idempotency.get(method) == _DEDUP_REQUIRED)
         if dedup:
             epoch = kwargs.get("epoch")
             if isinstance(epoch, int):
-                self._dedup_advance_epoch(epoch)
-            else:
-                epoch = None
+                stamp = (kwargs.get("rack"), epoch)
+                self._dedup_advance_epoch(*stamp)
             hit = self._dedup_lookup(method, req_id)
             if hit is not None:
                 self.dedup_replays += 1
@@ -426,12 +430,12 @@ class RpcServer:
         # no response formed, so they are deliberately not cached.
         except Exception as exc:  # noqa: BLE001
             if dedup and not is_retryable(exc):
-                self._dedup_store(method, req_id, "error", exc, epoch)
+                self._dedup_store(method, req_id, "error", exc, stamp)
             raise
         finally:
             deadlines.pop()
         if dedup:
-            self._dedup_store(method, req_id, "ok", result, epoch)
+            self._dedup_store(method, req_id, "ok", result, stamp)
         return result
 
 

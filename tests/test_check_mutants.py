@@ -72,11 +72,11 @@ class TestCounterexampleReplay:
 class TestMutantPatching:
     def test_install_uninstall_restores_originals(self):
         from repro.core.database import BufferDatabase
-        original = BufferDatabase.free_buffers
+        original = BufferDatabase.assign
         bug = make_mutant("double-lend")
         with bug:
-            assert BufferDatabase.free_buffers is not original
-        assert BufferDatabase.free_buffers is original
+            assert BufferDatabase.assign is not original
+        assert BufferDatabase.assign is original
 
     def test_double_install_raises(self):
         bug = make_mutant("dispatch-in-sz")

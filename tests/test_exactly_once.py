@@ -147,6 +147,33 @@ class TestExactlyOnce:
         server.dispatch("work", (), {REQUEST_ID_KEY: ("c#1", 3), "epoch": 2})
         assert set(server._dedup) == {("work", ("c#1", 3))}
 
+    def test_epoch_watermark_is_kept_per_rack(self):
+        # A tenant homed away from its own rack is called by two racks,
+        # each with its own epoch: one rack's advance must not purge the
+        # other's cached replies.
+        fabric, server, client = _channel()
+        calls = []
+
+        def work(epoch=None, rack=None):
+            calls.append(rack)
+            return (rack, epoch)
+
+        server.register("work", work, idempotency="dedup_required")
+        from_a = {REQUEST_ID_KEY: ("a#1", 1), "epoch": 1, "rack": "rackA"}
+        assert server.dispatch("work", (), dict(from_a)) == ("rackA", 1)
+        server.dispatch("work", (), {REQUEST_ID_KEY: ("b#1", 1),
+                                     "epoch": 3, "rack": "rackB"})
+        assert ("work", ("a#1", 1)) in server._dedup
+        # A's redelivery is answered from the cache, not re-executed.
+        assert server.dispatch("work", (), dict(from_a)) == ("rackA", 1)
+        assert server.dedup_replays == 1
+        assert calls == ["rackA", "rackB"]
+        # A's own advance still purges A's stale entry, and only it.
+        server.dispatch("work", (), {REQUEST_ID_KEY: ("a#1", 2),
+                                     "epoch": 2, "rack": "rackA"})
+        assert set(server._dedup) == {("work", ("b#1", 1)),
+                                      ("work", ("a#1", 2))}
+
 
 class TestRegistration:
     """``register`` is the only way to serve a verb: class and span
