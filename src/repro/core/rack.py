@@ -265,7 +265,7 @@ class Rack:
                 root.set_tag("downtime_s", round(result.downtime_s, 6))
                 # The cost model, not the sim clock, knows how long the
                 # migration took; give the span that width.
-                root.span.end_s = root.span.start_s + result.total_time_s
+                root.end_s = root.start_s + result.total_time_s
                 registry = tel.registry
                 registry.counter("vm_migrations_total",
                                  "Live migrations completed.",

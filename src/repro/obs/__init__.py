@@ -28,11 +28,11 @@ from typing import Callable, Optional
 
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM)
-from repro.obs.tracing import Span, SpanHandle, Tracer
+from repro.obs.tracing import Span, Tracer
 
 __all__ = [
     "Telemetry", "MetricsRegistry", "Counter", "Gauge", "Histogram",
-    "Tracer", "Span", "SpanHandle",
+    "Tracer", "Span",
     "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM",
 ]
 
@@ -52,18 +52,21 @@ class Telemetry:
     def __init__(self, enabled: bool = True, clock: Optional[Clock] = None,
                  max_spans: int = 100_000):
         self.enabled = enabled
-        self._clock: Clock = clock or (lambda: 0.0)
-        self.registry = MetricsRegistry(enabled=enabled, clock=self.now)
-        self.tracer = Tracer(enabled=enabled, clock=self.now,
-                             max_spans=max_spans)
+        self.registry = MetricsRegistry(enabled=enabled)
+        self.tracer = Tracer(enabled=enabled, max_spans=max_spans)
+        self.bind_clock(clock or (lambda: 0.0))
 
     def now(self) -> float:
         """Current simulated time according to the bound clock."""
         return self._clock()
 
     def bind_clock(self, clock: Clock) -> None:
-        """(Re)bind the simulated-time source (idempotent, last wins)."""
-        self._clock = clock
+        """(Re)bind the simulated-time source (idempotent, last wins).
+
+        The tracer and the registry get the clock itself, not a
+        forwarder, so a span start reads it in one call.
+        """
+        self._clock = self.tracer.clock = self.registry.clock = clock
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "enabled" if self.enabled else "disabled"

@@ -31,13 +31,29 @@ import re
 import sys
 from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
-from repro.obs.metrics import Histogram, MetricsRegistry, format_labels
+from repro.obs.metrics import (LABEL_NAME_RE, Histogram, MetricsRegistry,
+                               format_labels)
 from repro.obs.tracing import SpanRef, Tracer, span_forest_errors
 from repro.units import metric_unit
 
 _SAMPLE_RE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [-+0-9.eE]+(inf)?$"
 )
+#: One ``name="value"`` pair of a sample's label set, and its separator.
+_LABEL_PAIR_RE = re.compile(r'([^=,]*)="[^"]*"(?:,|$)')
+
+
+def _label_problem(labels: str) -> Optional[str]:
+    """What is wrong with a sample's ``{...}`` label text, if anything."""
+    inner, pos = labels[1:-1], 0
+    while pos < len(inner):
+        pair = _LABEL_PAIR_RE.match(inner, pos)
+        if pair is None:
+            return f"malformed labels {labels!r}"
+        if not LABEL_NAME_RE.match(pair.group(1)):
+            return f"invalid label name {pair.group(1)!r}"
+        pos = pair.end()
+    return None
 
 
 def _fmt(value: float) -> str:
@@ -112,9 +128,15 @@ def validate_prometheus_text(text: str) -> List[str]:
         if line.startswith("#"):
             problems.append(f"line {lineno}: unexpected comment {line!r}")
             continue
-        if not _SAMPLE_RE.match(line):
+        sample = _SAMPLE_RE.match(line)
+        if not sample:
             problems.append(f"line {lineno}: malformed sample {line!r}")
             continue
+        if sample.group(1):
+            problem = _label_problem(sample.group(1))
+            if problem is not None:
+                problems.append(f"line {lineno}: {problem}")
+                continue
         seen_samples += 1
         name = line.split("{", 1)[0].split(" ", 1)[0]
         base = re.sub(r"_(bucket|sum|count)$", "", name)

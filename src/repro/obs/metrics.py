@@ -20,7 +20,9 @@ Design points, in decreasing order of importance:
 
 from __future__ import annotations
 
+import math
 import re
+from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -29,7 +31,7 @@ Clock = Callable[[], float]
 LabelKey = Tuple[Tuple[str, str], ...]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
+LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: Log-spaced seconds ladder: 1 µs .. 5 min.  Covers one-sided verbs
 #: (µs), RPC round trips (tens of µs), fault paths (ms), backoff and
@@ -116,17 +118,16 @@ class Histogram:
         self.max: Optional[float] = None
 
     def observe(self, value: float) -> None:
+        if math.isnan(value):
+            raise ConfigurationError("histogram observation is NaN")
         self.count += 1
         self.sum += value
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        # The first bound >= value; past the last bound is +Inf.
+        self.bucket_counts[bisect_left(self.bounds, value)] += 1
 
     @property
     def mean(self) -> float:
@@ -222,32 +223,47 @@ class MetricsRegistry:
     created (or fetched) with :meth:`counter` / :meth:`gauge` /
     :meth:`histogram`; asking twice with the same name and labels returns
     the same child, so call sites may either cache the instrument or
-    re-resolve it every time.
+    re-resolve it every time.  A label set seen before costs one dict
+    lookup keyed on its spelling (``(kind, name, *labels.items())``);
+    only a new one is validated, normalised and filed by :meth:`_child`.
     """
 
     def __init__(self, enabled: bool = True, clock: Optional[Clock] = None):
         self.enabled = enabled
         self.clock: Clock = clock or (lambda: 0.0)
         self._families: Dict[str, MetricFamily] = {}
+        #: Spelling -> child, for spellings whose label values are all
+        #: ``str`` (``1``, ``1.0`` and ``True`` hash alike but label
+        #: differently) and whose family already has its help text.
+        self._spellings: Dict[tuple, object] = {}
 
     # -- instrument access -------------------------------------------------
     def counter(self, name: str, help: str = "", **labels) -> Counter:
         if not self.enabled:
             return NULL_COUNTER
-        return self._child(name, "counter", help, labels, Counter)
+        child = self._spellings.get(("counter", name, *labels.items()))
+        if child is None:
+            child = self._child(name, "counter", help, labels, Counter)
+        return child  # type: ignore[return-value]
 
     def gauge(self, name: str, help: str = "", **labels) -> Gauge:
         if not self.enabled:
             return NULL_GAUGE
-        return self._child(name, "gauge", help, labels, Gauge)
+        child = self._spellings.get(("gauge", name, *labels.items()))
+        if child is None:
+            child = self._child(name, "gauge", help, labels, Gauge)
+        return child  # type: ignore[return-value]
 
     def histogram(self, name: str, help: str = "",
                   buckets: Iterable[float] = DEFAULT_BUCKETS,
                   **labels) -> Histogram:
         if not self.enabled:
             return NULL_HISTOGRAM
-        return self._child(name, "histogram", help, labels,
-                           lambda: Histogram(buckets))
+        child = self._spellings.get(("histogram", name, *labels.items()))
+        if child is None:
+            child = self._child(name, "histogram", help, labels,
+                                lambda: Histogram(buckets))
+        return child  # type: ignore[return-value]
 
     def _child(self, name: str, kind: str, help_text: str,
                labels: Dict[str, object], factory) -> object:
@@ -255,25 +271,29 @@ class MetricsRegistry:
         if family is None:
             if not _NAME_RE.match(name):
                 raise ConfigurationError(f"invalid metric name {name!r}")
-            for label in labels:
-                if not _LABEL_RE.match(label):
-                    raise ConfigurationError(
-                        f"invalid label name {label!r} on metric {name!r}"
-                    )
-            family = MetricFamily(name, kind, help_text)
-            self._families[name] = family
         elif family.kind != kind:
             raise ConfigurationError(
                 f"metric {name!r} already registered as {family.kind}, "
                 f"requested as {kind}"
             )
-        if help_text and not family.help:
-            family.help = help_text
         key = _label_key(labels)
-        child = family.children.get(key)
+        child = None if family is None else family.children.get(key)
         if child is None:
+            # A family's first label set does not vouch for the next.
+            for label in labels:
+                if not LABEL_NAME_RE.match(label):
+                    raise ConfigurationError(
+                        f"invalid label name {label!r} on metric {name!r}"
+                    )
+            if family is None:
+                family = MetricFamily(name, kind, help_text)
+                self._families[name] = family
             child = factory()
             family.children[key] = child
+        if help_text and not family.help:
+            family.help = help_text
+        if family.help and all(type(v) is str for v in labels.values()):
+            self._spellings[(kind, name, *labels.items())] = child
         return child
 
     # -- introspection -----------------------------------------------------

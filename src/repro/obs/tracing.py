@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from typing import (Callable, Deque, Dict, Iterable, List, NamedTuple,
                     Optional, Tuple, Union)
 
+from repro.errors import ConfigurationError
+
 Clock = Callable[[], float]
 
 #: Metadata key RPC clients inject and ``dispatch`` strips.  Handlers
@@ -39,9 +41,13 @@ WIRE_CONTEXT_KEY = "__obs_ctx__"
 SpanContext = Tuple[int, int]
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
-    """One finished (or still-open) operation."""
+    """One finished (or still-open) operation, and its own context manager.
+
+    ``__exit__`` closes the span, records an unhandled exception as
+    ``status="error"`` + an ``error`` tag, and never swallows it.
+    """
 
     trace_id: int
     span_id: int
@@ -52,6 +58,9 @@ class Span:
     tags: Dict[str, object] = field(default_factory=dict)
     status: str = "ok"
     recorded: bool = field(default=False, repr=False, compare=False)
+    #: The tracer that opened the span (``None`` for a hand-built one).
+    tracer: Optional["Tracer"] = field(default=None, repr=False,
+                                       compare=False)
 
     @property
     def duration_s(self) -> float:
@@ -62,6 +71,19 @@ class Span:
     @property
     def context(self) -> SpanContext:
         return (self.trace_id, self.span_id)
+
+    def set_tag(self, key: str, value: object) -> None:
+        self.tags[key] = value
+
+    def __enter__(self) -> "Span":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc is not None:
+            self.status = "error"
+            self.tags.setdefault("error", type(exc).__name__)
+        self.tracer.finish(self)  # type: ignore[union-attr]
+        return False
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         extras = " ".join(f"{k}={v}" for k, v in sorted(self.tags.items()))
@@ -78,55 +100,23 @@ class SpanRef(NamedTuple):
     name: str
 
 
-class SpanHandle:
-    """Context manager around one open span.
-
-    ``__exit__`` closes the span, records an unhandled exception as
-    ``status="error"`` + an ``error`` tag, and never swallows it.
-    """
-
-    __slots__ = ("_tracer", "span")
-
-    def __init__(self, tracer: "Tracer", span: Span):
-        self._tracer = tracer
-        self.span = span
-
-    def set_tag(self, key: str, value: object) -> None:
-        self.span.tags[key] = value
-
-    @property
-    def context(self) -> SpanContext:
-        return self.span.context
-
-    def __enter__(self) -> "SpanHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc is not None:
-            self.span.status = "error"
-            self.span.tags.setdefault("error", type(exc).__name__)
-        self._tracer.finish(self)
-        return False
-
-
-class _NullSpanHandle:
-    """Shared no-op handle handed out by a disabled tracer."""
+class _NullSpan:
+    """Shared no-op span handed out by a disabled tracer."""
 
     __slots__ = ()
-    span = None
     context: Optional[SpanContext] = None
 
     def set_tag(self, key: str, value: object) -> None:
         pass
 
-    def __enter__(self) -> "_NullSpanHandle":
+    def __enter__(self) -> "_NullSpan":
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         return False
 
 
-NULL_SPAN = _NullSpanHandle()
+NULL_SPAN = _NullSpan()
 
 
 @dataclass(frozen=True)
@@ -149,6 +139,9 @@ class Tracer:
 
     def __init__(self, enabled: bool = True, clock: Optional[Clock] = None,
                  max_spans: int = 100_000):
+        if max_spans < 1:
+            raise ConfigurationError(
+                f"max_spans must be >= 1, got {max_spans}")
         self.enabled = enabled
         self.clock: Clock = clock or (lambda: 0.0)
         self.spans: Deque[Span] = deque()
@@ -183,46 +176,50 @@ class Tracer:
 
     # -- spans ------------------------------------------------------------
     def span(self, name: str, parent: Optional[SpanContext] = None,
-             **tags) -> SpanHandle:
+             **tags) -> Span:
         """Open a span (use as a context manager).
 
         ``parent`` defaults to the innermost open span; pass an explicit
         context (e.g. the wire context) to attach across the fabric, or
         rely on the stack for same-process nesting.  A span with no
-        parent roots a new trace.
+        parent roots a new trace.  The span keeps ``tags`` itself: the
+        keyword dict is fresh per call, so nobody else holds it.
         """
         if not self.enabled:
             return NULL_SPAN  # type: ignore[return-value]
-        if parent is None:
-            parent = self.current_context()
         span_id = next(self._ids)
-        if parent is None:
-            trace_id, parent_id = next(self._ids), None
-        else:
+        if parent is not None:
             trace_id, parent_id = parent[0], parent[1]
-        span = Span(trace_id=trace_id, span_id=span_id, parent_id=parent_id,
-                    name=name, start_s=self.clock(), tags=dict(tags))
+        elif self._stack:
+            top = self._stack[-1]
+            trace_id, parent_id = top.trace_id, top.span_id
+        else:
+            trace_id, parent_id = next(self._ids), None
+        span = Span(trace_id, span_id, parent_id, name, self.clock(),
+                    tags=tags, tracer=self)
         self._stack.append(span)
-        return SpanHandle(self, span)
+        return span
 
-    def finish(self, handle: SpanHandle) -> None:
+    def finish(self, span: Span) -> None:
         """Close a span; out-of-order finishes close the inner spans too.
 
         A span whose ``end_s`` was set explicitly (sim time does not flow
         while a handler runs, so RPC spans take their width from the cost
         model) keeps it; anything else closes at the current clock.
         """
-        span = handle.span
         if span.recorded:
             return
-        while self._stack:
-            top = self._stack.pop()
-            top.end_s = self.clock() if top.end_s is None else top.end_s
+        stack = self._stack
+        while stack:
+            top = stack.pop()
+            if top.end_s is None:
+                top.end_s = self.clock()
             self._record(top)
             if top is span:
                 return
         # Span was not on the stack (already force-finished): record anyway.
-        span.end_s = self.clock() if span.end_s is None else span.end_s
+        if span.end_s is None:
+            span.end_s = self.clock()
         self._record(span)
 
     def _record(self, span: Span) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from repro.acpi.platform import ServerPlatform
@@ -69,7 +70,7 @@ class LinkFaults:
                 f"negative extra_latency_s: {self.extra_latency_s}"
             )
 
-    @property
+    @cached_property
     def probabilistic(self) -> bool:
         return any(getattr(self, kind) > 0.0
                    for kind in MESSAGE_FAULT_KINDS)
@@ -237,16 +238,19 @@ class MessageFaultInjector:
         self._refresh_active()
 
     def _refresh_active(self) -> None:
-        self.active = (bool(self.plans) or any(self.scripted.values())
-                       or bool(self.rack_plans)
-                       or any(self.rack_scripts.values()))
+        self.active = bool(self.plans or self.scripted or self.rack_plans
+                           or self.rack_scripts)
 
     # -- the per-message decision -----------------------------------------
     def _lookup_keys(self, src: str, dst: str):
         return ((src, dst), ("*", dst), (src, "*"), ("*", "*"))
 
     def _pop_script(self, scripts, keys, method):
-        """Consume the first matching one-shot across ``keys`` (FIFO)."""
+        """Consume the first matching one-shot across ``keys`` (FIFO).
+
+        A queue emptied here leaves ``scripts``, so ``scripts`` is empty
+        exactly when nothing is queued.
+        """
         for key in keys:
             queue = scripts.get(key)
             if not queue:
@@ -255,6 +259,8 @@ class MessageFaultInjector:
                 if wanted is not None and wanted != method:
                     continue
                 queue.pop(index)
+                if not queue:
+                    del scripts[key]
                 decision = MessageFaultDecision()
                 field = {REQUEST_LOSS: "drop_request",
                          REPLY_LOSS: "drop_reply",
@@ -266,7 +272,12 @@ class MessageFaultInjector:
 
     def decide(self, src: str, dst: str,
                method: str) -> MessageFaultDecision:
-        """One message is about to cross ``src → dst``: what happens?"""
+        """One message is about to cross ``src → dst``: what happens?
+
+        Only a consumed one-shot changes what is installed, so only then
+        is ``active`` recomputed; with no one-shot queued, the script
+        queues are not scanned at all.
+        """
         if not self.active:
             return _NO_FAULTS
         node_keys = self._lookup_keys(src, dst)
@@ -278,9 +289,13 @@ class MessageFaultInjector:
             if (src_rack is not None and dst_rack is not None
                     and src_rack != dst_rack):
                 rack_keys = self._lookup_keys(src_rack, dst_rack)
-        decision = self._pop_script(self.scripted, node_keys, method)
-        if decision is None and rack_keys is not None:
+        decision = None
+        if self.scripted:
+            decision = self._pop_script(self.scripted, node_keys, method)
+        if decision is None and rack_keys is not None and self.rack_scripts:
             decision = self._pop_script(self.rack_scripts, rack_keys, method)
+        if decision is not None:
+            self._refresh_active()
         plan = None
         for key in node_keys:
             plan = self.plans.get(key)
@@ -295,19 +310,18 @@ class MessageFaultInjector:
             if decision is None:
                 decision = MessageFaultDecision()
             if plan.probabilistic:
-                # Fixed draw count per message: the stream never skews.
-                draws = [self.rng.random() for _ in MESSAGE_FAULT_KINDS]
-                decision.drop_request |= draws[0] < plan.request_loss
-                decision.drop_reply |= draws[1] < plan.reply_loss
-                decision.duplicate |= draws[2] < plan.duplicate
-                decision.reorder |= draws[3] < plan.reorder
+                # Fixed draw count per message, in kind order: the stream
+                # never skews.
+                random = self.rng.random
+                decision.drop_request |= random() < plan.request_loss
+                decision.drop_reply |= random() < plan.reply_loss
+                decision.duplicate |= random() < plan.duplicate
+                decision.reorder |= random() < plan.reorder
             decision.extra_latency_s += plan.extra_latency_s
         if decision is None:
-            self._refresh_active()
             return _NO_FAULTS
         for kind in decision.kinds():
             self.injected[kind] += 1
-        self._refresh_active()
         return decision
 
 

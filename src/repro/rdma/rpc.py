@@ -241,6 +241,9 @@ class RpcServer:
         #: The highest fencing epoch seen, per stamping rack.
         self._dedup_watermarks: Dict[Optional[str], int] = {}
         self.dedup_replays = 0
+        #: verb -> (``rpc_served_total`` child, ``serve.<verb>`` span
+        #: name), resolved on the verb's first traced dispatch.
+        self._served: Dict[str, tuple] = {}
 
     def register(self, method: str, handler: Handler,
                  idempotency: Optional[str] = None) -> None:
@@ -297,13 +300,19 @@ class RpcServer:
         the handler tags the span ``fenced`` (the epoch-stale branch is
         an *outcome* worth seeing in a timeline, not just an exception).
         """
+        served = self._served.get(verb)
+        if served is None:
+            served = self._served[verb] = (
+                tel.registry.counter(
+                    "rpc_served_total", "Server-side handler invocations.",
+                    verb=verb, node=self.node.name),
+                f"serve.{verb}")
+        counter, span_name = served
         tracer = tel.tracer
         tracer.push_wire_context(ctx)
         try:
-            tel.registry.counter(
-                "rpc_served_total", "Server-side handler invocations.",
-                verb=verb, node=self.node.name).inc()
-            with tracer.span(f"serve.{verb}", parent=ctx,
+            counter.inc()
+            with tracer.span(span_name, parent=ctx,
                              verb=verb, node=self.node.name) as span:
                 if "epoch" in kwargs:
                     span.set_tag("epoch", kwargs["epoch"])
@@ -439,6 +448,26 @@ class RpcServer:
         return result
 
 
+class _ChannelVerb:
+    """One channel's traced-call instruments for one verb.
+
+    Resolved on the verb's first traced call, so a traced call does no
+    registry lookup and formats no span name.  The latency histogram is
+    resolved on the first call that succeeds, so a verb that never
+    succeeded exports no ``rpc_call_seconds`` series.
+    """
+
+    __slots__ = ("calls", "seconds", "call_span", "attempt_span")
+
+    def __init__(self, registry, verb: str):
+        self.calls = registry.counter(
+            "rpc_calls_total", "Logical RPC calls issued (before retries).",
+            verb=verb)
+        self.seconds = None
+        self.call_span = f"call.{verb}"
+        self.attempt_span = f"attempt.{verb}"
+
+
 class RpcClient:
     """Client endpoint: sends a request, then polls for the response.
 
@@ -473,6 +502,7 @@ class RpcClient:
         #: Last delivered request, kept so an injected *reorder* can
         #: re-present it to the server as a stale retransmission.
         self._last_request: Optional[tuple] = None
+        self._verbs: Dict[str, _ChannelVerb] = {}
         self._qp = node.connect_qp(server.node.name)
 
     def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
@@ -501,12 +531,13 @@ class RpcClient:
                      kwargs: dict) -> Tuple[Any, float]:
         """The retry loop inside a ``call.<verb>`` span, with its metrics."""
         registry = tel.registry
-        registry.counter(
-            "rpc_calls_total", "Logical RPC calls issued (before retries).",
-            verb=method).inc()
+        verb = self._verbs.get(method)
+        if verb is None:
+            verb = self._verbs[method] = _ChannelVerb(registry, method)
+        verb.calls.inc()
         spent_before = self.time_spent_s
         retries_before = self.retries
-        with tel.tracer.span(f"call.{method}", verb=method,
+        with tel.tracer.span(verb.call_span, verb=method,
                              node=self.node.name,
                              target=self.server.node.name) as span:
             if "epoch" in kwargs:
@@ -529,19 +560,20 @@ class RpcClient:
                     verb=method, outcome=outcome).inc()
                 self._note_retries(registry, span, method,
                                    self.retries - retries_before)
-                span.span.end_s = (span.span.start_s
-                                   + (self.time_spent_s - spent_before))
+                span.end_s = span.start_s + (self.time_spent_s - spent_before)
                 raise
             logical = self.time_spent_s - spent_before
             self._note_retries(registry, span, method,
                                self.retries - retries_before)
-            registry.histogram(
-                "rpc_call_seconds",
-                "Logical RPC latency: attempts, timeouts and backoff.",
-                verb=method).observe(logical)
+            if verb.seconds is None:
+                verb.seconds = registry.histogram(
+                    "rpc_call_seconds",
+                    "Logical RPC latency: attempts, timeouts and backoff.",
+                    verb=method)
+            verb.seconds.observe(logical)
             # Simulated time does not flow while the handler runs, so the
             # span takes its width from the cost model, not the clock.
-            span.span.end_s = span.span.start_s + logical
+            span.end_s = span.start_s + logical
         return result, elapsed
 
     def _note_retries(self, registry, span, method: str, retried: int) -> None:
@@ -629,17 +661,17 @@ class RpcClient:
         the attempt that actually reached it.
         """
         tracer = self.node.fabric.telemetry.tracer
-        with tracer.span(f"attempt.{method}", verb=method,
+        with tracer.span(self._verbs[method].attempt_span, verb=method,
                          node=self.node.name) as span:
-            ctx = tracer.current_context()
-            if ctx is not None:
-                kwargs[WIRE_CONTEXT_KEY] = ctx
+            # The attempt is the innermost open span: the server side
+            # parents to it.
+            kwargs[WIRE_CONTEXT_KEY] = span.context
             try:
                 result, elapsed = self._attempt(method, args, kwargs)
             except RpcTimeoutError:
-                span.span.end_s = span.span.start_s + self.timeout_s
+                span.end_s = span.start_s + self.timeout_s
                 raise
-            span.span.end_s = span.span.start_s + elapsed
+            span.end_s = span.start_s + elapsed
             return result, elapsed
 
     def _burn_timeout(self, method: str, reason: str) -> None:

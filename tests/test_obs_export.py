@@ -1,5 +1,6 @@
 """Exporters, their validators, the report renderer and the CLI gate."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -14,6 +15,16 @@ from repro.obs.report import render_report, report_data
 from repro.obs.selfcheck import run_golden_scenario
 from repro.obs.tracing import Tracer
 from repro.tables import dumps
+
+#: sha256 of the golden scenario's two exports.  Any change to a span's
+#: id, parent, name, tags or width, to a series, a help text or a bucket
+#: count, or to the rendering itself moves one of them.
+GOLDEN_DIGESTS = {
+    "chrome_trace":
+        "3c5c25351e145a59e41e2593936d6aedeeaa8c010d008a0a1cdb568dd5885ec0",
+    "prometheus_text":
+        "e267b2ddc4d37961c53c748da238d0fca61319844fb21f7e4d7a4c437c2b9e90",
+}
 
 
 def _synthetic_tracer(traces: int, nodes: int, depth: int) -> Tracer:
@@ -44,8 +55,8 @@ def _populated_hub():
     hist.observe(48e-6)
     with tel.tracer.span("call.GS_wake", node="user") as outer:
         with tel.tracer.span("serve.GS_wake", node="ctrl") as inner:
-            inner.span.end_s = inner.span.start_s + 10e-6
-        outer.span.end_s = outer.span.start_s + 40e-6
+            inner.end_s = inner.start_s + 10e-6
+        outer.end_s = outer.start_s + 40e-6
     tel.tracer.sample("rack_power_watts", 420.0, track="HP", time_s=3600.0)
     tel.registry.histogram("sz_dwell_seconds", "Sz stays.").observe(90.0)
     return tel
@@ -89,6 +100,15 @@ class TestPrometheusExport:
         problems = validate_prometheus_text(
             "# TYPE x counter\nx{unterminated 1\n")
         assert any("malformed sample" in p for p in problems)
+
+    def test_validator_parses_every_label_name(self):
+        header = "# TYPE x_total counter\n"
+        assert validate_prometheus_text(
+            header + 'x_total{verb="a",node="h1"} 1\n') == []
+        for bad in ('x_total{bad-label="1"} 1', 'x_total{9v="1"} 1',
+                    'x_total{verb="a",="b"} 1', 'x_total{verb=a} 1'):
+            problems = validate_prometheus_text(header + bad + "\n")
+            assert any("label" in p for p in problems), bad
 
     def test_empty_registry_exports_empty(self):
         tel = Telemetry(enabled=True)
@@ -188,7 +208,7 @@ class TestChromeTraceExport:
     def test_events_match_spans_and_samples_field_by_field(self):
         tracer = _synthetic_tracer(traces=20, nodes=4, depth=3)
         with tracer.span("orphan.op") as handle:  # no node tag
-            handle.span.status = "error"
+            handle.status = "error"
         tracer.sample("rack_power_watts", 420.0, track="HP", time_s=60.0)
         tracer.sample("rack_power_watts", 380.5, track="HP", time_s=120.0)
         events = json.loads(to_chrome_trace(tracer))["traceEvents"]
@@ -246,6 +266,18 @@ class TestChromeTraceExport:
             if started:
                 tracemalloc.stop()
         assert export_peak + validate_peak <= 4 * len(text)
+
+
+class TestGoldenDigests:
+    def test_golden_exports_match_pinned_digests(self):
+        tel = run_golden_scenario().telemetry
+        exports = {
+            "chrome_trace": to_chrome_trace(tel.tracer, tel.registry),
+            "prometheus_text": to_prometheus_text(tel.registry),
+        }
+        digests = {name: hashlib.sha256(text.encode()).hexdigest()
+                   for name, text in exports.items()}
+        assert digests == GOLDEN_DIGESTS
 
 
 class TestReport:

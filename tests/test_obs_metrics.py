@@ -1,10 +1,22 @@
 """The ZomTrace metrics registry: instruments, labels, snapshot/delta."""
 
+import math
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                               NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM)
+from repro.obs.export import to_prometheus_text
+from repro.obs.metrics import (DEFAULT_BUCKETS, Counter, Gauge, Histogram,
+                               MetricsRegistry, NULL_COUNTER, NULL_GAUGE,
+                               NULL_HISTOGRAM)
+
+
+def _linear_bucket(bounds, value) -> int:
+    """The bucket index a first-bound-at-or-above linear scan picks."""
+    for i, bound in enumerate(bounds):
+        if value <= bound:
+            return i
+    return len(bounds)
 
 
 class TestInstruments:
@@ -62,6 +74,29 @@ class TestInstruments:
         hist.observe(7.0)
         assert hist.quantile(0.99) == 7.0
 
+    def test_histogram_rejects_nan(self):
+        hist = Histogram(buckets=(1.0,))
+        hist.observe(0.5)
+        with pytest.raises(ConfigurationError):
+            hist.observe(float("nan"))
+        assert (hist.count, hist.sum, hist.min, hist.max) == (1, 0.5, 0.5,
+                                                             0.5)
+        assert hist.bucket_counts == [1, 0]
+
+    def test_histogram_buckets_match_the_linear_scan(self):
+        bounds = DEFAULT_BUCKETS
+        values = [0.0, -0.0, 1e-300, -1.0, math.inf, -math.inf, 1e300,
+                  1e12, 7, 0.3]
+        for bound in bounds:
+            values += [bound, math.nextafter(bound, -math.inf),
+                       math.nextafter(bound, math.inf)]
+        for value in values:
+            hist = Histogram()
+            hist.observe(value)
+            want = _linear_bucket(bounds, value)
+            assert hist.bucket_counts[want] == 1, value
+            assert sum(hist.bucket_counts) == 1
+
     def test_histogram_rejects_bad_config(self):
         with pytest.raises(ConfigurationError):
             Histogram(buckets=())
@@ -96,6 +131,34 @@ class TestRegistry:
             registry.counter("bad name")
         with pytest.raises(ConfigurationError):
             registry.counter("fine_name", **{"bad-label": "x"})
+
+    def test_label_names_are_checked_on_every_new_label_set(self):
+        registry = MetricsRegistry()
+        registry.counter("x_total", "X.", verb="a")
+        with pytest.raises(ConfigurationError):
+            registry.counter("x_total", **{"bad-label": 1})
+        assert registry.labels_for("x_total") == [{"verb": "a"}]
+        assert "bad-label" not in to_prometheus_text(registry)
+
+    def test_repeat_lookups_return_the_one_child(self):
+        registry = MetricsRegistry()
+        first = registry.counter("c_total", "C.", verb="a", node="h")
+        assert registry.counter("c_total", node="h", verb="a") is first
+        assert registry.counter("c_total", "C.", verb="a", node="h") is first
+        # Values that compare equal but label differently stay apart.
+        one = registry.gauge("g", "G.", v=1)
+        assert registry.gauge("g", v=True) is not one
+        assert registry.gauge("g", v=1.0) is not one
+        assert registry.gauge("g", v="1") is one
+        assert registry.labels_for("g") == [{"v": "1"}, {"v": "1.0"},
+                                            {"v": "True"}]
+
+    def test_help_given_after_the_first_lookup_still_lands(self):
+        registry = MetricsRegistry()
+        registry.counter("c_total", verb="a")
+        registry.counter("c_total", verb="a")
+        registry.counter("c_total", "Late help.", verb="a")
+        assert registry.families()[0].help == "Late help."
 
     def test_get_and_value_never_create(self):
         registry = MetricsRegistry()

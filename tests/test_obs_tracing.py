@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.errors import ConfigurationError
+from repro.obs import Telemetry
 from repro.obs.tracing import (NULL_SPAN, Span, Tracer, span_forest_errors)
 
 
@@ -36,8 +38,8 @@ class TestSpanNesting:
             pass
         tracer.pop_wire_context()
         serve = tracer.finished("serve")[0]
-        assert serve.parent_id == call.span.span_id
-        assert serve.trace_id == call.span.trace_id
+        assert serve.parent_id == call.span_id
+        assert serve.trace_id == call.trace_id
 
     def test_exception_marks_error_and_propagates(self):
         tracer = Tracer()
@@ -62,7 +64,7 @@ class TestSpanNesting:
         with tracer.span("rpc") as handle:
             # Sim time does not flow during a synchronous handler; the
             # cost model sets the width explicitly.
-            handle.span.end_s = handle.span.start_s + 0.125
+            handle.end_s = handle.start_s + 0.125
         assert tracer.finished("rpc")[0].duration_s == 0.125
 
     def test_double_finish_is_idempotent(self):
@@ -94,6 +96,29 @@ class TestTracerModes:
         assert tracer.dropped == 2
         assert [s.name for s in tracer.finished()] == ["s2", "s3", "s4"]
 
+    def test_ring_needs_room_for_one_entry(self):
+        for bad in (0, -1):
+            with pytest.raises(ConfigurationError):
+                Tracer(max_spans=bad)
+            with pytest.raises(ConfigurationError):
+                Telemetry(max_spans=bad)
+        tracer = Tracer(max_spans=1)
+        for name in ("a", "b"):
+            with tracer.span(name):
+                pass
+            tracer.sample("power", 1.0)
+        assert [s.name for s in tracer.finished()] == ["b"]
+        assert (tracer.dropped, tracer.dropped_samples) == (1, 1)
+
+    def test_span_is_its_own_handle(self):
+        tracer = Tracer()
+        with tracer.span("op", node="h1") as span:
+            span.set_tag("k", 1)
+            assert tracer.current_context() == span.context
+        assert tracer.finished() == [span]
+        assert span.tags == {"node": "h1", "k": 1}
+        assert span.recorded
+
     def test_timeline_samples_take_explicit_timestamps(self):
         now = [5.0]
         tracer = Tracer(clock=lambda: now[0])
@@ -114,9 +139,9 @@ class TestTracerModes:
     def test_trace_and_slowest_queries(self):
         tracer = Tracer()
         with tracer.span("a") as a:
-            a.span.end_s = a.span.start_s + 3.0
+            a.end_s = a.start_s + 3.0
         with tracer.span("b") as b:
-            b.span.end_s = b.span.start_s + 7.0
+            b.end_s = b.start_s + 7.0
         assert [s.name for s in tracer.slowest(2)] == ["b", "a"]
         a_span = tracer.finished("a")[0]
         assert tracer.trace(a_span.trace_id) == [a_span]

@@ -7,9 +7,11 @@ from repro.acpi.states import SleepState
 from repro.errors import (MemoryRegionError, QueuePairError, RdmaError,
                           RpcError, RpcTimeoutError)
 from repro.rdma.costs import RdmaCostModel
-from repro.rdma.fabric import Fabric
+from repro.rdma.fabric import (DUPLICATE, REPLY_LOSS, Fabric, LinkFaults,
+                               MessageFaultInjector)
 from repro.rdma.rpc import RpcClient, RpcServer
 from repro.rdma.verbs import AccessFlags, MemoryRegion, QpState, QueuePair
+from repro.sim.rng import DeterministicRng
 from repro.units import GiB, MiB, PAGE_SIZE
 
 
@@ -266,3 +268,47 @@ class TestCostModel:
         from repro.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
             RdmaCostModel(bandwidth_bytes_per_s=0)
+
+
+class _CountingRng:
+    """A seeded stream that counts the uniforms drawn from it."""
+
+    def __init__(self, seed: int):
+        self._rng = DeterministicRng(seed)
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self._rng.random()
+
+
+class TestMessageFaultInjector:
+    def test_four_uniforms_per_message_whether_or_not_a_script_fires(self):
+        injector = MessageFaultInjector(_CountingRng(5))
+        injector.set_link("*", "*", LinkFaults(reply_loss=0.5))
+        injector.script("a", "b", DUPLICATE, method="m")
+        decisions = [injector.decide("a", "b", method)
+                     for method in ("x", "m", "m", "y")]
+        assert injector.rng.draws == 16
+        assert [d.duplicate for d in decisions] == [False, True, False,
+                                                    False]
+        # The same draws, in the same order, as a script-free injector.
+        plain = MessageFaultInjector(DeterministicRng(5))
+        plain.set_link("*", "*", LinkFaults(reply_loss=0.5))
+        assert [d.drop_reply for d in decisions] == [
+            plain.decide("a", "b", method).drop_reply
+            for method in ("x", "m", "m", "y")]
+
+    def test_active_turns_false_once_the_last_one_shot_is_consumed(self):
+        injector = MessageFaultInjector()
+        injector.script("a", "b", REPLY_LOSS, method="m")
+        injector.script("*", "b", DUPLICATE)
+        assert injector.active
+        assert injector.decide("a", "b", "x").duplicate
+        assert injector.active
+        assert injector.decide("a", "c", "m").kinds() == []  # no match
+        assert injector.active
+        assert injector.decide("a", "b", "m").drop_reply
+        assert not injector.active
+        assert injector.injected[REPLY_LOSS] == 1
+        assert injector.injected[DUPLICATE] == 1
