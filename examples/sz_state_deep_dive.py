@@ -29,7 +29,7 @@ def main() -> None:
     platform.go_zombie()
     show_platform(platform)
     print("  kernel call trace (the paper's Fig. 6):")
-    for entry in platform.ospm.call_trace[:16]:
+    for entry in list(platform.ospm.call_trace)[:16]:
         print(f"    {entry}")
     banks = platform.memory_banks
     print(f"  DRAM mode: {banks[0].mode.value} (Si0x-like, serves DMA)")

@@ -15,7 +15,8 @@ This class reproduces that call chain function-by-function and records it in
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from collections import deque
+from typing import Callable, Deque, List, Optional, Set
 
 from repro.acpi.devices import Device, DeviceState, InfinibandCard
 from repro.acpi.power import NIC_DOMAIN
@@ -30,7 +31,10 @@ class Ospm:
     def __init__(self, registers: Pm1Registers, devices: List[Device]):
         self.registers = registers
         self.devices = devices
-        self.call_trace: List[str] = []
+        #: The most recent calls, enough for one suspend-plus-resume path:
+        #: 14 fixed steps (sysfs entry to ``tboot_sleep``, then ``resume``)
+        #: and one ``pm_keep``/``pm_suspend_device`` entry per device.
+        self.call_trace: Deque[str] = deque(maxlen=14 + len(devices))
         self.current_state = SleepState.S0
         #: Hook invoked just before the PM1 write; the rack layer uses it to
         #: trigger memory delegation (remote-mem-mgr's GS_goto_zombie).

@@ -19,7 +19,7 @@ from repro.acpi.power import (CPU_DOMAIN, MEMORY_DOMAIN, NIC_DOMAIN,
                               STORAGE_DOMAIN, PowerDomain, PowerPlane,
                               PowerRail)
 from repro.acpi.states import SleepState
-from repro.errors import DeviceStateError, PowerStateError
+from repro.errors import PowerStateError
 from repro.units import GiB
 
 
@@ -122,36 +122,20 @@ class ServerPlatform:
             return False
         return any(bank.serves_accesses for bank in self.memory_banks)
 
-    def serve_remote_access(self) -> None:
-        """Validate one remote access end-to-end (NIC → PCIe → DRAM).
-
-        Raises :class:`DeviceStateError` when the path is down — e.g. the
-        platform is in S3 (DRAM in self-refresh) or S5.
-        """
-        nic = self.infiniband
-        if nic is None:
-            raise DeviceStateError(f"{self.name}: no Infiniband card installed")
-        banks = self.memory_banks
-        if not banks:
-            raise DeviceStateError(f"{self.name}: no memory banks installed")
-        nic.dma_to_memory(banks[0])
-
 
 def build_platform(name: str = "server",
                    memory_bytes: int = 16 * GiB,
-                   dimm_count: int = 4,
                    split_power_domains: bool = True,
-                   with_infiniband: bool = True,
-                   cpu_watts: float = 65.0) -> ServerPlatform:
-    """Build a server board.
+                   with_infiniband: bool = True) -> ServerPlatform:
+    """Build a server board: one CPU, four DIMMs, storage and the NIC.
 
     ``split_power_domains=False`` models a legacy board where CPU and memory
     share one supply — Sz must be refused on it.  ``with_infiniband=False``
     models a board without the RDMA path.
     """
-    devices: List[Device] = [Cpu(active_watts=cpu_watts)]
-    per_dimm = memory_bytes // max(dimm_count, 1)
-    for i in range(dimm_count):
+    devices: List[Device] = [Cpu()]
+    per_dimm = memory_bytes // 4
+    for i in range(4):
         devices.append(MemoryBankDevice(name=f"dimm{i}", capacity_bytes=per_dimm))
     if with_infiniband:
         devices.append(InfinibandCard())

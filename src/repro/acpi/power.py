@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List
 
-from repro.errors import ConfigurationError, PowerStateError
+from repro.errors import ConfigurationError
 
 
 @dataclass
@@ -125,11 +125,3 @@ class PowerPlane:
     def report(self) -> Dict[str, bool]:
         """State-report signals: domain name → energised."""
         return {name: dom.energised for name, dom in self.domains.items()}
-
-    def require_split(self) -> None:
-        """Raise unless the board supports independent CPU/memory domains."""
-        if not self.split_cpu_memory:
-            raise PowerStateError(
-                "board lacks independent CPU/memory power domains; "
-                "Sz state is unavailable on this hardware"
-            )

@@ -86,10 +86,6 @@ class Pm1Registers:
             raise PowerStateError("PM1 registers not connected to a platform")
         self._handler(sleep_type.state)
 
-    def latched_type(self) -> SleepType:
-        """Decode the currently latched SLP_TYP."""
-        return SleepType((self.pm1a_cnt & _SLP_TYP_MASK) >> _SLP_TYP_SHIFT)
-
     def clear(self) -> None:
         """Reset on wake (hardware clears SLP_EN on resume)."""
         self.pm1a_cnt = 0

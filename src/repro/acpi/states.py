@@ -26,11 +26,6 @@ class SleepState(enum.Enum):
         return self is SleepState.S0
 
     @property
-    def memory_powered(self) -> bool:
-        """Whether DRAM retains content (powered in any refresh mode)."""
-        return self in (SleepState.S0, SleepState.S3, SleepState.SZ)
-
-    @property
     def memory_remotely_accessible(self) -> bool:
         """Whether remote RDMA access to DRAM works in this state.
 
@@ -39,10 +34,6 @@ class SleepState(enum.Enum):
         path is powered down.
         """
         return self in (SleepState.S0, SleepState.SZ)
-
-    @property
-    def is_sleeping(self) -> bool:
-        return self is not SleepState.S0
 
     @property
     def wake_latency_s(self) -> float:

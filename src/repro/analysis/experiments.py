@@ -35,16 +35,6 @@ def micro_reserved_pages(micro: MicroBenchmark) -> int:
     return (micro.wss_pages * 7 + 5) // 6
 
 
-def ram_ext_run(stream_factory, compute_s: float, vm_pages: int,
-                local_fraction: float, policy: str = "Mixed",
-                **policy_kwargs) -> Tuple[WorkloadResult, RamExtHarness]:
-    """One RAM-Ext execution at the given local fraction."""
-    harness = RamExtHarness(vm_pages, local_fraction, policy=policy,
-                            **policy_kwargs)
-    result = harness.run(stream_factory(), compute_s)
-    return result, harness
-
-
 def _penalty_pct(result: WorkloadResult, baseline: WorkloadResult) -> float:
     penalty = result.penalty_vs(baseline)
     if penalty > INFINITE_PENALTY:

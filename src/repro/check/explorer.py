@@ -25,10 +25,10 @@ the returned trace shortest, and a greedy
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.check.model import Action, ProtocolModel, State, Violation
+from repro.check.model import ProtocolModel, State, Violation
 from repro.check.trace import Trace, TraceStep, minimize_trace
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import ConfigurationError, PlacementError
 
@@ -153,12 +153,6 @@ class ClusterModel:
     def zombie_hosts(self) -> List[HostModel]:
         return [h for h in self.hosts.values()
                 if h.state is HostPowerState.ZOMBIE]
-
-    def find_vm(self, name: str) -> Optional[HostModel]:
-        for host in self.hosts.values():
-            if name in host.vms:
-                return host
-        return None
 
     @property
     def remote_pool_free(self) -> float:

@@ -31,10 +31,6 @@ class ConsolidationReport:
     woken_hosts: List[str] = field(default_factory=list)
     failed_migrations: int = 0
 
-    @property
-    def suspensions(self) -> int:
-        return len(self.suspended_hosts)
-
 
 class NeatConsolidator:
     """One consolidation engine, parameterized by the zombie awareness."""

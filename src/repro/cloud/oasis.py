@@ -27,13 +27,6 @@ class OasisReport(ConsolidationReport):
     partial_migrations: int = 0
     memory_relocated: float = 0.0  # server-memory units on memory servers
 
-    @property
-    def memory_servers_needed(self) -> int:
-        """Memory servers (capacity 0.9) required for the relocated pages."""
-        if self.memory_relocated <= 0:
-            return 0
-        return int(self.memory_relocated / 0.9) + 1
-
 
 class OasisConsolidator(NeatConsolidator):
     """Neat plus the partial-migration post-pass."""

@@ -115,9 +115,6 @@ class EventLog:
     def of_kind(self, kind: EventKind) -> List[Event]:
         return [e for e in self._events if e.kind is kind]
 
-    def for_host(self, host: str) -> List[Event]:
-        return [e for e in self._events if e.host == host]
-
     def last(self) -> Optional[Event]:
         return self._events[-1] if self._events else None
 

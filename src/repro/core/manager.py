@@ -129,10 +129,6 @@ class RemoteMemoryManager:
     def lent_frames(self) -> int:
         return sum(len(b.frames) for b in self._lent.values())
 
-    @property
-    def lent_buffer_ids(self) -> List[int]:
-        return sorted(self._lent)
-
     def carve_buffers(self, max_bytes: Optional[int] = None
                       ) -> List[BufferDescriptor]:
         """Turn free local frames into registered, lendable buffers."""
@@ -227,9 +223,6 @@ class RemoteMemoryManager:
             recovered += lent.descriptor.size_bytes
         return recovered
 
-    def reclaim_all(self) -> int:
-        return self.reclaim(len(self._lent))
-
     def reclaim_bytes(self, wanted_bytes: int) -> int:
         """Reclaim enough buffers to recover at least ``wanted_bytes``."""
         nb = min(len(self._lent),
@@ -249,37 +242,12 @@ class RemoteMemoryManager:
         return store, sum(d.size_bytes for d in descriptors)
 
     def extend_swap(self, store: RemotePageStore, mem_size: int) -> int:
-        """Hourly top-up: attach newly-available buffers to ``store``."""
+        """Grow ``store`` with newly-available buffers (best effort)."""
         descriptors = self._call(Method.GS_ALLOC_SWAP, self.host, mem_size)
         for descriptor in descriptors:
             store.add_lease(self._lease_from(descriptor))
             self._stores_by_buffer[descriptor.buffer_id] = store
         return sum(d.size_bytes for d in descriptors)
-
-    def schedule_swap_topup(self, engine, store: RemotePageStore,
-                            target_bytes: int,
-                            period_s: float = 3600.0):
-        """Hourly ``GS_alloc_swap`` retry (Section 4.4: "periodically
-        called (i.e. every 1 hour) in order to take advantage of unused
-        remote buffers").
-
-        Grows ``store`` toward ``target_bytes`` each period and re-homes
-        any local-fallback pages into the new space.  Returns the
-        :class:`~repro.sim.process.PeriodicProcess` (caller may stop it).
-        """
-        from repro.sim.process import PeriodicProcess
-
-        def top_up():
-            shortfall = target_bytes - store.total_slots * PAGE_SIZE
-            if shortfall > 0:
-                self.extend_swap(store, shortfall)
-            if store.fallback_count:
-                store.restore_fallbacks()
-
-        process = PeriodicProcess(engine, period_s, top_up,
-                                  name=f"{self.host}-swap-topup")
-        process.start()
-        return process
 
     def release_store(self, store: RemotePageStore) -> None:
         """Return every buffer behind ``store`` to the controller."""

@@ -109,10 +109,6 @@ class RecoveryCoordinator:
     def stop(self) -> None:
         self._monitor.stop()
 
-    @property
-    def monitoring(self) -> bool:
-        return self._monitor.running
-
     # -- detection ---------------------------------------------------------
     def probe_tick(self) -> None:
         """One monitoring round over every known serving host."""
@@ -503,14 +499,13 @@ class FaultSchedule:
 
     @classmethod
     def randomized(cls, hosts: List[str], rng: DeterministicRng,
-                   duration_s: float, faults: int = 4,
-                   min_outage_s: float = 3.0, max_outage_s: float = 8.0,
-                   crash_probability: float = 0.5) -> "FaultSchedule":
+                   duration_s: float, faults: int = 4) -> "FaultSchedule":
         """A random but replayable schedule: every fault is healed.
 
-        Faults start inside the first 60 % of the run and heal at most
-        ``max_outage_s`` later (clamped to 90 % of the run), so the tail
-        of the schedule always exercises reconvergence.
+        Each fault is a crash or a partition with even odds.  Faults start
+        inside the first 60 % of the run and heal 3-8 s later (clamped to
+        90 % of the run), so the tail of the schedule always exercises
+        reconvergence.
         """
         if not hosts:
             raise ConfigurationError("randomized schedule needs hosts")
@@ -518,8 +513,8 @@ class FaultSchedule:
         for _ in range(faults):
             host = rng.choice(sorted(hosts))
             start = rng.uniform(0.05, 0.60) * duration_s
-            outage = rng.uniform(min_outage_s, max_outage_s)
-            kind = CRASH if rng.random() < crash_probability else PARTITION
+            outage = rng.uniform(3.0, 8.0)
+            kind = CRASH if rng.random() < 0.5 else PARTITION
             heal_at = min(start + outage, 0.90 * duration_s)
             actions.append(FaultAction(start, kind, host))
             actions.append(FaultAction(heal_at, HEAL, host))

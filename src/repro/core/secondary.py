@@ -112,9 +112,6 @@ class SecondaryController:
         self._heartbeat_client = heartbeat_client
         self._monitor.start()
 
-    def stop_watching(self) -> None:
-        self._monitor.stop()
-
     def _check_heartbeat(self) -> None:
         if self._heartbeat_client is None or self.promoted is not None:
             return

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
                     Sequence)
 
+from repro.acpi.states import SleepState
 from repro.dc.datacenter import DemandSlot, aggregate_demand
-from repro.energy.model import estimate_sz_fraction
-from repro.energy.profiles import MachineProfile, PowerConfig
+from repro.energy.model import server_power_fraction
+from repro.energy.profiles import MachineProfile
 from repro.errors import ConfigurationError
 from repro.traces.schema import Task
 from repro.units import HOUR, joules_to_kwh, watts_x_seconds
@@ -151,14 +152,15 @@ class _ProfilePower(NamedTuple):
 
     @classmethod
     def of(cls, profile: MachineProfile) -> "_ProfilePower":
-        return cls(idle=profile.fraction(PowerConfig.S0_W_IB_ON),
-                   zombie=estimate_sz_fraction(profile),
-                   suspended=profile.fraction(PowerConfig.S3_W_IB),
+        return cls(idle=server_power_fraction(profile, SleepState.S0),
+                   zombie=server_power_fraction(profile, SleepState.SZ),
+                   suspended=server_power_fraction(profile, SleepState.S3),
                    max_power_watts=profile.max_power_watts)
 
 
 def _slot_power(plan: SlotPlan, power: _ProfilePower) -> float:
     """Rack power (watts) for one slot's plan."""
+    # S0 is inlined, not a server_power_fraction call: the Fig. 10 hot loop.
     idle = power.idle
     f_active = idle + (1.0 - idle) * plan.utilization
     fraction = (plan.active * f_active

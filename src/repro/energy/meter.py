@@ -7,8 +7,6 @@ constant power into joules.
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from repro.errors import SimulationError
 from repro.units import joules_to_kwh, watts_x_seconds
 
@@ -20,9 +18,6 @@ class EnergyMeter:
         self._last_time = start_time
         self._power = power_watts
         self._joules = 0.0
-        #: The piecewise-constant timeline, ``(t0, t1, W)``: one entry
-        #: per power *level*, however many samples integrated it.
-        self.segments: List[Tuple[float, float, float]] = []
         self._joules_counter = None
         self._power_gauge = None
 
@@ -74,27 +69,13 @@ class EnergyMeter:
             self._joules += delta
             if self._joules_counter is not None:
                 self._joules_counter.inc(delta)
-            self._extend_timeline(now, self._power)
+            self._last_time = now
 
     def accumulate(self, power_watts: float, duration_s: float) -> None:
-        """Directly add a constant-power segment (timeline-free use)."""
+        """Directly add a constant-power segment from the last instant."""
         if duration_s < 0:
             raise SimulationError(f"negative duration {duration_s}")
         self._joules += watts_x_seconds(power_watts, duration_s)
         if self._joules_counter is not None:
             self._joules_counter.inc(watts_x_seconds(power_watts, duration_s))
-        self._extend_timeline(self._last_time + duration_s, power_watts)
-
-    def _extend_timeline(self, end: float, power_watts: float) -> None:
-        """Record ``[last time, end)`` at ``power_watts``.
-
-        Segments are contiguous by construction, so one at the previous
-        segment's power just stretches it: the list grows with power
-        changes, not with samples.
-        """
-        segments = self.segments
-        if segments and segments[-1][2] == power_watts:
-            segments[-1] = (segments[-1][0], end, power_watts)
-        else:
-            segments.append((self._last_time, end, power_watts))
-        self._last_time = end
+        self._last_time += duration_s

@@ -35,8 +35,7 @@ def estimate_sz_fraction(profile: MachineProfile) -> float:
 
 
 def server_power_fraction(profile: MachineProfile, state: SleepState,
-                          utilization: float = 0.0,
-                          ib_active: bool = True) -> float:
+                          utilization: float = 0.0) -> float:
     """Power fraction of a server in ``state`` at the given CPU utilization.
 
     In S0 we use the standard linear-from-idle energy-proportionality model
@@ -48,9 +47,7 @@ def server_power_fraction(profile: MachineProfile, state: SleepState,
     if not 0.0 <= utilization <= 1.0:
         raise ConfigurationError(f"utilization out of [0,1]: {utilization}")
     if state is SleepState.S0:
-        idle_cfg = (PowerConfig.S0_W_IB_ON if ib_active
-                    else PowerConfig.S0_W_IB_OFF)
-        idle = profile.fraction(idle_cfg)
+        idle = profile.fraction(PowerConfig.S0_W_IB_ON)
         return idle + (1.0 - idle) * utilization
     if state is SleepState.S3:
         return profile.fraction(PowerConfig.S3_W_IB)
@@ -64,10 +61,9 @@ def server_power_fraction(profile: MachineProfile, state: SleepState,
 
 
 def server_power_watts(profile: MachineProfile, state: SleepState,
-                       utilization: float = 0.0,
-                       ib_active: bool = True) -> float:
+                       utilization: float = 0.0) -> float:
     """Absolute draw in watts for ``server_power_fraction``."""
-    return (server_power_fraction(profile, state, utilization, ib_active)
+    return (server_power_fraction(profile, state, utilization)
             * profile.max_power_watts)
 
 

@@ -96,10 +96,6 @@ class FencingError(ControllerError):
     """A control-plane call carried a stale fencing epoch (split brain)."""
 
 
-class HostLostError(ControllerError):
-    """An operation referenced a serving host declared lost by recovery."""
-
-
 class HypervisorError(ReproError):
     """Base class for hypervisor-level failures."""
 

@@ -132,9 +132,6 @@ class FederationGateway:
     def alloc_ext(self, tenant: str, mem_size: int) -> List:
         return self.call(tenant, Method.GS_ALLOC_EXT.value, tenant, mem_size)
 
-    def alloc_swap(self, tenant: str, mem_size: int) -> List:
-        return self.call(tenant, Method.GS_ALLOC_SWAP.value, tenant, mem_size)
-
     def release(self, tenant: str, buffer_ids: List[int]) -> None:
         return self.call(tenant, Method.GS_RELEASE.value, tenant, buffer_ids)
 

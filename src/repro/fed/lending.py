@@ -239,8 +239,3 @@ class LendingManager:
     def loans_from(self, donor: str) -> List[Loan]:
         return sorted((l for l in self.loans.values() if l.donor == donor),
                       key=lambda l: l.buffer_id)
-
-    def loans_to(self, borrower: str) -> List[Loan]:
-        return sorted((l for l in self.loans.values()
-                       if l.borrower == borrower),
-                      key=lambda l: l.buffer_id)

@@ -59,15 +59,6 @@ class ConsistentHashRing:
             self._points.insert(index, point)
             self._owners.insert(index, rack)
 
-    def remove_rack(self, rack: str) -> None:
-        if rack not in self._racks:
-            raise ConfigurationError(f"rack {rack!r} not on the ring")
-        self._racks.discard(rack)
-        keep = [(p, o) for p, o in zip(self._points, self._owners)
-                if o != rack]
-        self._points = [p for p, _ in keep]
-        self._owners = [o for _, o in keep]
-
     def home(self, key: str) -> str:
         """The home rack of ``key`` (first point clockwise from its hash)."""
         if not self._points:
@@ -94,10 +85,3 @@ class ConsistentHashRing:
                 if len(order) == wanted:
                     break
         return order
-
-    def load_split(self, keys: Iterable[str]) -> dict:
-        """rack → number of ``keys`` homed there (placement diagnostics)."""
-        split = {rack: 0 for rack in self._racks}
-        for key in keys:
-            split[self.home(key)] += 1
-        return split

@@ -47,10 +47,6 @@ class AccessStats:
     time_faults_s: float = 0.0
 
     @property
-    def fault_rate(self) -> float:
-        return self.page_faults / self.accesses if self.accesses else 0.0
-
-    @property
     def cycles_per_fault(self) -> float:
         return self.policy_cycles / self.page_faults if self.page_faults else 0.0
 

@@ -44,10 +44,6 @@ class MigrationResult:
     pages_transferred: int
     remote_pages_kept: int = 0
 
-    @property
-    def bytes_transferred(self) -> int:
-        return self.pages_transferred * PAGE_SIZE
-
 
 def migrate_native(total_pages: int, wss_pages: int,
                    bandwidth: float = DEFAULT_BANDWIDTH) -> MigrationResult:

@@ -87,9 +87,3 @@ class Vm:
                 f"{self.state.value} -> {new_state.value}"
             )
         self.state = new_state
-
-    def require_running(self) -> None:
-        if self.state is not VmState.RUNNING:
-            raise VmStateError(
-                f"VM {self.name!r} is {self.state.value}, not running"
-            )

@@ -188,10 +188,6 @@ class RemotePageStore:
     def used_slot_count(self) -> int:
         return sum(len(s.used_slots) for s in self._leases.values())
 
-    @property
-    def stored_pages(self) -> int:
-        return len(self._locations)
-
     # -- page operations ----------------------------------------------------
     def store(self, data: Optional[bytes] = None) -> Tuple[int, float]:
         """Write one page; returns ``(stable key, seconds)``.

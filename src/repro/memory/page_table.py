@@ -148,6 +148,3 @@ class PageTable:
     def resident(self) -> Iterator[PageTableEntry]:
         """All present entries (iteration order is insertion order)."""
         return (e for e in self._entries.values() if e.present)
-
-    def known_pages(self) -> int:
-        return len(self._entries)

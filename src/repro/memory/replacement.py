@@ -80,12 +80,6 @@ class ReplacementPolicy(abc.ABC):
         is the next candidate."""
         self.fifo.appendleft(ppn)
 
-    @property
-    def mean_cycles_per_victim(self) -> float:
-        if self.victims_selected == 0:
-            return 0.0
-        return self.cycles_total / self.victims_selected
-
     @abc.abstractmethod
     def _pick(self, table: PageTable):
         """One selection attempt: return ``(ppn or None, cycles_spent)``.

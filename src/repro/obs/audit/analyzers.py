@@ -16,7 +16,7 @@ bench run without the DC layer, a DC replay without a rack): it reports
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.obs.audit.grading import CALIBRATIONS, Calibration
 from repro.obs.audit.inputs import AuditInputs
@@ -315,8 +315,5 @@ DEFAULT_ANALYZERS: Sequence[Analyzer] = (
 )
 
 
-def run_analyzers(inputs: AuditInputs,
-                  analyzers: Optional[Sequence[Analyzer]] = None
-                  ) -> List[Dimension]:
-    return [analyzer.analyze(inputs)
-            for analyzer in (analyzers or DEFAULT_ANALYZERS)]
+def run_analyzers(inputs: AuditInputs) -> List[Dimension]:
+    return [analyzer.analyze(inputs) for analyzer in DEFAULT_ANALYZERS]

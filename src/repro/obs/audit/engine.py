@@ -9,13 +9,12 @@ recommendations.  The report is a plain frozen dataclass; rendering
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.obs.audit.analyzers import Analyzer, Dimension, run_analyzers
+from repro.obs.audit.analyzers import Dimension, run_analyzers
 from repro.obs.audit.grading import GRADE_POINTS, letter_for_points
 from repro.obs.audit.inputs import AuditInputs
-from repro.obs.audit.recommend import (ImpactCalculator, Recommendation,
-                                       run_calculators)
+from repro.obs.audit.recommend import Recommendation, run_calculators
 
 
 @dataclass(frozen=True)
@@ -44,13 +43,10 @@ class AuditReport:
         return {dim.key: dim.grade for dim in self.dimensions}
 
 
-def run_audit(inputs: AuditInputs,
-              analyzers: Optional[Sequence[Analyzer]] = None,
-              calculators: Optional[Sequence[ImpactCalculator]] = None
-              ) -> AuditReport:
+def run_audit(inputs: AuditInputs) -> AuditReport:
     """Score every dimension, grade the fleet, rank the findings."""
-    dimensions = tuple(run_analyzers(inputs, analyzers))
-    recommendations = tuple(run_calculators(inputs, dimensions, calculators))
+    dimensions = tuple(run_analyzers(inputs))
+    recommendations = tuple(run_calculators(inputs, dimensions))
     scored = [dim for dim in dimensions if dim.available]
     if scored:
         points = sum(GRADE_POINTS[dim.grade] for dim in scored) / len(scored)

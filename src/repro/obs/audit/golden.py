@@ -153,7 +153,7 @@ def _compare_baseline(report: AuditReport, path: Path) -> List[str]:
     return problems
 
 
-def self_check(baseline_path: Optional[Path] = None) -> List[str]:
+def self_check() -> List[str]:
     """Run the full golden-audit contract; empty list means pass."""
     problems: List[str] = []
     reports = {seed: run_golden_audit(seed) for seed in GOLDEN_SEEDS}
@@ -182,5 +182,5 @@ def self_check(baseline_path: Optional[Path] = None) -> List[str]:
         problems.append(f"only {len(quantified)} quantified "
                         "recommendations (>0 J/hour); need >= 3")
 
-    problems += _compare_baseline(primary, baseline_path or BASELINE_PATH)
+    problems += _compare_baseline(primary, BASELINE_PATH)
     return problems

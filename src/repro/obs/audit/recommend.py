@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.acpi.states import SleepState
-from repro.energy.model import estimate_sz_fraction, server_power_watts
+from repro.energy.model import server_power_watts
 from repro.energy.profiles import PROFILES, MachineProfile
 from repro.obs.audit.analyzers import Dimension
 from repro.obs.audit.inputs import AuditInputs
@@ -77,14 +77,14 @@ class StrandedHostCalculator(ImpactCalculator):
         profile = _profile(inputs)
         if worst.state == "S0":
             idle_w = server_power_watts(profile, SleepState.S0, 0.0)
-            sz_w = estimate_sz_fraction(profile) * profile.max_power_watts
+            sz_w = server_power_watts(profile, SleepState.SZ)
             # The stranded share of the board's power, recoverable by
             # lending those frames and letting another board sleep.
             impact_j_h = (idle_w - sz_w) * worst.stranded_fraction * HOUR
             action = (f"raise host {worst.name!r} lend quota (or convert "
                       "it to a zombie) to pool its idle DRAM")
         else:
-            sz_w = estimate_sz_fraction(profile) * profile.max_power_watts
+            sz_w = server_power_watts(profile, SleepState.SZ)
             impact_j_h = sz_w * worst.stranded_fraction * 3600.0
             action = (f"trim host {worst.name!r} zombie lend quota to "
                       "match demand and deepen sleep elsewhere")
@@ -120,7 +120,7 @@ class UnservedRemoteCalculator(ImpactCalculator):
             return None
         profile = _profile(inputs)
         idle_w = server_power_watts(profile, SleepState.S0, 0.0)
-        sz_w = estimate_sz_fraction(profile) * profile.max_power_watts
+        sz_w = server_power_watts(profile, SleepState.SZ)
         # mean unserved servers × per-server saving, per hour
         mean_unserved = unserved / span
         impact_j_h = mean_unserved * (idle_w - sz_w) * 3600.0
@@ -251,7 +251,7 @@ class SuspendedFleetCalculator(ImpactCalculator):
             return None
         profile = _profile(inputs)
         idle_w = server_power_watts(profile, SleepState.S0, 0.0)
-        sz_w = estimate_sz_fraction(profile) * profile.max_power_watts
+        sz_w = server_power_watts(profile, SleepState.SZ)
         s3_w = server_power_watts(profile, SleepState.S3)
         mean_unserved = unserved / span
         convertible = min(suspended, mean_unserved)
@@ -284,12 +284,11 @@ DEFAULT_CALCULATORS: Sequence[ImpactCalculator] = (
 )
 
 
-def run_calculators(inputs: AuditInputs, dimensions: Sequence[Dimension],
-                    calculators: Optional[Sequence[ImpactCalculator]] = None
+def run_calculators(inputs: AuditInputs, dimensions: Sequence[Dimension]
                     ) -> List[Recommendation]:
     """Run every calculator and rank the findings by J/hour (desc)."""
     out: List[Recommendation] = []
-    for calculator in (calculators or DEFAULT_CALCULATORS):
+    for calculator in DEFAULT_CALCULATORS:
         recommendation = calculator.propose(inputs, dimensions)
         if recommendation is not None:
             out.append(recommendation)

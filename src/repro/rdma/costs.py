@@ -49,7 +49,6 @@ class RdmaCostModel:
         return (self.one_sided_latency_s + self.post_overhead_s
                 + nbytes / self.bandwidth_bytes_per_s)
 
-    def rpc_time(self, request_bytes: int = 64, response_bytes: int = 64) -> float:
-        """Time for one RPC round trip with the given payload sizes."""
-        wire = (request_bytes + response_bytes) / self.bandwidth_bytes_per_s
-        return self.rpc_round_trip_s + wire
+    def rpc_time(self) -> float:
+        """Time for one RPC round trip: a 64 B request, a 64 B response."""
+        return self.rpc_round_trip_s + (64 + 64) / self.bandwidth_bytes_per_s

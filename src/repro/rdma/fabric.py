@@ -336,11 +336,6 @@ class FabricStats:
     bytes_written: int = 0
     busy_seconds: float = 0.0
 
-    def reset(self) -> None:
-        self.reads = self.writes = self.rpcs = 0
-        self.bytes_read = self.bytes_written = 0
-        self.busy_seconds = 0.0
-
 
 class RdmaNode:
     """One server's presence on the fabric: its PD, MRs and QPs."""
@@ -541,11 +536,6 @@ class Fabric:
             return self.nodes[name]
         except KeyError:
             raise RdmaError(f"unknown fabric node {name!r}") from None
-
-    def remove_node(self, name: str) -> None:
-        if name not in self.nodes:
-            raise RdmaError(f"unknown fabric node {name!r}")
-        del self.nodes[name]
 
     # -- rack topology (ZomFed) --------------------------------------------
     def set_rack(self, name: str, rack: str) -> None:

@@ -34,7 +34,7 @@ scenario (exit 1 on divergence) — the pre-merge smoke check for the 12
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.sim.engine import Engine
 from repro.sim.rng import DeterministicRng

@@ -26,13 +26,6 @@ class WorkloadResult:
     memory_time_s: float
     compute_time_s: float
 
-    @property
-    def ops_per_second(self) -> float:
-        """Throughput metric (macro-benchmarks report ops/s)."""
-        if self.sim_time_s <= 0:
-            return 0.0
-        return self.accesses / self.sim_time_s
-
     def penalty_vs(self, baseline: "WorkloadResult") -> float:
         """Performance penalty relative to ``baseline``.
 

@@ -54,11 +54,6 @@ class MacroBenchmark:
     def operations(self) -> int:
         return self.ops_factor * self.wss_pages
 
-    def with_wss(self, wss_pages: int) -> "MacroBenchmark":
-        """The same workload over a different dataset size (scaling)."""
-        from dataclasses import replace
-        return replace(self, wss_pages=wss_pages)
-
     def stream(self) -> Iterator[Tuple[int, bool]]:
         """The deterministic access stream for one execution."""
         rng = DeterministicRng(self.seed)

@@ -81,15 +81,3 @@ def hot_cold_stream(total_pages: int, count: int, rng: DeterministicRng,
         else:
             ppn = rng.randint(0, total_pages - 1)
         yield ppn, rng.random() < write_ratio
-
-
-def sequential_scan(total_pages: int, passes: int = 1,
-                    write_ratio_period: int = 2) -> Iterator[Access]:
-    """Plain cyclic scan; writes every ``write_ratio_period``-th access."""
-    if total_pages <= 0 or passes <= 0:
-        raise ConfigurationError("invalid sequential scan parameters")
-    i = 0
-    for _ in range(passes):
-        for ppn in range(total_pages):
-            yield ppn, (i % write_ratio_period) == 0
-            i += 1

@@ -4,7 +4,7 @@ import pytest
 
 from repro.acpi.power import (CPU_DOMAIN, MEMORY_DOMAIN, PowerDomain,
                               PowerPlane, PowerRail)
-from repro.errors import ConfigurationError, PowerStateError
+from repro.errors import ConfigurationError
 
 
 def _plane(split=True):
@@ -48,10 +48,6 @@ class TestPowerPlane:
     def test_split_detection(self):
         assert _plane(split=True).split_cpu_memory
         assert not _plane(split=False).split_cpu_memory
-
-    def test_require_split_raises_on_legacy_board(self):
-        with pytest.raises(PowerStateError):
-            _plane(split=False).require_split()
 
     def test_shared_domain_counted_once_in_power(self):
         plane = _plane(split=False)

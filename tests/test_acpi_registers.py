@@ -38,12 +38,6 @@ class TestPm1Registers:
         regs.write_sleep(SleepType.SZ)
         assert regs.pm1a_cnt & SLP_EN
 
-    def test_latched_type_decodes(self):
-        regs = Pm1Registers()
-        regs.connect(lambda state: None)
-        regs.write_sleep(SleepType.S4)
-        assert regs.latched_type() is SleepType.S4
-
     def test_write_audit_log_records_both_steps(self):
         regs = Pm1Registers()
         regs.connect(lambda state: None)

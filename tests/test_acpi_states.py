@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.acpi.states import (SUSPEND_TARGETS, SYSFS_KEYWORDS, SleepState)
+from repro.acpi.states import SUSPEND_TARGETS, SYSFS_KEYWORDS, SleepState
 
 
 class TestStateProperties:
@@ -12,25 +12,17 @@ class TestStateProperties:
                       SleepState.SZ):
             assert not state.cpu_alive
 
-    def test_memory_powered_states(self):
-        assert SleepState.S0.memory_powered
-        assert SleepState.S3.memory_powered
-        assert SleepState.SZ.memory_powered
-        assert not SleepState.S4.memory_powered
-        assert not SleepState.S5.memory_powered
-
     def test_sz_is_the_only_sleeping_state_serving_memory(self):
         serving = [s for s in SleepState
-                   if s.memory_remotely_accessible and s.is_sleeping]
+                   if s.memory_remotely_accessible and s is not SleepState.S0]
         assert serving == [SleepState.SZ]
 
     def test_s3_retains_but_does_not_serve(self):
-        assert SleepState.S3.memory_powered
         assert not SleepState.S3.memory_remotely_accessible
 
     def test_s0_is_not_sleeping(self):
-        assert not SleepState.S0.is_sleeping
-        assert all(s.is_sleeping for s in SUSPEND_TARGETS)
+        assert SleepState.S0 not in SUSPEND_TARGETS
+        assert not any(s.cpu_alive for s in SUSPEND_TARGETS)
 
 
 class TestWakeLatency:

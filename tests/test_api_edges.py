@@ -10,10 +10,9 @@ from repro.core.secondary import SecondaryController
 from repro.core.controller import GlobalMemoryController
 from repro.core.manager import RemoteMemoryManager
 from repro.core.protocol import BufferDescriptor, BufferKind
-from repro.errors import (ControllerError, DeviceStateError,
-                          MemoryRegionError, QueuePairError, RdmaError,
-                          VmStateError)
-from repro.hypervisor.vm import Vm, VmSpec, VmState
+from repro.errors import (ControllerError, MemoryRegionError,
+                          QueuePairError, RdmaError)
+from repro.hypervisor.vm import Vm, VmSpec
 from repro.memory.frames import FrameAllocator
 from repro.memory.replacement import FifoPolicy
 from repro.rdma.fabric import Fabric
@@ -24,18 +23,15 @@ from repro.units import GiB, MiB, PAGE_SIZE
 class TestServeRemoteAccessPath:
     def test_end_to_end_validation_per_state(self):
         platform = build_platform("p", memory_bytes=1 * GiB)
-        platform.serve_remote_access()  # S0: fine
+        assert platform.memory_remotely_accessible()  # S0
         platform.go_zombie()
-        platform.serve_remote_access()  # Sz: fine
+        assert platform.memory_remotely_accessible()  # Sz
         platform.wake()
         platform.suspend(SleepState.S3)
-        with pytest.raises(DeviceStateError):
-            platform.serve_remote_access()
+        assert not platform.memory_remotely_accessible()
 
     def test_no_nic_board(self):
         platform = build_platform("p", with_infiniband=False)
-        with pytest.raises(DeviceStateError):
-            platform.serve_remote_access()
         assert not platform.memory_remotely_accessible()
 
     def test_no_nic_board_cannot_go_remote_even_in_sz(self):
@@ -45,15 +41,6 @@ class TestServeRemoteAccessPath:
 
 
 class TestFabricNodeManagement:
-    def test_remove_node(self):
-        fabric = Fabric()
-        fabric.add_node("x")
-        fabric.remove_node("x")
-        with pytest.raises(RdmaError):
-            fabric.node("x")
-        with pytest.raises(RdmaError):
-            fabric.remove_node("x")
-
     def test_connect_to_unknown_remote_rejected(self):
         fabric = Fabric()
         node = fabric.add_node("a")
@@ -96,12 +83,6 @@ class TestManagerCarving:
         manager = self._manager(frames=100)  # < 1 MiB worth
         assert manager.carve_buffers() == []
 
-    def test_lent_buffer_ids_sorted(self):
-        manager = self._manager()
-        manager.carve_buffers(max_bytes=3 * MiB)
-        ids = manager.lent_buffer_ids
-        assert ids == sorted(ids) and len(ids) == 3
-
     def test_reclaim_zero_is_noop(self):
         manager = self._manager()
         assert manager.reclaim(0) == 0
@@ -126,19 +107,6 @@ class TestSecondaryWiring:
         assert secondary.known_hosts == {"z"}
         assert secondary.epoch == 1 and controller.mirror_lag == 0
 
-    def test_stop_watching_halts_heartbeats(self):
-        fabric = Fabric()
-        engine = Engine()
-        controller = GlobalMemoryController(fabric.add_node("ctr"))
-        secondary = SecondaryController(fabric.add_node("sec"), engine)
-        from repro.rdma.rpc import RpcClient
-        secondary.watch(RpcClient(secondary.node, controller.rpc))
-        engine.run(until=2.5)
-        assert secondary.heartbeats_ok == 2
-        secondary.stop_watching()
-        engine.run(until=10.0)
-        assert secondary.heartbeats_ok == 2
-
     def test_transfer_of_foreign_buffer_rejected(self):
         fabric = Fabric()
         controller = GlobalMemoryController(fabric.add_node("ctr"),
@@ -152,13 +120,6 @@ class TestSecondaryWiring:
 
 
 class TestVmGuards:
-    def test_require_running(self):
-        vm = Vm(VmSpec("v", 4 * PAGE_SIZE), 4 * PAGE_SIZE, FifoPolicy())
-        with pytest.raises(VmStateError):
-            vm.require_running()
-        vm.transition(VmState.RUNNING)
-        vm.require_running()
-
     def test_local_fraction(self):
         vm = Vm(VmSpec("v", 8 * PAGE_SIZE), 4 * PAGE_SIZE, FifoPolicy())
         assert vm.local_fraction == pytest.approx(0.5)

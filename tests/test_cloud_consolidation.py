@@ -138,14 +138,6 @@ class TestOasis:
         report = oasis.run_cycle()
         assert report.partial_migrations == 0
 
-    def test_memory_servers_sized_from_relocated_memory(self):
-        from repro.cloud.oasis import OasisReport
-        report = OasisReport()
-        report.memory_relocated = 1.5
-        assert report.memory_servers_needed == 2
-        report.memory_relocated = 0.0
-        assert report.memory_servers_needed == 0
-
 
 class TestAdmission:
     def test_admit_within_capacity(self):

@@ -95,12 +95,6 @@ class TestClusterModel:
         assert host.state is HostPowerState.ON
         assert host.lent_mem == pytest.approx(0.44)
 
-    def test_find_vm(self):
-        cluster = ClusterModel(["h1", "h2"])
-        cluster.host("h2").add_vm(_vm("a"))
-        assert cluster.find_vm("a").name == "h2"
-        assert cluster.find_vm("ghost") is None
-
 
 class TestNovaScheduler:
     def test_vanilla_requires_full_booking(self):

@@ -75,7 +75,7 @@ class TestManagerLending:
         _, _, ctr, _, mgrs = _wired()
         lender = mgrs["lender"]
         lender.delegate_for_zombie()
-        lender.reclaim_all()
+        lender.reclaim_bytes(lender.lent_bytes)
         assert lender.lent_bytes == 0
         assert len(ctr.db) == 0
 

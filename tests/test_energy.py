@@ -159,22 +159,29 @@ class TestEnergyMeter:
     def test_segments_recorded(self):
         meter = EnergyMeter()
         meter.set_power(0.0, 10.0)
+        assert meter.joules == 0.0
         meter.set_power(5.0, 20.0)
+        assert meter.joules == pytest.approx(10.0 * 5.0)
         meter.advance(7.0)
-        assert meter.segments == [(0.0, 5.0, 10.0), (5.0, 7.0, 20.0)]
+        assert meter.joules == pytest.approx(10.0 * 5.0 + 20.0 * 2.0)
 
     def test_segments_bounded_by_power_changes_not_samples(self):
-        # A monitor samples every minute; a day at one power level is one
-        # segment, not 1 440 (the list used to grow 1.36 MB per rack-day).
+        # A monitor samples every minute; the meter keeps only the
+        # integral, so a long run of samples adds no state.
         meter = EnergyMeter()
         meter.set_power(0.0, 120.0)
         for minute in range(1, 5_001):
             meter.advance(60.0 * minute)
+        assert meter.joules == pytest.approx(120.0 * 300_000.0)
         meter.set_power(300_000.0, 45.0)
+        assert meter.joules == pytest.approx(120.0 * 300_000.0)
         for minute in range(5_001, 10_001):
             meter.advance(60.0 * minute)
+        assert meter.joules == pytest.approx(
+            120.0 * 300_000.0 + 45.0 * 300_000.0)
         meter.accumulate(45.0, 30.0)
-        assert meter.segments == [(0.0, 300_000.0, 120.0),
-                                  (300_000.0, 600_030.0, 45.0)]
         assert meter.joules == pytest.approx(
             120.0 * 300_000.0 + 45.0 * 300_030.0)
+        meter.advance(600_040.0)  # integrates on from the accumulated end
+        assert meter.joules == pytest.approx(
+            120.0 * 300_000.0 + 45.0 * 300_040.0)

@@ -6,6 +6,8 @@ had, and cross-rack lending engages exactly when one rack's zombie pool
 is exhausted — with the borrow visible in the J/hour energy accounting.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.protocol import Method
@@ -47,7 +49,7 @@ class TestRing:
 
     def test_load_split_touches_every_rack(self):
         ring = ConsistentHashRing([f"rack{i}" for i in range(1, 5)])
-        split = ring.load_split(f"tenant-{i}" for i in range(400))
+        split = Counter(ring.home(f"tenant-{i}") for i in range(400))
         assert set(split) == {"rack1", "rack2", "rack3", "rack4"}
         assert all(count > 0 for count in split.values())
         assert sum(split.values()) == 400
@@ -59,26 +61,10 @@ class TestRing:
             assert order[0] == ring.home(key)
             assert sorted(order) == ["rack1", "rack2", "rack3"]
 
-    def test_removing_a_rack_only_rehomes_its_keys(self):
-        ring = ConsistentHashRing(["rack1", "rack2", "rack3"])
-        keys = [f"tenant-{i}" for i in range(200)]
-        before = {k: ring.preference(k, n=2) for k in keys}
-        ring.remove_rack("rack2")
-        for key in keys:
-            home = ring.home(key)
-            if before[key][0] == "rack2":
-                # Re-homed to the next distinct rack clockwise — the
-                # failover order every caller derives independently.
-                assert home == before[key][1]
-            else:
-                assert home == before[key][0]
-
     def test_configuration_errors(self):
         ring = ConsistentHashRing(["rack1"])
         with pytest.raises(ConfigurationError):
             ring.add_rack("rack1")
-        with pytest.raises(ConfigurationError):
-            ring.remove_rack("rack9")
         with pytest.raises(ConfigurationError):
             ConsistentHashRing(vnodes=0)
         with pytest.raises(ConfigurationError):

@@ -49,7 +49,14 @@ class TestRealTreeResolution:
         assert ("repro.core.recovery.RecoveryCoordinator.probe_tick"
                 in cbs)
         # A callback defined as a closure inside a method still resolves.
-        assert any(q.endswith("schedule_swap_topup.top_up") for q in cbs)
+        graph = _graph("fx/mod.py", (
+            "class Manager:\n"
+            "    def start(self, engine):\n"
+            "        def tick():\n"
+            "            return 1\n"
+            "        return PeriodicProcess(engine, 60.0, tick)\n"
+        ))
+        assert "fx.mod.Manager.start.tick" in graph.scheduled_callbacks
 
     def test_sim_context_reaches_database_through_handlers(self, real_graph):
         sim = real_graph.reachable_from(sorted(real_graph.sim_roots()))

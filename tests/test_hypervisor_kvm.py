@@ -168,7 +168,7 @@ class TestFaultHandler:
         stats = hv.stats("v")
         assert stats.time_total_s == pytest.approx(total)
         assert stats.time_faults_s <= stats.time_total_s
-        assert stats.fault_rate == 1.0  # every access was a first touch
+        assert stats.page_faults == stats.accesses  # every access was a first touch
 
     def test_hot_pages_stay_local(self):
         """The paper's claim: the policy keeps hot pages in local memory."""

@@ -55,7 +55,7 @@ class TestZombieStackMigration:
 
     def test_bytes_transferred(self):
         result = migrate_zombiestack(10, 0)
-        assert result.bytes_transferred == 10 * PAGE_SIZE
+        assert result.pages_transferred == 10
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):

@@ -126,7 +126,7 @@ class TestConsolidationIntegration:
                                              cpu_usage=0.03, mem_usage=0.05))
         neat = NeatConsolidator(cluster, zombie_aware=True)
         report = neat.run_cycle()
-        assert report.suspensions >= 1
+        assert report.suspended_hosts
         zombies = cluster.zombie_hosts()
         assert zombies
         assert cluster.remote_pool_free > 0

@@ -334,4 +334,3 @@ class TestAccessedBits:
             table.map_local(ppn, Frame(ppn))
         table.demote(2, remote_slot=0)
         assert sorted(e.ppn for e in table.resident()) == [0, 1, 3]
-        assert table.known_pages() == 4

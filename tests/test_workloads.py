@@ -8,8 +8,8 @@ from repro.workloads.driver import WorkloadResult, run_stream
 from repro.workloads.macro import (DataCaching, Elasticsearch, MacroBenchmark,
                                    MACRO_BENCHMARKS, SparkSql)
 from repro.workloads.microbench import MicroBenchmark
-from repro.workloads.patterns import (hot_cold_stream, sequential_scan,
-                                      sliding_window_scan, zipf_stream)
+from repro.workloads.patterns import (hot_cold_stream, sliding_window_scan,
+                                      zipf_stream)
 
 
 class TestPatterns:
@@ -44,10 +44,6 @@ class TestPatterns:
                                       hot_frac=0.1, hot_prob=0.9))
         hot_hits = sum(1 for ppn, _ in stream if ppn < 10)
         assert hot_hits > 1500
-
-    def test_sequential_scan(self):
-        stream = list(sequential_scan(5, passes=2))
-        assert [ppn for ppn, _ in stream] == list(range(5)) * 2
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -86,11 +82,6 @@ class TestMacroBenchmarks:
         bench = DataCaching(wss_pages=64)
         assert len(list(bench.stream())) == bench.operations
 
-    def test_with_wss_rescales(self):
-        bench = SparkSql(wss_pages=100).with_wss(50)
-        assert bench.wss_pages == 50
-        assert bench.name == "Spark SQL"
-
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             MacroBenchmark("bad", 0, alpha=1.0, scan_frac=0.0, compute_s=0.0)
@@ -106,11 +97,6 @@ class TestDriver:
         assert result.memory_time_s == pytest.approx(1.0)
         assert result.compute_time_s == pytest.approx(0.5)
         assert result.sim_time_s == pytest.approx(1.5)
-
-    def test_ops_per_second(self):
-        result = WorkloadResult(accesses=100, sim_time_s=2.0,
-                                memory_time_s=1.0, compute_time_s=1.0)
-        assert result.ops_per_second == 50.0
 
     def test_penalty(self):
         base = WorkloadResult(10, 1.0, 0.5, 0.5)

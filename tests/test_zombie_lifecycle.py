@@ -6,7 +6,7 @@ from repro.acpi.states import SleepState
 from repro.cloud.zombiestack import ZombieStackOrchestrator
 from repro.core.rack import Rack
 from repro.hypervisor.vm import VmSpec
-from repro.units import MiB, PAGE_SIZE
+from repro.units import MiB
 
 
 def _rack(n=4):
@@ -56,51 +56,3 @@ class TestZombieDemotion:
         states = {s.name: s.state for s in rack.servers.values()}
         assert SleepState.S3 in states.values() or len(
             rack.zombie_servers()) <= 2
-
-
-class TestSwapTopUp:
-    def test_hourly_growth_toward_target(self):
-        rack = _rack(3)
-        rack.make_zombie("s2")
-        manager = rack.server("s0").manager
-        store, granted = manager.request_swap(8 * MiB)
-        process = manager.schedule_swap_topup(
-            rack.engine, store, target_bytes=32 * MiB, period_s=3600.0
-        )
-        assert store.total_slots * PAGE_SIZE == 8 * MiB
-        rack.engine.run(until=3601.0)
-        assert store.total_slots * PAGE_SIZE >= 32 * MiB
-        process.stop()
-
-    def test_topup_rehomes_fallback_pages(self):
-        rack = _rack(2)  # s0 user, s2... only s0 and s1 exist
-        manager = rack.server("s0").manager
-        rack.make_zombie("s1")
-        store, _ = manager.request_swap(8 * MiB)
-        # Fill, then lose everything to a reclaim; with no other server
-        # lending, the pages land on the local mirror.
-        keys = [store.store(b"x")[0] for _ in range(64)]
-        # Wake at the server level: no rack-driven store repair runs, so
-        # the pages stay stranded on the local mirror.
-        rack.server("s1").wake(reclaim_bytes=128 * MiB)
-        assert store.fallback_count > 0
-        rack.make_zombie("s1")  # capacity returns
-        manager.schedule_swap_topup(rack.engine, store,
-                                    target_bytes=8 * MiB, period_s=600.0)
-        rack.engine.run(until=601.0)
-        assert store.fallback_count == 0
-        for key in keys[:8]:
-            data, _ = store.load(key)
-            assert data[:1] == b"x"
-
-    def test_stop_halts_topups(self):
-        rack = _rack(3)
-        rack.make_zombie("s2")
-        manager = rack.server("s0").manager
-        store, _ = manager.request_swap(0)
-        process = manager.schedule_swap_topup(rack.engine, store,
-                                              target_bytes=32 * MiB,
-                                              period_s=600.0)
-        process.stop()
-        rack.engine.run(until=6000.0)
-        assert store.total_slots == 0
