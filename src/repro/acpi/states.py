@@ -57,9 +57,6 @@ _WAKE_LATENCY = {
     SleepState.S5: 120.0,
 }
 
-#: States a running (S0) platform may transition into.
-SUSPEND_TARGETS = (SleepState.S3, SleepState.S4, SleepState.S5, SleepState.SZ)
-
 #: The sysfs keyword introduced by the paper's kernel patch (Fig. 6, line 1).
 SYSFS_KEYWORDS = {
     "mem": SleepState.S3,

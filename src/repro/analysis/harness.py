@@ -15,8 +15,9 @@ from typing import Optional
 from repro.core.rack import Rack
 from repro.errors import ConfigurationError
 from repro.hypervisor.explicit_sd import ExplicitSdVm
+from repro.hypervisor.split_driver import SplitDriverSwap
 from repro.hypervisor.vm import Vm, VmSpec
-from repro.memory.swap import HddSwap, RemoteRamSwap, SsdSwap, SwapDevice
+from repro.memory.swap import HddSwap, SsdSwap, SwapDevice
 from repro.units import PAGE_SIZE
 from repro.workloads.driver import WorkloadResult, run_stream
 
@@ -69,8 +70,8 @@ class RamExtHarness:
 class ExplicitSdHarness:
     """One Explicit-SD VM: smaller guest RAM plus a mounted swap device.
 
-    ``device`` selects the Table 2 backend: ``remote-ram`` (rack remote
-    memory over RDMA), ``local-ssd`` or ``local-hdd``.
+    ``device`` selects the Table 2 backend: ``remote-ram`` (the split
+    driver, rack remote memory over RDMA), ``local-ssd`` or ``local-hdd``.
     """
 
     def __init__(self, vm_pages: int, local_fraction: float,
@@ -87,9 +88,8 @@ class ExplicitSdHarness:
         if device == "remote-ram":
             self.rack = _rack_for(vm_pages, buff_pages)
             self.rack.make_zombie("zombie")
-            manager = self.rack.server("user").manager
-            store, _ = manager.request_swap(swap_pages * PAGE_SIZE)
-            swap: SwapDevice = RemoteRamSwap(store)
+            swap: SwapDevice = SplitDriverSwap(
+                self.rack.server("user").manager, swap_pages)
         elif device == "local-ssd":
             swap = SsdSwap(swap_pages)
         elif device == "local-hdd":

@@ -1,4 +1,4 @@
-"""The cloud operating system layer (ZombieStack) and its baselines.
+"""The cloud operating system layer (ZombieStack) and its Neat baseline.
 
 - :mod:`~repro.cloud.model` — host/VM cluster model shared by the
   schedulers;
@@ -6,7 +6,6 @@
   relaxed (50 % local memory) RAM filter;
 - :mod:`~repro.cloud.neat` — OpenStack-Neat-style consolidation, vanilla
   and zombie-aware variants;
-- :mod:`~repro.cloud.oasis` — the Oasis partial-migration baseline;
 - :mod:`~repro.cloud.admission` — rack-level admission control preventing
   remote-memory overcommitment.
 """
@@ -14,12 +13,11 @@
 from repro.cloud.model import ClusterModel, HostModel, VmInstance, HostPowerState
 from repro.cloud.nova import NovaScheduler
 from repro.cloud.neat import NeatConsolidator
-from repro.cloud.oasis import OasisConsolidator
 from repro.cloud.admission import AdmissionController
 from repro.cloud.zombiestack import ZombieStackOrchestrator, OrchestratorReport
 
 __all__ = [
     "ClusterModel", "HostModel", "VmInstance", "HostPowerState",
-    "NovaScheduler", "NeatConsolidator", "OasisConsolidator",
+    "NovaScheduler", "NeatConsolidator",
     "AdmissionController", "ZombieStackOrchestrator", "OrchestratorReport",
 ]

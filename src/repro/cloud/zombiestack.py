@@ -32,7 +32,6 @@ class OrchestratorReport:
     migrations: int = 0
     new_zombies: List[str] = field(default_factory=list)
     demoted_to_s3: List[str] = field(default_factory=list)
-    failed_evacuations: int = 0
 
 
 class ZombieStackOrchestrator:
@@ -238,7 +237,6 @@ class ZombieStackOrchestrator:
             vm = source.hypervisor.vms[vm_name]
             target = self._migration_target(source, vm)
             if target is None:
-                report.failed_evacuations += 1
                 return False
             self.rack.migrate_vm(vm_name, source.name, target.name)
             self.placements[vm_name] = target.name

@@ -27,7 +27,7 @@ from repro.units import DEFAULT_BUFF_SIZE, buffers_for
 
 #: ``(op, args, seq)`` — seq is the entry's position in the stream of
 #: everything the primary ever journaled, making re-sends idempotent.
-MirrorFn = Callable[[str, tuple, Optional[int]], None]
+MirrorFn = Callable[[str, tuple, int], None]
 
 
 class GlobalMemoryController:

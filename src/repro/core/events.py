@@ -62,20 +62,18 @@ class Event:
 class EventLog:
     """An append-only, queryable event journal.
 
-    Storage is a ring buffer: past ``capacity`` entries the oldest events
-    are dropped (and counted in :attr:`dropped`) in O(1), so a 12k-server
-    simulation cannot grow the log without bound.  ``capacity=None``
-    makes the log unbounded for short-lived analysis runs that must not
-    lose events.
+    Storage is a ``deque(maxlen=capacity)``: past ``capacity`` entries
+    the oldest events are dropped (and counted in :attr:`dropped`) in
+    O(1), so a 12k-server simulation cannot grow the log without bound.
+    ``capacity=None`` makes the log unbounded for short-lived analysis
+    runs that must not lose events.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
                  capacity: Optional[int] = 100_000):
         self._clock = clock or (lambda: 0.0)
-        self.capacity = capacity
-        self._events: Deque[Event] = deque()
+        self._events: Deque[Event] = deque(maxlen=capacity)
         self._seq = 0
-        self.dropped = 0
         #: Duck-typed metrics registry (see :meth:`attach_metrics`); kept
         #: as "anything with a counter() method" so this module never
         #: imports :mod:`repro.obs`.
@@ -97,14 +95,16 @@ class EventLog:
                       host=host, detail=detail)
         self._seq += 1
         self._events.append(event)
-        if self.capacity is not None and len(self._events) > self.capacity:
-            self._events.popleft()
-            self.dropped += 1
         if self._metrics is not None:
             self._metrics.counter("rack_events_total",
                                   "Audit-log events emitted, by kind.",
                                   kind=kind.value).inc()
         return event
+
+    @property
+    def dropped(self) -> int:
+        """Events emitted but no longer held (the oldest, past capacity)."""
+        return self._seq - len(self._events)
 
     def __len__(self) -> int:
         return len(self._events)

@@ -101,9 +101,6 @@ class RemoteMemoryManager:
         self._stores_by_buffer: Dict[int, RemotePageStore] = {}
         self._stores_needing_repair: List[RemotePageStore] = []
         self.reclaims_served = 0
-        self.invalidations_served = 0
-        self.pages_rehomed_after_loss = 0
-        self.pages_fallback_after_loss = 0
         #: Stale-epoch calls from a deposed (split-brain) primary are
         #: rejected.
         self.fencing = FencingWatermark(host)
@@ -320,14 +317,10 @@ class RemoteMemoryManager:
                 affected.append(store)
         fallbacks = 0
         for store in affected:
-            rehomed, fell_back = store.drop_host(host)
-            self.pages_rehomed_after_loss += rehomed
-            self.pages_fallback_after_loss += fell_back
-            fallbacks += fell_back
+            fallbacks += store.drop_host(host)
             if (store.fallback_count
                     and store not in self._stores_needing_repair):
                 self._stores_needing_repair.append(store)
-        self.invalidations_served += 1
         return fallbacks
 
     def report_host_failure(self, host: str) -> bool:

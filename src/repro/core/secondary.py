@@ -55,31 +55,27 @@ class SecondaryController:
                                         name="secondary-heartbeat")
 
     # -- mirroring ---------------------------------------------------------
-    def apply_mirror(self, op: str, args: tuple,
-                     epoch: Optional[int] = None,
-                     seq: Optional[int] = None) -> None:
+    def apply_mirror(self, op: str, args: tuple, epoch: int,
+                     seq: int) -> None:
         """Apply one mirrored mutation from the primary.
 
-        ``epoch`` (when carried, i.e. on the RPC path) fences the mirror
-        stream: a deposed primary that heals and keeps mirroring is
-        rejected instead of silently corrupting the standby state.
-        ``seq`` (also RPC-path) is the op's position in the primary's
+        ``epoch`` fences the mirror stream: a deposed primary that heals
+        and keeps mirroring is rejected instead of silently corrupting the
+        standby state.  ``seq`` is the op's position in the primary's
         replicated-op log; already-applied sequence numbers are skipped so
         the primary's catch-up re-sends stay exactly-once.
         """
-        if epoch is not None:
-            if epoch < self.epoch:
-                raise FencingError(
-                    f"{self.node.name}: mirror op {op!r} carries stale "
-                    f"epoch {epoch} (current {self.epoch})"
-                )
-            self.epoch = epoch
-        if seq is not None and seq <= self.mirror_applied_seq:
+        if epoch < self.epoch:
+            raise FencingError(
+                f"{self.node.name}: mirror op {op!r} carries stale "
+                f"epoch {epoch} (current {self.epoch})"
+            )
+        self.epoch = epoch
+        if seq <= self.mirror_applied_seq:
             self.mirror_skips += 1
             return
         self.db.apply(op, args)
-        if seq is not None:
-            self.mirror_applied_seq = seq
+        self.mirror_applied_seq = seq
 
     @property
     def zombie_hosts(self) -> Set[str]:
@@ -89,8 +85,7 @@ class SecondaryController:
     def known_hosts(self) -> Set[str]:
         return self.db.known_hosts
 
-    def attach_rpc_mirror(self, client: RpcClient,
-                          epoch_fn: Optional[EpochFn] = None):
+    def attach_rpc_mirror(self, client: RpcClient, epoch_fn: EpochFn):
         """The callback to install as the primary's ``mirror``.
 
         A closure over an RPC client, so mirroring crosses the fabric
@@ -99,11 +94,9 @@ class SecondaryController:
         mirrored op with the emitting controller's fencing epoch so a
         deposed primary cannot keep writing after a failover.
         """
-        def forward(op: str, args: tuple,
-                    seq: Optional[int] = None) -> None:
-            epoch = epoch_fn() if epoch_fn is not None else None
-            client.call(Method.MIRROR_OP.value, op, args, epoch=epoch,
-                        seq=seq)
+        def forward(op: str, args: tuple, seq: int) -> None:
+            client.call(Method.MIRROR_OP.value, op, args,
+                        epoch=epoch_fn(), seq=seq)
         return forward
 
     # -- heartbeat monitoring -----------------------------------------------

@@ -45,7 +45,6 @@ class FederationDirectory:
                                  federation.monitor_policy)
             for name, rack in federation.racks.items()
         }
-        self.refreshes = 0
 
     def _probe(self, rack) -> bool:
         """One liveness heartbeat; ``False`` means unusable as a donor."""
@@ -59,7 +58,6 @@ class FederationDirectory:
 
     def refresh(self) -> None:
         """Re-probe every rack and rebuild its digest."""
-        self.refreshes += 1
         registry = self.fed.telemetry.registry
         for name, rack in sorted(self.fed.racks.items()):
             digest = RackDigest(rack=name)

@@ -24,7 +24,7 @@ request ids — a lost reply or duplicated borrow can never double-lend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.manager import FencingWatermark
 from repro.core.protocol import Method
@@ -196,24 +196,33 @@ class LendingManager:
             if loan is None or loan.donor != donor:
                 continue
             per_borrower.setdefault(loan.borrower, []).append(buffer_id)
-        recalled = 0
-        for borrower, ids in sorted(per_borrower.items()):
-            if not self._drop_on_borrower(borrower, sorted(ids)):
-                self.pending_recalls.append((borrower, sorted(ids)))
+        recalled = self._drop_or_defer(
+            (borrower, sorted(ids))
+            for borrower, ids in sorted(per_borrower.items()))
+        self.recalls += recalled
+        return recalled
+
+    def _drop_or_defer(self, batches: Iterable[Tuple[str, List[int]]]) -> int:
+        """Drop each ``(borrower, ids)`` batch of recalled loans on its
+        borrower, or queue it on ``pending_recalls`` for
+        :meth:`pump_recalls`; returns how many loans were dropped."""
+        dropped = 0
+        for borrower, ids in batches:
+            if not self._drop_on_borrower(borrower, ids):
+                self.pending_recalls.append((borrower, ids))
                 continue
             for buffer_id in ids:
                 self.loans.pop(buffer_id, None)
-            recalled += len(ids)
-        self.recalls += recalled
-        return recalled
+            dropped += len(ids)
+        return dropped
 
     def _drop_on_borrower(self, borrower: str, ids: List[int]) -> bool:
         """Drop recalled loans from the borrower's database.
 
-        Returns ``False`` on any controller/transport fault so callers
-        can defer to :meth:`pump_recalls` — deliberately no event emit
-        here: this sits on the donor's ``US_reclaim`` call graph, and
-        the deferral is already observable through ``pending_recalls``.
+        Returns ``False`` on any controller/transport fault so the batch
+        is deferred — deliberately no event emit here: this sits on the
+        donor's ``US_reclaim`` call graph, and the deferral is already
+        observable through ``pending_recalls``.
         """
         try:
             self.fed.racks[borrower].controller.fed_recall(ids)
@@ -225,15 +234,7 @@ class LendingManager:
     def pump_recalls(self) -> int:
         """Retry deferred borrower-side recall drops; returns completed."""
         pending, self.pending_recalls = self.pending_recalls, []
-        completed = 0
-        for borrower, ids in pending:
-            if not self._drop_on_borrower(borrower, ids):
-                self.pending_recalls.append((borrower, ids))
-                continue
-            for buffer_id in ids:
-                self.loans.pop(buffer_id, None)
-            completed += len(ids)
-        return completed
+        return self._drop_or_defer(pending)
 
     # -- introspection ----------------------------------------------------
     def loans_from(self, donor: str) -> List[Loan]:

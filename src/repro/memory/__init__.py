@@ -7,8 +7,8 @@
   policies (FIFO, Clock, Mixed) with per-operation cycle accounting;
 - :mod:`~repro.memory.buffers` — leased remote-memory buffers and the
   page-slot store built on them;
-- :mod:`~repro.memory.swap` — swap-device timing models (remote RAM over
-  RDMA, local SSD, local HDD).
+- :mod:`~repro.memory.swap` — the swap-device protocol and the local SSD
+  and HDD timing models.
 """
 
 from repro.memory.frames import Frame, FrameAllocator, FrameRun
@@ -16,14 +16,12 @@ from repro.memory.page_table import PageTable, PageTableEntry, PageLocation
 from repro.memory.replacement import (ReplacementPolicy, FifoPolicy,
                                       ClockPolicy, MixedPolicy, make_policy)
 from repro.memory.buffers import BufferLease, RemotePageStore
-from repro.memory.swap import (SwapDevice, RemoteRamSwap, SsdSwap, HddSwap,
-                               SWAP_DEVICE_FACTORIES)
+from repro.memory.swap import SwapDevice, SsdSwap, HddSwap
 
 __all__ = [
     "Frame", "FrameAllocator", "FrameRun",
     "PageTable", "PageTableEntry", "PageLocation",
     "ReplacementPolicy", "FifoPolicy", "ClockPolicy", "MixedPolicy",
     "make_policy", "BufferLease", "RemotePageStore",
-    "SwapDevice", "RemoteRamSwap", "SsdSwap", "HddSwap",
-    "SWAP_DEVICE_FACTORIES",
+    "SwapDevice", "SsdSwap", "HddSwap",
 ]

@@ -142,17 +142,17 @@ class RemotePageStore:
         """
         if buffer_id not in self._leases:
             raise BufferError_(f"unknown buffer lease {buffer_id}")
-        return self._rehome(self._drop_leases([buffer_id]))[1]
+        return self._rehome(self._drop_leases([buffer_id]))
 
-    def drop_host(self, host: str) -> Tuple[int, int]:
+    def drop_host(self, host: str) -> int:
         """Drop every lease served by ``host`` and re-home their pages.
 
         The controller's ``US_invalidate`` path: the serving host is dead,
         so all of its leases go at once (re-homing must never target
         another buffer on the same dead host).  Page content comes from
         the local-storage mirror, lands on surviving leases when they have
-        room, and stays on the local backup otherwise.  Returns
-        ``(pages_rehomed, pages_fallback)``.
+        room, and stays on the local backup otherwise.  Returns the
+        number of pages that had to fall back.
         """
         return self._rehome(self._drop_leases(
             [bid for bid in self._order
@@ -357,9 +357,9 @@ class RemotePageStore:
             stranded.extend(key for _, key in sorted(state.used_slots.items()))
         return stranded
 
-    def _rehome(self, keys: Iterable[int]) -> Tuple[int, int]:
+    def _rehome(self, keys: Iterable[int]) -> int:
         """Place each key from its mirror, or leave it on the local
-        backup; returns ``(pages_rehomed, pages_fallback)``."""
+        backup; returns the number of pages left on the backup."""
         rehomed = fallbacks = 0
         for key in keys:
             placed = self._place(self._backup.get(key), key=key)
@@ -373,7 +373,7 @@ class RemotePageStore:
         self._count_op("rehomed", rehomed)
         self._count_op("orphaned", fallbacks)
         self._add_fallbacks(fallbacks)
-        return rehomed, fallbacks
+        return fallbacks
 
     def _location(self, key: int) -> SlotHandle:
         handle = self._locations.get(key)

@@ -1,9 +1,10 @@
-"""Swap-device timing models: remote RAM over RDMA, local SSD, local HDD.
+"""Swap devices: the shared protocol, local SSD and local HDD.
 
-Table 2 compares an Explicit SD backed by remote RAM against local fast
-(Samsung MZ-7PD256 SSD) and local slow (Seagate ST12000NM0007 HDD) swap.
-Each device here tracks slot occupancy and charges a per-page latency; the
-defaults encode the ordering the evaluation depends on::
+Table 2 compares an Explicit SD backed by remote RAM (the split driver,
+:mod:`repro.hypervisor.split_driver`) against local fast (Samsung
+MZ-7PD256 SSD) and local slow (Seagate ST12000NM0007 HDD) swap.  Each
+device tracks slot occupancy and charges a per-page latency; the defaults
+encode the ordering the evaluation depends on::
 
     remote RAM (~5 us)  <<  SSD (~100 us)  <<  HDD (~8 ms)
 """
@@ -14,7 +15,6 @@ import abc
 from typing import Dict, Hashable, Optional, Tuple
 
 from repro.errors import ConfigurationError, SwapError
-from repro.memory.buffers import RemotePageStore, SlotHandle
 from repro.units import MICROSECOND, MILLISECOND
 
 
@@ -109,42 +109,6 @@ class SwapDevice(abc.ABC):
         self._discard(key)
 
 
-class RemoteRamSwap(SwapDevice):
-    """Swap into rack remote memory through a :class:`RemotePageStore`.
-
-    This is the device an Explicit SD mounts; the store's leases decide the
-    capacity, and latency comes from the fabric cost model.
-    """
-
-    name = "remote-ram"
-
-    def __init__(self, store: RemotePageStore,
-                 capacity_pages: Optional[int] = None):
-        super().__init__(capacity_pages or max(store.total_slots, 1))
-        self.store = store
-        self._handles: Dict[Hashable, SlotHandle] = {}
-
-    @property
-    def used_pages(self) -> int:
-        return len(self._handles)
-
-    def contains(self, key: Hashable) -> bool:
-        return key in self._handles
-
-    def _write(self, key: Hashable, data: Optional[bytes]) -> float:
-        handle, elapsed = self.store.store(data)
-        self._handles[key] = handle
-        return elapsed
-
-    def _read(self, key: Hashable) -> Tuple[Optional[bytes], float]:
-        data, elapsed = self.store.load(self._handles[key])
-        return data, elapsed
-
-    def _discard(self, key: Hashable) -> None:
-        handle = self._handles.pop(key)
-        self.store.free(handle)
-
-
 class _LatencyModelSwap(SwapDevice):
     """Shared implementation for local block devices (timing model only)."""
 
@@ -187,11 +151,3 @@ class HddSwap(_LatencyModelSwap):
     name = "local-hdd"
     read_latency_s = 8 * MILLISECOND
     write_latency_s = 8 * MILLISECOND
-
-
-#: Factory table used by Table 2's sweep (device name → constructor taking
-#: ``capacity_pages``).  ``remote-ram`` is not here because it needs a store.
-SWAP_DEVICE_FACTORIES = {
-    "local-ssd": SsdSwap,
-    "local-hdd": HddSwap,
-}

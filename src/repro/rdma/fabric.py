@@ -452,8 +452,6 @@ class RdmaNode:
         if fabric.racks:
             elapsed += fabric.charge_cross_rack(self.name, qp.remote,
                                                 nbytes=length)
-        qp.posted_sends += 1
-        qp.completions += 1
         stats = fabric.stats
         if write:
             stats.writes += 1
@@ -501,10 +499,9 @@ class Fabric:
         #: bit-identical to the pre-federation fabric (and the RPC path
         #: skips the surcharge lookup while this is empty).
         self.racks: Dict[str, str] = {}
-        #: Inter-rack cost models per (src_rack, dst_rack) pair, with
-        #: the catch-all default below.  None = cross-rack costing off.
-        self._rack_links: Dict[Tuple[str, str], InterRackLink] = {}
-        self.default_inter_rack_link: Optional[InterRackLink] = None
+        #: The one inter-rack cost model every cross-rack message pays.
+        #: None = cross-rack costing off.
+        self._inter_rack_link: Optional[InterRackLink] = None
         #: Plain federation counters (mirrored as ``fed_*`` metrics).
         self.cross_rack_ops = 0
         self.cross_rack_bytes = 0
@@ -547,14 +544,9 @@ class Fabric:
         """The rack a node lives in (None = not federation-placed)."""
         return self.racks.get(name)
 
-    def set_inter_rack_link(self, link: InterRackLink,
-                            src_rack: str = "*",
-                            dst_rack: str = "*") -> None:
-        """Register a cross-rack cost model (``"*"`` wildcards)."""
-        if src_rack == "*" and dst_rack == "*":
-            self.default_inter_rack_link = link
-        else:
-            self._rack_links[(src_rack, dst_rack)] = link
+    def set_inter_rack_link(self, link: InterRackLink) -> None:
+        """Register the cost model every cross-rack message pays."""
+        self._inter_rack_link = link
 
     def cross_rack_link(self, src: str, dst: str) -> Optional[InterRackLink]:
         """The link a ``src → dst`` message pays, or None when intra-rack."""
@@ -562,11 +554,7 @@ class Fabric:
         dst_rack = self.racks.get(dst)
         if src_rack is None or dst_rack is None or src_rack == dst_rack:
             return None
-        for key in ((src_rack, dst_rack), ("*", dst_rack), (src_rack, "*")):
-            link = self._rack_links.get(key)
-            if link is not None:
-                return link
-        return self.default_inter_rack_link
+        return self._inter_rack_link
 
     def charge_cross_rack(self, src: str, dst: str, *, rpcs: int = 0,
                           nbytes: int = 0) -> float:

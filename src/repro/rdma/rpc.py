@@ -151,7 +151,6 @@ class RetryStats:
     calls: int = 0
     attempts: int = 0
     retries: int = 0
-    backoff_time_s: float = 0.0
     deadline_exhausted: int = 0
     giveups: int = 0
 
@@ -643,7 +642,6 @@ class RpcClient:
                     policy.stats.giveups += 1
                     raise
                 policy.stats.retries += 1
-                policy.stats.backoff_time_s += delay
                 self.retries += 1
                 self.time_spent_s += delay
                 spent += delay

@@ -150,8 +150,6 @@ class QueuePair:
         self.local = local
         self.remote = remote
         self.state = QpState.RESET
-        self.posted_sends = 0
-        self.completions = 0
 
     def modify(self, new_state: QpState) -> None:
         if new_state not in _QP_TRANSITIONS[self.state]:

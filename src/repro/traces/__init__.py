@@ -14,10 +14,10 @@ columnar :class:`~repro.traces.schema.Trace` whose rows are
 from repro.traces.schema import Task, Trace, TraceConfig
 from repro.traces.google import generate_trace, trace_to_csv, trace_from_csv
 from repro.traces.transform import double_memory_demand, scale_demand
-from repro.traces.stats import TraceStats, compute_stats, summarize
+from repro.traces.stats import TraceStats, compute_stats
 
 __all__ = [
     "Task", "Trace", "TraceConfig", "generate_trace", "trace_to_csv",
     "trace_from_csv", "double_memory_demand", "scale_demand",
-    "TraceStats", "compute_stats", "summarize",
+    "TraceStats", "compute_stats",
 ]

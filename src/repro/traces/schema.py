@@ -18,7 +18,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from operator import eq, lt
-from typing import Iterable, Iterator, List, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 from repro.errors import TraceFormatError
 
@@ -196,6 +196,3 @@ class TraceConfig:
             raise TraceFormatError("n_servers and duration must be positive")
         if not 0.0 < self.cpu_load < 1.0:
             raise TraceFormatError(f"cpu_load out of (0,1): {self.cpu_load}")
-
-
-TaskList = List[Task]

@@ -1,7 +1,7 @@
 """Workload models: page-level access streams for the evaluation.
 
 - :mod:`~repro.workloads.patterns` — reusable access-pattern generators
-  (sliding-window scans, zipfian popularity, hot/cold mixes);
+  (sliding-window scans, zipfian popularity);
 - :mod:`~repro.workloads.microbench` — the paper's micro-benchmark: an
   array of 4 KiB entries iterated with read/write operations, the
   worst-case application for remote memory;
@@ -12,17 +12,16 @@
   and integrates simulated execution time.
 """
 
-from repro.workloads.patterns import (sliding_window_scan, zipf_stream,
-                                      hot_cold_stream)
+from repro.workloads.patterns import sliding_window_scan, zipf_stream
 from repro.workloads.microbench import MicroBenchmark
 from repro.workloads.macro import (MacroBenchmark, DataCaching, Elasticsearch,
-                                   SparkSql, MACRO_BENCHMARKS)
+                                   SparkSql)
 from repro.workloads.driver import WorkloadResult, run_stream
 from repro.workloads.ycsb import YCSB_WORKLOADS, YcsbWorkload
 
 __all__ = [
-    "sliding_window_scan", "zipf_stream", "hot_cold_stream",
+    "sliding_window_scan", "zipf_stream",
     "MicroBenchmark", "MacroBenchmark", "DataCaching", "Elasticsearch",
-    "SparkSql", "MACRO_BENCHMARKS", "WorkloadResult", "run_stream",
+    "SparkSql", "WorkloadResult", "run_stream",
     "YCSB_WORKLOADS", "YcsbWorkload",
 ]

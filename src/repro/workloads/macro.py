@@ -22,7 +22,7 @@ shape; the per-access compute cost models the application work per request
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from typing import Iterator, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.rng import DeterministicRng
@@ -93,11 +93,3 @@ def SparkSql(wss_pages: int = 3072) -> MacroBenchmark:
         alpha=1.2, scan_frac=0.03, compute_s=2.5 * MICROSECOND,
         write_ratio=0.25,
     )
-
-
-#: Factory table keyed by the paper's workload names.
-MACRO_BENCHMARKS: Dict[str, object] = {
-    "elasticsearch": Elasticsearch,
-    "datacaching": DataCaching,
-    "sparksql": SparkSql,
-}

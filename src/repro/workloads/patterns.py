@@ -66,18 +66,3 @@ def zipf_stream(total_pages: int, count: int, rng: DeterministicRng,
         raise ConfigurationError("invalid zipf stream parameters")
     for _ in range(count):
         yield rng.zipf(total_pages, alpha), rng.random() < write_ratio
-
-
-def hot_cold_stream(total_pages: int, count: int, rng: DeterministicRng,
-                    hot_frac: float = 0.2, hot_prob: float = 0.9,
-                    write_ratio: float = 0.1) -> Iterator[Access]:
-    """Classic hot/cold mix: ``hot_prob`` of accesses hit the hot set."""
-    if not 0.0 < hot_frac <= 1.0 or not 0.0 <= hot_prob <= 1.0:
-        raise ConfigurationError("invalid hot/cold parameters")
-    hot_pages = max(1, int(total_pages * hot_frac))
-    for _ in range(count):
-        if rng.random() < hot_prob:
-            ppn = rng.randint(0, hot_pages - 1)
-        else:
-            ppn = rng.randint(0, total_pages - 1)
-        yield ppn, rng.random() < write_ratio

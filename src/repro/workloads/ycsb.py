@@ -24,10 +24,6 @@ from repro.errors import ConfigurationError
 from repro.sim.rng import DeterministicRng
 from repro.units import MICROSECOND
 
-#: Records per 4 KiB page (1 KiB records, the YCSB default).
-RECORDS_PER_PAGE = 4
-
-
 @dataclass(frozen=True)
 class YcsbWorkload:
     """One YCSB core workload over ``total_pages`` of records."""

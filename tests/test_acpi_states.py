@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.acpi.states import SUSPEND_TARGETS, SYSFS_KEYWORDS, SleepState
+from repro.acpi.states import SYSFS_KEYWORDS, SleepState
 
 
 class TestStateProperties:
@@ -21,8 +21,9 @@ class TestStateProperties:
         assert not SleepState.S3.memory_remotely_accessible
 
     def test_s0_is_not_sleeping(self):
-        assert SleepState.S0 not in SUSPEND_TARGETS
-        assert not any(s.cpu_alive for s in SUSPEND_TARGETS)
+        targets = (SleepState.S3, SleepState.S4, SleepState.S5, SleepState.SZ)
+        assert SleepState.S0 not in targets
+        assert not any(s.cpu_alive for s in targets)
 
 
 class TestWakeLatency:

@@ -8,7 +8,8 @@ import math
 
 import pytest
 
-from repro.analysis.experiments import (migration_comparison,
+from repro.analysis.experiments import (micro_reserved_pages,
+                                        migration_comparison,
                                         ram_ext_penalty_table,
                                         replacement_policy_comparison,
                                         swap_technology_table,
@@ -19,10 +20,12 @@ from repro.analysis.harness import ExplicitSdHarness, RamExtHarness
 from repro.errors import ConfigurationError, QueuePairError, RdmaError
 from repro.memory.page_table import PageLocation
 from repro.rdma.verbs import QpState
+from repro.workloads.driver import WorkloadResult
 from repro.workloads.macro import DataCaching
 from repro.workloads.microbench import MicroBenchmark
 
 TINY_MICRO = MicroBenchmark(wss_pages=256, passes=6)
+TINY_DC = DataCaching(wss_pages=256)
 FRACS = (0.4, 0.6)
 
 
@@ -53,6 +56,38 @@ class TestHarnesses:
     def test_invalid_fraction_rejected(self):
         with pytest.raises(ConfigurationError):
             RamExtHarness(vm_pages=64, local_fraction=0.0)
+
+
+#: Table 2's remote-RAM Explicit SD cells (the v2-ESD column) at the
+#: reduced scale.  The values were recorded on the fixed-capacity
+#: remote-RAM device the split driver replaced: the two agree bit for bit.
+PINNED_ESD = {
+    ("micro", 0.4): WorkloadResult(6035, 0.049306644399995284,
+                                   0.04840139439999528,
+                                   0.0009052500000000001),
+    ("micro", 0.6): WorkloadResult(6035, 0.002550693199999856,
+                                   0.0016454431999998558,
+                                   0.0009052500000000001),
+    ("dc", 0.4): WorkloadResult(1536, 0.0061656106666666405,
+                                0.0015576106666666404, 0.004608),
+    ("dc", 0.6): WorkloadResult(1536, 0.0053558581333333355,
+                                0.000747858133333335, 0.004608),
+}
+
+
+class TestExplicitSdColumn:
+    """The remote-RAM Explicit SD runs on the split driver, bit for bit."""
+
+    @pytest.mark.parametrize("name,fraction", sorted(PINNED_ESD))
+    def test_remote_ram_cell_is_pinned(self, name, fraction):
+        workload, vm_pages = {
+            "micro": (TINY_MICRO, micro_reserved_pages(TINY_MICRO)),
+            "dc": (TINY_DC, TINY_DC.wss_pages),
+        }[name]
+        harness = ExplicitSdHarness(vm_pages, fraction, device="remote-ram")
+        result = harness.run(workload.stream(), workload.compute_s)
+        assert result == PINNED_ESD[name, fraction]
+        assert harness.device.store.fallback_count == 0
 
 
 def _harness_with_remote_page():

@@ -89,24 +89,6 @@ class TestManagerCarving:
 
 
 class TestSecondaryWiring:
-    def test_rpc_mirror_without_epoch_fn(self):
-        """The minimal embedded wiring: an RPC mirror with no epoch stamp."""
-        from repro.rdma.rpc import RpcClient
-        fabric = Fabric()
-        engine = Engine()
-        controller = GlobalMemoryController(fabric.add_node("ctr"),
-                                            buff_size=MiB)
-        secondary = SecondaryController(fabric.add_node("sec"), engine)
-        controller.mirror = secondary.attach_rpc_mirror(
-            RpcClient(controller.node, secondary.rpc))
-        controller.gs_goto_zombie("z", [BufferDescriptor(
-            buffer_id=1, host="z", offset=0, size_bytes=MiB,
-            kind=BufferKind.ZOMBIE, rkey=1)])
-        assert len(secondary.db) == 1
-        assert secondary.zombie_hosts == {"z"}
-        assert secondary.known_hosts == {"z"}
-        assert secondary.epoch == 1 and controller.mirror_lag == 0
-
     def test_transfer_of_foreign_buffer_rejected(self):
         fabric = Fabric()
         controller = GlobalMemoryController(fabric.add_node("ctr"),

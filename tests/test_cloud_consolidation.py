@@ -1,11 +1,10 @@
-"""Neat and Oasis consolidation cycles, and admission control."""
+"""Neat consolidation cycles, and admission control."""
 
 import pytest
 
 from repro.cloud.admission import AdmissionController
 from repro.cloud.model import ClusterModel, HostPowerState, VmInstance
 from repro.cloud.neat import NeatConsolidator
-from repro.cloud.oasis import OasisConsolidator
 from repro.errors import AdmissionError, ConfigurationError
 from repro.units import GiB
 
@@ -111,32 +110,6 @@ class TestNeatCycle:
         report = neat.run_cycle()
         assert "h3" in report.woken_hosts
         assert cluster.host("h3").state is HostPowerState.ON
-
-
-class TestOasis:
-    def test_partial_migration_of_idle_vms(self):
-        cluster = ClusterModel(["h1", "h2"])
-        cluster.host("h1").add_vm(_vm("busy", cpu=0.5, mem=0.3,
-                                      cpu_usage=0.5))
-        cluster.host("h2").add_vm(_vm("sleeper", cpu=0.3, mem=0.6,
-                                      cpu_usage=0.005, mem_usage=0.5))
-        oasis = OasisConsolidator(cluster)
-        report = oasis.run_cycle()
-        assert report.partial_migrations == 1
-        assert report.memory_relocated > 0
-        assert cluster.host("h2").state is HostPowerState.SUSPENDED
-        moved = cluster.host("h1").vms["sleeper"]
-        assert moved.mem_request < 0.6  # only the working set moved
-
-    def test_non_idle_vms_not_partially_migrated(self):
-        cluster = ClusterModel(["h1", "h2"])
-        cluster.host("h1").add_vm(_vm("busy", cpu=0.5, mem=0.3,
-                                      cpu_usage=0.5))
-        cluster.host("h2").add_vm(_vm("active", cpu=0.3, mem=0.9,
-                                      cpu_usage=0.15))
-        oasis = OasisConsolidator(cluster)
-        report = oasis.run_cycle()
-        assert report.partial_migrations == 0
 
 
 class TestAdmission:

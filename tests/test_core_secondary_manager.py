@@ -31,7 +31,7 @@ def _wired(lender_pages=4 * BUFF_PAGES, user_pages=4 * BUFF_PAGES):
     secondary = SecondaryController(sec_node, engine,
                                     heartbeat_period_s=1.0, miss_threshold=3)
     controller.mirror = secondary.attach_rpc_mirror(
-        RpcClient(ctr_node, secondary.rpc)
+        RpcClient(ctr_node, secondary.rpc), epoch_fn=lambda: controller.epoch
     )
     secondary.watch(RpcClient(sec_node, controller.rpc))
 
@@ -233,19 +233,13 @@ class TestMirrorCatchUp:
 class TestFencingEpochs:
     def test_stale_mirror_op_rejected(self):
         _, _, _, sec, _ = _wired()
-        sec.apply_mirror("zombie_add", ("h1",), epoch=1)
+        seq = sec.mirror_applied_seq + 1
+        sec.apply_mirror("zombie_add", ("h1",), epoch=1, seq=seq)
         sec.promote(BUFF)  # epoch 1 -> 2
         with pytest.raises(FencingError):
-            sec.apply_mirror("zombie_add", ("h2",), epoch=1)
-        sec.apply_mirror("zombie_add", ("h2",), epoch=2)  # current: fine
+            sec.apply_mirror("zombie_add", ("h2",), epoch=1, seq=seq + 1)
+        sec.apply_mirror("zombie_add", ("h2",), epoch=2, seq=seq + 1)  # current
         assert "h2" in sec.zombie_hosts
-
-    def test_epochless_mirror_op_bypasses_fence(self):
-        """Unit-test wiring (no epoch_fn) keeps working after promote."""
-        _, _, _, sec, _ = _wired()
-        sec.promote(BUFF)
-        sec.apply_mirror("zombie_add", ("h1",))
-        assert "h1" in sec.zombie_hosts
 
     def test_manager_rejects_stale_epoch(self):
         _, _, _, _, mgrs = _wired()

@@ -108,6 +108,26 @@ class TestPlans:
                 assert (_slot_power(plan, power)
                         == fraction * profile.max_power_watts)
 
+    @pytest.mark.parametrize("profile", (HP_PROFILE, DELL_PROFILE),
+                             ids=lambda p: p.name)
+    def test_slot_power_is_server_power_watts_bit_for_bit(self, profile):
+        """One server per plan: the inlined S0 line and the resolved
+        Sz/S3 terms are exactly the energy model's watts."""
+        from repro.acpi.states import SleepState
+        from repro.dc.energy_sim import _ProfilePower, _slot_power
+        from repro.energy.model import server_power_watts
+        power = _ProfilePower.of(profile)
+        for utilization in (0.0, 0.37, 1.0):
+            plan = SlotPlan(active=1.0, utilization=utilization)
+            assert _slot_power(plan, power) == server_power_watts(
+                profile, SleepState.S0, utilization)
+        zombie = SlotPlan(active=0.0, utilization=0.0, zombies=1.0)
+        assert _slot_power(zombie, power) == server_power_watts(
+            profile, SleepState.SZ)
+        suspended = SlotPlan(active=0.0, utilization=0.0, suspended=1.0)
+        assert _slot_power(suspended, power) == server_power_watts(
+            profile, SleepState.S3)
+
 
 class TestEnergySimulation:
     @pytest.fixture(scope="class")

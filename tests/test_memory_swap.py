@@ -2,12 +2,11 @@
 
 import pytest
 
+from repro.core.rack import Rack
 from repro.errors import ConfigurationError, SwapError
-from repro.memory.buffers import BufferLease, RemotePageStore
-from repro.memory.swap import (ASYNC_SUBMIT_S, HddSwap, RemoteRamSwap,
-                               SsdSwap, SWAP_DEVICE_FACTORIES)
-from repro.rdma.fabric import Fabric
-from repro.units import PAGE_SIZE
+from repro.hypervisor.split_driver import SplitDriverSwap
+from repro.memory.swap import ASYNC_SUBMIT_S, HddSwap, SsdSwap
+from repro.units import MiB
 
 
 class TestLatencyOrdering:
@@ -15,13 +14,10 @@ class TestLatencyOrdering:
         assert SsdSwap.read_latency_s < HddSwap.read_latency_s
 
     def test_remote_ram_faster_than_ssd(self):
-        fabric = Fabric()
-        user = fabric.add_node("u")
-        server = fabric.add_node("s")
-        mr = server.register_mr(4 * PAGE_SIZE)
-        store = RemotePageStore(user)
-        store.add_lease(BufferLease(1, "s", mr.rkey, 4 * PAGE_SIZE, True))
-        ram = RemoteRamSwap(store)
+        rack = Rack(["user", "zombie"], memory_bytes=64 * MiB,
+                    buff_size=4 * MiB)
+        rack.make_zombie("zombie")
+        ram = SplitDriverSwap(rack.server("user").manager, capacity_pages=4)
         ram.swap_out("k")
         _, ram_in = ram.swap_in("k")
         assert ram_in < SsdSwap.read_latency_s
@@ -105,11 +101,3 @@ class TestAsyncWriteBehind:
         dev.tick(1.0)
         _, elapsed = dev.swap_in("a")
         assert elapsed == pytest.approx(SsdSwap.read_latency_s)
-
-
-class TestFactories:
-    def test_factory_table(self):
-        assert SWAP_DEVICE_FACTORIES["local-ssd"] is SsdSwap
-        assert SWAP_DEVICE_FACTORIES["local-hdd"] is HddSwap
-        dev = SWAP_DEVICE_FACTORIES["local-ssd"](16)
-        assert dev.capacity_pages == 16

@@ -1,13 +1,21 @@
-"""Every public name in the system is reached from the program itself.
+"""Every public name in the system is reached, and every public field read.
 
-Collects each public module-level function or class, and each public
-method or property of a module-level class, in ``src/repro`` outside the
-checkers (``lint/``, ``check/``, ``sanitize/``).  A name is *reached* when
-``src/``, ``benchmarks/`` or ``examples/`` spell it as a name, an
-attribute, an imported name (a package re-export declares its API) or a
-string holding nothing but a dotted name (``getattr``, the span tables).
-Comments and prose docstrings do not count, and neither do tests: a name
-only tests call is an extension point no workload uses.
+Collects, in ``src/repro`` outside the checkers (``lint/``, ``check/``,
+``sanitize/``):
+
+- each public module-level function, class or constant, and each public
+  method or property of a module-level class.  A name is *reached* when
+  ``src/``, ``benchmarks/`` or ``examples/`` load it as a name or an
+  attribute, import it, or spell it in a string holding nothing but a
+  dotted name (``getattr``, the span tables).  A package ``__init__.py``
+  does not reach what it imports or lists in ``__all__``: a re-export
+  only repeats a name.  Comments, prose docstrings and tests do not
+  count: a name only tests call is an extension point no workload uses.
+- each public instance attribute (``self.x = ...``) and each public
+  dataclass or NamedTuple field of a module-level class.  A field is
+  *read* when ``src/``, ``benchmarks/``, ``examples/`` or ``tests/`` load
+  it as an attribute or spell it in a dotted string.  A test that reads a
+  field is its observer, so fields need no keep-list.
 
 A name that stays because a tier-1 test needs it to observe or drive the
 system goes on ``KEEP`` with its reason.
@@ -18,13 +26,15 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Dict, Iterator, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 CHECKERS = ("lint", "check", "sanitize")
-REFERRERS = (ROOT / "src", ROOT / "benchmarks", ROOT / "examples")
+PROGRAM = (ROOT / "src", ROOT / "benchmarks", ROOT / "examples")
+OBSERVERS = PROGRAM + (ROOT / "tests",)
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Public names no program code reaches by a name token, each with the
 #: reason it stays.  Keys are ``module:Name`` or ``module:Class.method``.
@@ -49,6 +59,8 @@ KEEP: Dict[str, str] = {
         "the fault-injection and controller tests filter the event log with it",
     "fed.lending:LendingManager.loans_from":
         "observer of a donor rack's outstanding loans in federation tests",
+    "memory.buffers:RemotePageStore.store":
+        "reference write the page-store tests check exchange against",
     "memory.buffers:RemotePageStore.store_fallback":
         "drives the local-fallback store path the page-store tests cover",
     "memory.buffers:RemotePageStore.used_slot_count":
@@ -73,6 +85,16 @@ KEEP: Dict[str, str] = {
         "the ring tests check the failover order starts at the home rack",
     "hypervisor.split_driver:SplitDriverSwap.repair":
         "the split-driver tests re-home fallback pages through it",
+    "dc.packing:pack_neat":
+        "first-fit-decreasing Neat packing the aggregate-model tests compare against",
+    "dc.packing:pack_zombiestack":
+        "first-fit-decreasing ZombieStack packing the aggregate-model tests compare against",
+    "dc.packing:tasks_active_at":
+        "the slot demand the packing reference and its tests start from",
+    "traces.google:trace_from_csv":
+        "reads back and validates the CSV `python -m repro trace` writes",
+    "traces.stats:compute_stats":
+        "reference statistics the columnar-trace tests check a trace against",
 }
 
 
@@ -85,39 +107,126 @@ def _modules() -> Iterator[Tuple[str, ast.Module]]:
         yield dotted.removesuffix(".__init__"), ast.parse(path.read_text())
 
 
-def _public_defs(body, kinds):
-    return [node for node in body
-            if isinstance(node, kinds) and not node.name.startswith("_")]
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def _targets(node: ast.AST) -> List[ast.expr]:
+    """The flattened assignment targets of ``node`` (none if it assigns nothing)."""
+    if isinstance(node, ast.Assign):
+        pending = list(node.targets)
+    elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        pending = [node.target]
+    else:
+        return []
+    flat = []
+    while pending:
+        target = pending.pop()
+        if isinstance(target, (ast.Tuple, ast.List)):
+            pending.extend(target.elts)
+        else:
+            flat.append(target)
+    return flat
+
+
+def _spelled(node: ast.expr) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass or NamedTuple: its annotated class-body names are fields."""
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+    return (any(_spelled(d) == "dataclass" for d in decorators)
+            or any(_spelled(base) == "NamedTuple" for base in cls.bases))
+
+
+def _fields(cls: ast.ClassDef) -> Iterator[str]:
+    if _is_record(cls):
+        for item in cls.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                yield item.target.id
+    for node in ast.walk(cls):
+        for target in _targets(node):
+            if (isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+                    and target.value.id == "self"):
+                yield target.attr
 
 
 def public_names() -> Dict[str, str]:
     """``module:qualname`` -> the bare name a reference must use."""
-    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     found: Dict[str, str] = {}
     for module, tree in _modules():
-        for node in _public_defs(tree.body, functions + (ast.ClassDef,)):
-            found[f"{module}:{node.name}"] = node.name
-            if isinstance(node, ast.ClassDef):
-                for item in _public_defs(node.body, functions):
-                    found[f"{module}:{node.name}.{item.name}"] = item.name
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS + (ast.ClassDef,)):
+                if _public(node.name):
+                    found[f"{module}:{node.name}"] = node.name
+                if isinstance(node, ast.ClassDef) and _public(node.name):
+                    for item in node.body:
+                        if isinstance(item, FUNCTIONS) and _public(item.name):
+                            found[f"{module}:{node.name}.{item.name}"] = item.name
+            for target in _targets(node):
+                if isinstance(target, ast.Name) and _public(target.id):
+                    found[f"{module}:{target.id}"] = target.id
     return found
 
 
-def referenced_tokens() -> Set[str]:
+def public_fields() -> Dict[str, str]:
+    """``module:Class.field`` -> the attribute name a read must use."""
+    found: Dict[str, str] = {}
+    for module, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and _public(node.name):
+                for name in _fields(node):
+                    if _public(name):
+                        found[f"{module}:{node.name}.{name}"] = name
+    return found
+
+
+def _reexports(tree: ast.Module) -> Set[int]:
+    """Ids of an ``__init__.py``'s import aliases and ``__all__`` strings."""
+    skipped: Set[int] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) or any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in _targets(node)):
+            skipped.update(id(child) for child in ast.walk(node))
+    return skipped
+
+
+def _tokens(roots, loads_only: bool) -> Set[str]:
+    """Every name the files under ``roots`` use, skipping package re-exports.
+
+    A plain name counts only when loaded, so a constant's own assignment
+    does not reach it; ``loads_only`` extends that to attributes, so a
+    field that is only ever written is not read.
+    """
     tokens: Set[str] = set()
-    for root in REFERRERS:
+    for root in roots:
         for path in root.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
+            tree = ast.parse(path.read_text())
+            skipped = _reexports(tree) if path.name == "__init__.py" else set()
+            for node in ast.walk(tree):
+                if id(node) in skipped:
+                    continue
                 if isinstance(node, ast.Name):
-                    tokens.add(node.id)
+                    if isinstance(node.ctx, ast.Load):
+                        tokens.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    tokens.add(node.attr)
+                    if isinstance(node.ctx, ast.Load) or not loads_only:
+                        tokens.add(node.attr)
                 elif isinstance(node, ast.alias):
                     tokens.add(node.name.rpartition(".")[2])
                 elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                       and DOTTED.fullmatch(node.value)):
                     tokens.update(node.value.split("."))
     return tokens
+
+
+def referenced_tokens() -> Set[str]:
+    return _tokens(PROGRAM, loads_only=False)
+
+
+def read_tokens() -> Set[str]:
+    return _tokens(OBSERVERS, loads_only=True)
 
 
 def test_every_public_name_is_reached_from_the_program():
@@ -128,6 +237,15 @@ def test_every_public_name_is_reached_from_the_program():
     assert not unreached, (
         f"{len(unreached)} public names are reached from none of src/, benchmarks/ "
         f"or examples/; delete them or add each to KEEP with its reason: {unreached}"
+    )
+
+
+def test_every_public_field_is_read():
+    tokens = read_tokens()
+    unread = sorted(key for key, name in public_fields().items() if name not in tokens)
+    assert not unread, (
+        f"{len(unread)} public fields are written but read by none of src/, "
+        f"benchmarks/, examples/ or tests/; delete them: {unread}"
     )
 
 

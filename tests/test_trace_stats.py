@@ -5,7 +5,7 @@ import pytest
 from repro.errors import TraceFormatError
 from repro.traces.google import generate_trace
 from repro.traces.schema import Task, TraceConfig
-from repro.traces.stats import compute_stats, summarize
+from repro.traces.stats import compute_stats
 from repro.traces.transform import double_memory_demand
 from repro.units import HOUR
 
@@ -17,7 +17,7 @@ class TestComputeStats:
         assert stats.tasks == 1 and stats.jobs == 1
         assert stats.horizon_s == 2 * HOUR
         assert stats.mean_cpu_booked == pytest.approx(0.4)
-        assert stats.mem_to_cpu_ratio == pytest.approx(1.5)
+        assert stats.mean_mem_booked == pytest.approx(1.5 * stats.mean_cpu_booked)
         assert stats.duration_p50_s == 2 * HOUR
 
     def test_empty_trace_rejected(self):
@@ -31,9 +31,11 @@ class TestComputeStats:
         stats = compute_stats(generate_trace(config))
         assert stats.mean_cpu_booked == pytest.approx(
             config.cpu_load * config.n_servers, rel=0.25)
-        assert stats.mem_to_cpu_ratio == pytest.approx(1.5, rel=0.15)
+        assert (stats.mean_mem_booked / stats.mean_cpu_booked
+                == pytest.approx(1.5, rel=0.15))
         assert stats.idle_task_fraction == pytest.approx(0.12, abs=0.05)
-        assert stats.usage_to_booking_ratio < 0.8  # bookings exceed usage
+        # Bookings exceed usage.
+        assert stats.mean_cpu_used / stats.mean_cpu_booked < 0.8
 
     def test_diurnal_swing_visible(self):
         config = TraceConfig(n_servers=200, duration_days=3.0,
@@ -48,9 +50,5 @@ class TestComputeStats:
         tasks = generate_trace(TraceConfig(n_servers=100,
                                            duration_days=2.0, seed=9))
         stats = compute_stats(double_memory_demand(tasks))
-        assert stats.mem_to_cpu_ratio == pytest.approx(2.0, rel=0.05)
-
-    def test_summary_renders(self):
-        tasks = generate_trace(TraceConfig(n_servers=50, duration_days=1.0))
-        text = summarize(tasks)
-        assert "mem:cpu" in text and "diurnal" in text
+        assert (stats.mean_mem_booked / stats.mean_cpu_booked
+                == pytest.approx(2.0, rel=0.05))

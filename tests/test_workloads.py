@@ -6,10 +6,9 @@ from repro.errors import ConfigurationError
 from repro.sim.rng import DeterministicRng
 from repro.workloads.driver import WorkloadResult, run_stream
 from repro.workloads.macro import (DataCaching, Elasticsearch, MacroBenchmark,
-                                   MACRO_BENCHMARKS, SparkSql)
+                                   SparkSql)
 from repro.workloads.microbench import MicroBenchmark
-from repro.workloads.patterns import (hot_cold_stream, sliding_window_scan,
-                                      zipf_stream)
+from repro.workloads.patterns import sliding_window_scan, zipf_stream
 
 
 class TestPatterns:
@@ -39,12 +38,6 @@ class TestPatterns:
         assert len(stream) == 500
         assert all(0 <= ppn < 64 for ppn, _ in stream)
 
-    def test_hot_cold_stream_skew(self):
-        stream = list(hot_cold_stream(100, 2000, DeterministicRng(1),
-                                      hot_frac=0.1, hot_prob=0.9))
-        hot_hits = sum(1 for ppn, _ in stream if ppn < 10)
-        assert hot_hits > 1500
-
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
             list(sliding_window_scan(0, DeterministicRng(1)))
@@ -67,7 +60,7 @@ class TestMicroBenchmark:
 
 class TestMacroBenchmarks:
     def test_factory_table(self):
-        for name, factory in MACRO_BENCHMARKS.items():
+        for factory in (Elasticsearch, DataCaching, SparkSql):
             bench = factory(wss_pages=128)
             assert bench.wss_pages == 128
             assert bench.operations == bench.ops_factor * 128
