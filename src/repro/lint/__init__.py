@@ -6,9 +6,13 @@ from :class:`~repro.sim.rng.DeterministicRng`, every protocol verb must be
 honest about what it raises, shared rack state must survive an RPC yield
 point, and every physical quantity must keep its unit.  ZomLint makes those
 invariants mechanical.  One run reads and parses each file once
-(:mod:`repro.lint.engine`); the per-file and project-wide rules walk those
-trees, and the whole-program passes share one call graph
-(:mod:`repro.lint.callgraph`), built only when one of them is selected:
+(:mod:`repro.lint.engine`) and walks each module once
+(:func:`~repro.lint.callgraph.walk_module`: import aliases, function body
+nodes, ``self.x`` sites, parent links).  The per-file rules read that
+walk's aliases; the whole-program passes share one call graph
+(:mod:`repro.lint.callgraph`), built only when one of them is selected,
+with one callee table, one method index and one fixpoint solver that
+ZL010's and ZL011's summaries run to convergence:
 
 =================  =============================================  ==========
 rules              implemented in                                 scope
@@ -41,7 +45,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.lint.atomicity import check_atomicity
-from repro.lint.callgraph import build_graph
+from repro.lint.callgraph import link_modules, walk_module
 from repro.lint.contracts import check_contracts
 from repro.lint.dimensions import check_dimensions
 from repro.lint.engine import (Finding, Text, apply_suppressions,
@@ -65,13 +69,15 @@ def check_sources(sources: Mapping[Path, Text],
     """
     enabled = frozenset(rules) if rules is not None else frozenset(ALL_RULES)
     trees, findings = parse_sources(sources)
+    infos = ([walk_module(path, tree) for path, tree in trees.items()]
+             if enabled & (PER_FILE_RULES | WHOLE_PROGRAM_RULES) else [])
     if enabled & PER_FILE_RULES:
-        for path, tree in trees.items():
-            findings.extend(check_file(tree, str(path), enabled))
+        for info in infos:
+            findings.extend(check_file(info, enabled))
     if "ZL007" in enabled:
         findings.extend(check_audit_metric_registrations(trees))
     if enabled & WHOLE_PROGRAM_RULES:
-        graph = build_graph(trees)
+        graph = link_modules(infos)
         if "ZL009" in enabled:
             findings.extend(check_purity(graph))
         if "ZL010" in enabled:

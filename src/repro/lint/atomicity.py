@@ -31,8 +31,8 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.callgraph import CallGraph, FunctionNode
-from repro.lint.engine import Finding, dotted_name
+from repro.lint.callgraph import DEFS, CallGraph, FunctionNode
+from repro.lint.engine import Finding, raised_name, terminal_name
 
 #: Modules the pass scopes to (path tails).  The cooperative-concurrency
 #: hazard lives in the control-plane machines; applying the rule to pure
@@ -120,77 +120,54 @@ def _families_in(node: ast.AST) -> Set[str]:
             if p in STATE_FAMILIES}
 
 
+def _loaded_name(node: ast.AST) -> Optional[str]:
+    """The identifier a Name/Attribute load reads, else ``None``."""
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    return None
+
+
+def _is_direct_yield(node: ast.AST) -> bool:
+    return isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in _DIRECT_YIELD_ATTRS)
+
+
 def direct_yield_functions(graph: CallGraph) -> Set[str]:
     """Functions whose own body issues (or is) an RPC round trip."""
-    direct: Set[str] = set()
-    for qual, fn in graph.functions.items():
-        if qual.endswith(("RpcClient.call", "RpcClient.call_timed")):
-            direct.add(qual)
-            continue
-        for stmt in getattr(fn.node, "body", []):
-            if _has_direct_yield(stmt):
-                direct.add(qual)
-                break
-    return direct
+    return {qual for qual, fn in graph.functions.items()
+            if qual.endswith(("RpcClient.call", "RpcClient.call_timed"))
+            or any(_is_direct_yield(node) for node in fn.nodes())}
 
 
-def _has_direct_yield(stmt: ast.stmt) -> bool:
-    for node in ast.walk(stmt):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
-            return True
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _DIRECT_YIELD_ATTRS):
-            return True
-    return False
-
-
-def _direct_family_reads(graph: CallGraph) -> Dict[str, Set[str]]:
-    """Families each function's own body reads (for re-validation)."""
-    reads: Dict[str, Set[str]] = {}
-    for qual, fn in graph.functions.items():
-        seen: Set[str] = set()
-        for stmt in getattr(fn.node, "body", []):
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if isinstance(node, (ast.Attribute, ast.Name)) and \
-                        isinstance(getattr(node, "ctx", None), ast.Load):
-                    name = node.attr if isinstance(node, ast.Attribute) \
-                        else node.id
-                    if name in STATE_FAMILIES:
-                        seen.add(STATE_FAMILIES[name])
-        reads[qual] = seen
-    return reads
-
-
-def _transitive_reads(graph: CallGraph,
-                      direct: Dict[str, Set[str]]) -> Dict[str, Set[str]]:
+def _reader_summary(graph: CallGraph) -> Dict[str, Set[str]]:
+    """Families each function reads, in its own body or any callee's
+    (the re-validation a call performs)."""
+    summary = {qual: {STATE_FAMILIES[name] for name in map(_loaded_name,
+                                                          fn.nodes())
+                      if name in STATE_FAMILIES}
+               for qual, fn in graph.functions.items()}
     out = graph.out_edges()
-    summary = {q: set(r) for q, r in direct.items()}
-    changed = True
-    rounds = 0
-    while changed and rounds < 50:
-        changed = False
-        rounds += 1
-        for qual in summary:
-            for callee in out.get(qual, ()):
-                extra = summary.get(callee, set()) - summary[qual]
-                if extra:
-                    summary[qual] |= extra
-                    changed = True
+
+    def grow(qual: str) -> bool:
+        reads = summary[qual]
+        before = len(reads)
+        for callee in out.get(qual, ()):
+            reads |= summary.get(callee, set())
+        return len(reads) > before
+
+    graph.fixpoint(grow)
     return summary
 
 
 class _BodyScanner:
     """Builds the ordered event list for one function body."""
 
-    def __init__(self, graph: CallGraph, fn: FunctionNode,
-                 yield_fns: Set[str], reader_summary: Dict[str, Set[str]],
+    def __init__(self, fn: FunctionNode, yield_fns: Set[str],
+                 reader_summary: Dict[str, Set[str]],
                  callees_at: Dict[int, Set[str]]):
-        self.graph = graph
         self.fn = fn
         self.yield_fns = yield_fns
         self.reader_summary = reader_summary
@@ -198,8 +175,11 @@ class _BodyScanner:
         self.events: List[_Event] = []
 
     def scan(self) -> List[_Event]:
-        for stmt in getattr(self.fn.node, "body", []):
-            self._scan_stmt(stmt)
+        for nodes in self.fn.body:
+            if isinstance(nodes[0], DEFS):
+                continue  # a nested def is its own function
+            for node in nodes:
+                self._scan_node(node)
         self.events.sort(key=lambda e: (e.line, e.col))
         return self.events
 
@@ -209,35 +189,28 @@ class _BodyScanner:
         self.events.append(event)
         return event
 
-    def _scan_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
-                self._event(node).yields = True
-            elif isinstance(node, ast.Call):
-                self._scan_call(node)
-            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                self._scan_assign(node)
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    families = _families_in(target)
-                    if families:
-                        self._event(node).writes |= families
-            elif isinstance(node, ast.Raise):
-                name = _raised_name(node)
-                if name == "FencingError":
-                    self._event(node).fences = True
-            elif isinstance(node, (ast.Attribute, ast.Name)):
-                self._scan_load(node)
+    def _scan_node(self, node: ast.AST) -> None:
+        if isinstance(node, (ast.Yield, ast.YieldFrom, ast.Await)):
+            self._event(node).yields = True
+        elif isinstance(node, ast.Call):
+            self._scan_call(node)
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            self._scan_assign(node)
+        elif isinstance(node, ast.Delete):
+            for target in node.targets:
+                families = _families_in(target)
+                if families:
+                    self._event(node).writes |= families
+        elif isinstance(node, ast.Raise):
+            if raised_name(node.exc) == "FencingError":
+                self._event(node).fences = True
+        else:
+            self._scan_load(node)
 
     def _scan_call(self, node: ast.Call) -> None:
         event = _Event(node.lineno, node.col_offset)
         func = node.func
-        terminal = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None)
+        terminal = terminal_name(func)
         chain_families = (_families_in(func.value)
                           if isinstance(func, ast.Attribute) else set())
         if terminal in _DIRECT_YIELD_ATTRS and isinstance(func,
@@ -261,21 +234,16 @@ class _BodyScanner:
                    else [node.target])
         event = _Event(node.lineno, node.col_offset)
         for target in targets:
-            for sub in ast.walk(target):
-                families = _families_in(sub) if isinstance(
-                    sub, (ast.Attribute, ast.Subscript)) else set()
-                event.writes |= families
-                break  # the outermost chain is enough
+            # The outermost chain is enough.
+            if isinstance(target, (ast.Attribute, ast.Subscript)):
+                event.writes |= _families_in(target)
         if isinstance(node, ast.AugAssign):
             event.reads |= event.writes  # x += 1 reads x first
         if event.writes:
             self.events.append(event)
 
     def _scan_load(self, node: ast.AST) -> None:
-        if not isinstance(getattr(node, "ctx", None), ast.Load):
-            return
-        name = node.attr if isinstance(node, ast.Attribute) else node.id
-        family = STATE_FAMILIES.get(name)
+        family = STATE_FAMILIES.get(_loaded_name(node))
         if family is None:
             return
         event = self._event(node)
@@ -284,16 +252,6 @@ class _BodyScanner:
             # Reading the fencing epoch (or the fenced flag) IS the
             # re-validation idiom; it fences every family.
             event.fences = True
-
-
-def _raised_name(node: ast.Raise) -> Optional[str]:
-    exc = node.exc
-    if isinstance(exc, ast.Call):
-        exc = exc.func
-    if exc is None:
-        return None
-    dotted = dotted_name(exc)
-    return dotted.split(".")[-1] if dotted else None
 
 
 def _in_scope(fn: FunctionNode, tails: Sequence[Tuple[str, ...]]) -> bool:
@@ -307,17 +265,14 @@ def check_atomicity(graph: CallGraph,
                     ATOMICITY_MODULE_TAILS) -> List[Finding]:
     """Run ZL010 over a built call graph."""
     yield_fns = graph.reaching(sorted(direct_yield_functions(graph)))
-    reader_summary = _transitive_reads(graph, _direct_family_reads(graph))
-    callees_at: Dict[str, Dict[int, Set[str]]] = {}
-    for edge in graph.edges:
-        callees_at.setdefault(edge.caller, {}).setdefault(
-            edge.lineno, set()).add(edge.callee)
+    reader_summary = _reader_summary(graph)
+    callees_at = graph.callees_at()
     findings: List[Finding] = []
     for qual in sorted(graph.functions):
         fn = graph.functions[qual]
         if not _in_scope(fn, module_tails):
             continue
-        events = _BodyScanner(graph, fn, yield_fns, reader_summary,
+        events = _BodyScanner(fn, yield_fns, reader_summary,
                               callees_at.get(qual, {})).scan()
         findings.extend(_evaluate(graph, fn, events))
     findings.sort(key=lambda f: (f.path, f.line))

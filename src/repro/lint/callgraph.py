@@ -18,17 +18,28 @@ a blocklist of ubiquitous method names) and an under-approximation where
 guessing would flood the passes with junk edges.  An extra edge surfaces
 as a finding to fix or suppress with a reason, a missing one as a blind
 spot the injected-defect tests guard, never as silent test breakage.
+
+This is the one place that walks a module: :func:`walk_module` visits
+each node once and records what every pass reads — the import aliases,
+each function's body nodes, the ``self.x`` assignment sites and each
+node's parent — and the graph holds the tables the passes share (the
+callee-by-line table, the method-name index, the class-by-name lookup)
+plus the one fixpoint solver their summaries converge on.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
-from repro.lint.engine import (collect_aliases, dotted_name, expand_alias,
-                               module_name_for, terminal_name)
+from repro.lint.engine import (dotted_name, expand_alias, module_name_for,
+                               terminal_name)
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Attribute-call names too generic to resolve by unique-name fallback:
 #: an edge guessed through one of these is far more likely to bind a
@@ -56,6 +67,9 @@ class FunctionNode:
     lineno: int
     node: ast.AST             # the FunctionDef
     class_name: Optional[str] = None
+    #: One list per body statement: its nodes in ``ast.walk`` order, the
+    #: statement first and any def nested in it included.
+    body: List[List[ast.AST]] = field(default_factory=list, repr=False)
 
     @property
     def short(self) -> str:
@@ -64,6 +78,19 @@ class FunctionNode:
         if self.class_name is not None:
             return ".".join(parts[-2:])
         return parts[-1]
+
+    def self_attr(self, expr: ast.AST) -> Optional[Tuple[str, str]]:
+        """``(class qual, attr)`` when ``expr`` is ``self.attr`` here."""
+        if (self.class_name is not None and isinstance(expr, ast.Attribute)
+                and isinstance(expr.value, ast.Name)
+                and expr.value.id == "self"):
+            return (f"{self.module}.{self.class_name}", expr.attr)
+        return None
+
+    def nodes(self) -> Iterator[ast.AST]:
+        """Every node of the body, statement by statement."""
+        for stmt_nodes in self.body:
+            yield from stmt_nodes
 
 
 @dataclass(frozen=True)
@@ -107,6 +134,15 @@ class HandlerBinding:
     lineno: int
 
 
+class AttrSite(NamedTuple):
+    """One ``self.x = v`` (or ``self.x: T = v``) site."""
+
+    cls: Optional[ast.ClassDef]       # the module-level class holding it
+    attr: str
+    value: ast.expr
+    owners: Tuple[FunctionNode, ...]  # the declared functions around it
+
+
 @dataclass
 class ModuleInfo:
     name: str
@@ -115,8 +151,16 @@ class ModuleInfo:
     #: import alias → canonical dotted prefix (``rnd`` → ``random``,
     #: ``_mono`` → ``time.monotonic``).
     aliases: Dict[str, str] = field(default_factory=dict)
-    #: local class name → class qual (same module or imported).
+    #: module-level class name → class qual.
     classes: Dict[str, str] = field(default_factory=dict)
+    #: declared functions in graph order: each module-level function or
+    #: method, then the defs nested directly in it.
+    functions: List[FunctionNode] = field(default_factory=list)
+    #: the bind edge from each nested def's enclosing function.
+    edges: List[Edge] = field(default_factory=list)
+    attr_sites: List[AttrSite] = field(default_factory=list)
+    #: every node's parent node.
+    parent: Dict[ast.AST, ast.AST] = field(default_factory=dict)
 
 
 class CallGraph:
@@ -134,8 +178,16 @@ class CallGraph:
         #: class qual (instance attribute) or one of the builtin markers
         #: ``"set"`` / ``"dict"`` / ``"list"``.
         self.attr_types: Dict[str, Dict[str, str]] = {}
+        #: Every module's ``self.x`` sites and every node's parent.
+        self.attr_sites: List[AttrSite] = []
+        self.parent: Dict[ast.AST, ast.AST] = {}
+        #: Function name → quals defining it, in graph order.
+        self.methods_named: Dict[str, List[str]] = {}
+        #: Class name → the first class qual of that name.
+        self.class_by_name: Dict[str, str] = {}
         self._out: Optional[Dict[str, Set[str]]] = None
         self._in: Optional[Dict[str, Set[str]]] = None
+        self._callees_at: Optional[Dict[str, Dict[int, Set[str]]]] = None
 
     # -- derived views -----------------------------------------------------
     def out_edges(self) -> Dict[str, Set[str]]:
@@ -152,6 +204,35 @@ class CallGraph:
                 self._in.setdefault(edge.callee, set()).add(edge.caller)
         return self._in
 
+    def callees_at(self) -> Dict[str, Dict[int, Set[str]]]:
+        """caller → call-site line → callees bound there."""
+        if self._callees_at is None:
+            self._callees_at = {}
+            for edge in self.edges:
+                self._callees_at.setdefault(edge.caller, {}).setdefault(
+                    edge.lineno, set()).add(edge.callee)
+        return self._callees_at
+
+    def fixpoint(self, grow: Callable[[str], bool]) -> None:
+        """Drive per-function summaries over the call graph to convergence.
+
+        ``grow(qual)`` recomputes one function's summary from its callees'
+        and says whether it grew.  Every function is evaluated once, in
+        :attr:`functions` order; after that only a caller of a function
+        whose summary grew is evaluated again, in the same order, so a
+        caller later in the order sees the growth in the same sweep.  It
+        stops when nothing grows: there is no round cap.
+        """
+        callers = self.in_edges()
+        order = list(self.functions)
+        dirty = set(order)
+        while dirty:
+            for qual in order:
+                if qual in dirty:
+                    dirty.discard(qual)
+                    if grow(qual):
+                        dirty.update(callers.get(qual, ()))
+
     def sim_roots(self) -> Set[str]:
         """Entry points into sim context: verb handlers + scheduled callbacks.
 
@@ -166,28 +247,22 @@ class CallGraph:
 
     def reachable_from(self, roots: Sequence[str]) -> Set[str]:
         """Forward closure over call edges (roots included)."""
-        out = self.out_edges()
-        seen: Set[str] = set()
-        frontier = [r for r in roots if r in self.functions]
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(out.get(current, ()))
-        return seen
+        return self._closure(roots, self.out_edges())
 
     def reaching(self, targets: Sequence[str]) -> Set[str]:
         """Backward closure: every function that may reach a target."""
-        inward = self.in_edges()
+        return self._closure(targets, self.in_edges())
+
+    def _closure(self, starts: Sequence[str],
+                 step: Dict[str, Set[str]]) -> Set[str]:
         seen: Set[str] = set()
-        frontier = [t for t in targets if t in self.functions]
+        frontier = [s for s in starts if s in self.functions]
         while frontier:
             current = frontier.pop()
             if current in seen:
                 continue
             seen.add(current)
-            frontier.extend(inward.get(current, ()))
+            frontier.extend(step.get(current, ()))
         return seen
 
     def shortest_chain(self, roots: Set[str], target: str
@@ -215,83 +290,118 @@ class CallGraph:
         return " -> ".join(parts)
 
 
-class _ModuleCollector:
-    """First pass: declare every function/method and instance-attr type."""
+def walk_module(path: Path, tree: ast.Module) -> ModuleInfo:
+    """The one walk of a module, breadth-first in ``ast.walk`` order.
 
-    def __init__(self, graph: CallGraph, info: ModuleInfo):
-        self.graph = graph
-        self.info = info
-
-    def collect(self) -> None:
-        for node in self.info.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self._declare(node, class_name=None, prefix=self.info.name)
-            elif isinstance(node, ast.ClassDef):
-                qual = f"{self.info.name}.{node.name}"
-                self.info.classes[node.name] = qual
-                self.graph.attr_types.setdefault(qual, {})
+    Declares each module-level function, each method of a module-level
+    class and each def nested directly in one of those (a def nested in
+    a nested def stays part of its body), and records the import
+    aliases (the last binding wins), each declared function's body
+    nodes, the ``self.x`` assignment sites and every node's parent.
+    """
+    info = ModuleInfo(name=module_name_for(path), path=str(path), tree=tree)
+    #: each module-level function or method → the defs nested in it.
+    outers: Dict[ast.AST, Tuple[FunctionNode, List[FunctionNode]]] = {}
+    for node in tree.body:
+        if isinstance(node, DEFS):
+            outers[node] = (_function(info, node, info.name, None), [])
+        elif isinstance(node, ast.ClassDef):
+            qual = f"{info.name}.{node.name}"
+            info.classes[node.name] = qual
+            for stmt in node.body:
+                if isinstance(stmt, DEFS):
+                    outers[stmt] = (_function(info, stmt, qual, node.name), [])
+    # Each entry: node, enclosing module-level class, the declared def
+    # whose direct nested defs are declared too, the declared functions
+    # around the node, and the statement lists the node belongs to.
+    parent = info.parent
+    todo = deque([(tree, None, None, (), ())])
+    while todo:
+        node, cls, outer, owners, lists = todo.popleft()
+        for nodes in lists:
+            nodes.append(node)
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                head = alias.name.split(".")[0]
+                info.aliases[alias.asname or head] = (
+                    alias.name if alias.asname else head)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            for alias in node.names:
+                info.aliases[alias.asname or alias.name] = (
+                    f"{node.module}.{alias.name}")
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            site = _attr_site(node, cls, owners)
+            if site is not None:
+                info.attr_sites.append(site)
+        elif isinstance(node, DEFS):
+            fn = outers[node][0] if node in outers else None
+            if fn is None and outer is not None:
+                fn = _function(info, node, outer.qual, outer.class_name)
+                outers[outer.node][1].append(fn)
+            outer = fn if node in outers else None
+            if fn is not None:
+                owners = owners + (fn,)
+                stmt_lists = {}
                 for stmt in node.body:
-                    if isinstance(stmt, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                        self._declare(stmt, class_name=node.name, prefix=qual)
+                    fn.body.append([])
+                    stmt_lists[stmt] = lists + (fn.body[-1],)
+                for child in ast.iter_child_nodes(node):
+                    parent[child] = node
+                    todo.append((child, cls, outer, owners,
+                                 stmt_lists.get(child, lists)))
+                continue
+        elif isinstance(node, ast.ClassDef) and parent.get(node) is tree:
+            cls = node
+        for child in ast.iter_child_nodes(node):
+            parent[child] = node
+            todo.append((child, cls, outer, owners, lists))
+    for fn, inner in outers.values():
+        info.functions.append(fn)
+        for sub in inner:
+            info.functions.append(sub)
+            info.edges.append(Edge(fn.qual, sub.qual, sub.lineno, "ref"))
+    return info
 
-    def _declare(self, node: ast.AST, class_name: Optional[str],
-                 prefix: str) -> None:
-        qual = f"{prefix}.{node.name}"
-        self.graph.functions[qual] = FunctionNode(
-            qual=qual, module=self.info.name, path=self.info.path,
-            lineno=node.lineno, node=node, class_name=class_name,
-        )
-        # Nested defs become their own nodes with a bind edge from the
-        # enclosing function (closures are registered to be called).
-        for stmt in ast.walk(node):
-            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and stmt is not node
-                    and self._directly_nested(node, stmt)):
-                inner_qual = f"{qual}.{stmt.name}"
-                self.graph.functions[inner_qual] = FunctionNode(
-                    qual=inner_qual, module=self.info.name,
-                    path=self.info.path, lineno=stmt.lineno, node=stmt,
-                    class_name=class_name,
-                )
-                self.graph.edges.append(
-                    Edge(qual, inner_qual, stmt.lineno, "ref")
-                )
 
-    @staticmethod
-    def _directly_nested(outer: ast.AST, inner: ast.AST) -> bool:
-        """True when ``inner`` is defined inside ``outer`` and not inside
-        another intermediate function (those get their own pass)."""
-        stack = [(outer, 0)]
-        while stack:
-            node, depth = stack.pop()
-            for child in ast.iter_child_nodes(node):
-                if child is inner:
-                    return depth == 0
-                bump = isinstance(child, (ast.FunctionDef,
-                                          ast.AsyncFunctionDef))
-                stack.append((child, depth + (1 if bump else 0)))
-        return False
+def _function(info: ModuleInfo, node: ast.AST, prefix: str,
+              class_name: Optional[str]) -> FunctionNode:
+    return FunctionNode(qual=f"{prefix}.{node.name}", module=info.name,
+                        path=info.path, lineno=node.lineno, node=node,
+                        class_name=class_name)
+
+
+def _attr_site(node: ast.stmt, cls: Optional[ast.ClassDef],
+               owners: Tuple[FunctionNode, ...]) -> Optional[AttrSite]:
+    """The ``self.x = v`` site an assignment is, if it is one."""
+    if isinstance(node, ast.Assign):
+        if len(node.targets) != 1:
+            return None
+        target = node.targets[0]
+    elif node.value is None:
+        return None  # a bare ``self.x: T`` annotation binds nothing
+    else:
+        target = node.target
+    if (isinstance(target, ast.Attribute)
+            and isinstance(target.value, ast.Name)
+            and target.value.id == "self"):
+        return AttrSite(cls, target.attr, node.value, owners)
+    return None
 
 
 def _record_attr_types(graph: CallGraph, info: ModuleInfo) -> None:
-    """Infer instance-attribute types from ``self.x = Ctor(...)`` sites."""
+    """Type instance attributes from their ``self.x = Ctor(...)`` sites,
+    then from property return annotations; the first type wins."""
+    sites: Dict[ast.AST, List[AttrSite]] = {}
+    for site in info.attr_sites:
+        sites.setdefault(site.cls, []).append(site)
     for node in info.tree.body:
         if not isinstance(node, ast.ClassDef):
             continue
-        class_qual = info.classes[node.name]
-        table = graph.attr_types.setdefault(class_qual, {})
-        for stmt in ast.walk(node):
-            if not isinstance(stmt, ast.Assign) or len(stmt.targets) != 1:
-                continue
-            target = stmt.targets[0]
-            if not (isinstance(target, ast.Attribute)
-                    and isinstance(target.value, ast.Name)
-                    and target.value.id == "self"):
-                continue
-            tag = _type_tag(stmt.value, info, graph)
+        table = graph.attr_types[info.classes[node.name]]
+        for site in sites.get(node, ()):
+            tag = _type_tag(site.value, info, graph)
             if tag is not None:
-                table.setdefault(target.attr, tag)
+                table.setdefault(site.attr, tag)
         # Property return annotations type the attribute they emulate.
         for stmt in node.body:
             if (isinstance(stmt, ast.FunctionDef) and stmt.returns is not None
@@ -337,14 +447,11 @@ def _resolve_class(dotted: str, info: ModuleInfo,
     # An imported class: its alias expansion ends in module.Class.
     if dotted in graph.attr_types:
         return dotted
-    for qual in graph.attr_types:
-        if qual.endswith("." + tail):
-            return qual
-    return None
+    return graph.class_by_name.get(tail)
 
 
-class _FunctionResolver(ast.NodeVisitor):
-    """Second pass: resolve every call/ref inside one function body."""
+class _FunctionResolver:
+    """Resolve every call/ref inside one function body."""
 
     def __init__(self, graph: CallGraph, info: ModuleInfo,
                  fn: FunctionNode):
@@ -353,13 +460,22 @@ class _FunctionResolver(ast.NodeVisitor):
         self.fn = fn
         #: local variable → type tag, from constructor/attr assignments.
         self.locals: Dict[str, str] = {}
-        self._method_index: Dict[str, List[str]] = {}
 
     def resolve(self) -> None:
         self._seed_parameter_types()
-        body = getattr(self.fn.node, "body", [])
-        for stmt in body:
-            self._visit_stmt(stmt)
+        for nodes in self.fn.body:
+            stmt = nodes[0]
+            if isinstance(stmt, DEFS):
+                continue  # nested defs are their own nodes
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+                    and isinstance(stmt.targets[0], ast.Name):
+                tag = self._expr_type(stmt.value)
+                if tag is not None:
+                    self.locals[stmt.targets[0].id] = tag
+            refs = self._callback_refs(nodes)
+            for node in nodes:
+                if isinstance(node, ast.Call):
+                    self._resolve_call(node, refs.get(node, []))
 
     # -- typing ------------------------------------------------------------
     def _seed_parameter_types(self) -> None:
@@ -374,33 +490,17 @@ class _FunctionResolver(ast.NodeVisitor):
                     if resolved is not None:
                         self.locals[arg.arg] = resolved
 
-    def _visit_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return  # nested defs are their own nodes
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name):
-            tag = self._expr_type(stmt.value)
-            if tag is not None:
-                self.locals[stmt.targets[0].id] = tag
-        for node in ast.walk(stmt):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, ast.Call):
-                self._resolve_call(node)
-
     def _expr_type(self, value: ast.AST) -> Optional[str]:
         tag = _type_tag(value, self.info, self.graph)
         if tag is not None:
             return tag
         # v = self.attr — propagate the instance-attribute type.
+        key = self.fn.self_attr(value)
+        if key is not None:
+            return self.graph.attr_types.get(key[0], {}).get(key[1])
         if (isinstance(value, ast.Attribute)
                 and isinstance(value.value, ast.Name)):
-            base = value.value.id
-            if base == "self" and self.fn.class_name is not None:
-                class_qual = f"{self.fn.module}.{self.fn.class_name}"
-                return self.graph.attr_types.get(class_qual,
-                                                 {}).get(value.attr)
-            base_tag = self.locals.get(base)
+            base_tag = self.locals.get(value.value.id)
             if base_tag is not None and base_tag in self.graph.attr_types:
                 return self.graph.attr_types[base_tag].get(value.attr)
         if isinstance(value, ast.Name):
@@ -408,7 +508,8 @@ class _FunctionResolver(ast.NodeVisitor):
         return None
 
     # -- call resolution ---------------------------------------------------
-    def _resolve_call(self, node: ast.Call) -> None:
+    def _resolve_call(self, node: ast.Call,
+                      refs: List[Tuple[str, int, ast.AST]]) -> None:
         callee = self._resolve_callable(node.func)
         if callee is not None:
             kind, qual = callee
@@ -420,7 +521,22 @@ class _FunctionResolver(ast.NodeVisitor):
                 expanded = expand_alias(dotted, self.info.aliases)
                 self.graph.external_calls.append(
                     ExternalCall(self.fn.qual, expanded, node.lineno))
-        self._resolve_callback_refs(node)
+        # Function refs passed as arguments become bind edges; register
+        # sites and scheduler calls feed the pass-specific side tables.
+        for qual, lineno, _ in refs:
+            self.graph.edges.append(Edge(self.fn.qual, qual, lineno, "ref"))
+        terminal = terminal_name(node.func)
+        if terminal == "register" and len(node.args) >= 2:
+            handlers = tuple(sorted({q for q, _, arg in refs
+                                     if arg is node.args[1]}))
+            if handlers:
+                self.graph.handler_bindings.append(HandlerBinding(
+                    verb=_verb_literal(node.args[0]),
+                    member=_method_member(node.args[0]), handlers=handlers,
+                    path=self.fn.path, lineno=node.lineno,
+                ))
+        if terminal in _SCHEDULER_CALLS:
+            self.graph.scheduled_callbacks.update(q for q, _, _ in refs)
 
     def _resolve_callable(self, func: ast.AST
                           ) -> Optional[Tuple[str, str]]:
@@ -431,14 +547,10 @@ class _FunctionResolver(ast.NodeVisitor):
         parts = dotted.split(".")
         # Plain name: module function, local class ctor, or alias.
         if len(parts) == 1:
-            name = parts[0]
-            local = f"{self.fn.qual}.{name}"
-            if local in self.graph.functions:
-                return ("call", local)
-            mod_fn = f"{self.fn.module}.{name}"
-            if mod_fn in self.graph.functions:
-                return ("call", mod_fn)
-            cls = _resolve_class(name, self.info, self.graph)
+            qual = self._named_function(parts[0])
+            if qual is not None:
+                return ("call", qual)
+            cls = _resolve_class(parts[0], self.info, self.graph)
             if cls is not None:
                 init = f"{cls}.__init__"
                 if init in self.graph.functions:
@@ -474,7 +586,7 @@ class _FunctionResolver(ast.NodeVisitor):
             return ("call", mod_fn)
         # Unique-name fallback for distinctive method names.
         if attr not in _FALLBACK_BLOCKLIST:
-            matches = self._methods_named(attr)
+            matches = self.graph.methods_named.get(attr, [])
             if len(matches) == 1:
                 return ("fuzzy", matches[0])
         return None
@@ -499,78 +611,53 @@ class _FunctionResolver(ast.NodeVisitor):
             return ("call", method)
         return None
 
-    def _methods_named(self, name: str) -> List[str]:
-        index = self._method_index
-        if not index:
-            for qual in self.graph.functions:
-                index.setdefault(qual.rsplit(".", 1)[-1], []).append(qual)
-        return index.get(name, [])
-
     # -- callback references ------------------------------------------------
-    def _resolve_callback_refs(self, node: ast.Call) -> None:
-        """Function refs passed as arguments become bind edges; register
-        sites and scheduler calls feed the pass-specific side tables."""
-        terminal = terminal_name(node.func)
-        refs: List[Tuple[str, int]] = []
-        for arg in list(node.args) + [k.value for k in node.keywords]:
-            refs.extend(self._function_refs(arg))
-        for qual, lineno in refs:
-            self.graph.edges.append(Edge(self.fn.qual, qual, lineno, "ref"))
-        if terminal == "register" and len(node.args) >= 2:
-            member = _method_member(node.args[0])
-            verb = _verb_literal(node.args[0])
-            handlers = tuple(sorted({q for q, _
-                                     in self._function_refs(node.args[1])}))
-            if handlers:
-                self.graph.handler_bindings.append(HandlerBinding(
-                    verb=verb, member=member, handlers=handlers,
-                    path=self.fn.path, lineno=node.lineno,
-                ))
-        if terminal in _SCHEDULER_CALLS:
-            for qual, _ in refs:
-                self.graph.scheduled_callbacks.add(qual)
+    def _callback_refs(self, nodes: List[ast.AST]
+                       ) -> Dict[ast.Call, List[Tuple[str, int, ast.AST]]]:
+        """Known-function references inside each call's arguments.
 
-    def _function_refs(self, expr: ast.AST) -> List[Tuple[str, int]]:
-        """Known-function references inside an argument expression.
-
-        Descends through wrapper calls (``self._guard(fn)``) and
-        lambdas, so the innermost bound handler is still found.
+        Maps a call to ``(qual, line, argument)`` for every reference
+        anywhere in one of its arguments — through wrapper calls
+        (``self._guard(fn)``) and lambdas, so the innermost bound handler
+        is still found.  Found by climbing from each reference to its
+        statement: only expressions lie between, and every call on the
+        way whose callee position it is not in takes it.
         """
-        refs: List[Tuple[str, int]] = []
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Call):
-                continue  # the callee itself is resolved as a call
+        refs: Dict[ast.Call, List[Tuple[str, int, ast.AST]]] = {}
+        parent = self.graph.parent
+        for sub in nodes:
+            if not isinstance(sub, (ast.Attribute, ast.Name)):
+                continue
             qual = self._ref_target(sub)
-            if qual is not None:
-                refs.append((qual, getattr(sub, "lineno", expr.lineno)))
-        # Callee positions inside wrapper calls are walked too: _guard(...)
-        # is a call, but its *arguments* were covered by ast.walk above.
+            if qual is None:
+                continue
+            child, up = sub, parent[sub]
+            while not isinstance(up, ast.stmt):
+                if isinstance(up, ast.Call) and child is not up.func:
+                    refs.setdefault(up, []).append((qual, sub.lineno, child))
+                child, up = up, parent[up]
         return refs
 
     def _ref_target(self, sub: ast.AST) -> Optional[str]:
-        if isinstance(sub, ast.Attribute):
-            dotted = dotted_name(sub)
-            if dotted is None:
-                return None
-            parts = dotted.split(".")
-            if parts[0] == "self" and len(parts) == 2 \
-                    and self.fn.class_name is not None:
-                qual = f"{self.fn.module}.{self.fn.class_name}.{parts[1]}"
-                if qual in self.graph.functions:
-                    return qual
-            tag = self.locals.get(parts[0])
-            if tag is not None and len(parts) == 2:
-                qual = f"{tag}.{parts[1]}"
-                if qual in self.graph.functions:
-                    return qual
-            return None
         if isinstance(sub, ast.Name):
-            local = f"{self.fn.qual}.{sub.id}"
-            if local in self.graph.functions:
-                return local
-            mod_fn = f"{self.fn.module}.{sub.id}"
-            if mod_fn in self.graph.functions:
-                return mod_fn
+            return self._named_function(sub.id)
+        dotted = dotted_name(sub) if isinstance(sub, ast.Attribute) else None
+        if dotted is None or dotted.count(".") != 1:
+            return None
+        base, attr = dotted.split(".")
+        owners = [self.locals.get(base)]
+        if base == "self" and self.fn.class_name is not None:
+            owners.insert(0, f"{self.fn.module}.{self.fn.class_name}")
+        for owner in owners:
+            if owner is not None and f"{owner}.{attr}" in self.graph.functions:
+                return f"{owner}.{attr}"
+        return None
+
+    def _named_function(self, name: str) -> Optional[str]:
+        """A bare name bound to a def nested here or a module function."""
+        for qual in (f"{self.fn.qual}.{name}", f"{self.fn.module}.{name}"):
+            if qual in self.graph.functions:
+                return qual
         return None
 
 
@@ -592,20 +679,33 @@ def _verb_literal(node: ast.AST) -> Optional[str]:
 
 def build_graph(trees: Dict[Path, ast.Module]) -> CallGraph:
     """Resolve the whole tree from its parsed modules."""
+    return link_modules([walk_module(path, trees[path])
+                         for path in sorted(trees)])
+
+
+def link_modules(infos: Sequence[ModuleInfo]) -> CallGraph:
+    """Resolve the graph over walked modules, given in path order."""
     graph = CallGraph()
-    infos: List[ModuleInfo] = []
-    for path in sorted(trees):
-        tree = trees[path]
-        info = ModuleInfo(name=module_name_for(path), path=str(path),
-                          tree=tree, aliases=collect_aliases(tree))
-        infos.append(info)
-        graph.modules[info.name] = info
     for info in infos:
-        _ModuleCollector(graph, info).collect()
+        graph.modules[info.name] = info
+        graph.attr_sites.extend(info.attr_sites)
+        graph.parent.update(info.parent)
+        for qual in info.classes.values():
+            graph.attr_types.setdefault(qual, {})
+        for fn in info.functions:
+            graph.functions[fn.qual] = fn
+        graph.edges.extend(info.edges)
+    for qual in graph.functions:
+        graph.methods_named.setdefault(qual.rsplit(".", 1)[-1],
+                                       []).append(qual)
+    for qual in graph.attr_types:
+        graph.class_by_name.setdefault(qual.rsplit(".", 1)[-1], qual)
     for info in infos:
         _record_attr_types(graph, info)
+    by_path: Dict[str, List[FunctionNode]] = {}
+    for fn in graph.functions.values():
+        by_path.setdefault(fn.path, []).append(fn)
     for info in infos:
-        for qual, fn in list(graph.functions.items()):
-            if fn.module == info.name and fn.path == info.path:
-                _FunctionResolver(graph, info, fn).resolve()
+        for fn in by_path.get(info.path, ()):
+            _FunctionResolver(graph, info, fn).resolve()
     return graph

@@ -31,8 +31,8 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.callgraph import CallGraph
-from repro.lint.engine import Finding, dotted_name
+from repro.lint.callgraph import CallGraph, FunctionNode
+from repro.lint.engine import Finding, dotted_name, raised_name
 from repro.lint.rules import protocol_rows
 
 #: Exception families allowed to cross every verb boundary regardless of
@@ -89,8 +89,29 @@ def parse_hierarchy(trees: Dict[Path, ast.Module]) -> ErrorHierarchy:
     return ErrorHierarchy(parents)
 
 
+class _Plan:
+    """What one body, in one caught-exception context, lets escape."""
+
+    __slots__ = ("callees", "names", "reraises", "tries")
+
+    def __init__(self) -> None:
+        #: functions called in the body: their summaries flow out.
+        self.callees: Set[str] = set()
+        #: exception types the body raises itself.
+        self.names: Set[str] = set()
+        #: whether it re-raises what its handler caught.
+        self.reraises = False
+        #: each ``try``: its body and its ``(declared types, handler)``s.
+        self.tries: List[Tuple[_Plan, List[Tuple[List[str], _Plan]]]] = []
+
+
 class _EscapeAnalysis:
-    """Fixpoint escaped-exception summaries over the call graph."""
+    """Fixpoint escaped-exception summaries over the call graph.
+
+    Each function body is compiled once into a :class:`_Plan`, whose
+    calls are read from the graph's callee table; the fixpoint then only
+    re-evaluates plans.
+    """
 
     def __init__(self, graph: CallGraph, hierarchy: ErrorHierarchy):
         self.graph = graph
@@ -99,126 +120,114 @@ class _EscapeAnalysis:
             q: set() for q in graph.functions}
         #: qual → [(type name, lineno)] of direct raises escaping locally.
         self.raise_sites: Dict[str, List[Tuple[str, int]]] = {}
-        self._callees: Dict[str, Dict[int, Set[str]]] = {}
-        for edge in graph.edges:
-            self._callees.setdefault(edge.caller, {}).setdefault(
-                edge.lineno, set()).add(edge.callee)
+        self.plans = {qual: self._compile(qual, fn)
+                      for qual, fn in graph.functions.items()}
 
     def run(self) -> None:
-        for _ in range(30):
-            changed = False
-            for qual, fn in self.graph.functions.items():
-                sites: List[Tuple[str, int]] = []
-                escaped = self._body_escapes(
-                    getattr(fn.node, "body", []), qual, None, set(), sites)
-                self.raise_sites[qual] = sites
-                if escaped - self.summaries[qual]:
-                    self.summaries[qual] |= escaped
-                    changed = True
-            if not changed:
-                return
+        self.graph.fixpoint(self._grow)
 
-    # -- recursive statement evaluation -------------------------------------
-    def _body_escapes(self, stmts: Sequence[ast.stmt], qual: str,
-                      caught_name: Optional[str], caught_types: Set[str],
-                      sites: List[Tuple[str, int]]) -> Set[str]:
-        escaped: Set[str] = set()
-        for stmt in stmts:
-            escaped |= self._stmt_escapes(stmt, qual, caught_name,
-                                          caught_types, sites)
-        return escaped
+    def _grow(self, qual: str) -> bool:
+        escaped = self._escapes(self.plans[qual], set())
+        if escaped - self.summaries[qual]:
+            self.summaries[qual] |= escaped
+            return True
+        return False
 
-    def _stmt_escapes(self, stmt: ast.stmt, qual: str,
-                      caught_name: Optional[str], caught_types: Set[str],
-                      sites: List[Tuple[str, int]]) -> Set[str]:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return set()
-        if isinstance(stmt, ast.Try):
-            return self._try_escapes(stmt, qual, caught_name,
-                                     caught_types, sites)
-        if isinstance(stmt, ast.Raise):
-            return self._raise_escapes(stmt, qual, caught_name,
-                                       caught_types, sites)
-        if isinstance(stmt, (ast.If, ast.While)):
-            escaped = self._expr_escapes(stmt.test, qual)
-            escaped |= self._body_escapes(stmt.body, qual, caught_name,
-                                          caught_types, sites)
-            escaped |= self._body_escapes(stmt.orelse, qual, caught_name,
-                                          caught_types, sites)
-            return escaped
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            escaped = self._expr_escapes(stmt.iter, qual)
-            escaped |= self._body_escapes(stmt.body, qual, caught_name,
-                                          caught_types, sites)
-            escaped |= self._body_escapes(stmt.orelse, qual, caught_name,
-                                          caught_types, sites)
-            return escaped
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            escaped: Set[str] = set()
-            for item in stmt.items:
-                escaped |= self._expr_escapes(item.context_expr, qual)
-            escaped |= self._body_escapes(stmt.body, qual, caught_name,
-                                          caught_types, sites)
-            return escaped
-        # Simple statement: every call inside may propagate its callee's
-        # escapes.
-        return self._expr_escapes(stmt, qual)
-
-    def _expr_escapes(self, node: ast.AST, qual: str) -> Set[str]:
-        escaped: Set[str] = set()
-        callees_at = self._callees.get(qual, {})
-        for sub in ast.walk(node):
-            if isinstance(sub, (ast.Lambda, ast.FunctionDef,
-                                ast.AsyncFunctionDef)):
+    # -- compiling a body ----------------------------------------------------
+    def _compile(self, qual: str, fn: FunctionNode) -> _Plan:
+        plan = _Plan()
+        # The expressions (and simple statements) whose calls a plan
+        # takes: a call belongs to the nearest one above it, or to none
+        # (a nested def's body, a ``for`` target, an ``except`` clause).
+        self._roots: Dict[ast.AST, _Plan] = {}
+        self._sites: List[Tuple[str, int]] = []
+        self._compile_body(getattr(fn.node, "body", []), plan, None)
+        self.raise_sites[qual] = self._sites
+        callees_at = self.graph.callees_at().get(qual, {})
+        parent = self.graph.parent
+        for node in fn.nodes():
+            if not isinstance(node, ast.Call):
                 continue
-            if isinstance(sub, ast.Call):
-                for callee in callees_at.get(sub.lineno, ()):
-                    escaped |= self.summaries.get(callee, set())
-        return escaped
+            up = node
+            while up is not fn.node:
+                owner = self._roots.get(up)
+                if owner is not None:
+                    owner.callees.update(callees_at.get(node.lineno, ()))
+                    break
+                up = parent[up]
+        return plan
 
-    def _raise_escapes(self, stmt: ast.Raise, qual: str,
-                       caught_name: Optional[str], caught_types: Set[str],
-                       sites: List[Tuple[str, int]]) -> Set[str]:
+    def _compile_body(self, stmts: Sequence[ast.stmt], plan: _Plan,
+                      caught_name: Optional[str]) -> None:
+        for stmt in stmts:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                continue
+            if isinstance(stmt, ast.Try):
+                body = _Plan()
+                self._compile_body(stmt.body, body, caught_name)
+                handlers = []
+                for handler in stmt.handlers:
+                    caught = _Plan()
+                    self._compile_body(handler.body, caught, handler.name)
+                    handlers.append((_handler_types(handler), caught))
+                plan.tries.append((body, handlers))
+                self._compile_body(stmt.orelse + stmt.finalbody, plan,
+                                   caught_name)
+            elif isinstance(stmt, ast.Raise):
+                self._compile_raise(stmt, plan, caught_name)
+            elif isinstance(stmt, (ast.If, ast.While)):
+                self._roots[stmt.test] = plan
+                self._compile_body(stmt.body + stmt.orelse, plan,
+                                   caught_name)
+            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+                self._roots[stmt.iter] = plan
+                self._compile_body(stmt.body + stmt.orelse, plan,
+                                   caught_name)
+            elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+                for item in stmt.items:
+                    self._roots[item.context_expr] = plan
+                self._compile_body(stmt.body, plan, caught_name)
+            else:
+                # Simple statement: every call inside may propagate its
+                # callee's escapes.
+                self._roots[stmt] = plan
+
+    def _compile_raise(self, stmt: ast.Raise, plan: _Plan,
+                       caught_name: Optional[str]) -> None:
         exc = stmt.exc
-        if exc is None:
-            return set(caught_types)  # bare re-raise inside except
-        if isinstance(exc, ast.Name) and exc.id == caught_name:
-            return set(caught_types)  # ``raise e`` re-raise
-        target = exc.func if isinstance(exc, ast.Call) else exc
-        dotted = dotted_name(target)
-        if dotted is None:
-            return set()
-        name = dotted.split(".")[-1]
-        sites.append((name, stmt.lineno))
-        escaped = {name}
+        if exc is None or (isinstance(exc, ast.Name)
+                           and exc.id == caught_name):
+            plan.reraises = True  # bare ``raise`` or ``raise e``
+            return
+        name = raised_name(exc)
+        if name is None:
+            return
+        self._sites.append((name, stmt.lineno))
+        plan.names.add(name)
         if isinstance(exc, ast.Call):
-            escaped |= self._expr_escapes(exc, qual)
-        return escaped
+            self._roots[exc] = plan
 
-    def _try_escapes(self, stmt: ast.Try, qual: str,
-                     caught_name: Optional[str], caught_types: Set[str],
-                     sites: List[Tuple[str, int]]) -> Set[str]:
-        body_esc = self._body_escapes(stmt.body, qual, caught_name,
-                                      caught_types, sites)
-        escaped: Set[str] = set()
-        remaining = set(body_esc)
-        for handler in stmt.handlers:
-            declared = _handler_types(handler)
-            matched = {t for t in remaining
-                       if self.hierarchy.covered(t, declared)}
-            remaining -= matched
-            if not matched and declared:
-                # Nothing statically known flowed in, but a bare re-raise
-                # in the handler still re-raises the declared family.
-                matched = set(declared) - {"Exception", "BaseException"}
-            escaped |= self._body_escapes(
-                handler.body, qual, handler.name, matched, sites)
-        escaped |= remaining
-        escaped |= self._body_escapes(stmt.orelse, qual, caught_name,
-                                      caught_types, sites)
-        escaped |= self._body_escapes(stmt.finalbody, qual, caught_name,
-                                      caught_types, sites)
+    # -- evaluating a plan -----------------------------------------------------
+    def _escapes(self, plan: _Plan, caught: Set[str]) -> Set[str]:
+        escaped = set(plan.names)
+        for callee in plan.callees:
+            escaped |= self.summaries.get(callee, set())
+        if plan.reraises:
+            escaped |= caught
+        for body, handlers in plan.tries:
+            remaining = self._escapes(body, caught)
+            for declared, handler in handlers:
+                matched = {t for t in remaining
+                           if self.hierarchy.covered(t, declared)}
+                remaining -= matched
+                if not matched and declared:
+                    # Nothing statically known flowed in, but a bare
+                    # re-raise in the handler still re-raises the
+                    # declared family.
+                    matched = set(declared) - {"Exception", "BaseException"}
+                escaped |= self._escapes(handler, matched)
+            escaped |= remaining
         return escaped
 
 

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import units as _units
-from repro.lint.callgraph import (CallGraph, FunctionNode,
+from repro.lint.callgraph import (AttrSite, CallGraph, FunctionNode,
                                   _FALLBACK_BLOCKLIST)
 from repro.lint.engine import Finding, dotted_name, expand_alias
 from repro.lint.rules import WALL_CLOCK_CALLS
@@ -204,6 +204,18 @@ def name_dim(name: str) -> Optional[str]:
     return None
 
 
+def _agree(dims: List[Dim]) -> Optional[Dim]:
+    """The meet of known dimensions, with the first one's provenance
+    (``None`` when there are none or two conflict)."""
+    agreed = dims[0] if dims else None
+    for dim in dims[1:]:
+        met = meet(agreed[0], dim[0])
+        if met is None:
+            return None
+        agreed = (met, agreed[1])
+    return agreed
+
+
 def _rule_for(a: str, b: str) -> str:
     """ZL013 when the conflict is exactly sim-time vs wall-time."""
     if a in TIME_DOMAINS and b in TIME_DOMAINS and a != b:
@@ -309,10 +321,6 @@ class _DimAnalysis:
         self.attr_dims: Dict[Tuple[str, str], Optional[Dim]] = {}
         #: (class qual, attr) → metric name for instrument attributes.
         self.attr_metrics: Dict[Tuple[str, str], str] = {}
-        self._methods: Dict[str, List[str]] = {}
-        for qual in graph.functions:
-            self._methods.setdefault(qual.rsplit(".", 1)[-1],
-                                     []).append(qual)
 
     # -- driver --------------------------------------------------------------
     def run(self) -> List[Finding]:
@@ -355,29 +363,26 @@ class _DimAnalysis:
         return self.tables.conversions.get(short_name)
 
     def _collect_attributes(self) -> None:
-        """Attribute dims from name rules and ``self.X = expr`` sites."""
+        """Attribute dims from name rules and ``self.X = expr`` sites,
+        each read in every method (or def nested in one) around it."""
+        sites: Dict[int, List[AttrSite]] = {}
+        for site in self.graph.attr_sites:
+            for owner in site.owners:
+                sites.setdefault(id(owner), []).append(site)
         for fn in self.graph.functions.values():
             if fn.class_name is None:
                 continue
             class_qual = f"{fn.module}.{fn.class_name}"
             ctx = self._fresh_ctx(fn)
-            for stmt in ast.walk(fn.node):
-                if not (isinstance(stmt, ast.Assign)
-                        and len(stmt.targets) == 1):
-                    continue
-                target = stmt.targets[0]
-                if not (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    continue
-                metric = self._creator_metric(stmt.value)
+            for site in sites.get(id(fn), ()):
+                metric = self._creator_metric(site.value)
                 if metric is not None:
-                    self.attr_metrics[(class_qual, target.attr)] = metric
+                    self.attr_metrics[(class_qual, site.attr)] = metric
                     continue
-                if name_dim(target.attr) is not None:
+                if name_dim(site.attr) is not None:
                     continue  # the name rule wins; nothing to record
-                dim = self._dim(stmt.value, ctx)
-                key = (class_qual, target.attr)
+                dim = self._dim(site.value, ctx)
+                key = (class_qual, site.attr)
                 if dim is None:
                     continue
                 prior = self.attr_dims.get(key)
@@ -387,8 +392,7 @@ class _DimAnalysis:
                     self.attr_dims[key] = None
                 else:
                     self.attr_dims[key] = (
-                        dim[0],
-                        f"attribute '{target.attr}' ({dim[1]})")
+                        dim[0], f"attribute '{site.attr}' ({dim[1]})")
 
     def _check_module_level(self) -> None:
         """Constant definitions like ``X_BYTES = 128 * GiB`` get checked
@@ -408,46 +412,44 @@ class _DimAnalysis:
     def _fresh_ctx(self, fn: FunctionNode, emit: bool = False) -> _Ctx:
         info = self.graph.modules.get(fn.module)
         ctx = _Ctx(fn=fn, aliases=info.aliases if info else {}, emit=emit)
-        seed = seed_for(fn.qual)
         args = getattr(fn.node, "args", None)
         if args is not None:
-            conv = self._conversion_for(fn.qual)
             params = [a.arg for a in
                       list(getattr(args, "posonlyargs", [])) + args.args]
             positional = [p for p in params if p != "self"]
             for name in params + [a.arg for a in args.kwonlyargs]:
                 if name == "self":
                     continue
-                dim: Optional[str] = seed.get(name)
-                why = f"parameter '{name}' of {fn.short} [seed]"
-                if dim is None and conv is not None:
-                    try:
-                        dim = conv[0][positional.index(name)]
-                        why = f"parameter '{name}' of units.{fn.short}()"
-                    except (ValueError, IndexError):
-                        dim = None
-                if dim is None:
-                    dim = name_dim(name)
-                    why = f"parameter '{name}' of {fn.short} [name]"
+                index = positional.index(name) if name in positional \
+                    else None
+                dim = self._param_dim(fn, name, index)
                 if dim is not None:
-                    ctx.env[name] = (dim, why)
+                    ctx.env[name] = dim
         return ctx
+
+    def _param_dim(self, fn: FunctionNode, name: str,
+                   index: Optional[int]) -> Optional[Dim]:
+        """A parameter's dimension: its seed, else its units-helper
+        signature slot (by position), else its name convention."""
+        seed = seed_for(fn.qual)
+        if name in seed:
+            return (seed[name], f"parameter '{name}' of {fn.short} [seed]")
+        conv = self._conversion_for(fn.qual)
+        if conv is not None and index is not None \
+                and index < len(conv[0]) and conv[0][index] is not None:
+            return (conv[0][index],
+                    f"parameter '{name}' of units.{fn.short}()")
+        dim = name_dim(name)
+        if dim is not None:
+            return (dim, f"parameter '{name}' of {fn.short} [name]")
+        return None
 
     def _infer_function(self, fn: FunctionNode, emit: bool) -> None:
         ctx = self._fresh_ctx(fn, emit=emit)
         for stmt in getattr(fn.node, "body", []):
             self._stmt(stmt, ctx)
-        if fn.qual not in self.declared and ctx.return_dims:
-            agreed: Optional[Dim] = None
-            for dim in ctx.return_dims:
-                if agreed is None:
-                    agreed = dim
-                else:
-                    met = meet(agreed[0], dim[0])
-                    if met is None:
-                        agreed = None
-                        break
-                    agreed = (met, agreed[1])
+        if fn.qual not in self.declared:
+            agreed = _agree(ctx.return_dims)
             if agreed is not None:
                 self.returns[fn.qual] = (
                     agreed[0], f"return of {fn.short} ({agreed[1]})")
@@ -655,13 +657,8 @@ class _DimAnalysis:
         dim = name_dim(attr)
         if dim is not None:
             return (dim, f"attribute '.{attr}' [convention]")
-        if isinstance(expr.value, ast.Name) and expr.value.id == "self" \
-                and ctx.fn.class_name is not None:
-            class_qual = f"{ctx.fn.module}.{ctx.fn.class_name}"
-            inferred = self.attr_dims.get((class_qual, attr))
-            if inferred is not None:
-                return inferred
-        return None
+        key = ctx.fn.self_attr(expr)
+        return self.attr_dims.get(key) if key is not None else None
 
     def _binop(self, expr: ast.BinOp, ctx: _Ctx) -> Optional[Dim]:
         left = self._dim(expr.left, ctx)
@@ -838,17 +835,8 @@ class _DimAnalysis:
         if dotted in ("float", "int", "abs", "round") \
                 and len(arg_dims) >= 1:
             return arg_dims[0]
-        if dotted in ("min", "max", "sum") and arg_dims:
-            known = [d for d in arg_dims if d is not None]
-            if not known:
-                return None
-            agreed = known[0]
-            for dim in known[1:]:
-                met = meet(agreed[0], dim[0])
-                if met is None:
-                    return None
-                agreed = (met, agreed[1])
-            return agreed
+        if dotted in ("min", "max", "sum"):
+            return _agree([d for d in arg_dims if d is not None])
         return None
 
     def _resolve_callee(self, expr: ast.Call, dotted: Optional[str],
@@ -897,7 +885,7 @@ class _DimAnalysis:
     def _unique_method(self, name: str) -> Optional[str]:
         if name in _FALLBACK_BLOCKLIST:
             return None
-        matches = self._methods.get(name, [])
+        matches = self.graph.methods_named.get(name, [])
         return matches[0] if len(matches) == 1 else None
 
     def _check_args(self, expr: ast.Call, qual: str,
@@ -913,50 +901,20 @@ class _DimAnalysis:
         if callee.class_name is not None and params \
                 and params[0] == "self":
             params = params[1:]
-        seed = seed_for(qual)
-        conv = self._conversion_for(qual)
-
-        def param_dim(pname: str, index: Optional[int]
-                      ) -> Optional[Tuple[str, str]]:
-            if pname in seed:
-                return (seed[pname],
-                        f"parameter '{pname}' of {callee.short} [seed]")
-            if conv is not None and index is not None \
-                    and index < len(conv[0]) and conv[0][index] is not None:
-                return (conv[0][index],
-                        f"parameter '{pname}' of units.{callee.short}()")
-            dim = name_dim(pname)
-            if dim is not None:
-                return (dim,
-                        f"parameter '{pname}' of {callee.short} [name]")
-            return None
-
-        for i, dim in enumerate(arg_dims):
-            if dim is None or i >= len(params):
-                continue
-            expected = param_dim(params[i], i)
-            if expected is not None \
-                    and not compatible(expected[0], dim[0]):
-                self._report(
-                    _rule_for(expected[0], dim[0]), expr, ctx,
-                    kind=(f"arg:{callee.short}.{params[i]}:"
-                          f"{expected[0]}:{dim[0]}"),
-                    message=(f"{dim[0]} argument for {expected[0]} "
-                             f"parameter — argument: {dim[1]}; "
-                             f"expects: {expected[1]}"))
         kwonly = {a.arg for a in args.kwonlyargs}
-        for kw_name, dim in kw_dims:
-            if kw_name is None or dim is None:
-                continue
-            if kw_name not in params and kw_name not in kwonly:
-                continue
-            index = params.index(kw_name) if kw_name in params else None
-            expected = param_dim(kw_name, index)
+        bound = [(params[i], i, dim) for i, dim in enumerate(arg_dims)
+                 if dim is not None and i < len(params)]
+        bound += [(name, params.index(name) if name in params else None, dim)
+                  for name, dim in kw_dims
+                  if name is not None and dim is not None
+                  and (name in params or name in kwonly)]
+        for name, index, dim in bound:
+            expected = self._param_dim(callee, name, index)
             if expected is not None \
                     and not compatible(expected[0], dim[0]):
                 self._report(
                     _rule_for(expected[0], dim[0]), expr, ctx,
-                    kind=(f"arg:{callee.short}.{kw_name}:"
+                    kind=(f"arg:{callee.short}.{name}:"
                           f"{expected[0]}:{dim[0]}"),
                     message=(f"{dim[0]} argument for {expected[0]} "
                              f"parameter — argument: {dim[1]}; "
@@ -997,13 +955,8 @@ class _DimAnalysis:
             return metric
         if isinstance(receiver, ast.Name):
             return ctx.metric_locals.get(receiver.id)
-        if isinstance(receiver, ast.Attribute) \
-                and isinstance(receiver.value, ast.Name) \
-                and receiver.value.id == "self" \
-                and ctx.fn.class_name is not None:
-            class_qual = f"{ctx.fn.module}.{ctx.fn.class_name}"
-            return self.attr_metrics.get((class_qual, receiver.attr))
-        return None
+        key = ctx.fn.self_attr(receiver)
+        return self.attr_metrics.get(key) if key is not None else None
 
     def _check_metric_sink(self, expr: ast.Call,
                            arg_dims: List[Optional[Dim]],

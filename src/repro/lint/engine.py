@@ -161,6 +161,12 @@ def dotted_name(node: ast.AST) -> Optional[str]:
     return None
 
 
+def raised_name(exc: Optional[ast.AST]) -> Optional[str]:
+    """The class a ``raise`` names: ``raise errors.Foo(...)`` → ``Foo``."""
+    dotted = dotted_name(exc.func if isinstance(exc, ast.Call) else exc)
+    return dotted.split(".")[-1] if dotted else None
+
+
 def terminal_name(node: ast.AST) -> Optional[str]:
     """The last identifier of a Name/Attribute chain (``a.b.c`` → ``c``)."""
     if isinstance(node, ast.Attribute):
@@ -170,32 +176,14 @@ def terminal_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def collect_aliases(tree: ast.AST) -> Dict[str, str]:
-    """Import alias → canonical dotted prefix for one module.
-
-    ``import random as rnd`` maps ``rnd`` → ``random``; ``from time
-    import monotonic as _mono`` (and the un-aliased form) maps the bound
-    name → ``time.monotonic``; a plain ``import a.b`` binds ``a`` to
-    itself.  Call names are expanded through this table so aliasing
-    cannot launder a wall-clock read or a global random draw past a
-    dotted-name match.
-    """
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                head = alias.name.split(".")[0]
-                aliases[alias.asname or head] = (
-                    alias.name if alias.asname else head)
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-    return aliases
-
-
 def expand_alias(dotted: str, aliases: Dict[str, str]) -> str:
+    """``dotted`` with its head expanded through a module's import aliases.
+
+    ``rnd.random`` under ``import random as rnd`` is ``random.random``,
+    ``_mono`` under ``from time import monotonic as _mono`` is
+    ``time.monotonic``: aliasing cannot launder a wall-clock read or a
+    global random draw past a dotted-name match.
+    """
     head, _, rest = dotted.partition(".")
     target = aliases.get(head)
     if target is None:

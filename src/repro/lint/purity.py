@@ -22,107 +22,70 @@ report shows exactly how the impurity launders into replayed state.
 from __future__ import annotations
 
 import ast
-from typing import List, Optional
+from typing import List, NamedTuple
 
-from repro.lint.callgraph import CallGraph
+from repro.lint.callgraph import CallGraph, FunctionNode
 from repro.lint.engine import Finding, dotted_name
-# The same sets ZL001/ZL002 match per file: a source here is exactly what
-# they would flag at its line.
-from repro.lint.rules import RANDOM_ALLOWED, WALL_CLOCK_CALLS
+# The classifier ZL001/ZL002 use per file: a call source here is exactly
+# what they would flag at its line (plus ``os.urandom``).
+from repro.lint.rules import impurity
 
 
-class _Source:
+class _Source(NamedTuple):
     """One impurity occurrence inside a function body."""
 
-    def __init__(self, func: str, lineno: int, kind: str, detail: str):
-        self.func = func
-        self.lineno = lineno
-        self.kind = kind      # "wall-clock" | "global-random" | "urandom"
-        self.detail = detail  # the offending expression, for the report
+    func: str
+    lineno: int
+    kind: str    # an impurity() kind, or "unordered-iteration"
+    detail: str  # the offending expression, for the report
 
 
 def _call_sources(graph: CallGraph) -> List[_Source]:
     """Wall-clock / global-random / urandom sources, alias-resolved."""
     sources: List[_Source] = []
     for call in graph.external_calls:
-        dotted = call.dotted
-        for suffix in WALL_CLOCK_CALLS:
-            if dotted == suffix or dotted.endswith("." + suffix):
-                sources.append(_Source(call.func, call.lineno,
-                                       "wall-clock", f"{dotted}()"))
-                break
-        else:
-            parts = dotted.split(".")
-            if (parts[0] == "random" and len(parts) == 2
-                    and parts[1] not in RANDOM_ALLOWED):
-                sources.append(_Source(call.func, call.lineno,
-                                       "global-random", f"{dotted}()"))
-            elif dotted == "os.urandom":
-                sources.append(_Source(call.func, call.lineno,
-                                       "urandom", "os.urandom()"))
+        kind = impurity(call.dotted)
+        if kind is not None:
+            sources.append(_Source(call.func, call.lineno, kind,
+                                   f"{call.dotted}()"))
     return sources
-
-
-class _SetIterationVisitor(ast.NodeVisitor):
-    """Unordered-iteration sources: ``for x in <set>`` without sorted()."""
-
-    def __init__(self, graph: CallGraph, fn) -> None:
-        self.graph = graph
-        self.fn = fn
-        self.info = graph.modules.get(fn.module)
-        self.sources: List[_Source] = []
-
-    def scan(self) -> List[_Source]:
-        for stmt in getattr(self.fn.node, "body", []):
-            for node in ast.walk(stmt):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    continue
-                if isinstance(node, ast.For):
-                    self._check(node.iter)
-                elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                       ast.GeneratorExp, ast.DictComp)):
-                    for gen in node.generators:
-                        self._check(gen.iter)
-        return self.sources
-
-    def _check(self, iter_expr: ast.AST) -> None:
-        if self._is_unordered_set(iter_expr):
-            detail = dotted_name(iter_expr) or "set expression"
-            self.sources.append(_Source(
-                self.fn.qual, iter_expr.lineno, "unordered-iteration",
-                f"iteration over unordered set {detail!r}"))
-
-    def _is_unordered_set(self, expr: ast.AST) -> bool:
-        # sorted(...) / min(...) / max(...) impose or ignore order.
-        if isinstance(expr, ast.Call):
-            dotted = dotted_name(expr.func)
-            if dotted in ("set", "frozenset"):
-                return True
-            return False
-        if isinstance(expr, ast.Set):
-            return True
-        if isinstance(expr, ast.BinOp) and isinstance(
-                expr.op, (ast.BitOr, ast.BitAnd, ast.Sub)):
-            return (self._is_unordered_set(expr.left)
-                    or self._is_unordered_set(expr.right))
-        tag = self._type_of(expr)
-        return tag == "set"
-
-    def _type_of(self, expr: ast.AST) -> Optional[str]:
-        if (isinstance(expr, ast.Attribute)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id == "self"
-                and self.fn.class_name is not None):
-            class_qual = f"{self.fn.module}.{self.fn.class_name}"
-            return self.graph.attr_types.get(class_qual, {}).get(expr.attr)
-        return None
 
 
 def _iteration_sources(graph: CallGraph) -> List[_Source]:
+    """Unordered-iteration sources: ``for x in <set>`` without sorted()."""
     sources: List[_Source] = []
     for fn in graph.functions.values():
-        sources.extend(_SetIterationVisitor(graph, fn).scan())
+        for node in fn.nodes():
+            if isinstance(node, ast.For):
+                iters = [node.iter]
+            elif isinstance(node, (ast.ListComp, ast.SetComp,
+                                   ast.GeneratorExp, ast.DictComp)):
+                iters = [gen.iter for gen in node.generators]
+            else:
+                continue
+            for iter_expr in iters:
+                if _is_unordered_set(iter_expr, graph, fn):
+                    detail = dotted_name(iter_expr) or "set expression"
+                    sources.append(_Source(
+                        fn.qual, iter_expr.lineno, "unordered-iteration",
+                        f"iteration over unordered set {detail!r}"))
     return sources
+
+
+def _is_unordered_set(expr: ast.AST, graph: CallGraph,
+                      fn: FunctionNode) -> bool:
+    # sorted(...) / min(...) / max(...) impose or ignore order.
+    if isinstance(expr, ast.Call):
+        return dotted_name(expr.func) in ("set", "frozenset")
+    if isinstance(expr, ast.Set):
+        return True
+    if isinstance(expr, ast.BinOp) and isinstance(
+            expr.op, (ast.BitOr, ast.BitAnd, ast.Sub)):
+        return (_is_unordered_set(expr.left, graph, fn)
+                or _is_unordered_set(expr.right, graph, fn))
+    key = fn.self_attr(expr)
+    return key is not None \
+        and graph.attr_types.get(key[0], {}).get(key[1]) == "set"
 
 
 def check_purity(graph: CallGraph) -> List[Finding]:

@@ -13,8 +13,9 @@ import ast
 from pathlib import Path
 from typing import AbstractSet, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.lint.engine import (Finding, collect_aliases, dotted_name,
-                               expand_alias, terminal_name)
+from repro.lint.callgraph import ModuleInfo
+from repro.lint.engine import (Finding, dotted_name, expand_alias,
+                               terminal_name)
 
 RULE_DESCRIPTIONS = {
     "ZL001": "wall-clock time in library code (use Engine.now)",
@@ -66,6 +67,25 @@ WALL_CLOCK_CALLS = {
 #: other attribute of the module is the shared, unseeded global stream.
 RANDOM_ALLOWED = {"Random", "SystemRandom", "getstate", "setstate"}
 
+
+def impurity(dotted: str) -> Optional[str]:
+    """What impure source an alias-expanded call is, if any.
+
+    ``"wall-clock"`` (ZL001), ``"global-random"`` (ZL002) or
+    ``"urandom"``; ZL009 counts all three, the per-file rules the first
+    two.
+    """
+    for suffix in WALL_CLOCK_CALLS:
+        if dotted == suffix or dotted.endswith("." + suffix):
+            return "wall-clock"
+    parts = dotted.split(".")
+    if len(parts) == 2 and parts[0] == "random" \
+            and parts[1] not in RANDOM_ALLOWED:
+        return "global-random"
+    if dotted == "os.urandom":
+        return "urandom"
+    return None
+
 #: Identifiers that (by project convention) carry simulated timestamps.
 _TIMESTAMP_EXACT = {
     "now", "time", "time_s", "timestamp", "now_s", "at_s",
@@ -109,17 +129,14 @@ class _FileVisitor(ast.NodeVisitor):
             # ``import random as rnd; rnd.random()`` cannot evade the
             # dotted-name match.
             expanded = expand_alias(dotted, self.aliases)
-            for suffix in WALL_CLOCK_CALLS:
-                if expanded == suffix or expanded.endswith("." + suffix):
-                    self._add("ZL001", node,
-                              f"wall-clock call {dotted}(); simulated code "
-                              "must read Engine.now")
-                    break
-            parts = expanded.split(".")
-            if (len(parts) == 2 and parts[0] == "random"
-                    and parts[1] not in RANDOM_ALLOWED):
+            kind = impurity(expanded)
+            if kind == "wall-clock":
+                self._add("ZL001", node,
+                          f"wall-clock call {dotted}(); simulated code "
+                          "must read Engine.now")
+            elif kind == "global-random":
                 self._add("ZL002", node,
-                          f"module-level random.{parts[1]}(); use a seeded "
+                          f"module-level {expanded}(); use a seeded "
                           "repro.sim.rng.DeterministicRng")
         self.generic_visit(node)
 
@@ -178,11 +195,11 @@ class _FileVisitor(ast.NodeVisitor):
         return False
 
 
-def check_file(tree: ast.Module, path: str,
-               rules: AbstractSet[str]) -> List[Finding]:
-    """Run the enabled per-file rules; returns raw (unsuppressed) findings."""
-    visitor = _FileVisitor(path, rules, aliases=collect_aliases(tree))
-    visitor.visit(tree)
+def check_file(info: ModuleInfo, rules: AbstractSet[str]) -> List[Finding]:
+    """Run the enabled per-file rules over one walked module; returns raw
+    (unsuppressed) findings."""
+    visitor = _FileVisitor(info.path, rules, aliases=info.aliases)
+    visitor.visit(info.tree)
     return visitor.findings
 
 

@@ -170,6 +170,20 @@ class TestDimensionSoundness:
         assert "units.pages_to_bytes" in findings[0].message
         assert "expects pages" in findings[0].message
 
+    def test_annotated_instance_attribute_carries_its_dimension(self):
+        findings = _findings({
+            "fx/pool.py": (
+                "class Pool:\n"
+                "    def __init__(self, size_bytes):\n"
+                "        self.budget: int = size_bytes\n"
+                "    def mix(self, wait_s):\n"
+                "        return self.budget + wait_s\n"
+            ),
+        })
+        assert [f.fingerprint for f in findings] == [
+            "ZL012:fx.pool:Pool.mix:mix:bytes:seconds"]
+        assert "attribute 'budget'" in findings[0].message
+
     def test_unknown_dimensions_stay_silent(self):
         assert _findings({
             "fx/misc.py": (

@@ -114,6 +114,23 @@ class TestPurity:
         assert [f.rule for f in findings] == ["ZL009"]
         assert "unordered" in findings[0].message
 
+    def test_annotated_set_attribute_iteration_in_sim_context(self):
+        sources = {
+            "fx/svc.py": (
+                "from typing import Set\n"
+                "class Service:\n"
+                "    def __init__(self, rpc):\n"
+                "        self.hosts: Set[str] = set()\n"
+                "        rpc.register('verb_x', self.handle)\n"
+                "    def handle(self):\n"
+                "        for host in self.hosts:\n"
+                "            yield host\n"
+            ),
+        }
+        findings = check_purity(_graph(sources))
+        assert [(f.rule, f.line) for f in findings] == [("ZL009", 7)]
+        assert "'self.hosts'" in findings[0].message
+
     def test_sorted_set_iteration_is_clean(self):
         sources = {
             "fx/svc.py": (
@@ -215,6 +232,24 @@ class TestAtomicity:
         assert [f.fingerprint.split(":")[-2:] for f in findings] == [
             ["Controller.reclaim", "leases"]]
 
+    def test_revalidation_sixty_helpers_down_is_seen(self):
+        # Callers come first, so the re-read climbs one helper per sweep
+        # of the fixpoint: it must reach reclaim however deep it sits.
+        sources = _controller_fixture(
+            "    def reclaim(self, host):\n"
+            "        victims = self.db.get(host)\n"
+            "        self.client.call('US_reclaim', victims)\n"
+            "        if not self.check1(host):\n"
+            "            return\n"
+            "        self.db.pop(host)\n"
+            + "".join(f"    def check{i}(self, host):\n"
+                      f"        return self.check{i + 1}(host)\n"
+                      for i in range(1, 60))
+            + "    def check60(self, host):\n"
+              "        return host in self.db\n"
+        )
+        assert check_atomicity(_graph(sources)) == []
+
     def test_out_of_scope_module_is_ignored(self):
         sources = {
             "fx/cloud/pack.py": (
@@ -276,6 +311,28 @@ class TestContracts:
         assert finding.fingerprint == "ZL011:do_thing:UndeclaredError"
         assert "Server.handle -> Server.helper" in finding.message
         assert finding.path.endswith("server.py")
+
+    def test_escape_thirty_helpers_down_fires(self):
+        # Callers come first, so the escape climbs one helper per sweep
+        # of the fixpoint: it must reach the handler however deep.
+        sources = _contract_fixture("raise UndeclaredError('boom')")
+        sources["fx/core/server.py"] = (
+            "from fx.errors import UndeclaredError\n"
+            "class Server:\n"
+            "    def __init__(self, rpc):\n"
+            "        rpc.register('do_thing', self.handle)\n"
+            "    def handle(self):\n"
+            "        return self.h1()\n"
+            + "".join(f"    def h{i}(self):\n"
+                      f"        return self.h{i + 1}()\n"
+                      for i in range(1, 30))
+            + "    def h30(self):\n"
+              "        raise UndeclaredError('deep')\n"
+        )
+        findings = check_contracts(_graph(sources), _trees(sources))
+        assert [f.fingerprint for f in findings] == [
+            "ZL011:do_thing:UndeclaredError"]
+        assert "Server.handle -> Server.h1 -> " in findings[0].message
 
     def test_declared_escape_is_clean(self):
         sources = _contract_fixture("raise DeclaredError('boom')")
