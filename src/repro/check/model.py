@@ -39,19 +39,21 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial, partialmethod
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.check import invariants
 from repro.check.invariants import ShadowState
+from repro.check.mutants import MUTANTS
 from repro.core.protocol import READ_ONLY, Method
-
-#: Seedable protocol bugs; ``ProtocolModel(bounds, mutant=...)`` explores
-#: the broken state machine and :mod:`repro.check.mutants` applies the
-#: matching concrete patch for counterexample replay.
-MUTANTS = ("skip-epoch-bump", "dispatch-in-sz", "double-lend", "no-dedup")
 
 S0 = "S0"
 SZ = "Sz"
+
+
+def host_name(idx: int) -> str:
+    """The name host index ``idx`` has in traces and messages."""
+    return f"h{idx + 1}"
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ class Bounds:
     racks: int = 1
 
     def host_names(self) -> Tuple[str, ...]:
-        return tuple(f"h{i + 1}" for i in range(self.hosts))
+        return tuple(host_name(i) for i in range(self.hosts))
 
     def own_bids(self, host: int) -> Tuple[int, ...]:
         base = host * self.buffers_per_host
@@ -142,32 +144,74 @@ class Violation:
     message: str
 
 
-class Action:
-    """One enabled transition out of a given state.
+#: Every model action kind, declared once: the verbs one step of it
+#: exercises.  :meth:`ProtocolModel.action_verbs` is their union, which
+#: ``verb_contract_errors`` holds to ``Method``; a kind that is itself a
+#: ``Method`` verb of a class other than ``read_only`` also gets a
+#: ``dup_`` twin.
+KINDS: Dict[str, Tuple[str, ...]] = {
+    "GS_goto_zombie": ("GS_goto_zombie", "mirror_op"),
+    "GS_wake": ("GS_wake", "mirror_op"),
+    "GS_reclaim": ("GS_reclaim", "US_reclaim", "mirror_op"),
+    "GS_alloc_ext": ("GS_alloc_ext", "AS_get_free_mem", "US_reclaim",
+                     "mirror_op"),
+    "GS_alloc_swap": ("GS_alloc_swap", "AS_get_free_mem", "mirror_op"),
+    "GS_release": ("GS_release", "mirror_op"),
+    "GS_transfer": ("GS_transfer", "mirror_op"),
+    "FED_borrow": ("FED_borrow", "mirror_op"),
+    "FED_return": ("FED_return", "mirror_op"),
+    "GS_report_failure": ("GS_report_failure", "US_invalidate", "mirror_op"),
+    "probe_recover": ("heartbeat", "AS_resync"),
+    "AS_resync": ("AS_resync",),
+    "partition": (),
+    "crash": (),
+    "heal": (),
+    "kill_controller": (),
+    "promote": ("heartbeat", "mirror_op"),
+    "stale_mirror_op": ("mirror_op",),
+    "GS_get_lru_zombie": ("GS_get_lru_zombie",),
+    "heartbeat": ("heartbeat",),
+    "lose_message": (),
+}
 
-    ``name`` is the stable identity used in traces and sleep sets (it
-    encodes the parameters, e.g. ``GS_reclaim(h2)``); ``verbs`` declares
-    which RPC verbs the step exercises (checked against
-    ``Method``); ``footprint`` is the set of entities the step
-    reads or writes, used for independence in partial-order reduction;
-    ``readonly`` steps can never change state nor violate an invariant.
+
+class Action:
+    """One enabled transition out of ``state``: ``step(state, *args)``.
+
+    ``kind`` is a :data:`KINDS` key, or ``dup_`` plus one; ``args`` are
+    host indices, which the ``name`` used in traces spells out
+    (``GS_transfer(h1,h2)``).  A ``readonly`` action has no step: it can
+    never change state nor violate an invariant.
 
     A plain ``__slots__`` class, not a dataclass: the explorer creates
     millions of these and attribute-dict overhead dominates otherwise.
     """
 
-    __slots__ = ("name", "kind", "verbs", "footprint", "readonly", "apply")
+    __slots__ = ("kind", "state", "step", "args")
 
-    def __init__(self, name: str, kind: str, verbs: Tuple[str, ...],
-                 footprint: FrozenSet, readonly: bool = False,
-                 apply: Callable[[], Tuple[Optional[State],
-                                           Tuple["Violation", ...]]] = None):
-        self.name = name
+    def __init__(self, kind: str, state: State,
+                 step: Optional[Callable[..., Tuple[Optional[State],
+                                                    Tuple["Violation", ...]]]],
+                 *args: int):
         self.kind = kind
-        self.verbs = verbs
-        self.footprint = footprint
-        self.readonly = readonly
-        self.apply = apply
+        self.state = state
+        self.step = step
+        self.args = args
+
+    @property
+    def name(self) -> str:
+        if not self.args:
+            return self.kind
+        return f"{self.kind}({','.join(map(host_name, self.args))})"
+
+    @property
+    def readonly(self) -> bool:
+        return self.step is None
+
+    def apply(self) -> Tuple[Optional[State], Tuple["Violation", ...]]:
+        if self.step is None:
+            return None, ()
+        return self.step(self.state, *self.args)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Action({self.name!r})"
@@ -247,12 +291,11 @@ class _W:
 class ProtocolModel:
     """The bounded transition system ZomCheck explores.
 
-    ``mutant`` (one of :data:`MUTANTS`, or None) seeds a known protocol
-    bug into the action semantics, mirroring the concrete monkeypatch in
-    :mod:`repro.check.mutants` so counterexamples replay 1:1.
+    ``mutant`` (one of :data:`repro.check.mutants.MUTANTS`, or None)
+    seeds a known protocol bug into the action semantics, mirroring the
+    concrete monkeypatch in :mod:`repro.check.mutants` so counterexamples
+    replay 1:1.
     """
-
-    MUTANTS = MUTANTS
 
     def __init__(self, bounds: Bounds, mutant: Optional[str] = None):
         if mutant is not None and mutant not in MUTANTS:
@@ -265,10 +308,6 @@ class ProtocolModel:
         #: re-execute for free and get none.
         self._dup_classes = {m.value: m.idempotency for m in Method
                              if m.idempotency != READ_ONLY}
-
-    # -- naming -----------------------------------------------------------
-    def host_name(self, idx: int) -> str:
-        return f"h{idx + 1}"
 
     # -- states -----------------------------------------------------------
     def initial_state(self) -> State:
@@ -305,7 +344,7 @@ class ProtocolModel:
         exponential noise.
         """
         out: List[Violation] = []
-        holders = [(bid, self.host_name(u))
+        holders = [(bid, host_name(u))
                    for u in range(self.bounds.hosts) for bid in st.leases[u]]
         dupes = invariants.duplicate_leaseholders(holders)
         if dupes:
@@ -338,8 +377,8 @@ class ProtocolModel:
                 if kind:
                     out.append(Violation(
                         kind,
-                        f"one-sided verb from {self.host_name(user)} can "
-                        f"touch buffer {bid} on {self.host_name(lender)} "
+                        f"one-sided verb from {host_name(user)} can "
+                        f"touch buffer {bid} on {host_name(lender)} "
                         f"whose shadow state is {raw}",
                     ))
         return out
@@ -349,7 +388,6 @@ class ProtocolModel:
         acts: List[Action] = []
         b = self.bounds
         hosts = range(b.hosts)
-        shadow = dict(st.shadow)
         db = {bid: (host, kind, user, purpose)
               for bid, host, kind, user, purpose in st.db}
 
@@ -359,228 +397,89 @@ class ProtocolModel:
                                       or self.mutant == "dispatch-in-sz")
 
         for i in hosts:
-            hn = self.host_name(i)
-            own = set(b.own_bids(i))
+            up = st.power[i] == S0 and st.reach[i]
             # GS_goto_zombie: announce Sz entry, lend all free local memory.
-            if st.power[i] == S0 and st.reach[i] and i not in st.lost:
-                acts.append(Action(
-                    name=f"GS_goto_zombie({hn})", kind="GS_goto_zombie",
-                    verbs=("GS_goto_zombie", "mirror_op"),
-                    footprint=frozenset({("ctrl",), ("h", i)}
-                                        | {("b", x) for x in own}),
-                    apply=lambda st=st, i=i: self._goto_zombie(st, i),
-                ))
+            if up and i not in st.lost:
+                acts.append(Action("GS_goto_zombie", st, self._goto_zombie, i))
             # GS_wake: resume to S0, buffers re-labelled active.
             if st.power[i] == SZ and st.reach[i] and i not in st.lost:
-                acts.append(Action(
-                    name=f"GS_wake({hn})", kind="GS_wake",
-                    verbs=("GS_wake", "mirror_op"),
-                    footprint=frozenset({("ctrl",), ("h", i)}
-                                        | {("b", x) for x in own}),
-                    apply=lambda st=st, i=i: self._wake(st, i),
-                ))
+                acts.append(Action("GS_wake", st, self._wake, i))
             # GS_reclaim: a lender takes one buffer back (unallocated
             # first, then revoking via US_reclaim).
-            if st.power[i] == S0 and st.reach[i]:
+            if up:
                 cands = sorted(
                     (db[x][2] is not None, x)
                     for x in st.lent[i] if x in db
                 )
                 if cands:
                     allocated, bid = cands[0]
-                    user = db[bid][2]
-                    fp = {("ctrl",), ("h", i), ("b", bid)}
-                    ok = True
-                    if allocated:
-                        fp.add(("h", user))
-                        ok = deliverable(user)
-                    if ok:
-                        acts.append(Action(
-                            name=f"GS_reclaim({hn})", kind="GS_reclaim",
-                            verbs=("GS_reclaim", "US_reclaim", "mirror_op"),
-                            footprint=frozenset(fp),
-                            apply=lambda st=st, i=i: self._reclaim(st, i),
-                        ))
+                    if not allocated or deliverable(db[bid][2]):
+                        acts.append(Action("GS_reclaim", st, self._reclaim, i))
             # GS_alloc_ext / GS_alloc_swap: user asks for one buffer.
-            if (st.power[i] == S0 and st.reach[i]
-                    and len(st.leases[i]) < b.max_leases_per_user):
-                for purpose in ("ext", "swap"):
-                    kind = f"GS_alloc_{purpose}"
-                    acts.append(Action(
-                        name=f"{kind}({hn})", kind=kind,
-                        verbs=((kind, "AS_get_free_mem", "US_reclaim",
-                                "mirror_op") if purpose == "ext" else
-                               (kind, "AS_get_free_mem", "mirror_op")),
-                        # Allocation scans the whole pool: depends on
-                        # everything the controller owns.
-                        footprint=frozenset(
-                            {("ctrl",)} | {("h", x) for x in hosts}
-                            | {("b", x)
-                               for x in range(1, b.hosts
-                                              * b.buffers_per_host + 1)}),
-                        apply=lambda st=st, i=i, p=purpose:
-                            self._alloc(st, i, p),
-                    ))
-            # GS_release: user returns one buffer it holds.
-            if st.power[i] == S0 and st.reach[i]:
-                mine = sorted(x for x in st.leases[i]
-                              if x in db and db[x][2] == i)
-                if mine:
-                    acts.append(Action(
-                        name=f"GS_release({hn})", kind="GS_release",
-                        verbs=("GS_release", "mirror_op"),
-                        footprint=frozenset({("ctrl",), ("h", i),
-                                             ("b", mine[0])}),
-                        apply=lambda st=st, i=i: self._release(st, i),
-                    ))
-            # GS_transfer: migrate one buffer's ownership i -> j.
-            if st.power[i] == S0 and st.reach[i]:
-                mine = sorted(x for x in st.leases[i]
-                              if x in db and db[x][2] == i)
-                if mine:
-                    for j in hosts:
-                        if (j != i and st.power[j] == S0 and st.reach[j]
-                                and len(st.leases[j])
-                                < b.max_leases_per_user):
-                            jn = self.host_name(j)
-                            acts.append(Action(
-                                name=f"GS_transfer({hn},{jn})",
-                                kind="GS_transfer",
-                                verbs=("GS_transfer", "mirror_op"),
-                                footprint=frozenset({("ctrl",), ("h", i),
-                                                     ("h", j),
-                                                     ("b", mine[0])}),
-                                apply=lambda st=st, i=i, j=j:
-                                    self._transfer(st, i, j),
-                            ))
+            if up and len(st.leases[i]) < b.max_leases_per_user:
+                acts.append(Action("GS_alloc_ext", st, self._alloc_ext, i))
+                acts.append(Action("GS_alloc_swap", st, self._alloc_swap, i))
+            # GS_release / GS_transfer: the user returns one buffer it
+            # holds, or migrates its ownership i -> j.
+            if up and any(x in db and db[x][2] == i for x in st.leases[i]):
+                acts.append(Action("GS_release", st, self._release, i))
+                for j in hosts:
+                    if (j != i and st.power[j] == S0 and st.reach[j]
+                            and len(st.leases[j]) < b.max_leases_per_user):
+                        acts.append(Action("GS_transfer", st, self._transfer,
+                                           i, j))
             # FED_borrow / FED_return: cross-rack lending (only meaningful
             # with 2+ racks).  Borrow grants a free buffer served by a
             # *foreign-rack* host to this user via an epoch-stamped import
             # delivery; return releases a fed-purpose lease.
-            if b.racks >= 2 and st.power[i] == S0 and st.reach[i]:
-                foreign = {x for x, rec in db.items()
-                           if b.rack_of(rec[0]) != b.rack_of(i)}
+            if b.racks >= 2 and up:
                 if (len(st.leases[i]) < b.max_leases_per_user
-                        and any(db[x][2] is None for x in foreign)):
-                    acts.append(Action(
-                        name=f"FED_borrow({hn})", kind="FED_borrow",
-                        verbs=("FED_borrow", "mirror_op"),
-                        footprint=frozenset({("ctrl",), ("h", i)}
-                                            | {("b", x) for x in foreign}),
-                        apply=lambda st=st, i=i: self._fed_borrow(st, i),
-                    ))
-                fed_mine = sorted(x for x in st.leases[i]
-                                  if x in db and db[x][2] == i
-                                  and db[x][3] == "fed")
-                if fed_mine:
-                    acts.append(Action(
-                        name=f"FED_return({hn})", kind="FED_return",
-                        verbs=("FED_return", "mirror_op"),
-                        footprint=frozenset({("ctrl",), ("h", i),
-                                             ("b", fed_mine[0])}),
-                        apply=lambda st=st, i=i: self._fed_return(st, i),
-                    ))
+                        and any(rec[2] is None
+                                and b.rack_of(rec[0]) != b.rack_of(i)
+                                for rec in db.values())):
+                    acts.append(Action("FED_borrow", st, self._fed_borrow, i))
+                if any(x in db and db[x][2] == i and db[x][3] == "fed"
+                       for x in st.leases[i]):
+                    acts.append(Action("FED_return", st, self._fed_return, i))
             # GS_report_failure: an unreachable host is declared lost and
             # its buffers invalidated rack-wide (atomic in the model).
             if not st.reach[i] and i not in st.lost:
-                affected = {db[x][2] for x in db
-                            if db[x][0] == i and db[x][2] is not None}
-                if all(deliverable(u) for u in affected):
-                    touched = {x for x in db if db[x][0] == i}
-                    acts.append(Action(
-                        name=f"GS_report_failure({hn})",
-                        kind="GS_report_failure",
-                        verbs=("GS_report_failure", "US_invalidate",
-                               "mirror_op"),
-                        footprint=frozenset(
-                            {("ctrl",), ("h", i)}
-                            | {("h", u) for u in affected}
-                            | {("b", x) for x in touched}),
-                        apply=lambda st=st, i=i: self._declare_lost(st, i),
-                    ))
+                if all(deliverable(rec[2]) for rec in db.values()
+                       if rec[0] == i and rec[2] is not None):
+                    acts.append(Action("GS_report_failure", st,
+                                       self._declare_lost, i))
             # probe_recover: a lost host answers probes again.
             if i in st.lost and st.reach[i]:
-                acts.append(Action(
-                    name=f"probe_recover({hn})", kind="probe_recover",
-                    verbs=("heartbeat", "AS_resync"),
-                    footprint=frozenset({("ctrl",), ("h", i)}),
-                    apply=lambda st=st, i=i: self._recover(st, i),
-                ))
+                acts.append(Action("probe_recover", st, self._recover, i))
             # AS_resync: flush a pending resync that could not run at
             # recovery time (host was still CPU-dead).
-            pend = dict(st.resync).get(i)
-            if (pend and i not in st.lost and st.reach[i]
-                    and st.power[i] == S0):
-                acts.append(Action(
-                    name=f"AS_resync({hn})", kind="AS_resync",
-                    verbs=("AS_resync",),
-                    footprint=frozenset({("ctrl",), ("h", i)}),
-                    apply=lambda st=st, i=i: self._resync_flush(st, i),
-                ))
+            if up and i not in st.lost and dict(st.resync).get(i):
+                acts.append(Action("AS_resync", st, self._resync_flush, i))
             # Faults, from the FaultSchedule vocabulary.
             if st.reach[i] and st.faults < b.max_faults:
-                acts.append(Action(
-                    name=f"partition({hn})", kind="partition", verbs=(),
-                    footprint=frozenset({("h", i)}),
-                    apply=lambda st=st, i=i: self._partition(st, i),
-                ))
+                acts.append(Action("partition", st, self._partition, i))
                 if not st.crashed[i]:
-                    acts.append(Action(
-                        name=f"crash({hn})", kind="crash", verbs=(),
-                        footprint=frozenset({("h", i)}),
-                        apply=lambda st=st, i=i: self._crash(st, i),
-                    ))
+                    acts.append(Action("crash", st, self._crash, i))
             if not st.reach[i]:
-                acts.append(Action(
-                    name=f"heal({hn})", kind="heal", verbs=(),
-                    footprint=frozenset({("h", i)}),
-                    apply=lambda st=st, i=i: self._heal(st, i),
-                ))
+                acts.append(Action("heal", st, self._heal, i))
 
         # Controller-side actions.
         if st.primary_alive and not st.promoted and st.faults < b.max_faults:
-            acts.append(Action(
-                name="kill_controller", kind="kill_controller", verbs=(),
-                footprint=frozenset({("hb",)}),
-                apply=lambda st=st: self._kill_controller(st),
-            ))
+            acts.append(Action("kill_controller", st, self._kill_controller))
         if not st.primary_alive and not st.promoted:
-            acts.append(Action(
-                name="promote", kind="promote",
-                verbs=("heartbeat", "mirror_op"),
-                footprint=frozenset({("ctrl",), ("hb",)}
-                                    | {("h", x) for x in hosts}),
-                apply=lambda st=st: self._promote(st),
-            ))
+            acts.append(Action("promote", st, self._promote))
         if st.promoted and not st.deposed_fenced:
-            acts.append(Action(
-                name="stale_mirror_op", kind="stale_mirror_op",
-                verbs=("mirror_op",),
-                footprint=frozenset({("ctrl",)}),
-                apply=lambda st=st: self._stale_mirror(st),
-            ))
-        # Read-only probes: part of the verb contract, invisible to POR.
+            acts.append(Action("stale_mirror_op", st, self._stale_mirror))
+        # Read-only probes: part of the verb contract, never expanded.
         if any(st.power[x] == S0 and st.reach[x] for x in hosts):
-            acts.append(Action(
-                name="GS_get_lru_zombie", kind="GS_get_lru_zombie",
-                verbs=("GS_get_lru_zombie",), footprint=frozenset(),
-                readonly=True, apply=lambda: (None, ()),
-            ))
-        acts.append(Action(
-            name="heartbeat", kind="heartbeat", verbs=("heartbeat",),
-            footprint=frozenset(), readonly=True,
-            apply=lambda: (None, ()),
-        ))
+            acts.append(Action("GS_get_lru_zombie", st, None))
+        acts.append(Action("heartbeat", st, None))
         # lose_message: a request (or its reply *before* any execution)
         # dropped on the wire.  Observationally a stutter — the client
         # times out and retries, and the retry is the base action itself,
         # which the explorer already interleaves.  A reply lost *after*
         # execution is a re-delivery, which is exactly the dup_ variant.
-        acts.append(Action(
-            name="lose_message", kind="lose_message", verbs=(),
-            footprint=frozenset(), readonly=True,
-            apply=lambda: (None, ()),
-        ))
+        acts.append(Action("lose_message", st, None))
         self._add_dup_actions(acts)
         acts.sort(key=lambda a: a.name)
         return acts
@@ -594,84 +493,49 @@ class ProtocolModel:
         cached response, so the successor equals single delivery (under
         the ``no-dedup`` mutant the handler re-executes instead, which is
         itself the violation).  For ``idempotent`` verbs the handler
-        genuinely re-executes and the model asserts convergence.  Same
-        footprint as the base action, so POR independence is unchanged.
+        genuinely re-executes and the model asserts convergence.
         """
-        dups = []
-        for act in acts:
-            cls = self._dup_classes.get(act.kind)
-            if cls is None:
-                continue
-            dups.append(Action(
-                name=f"dup_{act.name}", kind=f"dup_{act.kind}",
-                verbs=act.verbs, footprint=act.footprint,
-                apply=lambda act=act, cls=cls: self._dup(act, cls),
-            ))
-        acts.extend(dups)
+        acts.extend(
+            Action(f"dup_{act.kind}", act.state,
+                   partial(self._dup, act.kind, act.step), *act.args)
+            for act in list(acts) if act.kind in self._dup_classes)
 
-    def _redeliver_step(self, st: State, name: str):
-        """Apply the action named ``name`` (base form) to ``st`` again.
+    def _dup(self, kind: str, step, st: State, *args: int):
+        """Deliver the ``kind`` step ``step(st, *args)`` twice.
 
         The second delivery bypasses the enabled-action guards, exactly
         like a retransmission reaching a handler whose preconditions have
-        moved on; ``(None, ())`` means the handler refused it.
+        moved on; a step answering ``(None, ())`` refused it.
         """
-        base, args = name, ()
-        if name.endswith(")"):
-            base, rest = name[:-1].split("(", 1)
-            args = tuple(int(a[1:]) - 1 for a in rest.split(","))
-        if base == "GS_goto_zombie":
-            return self._goto_zombie(st, args[0])
-        if base == "GS_wake":
-            return self._wake(st, args[0])
-        if base == "GS_reclaim":
-            return self._reclaim(st, args[0])
-        if base == "GS_alloc_ext":
-            return self._alloc(st, args[0], "ext")
-        if base == "GS_alloc_swap":
-            return self._alloc(st, args[0], "swap")
-        if base == "GS_release":
-            return self._release(st, args[0])
-        if base == "GS_transfer":
-            return self._transfer(st, args[0], args[1])
-        if base == "GS_report_failure":
-            return self._declare_lost(st, args[0])
-        if base == "AS_resync":
-            return self._resync_flush(st, args[0])
-        if base == "FED_borrow":
-            return self._fed_borrow(st, args[0])
-        if base == "FED_return":
-            return self._fed_return(st, args[0])
-        raise ValueError(f"no dup semantics for action {name!r}")
-
-    def _dup(self, act: Action, cls: str):
-        s1, v1 = act.apply()
+        s1, v1 = step(st, *args)
         if s1 is None:
             return None, v1
-        if cls == "dedup_required":
+        if self._dup_classes[kind] == "dedup_required":
             if self.mutant != "no-dedup":
                 # Dedup table replays the cached response: the second
                 # delivery is absorbed, successor is single delivery.
                 return s1, v1
-            s2, v2 = self._redeliver_step(s1, act.name)
+            s2, v2 = step(s1, *args)
             viol = Violation(
                 invariants.DUPLICATE_EXECUTION,
-                f"re-delivered {act.name} re-executed its handler: the "
-                "verb is dedup_required, so the duplicate must be "
-                "answered from the dedup table, never re-run",
+                f"re-delivered {Action(kind, st, step, *args).name} "
+                "re-executed its handler: the verb is dedup_required, so "
+                "the duplicate must be answered from the dedup table, "
+                "never re-run",
             )
             if s2 is None:
                 return s1, v1 + (viol,)
             return s2, v1 + v2 + (viol,)
         # Idempotent verbs re-execute; re-execution must converge.
-        s2, v2 = self._redeliver_step(s1, act.name)
+        s2, v2 = step(s1, *args)
         if s2 is None:
             return s1, v1
         if s2 != s1:
             return s2, v1 + v2 + (Violation(
                 invariants.DUPLICATE_EXECUTION,
-                f"{act.name} is declared idempotent but re-delivery moved "
-                "the state again: re-execution did not converge",
+                f"{Action(kind, st, step, *args).name} is declared "
+                "idempotent but re-delivery moved the state again: "
+                "re-execution did not converge",
             ),)
         return s2, v1 + v2
 
@@ -705,24 +569,8 @@ class ProtocolModel:
         return errors
 
     def action_verbs(self) -> FrozenSet[str]:
-        """Union of verbs over every action the model can ever emit."""
-        verbs = set()
-        for purpose_verbs in (
-            ("GS_goto_zombie", "mirror_op"),
-            ("GS_wake", "mirror_op"),
-            ("GS_reclaim", "US_reclaim", "mirror_op"),
-            ("GS_alloc_ext", "AS_get_free_mem", "US_reclaim", "mirror_op"),
-            ("GS_alloc_swap", "AS_get_free_mem", "mirror_op"),
-            ("GS_release", "mirror_op"),
-            ("GS_transfer", "mirror_op"),
-            ("GS_report_failure", "US_invalidate", "mirror_op"),
-            ("heartbeat", "AS_resync"),
-            ("GS_get_lru_zombie",),
-            ("FED_borrow", "mirror_op"),
-            ("FED_return", "mirror_op"),
-        ):
-            verbs.update(purpose_verbs)
-        return frozenset(verbs)
+        """Union of verbs over every action kind in :data:`KINDS`."""
+        return frozenset().union(*KINDS.values())
 
     # -- shared step helpers ----------------------------------------------
     def _dispatch(self, w: _W, idx: int) -> bool:
@@ -738,13 +586,13 @@ class ProtocolModel:
                 return False
             w.violations.append(Violation(
                 invariants.CPU_DEAD_DISPATCH,
-                f"RPC handler dispatched on {self.host_name(idx)} while its "
+                f"RPC handler dispatched on {host_name(idx)} while its "
                 f"CPU is dead (power state Sz)",
             ))
         if invariants.epoch_regressed(w.marks[idx], w.epoch):
             w.violations.append(Violation(
                 invariants.EPOCH_REGRESSION,
-                f"{self.host_name(idx)} acted on epoch {w.epoch} below its "
+                f"{host_name(idx)} acted on epoch {w.epoch} below its "
                 f"watermark {w.marks[idx]}",
             ))
         else:
@@ -757,12 +605,12 @@ class ProtocolModel:
         prior_state = ShadowState(prior_state) if prior_state else None
         if invariants.lend_conflict(
                 prior_state,
-                self.host_name(prior_user) if prior_user is not None
+                host_name(prior_user) if prior_user is not None
                 else None):
             w.violations.append(Violation(
                 invariants.DOUBLE_LEND,
-                f"buffer {bid} granted to {self.host_name(user)} while "
-                f"{self.host_name(prior_user)}'s lease is still live",
+                f"buffer {bid} granted to {host_name(user)} while "
+                f"{host_name(prior_user)}'s lease is still live",
             ))
         w.db[bid] = (host, kind, user, purpose)
         w.mleases(user).add(bid)
@@ -871,10 +719,16 @@ class ProtocolModel:
         self._grant(w, bid, i, purpose)
         return self._done(w)
 
-    def _release(self, st: State, i: int):
+    _alloc_ext = partialmethod(_alloc, purpose="ext")
+    _alloc_swap = partialmethod(_alloc, purpose="swap")
+
+    def _release(self, st: State, i: int, purpose: Optional[str] = None):
+        """Return one lease ``i`` holds; ``purpose`` narrows the choice
+        (``FED_return`` releases only a cross-rack, ``fed`` lease)."""
         w = _W(st, self.bounds)
         mine = sorted(x for x in w.leases[i]
-                      if x in w.db and w.db[x][2] == i)
+                      if x in w.db and w.db[x][2] == i
+                      and purpose in (None, w.db[x][3]))
         if not mine:
             return None, ()
         bid = mine[0]
@@ -882,6 +736,8 @@ class ProtocolModel:
         w.db[bid] = (host, kind, None, None)
         self._revoke_lease(w, bid, i)
         return self._done(w)
+
+    _fed_return = partialmethod(_release, purpose="fed")
 
     def _transfer(self, st: State, i: int, j: int):
         w = _W(st, self.bounds)
@@ -910,19 +766,6 @@ class ProtocolModel:
         if not self._dispatch(w, i):
             return None, ()
         self._grant(w, bid, i, "fed")
-        return self._done(w)
-
-    def _fed_return(self, st: State, i: int):
-        w = _W(st, self.bounds)
-        fed_mine = sorted(x for x in w.leases[i]
-                          if x in w.db and w.db[x][2] == i
-                          and w.db[x][3] == "fed")
-        if not fed_mine:
-            return None, ()
-        bid = fed_mine[0]
-        host, kind, _, _ = w.db[bid]
-        w.db[bid] = (host, kind, None, None)
-        self._revoke_lease(w, bid, i)
         return self._done(w)
 
     def _declare_lost(self, st: State, i: int):

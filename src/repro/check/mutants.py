@@ -4,9 +4,8 @@ Every mutant exists twice — as a model flag
 (``ProtocolModel(bounds, mutant=name)``) and as a concrete monkeypatch
 here — so a counterexample found against the mutated *model* can be
 replayed against the real system with the same bug compiled in
-(:mod:`repro.check.replay`).  The names are shared with
-:data:`repro.check.model.MUTANTS`; a test pins the two registries
-together.
+(:mod:`repro.check.replay`).  :data:`MUTANTS` is the one list of their
+names; the model and the CLI read it from here.
 
 The four seeded bugs:
 
@@ -30,13 +29,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Tuple, Type
 
-from repro.check.model import MUTANTS
-
 
 class Mutant:
     """One installable concrete bug; use as a context manager."""
 
-    #: Shared with :data:`repro.check.model.MUTANTS`.
+    #: Its key in :data:`MUTANTS`, and the model's ``mutant=`` flag.
     name: str = ""
 
     def __init__(self) -> None:
@@ -189,11 +186,10 @@ _REGISTRY: Dict[str, Type[Mutant]] = {
                               DoubleLendMutant, NoDedupMutant)
 }
 
-if set(_REGISTRY) != set(MUTANTS):  # pragma: no cover - import-time guard
-    raise RuntimeError(
-        f"concrete mutants {sorted(_REGISTRY)} out of sync with model "
-        f"mutants {sorted(MUTANTS)}"
-    )
+#: Seedable protocol bugs; ``ProtocolModel(bounds, mutant=...)`` explores
+#: the broken state machine and :func:`mutant` applies the matching
+#: concrete patch for counterexample replay.
+MUTANTS = tuple(_REGISTRY)
 
 
 def mutant(name: str) -> Mutant:

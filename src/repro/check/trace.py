@@ -21,29 +21,19 @@ from repro.check.model import ProtocolModel, Violation
 
 
 @dataclass(frozen=True)
-class TraceStep:
-    """One step of a counterexample: the action name, parameters baked in."""
-
-    name: str
-
-
-@dataclass(frozen=True)
 class Trace:
-    """A violating run: the steps from the initial state plus the finding."""
+    """A violating run: the step names from the initial state, and the
+    finding."""
 
-    steps: Tuple[TraceStep, ...]
+    names: Tuple[str, ...]
     violation: Violation
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(step.name for step in self.steps)
 
     def format(self) -> str:
         lines = [f"violation: {self.violation.kind}",
                  f"  {self.violation.message}",
-                 f"trace ({len(self.steps)} steps):"]
-        for n, step in enumerate(self.steps, 1):
-            lines.append(f"  {n:2d}. {step.name}")
+                 f"trace ({len(self.names)} steps):"]
+        for n, name in enumerate(self.names, 1):
+            lines.append(f"  {n:2d}. {name}")
         return "\n".join(lines)
 
 

@@ -1,9 +1,11 @@
-"""Explorer tests: exhaustiveness, POR soundness, counterexample quality."""
+"""Explorer tests: exhaustiveness, exact state spaces, counterexample quality."""
 
 import pytest
 
 from repro.check import Explorer, ProtocolModel
-from repro.check.model import BOUNDS, Bounds, MUTANTS
+from repro.check.__main__ import main as check_main
+from repro.check.model import BOUNDS, Bounds
+from repro.check.mutants import MUTANTS
 from repro.check.trace import minimize_trace, run_trace
 
 
@@ -26,6 +28,13 @@ class TestExhaustiveExploration:
         assert tiny_result.transitions > tiny_result.states
         assert tiny_result.max_depth >= 10
 
+    def test_tiny_state_space_is_pinned_exactly(self, tiny_result):
+        # A changed model moves these: a new action, guard or state field
+        # must show up here as a deliberate re-pin, never silently.
+        assert tiny_result.states == 3_324
+        assert tiny_result.max_depth == 13
+        assert tiny_result.transitions == 30_920
+
     def test_state_cap_reports_incomplete(self):
         result = Explorer(ProtocolModel(BOUNDS["tiny"]),
                           max_states=100).run()
@@ -33,35 +42,16 @@ class TestExhaustiveExploration:
         assert result.states >= 100
         assert result.ok  # truncated, but nothing bad in what was seen
 
-
-class TestPartialOrderReduction:
-    def test_por_preserves_the_reachable_state_space(self, tiny_result):
-        # Sleep sets prune redundant *orderings*, never states: the
-        # reduced and the full exploration must agree exactly.
-        full = Explorer(ProtocolModel(BOUNDS["tiny"]), por=False).run()
-        assert full.complete
-        assert full.states == tiny_result.states
-        assert full.ok
-
-    def test_por_actually_skips_commuting_expansions(self, tiny_result):
-        assert tiny_result.sleep_skips > 0
-
-    def test_por_is_sound_under_state_dependent_footprints(self):
-        # Regression: footprints were once cached globally by action name,
-        # so GS_reclaim(h1)'s footprint from a state where its candidate
-        # buffer was free (no ("h", user) entry) could be reused in a
-        # state where the buffer was allocated, misclassifying a dependent
-        # pair as independent and pruning a real interleaving.  A bound
-        # with two leases per user makes reclaim/report_failure footprints
-        # vary widely across states; reduced and full must still agree.
-        bound = Bounds("varfp", hosts=2, buffers_per_host=1, max_faults=1,
-                       max_leases_per_user=2, max_states=500_000)
-        reduced = Explorer(ProtocolModel(bound)).run()
-        full = Explorer(ProtocolModel(bound), por=False).run()
-        assert reduced.complete and full.complete
-        assert reduced.sleep_skips > 0
-        assert reduced.states == full.states
-        assert reduced.ok and full.ok
+    def test_two_leases_per_user_drain_clean(self):
+        # The only tier-1 exploration with more than one lease per user:
+        # reclaim and failure reporting then pick among several buffers.
+        bound = Bounds("two-leases", hosts=2, buffers_per_host=1,
+                       max_faults=1, max_leases_per_user=2,
+                       max_states=500_000)
+        result = Explorer(ProtocolModel(bound)).run()
+        assert result.complete
+        assert result.ok
+        assert result.states == 4_284
 
 
 class TestSeededMutants:
@@ -73,6 +63,14 @@ class TestSeededMutants:
         "double-lend": "double-lend",
         "no-dedup": "duplicate-execution",
     }
+    EXPECTED_TRACE = {
+        "skip-epoch-bump": ("kill_controller", "promote", "stale_mirror_op"),
+        "dispatch-in-sz": ("GS_alloc_ext(h1)", "GS_goto_zombie(h1)",
+                           "GS_reclaim(h2)"),
+        "double-lend": ("GS_alloc_ext(h1)", "GS_transfer(h1,h2)",
+                        "GS_alloc_ext(h1)"),
+        "no-dedup": ("dup_GS_alloc_ext(h1)",),
+    }
 
     @pytest.mark.parametrize("mutant", MUTANTS)
     def test_mutant_is_caught_with_a_minimal_trace(self, mutant):
@@ -80,6 +78,7 @@ class TestSeededMutants:
         result = Explorer(model).run()
         assert not result.ok
         assert result.violation.kind == self.EXPECTED_KIND[mutant]
+        assert result.trace.names == self.EXPECTED_TRACE[mutant]
         names = list(result.trace.names)
         assert 0 < len(names) <= len(result.raw_trace)
 
@@ -97,6 +96,7 @@ class TestSeededMutants:
 
     def test_expected_kinds_cover_all_mutants(self):
         assert set(self.EXPECTED_KIND) == set(MUTANTS)
+        assert set(self.EXPECTED_TRACE) == set(MUTANTS)
 
 
 class TestTraceTools:
@@ -116,3 +116,28 @@ class TestTraceTools:
                   "stale_mirror_op"]
         minimal = minimize_trace(model, padded)
         assert minimal == ["kill_controller", "promote", "stale_mirror_op"]
+
+
+class TestCliExitCodes:
+    def test_clean_complete_bound_exits_0(self, capsys):
+        assert check_main(["--bound", "tiny"]) == 0
+        assert "states           3,324\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mutant", MUTANTS)
+    def test_mutant_exits_1(self, mutant):
+        assert check_main(["--bound", "tiny", "--mutant", mutant]) == 1
+
+    # medium is not expected to drain under its own 2 M cap (see
+    # docs/MODELCHECK.md); a lower cap takes the same exit in a fraction
+    # of the time.
+    @pytest.mark.parametrize("bound", ["tiny", "medium"])
+    def test_truncated_run_exits_3(self, bound, capsys):
+        assert check_main(["--bound", bound, "--max-states", "100"]) == 3
+        assert "incomplete" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_max_states_below_1_is_rejected(self, cap, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            check_main(["--bound", "tiny", "--max-states", cap])
+        assert exit_info.value.code == 2
+        assert "--max-states: must be at least 1" in capsys.readouterr().err

@@ -11,9 +11,11 @@ kind must fire.  The same trace on the clean tree must stay silent.
 import pytest
 
 from repro.check import Explorer, ProtocolModel
-from repro.check.model import BOUNDS, MUTANTS
+from repro.check.model import BOUNDS, KINDS
+from repro.check.mutants import MUTANTS
 from repro.check.mutants import mutant as make_mutant
-from repro.check.replay import replay_trace
+from repro.check.replay import TraceReplayer, replay_trace
+from repro.core.protocol import READ_ONLY, Method
 from repro.sanitize.pytest_plugin import get_session_sanitizer
 
 
@@ -67,6 +69,29 @@ class TestCounterexampleReplay:
              "GS_wake(h3)"])
         assert replay.kinds == ()
         assert all(step.ok for step in replay.steps)
+
+
+#: Kinds TraceReplayer cannot replay yet: it builds one Rack, and these
+#: cross-rack steps need a federated replay (an open ROADMAP item).
+NOT_YET_REPLAYABLE = {"FED_borrow", "dup_FED_borrow", "FED_return",
+                      "dup_FED_return"}
+
+
+class TestEveryKindReplays:
+    def test_every_action_kind_and_dup_twin_has_a_handler(self):
+        # A kind without a handler would otherwise fail only once some
+        # counterexample happened to pass through it.
+        rows = {m.value: m for m in Method}
+        twins = [f"dup_{kind}" for kind in KINDS
+                 if kind in rows and rows[kind].idempotency != READ_ONLY]
+        assert len(twins) == 11
+        unmapped = {
+            kind for kind in (*KINDS, *twins)
+            # A dup_ twin runs its base kind's handler under a duplicate.
+            if not callable(getattr(
+                TraceReplayer, f"_do_{kind.removeprefix('dup_')}", None))
+        }
+        assert unmapped == NOT_YET_REPLAYABLE
 
 
 class TestMutantPatching:
