@@ -129,14 +129,14 @@ class GlobalMemoryController:
 
     def _agent_call(self, host: str, method: Method, *args):
         """Epoch-stamped RPC to one agent (fenced on the receiving side)."""
+        # The plain verb string: ``method.value`` is an enum descriptor
+        # call, and heartbeats make this the rack's most frequent call.
+        verb = method._value_
         client = self.agent_clients.get(host)
         if client is None:
-            raise ControllerError(
-                f"no agent channel to {host!r} for {method.value}"
-            )
+            raise ControllerError(f"no agent channel to {host!r} for {verb}")
         try:
-            return client.call(method.value, *args, epoch=self.epoch,
-                               rack=self.rack)
+            return client.call(verb, *args, epoch=self.epoch, rack=self.rack)
         except FencingError:
             self._mark_fenced()
             raise

@@ -344,10 +344,12 @@ class Rack:
     # -- fault harness hooks ------------------------------------------------
     def start_host_monitoring(self, probe_period_s: float = 1.0,
                               miss_threshold: int = 3) -> None:
-        """Begin probing serving hosts for crash/partition recovery."""
-        self.recovery.miss_threshold = miss_threshold
-        self.recovery._monitor.period = probe_period_s
-        self.recovery.start()
+        """Begin probing serving hosts for crash/partition recovery.
+
+        A period that is not positive and finite, or a threshold below
+        1, is a :class:`ConfigurationError` before anything changes.
+        """
+        self.recovery.start(probe_period_s, miss_threshold)
 
     def crash_server(self, name: str) -> None:
         """Hard-kill a server: link down now, DRAM content gone.

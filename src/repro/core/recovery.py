@@ -35,10 +35,13 @@ from repro.core.protocol import BufferKind, Method
 from repro.errors import (ConfigurationError, ControllerError, FencingError,
                           RpcError)
 from repro.sim.engine import Engine
-from repro.sim.process import PeriodicProcess
+from repro.sim.process import PeriodicProcess, check_monitor
 from repro.sim.rng import DeterministicRng
 
 ControllerFn = Callable[[], GlobalMemoryController]
+
+#: Read once: every awake host costs one heartbeat per probe round.
+_HEARTBEAT = Method.HEARTBEAT
 
 
 @dataclass
@@ -72,15 +75,11 @@ class RecoveryCoordinator:
     coordinator keeps working across a secondary promotion.
     """
 
-    def __init__(self, controller_fn: ControllerFn, engine: Engine,
-                 probe_period_s: float = 1.0, miss_threshold: int = 3):
-        if miss_threshold < 1:
-            raise ConfigurationError(
-                f"miss_threshold must be >= 1, got {miss_threshold}"
-            )
+    def __init__(self, controller_fn: ControllerFn, engine: Engine):
         self._controller_fn = controller_fn
         self.engine = engine
-        self.miss_threshold = miss_threshold
+        #: Consecutive missed probes before a host is lost (set by start).
+        self.miss_threshold = 3
         self.lost_hosts: Set[str] = set()
         self.incidents: List[HostRecoveryStats] = []
         self._open_incident: Dict[str, HostRecoveryStats] = {}
@@ -94,71 +93,102 @@ class RecoveryCoordinator:
         self._pending_invalidate: Dict[str, Dict[str, List[int]]] = {}
         self.probes_sent = 0
         self.reports_received = 0
-        self._monitor = PeriodicProcess(engine, probe_period_s,
-                                        self.probe_tick,
-                                        name="host-recovery-probe")
+        self._monitor: Optional[PeriodicProcess] = None
 
     @property
     def controller(self) -> GlobalMemoryController:
         return self._controller_fn()
 
     # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
+    def start(self, probe_period_s: float, miss_threshold: int) -> None:
+        """Probe every host each ``probe_period_s``; a host is lost after
+        ``miss_threshold`` consecutive misses.  Starting again re-times
+        the rounds from now."""
+        check_monitor(probe_period_s, miss_threshold)
+        self.stop()
+        self.miss_threshold = miss_threshold
+        self._monitor = PeriodicProcess(self.engine, probe_period_s,
+                                        self.probe_tick,
+                                        name="host-recovery-probe")
         self._monitor.start()
 
     def stop(self) -> None:
-        self._monitor.stop()
+        if self._monitor is not None:
+            self._monitor.stop()
 
     # -- detection ---------------------------------------------------------
     def probe_tick(self) -> None:
-        """One monitoring round over every known serving host."""
+        """One monitoring round: every known serving host, probed once.
+
+        What a probe costs depends on the host (see :meth:`_alive`): a
+        partitioned or missing host is dead and a host asleep on purpose
+        is alive without a message, a zombie is judged by its
+        NIC-to-DRAM path, and only an awake host costs a heartbeat RPC.
+        """
         controller = self.controller
         if controller.fenced:
             return
         # Resolved once per round, not once per host: the tables and
         # sets are live, so a loss declared mid-round still shows.
         view = self._probe_view(controller)
-        for host in sorted(controller.known_hosts):
-            alive = self._probe(host, view)
-            # The miss bookkeeping comes first and the resync of a healed
-            # host (a round trip) last, so no write follows it (ZL010).
-            if host not in self.lost_hosts:
-                if alive:
-                    self._misses[host] = 0
-                    continue
-                self._misses[host] = self._misses.get(host, 0) + 1
-                if self._misses[host] >= self.miss_threshold:
-                    self.declare_host_lost(host)
-            elif alive:
-                self.declare_host_recovered(host)
-        self._flush_pending_resyncs()
-        self._flush_pending_invalidates()
+        alive_in = self._alive
+        probed = 0
+        try:
+            for host in sorted(controller.known_hosts):
+                probed += 1
+                alive = alive_in(host, view)
+                # The miss bookkeeping comes first and the resync of a
+                # healed host (a round trip) last, so no write follows
+                # it (ZL010).
+                if host not in self.lost_hosts:
+                    if alive:
+                        self._misses[host] = 0
+                        continue
+                    self._misses[host] = self._misses.get(host, 0) + 1
+                    if self._misses[host] >= self.miss_threshold:
+                        self.declare_host_lost(host)
+                elif alive:
+                    self.declare_host_recovered(host)
+        finally:
+            # Counted per host visited, as probing each host would.
+            self._count_probes(controller, probed)
+        if self._pending_resync:
+            self._flush_pending_resyncs()
+        if self._pending_invalidate:
+            self._flush_pending_invalidates()
 
     @staticmethod
     def _probe_view(controller: GlobalMemoryController) -> tuple:
         """What a probe reads: the primary, its fabric's node table and
-        partition set, the zombie set, and the probe counter (or None)."""
+        partition set, and the zombie set."""
         fabric = controller.node.fabric
-        counter = None
-        if fabric.telemetry.enabled:
-            counter = fabric.telemetry.registry.counter(
-                "recovery_probes_total",
-                "Liveness probes sent by the recovery monitor.")
         return (controller, fabric.nodes, fabric.partitioned,
-                controller.zombie_hosts, counter)
+                controller.zombie_hosts)
 
-    def _probe(self, host: str, view: Optional[tuple] = None) -> bool:
-        """Liveness check fitted to the host's role.
+    def _count_probes(self, controller: GlobalMemoryController,
+                      probes: int) -> None:
+        self.probes_sent += probes
+        telemetry = controller.node.fabric.telemetry
+        if telemetry.enabled:
+            telemetry.registry.counter(
+                "recovery_probes_total",
+                "Liveness probes sent by the recovery monitor.").inc(probes)
+
+    def _probe(self, host: str) -> bool:
+        """One counted liveness probe of ``host`` outside a round."""
+        controller = self.controller
+        self._count_probes(controller, 1)
+        return self._alive(host, self._probe_view(controller))
+
+    @staticmethod
+    def _alive(host: str, view: tuple) -> bool:
+        """The liveness rule, fitted to the host's role.
 
         Zombies answer on the NIC-to-DRAM path only; active hosts answer
         RPC.  An *intentionally* suspended host (S3/S4/S5, nothing lent
         from there) is not a failure.
         """
-        controller, nodes, partitioned, zombies, counter = (
-            view or self._probe_view(self.controller))
-        self.probes_sent += 1
-        if counter is not None:
-            counter.inc()
+        controller, nodes, partitioned, zombies = view
         node = nodes.get(host)
         if node is None or host in partitioned:
             return False
@@ -169,7 +199,7 @@ class RecoveryCoordinator:
         if not node.cpu_alive:
             return True  # asleep on purpose, not crashed
         try:
-            controller._agent_call(host, Method.HEARTBEAT)
+            controller._agent_call(host, _HEARTBEAT)
             return True
         except RpcError:
             return False

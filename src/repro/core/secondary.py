@@ -18,9 +18,14 @@ from repro.errors import FailoverError, FencingError, RpcError
 from repro.rdma.fabric import RdmaNode
 from repro.rdma.rpc import RpcClient, RpcServer
 from repro.sim.engine import Engine
-from repro.sim.process import PeriodicProcess
+from repro.sim.process import PeriodicProcess, check_monitor
 
 EpochFn = Callable[[], int]
+
+#: Verb strings read once: ``Method.X.value`` is an enum descriptor call,
+#: and the heartbeat fires every period for the life of the rack.
+_HEARTBEAT = Method.HEARTBEAT.value
+_MIRROR_OP = Method.MIRROR_OP.value
 
 
 class SecondaryController:
@@ -28,6 +33,7 @@ class SecondaryController:
 
     def __init__(self, node: RdmaNode, engine: Engine,
                  heartbeat_period_s: float = 1.0, miss_threshold: int = 3):
+        check_monitor(heartbeat_period_s, miss_threshold)
         self.node = node
         self.engine = engine
         #: The mirrored replica of everything the primary's database holds.
@@ -95,7 +101,7 @@ class SecondaryController:
         deposed primary cannot keep writing after a failover.
         """
         def forward(op: str, args: tuple, seq: int) -> None:
-            client.call(Method.MIRROR_OP.value, op, args,
+            client.call(_MIRROR_OP, op, args,
                         epoch=epoch_fn(), seq=seq)
         return forward
 
@@ -109,7 +115,7 @@ class SecondaryController:
         if self._heartbeat_client is None or self.promoted is not None:
             return
         try:
-            answer = self._heartbeat_client.call(Method.HEARTBEAT.value)
+            answer = self._heartbeat_client.call(_HEARTBEAT)
             alive = answer == "alive"
         except RpcError:  # zl: ignore[ZL005] a missed heartbeat IS the signal; failover emits FAILOVER
             alive = False

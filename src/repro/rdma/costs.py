@@ -12,6 +12,8 @@ local DRAM << one-sided RDMA << SSD << HDD.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Tuple
 
 from repro.errors import ConfigurationError
 from repro.units import MICROSECOND, NANOSECOND
@@ -52,3 +54,14 @@ class RdmaCostModel:
     def rpc_time(self) -> float:
         """Time for one RPC round trip: a 64 B request, a 64 B response."""
         return self.rpc_round_trip_s + (64 + 64) / self.bandwidth_bytes_per_s
+
+    def polls(self, waited_s: float) -> int:
+        """Client polls over ``waited_s``: at least one observes the end."""
+        return max(1, int(waited_s / self.poll_interval_s))
+
+    @cached_property
+    def rpc_round(self) -> Tuple[float, int]:
+        """``(rpc_time(), polls(rpc_time()))``: a round trip with no added
+        latency, computed once (the model is frozen)."""
+        seconds = self.rpc_time()
+        return seconds, self.polls(seconds)

@@ -41,6 +41,10 @@ REORDER = "reorder"
 
 MESSAGE_FAULT_KINDS = (REQUEST_LOSS, REPLY_LOSS, DUPLICATE, REORDER)
 
+#: Read on every RPC and probe: a module global is a plain name lookup,
+#: where ``SleepState.S0`` is a class-attribute lookup on the enum.
+_S0 = SleepState.S0
+
 
 @dataclass(frozen=True)
 class LinkFaults:
@@ -357,8 +361,7 @@ class RdmaNode:
         more property frames per check.
         """
         platform = self.platform
-        return (platform is None
-                or platform.ospm.current_state is SleepState.S0)
+        return platform is None or platform.ospm.current_state is _S0
 
     @property
     def memory_reachable(self) -> bool:

@@ -12,6 +12,11 @@ as :class:`RpcTimeoutError`, and an :class:`RpcClient` built with a
 deterministic jitter, a per-call deadline, and a per-channel circuit
 breaker.  All waiting is *simulated* time (accounted in ``time_spent_s``),
 never a wall-clock sleep, so fault tests stay deterministic.
+
+A closed breaker is free: a call consults it only while it is open or
+half-open, or has consecutive failures to clear.  Otherwise ``allow()``
+would return ``True`` and ``record_success()`` would write back what is
+already there (a closed breaker never holds an ``opened_at``).
 """
 
 from __future__ import annotations
@@ -72,6 +77,10 @@ class BreakerState(enum.Enum):
     CLOSED = "closed"
     OPEN = "open"
     HALF_OPEN = "half-open"
+
+
+#: The round trip's one breaker test reads a module global, not the enum.
+_CLOSED = BreakerState.CLOSED
 
 
 class CircuitBreaker:
@@ -607,18 +616,21 @@ class RpcClient:
         if inherited is not None:
             deadline = inherited if deadline is None else min(deadline,
                                                               inherited)
-        policy.stats.calls += 1
+        stats = policy.stats
+        breaker = self.breaker
+        stats.calls += 1
         spent = 0.0
         attempt = 0
         while True:
             self._budget_left = None if deadline is None else deadline - spent
-            if not self.breaker.allow():
+            # A closed breaker always allows (see the module docstring).
+            if breaker.state is not _CLOSED and not breaker.allow():
                 raise CircuitOpenError(
                     f"RPC {method!r} to {self.server.node.name}: circuit "
-                    f"open (cooldown {self.breaker.cooldown_s}s)"
+                    f"open (cooldown {breaker.cooldown_s}s)"
                 )
             attempt += 1
-            policy.stats.attempts += 1
+            stats.attempts += 1
             try:
                 result, elapsed = attempt_once(method, args, kwargs)
             # Handlers may raise anything; the blind catch is deliberate —
@@ -627,26 +639,29 @@ class RpcClient:
             except Exception as exc:  # noqa: BLE001
                 if not is_retryable(exc):
                     # Protocol-level answer: the channel itself works.
-                    self.breaker.record_success()
+                    if (breaker.state is not _CLOSED
+                            or breaker.consecutive_failures):
+                        breaker.record_success()
                     raise
-                self.breaker.record_failure()
+                breaker.record_failure()
                 spent += self.timeout_s
                 delay = policy.backoff_delay(attempt)
                 out_of_attempts = attempt >= policy.max_attempts
                 out_of_time = (deadline is not None
                                and spent + delay > deadline)
-                tripped = self.breaker.state is BreakerState.OPEN
+                tripped = breaker.state is BreakerState.OPEN
                 if out_of_attempts or out_of_time or tripped:
                     if out_of_time:
-                        policy.stats.deadline_exhausted += 1
-                    policy.stats.giveups += 1
+                        stats.deadline_exhausted += 1
+                    stats.giveups += 1
                     raise
-                policy.stats.retries += 1
+                stats.retries += 1
                 self.retries += 1
                 self.time_spent_s += delay
                 spent += delay
                 continue
-            self.breaker.record_success()
+            if breaker.state is not _CLOSED or breaker.consecutive_failures:
+                breaker.record_success()
             return result, elapsed
 
     def _attempt_traced(self, method: str, args: tuple,
@@ -674,9 +689,7 @@ class RpcClient:
 
     def _burn_timeout(self, method: str, reason: str) -> None:
         """Poll fruitlessly for a full timeout, then raise (retryable)."""
-        costs = self.node.fabric.costs
-        wasted_polls = max(1, int(self.timeout_s / costs.poll_interval_s))
-        self.polls += wasted_polls
+        self.polls += self.node.fabric.costs.polls(self.timeout_s)
         self.time_spent_s += self.timeout_s
         raise RpcTimeoutError(
             f"RPC {method!r} to {self.server.node.name} timed out after "
@@ -768,9 +781,12 @@ class RpcClient:
             if decision.drop_reply:
                 self._burn_timeout(method, "reply lost")
         costs = fabric.costs
-        elapsed = costs.rpc_time() + extra_latency
-        # Model the polling loop: at least one poll observes completion.
-        self.polls += max(1, int(elapsed / costs.poll_interval_s))
+        if extra_latency:
+            elapsed = costs.rpc_time() + extra_latency
+            polls = costs.polls(elapsed)
+        else:
+            elapsed, polls = costs.rpc_round
+        self.polls += polls
         self.time_spent_s += elapsed
         stats = fabric.stats
         stats.rpcs += 1

@@ -7,9 +7,28 @@ pattern once.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Optional
 
+from repro.errors import ConfigurationError
 from repro.sim.engine import Engine, Event
+
+
+def check_monitor(period_s: float, miss_threshold: int) -> None:
+    """Reject a liveness monitor that could never work as configured.
+
+    A monitor acts every ``period_s`` and after ``miss_threshold``
+    consecutive misses: the period must be positive and finite, and at
+    least one miss must come before the verdict.
+    """
+    if not 0.0 < period_s < math.inf:
+        raise ConfigurationError(
+            f"monitor period must be positive and finite, got {period_s}"
+        )
+    if miss_threshold < 1:
+        raise ConfigurationError(
+            f"miss_threshold must be >= 1, got {miss_threshold}"
+        )
 
 
 class PeriodicProcess:
@@ -21,8 +40,9 @@ class PeriodicProcess:
 
     def __init__(self, engine: Engine, period: float, action: Callable[[], Any],
                  name: str = "periodic"):
-        if period <= 0:
-            raise ValueError(f"period must be positive, got {period}")
+        if not 0.0 < period < math.inf:
+            raise ValueError(
+                f"period must be positive and finite, got {period}")
         self.engine = engine
         self.period = period
         self.action = action

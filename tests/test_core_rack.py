@@ -229,3 +229,32 @@ class TestLenderFrameConservation:
         self._assert_conserved(rack)
         rack.destroy_vm("b", "vm")
         assert rack.server("b").allocator.used_frames == 0
+
+
+class TestMonitoringParameters:
+    """Host monitoring is validated where its parameters enter, before
+    anything is changed."""
+
+    def _assert_rejected(self, **params):
+        rack = Rack(["a", "b"], memory_bytes=32 * MiB, buff_size=8 * MiB)
+        with pytest.raises(ConfigurationError):
+            rack.start_host_monitoring(**params)
+        assert rack.recovery.miss_threshold == 3
+        assert rack.engine.pending() == 1  # the standby's heartbeat only
+
+    def test_zero_miss_threshold_rejected(self):
+        self._assert_rejected(miss_threshold=0)
+
+    def test_zero_probe_period_rejected(self):
+        self._assert_rejected(probe_period_s=0.0)
+
+    def test_nan_probe_period_rejected(self):
+        self._assert_rejected(probe_period_s=float("nan"))
+
+    def test_negative_probe_period_rejected(self):
+        self._assert_rejected(probe_period_s=-1.0)
+
+    def test_coordinator_rejects_an_infinite_period(self):
+        rack = Rack(["a", "b"], memory_bytes=32 * MiB, buff_size=8 * MiB)
+        with pytest.raises(ConfigurationError):
+            rack.recovery.start(probe_period_s=float("inf"), miss_threshold=3)

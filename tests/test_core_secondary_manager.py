@@ -8,8 +8,8 @@ from repro.core.manager import RemoteMemoryManager
 from repro.core.protocol import Method
 from repro.core.rack import Rack
 from repro.core.secondary import SecondaryController
-from repro.errors import (BufferError_, ControllerError, FailoverError,
-                          FencingError)
+from repro.errors import (BufferError_, ConfigurationError, ControllerError,
+                          FailoverError, FencingError)
 from repro.hypervisor.vm import VmSpec
 from repro.memory.frames import FrameAllocator
 from repro.rdma.fabric import Fabric
@@ -145,6 +145,21 @@ class TestManagerUserSide:
         assert data[:4] == b"data"
         assert store.local_fallback_loads >= 0  # may or may not fall back
         assert mgrs["lender"].allocator.free_frames == 4 * BUFF_PAGES
+
+
+class TestSecondaryParameters:
+    def test_zero_miss_threshold_rejected(self):
+        # With 0 it would fail over on its first missed heartbeat.
+        fabric = Fabric()
+        with pytest.raises(ConfigurationError):
+            SecondaryController(fabric.add_node("sec"), Engine(),
+                                miss_threshold=0)
+
+    def test_non_finite_heartbeat_period_rejected(self):
+        fabric = Fabric()
+        with pytest.raises(ConfigurationError):
+            SecondaryController(fabric.add_node("sec"), Engine(),
+                                heartbeat_period_s=float("nan"))
 
 
 class TestMirroringAndFailover:

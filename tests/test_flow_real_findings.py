@@ -66,15 +66,15 @@ HOST_LOST_REREAD = (
     "            for user, ids in unreached:\n"
 )
 PROBE_TICK_ORDER = (
-    "            if host not in self.lost_hosts:\n"
-    "                if alive:\n"
-    "                    self._misses[host] = 0\n"
-    "                    continue\n"
-    "                self._misses[host] = self._misses.get(host, 0) + 1\n"
-    "                if self._misses[host] >= self.miss_threshold:\n"
-    "                    self.declare_host_lost(host)\n"
-    "            elif alive:\n"
-    "                self.declare_host_recovered(host)\n"
+    "                if host not in self.lost_hosts:\n"
+    "                    if alive:\n"
+    "                        self._misses[host] = 0\n"
+    "                        continue\n"
+    "                    self._misses[host] = self._misses.get(host, 0) + 1\n"
+    "                    if self._misses[host] >= self.miss_threshold:\n"
+    "                        self.declare_host_lost(host)\n"
+    "                elif alive:\n"
+    "                    self.declare_host_recovered(host)\n"
 )
 
 
@@ -182,16 +182,17 @@ class TestInjectedDefects:
             "ZL010:repro.core.recovery:RecoveryCoordinator.probe_tick:"
             "recovery",
             "core/recovery.py", PROBE_TICK_ORDER,
-            "            if host in self.lost_hosts:\n"
+            "                if host in self.lost_hosts:\n"
+            "                    if alive:\n"
+            "                        self.declare_host_recovered(host)\n"
+            "                    continue\n"
             "                if alive:\n"
-            "                    self.declare_host_recovered(host)\n"
-            "                continue\n"
-            "            if alive:\n"
-            "                self._misses[host] = 0\n"
-            "                continue\n"
-            "            self._misses[host] = self._misses.get(host, 0) + 1\n"
-            "            if self._misses[host] >= self.miss_threshold:\n"
-            "                self.declare_host_lost(host)\n")
+            "                    self._misses[host] = 0\n"
+            "                    continue\n"
+            "                self._misses[host] = (\n"
+            "                    self._misses.get(host, 0) + 1)\n"
+            "                if self._misses[host] >= self.miss_threshold:\n"
+            "                    self.declare_host_lost(host)\n")
 
     def test_dropping_verb_errors_declaration_fires_zl011(self, real_sources,
                                                           real_findings):

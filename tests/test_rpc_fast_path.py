@@ -147,3 +147,28 @@ def test_traced_and_untraced_runs_agree_in_the_sim_domain():
     assert (traced_hub.registry.value("recovery_probes_total")
             == traced["probes_sent"])
     assert traced_hub.tracer.finished("serve.heartbeat")
+
+
+def test_monitoring_plane_counters_are_pinned():
+    """The untraced scenario's counters, exactly as recorded before the
+    probe round and the closed-breaker fast path were thinned: the
+    monitoring plane may get cheaper in host time, never in messages."""
+    run = _mini_rack_day(None)
+    assert run["engine_events"] == 500
+    assert run["fabric"] == {"reads": 0, "writes": 0, "rpcs": 1197,
+                             "bytes_read": 0, "bytes_written": 0,
+                             "busy_seconds": 0.011995536000000091}
+    assert run["retry"] == {"calls": 1022, "attempts": 1069, "retries": 47,
+                            "deadline_exhausted": 0, "giveups": 0}
+    assert run["monitor_retry"] == {"calls": 182, "attempts": 182,
+                                    "retries": 0, "deadline_exhausted": 0,
+                                    "giveups": 4}
+    assert run["probes_sent"] == 1200
+    assert run["served"] == {"first": (198, 1), "promoted": (5, 1),
+                             "standby": (97, 12), "s0": (343, 0),
+                             "s1": (128, 0), "s2": (333, 0), "s3": (212, 0)}
+    assert run["incidents"] == [("s3", 65.0, 120.0, 14)]
+    assert run["injected"] == {"request_loss": 0, "reply_loss": 51,
+                               "duplicate": 82, "reorder": 0}
+    assert run["pool"] == {"buffers": 14, "free_bytes": 117440512,
+                           "total_bytes": 117440512, "zombie_hosts": 1}

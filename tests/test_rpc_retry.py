@@ -242,3 +242,108 @@ class TestCircuitBreaker:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
+
+
+class TestClosedBreakerIsFree:
+    """What a call may skip on a closed breaker must not change it.
+
+    The round trip consults the breaker only while it is open, half-open
+    or holding failures; each test here holds with every call consulting
+    it, and must keep holding.
+    """
+
+    def _flaky_channel(self, answer):
+        engine = Engine()
+        policy = RetryPolicy(max_attempts=2, deadline_s=None,
+                             failure_threshold=3, cooldown_s=5.0,
+                             clock=lambda: engine.now,
+                             rng=DeterministicRng(7))
+        fabric, server, client = _channel(policy)
+        failures = [1]
+
+        def flaky():
+            if failures:
+                failures.pop()
+                raise RpcTimeoutError("response lost")
+            return answer()
+
+        server.register("flaky", flaky)
+        server.register("down", lambda: _raise(RpcTimeoutError("lost")))
+        return client
+
+    @pytest.mark.parametrize("answer", [
+        lambda: "ok",
+        lambda: _raise(RpcError("rejected")),  # a protocol-level answer
+    ], ids=["result", "non-retryable error"])
+    def test_answer_after_a_failure_clears_it(self, answer):
+        client = self._flaky_channel(answer)
+        try:
+            client.call("flaky")
+        except RpcError:
+            pass
+        breaker = client.breaker
+        assert breaker.state is BreakerState.CLOSED
+        assert breaker.consecutive_failures == 0
+        # failure_threshold - 1 = 2 more failures: one call, two attempts.
+        with pytest.raises(RpcTimeoutError):
+            client.call("down")
+        assert breaker.consecutive_failures == 2
+        assert breaker.state is BreakerState.CLOSED
+        assert breaker.trips == 0
+
+    def test_half_open_success_counts_one_close(self):
+        engine = Engine()
+        policy = RetryPolicy.no_retry(clock=lambda: engine.now,
+                                      failure_threshold=2, cooldown_s=500.0)
+        fabric, server, client = _channel(policy)
+        server.register("ping", lambda: "pong")
+        fabric.partition("server")
+        for _ in range(2):
+            with pytest.raises(RpcTimeoutError):
+                client.call("ping")
+        fabric.heal("server")
+        assert client.breaker.state is BreakerState.HALF_OPEN
+        for _ in range(3):
+            assert client.call("ping") == "pong"
+        assert client.breaker.state is BreakerState.CLOSED
+        assert client.breaker.closes == 1
+
+    def test_closed_breaker_never_holds_an_open_time(self):
+        engine = Engine()
+        policy = RetryPolicy.no_retry(clock=lambda: engine.now,
+                                      failure_threshold=2, cooldown_s=5.0)
+        fabric, server, client = _channel(policy)
+        server.register("ping", lambda: "pong")
+        breaker = client.breaker
+        seen = []
+
+        def step(action):
+            try:
+                action()
+            except RpcError:
+                pass
+            seen.append(breaker.state)
+            if breaker.state is BreakerState.CLOSED:
+                assert breaker.opened_at is None
+            else:
+                assert breaker.opened_at is not None
+
+        step(lambda: client.call("ping"))
+        step(lambda: fabric.partition("server"))
+        step(lambda: client.call("ping"))       # one failure, still closed
+        step(lambda: client.call("ping"))       # trips
+        step(lambda: client.call("ping"))       # fast failure
+        step(lambda: engine.run(until=6.0))
+        step(lambda: client.call("ping"))       # half-open probe fails
+        step(lambda: fabric.heal("server"))
+        step(lambda: client.call("ping"))       # half-open probe closes
+        step(lambda: client.call("ping"))
+        assert seen == [
+            BreakerState.CLOSED, BreakerState.CLOSED, BreakerState.CLOSED,
+            BreakerState.OPEN, BreakerState.OPEN, BreakerState.OPEN,
+            BreakerState.OPEN, BreakerState.HALF_OPEN, BreakerState.CLOSED,
+            BreakerState.CLOSED]
+
+
+def _raise(exc):
+    raise exc

@@ -199,6 +199,11 @@ class TestPeriodicProcess:
         with pytest.raises(ValueError):
             PeriodicProcess(Engine(), 0.0, lambda: None)
 
+    @pytest.mark.parametrize("period", [float("nan"), float("inf")])
+    def test_non_finite_period_rejected(self, period):
+        with pytest.raises(ValueError):
+            PeriodicProcess(Engine(), period, lambda: None)
+
 
 class EngineMachine(RuleBasedStateMachine):
     """``Engine`` against a sorted list of ``(time, schedule order)``.
