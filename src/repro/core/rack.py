@@ -247,8 +247,8 @@ class Rack:
                 vm.transition(VmState.MIGRATING)
                 local_pages = vm.table.resident_pages
                 remote_pages = vm.table.remote_pages
-                vm, store, stats, contents = source.hypervisor.release_vm(
-                    vm_name)
+                vm = source.hypervisor.release_vm(vm_name)
+                store = vm.store
                 leases = len(store.lease_ids()) if store is not None else 0
                 result = migrate_zombiestack(local_pages, remote_pages,
                                              remote_leases=leases)
@@ -258,7 +258,7 @@ class Rack:
                     source.manager.transfer_store_out(store)
                     target.manager.transfer_store_in(store, old_user=src)
             with tracer.span("migrate.resume", vm=vm_name):
-                target.hypervisor.adopt_vm(vm, store, stats, contents)
+                target.hypervisor.adopt_vm(vm)
                 vm.transition(VmState.RUNNING)
             if tel.enabled:
                 root.set_tag("pages_moved", result.pages_transferred)

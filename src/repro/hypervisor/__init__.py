@@ -10,8 +10,8 @@
   the ZombieStack hot-pages-only protocol.
 """
 
-from repro.hypervisor.vm import Vm, VmSpec, VmState
-from repro.hypervisor.kvm import Hypervisor, AccessStats
+from repro.hypervisor.vm import AccessStats, Vm, VmSpec, VmState
+from repro.hypervisor.kvm import Hypervisor
 from repro.hypervisor.explicit_sd import ExplicitSdVm
 from repro.hypervisor.split_driver import SplitDriverSwap
 from repro.hypervisor.migration import (MigrationResult, migrate_native,

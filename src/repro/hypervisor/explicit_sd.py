@@ -23,10 +23,14 @@ from repro.memory.frames import FrameAllocator
 from repro.memory.page_table import PageLocation, PageTable
 from repro.memory.replacement import make_policy
 from repro.memory.swap import SwapDevice
-from repro.hypervisor.kvm import (CPU_HZ, FAULT_BASE_S, LOCAL_ACCESS_S,
-                                  AccessStats)
-from repro.hypervisor.vm import VmSpec
+from repro.hypervisor.kvm import CPU_HZ, FAULT_BASE_S, LOCAL_ACCESS_S
+from repro.hypervisor.vm import AccessStats, VmSpec
 from repro.units import MICROSECOND, pages
+
+#: Hot-path Enum members as module constants: see DESIGN.md,
+#: "Host-time conventions".
+_LOCAL = PageLocation.LOCAL
+_REMOTE = PageLocation.REMOTE
 
 #: Guest block-layer + split-driver cost per swap operation, seconds.
 GUEST_IO_OVERHEAD_S = 2.0 * MICROSECOND
@@ -67,7 +71,7 @@ class ExplicitSdVm:
         stats = self.stats
         stats.accesses += 1
         entry = self.table.entry(ppn)
-        if entry.location is PageLocation.LOCAL:
+        if entry.location is _LOCAL:
             entry.accessed_epoch = self.table.epoch
             if write:
                 entry.dirty = True
@@ -76,7 +80,7 @@ class ExplicitSdVm:
             return LOCAL_ACCESS_S
         cost = self._fault(ppn)
         if write:
-            self.table.entry(ppn).dirty = True
+            entry.dirty = True
         stats.time_total_s += cost
         stats.time_faults_s += cost
         self.device.tick(cost)
@@ -92,7 +96,7 @@ class ExplicitSdVm:
         stats.page_faults += 1
         cost = FAULT_BASE_S
         entry = self.table.entry(ppn)
-        if entry.location is PageLocation.REMOTE:
+        if entry.location is _REMOTE:
             _, elapsed = self.device.swap_in((self.spec.name, ppn))
             cost += elapsed + self.io_overhead_s
             stats.remote_fills += 1

@@ -13,7 +13,6 @@ can integrate execution time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, HypervisorError, ReproError
@@ -21,7 +20,7 @@ from repro.memory.buffers import RemotePageStore
 from repro.memory.frames import FrameAllocator
 from repro.memory.page_table import PageLocation, PageTableEntry
 from repro.memory.replacement import make_policy
-from repro.hypervisor.vm import Vm, VmSpec, VmState
+from repro.hypervisor.vm import AccessStats, Vm, VmSpec, VmState
 from repro.units import MICROSECOND, NANOSECOND, PAGE_SIZE, pages
 
 #: Cost of a local (resident) page access, seconds.  DRAM + TLB ballpark.
@@ -31,24 +30,10 @@ FAULT_BASE_S = 1.5 * MICROSECOND
 #: CPU frequency used to convert replacement-policy cycles into seconds.
 CPU_HZ = 2.5e9
 
-
-@dataclass
-class AccessStats:
-    """Per-VM paging counters."""
-
-    accesses: int = 0
-    page_faults: int = 0
-    demand_allocs: int = 0     # first-touch faults (no content to fetch)
-    remote_fills: int = 0      # faults served by reading a remote slot
-    prefetches: int = 0        # pages pulled in by sequential readahead
-    evictions: int = 0
-    policy_cycles: int = 0
-    time_total_s: float = 0.0
-    time_faults_s: float = 0.0
-
-    @property
-    def cycles_per_fault(self) -> float:
-        return self.policy_cycles / self.page_faults if self.page_faults else 0.0
+#: Read on every access: a module global is a plain name lookup, where
+#: ``PageLocation.LOCAL`` is a class-attribute lookup on the enum.
+_LOCAL = PageLocation.LOCAL
+_REMOTE = PageLocation.REMOTE
 
 
 class Hypervisor:
@@ -84,14 +69,9 @@ class Hypervisor:
         #: adjacent pages, pull up to this many following remote pages in
         #: one batched transfer (0 = off, the paper's configuration).
         self.prefetch_window = prefetch_window
-        self._last_fill: Dict[str, int] = {}
+        #: The VMs this host holds.  Each :class:`Vm` carries its own
+        #: store, counters, written bytes and last fill.
         self.vms: Dict[str, Vm] = {}
-        self._stores: Dict[str, Optional[RemotePageStore]] = {}
-        self._stats: Dict[str, AccessStats] = {}
-        #: Per VM, the bytes :meth:`write_page` gave each page.  Only these
-        #: pages move bytes through the remote store; every other page is
-        #: a zero page that pays the verbs and copies nothing.
-        self._contents: Dict[str, Dict[int, bytes]] = {}
 
     # -- VM lifecycle ---------------------------------------------------
     def create_vm(self, spec: VmSpec, local_bytes: int,
@@ -122,51 +102,49 @@ class Hypervisor:
                     f"slots, {needed} needed"
                 )
         vm = Vm(spec, min(local_bytes, spec.memory_bytes),
-                make_policy(policy, **policy_kwargs))
+                make_policy(policy, **policy_kwargs), store)
         vm.transition(VmState.RUNNING)
+        vm.hypervisor = self
         self.vms[spec.name] = vm
-        self._stores[spec.name] = store
-        self._stats[spec.name] = AccessStats()
-        self._contents[spec.name] = {}
         return vm
 
     def destroy_vm(self, name: str) -> None:
         vm = self.vms.pop(name, None)
         if vm is None:
             raise HypervisorError(f"{self.host}: unknown VM {name!r}")
+        vm.hypervisor = None
         if vm.state is not VmState.STOPPED:
             vm.transition(VmState.STOPPED)
         for entry in list(vm.table.resident()):
             frame = vm.table.discard(entry.ppn)
             if frame is not None:
                 self.allocator.free(frame)
-        self._stores.pop(name, None)
-        self._stats.pop(name, None)
-        self._contents.pop(name, None)
 
-    def release_vm(self, name: str):
+    def release_vm(self, name: str) -> Vm:
         """Detach a VM for migration: free its local frames, keep state.
 
-        Returns ``(vm, store, stats, contents)``; the page table keeps its
-        entries (resident entries lose their frames — the destination
-        re-backs them after the hot-page copy), and ``contents`` maps the
-        pages :meth:`write_page` gave bytes to theirs.
+        Returns the :class:`Vm` with everything it carries (store,
+        counters, written bytes); the page table keeps its entries
+        (resident entries lose their frames — the destination re-backs
+        them after the hot-page copy).  Until a hypervisor adopts it, no
+        hypervisor runs its accesses.
         """
         vm = self.vms.pop(name, None)
         if vm is None:
             raise HypervisorError(f"{self.host}: unknown VM {name!r}")
+        vm.hypervisor = None
         for entry in vm.table.resident():
             if entry.frame is not None:
                 self.allocator.free(entry.frame)
                 entry.frame = None
         vm.local_frames_used = 0
-        store = self._stores.pop(name, None)
-        stats = self._stats.pop(name)
-        return vm, store, stats, self._contents.pop(name, {})
+        return vm
 
-    def adopt_vm(self, vm: Vm, store, stats: "AccessStats",
-                 contents: Optional[Dict[int, bytes]] = None) -> Vm:
-        """Attach a migrated-in VM: back its resident pages with frames."""
+    def adopt_vm(self, vm: Vm) -> Vm:
+        """Attach a migrated-in VM: back its resident pages with frames.
+
+        Readahead starts afresh here: the last fill was the source's.
+        """
         if vm.name in self.vms:
             raise HypervisorError(f"{self.host}: duplicate VM {vm.name!r}")
         resident = vm.table.resident_pages
@@ -179,38 +157,42 @@ class Hypervisor:
         for entry, frame in zip(vm.table.resident(), frames):
             entry.frame = frame
         vm.local_frames_used = resident
+        vm.last_fill = None
+        vm.hypervisor = self
         self.vms[vm.name] = vm
-        self._stores[vm.name] = store
-        self._stats[vm.name] = stats
-        self._contents[vm.name] = contents or {}
         return vm
 
     def stats(self, name: str) -> AccessStats:
         try:
-            return self._stats[name]
+            return self.vms[name].stats
         except KeyError:
             raise HypervisorError(f"{self.host}: unknown VM {name!r}") from None
 
     def store_for(self, name: str) -> Optional[RemotePageStore]:
-        return self._stores.get(name)
+        vm = self.vms.get(name)
+        return None if vm is None else vm.store
 
     # -- the data path ------------------------------------------------------
     def access(self, vm: Vm, ppn: int, write: bool = False) -> float:
         """One guest access to pseudo-physical page ``ppn``.
 
         Returns the simulated time the access took (local hit, or the full
-        fault path: policy + eviction + remote fill).
+        fault path: policy + eviction + remote fill).  Only the hypervisor
+        holding ``vm`` may run it.
         """
-        stats = self._stats[vm.name]
+        if vm.hypervisor is not self:
+            raise HypervisorError(
+                f"{self.host}: VM {vm.name!r} is not held here")
+        stats = vm.stats
         stats.accesses += 1
         entry = vm.table.entry(ppn)
-        if entry.location is PageLocation.LOCAL:
+        if entry.location is _LOCAL:
             entry.accessed_epoch = vm.table.epoch
             if write:
                 entry.dirty = True
             stats.time_total_s += LOCAL_ACCESS_S
             return LOCAL_ACCESS_S
-        cost = self._handle_fault(vm, entry, stats)
+        cost = self._handle_fault(vm, entry)
         if write:
             entry.dirty = True
         stats.time_total_s += cost
@@ -227,20 +209,20 @@ class Hypervisor:
         Faults the page in first if needed.
         """
         cost = self.access(vm, ppn, write=True)
-        self._contents[vm.name][ppn] = bytes(data)
+        vm.contents[ppn] = bytes(data)
         return cost
 
     def read_page(self, vm: Vm, ppn: int) -> bytes:
         """The bytes :meth:`write_page` gave the page (faults it in)."""
         self.access(vm, ppn)
-        return self._contents[vm.name].get(ppn, b"")
+        return vm.contents.get(ppn, b"")
 
-    def _handle_fault(self, vm: Vm, entry: PageTableEntry,
-                      stats: AccessStats) -> float:
+    def _handle_fault(self, vm: Vm, entry: PageTableEntry) -> float:
         """The paper's fault handler: bring the page in, then verify it."""
+        stats = vm.stats
         stats.page_faults += 1
-        remote = entry.location is PageLocation.REMOTE
-        data, read_s, evict_s = self._page_in(vm, entry, stats)
+        remote = entry.location is _REMOTE
+        data, read_s, evict_s = self._page_in(vm, entry)
         cost = FAULT_BASE_S + read_s + evict_s
         if not remote:
             stats.demand_allocs += 1
@@ -249,18 +231,18 @@ class Hypervisor:
         stats.remote_fills += 1
         if self._tel is not None:
             self._m_remote_fills.inc()
-        expected = self._contents[vm.name].get(ppn)
+        expected = vm.contents.get(ppn)
         if expected is not None and data[:len(expected)] != expected:
             raise HypervisorError(
                 f"VM {vm.name!r} ppn {ppn}: remote fill "
                 "returned corrupted content"
             )
-        if self.prefetch_window and self._last_fill.get(vm.name) == ppn - 1:
-            cost += self._prefetch(vm, ppn, stats)
-        self._last_fill[vm.name] = ppn
+        if self.prefetch_window and vm.last_fill == ppn - 1:
+            cost += self._prefetch(vm, ppn)
+        vm.last_fill = ppn
         return cost
 
-    def _page_in(self, vm: Vm, entry: PageTableEntry, stats: AccessStats
+    def _page_in(self, vm: Vm, entry: PageTableEntry
                  ) -> Tuple[Optional[bytes], float, float]:
         """Map ``entry``'s page onto a frame in one pass.
 
@@ -270,11 +252,10 @@ class Hypervisor:
         touched.  Returns ``(bytes read or None, read seconds, eviction
         seconds)``; a refused read puts the victim back in line.
         """
-        store = self._stores[vm.name]
+        store = vm.store
         table = vm.table
         policy = vm.policy
-        key = (entry.remote_slot if entry.location is PageLocation.REMOTE
-               else None)
+        key = entry.remote_slot if entry.location is _REMOTE else None
         if vm.local_frames_used < vm.local_frames_limit:
             data, read_s = None, 0.0
             if key is not None:
@@ -293,10 +274,11 @@ class Hypervisor:
         spent_cycles = policy.cycles_total - before
         try:
             data, victim_key, read_s, write_s = store.exchange(
-                key, self._contents[vm.name].get(victim))
+                key, vm.contents.get(victim))
         except ReproError:
             policy.requeue(victim)
             raise
+        stats = vm.stats
         stats.policy_cycles += spent_cycles
         stats.evictions += 1
         if self._tel is not None:
@@ -308,24 +290,25 @@ class Hypervisor:
         policy.note_resident(entry.ppn)
         return data, read_s, spent_cycles / CPU_HZ + write_s
 
-    def _prefetch(self, vm: Vm, ppn: int, stats: AccessStats) -> float:
+    def _prefetch(self, vm: Vm, ppn: int) -> float:
         """Sequential readahead: batch-fill the next remote pages.
 
         The batch shares one wire latency, so each extra page costs only
         its bandwidth share — the win over demand faulting one by one.
         """
-        costs = self._stores[vm.name].node.fabric.costs
+        costs = vm.store.node.fabric.costs
         per_page_wire = PAGE_SIZE / costs.bandwidth_bytes_per_s
+        stats = vm.stats
         cost = 0.0
         for next_ppn in range(ppn + 1,
                               min(ppn + 1 + self.prefetch_window,
                                   vm.spec.total_pages)):
             entry = vm.table.entry(next_ppn)
-            if entry.location is not PageLocation.REMOTE:
+            if entry.location is not _REMOTE:
                 break
             # Readahead under memory pressure reclaims like Linux's does;
             # the batch is bounded so the churn is too.
-            cost += self._page_in(vm, entry, stats)[2]
+            cost += self._page_in(vm, entry)[2]
             stats.prefetches += 1
             cost += per_page_wire  # latency already paid by the batch head
         return cost

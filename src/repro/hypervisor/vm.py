@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.errors import ConfigurationError, VmStateError
 from repro.memory.page_table import PageTable
 from repro.memory.replacement import ReplacementPolicy
 from repro.units import pages
+
+if TYPE_CHECKING:
+    from repro.hypervisor.kvm import Hypervisor
+    from repro.memory.buffers import RemotePageStore
 
 
 class VmState(enum.Enum):
@@ -56,11 +61,37 @@ class VmSpec:
         return pages(self.memory_bytes)
 
 
+@dataclass
+class AccessStats:
+    """Per-VM paging counters."""
+
+    accesses: int = 0
+    page_faults: int = 0
+    demand_allocs: int = 0     # first-touch faults (no content to fetch)
+    remote_fills: int = 0      # faults served by reading a remote slot
+    prefetches: int = 0        # pages pulled in by sequential readahead
+    evictions: int = 0
+    policy_cycles: int = 0
+    time_total_s: float = 0.0
+    time_faults_s: float = 0.0
+
+    @property
+    def cycles_per_fault(self) -> float:
+        return self.policy_cycles / self.page_faults if self.page_faults else 0.0
+
+
 class Vm:
-    """A VM instance attached to a hypervisor."""
+    """A VM instance and its paging state: one record per VM.
+
+    Everything the fault path needs travels with the VM — its page
+    table, replacement policy, remote page store, counters, written
+    bytes and last remote fill — so a hit reads attributes, not tables
+    keyed by name, and a migration hands over the one object.
+    """
 
     def __init__(self, spec: VmSpec, local_bytes: int,
-                 policy: ReplacementPolicy):
+                 policy: ReplacementPolicy,
+                 store: Optional["RemotePageStore"] = None):
         if local_bytes < 0 or local_bytes > spec.memory_bytes:
             raise ConfigurationError(
                 f"VM {spec.name!r}: local_bytes {local_bytes} out of "
@@ -74,6 +105,18 @@ class Vm:
         self.table = PageTable(spec.total_pages)
         self.state = VmState.BUILDING
         self.local_frames_used = 0
+        #: The remote buffers backing the pages beyond the local quota.
+        self.store = store
+        self.stats = AccessStats()
+        #: The bytes ``Hypervisor.write_page`` gave each page.  Only these
+        #: pages move bytes through the remote store; every other page is
+        #: a zero page that pays the verbs and copies nothing.
+        self.contents: Dict[int, bytes] = {}
+        #: The ppn of the last remote fill (sequential readahead's cue).
+        self.last_fill: Optional[int] = None
+        #: The hypervisor that holds the VM (None while detached): only
+        #: it may run the VM's accesses.
+        self.hypervisor: Optional["Hypervisor"] = None
 
     @property
     def local_fraction(self) -> float:

@@ -25,6 +25,12 @@ class PageLocation(enum.Enum):
     REMOTE = "remote"            # demoted to a remote buffer slot
 
 
+#: Hot-path Enum members as module constants: see DESIGN.md,
+#: "Host-time conventions".
+_LOCAL = PageLocation.LOCAL
+_REMOTE = PageLocation.REMOTE
+
+
 @dataclass
 class PageTableEntry:
     """One pseudo-physical page's mapping state."""
@@ -38,7 +44,7 @@ class PageTableEntry:
 
     @property
     def present(self) -> bool:
-        return self.location is PageLocation.LOCAL
+        return self.location is _LOCAL
 
 
 class PageTable:
@@ -74,12 +80,13 @@ class PageTable:
     def map_local(self, ppn: int, frame: Frame) -> PageTableEntry:
         """Associate ``ppn`` with a machine frame (sets present)."""
         entry = self.entry(ppn)
-        if entry.location is PageLocation.LOCAL:
+        location = entry.location
+        if location is _LOCAL:
             raise PageTableError(f"ppn {ppn} is already present")
-        if entry.location is PageLocation.REMOTE:
+        if location is _REMOTE:
             self.remote_pages -= 1
             entry.remote_slot = None
-        entry.location = PageLocation.LOCAL
+        entry.location = _LOCAL
         entry.frame = frame
         entry.accessed_epoch = self.epoch
         self.resident_pages += 1
@@ -93,11 +100,11 @@ class PageTable:
         entry").
         """
         entry = self.entry(ppn)
-        if entry.location is not PageLocation.LOCAL or entry.frame is None:
-            raise PageTableError(f"cannot demote non-present ppn {ppn}")
         frame = entry.frame
+        if entry.location is not _LOCAL or frame is None:
+            raise PageTableError(f"cannot demote non-present ppn {ppn}")
         entry.frame = None
-        entry.location = PageLocation.REMOTE
+        entry.location = _REMOTE
         entry.remote_slot = remote_slot
         entry.accessed_epoch = -1
         entry.dirty = False
@@ -110,22 +117,24 @@ class PageTable:
         entry = self._entries.pop(ppn, None)
         if entry is None:
             return None
-        if entry.location is PageLocation.LOCAL:
+        if entry.location is _LOCAL:
             self.resident_pages -= 1
             return entry.frame
-        if entry.location is PageLocation.REMOTE:
+        if entry.location is _REMOTE:
             self.remote_pages -= 1
         return None
 
     # -- bit management ---------------------------------------------------
-    def is_accessed(self, ppn: int) -> bool:
-        """Whether the hardware accessed bit is set for ``ppn``.
+    def is_accessed(self, entry: PageTableEntry) -> bool:
+        """Whether the hardware accessed bit is set for ``entry``.
 
-        A bit survives one clearing epoch: a global flash-clear would
-        momentarily unprotect even the hottest pages, which a real CLOCK
-        hand (clearing gradually as it sweeps) never does.
+        Takes the entry, not its ppn: a replacement policy reads each
+        candidate's entry once and asks this of it.  A bit survives one
+        clearing epoch: a global flash-clear would momentarily unprotect
+        even the hottest pages, which a real CLOCK hand (clearing
+        gradually as it sweeps) never does.
         """
-        return self.entry(ppn).accessed_epoch >= self.epoch - 1
+        return entry.accessed_epoch >= self.epoch - 1
 
     def mark_accessed(self, ppn: int, write: bool = False) -> None:
         entry = self.entry(ppn)

@@ -24,6 +24,10 @@ from typing import Deque, Optional
 from repro.errors import ConfigurationError, PageTableError
 from repro.memory.page_table import PageLocation, PageTable
 
+#: Hot-path Enum members as module constants: see DESIGN.md,
+#: "Host-time conventions".
+_LOCAL = PageLocation.LOCAL
+
 # Cycle cost constants (commodity x86 ballpark; only ratios matter).
 BASE_FAULT_CYCLES = 60        # bookkeeping common to every victim selection
 POP_CYCLES = 12               # dequeue + mapping lookup
@@ -57,7 +61,8 @@ class ReplacementPolicy(abc.ABC):
     def select_victim(self, table: PageTable) -> int:
         """Pick and remove the next victim page; charges cycles.
 
-        Entries whose pages are no longer resident are discarded lazily.
+        Entries whose pages are no longer resident (stale: their entry
+        is not LOCAL) are discarded lazily.
         """
         cycles = BASE_FAULT_CYCLES
         victim: Optional[int] = None
@@ -85,12 +90,9 @@ class ReplacementPolicy(abc.ABC):
         """One selection attempt: return ``(ppn or None, cycles_spent)``.
 
         Implementations must remove the returned page — and any stale
-        entries they encounter — from the FIFO list.
+        entries they encounter — from the FIFO list, and read each
+        candidate's page-table entry once.
         """
-
-    # -- helpers ---------------------------------------------------------
-    def _is_stale(self, table: PageTable, ppn: int) -> bool:
-        return table.entry(ppn).location is not PageLocation.LOCAL
 
 
 class FifoPolicy(ReplacementPolicy):
@@ -100,7 +102,7 @@ class FifoPolicy(ReplacementPolicy):
 
     def _pick(self, table: PageTable):
         ppn = self.fifo.popleft()
-        if self._is_stale(table, ppn):
+        if table.entry(ppn).location is not _LOCAL:
             return None, POP_CYCLES
         return ppn, POP_CYCLES
 
@@ -140,22 +142,24 @@ class ClockPolicy(ReplacementPolicy):
         # One full hand sweep at most: accessed pages rotate to the tail
         # (second chance), stale entries are dropped, and the first
         # clear-bit page is the victim.
-        limit = len(self.fifo)
+        fifo = self.fifo
+        limit = len(fifo)
         scanned = 0
-        while self.fifo and scanned < limit:
-            ppn = self.fifo.popleft()
+        while fifo and scanned < limit:
+            ppn = fifo.popleft()
             scanned += 1
             cycles += EXAMINE_CYCLES
-            if self._is_stale(table, ppn):
+            entry = table.entry(ppn)
+            if entry.location is not _LOCAL:
                 continue
-            if not table.is_accessed(ppn):
+            if not table.is_accessed(entry):
                 return ppn, cycles + POP_CYCLES
-            self.fifo.append(ppn)  # hand passes; bit cleared only periodically
+            fifo.append(ppn)  # hand passes; bit cleared only periodically
         # Every resident page was recently accessed: degrade to FIFO.
-        while self.fifo:
-            ppn = self.fifo.popleft()
+        while fifo:
+            ppn = fifo.popleft()
             cycles += POP_CYCLES
-            if not self._is_stale(table, ppn):
+            if table.entry(ppn).location is _LOCAL:
                 return ppn, cycles
         return None, cycles
 
@@ -195,23 +199,26 @@ class MixedPolicy(ReplacementPolicy):
     def _pick(self, table: PageTable):
         cycles = self._maybe_clear(table)
         # Clock pass with second chance over the first x live entries.
+        fifo = self.fifo
+        x = self.x
         examined = 0
-        while self.fifo and examined < self.x:
-            ppn = self.fifo.popleft()
+        while fifo and examined < x:
+            ppn = fifo.popleft()
             cycles += EXAMINE_CYCLES
-            if self._is_stale(table, ppn):
+            entry = table.entry(ppn)
+            if entry.location is not _LOCAL:
                 continue
             examined += 1
-            if not table.is_accessed(ppn):
+            if not table.is_accessed(entry):
                 return ppn, cycles + POP_CYCLES
             # Second chance: clear the bit as the hand passes, rotate.
-            table.entry(ppn).accessed_epoch = -1
-            self.fifo.append(ppn)
+            entry.accessed_epoch = -1
+            fifo.append(ppn)
         # FIFO on the rest of the list.
-        while self.fifo:
-            ppn = self.fifo.popleft()
+        while fifo:
+            ppn = fifo.popleft()
             cycles += POP_CYCLES
-            if not self._is_stale(table, ppn):
+            if table.entry(ppn).location is _LOCAL:
                 return ppn, cycles
         return None, cycles
 

@@ -44,6 +44,8 @@ MESSAGE_FAULT_KINDS = (REQUEST_LOSS, REPLY_LOSS, DUPLICATE, REORDER)
 #: Read on every RPC and probe: a module global is a plain name lookup,
 #: where ``SleepState.S0`` is a class-attribute lookup on the enum.
 _S0 = SleepState.S0
+#: Read on every one-sided verb, for the same reason.
+_RTS = QpState.RTS
 
 
 @dataclass(frozen=True)
@@ -426,7 +428,7 @@ class RdmaNode:
         a zero page (:class:`~repro.memory.buffers.RemotePageStore`) pays
         the same verb without copying anything.
         """
-        if qp.state is not QpState.RTS:
+        if qp.state is not _RTS:
             qp.require_rts()
         fabric = self.fabric
         if fabric.partitioned:

@@ -294,3 +294,57 @@ class TestPrefetch:
         if stats.prefetches:
             assert vm.table.entry(2).present
         assert vm.local_frames_used <= vm.local_frames_limit
+
+    def test_a_reused_name_starts_without_the_old_vms_last_fill(self):
+        hv, store = _env(host_frames=64, lease_pages=64)
+        hv.prefetch_window = 4
+        vm = hv.create_vm(VmSpec("v", 32 * PAGE_SIZE), 8 * PAGE_SIZE,
+                          store=store)
+        for ppn in range(32):
+            hv.access(vm, ppn)
+        hv.access(vm, 7)                   # a remote fill: last fill is 7
+        assert hv.stats("v").remote_fills == 1
+        hv.destroy_vm("v")
+        vm = hv.create_vm(VmSpec("v", 32 * PAGE_SIZE), 8 * PAGE_SIZE,
+                          store=store)
+        for ppn in range(32):
+            hv.access(vm, ppn)
+        hv.access(vm, 8)                   # the new VM's first remote fill
+        stats = hv.stats("v")
+        assert stats.remote_fills == 1
+        assert stats.prefetches == 0
+
+
+class TestVmHolder:
+    """Only the hypervisor that holds a VM runs its accesses."""
+
+    def _released(self):
+        hv, store = _env()
+        vm = hv.create_vm(VmSpec("v", 16 * PAGE_SIZE), 4 * PAGE_SIZE,
+                          store=store)
+        for ppn in range(16):
+            hv.access(vm, ppn)
+        hv.release_vm("v")
+        return hv, vm
+
+    def test_access_after_release_raises(self):
+        hv, vm = self._released()
+        with pytest.raises(HypervisorError):
+            hv.access(vm, 0)
+        assert vm.stats.accesses == 16
+
+    def test_access_after_destroy_raises(self):
+        hv, store = _env()
+        vm = hv.create_vm(VmSpec("v", 8 * PAGE_SIZE), 8 * PAGE_SIZE)
+        hv.destroy_vm("v")
+        with pytest.raises(HypervisorError):
+            hv.access(vm, 0)
+
+    def test_the_adopting_hypervisor_runs_the_vm(self):
+        hv, vm = self._released()
+        other = Hypervisor("other", FrameAllocator(64))
+        other.adopt_vm(vm)
+        other.access(vm, 0)
+        assert other.stats("v").accesses == 17
+        with pytest.raises(HypervisorError):
+            hv.access(vm, 0)

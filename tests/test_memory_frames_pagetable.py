@@ -290,7 +290,7 @@ class TestAccessedBits:
     def test_map_sets_accessed(self):
         table = PageTable(8)
         table.map_local(0, Frame(0))
-        assert table.is_accessed(0)
+        assert table.is_accessed(table.entry(0))
 
     def test_clear_is_epoch_bump(self):
         table = PageTable(8)
@@ -298,9 +298,9 @@ class TestAccessedBits:
         cleared = table.clear_accessed_bits()
         assert cleared == 1  # resident count, the sweep size
         # bits survive exactly one epoch (gradual hand-sweep semantics)
-        assert table.is_accessed(0)
+        assert table.is_accessed(table.entry(0))
         table.clear_accessed_bits()
-        assert not table.is_accessed(0)
+        assert not table.is_accessed(table.entry(0))
 
     def test_mark_accessed_refreshes(self):
         table = PageTable(8)
@@ -308,7 +308,7 @@ class TestAccessedBits:
         table.clear_accessed_bits()
         table.clear_accessed_bits()
         table.mark_accessed(0)
-        assert table.is_accessed(0)
+        assert table.is_accessed(table.entry(0))
 
     def test_mark_accessed_nonpresent_rejected(self):
         table = PageTable(8)
