@@ -1,73 +1,100 @@
 #!/usr/bin/env python3
-"""A ZombieStack consolidation cycle, step by step.
+"""A ZombieStack placement and consolidation cycle on a live rack.
 
-Builds a small cluster model, shows vanilla Neat failing to consolidate a
-memory-heavy VM, then the zombie-aware variant succeeding: the relaxed
-30 %-of-WSS placement rule, Sz suspension, and the remote pool the zombies
-contribute.
+Two things the cloud layer (Section 5) adds to OpenStack, shown on a
+:class:`~repro.core.rack.Rack` driven by the
+:class:`~repro.cloud.zombiestack.ZombieStackOrchestrator`:
+
+1. Relaxed Nova placement.  Full-booking placement (``local_threshold=1.0``)
+   refuses a VM larger than any host's free RAM; the default 0.5 threshold
+   places it, with the part that does not fit locally backed by a zombie's
+   memory.
+2. Neat-style consolidation.  After a burst ends, one ``consolidate()``
+   cycle live-migrates the VMs off underloaded hosts (the target needs room
+   only for each VM's resident pages) and parks the emptied hosts in Sz.
 
 Run:  python examples/consolidation_cycle.py
 """
 
-from repro.cloud import (ClusterModel, NeatConsolidator, NovaScheduler,
-                         VmInstance)
-from repro.cloud.model import HostPowerState
+from repro.cloud.zombiestack import ZombieStackOrchestrator
+from repro.core.rack import Rack
+from repro.errors import PlacementError
+from repro.hypervisor.vm import VmSpec
+from repro.units import MiB
+
+HOSTS = [f"host-{i}" for i in range(4)]
 
 
-def build_cluster() -> ClusterModel:
-    cluster = ClusterModel([f"host-{i}" for i in range(5)])
-    layout = [
-        ("host-0", "web", 0.45, 0.30, 0.45, 0.25),
-        ("host-1", "cache", 0.10, 0.55, 0.06, 0.50),   # memory-heavy, idle-ish
-        ("host-2", "batch", 0.12, 0.20, 0.08, 0.15),
-        ("host-3", "logger", 0.05, 0.15, 0.03, 0.10),
-    ]
-    for host, name, cpu, mem, cpu_u, mem_u in layout:
-        cluster.host(host).add_vm(VmInstance(
-            name, cpu_request=cpu, mem_request=mem,
-            cpu_usage=cpu_u, mem_usage=mem_u,
-        ))
-    return cluster
+def build_rack() -> Rack:
+    return Rack(HOSTS, memory_bytes=256 * MiB, buff_size=8 * MiB)
 
 
-def show(cluster: ClusterModel, title: str) -> None:
+def show(rack: Rack, title: str) -> None:
     print(f"\n{title}")
-    for name in sorted(cluster.hosts):
-        host = cluster.hosts[name]
-        vms = ", ".join(sorted(host.vms)) or "-"
-        print(f"  {name}: {host.state.value:<3} cpu={host.cpu_booked:.2f} "
-              f"mem={host.mem_booked_local:.2f} vms=[{vms}]")
-    print(f"  remote pool free: {cluster.remote_pool_free:.2f} servers of RAM")
+    for name in HOSTS:
+        server = rack.server(name)
+        vms = ", ".join(sorted(server.hypervisor.vms)) or "-"
+        print(f"  {name}: {server.state.value:<3} "
+              f"vcpus={server.hypervisor.vcpus_booked:>2} "
+              f"free={server.free_bytes // MiB:>3} MiB vms=[{vms}]")
+    print(f"  remote pool free: {rack.pool_summary()['free_bytes'] // MiB} MiB")
+
+
+def placement() -> None:
+    monster = VmSpec("monster", 320 * MiB, vcpus=8)
+    rack = build_rack()
+    print(f"=== Placing a {monster.memory_bytes // MiB} MiB VM (each host "
+          f"has {rack.server('host-0').free_bytes // MiB} MiB free, host-3 "
+          f"is a zombie) ===")
+    rack.make_zombie("host-3")
+    try:
+        ZombieStackOrchestrator(rack, local_threshold=1.0).boot_vm(monster)
+    except PlacementError as exc:
+        print(f"full-booking Nova (local_threshold=1.0): refused: {exc}")
+
+    rack = build_rack()
+    rack.make_zombie("host-3")
+    orch = ZombieStackOrchestrator(rack)
+    vm = orch.boot_vm(monster)
+    remote_mib = monster.memory_bytes * (1 - vm.local_fraction) / MiB
+    lenders = sorted(host for host, count
+                     in rack.controller.db.allocated_count_by_host().items()
+                     if count)
+    print(f"ZombieStack Nova (local_threshold=0.5): placed on "
+          f"{orch.placements['monster']}, {vm.local_fraction:.0%} local, "
+          f"{remote_mib:.0f} MiB remote on {lenders}")
+
+
+def consolidation() -> None:
+    print("\n=== One consolidation cycle after a burst ===")
+    rack = build_rack()
+    orch = ZombieStackOrchestrator(rack, vcpu_capacity=32,
+                                   underload_vcpu_fraction=0.4)
+    # Stacking placement fills the most-booked host first; the two bursts
+    # push the small VMs onto hosts of their own.
+    for name, vcpus, mem_mib in (("web", 24, 64), ("burst-1", 28, 32),
+                                 ("cache", 4, 128), ("burst-2", 28, 32),
+                                 ("logger", 2, 16)):
+        vm = orch.boot_vm(VmSpec(name, mem_mib * MiB, vcpus=vcpus))
+        hv = rack.server(orch.placements[name]).hypervisor
+        for ppn in range(0, vm.spec.total_pages, 2):
+            hv.access(vm, ppn)  # give the VM resident state to migrate
+    for name in ("burst-1", "burst-2"):
+        orch.stop_vm(name)
+    show(rack, "after the burst:")
+    underloaded = [s.name for s in orch.underloaded_servers()]
+    print(f"  underloaded (< {orch.underload_vcpu_fraction:.0%} of "
+          f"{orch.vcpu_capacity} vCPUs): {underloaded}")
+
+    report = orch.consolidate()
+    show(rack, "after consolidate():")
+    print(f"  migrations={report.migrations} parked in Sz={report.new_zombies} "
+          f"then demoted to S3={report.demoted_to_s3}")
 
 
 def main() -> None:
-    print("=== vanilla OpenStack Neat (full-booking placement) ===")
-    cluster = build_cluster()
-    show(cluster, "before:")
-    report = NeatConsolidator(cluster, zombie_aware=False).run_cycle()
-    show(cluster, "after one cycle:")
-    print(f"  migrations={report.migrations} "
-          f"suspended={report.suspended_hosts} "
-          f"failed={report.failed_migrations}")
-
-    print("\n=== ZombieStack Neat (30% WSS local, Sz suspension) ===")
-    cluster = build_cluster()
-    report = NeatConsolidator(cluster, zombie_aware=True).run_cycle()
-    show(cluster, "after one cycle:")
-    print(f"  migrations={report.migrations} "
-          f"suspended={report.suspended_hosts} "
-          f"failed={report.failed_migrations}")
-    zombies = [h.name for h in cluster.zombie_hosts()]
-    print(f"  zombies serving memory: {zombies}")
-
-    print("\nPlacing a memory-monster VM (0.8 of a server's RAM):")
-    nova = NovaScheduler(cluster, local_threshold=0.5)
-    monster = VmInstance("monster", cpu_request=0.2, mem_request=0.8,
-                         cpu_usage=0.1, mem_usage=0.6)
-    host = nova.place(monster)
-    print(f"  placed on {host.name}: local fraction "
-          f"{monster.local_mem_fraction:.0%}, remote part "
-          f"{monster.remote_mem:.2f} served by the zombie pool")
+    placement()
+    consolidation()
 
 
 if __name__ == "__main__":

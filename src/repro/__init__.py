@@ -19,7 +19,7 @@ Quick start::
 Subpackages: :mod:`repro.acpi` (Sz state), :mod:`repro.rdma` (fabric),
 :mod:`repro.memory` (paging), :mod:`repro.hypervisor` (RAM Ext /
 Explicit SD / migration), :mod:`repro.core` (the rack protocol),
-:mod:`repro.cloud` (ZombieStack / Neat), :mod:`repro.energy`,
+:mod:`repro.cloud` (the ZombieStack orchestrator), :mod:`repro.energy`,
 :mod:`repro.traces`, :mod:`repro.dc`, :mod:`repro.workloads`,
 :mod:`repro.analysis`.
 """

@@ -11,8 +11,6 @@ from __future__ import annotations
 import enum
 from typing import Optional
 
-from repro.errors import DeviceStateError
-
 
 class DeviceState(enum.Enum):
     """ACPI device power states."""
@@ -56,12 +54,6 @@ class Device:
         if self.state in (DeviceState.D1, DeviceState.D2):
             return self.d3hot_watts + 0.5 * (self.idle_watts - self.d3hot_watts)
         return 0.0
-
-    def require_operational(self, operation: str) -> None:
-        if not self.state.operational:
-            raise DeviceStateError(
-                f"{self.name}: cannot {operation} in {self.state.value}"
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Device({self.name!r}, {self.state.value}, {self.power_draw():.1f} W)"
@@ -114,14 +106,6 @@ class MemoryBankDevice(Device):
             return self.self_refresh_watts
         return super().power_draw()
 
-    def access(self) -> None:
-        """Validate that an access can be served right now."""
-        self.require_operational("access DRAM")
-        if self.mode is not MemoryBank.ACTIVE_IDLE:
-            raise DeviceStateError(
-                f"{self.name}: DRAM in self-refresh cannot serve accesses"
-            )
-
 
 class InfinibandCard(Device):
     """The RDMA HCA; in Sz it stays in D0 so one-sided verbs bypass the CPU."""
@@ -137,11 +121,6 @@ class InfinibandCard(Device):
     def serves_rdma(self) -> bool:
         """One-sided RDMA works only with the card fully powered."""
         return self.state.operational
-
-    def dma_to_memory(self, bank: MemoryBankDevice) -> None:
-        """Validate the full NIC→memory DMA path (the Sz data path)."""
-        self.require_operational("perform RDMA")
-        bank.access()
 
 
 class PcieRootComplex(Device):

@@ -1,7 +1,7 @@
 """The ZombieStack orchestrator: the cloud OS driving a *real* rack.
 
-Ties the pieces of Section 5 together against :class:`~repro.core.rack.Rack`
-objects (not the abstract cluster model): remote-memory-aware placement
+Ties the pieces of Section 5 together against a
+:class:`~repro.core.rack.Rack`: remote-memory-aware placement
 with the 50 % local threshold, admission control over guaranteed
 RAM-Extension reservations, wake-up of the least-entangled zombie
 (``GS_get_lru_zombie``) when placement fails, and a consolidation cycle
@@ -48,6 +48,11 @@ class ZombieStackOrchestrator:
             )
         if vcpu_capacity <= 0:
             raise ConfigurationError("vcpu_capacity must be positive")
+        if not 0.0 < underload_vcpu_fraction <= 1.0:
+            raise ConfigurationError(
+                f"underload_vcpu_fraction out of (0,1]: "
+                f"{underload_vcpu_fraction}"
+            )
         self.rack = rack
         self.local_threshold = local_threshold
         self.vcpu_capacity = vcpu_capacity
@@ -248,9 +253,8 @@ class ZombieStackOrchestrator:
         """The relaxed migration constraint (Section 5.2).
 
         The VM's remote part stays wherever it already is (ownership
-        transfer), so the target only needs room for the hot local pages —
-        typically ~30 % of the booking, far less than the vanilla
-        full-booking requirement.
+        transfer), so the target only needs room for the VM's measured
+        resident pages, not for its whole booking.
         """
         from repro.units import PAGE_SIZE
         needed_local = vm.table.resident_pages * PAGE_SIZE

@@ -313,8 +313,8 @@ class GlobalMemoryController:
     def gs_get_lru_zombie(self) -> Optional[str]:
         """The zombie host with the fewest allocated buffers.
 
-        Neat uses this to wake the zombie whose memory is least entangled,
-        minimising reclaim traffic.
+        The orchestrator uses this to wake the zombie whose memory is
+        least entangled, minimising reclaim traffic.
         """
         if not self.zombie_hosts:
             return None

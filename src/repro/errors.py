@@ -19,10 +19,6 @@ class PowerStateError(ReproError):
     """An illegal ACPI power-state transition was requested."""
 
 
-class DeviceStateError(ReproError):
-    """A device was asked to perform an operation invalid in its D-state."""
-
-
 class FirmwareError(ReproError):
     """The firmware transition sequencer hit an inconsistent platform state."""
 

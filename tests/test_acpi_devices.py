@@ -1,11 +1,9 @@
 """Device D-states, DRAM refresh modes, the NIC DMA path."""
 
-import pytest
-
 from repro.acpi.devices import (Cpu, Device, DeviceState, InfinibandCard,
                                 MemoryBank, MemoryBankDevice,
                                 PcieRootComplex, StorageDevice)
-from repro.errors import DeviceStateError
+from repro.acpi.platform import build_platform
 
 
 class TestDeviceStates:
@@ -30,26 +28,17 @@ class TestDeviceStates:
         dev.set_state(DeviceState.D3_HOT)
         assert not dev.busy
 
-    def test_require_operational(self):
-        dev = Device("d", "periph", 10.0)
-        dev.set_state(DeviceState.D3_COLD)
-        with pytest.raises(DeviceStateError):
-            dev.require_operational("work")
-
 
 class TestMemoryBank:
     def test_active_idle_serves(self):
         bank = MemoryBankDevice()
         assert bank.serves_accesses
-        bank.access()  # must not raise
 
     def test_self_refresh_retains_but_does_not_serve(self):
         bank = MemoryBankDevice()
         bank.enter_self_refresh()
         assert bank.state.operational  # still powered
         assert not bank.serves_accesses
-        with pytest.raises(DeviceStateError):
-            bank.access()
 
     def test_self_refresh_draws_less(self):
         bank = MemoryBankDevice()
@@ -65,30 +54,34 @@ class TestMemoryBank:
         assert bank.serves_accesses
 
     def test_powered_off_bank_cannot_serve(self):
-        bank = MemoryBankDevice()
-        bank.set_state(DeviceState.D3_COLD)
-        with pytest.raises(DeviceStateError):
-            bank.access()
+        platform = build_platform()
+        for bank in platform.memory_banks:
+            bank.set_state(DeviceState.D3_COLD)
+            assert not bank.serves_accesses
+        assert not platform.memory_remotely_accessible()
 
 
 class TestInfinibandCard:
+    """The NIC→DRAM DMA path, as the fabric reads it off the platform."""
+
     def test_dma_path_needs_card_and_bank(self):
-        nic = InfinibandCard()
-        bank = MemoryBankDevice()
-        nic.dma_to_memory(bank)  # ok in D0/active-idle
+        platform = build_platform()
+        assert platform.infiniband.serves_rdma
+        assert all(bank.serves_accesses for bank in platform.memory_banks)
+        assert platform.memory_remotely_accessible()
 
     def test_dma_fails_with_card_in_wol(self):
-        nic = InfinibandCard()
-        nic.set_state(DeviceState.D3_HOT)
-        with pytest.raises(DeviceStateError):
-            nic.dma_to_memory(MemoryBankDevice())
+        platform = build_platform()
+        platform.infiniband.set_state(DeviceState.D3_HOT)
+        assert not platform.infiniband.serves_rdma
+        assert not platform.memory_remotely_accessible()
 
     def test_dma_fails_with_bank_in_self_refresh(self):
-        nic = InfinibandCard()
-        bank = MemoryBankDevice()
-        bank.enter_self_refresh()
-        with pytest.raises(DeviceStateError):
-            nic.dma_to_memory(bank)
+        platform = build_platform()
+        for bank in platform.memory_banks:
+            bank.enter_self_refresh()
+        assert platform.infiniband.serves_rdma
+        assert not platform.memory_remotely_accessible()
 
     def test_wol_standby_power_nonzero(self):
         nic = InfinibandCard()

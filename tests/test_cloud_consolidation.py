@@ -1,153 +1,94 @@
-"""Neat consolidation cycles, and admission control."""
+"""Neat consolidation on a rack: which hosts are underloaded, and what
+one ``ZombieStackOrchestrator.consolidate()`` cycle does with them
+(Section 5.2)."""
 
 import pytest
 
-from repro.cloud.admission import AdmissionController
-from repro.cloud.model import ClusterModel, HostPowerState, VmInstance
-from repro.cloud.neat import NeatConsolidator
-from repro.errors import AdmissionError, ConfigurationError
-from repro.units import GiB
+from repro.acpi.states import SleepState
+from repro.cloud.zombiestack import ZombieStackOrchestrator
+from repro.core.rack import Rack
+from repro.errors import ConfigurationError
+from repro.hypervisor.vm import VmSpec
+from repro.units import MiB
 
 
-def _vm(name, cpu=0.2, mem=0.2, cpu_usage=None, mem_usage=None):
-    return VmInstance(name, cpu_request=cpu, mem_request=mem,
-                      cpu_usage=cpu if cpu_usage is None else cpu_usage,
-                      mem_usage=mem if mem_usage is None else mem_usage)
+def _rack(names=("a", "b", "c")):
+    return Rack(list(names), memory_bytes=256 * MiB, buff_size=8 * MiB)
 
 
-def _cluster_with_underload():
-    """h1 busy, h2 underloaded with one small VM, h3 empty."""
-    cluster = ClusterModel(["h1", "h2", "h3"])
-    cluster.host("h1").add_vm(_vm("busy", cpu=0.5, mem=0.3, cpu_usage=0.5))
-    cluster.host("h2").add_vm(_vm("small", cpu=0.1, mem=0.1, cpu_usage=0.05))
-    return cluster
+def _spec(name, mem_mib=32, vcpus=8):
+    return VmSpec(name, mem_mib * MiB, vcpus=vcpus)
+
+
+def _underloaded_rack():
+    """a busy (20 of 32 vCPUs), b underloaded (4), c empty."""
+    rack = _rack()
+    rack.create_vm("a", _spec("busy", vcpus=20), local_fraction=1.0)
+    rack.create_vm("b", _spec("small", vcpus=4), local_fraction=1.0)
+    orch = ZombieStackOrchestrator(rack, vcpu_capacity=32,
+                                   underload_vcpu_fraction=0.5)
+    return rack, orch
 
 
 class TestNeatDetection:
     def test_underload_detection(self):
-        cluster = _cluster_with_underload()
-        neat = NeatConsolidator(cluster)
-        assert [h.name for h in neat.underloaded_hosts()] == ["h2"]
+        _, orch = _underloaded_rack()
+        assert [s.name for s in orch.underloaded_servers()] == ["b"]
 
     def test_empty_hosts_not_underloaded(self):
-        cluster = _cluster_with_underload()
-        neat = NeatConsolidator(cluster)
-        assert "h3" not in [h.name for h in neat.underloaded_hosts()]
-
-    def test_overload_detection(self):
-        cluster = ClusterModel(["h1"])
-        cluster.host("h1").add_vm(_vm("hog", cpu=0.9, mem=0.2, cpu_usage=0.9))
-        neat = NeatConsolidator(cluster)
-        assert [h.name for h in neat.overloaded_hosts()] == ["h1"]
+        _, orch = _underloaded_rack()
+        assert "c" not in [s.name for s in orch.underloaded_servers()]
+        idle = ZombieStackOrchestrator(_rack(), underload_vcpu_fraction=1.0)
+        assert idle.underloaded_servers() == []
 
     def test_threshold_validation(self):
+        # The limit is strict: a host booked exactly at it is not underloaded.
+        rack = _rack()
+        rack.create_vm("a", _spec("at", vcpus=8), local_fraction=1.0)
+        rack.create_vm("b", _spec("below", vcpus=7), local_fraction=1.0)
+        orch = ZombieStackOrchestrator(rack, vcpu_capacity=32,
+                                       underload_vcpu_fraction=0.25)
+        assert [s.name for s in orch.underloaded_servers()] == ["b"]
+        # 1.0 is the top of the range: every host short of full qualifies.
+        whole = ZombieStackOrchestrator(rack, vcpu_capacity=32,
+                                        underload_vcpu_fraction=1.0)
+        assert [s.name for s in whole.underloaded_servers()] == ["a", "b"]
         with pytest.raises(ConfigurationError):
-            NeatConsolidator(ClusterModel(["h"]), underload_threshold=0.9,
-                             overload_threshold=0.5)
+            ZombieStackOrchestrator(rack, underload_vcpu_fraction=1.01)
 
 
 class TestNeatCycle:
     def test_underloaded_host_evacuated_and_suspended(self):
-        cluster = _cluster_with_underload()
-        neat = NeatConsolidator(cluster, zombie_aware=False)
-        report = neat.run_cycle()
+        rack, orch = _underloaded_rack()
+        report = orch.consolidate()
         assert report.migrations == 1
-        assert "h2" in report.suspended_hosts
-        assert cluster.host("h2").state is HostPowerState.SUSPENDED
-        assert "small" in cluster.host("h1").vms
+        assert orch.placements["small"] == "a"
+        assert "b" in report.new_zombies
+        assert rack.server("b").vm_count == 0
+        assert rack.server("b").state is not SleepState.S0
+        assert rack.server("a").state is SleepState.S0
+        assert rack.server("a").hypervisor.vcpus_booked == 24
 
     def test_zombie_aware_suspends_to_sz(self):
-        cluster = _cluster_with_underload()
-        neat = NeatConsolidator(cluster, zombie_aware=True)
-        neat.run_cycle()
-        assert cluster.host("h2").state is HostPowerState.ZOMBIE
-        assert cluster.remote_pool_free > 0
-
-    def test_vanilla_blocked_by_memory(self):
-        cluster = ClusterModel(["h1", "h2"])
-        cluster.host("h1").add_vm(_vm("big", cpu=0.3, mem=0.8, cpu_usage=0.3))
-        cluster.host("h2").add_vm(_vm("small", cpu=0.1, mem=0.5,
-                                      cpu_usage=0.05))
-        neat = NeatConsolidator(cluster, zombie_aware=False)
-        report = neat.run_cycle()
-        # small's 0.5 booking does not fit next to big's 0.8
-        assert report.failed_migrations >= 1
-        assert cluster.host("h2").state is HostPowerState.ON
-
-    def test_zombie_aware_places_with_30pct_wss(self):
-        cluster = ClusterModel(["h1", "h2", "h3"])
-        cluster.host("h1").add_vm(_vm("big", cpu=0.3, mem=0.8, cpu_usage=0.3))
-        cluster.host("h2").add_vm(_vm("small", cpu=0.1, mem=0.5,
-                                      cpu_usage=0.05, mem_usage=0.4))
-        cluster.suspend("h3", zombie=True)  # provides the remote pool
-        neat = NeatConsolidator(cluster, zombie_aware=True)
-        report = neat.run_cycle()
-        assert report.migrations == 1
-        assert cluster.host("h2").state is HostPowerState.ZOMBIE
-        moved = cluster.host("h1").vms["small"]
-        assert moved.local_mem_fraction < 1.0
-
-    def test_overload_offloads_smallest_vms(self):
-        cluster = ClusterModel(["h1", "h2"])
-        host = cluster.host("h1")
-        host.add_vm(_vm("big", cpu=0.6, mem=0.2, cpu_usage=0.6))
-        host.add_vm(_vm("small", cpu=0.3, mem=0.1, cpu_usage=0.3))
-        neat = NeatConsolidator(cluster, zombie_aware=False)
-        report = neat.run_cycle()
-        assert "small" in cluster.host("h2").vms
-        assert cluster.host("h1").cpu_utilization <= 0.8
+        rack, orch = _underloaded_rack()
+        before = rack.pool_summary()["free_bytes"]
+        orch.consolidate()
+        server = rack.server("b")
+        assert server.is_zombie
+        assert server.manager.lent_bytes > 0
+        assert rack.pool_summary()["free_bytes"] >= \
+            before + server.manager.lent_bytes
 
     def test_wakes_zombie_when_no_room(self):
-        cluster = ClusterModel(["h1", "h2", "h3"])
-        cluster.host("h1").add_vm(_vm("hog1", cpu=0.7, mem=0.2,
-                                      cpu_usage=0.85))
-        cluster.host("h1").add_vm(_vm("hog2", cpu=0.25, mem=0.2,
-                                      cpu_usage=0.1))
-        cluster.host("h2").add_vm(_vm("full", cpu=0.9, mem=0.2,
-                                      cpu_usage=0.7))
-        cluster.suspend("h3", zombie=True)
-        neat = NeatConsolidator(cluster, zombie_aware=True)
-        report = neat.run_cycle()
-        assert "h3" in report.woken_hosts
-        assert cluster.host("h3").state is HostPowerState.ON
-
-
-class TestAdmission:
-    def test_admit_within_capacity(self):
-        ctrl = AdmissionController(10 * GiB, safety_fraction=0.9)
-        ctrl.admit("vm1", 4 * GiB)
-        ctrl.admit("vm2", 4 * GiB)
-        assert ctrl.available_bytes == 1 * GiB
-
-    def test_overcommit_refused(self):
-        ctrl = AdmissionController(10 * GiB, safety_fraction=0.9)
-        ctrl.admit("vm1", 8 * GiB)
-        with pytest.raises(AdmissionError):
-            ctrl.admit("vm2", 2 * GiB)
-
-    def test_double_admit_refused(self):
-        ctrl = AdmissionController(10 * GiB)
-        ctrl.admit("vm1", GiB)
-        with pytest.raises(AdmissionError):
-            ctrl.admit("vm1", GiB)
-
-    def test_release_frees_capacity(self):
-        ctrl = AdmissionController(10 * GiB)
-        ctrl.admit("vm1", 8 * GiB)
-        assert ctrl.release("vm1") == 8 * GiB
-        ctrl.admit("vm2", 8 * GiB)
-
-    def test_release_unknown_refused(self):
-        with pytest.raises(AdmissionError):
-            AdmissionController(GiB).release("ghost")
-
-    def test_shrink_below_reservations_refused(self):
-        ctrl = AdmissionController(10 * GiB)
-        ctrl.admit("vm1", 8 * GiB)
-        with pytest.raises(AdmissionError):
-            ctrl.resize_rack(5 * GiB)
-
-    def test_grow_rack(self):
-        ctrl = AdmissionController(10 * GiB)
-        ctrl.resize_rack(20 * GiB)
-        ctrl.admit("vm1", 15 * GiB)
+        rack, orch = _underloaded_rack()
+        orch.consolidate()
+        assert {s.name for s in rack.zombie_servers()} == {"b", "c"}
+        assert rack.active_servers() == [rack.server("a")]
+        # 'a' holds 24 of 32 vCPUs: a 16-vCPU VM needs a zombie back, the
+        # one the controller names least entangled.
+        woken = rack.controller.gs_get_lru_zombie()
+        orch.boot_vm(_spec("late", vcpus=16))
+        assert orch.placements["late"] == woken
+        assert rack.server(woken).state is SleepState.S0
+        assert [s.name for s in rack.zombie_servers()] \
+            == sorted({"b", "c"} - {woken})

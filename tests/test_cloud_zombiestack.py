@@ -1,12 +1,16 @@
-"""The ZombieStack orchestrator over a real rack."""
+"""The ZombieStack orchestrator over a real rack, and admission control."""
+
+import math
 
 import pytest
 
+from repro.acpi.states import SleepState
+from repro.cloud.admission import AdmissionController
 from repro.cloud.zombiestack import ZombieStackOrchestrator
 from repro.core.rack import Rack
 from repro.errors import AdmissionError, ConfigurationError, PlacementError
 from repro.hypervisor.vm import VmSpec
-from repro.units import MiB
+from repro.units import GiB, MiB, PAGE_SIZE
 
 
 def _rack(names=("a", "b", "c")):
@@ -76,6 +80,53 @@ class TestPlacement:
             ZombieStackOrchestrator(_rack(), local_threshold=0.0)
         with pytest.raises(ConfigurationError):
             ZombieStackOrchestrator(_rack(), vcpu_capacity=0)
+        # At or below 0 no host is ever underloaded, so consolidation
+        # would be silently off.
+        for fraction in (0.0, -0.25, 1.5, math.nan):
+            with pytest.raises(ConfigurationError):
+                ZombieStackOrchestrator(_rack(),
+                                        underload_vcpu_fraction=fraction)
+
+
+class TestRelaxedPlacement:
+    """Nova's RAM filter relaxed to 50 % local memory (Section 5.1).
+
+    Each host has 224 MiB free; where a rack has more than one server the
+    last one is a zombie whose memory backs the remote part.
+    """
+
+    @staticmethod
+    def _orchestrator(names, threshold):
+        rack = _rack(names)
+        if len(names) > 1:
+            rack.make_zombie(names[-1])
+        return rack, ZombieStackOrchestrator(rack, local_threshold=threshold)
+
+    @pytest.mark.parametrize("mem_mib, local_fraction", [
+        (320, 0.7),  # larger than any host's free RAM: 96 MiB go remote
+        (64, 1.0),   # fits: fully local, nothing borrowed
+    ], ids=["remote-part-on-zombie", "fully-local-when-room"])
+    def test_placed(self, mem_mib, local_fraction):
+        rack, orch = self._orchestrator(("a", "b", "c"), 0.5)
+        pool_before = rack.pool_summary()["free_bytes"]
+        vm = orch.boot_vm(_spec("vm", mem_mib=mem_mib))
+        assert vm.local_fraction == pytest.approx(local_fraction)
+        remote = vm.spec.memory_bytes - vm.local_frames_limit * PAGE_SIZE
+        assert pool_before - rack.pool_summary()["free_bytes"] == remote
+        lenders = rack.controller.db.allocated_count_by_host()
+        assert {h for h, n in lenders.items() if n} == ({"c"} if remote else set())
+
+    @pytest.mark.parametrize("names, threshold, mem_mib", [
+        (("a", "b", "c"), 0.5, 480),  # 240 MiB local needed, 224 free
+        (("a",), 0.5, 320),           # no pool and no peer to lend 96 MiB
+        (("a", "b", "c"), 1.0, 320),  # full booking: what 0.5 places
+    ], ids=["half-does-not-fit", "pool-cannot-cover-remote", "full-booking"])
+    def test_refused(self, names, threshold, mem_mib):
+        _, orch = self._orchestrator(names, threshold)
+        with pytest.raises(PlacementError):
+            orch.boot_vm(_spec("vm", mem_mib=mem_mib))
+        assert "vm" not in orch.placements
+        assert "vm" not in orch.admission.reservations
 
 
 class TestConsolidation:
@@ -111,6 +162,42 @@ class TestConsolidation:
         assert all(rack.server(name).is_zombie
                    for name in report.new_zombies)
         assert orch.placements["v1"] == orch.placements["v2"]
+        assert rack.pool_summary()["free_bytes"] > 0
+
+    def test_second_cycle_after_convergence_migrates_nothing(self):
+        rack = _rack()
+        orch = ZombieStackOrchestrator(rack, vcpu_capacity=12,
+                                       underload_vcpu_fraction=0.5)
+        orch.boot_vm(_spec("v1", vcpus=12, mem_mib=32))
+        orch.boot_vm(_spec("v2", vcpus=4, mem_mib=32))
+        orch.vcpu_capacity = 32
+        assert orch.consolidate().migrations >= 1
+        again = orch.consolidate()
+        assert again.migrations == 0
+        assert again.new_zombies == [] and again.demoted_to_s3 == []
+
+    def test_migration_target_needs_room_for_resident_pages_only(self):
+        rack = _rack()
+        rack.make_zombie("c")
+        orch = ZombieStackOrchestrator(rack, vcpu_capacity=24,
+                                       underload_vcpu_fraction=0.5)
+        anchor = orch.boot_vm(_spec("anchor", vcpus=24, mem_mib=16))
+        big = orch.boot_vm(_spec("big", vcpus=4, mem_mib=320))
+        assert orch.placements == {"anchor": "a", "big": "b"}
+        hv_a = rack.server("a").hypervisor
+        for ppn in range(anchor.spec.total_pages):
+            hv_a.access(anchor, ppn)
+        hv_b = rack.server("b").hypervisor
+        for ppn in range(16):
+            hv_b.access(big, ppn)
+        # 'a' has room for big's 16 resident pages, not for its 224 MiB
+        # local part, let alone its 320 MiB booking.
+        assert rack.server("a").free_bytes < big.local_frames_limit * PAGE_SIZE
+        orch.vcpu_capacity = 32
+        report = orch.consolidate()
+        assert report.migrations == 1
+        assert orch.placements["big"] == "a"
+        assert rack.server("b").state is not SleepState.S0
 
     def test_periodic_consolidation_on_the_engine(self):
         rack = _rack()
@@ -171,3 +258,44 @@ class TestSleeperHandling:
         assert orch.placements["v2"] in ("b", "c")
         woken = orch.placements["v2"]
         assert rack.server(woken).state is SleepState.S0
+
+
+class TestAdmission:
+    def test_admit_within_capacity(self):
+        ctrl = AdmissionController(10 * GiB, safety_fraction=0.9)
+        ctrl.admit("vm1", 4 * GiB)
+        ctrl.admit("vm2", 4 * GiB)
+        assert ctrl.available_bytes == 1 * GiB
+
+    def test_overcommit_refused(self):
+        ctrl = AdmissionController(10 * GiB, safety_fraction=0.9)
+        ctrl.admit("vm1", 8 * GiB)
+        with pytest.raises(AdmissionError):
+            ctrl.admit("vm2", 2 * GiB)
+
+    def test_double_admit_refused(self):
+        ctrl = AdmissionController(10 * GiB)
+        ctrl.admit("vm1", GiB)
+        with pytest.raises(AdmissionError):
+            ctrl.admit("vm1", GiB)
+
+    def test_release_frees_capacity(self):
+        ctrl = AdmissionController(10 * GiB)
+        ctrl.admit("vm1", 8 * GiB)
+        assert ctrl.release("vm1") == 8 * GiB
+        ctrl.admit("vm2", 8 * GiB)
+
+    def test_release_unknown_refused(self):
+        with pytest.raises(AdmissionError):
+            AdmissionController(GiB).release("ghost")
+
+    def test_shrink_below_reservations_refused(self):
+        ctrl = AdmissionController(10 * GiB)
+        ctrl.admit("vm1", 8 * GiB)
+        with pytest.raises(AdmissionError):
+            ctrl.resize_rack(5 * GiB)
+
+    def test_grow_rack(self):
+        ctrl = AdmissionController(10 * GiB)
+        ctrl.resize_rack(20 * GiB)
+        ctrl.admit("vm1", 15 * GiB)

@@ -9,12 +9,11 @@ at every step.
 import pytest
 
 from repro.acpi.states import SleepState
-from repro.cloud.model import ClusterModel, HostPowerState, VmInstance
-from repro.cloud.neat import NeatConsolidator
+from repro.cloud.zombiestack import ZombieStackOrchestrator
 from repro.core.rack import Rack
 from repro.errors import RdmaError
 from repro.hypervisor.vm import VmSpec
-from repro.units import MiB, PAGE_SIZE
+from repro.units import MiB
 
 
 class TestFullPipeline:
@@ -114,40 +113,55 @@ class TestFullPipeline:
 
 
 class TestConsolidationIntegration:
-    def test_neat_cycle_shrinks_cluster_then_serves_memory(self):
-        """Zombie-aware Neat: evacuate, suspend to Sz, then the freed
-        memory backs a remote placement."""
-        cluster = ClusterModel([f"h{i}" for i in range(4)])
-        cluster.host("h0").add_vm(VmInstance("busy", 0.5, 0.4,
-                                             cpu_usage=0.5, mem_usage=0.3))
-        cluster.host("h1").add_vm(VmInstance("small", 0.1, 0.1,
-                                             cpu_usage=0.05, mem_usage=0.05))
-        cluster.host("h2").add_vm(VmInstance("tiny", 0.05, 0.1,
-                                             cpu_usage=0.03, mem_usage=0.05))
-        neat = NeatConsolidator(cluster, zombie_aware=True)
-        report = neat.run_cycle()
-        assert report.suspended_hosts
-        zombies = cluster.zombie_hosts()
-        assert zombies
-        assert cluster.remote_pool_free > 0
+    @staticmethod
+    def _spread(names, vms):
+        """One VM per host, in order, each with one page of known bytes."""
+        rack = Rack(names, memory_bytes=256 * MiB, buff_size=8 * MiB)
+        orch = ZombieStackOrchestrator(rack, vcpu_capacity=32,
+                                       underload_vcpu_fraction=0.4)
+        for name, vcpus, mem_mib in vms:
+            orch.vcpu_capacity = vcpus  # no booked host has room: a fresh one
+            vm = orch.boot_vm(VmSpec(name, mem_mib * MiB, vcpus=vcpus))
+            rack.server(orch.placements[name]).hypervisor.write_page(
+                vm, 1, name.encode())
+        orch.vcpu_capacity = 32
+        return rack, orch
 
-        # New VM whose memory exceeds any single host's free RAM.
-        from repro.cloud.nova import NovaScheduler
-        nova = NovaScheduler(cluster)
-        big = VmInstance("big", 0.2, 0.8, cpu_usage=0.1, mem_usage=0.5)
-        host = nova.place(big)
-        assert big.local_mem_fraction < 1.0
+    @staticmethod
+    def _contents_survive(rack, orch):
+        for name, host in orch.placements.items():
+            hv = rack.server(host).hypervisor
+            assert hv.read_page(hv.vms[name], 1) == name.encode()
+
+    def test_neat_cycle_shrinks_cluster_then_serves_memory(self):
+        """Consolidation evacuates underloaded hosts into Sz, then the
+        memory they lend backs a remote placement."""
+        rack, orch = self._spread(
+            [f"h{i}" for i in range(4)],
+            [("busy", 24, 64), ("small", 4, 32), ("tiny", 2, 32)])
+        report = orch.consolidate()
+        assert report.migrations >= 2
+        assert set(report.new_zombies) >= {"h1", "h2"}
+        zombies = {s.name for s in rack.zombie_servers()}
+        assert zombies
+        assert rack.pool_summary()["free_bytes"] > 0
+        self._contents_survive(rack, orch)
+
+        # A new VM whose memory exceeds any active host's free RAM.
+        biggest_free = max(s.free_bytes for s in rack.active_servers())
+        big = orch.boot_vm(VmSpec("big", biggest_free + 96 * MiB))
+        assert big.local_fraction < 1.0
+        lenders = rack.controller.db.allocated_count_by_host()
+        assert {h for h, n in lenders.items() if n} <= zombies
 
     def test_repeated_cycles_are_stable(self):
-        cluster = ClusterModel([f"h{i}" for i in range(6)])
-        for i in range(6):
-            cluster.host(f"h{i}").add_vm(VmInstance(
-                f"vm{i}", 0.1, 0.15, cpu_usage=0.05, mem_usage=0.1
-            ))
-        neat = NeatConsolidator(cluster, zombie_aware=True)
-        first = neat.run_cycle()
-        second = neat.run_cycle()
+        rack, orch = self._spread(
+            [f"h{i}" for i in range(6)],
+            [(f"vm{i}", 4, 32) for i in range(6)])
+        first = orch.consolidate()
+        second = orch.consolidate()
         # After convergence, further cycles stop churning.
-        assert second.migrations <= first.migrations
-        on = [h for h in cluster.on_hosts() if h.vms]
-        assert len(on) < 6
+        assert first.migrations > 0
+        assert second.migrations == 0
+        assert len(set(orch.placements.values())) < 6
+        self._contents_survive(rack, orch)

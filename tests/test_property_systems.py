@@ -1,7 +1,8 @@
 """Property-based tests on the higher system layers.
 
 - a swap device is a faithful key-value store of pages under any op mix;
-- the cluster model never over-commits CPU or local memory;
+- ZombieStack placement never books a rack server past its vCPU capacity
+  or its free memory, under any boot/stop sequence;
 - the controller's pool accounting balances across any lend/alloc/release
   interleaving;
 - the sliding-window scan covers the whole array exactly.
@@ -9,10 +10,12 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cloud.model import ClusterModel, VmInstance
+from repro.cloud.zombiestack import ZombieStackOrchestrator
 from repro.core.controller import GlobalMemoryController
 from repro.core.protocol import BufferDescriptor, BufferKind
-from repro.errors import PlacementError, ReproError
+from repro.core.rack import Rack
+from repro.errors import AdmissionError, PlacementError, ReproError
+from repro.hypervisor.vm import VmSpec
 from repro.memory.swap import SsdSwap
 from repro.rdma.fabric import Fabric
 from repro.sim.rng import DeterministicRng
@@ -52,28 +55,27 @@ def test_swap_device_is_a_faithful_page_store(ops):
         assert device.contains(key)
 
 
-@settings(max_examples=40, deadline=None)
-@given(vms=st.lists(st.tuples(st.floats(0.01, 0.6, allow_nan=False),
-                              st.floats(0.01, 0.6, allow_nan=False),
-                              st.floats(0.3, 1.0, allow_nan=False)),
-                    max_size=20))
-def test_cluster_never_overcommits(vms):
-    cluster = ClusterModel(["h1", "h2", "h3"])
-    hosts = list(cluster.hosts.values())
-    for index, (cpu, mem, local_frac) in enumerate(vms):
-        vm = VmInstance(f"vm{index}", cpu_request=round(cpu, 4),
-                        mem_request=round(mem, 4),
-                        local_mem_fraction=round(local_frac, 4))
-        host = hosts[index % 3]
+@settings(max_examples=25, deadline=None)
+@given(zombie=st.booleans(),
+       ops=st.lists(st.tuples(st.sampled_from(["boot", "stop"]),
+                              st.integers(1, 16), st.integers(8, 480)),
+                    max_size=12))
+def test_cluster_never_overcommits(zombie, ops):
+    rack = Rack(["a", "b", "c"], memory_bytes=256 * MiB, buff_size=8 * MiB)
+    if zombie:
+        rack.make_zombie("c")
+    orch = ZombieStackOrchestrator(rack, vcpu_capacity=16)
+    for index, (op, vcpus, mem_mib) in enumerate(ops):
         try:
-            host.add_vm(vm)
-        except PlacementError:
+            if op == "boot":
+                orch.boot_vm(VmSpec(f"vm{index}", mem_mib * MiB, vcpus=vcpus))
+            elif orch.placements:
+                orch.stop_vm(sorted(orch.placements)[vcpus % len(orch.placements)])
+        except (AdmissionError, PlacementError):
             pass
-    for host in hosts:
-        assert host.cpu_booked <= host.cpu_capacity + 1e-6
-        assert host.mem_booked_local <= host.mem_capacity + 1e-6
-        assert host.free_cpu >= -1e-6
-        assert host.free_mem >= -1e-6
+        for server in rack.servers.values():
+            assert server.hypervisor.vcpus_booked <= orch.vcpu_capacity
+            assert server.free_bytes >= 0
 
 
 @settings(max_examples=25, deadline=None)

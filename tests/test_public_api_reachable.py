@@ -5,17 +5,18 @@ Collects, in ``src/repro`` outside the checkers (``lint/``, ``check/``,
 
 - each public module-level function, class or constant, and each public
   method or property of a module-level class.  A name is *reached* when
-  ``src/``, ``benchmarks/`` or ``examples/`` load it as a name or an
-  attribute, import it, or spell it in a string holding nothing but a
-  dotted name (``getattr``, the span tables).  A package ``__init__.py``
-  does not reach what it imports or lists in ``__all__``: a re-export
-  only repeats a name.  Comments, prose docstrings and tests do not
-  count: a name only tests call is an extension point no workload uses.
+  ``src/`` or ``benchmarks/`` load it as a name or an attribute, import
+  it, or spell it in a string holding nothing but a dotted name
+  (``getattr``, the span tables).  A package ``__init__.py`` does not
+  reach what it imports or lists in ``__all__``: a re-export only repeats
+  a name.  Comments, prose docstrings, examples and tests do not count: a
+  name only tests call is an extension point no workload uses, and an
+  example shows a caller without being one.
 - each public instance attribute (``self.x = ...``) and each public
   dataclass or NamedTuple field of a module-level class.  A field is
   *read* when ``src/``, ``benchmarks/``, ``examples/`` or ``tests/`` load
-  it as an attribute or spell it in a dotted string.  A test that reads a
-  field is its observer, so fields need no keep-list.
+  it as an attribute or spell it in a dotted string.  An example or a test
+  that reads a field is its observer, so fields need no keep-list.
 
 A name that stays because a tier-1 test needs it to observe or drive the
 system goes on ``KEEP`` with its reason.
@@ -31,8 +32,8 @@ from typing import Dict, Iterator, List, Set, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 CHECKERS = ("lint", "check", "sanitize")
-PROGRAM = (ROOT / "src", ROOT / "benchmarks", ROOT / "examples")
-OBSERVERS = PROGRAM + (ROOT / "tests",)
+PROGRAM = (ROOT / "src", ROOT / "benchmarks")
+OBSERVERS = PROGRAM + (ROOT / "examples", ROOT / "tests")
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -73,8 +74,6 @@ KEEP: Dict[str, str] = {
         "the Sz contract the state tests pin: only S0 and Sz serve RDMA",
     "acpi.platform:ServerPlatform.memory_remotely_accessible":
         "observer of the platform's NIC-to-DRAM path per sleep state",
-    "acpi.devices:InfinibandCard.dma_to_memory":
-        "the device tests check the NIC-to-DRAM DMA gate through it",
     "core.recovery:FaultSchedule.randomized":
         "the rack chaos tests draw replayable random fault schedules from it",
     "fed.gateway:FederationGateway.transfer":
@@ -235,8 +234,8 @@ def test_every_public_name_is_reached_from_the_program():
         key for key, name in public_names().items() if name not in tokens and key not in KEEP
     )
     assert not unreached, (
-        f"{len(unreached)} public names are reached from none of src/, benchmarks/ "
-        f"or examples/; delete them or add each to KEEP with its reason: {unreached}"
+        f"{len(unreached)} public names are reached from neither src/ nor "
+        f"benchmarks/; delete them or add each to KEEP with its reason: {unreached}"
     )
 
 
