@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from repro.errors import ConfigurationError
 
@@ -39,16 +39,6 @@ class ConsistentHashRing:
         for rack in racks:
             self.add_rack(rack)
 
-    @property
-    def racks(self) -> List[str]:
-        return sorted(self._racks)
-
-    def __len__(self) -> int:
-        return len(self._racks)
-
-    def __contains__(self, rack: str) -> bool:
-        return rack in self._racks
-
     def add_rack(self, rack: str) -> None:
         if rack in self._racks:
             raise ConfigurationError(f"rack {rack!r} already on the ring")
@@ -65,23 +55,3 @@ class ConsistentHashRing:
             raise ConfigurationError("empty ring: no rack to home onto")
         index = bisect.bisect(self._points, _point(key)) % len(self._points)
         return self._owners[index]
-
-    def preference(self, key: str, n: Optional[int] = None) -> List[str]:
-        """The first ``n`` *distinct* racks clockwise from ``key``.
-
-        Entry 0 is :meth:`home`; the rest is the failover order a
-        gateway walks when the home rack is dead — every caller derives
-        the same order, so re-homing is coordination-free.
-        """
-        if not self._points:
-            raise ConfigurationError("empty ring: no rack to home onto")
-        wanted = len(self._racks) if n is None else min(n, len(self._racks))
-        start = bisect.bisect(self._points, _point(key))
-        order: List[str] = []
-        for offset in range(len(self._points)):
-            owner = self._owners[(start + offset) % len(self._points)]
-            if owner not in order:
-                order.append(owner)
-                if len(order) == wanted:
-                    break
-        return order

@@ -103,8 +103,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="report rendering (default: %(default)s)")
     args = parser.parse_args(argv)
 
-    from repro.obs.selfcheck import (INTRA_RACK_VERBS, run_golden_scenario,
-                                     self_check)
+    from repro.obs.selfcheck import run_golden_scenario, self_check
 
     if args.self_check:
         problems = self_check()
@@ -113,7 +112,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(f"FAIL {problem}")
             print(f"\nself-check: {len(problems)} problem(s)")
             return 1
-        traced = len(INTRA_RACK_VERBS)
+        from repro.tour import FED_TOUR, RACK_TOUR, verbs
+        traced = len(verbs(RACK_TOUR) | verbs(FED_TOUR))
         print(f"self-check: ok ({traced}/{traced} verbs traced, span forest "
               "connected, exports valid)")
         return 0

@@ -1,54 +1,42 @@
-"""The ZomTrace self-check: a golden rack scenario plus hard assertions.
+"""The ZomTrace self-check: scripted scenarios plus hard assertions.
 
-``python -m repro.obs --self-check`` runs two scripted scenarios against
-a fully instrumented rack and verifies the observability contract:
+``python -m repro.obs --self-check`` runs :func:`self_check` over three
+fully instrumented scenarios and returns every departure from the
+observability contract as a human-readable problem string (an empty
+list is a pass):
 
-- the **golden scenario** drives every intra-rack protocol verb
-  (``Method`` minus the ``FED_*`` pair) through the RPC layer — Sz
-  entry/exit with
-  reclaim, RAM-Ext and swap allocation, pool growth from active servers,
-  live migration, serving-host crash recovery, probe heartbeats and the
-  healed-host resync — and checks that each verb shows up in the
-  per-verb latency histograms, that every span tree is connected, and
-  that both exporters produce output their validators accept;
-- the **federation scenario** drains one rack of a 2-rack federation
-  until cross-rack lending engages, covering ``FED_borrow`` and
-  ``FED_return``, the rack-labelled federation metrics, and the
-  requirement that a borrow spanning two racks traces as one connected
-  span tree;
-- the **failover scenario** kills the primary, lets the secondary
-  promote, then issues one ``GS_goto_zombie`` whose first two attempts
-  are dropped in flight; the resulting trace must be a single connected
-  tree (call → 3 attempts → 3 server spans, two of them errors), and
-  the deposed primary's stale-epoch probe must leave a ``fenced`` span.
+- the **golden scenario**, the rack tour (:func:`repro.tour.rack_tour`)
+  on a metered rack plus the hypervisor, energy and workload layers;
+- the **federation scenario**, the federation tour on two racks, whose
+  cross-rack borrow must trace as one connected span tree;
+- the **failover scenario**, one ``GS_goto_zombie`` that survives two
+  dropped attempts and a promotion as one connected tree (call → 3
+  attempts → 3 server spans, two of them errors) beside the deposed
+  primary's ``fenced`` probe.
 
-Every departure from the contract is returned as a human-readable
-problem string; an empty list is a pass.
+Every verb a tour declares must complete a traced call, every span tree
+must be connected, and both exporters' output must validate.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from repro.core.protocol import Method
 from repro.errors import FencingError, RpcTimeoutError
-from repro.hypervisor.vm import VmSpec
 from repro.obs import Telemetry
-
-#: The golden rack drives every intra-rack verb; the federation
-#: scenario below covers the cross-rack ``FED_*`` pair.
-FED_VERBS = tuple(m.value for m in Method if m.name.startswith("FED_"))
-INTRA_RACK_VERBS = tuple(m.value for m in Method
-                         if m.value not in FED_VERBS)
 from repro.obs.export import (to_chrome_trace, to_prometheus_text,
                               validate_chrome_trace,
                               validate_prometheus_text)
 from repro.obs.tracing import Span, span_forest_errors
+from repro.tour import (BUFFER, FED_TOUR, MEMORY, RACK_TOUR, fed_tour,
+                        rack_tour, verbs)
 from repro.units import MiB
 
 
 def run_golden_scenario(telemetry: Optional[Telemetry] = None):
-    """Drive every intra-rack protocol verb on one instrumented rack.
+    """Drive the rack tour on one instrumented, metered rack, touching
+    vm1's pages twice, then feed the non-RPC layers.
 
     Returns the rack; its ``telemetry`` hub holds the resulting metrics
     and spans.
@@ -57,56 +45,24 @@ def run_golden_scenario(telemetry: Optional[Telemetry] = None):
     from repro.core.rack import Rack
     from repro.dc.energy_sim import simulate_energy
     from repro.energy.profiles import HP_PROFILE
+    from repro.energy.rack_monitor import RackEnergyMonitor
     from repro.traces.google import generate_trace
     from repro.traces.schema import TraceConfig
     from repro.workloads.driver import run_stream
 
-    from repro.energy.rack_monitor import RackEnergyMonitor
-
     tel = telemetry or Telemetry(enabled=True)
-    rack = Rack(["user", "active", "spare"], memory_bytes=512 * MiB,
-                buff_size=16 * MiB, telemetry=tel)
+    rack = Rack(["user", "active", "spare"], memory_bytes=MEMORY,
+                buff_size=BUFFER, telemetry=tel)
     # Meter the rack so the fleet-audit gauges (stranded_bytes,
     # zombie_pool_bytes, host_energy_joules_total, ...) are exercised by
     # the same golden scenario that pins the RPC contract.
     monitor = RackEnergyMonitor(rack, HP_PROFILE, sample_period_s=0.5)
-
-    # Sz entry: GS_goto_zombie + the mirror_op fan-out to the secondary.
-    rack.make_zombie("spare")
-
-    # Guaranteed RAM-Ext allocation (GS_alloc_ext) + hypervisor paging.
-    vm1 = rack.create_vm("user", VmSpec("vm1", 128 * MiB),
-                         local_fraction=0.5)
     hypervisor = rack.server("user").hypervisor
-    for _ in range(2):
-        for ppn in range(vm1.spec.total_pages):
-            hypervisor.access(vm1, ppn)
-
-    # Best-effort swap (GS_alloc_swap) and the LRU-zombie query.
-    manager = rack.server("user").manager
-    manager.request_swap(32 * MiB)
-    manager.controller.call(Method.GS_GET_LRU_ZOMBIE.value)
-
-    # Sz exit with full reclaim: GS_wake + GS_reclaim revoke the lent
-    # buffers (US_reclaim to the user), and the post-wake store repair
-    # grows the pool from active servers (AS_get_free_mem).
-    rack.wake("spare", reclaim_bytes=512 * MiB)
-
-    # A second VM out of the regrown pool, then live migration: the
-    # controller re-points buffer ownership with GS_transfer.
-    rack.create_vm("user", VmSpec("vm2", 64 * MiB), local_fraction=0.5)
-    rack.migrate_vm("vm2", "user", "active")
-    rack.destroy_vm("user", "vm1")  # GS_release
-
-    # Serving-host crash: the user-side report (GS_report_failure)
-    # triggers rack-wide invalidation (US_invalidate); healing plus the
-    # probe monitor recovers the host and resyncs it (heartbeat,
-    # AS_resync).
-    rack.crash_server("spare")
-    rack.server("active").manager.report_host_failure("spare")
-    rack.heal_server("spare")
-    rack.start_host_monitoring(probe_period_s=0.5)
-    rack.engine.run(until=3.0)
+    for step, result in rack_tour(rack, "user", "active", "spare"):
+        if step == "create_vm1":
+            for _ in range(2):
+                for ppn in range(result.spec.total_pages):
+                    hypervisor.access(result, ppn)
 
     # Non-RPC instrumentation: the DC energy timeline and the workload
     # driver feed the same hub.
@@ -121,31 +77,16 @@ def run_golden_scenario(telemetry: Optional[Telemetry] = None):
 
 
 def run_federation_scenario(telemetry: Optional[Telemetry] = None):
-    """Drive a 2-rack federation until cross-rack lending engages.
-
-    Zombifies most of both racks, drains rack2's pool (including the
-    intra-rack growth from its active hosts) through the gateway, and
-    keeps allocating until ``FED_borrow`` fires against rack1; the
-    loans are then proactively returned (``FED_return``).  Returns the
-    federation; its telemetry hub holds the rack-labelled federation
-    metrics and the cross-rack span trees.
-    """
+    """Drive the federation tour on two racks: rack2 borrows from rack1,
+    then returns the loans.  Returns the federation, whose hub holds the
+    rack-labelled federation metrics and the cross-rack span trees."""
     from repro.fed import Federation
 
     tel = telemetry or Telemetry(enabled=True)
-    fed = Federation(n_racks=2, hosts_per_rack=3, memory_bytes=512 * MiB,
-                     buff_size=16 * MiB, rng_seed=7, telemetry=tel)
-    fed.make_zombie("rack1/h2")
-    fed.make_zombie("rack1/h3")
-    fed.make_zombie("rack2/h2")
-    tenant = "rack2/h1"
-    for _ in range(512):
-        if fed.gateway.lending_triggers > 0:
-            break
-        fed.gateway.alloc_ext(tenant, 4 * fed.racks["rack2"].buff_size)
-    if fed.lending.borrows == 0:
-        raise RuntimeError("federation scenario never borrowed cross-rack")
-    fed.lending.return_loans("rack2", "rack1")
+    fed = Federation(n_racks=2, hosts_per_rack=3, memory_bytes=MEMORY,
+                     buff_size=BUFFER, rng_seed=7, telemetry=tel)
+    for _ in fed_tour(fed, ("rack1/h2", "rack1/h3", "rack2/h2"), "rack2/h1"):
+        pass
     return fed
 
 
@@ -202,8 +143,15 @@ def run_failover_retry_scenario(telemetry: Optional[Telemetry] = None
     return tel, calls[-1].trace_id
 
 
-def _check_exports(tel: Telemetry, label: str) -> List[str]:
-    problems = []
+def _check_hub(tel: Telemetry, label: str,
+               declared: FrozenSet[str] = frozenset()) -> List[str]:
+    """What every scenario's hub must show: each ``declared`` verb
+    completed a traced call, valid exports and a connected span forest."""
+    seen = {labels.get("verb") for labels
+            in tel.registry.labels_for("rpc_call_seconds")}
+    problems = [f"{label}: verb {verb!r} has no rpc_call_seconds histogram "
+                "(never completed a traced client call)"
+                for verb in sorted(declared - seen)]
     problems += [f"{label}: {p}" for p in
                  validate_prometheus_text(to_prometheus_text(tel.registry))]
     problems += [f"{label}: {p}" for p in
@@ -218,19 +166,11 @@ def _check_exports(tel: Telemetry, label: str) -> List[str]:
 
 
 def self_check() -> List[str]:
-    """Run both scenarios; returns every contract violation found."""
+    """Run the three scenarios; returns every contract violation found."""
     problems: List[str] = []
 
     rack = run_golden_scenario()
     tel = rack.telemetry
-    seen = {labels.get("verb") for labels
-            in tel.registry.labels_for("rpc_call_seconds")}
-    for verb in INTRA_RACK_VERBS:
-        if verb not in seen:
-            problems.append(
-                f"golden: verb {verb!r} has no rpc_call_seconds histogram "
-                "(never completed a traced client call)"
-            )
     for name, minimum in (
         ("hv_page_faults_total", 1), ("hv_evictions_total", 1),
         ("sz_transitions_total", 2), ("sz_dwell_seconds", 1),
@@ -258,18 +198,10 @@ def self_check() -> List[str]:
     if tel.registry.value("lost_hosts") != 0:
         problems.append("golden: lost_hosts gauge did not return to 0 "
                         "after the host healed")
-    problems += _check_exports(tel, "golden")
+    problems += _check_hub(tel, "golden", verbs(RACK_TOUR))
 
     fed = run_federation_scenario()
     tel3 = fed.telemetry
-    seen = {labels.get("verb") for labels
-            in tel3.registry.labels_for("rpc_call_seconds")}
-    for verb in FED_VERBS:
-        if verb not in seen:
-            problems.append(
-                f"federation: verb {verb!r} has no rpc_call_seconds "
-                "histogram (never completed a traced client call)"
-            )
     # A cross-rack borrow must appear as ONE connected span tree even
     # though the client sits in rack2 and the handler runs in rack1.
     borrows = tel3.tracer.finished("call.FED_borrow")
@@ -300,7 +232,7 @@ def self_check() -> List[str]:
     if fed.fabric.cross_rack_joules <= 0:
         problems.append("federation: cross-rack lending charged no "
                         "inter-rack energy")
-    problems += _check_exports(tel3, "federation")
+    problems += _check_hub(tel3, "federation", verbs(FED_TOUR))
 
     tel2, trace_id = run_failover_retry_scenario()
     trace = tel2.tracer.trace(trace_id)
@@ -326,7 +258,7 @@ def self_check() -> List[str]:
                         f"{retries}, expected 2")
     if tel2.registry.value("failovers_total") != 1:
         problems.append("failover: failovers_total counter is not 1")
-    problems += _check_exports(tel2, "failover")
+    problems += _check_hub(tel2, "failover")
     return problems
 
 

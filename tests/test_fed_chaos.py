@@ -18,59 +18,42 @@ intra-rack chaos matrix); any failure replays locally with the same
 value.
 """
 
-import os
-
 import pytest
 
 from repro.core.protocol import Method
 from repro.errors import AllocationError, FencingError
 from repro.fed import Federation
 from repro.rdma.fabric import DUPLICATE, REPLY_LOSS, LinkFaults
-from repro.units import MiB
-from tests.agreement import assert_standby_agrees
-
-BUFF = 16 * MiB
-
-
-def _seeds():
-    """CI's chaos-matrix job sweeps seeds via ZOMNET_CHAOS_SEEDS."""
-    raw = os.environ.get("ZOMNET_CHAOS_SEEDS", "7")
-    return tuple(int(s) for s in raw.split(",") if s.strip())
+from repro.tour import BUFFER, MEMORY, fed_tour
+from tests.agreement import assert_standby_agrees, chaos_seeds
 
 
 def _build(seed, install_faults=None):
-    fed = Federation(n_racks=2, hosts_per_rack=3, memory_bytes=512 * MiB,
-                     buff_size=BUFF, rng_seed=seed)
+    """Two racks, through the federation tour until rack2 has borrowed."""
+    fed = Federation(n_racks=2, hosts_per_rack=3, memory_bytes=MEMORY,
+                     buff_size=BUFFER, rng_seed=seed)
     if install_faults is not None:
         install_faults(fed.fabric.message_faults)
-    for host in ("rack1/h2", "rack1/h3", "rack2/h2"):
-        fed.make_zombie(host)
-    return fed
-
-
-def _drain_until_borrow(fed, tenant="rack2/h1", rounds=512):
-    for _ in range(rounds):
-        if fed.gateway.lending_triggers > 0:
-            break
-        fed.gateway.alloc_ext(tenant, 4 * BUFF)
-    assert fed.lending.borrows > 0, "lending never engaged"
+    for step, _ in fed_tour(fed, ("rack1/h2", "rack1/h3", "rack2/h2"),
+                            "rack2/h1"):
+        if step == "drain":
+            return fed
 
 
 def _lending_storm(fed):
     """Borrow repeatedly, proactively return half, then recall the rest
     by waking the donor hosts — every cross-rack interaction class, with
     enough cross-rack messages for a probabilistic plan to really bite."""
-    _drain_until_borrow(fed)
     for _ in range(12):
         try:
-            fed.gateway.alloc_ext("rack2/h1", 4 * BUFF)
+            fed.gateway.alloc_ext("rack2/h1", 4 * BUFFER)
         except AllocationError:
             break  # the whole federation went dry — that is the storm's end
     loan_ids = sorted(fed.lending.loans)
     fed.lending.return_loans("rack2", "rack1",
                              loan_ids[:len(loan_ids) // 2])
-    fed.wake("rack1/h2", reclaim_bytes=512 * MiB)
-    fed.wake("rack1/h3", reclaim_bytes=512 * MiB)
+    fed.wake("rack1/h2", reclaim_bytes=MEMORY)
+    fed.wake("rack1/h3", reclaim_bytes=MEMORY)
     fed.lending.pump_recalls()
 
 
@@ -95,7 +78,6 @@ def _fingerprint(fed):
 class TestDonorFailover:
     def test_loans_survive_and_rehome_to_the_promoted_secondary(self):
         fed = _build(7)
-        _drain_until_borrow(fed)
         donor_rack = fed.racks["rack1"]
         deposed = donor_rack.controller
         old_epoch = deposed.epoch
@@ -134,14 +116,13 @@ class TestDonorFailover:
 
     def test_donor_recall_still_flows_after_failover(self):
         fed = _build(11)
-        _drain_until_borrow(fed)
         donor_rack = fed.racks["rack1"]
         donor_rack.kill_controller()
         fed.engine.run(until=10.0)
         # Waking the donor hosts revokes the loans through the promoted
         # primary — the borrower side drops them without manual help.
-        fed.wake("rack1/h2", reclaim_bytes=512 * MiB)
-        fed.wake("rack1/h3", reclaim_bytes=512 * MiB)
+        fed.wake("rack1/h2", reclaim_bytes=MEMORY)
+        fed.wake("rack1/h3", reclaim_bytes=MEMORY)
         fed.lending.pump_recalls()
         assert fed.lending.loans_from("rack1") == []
         assert fed.lending.recalls > 0
@@ -153,12 +134,12 @@ class TestDonorFailover:
 def _tenant_homed_away(seed):
     """``rack1/h1`` homed on ``rack2``, holding two buffers served by
     ``rack2/h3``, after ``rack2``'s primary failed over."""
-    fed = Federation(n_racks=2, hosts_per_rack=3, memory_bytes=512 * MiB,
-                     buff_size=BUFF, rng_seed=seed)
+    fed = Federation(n_racks=2, hosts_per_rack=3, memory_bytes=MEMORY,
+                     buff_size=BUFFER, rng_seed=seed)
     tenant = "rack1/h1"
     assert fed.gateway.home_of(tenant) == "rack2"
     fed.make_zombie("rack2/h3")
-    granted = fed.gateway.alloc_ext(tenant, 2 * BUFF)
+    granted = fed.gateway.alloc_ext(tenant, 2 * BUFFER)
     assert {d.host for d in granted} == {"rack2/h3"}
     fed.racks["rack2"].kill_controller()
     fed.engine.run(until=10.0)
@@ -171,20 +152,19 @@ class TestFailoverWiresEveryAgent:
     own servers, tenants homed here, lending agents of donated loans —
     and each agent fences per issuing rack."""
 
-    @pytest.mark.parametrize("seed", _seeds())
+    @pytest.mark.parametrize("seed", chaos_seeds())
     def test_tenant_homed_away_stays_revocable(self, seed):
         fed, tenant = _tenant_homed_away(seed)
-        fed.wake("rack2/h3", reclaim_bytes=512 * MiB)
+        fed.wake("rack2/h3", reclaim_bytes=MEMORY)
         assert fed.racks["rack2"].controller.db.by_user(tenant) == []
         manager = fed.racks["rack1"].server(tenant).manager
         assert manager.reclaims_served == 1
         for rack in fed.racks.values():
             assert_standby_agrees(rack)
 
-    @pytest.mark.parametrize("seed", _seeds())
+    @pytest.mark.parametrize("seed", chaos_seeds())
     def test_failover_pushes_the_epoch_to_lending_agents(self, seed):
         fed = _build(seed)
-        _drain_until_borrow(fed)
         loans = sorted(fed.lending.loans)
         assert len(loans) >= 2
         donor = fed.racks["rack1"]
@@ -200,10 +180,10 @@ class TestFailoverWiresEveryAgent:
         assert fed.lending.recalls == 0
         assert agent.fencing.epochs["rack1"] == donor.controller.epoch
 
-    @pytest.mark.parametrize("seed", _seeds())
+    @pytest.mark.parametrize("seed", chaos_seeds())
     def test_each_issuing_rack_keeps_its_own_watermark(self, seed):
         fed, tenant = _tenant_homed_away(seed)
-        fed.gateway.alloc_ext(tenant, BUFF)
+        fed.gateway.alloc_ext(tenant, BUFFER)
         own = fed.racks["rack1"]
         home = fed.racks["rack2"]
         heartbeat = Method.HEARTBEAT
@@ -212,7 +192,7 @@ class TestFailoverWiresEveryAgent:
         assert own.controller._agent_call(tenant, heartbeat) == "alive"
         assert not own.controller.fenced
         manager = own.server(tenant).manager
-        manager.request_swap(BUFF)  # rack1 still serves its GS_ verbs
+        manager.request_swap(BUFFER)  # rack1 still serves its GS_ verbs
 
         # A stale epoch from the tenant's own rack is still refused.
         deposed = own.controller
@@ -225,7 +205,7 @@ class TestFailoverWiresEveryAgent:
 
 
 class TestInterRackMessageFaults:
-    @pytest.mark.parametrize("seed", _seeds())
+    @pytest.mark.parametrize("seed", chaos_seeds())
     def test_probabilistic_faults_keep_state_identical(self, seed):
         clean = _build(seed)
         _lending_storm(clean)

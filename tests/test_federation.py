@@ -1,9 +1,9 @@
 """ZomFed: ring placement, directory, gateway routing and lending.
 
-The acceptance bar from the issue: a 4-rack federation serves the full
-15-verb intra-rack protocol through the same machinery each rack always
-had, and cross-rack lending engages exactly when one rack's zombie pool
-is exhausted — with the borrow visible in the J/hour energy accounting.
+The acceptance bar: a 4-rack federation serves the rack tour (every
+intra-rack verb) through the same machinery each rack always had, and
+cross-rack lending engages exactly when one rack's zombie pool is
+exhausted — with the borrow visible in the J/hour energy accounting.
 """
 
 from collections import Counter
@@ -15,29 +15,26 @@ from repro.core.rack import Rack
 from repro.errors import (AllocationError, ConfigurationError, FencingError)
 from repro.fed import Federation
 from repro.fed.ring import ConsistentHashRing
-from repro.hypervisor.vm import VmSpec
 from repro.obs import Telemetry
 from repro.obs.tracing import span_forest_errors
+from repro.tour import BUFFER, MEMORY, fed_tour, rack_tour
 from repro.units import GiB, MiB
-
-BUFF = 16 * MiB
 
 
 def _small_fed(n_racks=2, **kwargs):
     kwargs.setdefault("hosts_per_rack", 3)
-    kwargs.setdefault("memory_bytes", 512 * MiB)
-    kwargs.setdefault("buff_size", BUFF)
+    kwargs.setdefault("memory_bytes", MEMORY)
+    kwargs.setdefault("buff_size", BUFFER)
     kwargs.setdefault("rng_seed", 0)
     return Federation(n_racks=n_racks, **kwargs)
 
 
-def _drain_until_borrow(fed, tenant, rounds=512):
-    """Allocate through the gateway until cross-rack lending engages."""
-    for _ in range(rounds):
-        if fed.gateway.lending_triggers > 0:
-            break
-        fed.gateway.alloc_ext(tenant, 4 * BUFF)
-    assert fed.lending.borrows > 0, "lending never engaged"
+def _lending(fed):
+    """Drive the federation tour until rack2 has borrowed from rack1."""
+    for step, _ in fed_tour(fed, ("rack1/h2", "rack1/h3", "rack2/h2"),
+                            "rack2/h1"):
+        if step == "drain":
+            return fed
 
 
 class TestRing:
@@ -53,13 +50,6 @@ class TestRing:
         assert set(split) == {"rack1", "rack2", "rack3", "rack4"}
         assert all(count > 0 for count in split.values())
         assert sum(split.values()) == 400
-
-    def test_preference_starts_at_home_and_is_distinct(self):
-        ring = ConsistentHashRing(["rack1", "rack2", "rack3"])
-        for key in ("a", "b", "c", "rack2/h1"):
-            order = ring.preference(key)
-            assert order[0] == ring.home(key)
-            assert sorted(order) == ["rack1", "rack2", "rack3"]
 
     def test_configuration_errors(self):
         ring = ConsistentHashRing(["rack1"])
@@ -105,8 +95,8 @@ class TestDirectory:
         assert d1.zombie_hosts == 1 and d2.zombie_hosts == 0
         # The Sz host donates its free memory (minus what the platform
         # keeps resident) as whole buffers.
-        assert 0 < d1.free_zombie_buffers <= (512 * MiB) // BUFF
-        assert d1.free_zombie_bytes == d1.free_zombie_buffers * BUFF
+        assert 0 < d1.free_zombie_buffers <= MEMORY // BUFFER
+        assert d1.free_zombie_bytes == d1.free_zombie_buffers * BUFFER
         assert d2.free_zombie_buffers == 0
 
     def test_dead_rack_is_skipped_until_revived(self):
@@ -150,10 +140,10 @@ class TestGateway:
         home = fed.gateway.home_of(tenant)
         fed.make_zombie(f"{home}/h2")
         before = fed.racks[home].controller.pool_summary()["free_bytes"]
-        granted = fed.gateway.alloc_ext(tenant, 2 * BUFF)
+        granted = fed.gateway.alloc_ext(tenant, 2 * BUFFER)
         assert len(granted) == 2
         after = fed.racks[home].controller.pool_summary()["free_bytes"]
-        assert before - after == 2 * BUFF
+        assert before - after == 2 * BUFFER
         assert fed.gateway.routed >= 1
         labels = fed.telemetry.registry.labels_for("fed_routed_total")
         assert {lbl["rack"] for lbl in labels} == {home}
@@ -163,7 +153,7 @@ class TestGateway:
         tenant = "rack2/h1"
         home = fed.gateway.home_of(tenant)
         fed.make_zombie(f"{home}/h2")
-        fed.gateway.alloc_ext(tenant, BUFF)
+        fed.gateway.alloc_ext(tenant, BUFFER)
         assert tenant in fed.racks[home].controller.agent_clients
 
     def test_cross_rack_transfer_is_rejected(self):
@@ -184,18 +174,13 @@ class TestGateway:
         tenant = "rack1/h1"
         with pytest.raises(AllocationError):
             for _ in range(512):
-                fed.gateway.alloc_ext(tenant, 4 * BUFF)
+                fed.gateway.alloc_ext(tenant, 4 * BUFFER)
         assert fed.gateway.borrow_failures >= 1
 
 
 class TestLending:
     def _lend_pair(self):
-        fed = _small_fed(telemetry=Telemetry(enabled=True))
-        fed.make_zombie("rack1/h2")
-        fed.make_zombie("rack1/h3")
-        fed.make_zombie("rack2/h2")
-        _drain_until_borrow(fed, "rack2/h1")
-        return fed
+        return _lending(_small_fed(telemetry=Telemetry(enabled=True)))
 
     def test_borrow_imports_into_the_borrower_pool(self):
         fed = self._lend_pair()
@@ -217,7 +202,7 @@ class TestLending:
         assert fed.lending.returns == len(loan_ids)
         regained = (fed.racks["rack1"].controller.pool_summary()["free_bytes"]
                     - donor_free)
-        assert regained == len(loan_ids) * BUFF
+        assert regained == len(loan_ids) * BUFFER
         borrower_db = fed.racks["rack2"].controller.db
         assert all(buffer_id not in borrower_db for buffer_id in loan_ids)
         labels = fed.telemetry.registry.labels_for("fed_returns_total")
@@ -227,8 +212,8 @@ class TestLending:
     def test_waking_donor_hosts_recalls_the_loans(self):
         fed = self._lend_pair()
         assert fed.lending.loans
-        fed.wake("rack1/h2", reclaim_bytes=512 * MiB)
-        fed.wake("rack1/h3", reclaim_bytes=512 * MiB)
+        fed.wake("rack1/h2", reclaim_bytes=MEMORY)
+        fed.wake("rack1/h3", reclaim_bytes=MEMORY)
         assert fed.lending.loans_from("rack1") == []
         assert fed.lending.recalls > 0
         assert fed.lending.pending_recalls == []
@@ -271,11 +256,8 @@ class TestPrimaryChannels:
         """Each channel follows its rack's primary across a failover and
         closes the client it supersedes: one client per channel, however
         many failovers the rack goes through."""
-        fed = _small_fed()
-        for host in ("rack1/h2", "rack1/h3", "rack2/h2"):
-            fed.make_zombie(host)
+        fed = _lending(_small_fed())
         tenant = "rack2/h1"
-        _drain_until_borrow(fed, tenant)
         channels = _fed_channels(fed)
         before = [channel.client for channel in channels]
         assert all(before)
@@ -288,7 +270,7 @@ class TestPrimaryChannels:
         fed.directory.refresh()
         assert all(fed.directory.alive(name) for name in fed.racks)
         assert fed.lending.return_loans("rack2", "rack1") > 0
-        assert fed.gateway.alloc_ext(tenant, BUFF)
+        assert fed.gateway.alloc_ext(tenant, BUFFER)
 
         assert _fed_channels(fed) == channels
         for channel, superseded in zip(channels, before):
@@ -325,43 +307,25 @@ class TestFourRackAcceptance:
     @pytest.fixture(scope="class")
     def fed(self):
         tel = Telemetry(enabled=True)
-        fed = Federation(n_racks=4, hosts_per_rack=3,
-                         memory_bytes=512 * MiB, buff_size=BUFF,
-                         rng_seed=0, telemetry=tel)
+        fed = Federation(n_racks=4, hosts_per_rack=3, memory_bytes=MEMORY,
+                         buff_size=BUFFER, rng_seed=0, telemetry=tel)
 
-        # Every intra-rack verb, on rack1, through its own controller
-        # pair — the federation adds glue, it does not replace the rack.
+        # The rack tour on rack1, through its own controller pair — the
+        # federation adds glue, it does not replace the rack.
         rack1 = fed.racks["rack1"]
-        rack1.make_zombie("rack1/h3")                     # GS_goto_zombie
-        vm1 = rack1.create_vm("rack1/h1", VmSpec("vm1", 128 * MiB),
-                              local_fraction=0.5)         # GS_alloc_ext
         hv = rack1.server("rack1/h1").hypervisor
-        for ppn in range(vm1.spec.total_pages):
-            hv.access(vm1, ppn)
-        manager = rack1.server("rack1/h1").manager
-        manager.request_swap(32 * MiB)                    # GS_alloc_swap
-        manager.controller.call(Method.GS_GET_LRU_ZOMBIE.value)
-        rack1.wake("rack1/h3", reclaim_bytes=512 * MiB)   # GS_wake/reclaim
-        rack1.create_vm("rack1/h1", VmSpec("vm2", 64 * MiB),
-                        local_fraction=0.5)
-        rack1.migrate_vm("vm2", "rack1/h1", "rack1/h2")   # GS_transfer
-        rack1.destroy_vm("rack1/h1", "vm1")               # GS_release
-        rack1.crash_server("rack1/h3")
-        rack1.server("rack1/h2").manager.report_host_failure("rack1/h3")
-        rack1.heal_server("rack1/h3")
-        rack1.start_host_monitoring(probe_period_s=0.5)
-        fed.engine.run(until=3.0)                         # heartbeat/resync
+        for step, result in rack_tour(rack1, "rack1/h1", "rack1/h2",
+                                      "rack1/h3"):
+            if step == "create_vm1":
+                for ppn in range(result.spec.total_pages):
+                    hv.access(result, ppn)
 
-        # Exhaust one rack's pool through the gateway: lending engages.
-        for rack in ("rack2", "rack3", "rack4"):
-            fed.make_zombie(f"{rack}/h2")
-            fed.make_zombie(f"{rack}/h3")
-        _drain_until_borrow(fed, "rack2/h1")
-        # Give some loans back so FED_return completes a traced call too.
-        pairs = sorted({(l.borrower, l.donor)
-                        for l in fed.lending.loans.values()})
-        for borrower, donor in pairs:
-            fed.lending.return_loans(borrower, donor)
+        # The federation tour: exhaust one rack's pool through the
+        # gateway until lending engages, then give every loan back.
+        zombies = ("rack2/h2", "rack2/h3", "rack3/h2", "rack3/h3",
+                   "rack4/h2", "rack4/h3")
+        for _ in fed_tour(fed, zombies, "rack2/h1"):
+            pass
         return fed
 
     def test_all_17_verbs_complete_traced_calls(self, fed):

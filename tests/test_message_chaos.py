@@ -1,11 +1,12 @@
 """ZomNet end-to-end: the full protocol under an adversarial fabric.
 
-The acceptance scenario drives every intra-rack verb plus one controller
-failover, twice — once fault-free, once with reply loss and duplication
-injected on every link from a fixed seed — and asserts the final rack
-states are identical: no double-executed mutating verb, no lease leak,
-no deadline-dead call executed server-side.  A per-verb property test
-then does the same with a scripted fault aimed at each verb in turn.
+The acceptance scenario drives the rack tour (``repro.tour.rack_tour``,
+every intra-rack verb) plus one controller failover, twice — once
+fault-free, once with reply loss and duplication injected on every link
+from a fixed seed — and asserts the final rack states are identical: no
+double-executed mutating verb, no lease leak, no deadline-dead call
+executed server-side.  A per-verb property test then does the same with
+a scripted fault aimed at each verb in turn.
 
 Timing artifacts (retry backoff, probe misses, event timestamps) are
 deliberately excluded from the state fingerprint; globally-counted ids
@@ -13,30 +14,15 @@ deliberately excluded from the state fingerprint; globally-counted ids
 process-wide counter.
 """
 
-import os
-
 import pytest
 
 from repro.core.protocol import Method
-
-#: The single-rack scenario serves every intra-rack verb; the cross-rack
-#: FED_borrow/FED_return pair needs a federation and gets the same
-#: fault-equivalence treatment in tests/test_fed_chaos.py.
-INTRA_RACK_VERBS = tuple(m.value for m in Method
-                         if not m.name.startswith("FED_"))
 from repro.core.rack import Rack
-from repro.hypervisor.vm import VmSpec
 from repro.obs import Telemetry
 from repro.rdma.fabric import DUPLICATE, REPLY_LOSS, LinkFaults
 from repro.sanitize.pytest_plugin import get_session_sanitizer
-from repro.units import MiB
-from tests.agreement import assert_standby_agrees
-
-
-def _chaos_seeds():
-    """CI's chaos-matrix job sweeps seeds via ZOMNET_CHAOS_SEEDS."""
-    raw = os.environ.get("ZOMNET_CHAOS_SEEDS", "7")
-    return tuple(int(s) for s in raw.split(","))
+from repro.tour import BUFFER, MEMORY, RACK_TOUR, rack_tour, verbs
+from tests.agreement import assert_standby_agrees, chaos_seeds
 
 
 def _pattern(ppn):
@@ -44,50 +30,33 @@ def _pattern(ppn):
 
 
 def _drive_full_protocol(rack):
-    """Every verb + one failover (mirrors the obs self-check golden run).
+    """The rack tour with vm2's pages written before it migrates, then
+    one failover and an epoch-2 mutation.
 
     Returns the VM that survives to the end (its pages are part of the
     state fingerprint).
     """
     hv = rack.server("user").hypervisor
-
-    rack.make_zombie("spare")                      # GS_goto_zombie, mirror_op
-    vm1 = rack.create_vm("user", VmSpec("vm1", 128 * MiB),
-                         local_fraction=0.5)       # GS_alloc_ext
-    manager = rack.server("user").manager
-    manager.request_swap(32 * MiB)                 # GS_alloc_swap
-    manager.controller.call(Method.GS_GET_LRU_ZOMBIE.value)
-    rack.wake("spare", reclaim_bytes=512 * MiB)    # GS_wake, GS_reclaim,
-    #                                              # US_reclaim, AS_get_free_mem
-    vm2 = rack.create_vm("user", VmSpec("vm2", 64 * MiB), local_fraction=0.5)
-    for ppn in range(vm2.spec.total_pages):
-        hv.write_page(vm2, ppn, _pattern(ppn))
-    rack.migrate_vm("vm2", "user", "active")       # GS_transfer
-    rack.destroy_vm("user", "vm1")                 # GS_release
-
-    rack.crash_server("spare")
-    rack.server("active").manager.report_host_failure("spare")
-    #                                              # GS_report_failure,
-    #                                              # US_invalidate
-    rack.heal_server("spare")
-    rack.start_host_monitoring(probe_period_s=0.5,
-                               miss_threshold=6)   # heartbeat, AS_resync
-    rack.engine.run(until=3.0)
+    for step, result in rack_tour(rack, "user", "active", "spare"):
+        if step == "create_vm2":
+            vm2 = result
+            for ppn in range(vm2.spec.total_pages):
+                hv.write_page(vm2, ppn, _pattern(ppn))
 
     assert_standby_agrees(rack)     # everything a promotion is about to copy
     deposed = rack.controller
-    rack.kill_controller()                         # the failover
+    rack.kill_controller()
     rack.engine.run(until=12.0)
     assert rack.controller is not deposed, "secondary did not promote"
-    rack.make_zombie("spare")                      # one epoch-2 mutation
+    rack.make_zombie("spare")
     rack.engine.run(until=15.0)
     return vm2
 
 
 def _run_scenario(seed, install_faults=None, telemetry=False):
     tel = Telemetry(enabled=True) if telemetry else None
-    rack = Rack(["user", "active", "spare"], memory_bytes=512 * MiB,
-                buff_size=16 * MiB, rng_seed=seed, telemetry=tel)
+    rack = Rack(["user", "active", "spare"], memory_bytes=MEMORY,
+                buff_size=BUFFER, rng_seed=seed, telemetry=tel)
     if install_faults is not None:
         install_faults(rack.fabric.message_faults)
     vm2 = _drive_full_protocol(rack)
@@ -142,7 +111,7 @@ def baseline(request):
 
 
 class TestChaosMatrix:
-    @pytest.mark.parametrize("seed", _chaos_seeds())
+    @pytest.mark.parametrize("seed", chaos_seeds())
     def test_full_protocol_under_reply_loss_and_duplication(self, seed,
                                                             request):
         san = get_session_sanitizer(request.config)
@@ -166,11 +135,11 @@ class TestChaosMatrix:
         assert injected[REPLY_LOSS] > 0 and injected[DUPLICATE] > 0
         assert _dedup_replays(faulty_rack) > 0
 
-        # Every intra-rack verb crossed the adversarial fabric.
+        # Every verb the rack tour declares crossed the adversarial fabric.
         tel = faulty_rack.telemetry
         seen = {labels.get("verb")
                 for labels in tel.registry.labels_for("rpc_served_total")}
-        missing = set(INTRA_RACK_VERBS) - seen
+        missing = verbs(RACK_TOUR) - seen
         assert not missing, f"verbs never served under chaos: {missing}"
 
         # No deadline-dead call executed server-side (the scenario
@@ -191,7 +160,8 @@ class TestPerVerbEquivalence:
     """Each verb, individually, under a scripted fault on its first send."""
 
     @pytest.mark.parametrize("kind", (REPLY_LOSS, DUPLICATE))
-    @pytest.mark.parametrize("verb", INTRA_RACK_VERBS)
+    @pytest.mark.parametrize("verb", [m.value for m in Method
+                                      if m.value in verbs(RACK_TOUR)])
     def test_faulted_run_matches_single_delivery(self, verb, kind,
                                                  baseline, request):
         base_fp, base_shadow = baseline

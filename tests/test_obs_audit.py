@@ -88,6 +88,12 @@ def test_empty_inputs_grade_nothing():
 
 # -- golden determinism (issue acceptance) ---------------------------------
 
+@pytest.fixture(scope="module")
+def report():
+    """The first seed's golden audit, shared by the read-only tests."""
+    return run_golden_audit(GOLDEN_SEEDS[0])
+
+
 def test_same_seed_three_runs_byte_identical():
     renders = [to_json(run_golden_audit(GOLDEN_SEEDS[0])) for _ in range(3)]
     assert renders[0] == renders[1] == renders[2]
@@ -101,16 +107,14 @@ def test_three_seeds_identical_grades():
         assert reports[seed].overall_grade == first.overall_grade
 
 
-def test_golden_scores_all_six_dimensions():
-    report = run_golden_audit(GOLDEN_SEEDS[0])
+def test_golden_scores_all_six_dimensions(report):
     assert len(report.dimensions) == 6
     assert all(dim.available for dim in report.dimensions)
     assert all(dim.grade in "ABCDF" for dim in report.dimensions)
     assert all(0.0 <= dim.score <= 1.0 for dim in report.dimensions)
 
 
-def test_golden_has_three_quantified_recommendations():
-    report = run_golden_audit(GOLDEN_SEEDS[0])
+def test_golden_has_three_quantified_recommendations(report):
     quantified = [r for r in report.recommendations
                   if r.impact_j_per_hour > 0]
     assert len(quantified) >= 3
@@ -120,11 +124,10 @@ def test_golden_has_three_quantified_recommendations():
         assert rec.action and rec.rationale and rec.basis
 
 
-def test_golden_matches_checked_in_baseline():
+def test_golden_matches_checked_in_baseline(report):
     assert BASELINE_PATH.exists(), \
         "run `python -m repro.obs audit --regen` and commit the baseline"
     baseline = json.loads(BASELINE_PATH.read_text())
-    report = run_golden_audit(GOLDEN_SEEDS[0])
     assert report.grades == baseline["grades"]
     assert report.overall_grade == baseline["overall_grade"]
     for key, pinned in baseline["values"].items():
@@ -138,8 +141,8 @@ def test_self_check_passes():
     assert self_check() == []
 
 
-def test_baseline_payload_shape():
-    payload = baseline_payload(run_golden_audit(GOLDEN_SEEDS[0]))
+def test_baseline_payload_shape(report):
+    payload = baseline_payload(report)
     assert payload["scenario"] == "golden-fig10"
     assert set(payload["values"]) == set(payload["grades"])
     assert payload["recommendations"] >= 3
@@ -172,8 +175,8 @@ def test_disabled_zombie_conversion_fails_the_gate(monkeypatch):
 
 # -- rendering -------------------------------------------------------------
 
-def test_text_report_contents():
-    text = to_text(run_golden_audit(GOLDEN_SEEDS[0]))
+def test_text_report_contents(report):
+    text = to_text(report)
     assert "ZomAudit fleet report" in text
     assert "overall grade:" in text
     for title in ("Zombie conversion rate", "Stranded-memory fraction",
@@ -184,13 +187,11 @@ def test_text_report_contents():
     assert "J/hour" in text
 
 
-def test_text_renders_from_the_json_alone():
-    report = run_golden_audit(GOLDEN_SEEDS[0])
+def test_text_renders_from_the_json_alone(report):
     assert to_text(json.loads(to_json(report))) == to_text(report)
 
 
-def test_json_report_is_sorted_and_stable():
-    report = run_golden_audit(GOLDEN_SEEDS[0])
+def test_json_report_is_sorted_and_stable(report):
     text = to_json(report)
     data = json.loads(text)
     assert text.endswith("\n")
@@ -201,20 +202,19 @@ def test_json_report_is_sorted_and_stable():
     assert ranks == list(range(1, len(ranks) + 1))
 
 
-def test_prometheus_report_validates():
-    text = to_prometheus(run_golden_audit(GOLDEN_SEEDS[0]))
+def test_prometheus_report_validates(report):
+    text = to_prometheus(report)
     assert validate_prometheus_text(text) == []
     assert "audit_dimension_grade_points" in text
     assert "audit_overall_points" in text
 
 
-def test_render_rejects_unknown_format():
-    report = run_golden_audit(GOLDEN_SEEDS[0])
+def test_render_rejects_unknown_format(report):
     with pytest.raises(ValueError):
         render(report, "yaml")
 
 
-def test_report_dict_floats_rounded():
+def test_report_dict_floats_rounded(report):
     def floats(value):
         if isinstance(value, float):
             yield value
@@ -225,7 +225,7 @@ def test_report_dict_floats_rounded():
             for child in value:
                 yield from floats(child)
 
-    data = report_dict(run_golden_audit(GOLDEN_SEEDS[0]))
+    data = report_dict(report)
     for value in floats(data):
         assert value == round(value, 6)
 

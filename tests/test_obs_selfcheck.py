@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.core.protocol import Method
 from repro.obs import Telemetry
 from repro.obs.__main__ import main as obs_main
-from repro.obs.selfcheck import (FED_VERBS, INTRA_RACK_VERBS,
-                                 connected_subtree, run_federation_scenario,
+from repro.obs.selfcheck import (connected_subtree, run_federation_scenario,
                                  run_golden_scenario, self_check)
 from repro.obs.tracing import span_forest_errors
+from repro.tour import FED_TOUR, RACK_TOUR, verbs
 
 
 @pytest.fixture(scope="module")
@@ -26,9 +25,7 @@ class TestGoldenScenario:
         tel = golden_rack.telemetry
         seen = {labels.get("verb") for labels
                 in tel.registry.labels_for("rpc_call_seconds")}
-        assert set(INTRA_RACK_VERBS) <= seen
-        assert len(Method) == 17
-        assert len(INTRA_RACK_VERBS) == 15
+        assert verbs(RACK_TOUR) <= seen
 
     def test_span_forest_is_connected(self, golden_rack):
         tracer = golden_rack.telemetry.tracer
@@ -57,8 +54,7 @@ class TestFederationScenario:
         tel = federation.telemetry
         seen = {labels.get("verb") for labels
                 in tel.registry.labels_for("rpc_call_seconds")}
-        assert set(FED_VERBS) <= seen
-        assert len(FED_VERBS) == 2
+        assert verbs(FED_TOUR) <= seen
 
     def test_cross_rack_borrow_is_one_connected_tree(self, federation):
         tracer = federation.telemetry.tracer
@@ -81,7 +77,7 @@ class TestFederationScenario:
 class TestCli:
     def test_self_check_flag_exits_zero(self, capsys):
         assert obs_main(["--self-check"]) == 0
-        assert "self-check: ok" in capsys.readouterr().out
+        assert "self-check: ok (17/17 verbs traced" in capsys.readouterr().out
 
     def test_report_and_exports(self, tmp_path, capsys):
         prom = tmp_path / "metrics.prom"

@@ -80,8 +80,6 @@ KEEP: Dict[str, str] = {
         "GS_transfer through the gateway; the tests check it refuses cross-rack moves",
     "fed.lending:LendingManager.pump_recalls":
         "the federation chaos tests drive deferred recall retries with it",
-    "fed.ring:ConsistentHashRing.preference":
-        "the ring tests check the failover order starts at the home rack",
     "hypervisor.split_driver:SplitDriverSwap.repair":
         "the split-driver tests re-home fallback pages through it",
     "dc.packing:pack_neat":
