@@ -13,8 +13,9 @@ The four seeded bugs:
   bump the fencing epoch, so a healed old primary is never fenced and
   its stale mirror writes land (``fenced-write``);
 - ``dispatch-in-sz``    — the RPC daemon keeps running on a CPU-dead
-  host: the server-side ``cpu_alive`` guard and the client-side
-  suspended-server timeout are both dropped (``cpu-dead-dispatch``);
+  host: the transport's "daemon runs" seam answers yes, so the
+  server-side refusal and the client-side suspended-server timeout are
+  both dropped (``cpu-dead-dispatch``);
 - ``double-lend``       — the buffer database's ``assign`` drops the
   allocated guard and leaves the buffer in its free bucket, so the
   controller grants buffers whose previous lease is still live
@@ -77,9 +78,10 @@ class SkipEpochBumpMutant(Mutant):
 
         def promote(self, buff_size, stripe=True):
             controller = orig_promote(self, buff_size, stripe=stripe)
-            # The bug: undo the epoch bump everywhere it was recorded, as
-            # if the increment had never been written.
-            self.epoch -= 1
+            # The bug: undo the epoch bump everywhere it was recorded (the
+            # mirror channel's watermark and the new primary), as if the
+            # increment had never been written.
+            self.rpc.epochs[None] -= 1
             controller.epoch -= 1
             return controller
 
@@ -89,52 +91,22 @@ class SkipEpochBumpMutant(Mutant):
 class DispatchInSzMutant(Mutant):
     """The RPC daemon survives the S0 → Sz transition.
 
-    Drops the server-side ``cpu_alive`` refusal in
-    :meth:`RpcServer.dispatch` and the client-side "server suspended"
-    timeout in :meth:`RpcClient._attempt`, so a call to a zombie host is
-    delivered and handled instead of timing out.
+    :meth:`RpcServer._daemon_runs` — the one place both halves of the
+    transport ask — answers yes on a dead CPU, so dispatch serves a
+    zombie host and the client's "server suspended" timeout never fires:
+    a call to a zombie host is delivered and handled instead of timing
+    out.
     """
 
     name = "dispatch-in-sz"
 
     def _apply(self) -> None:
-        from repro.errors import RpcError, RpcTimeoutError
-        from repro.rdma.rpc import RpcClient, RpcServer
+        from repro.rdma.rpc import RpcServer
 
-        def dispatch(self, method, args, kwargs):
-            handler = self.handlers.get(method)
-            if handler is None:
-                raise RpcError(
-                    f"{self.node.name}: unknown RPC method {method!r}"
-                )
-            self.calls_served += 1
-            return handler(*args, **kwargs)
+        def _daemon_runs(self):
+            return True  # bug: the daemon outlives its CPU
 
-        def _attempt(self, method, args, kwargs):
-            if not self.node.cpu_alive:
-                raise RpcError(f"{self.node.name}: client CPU suspended")
-            self.node.fabric.require_reachable(self.node.name)
-            costs = self.node.fabric.costs
-            self.calls_made += 1
-            fabric = self.node.fabric
-            if self.server.node.name in fabric.partitioned:
-                wasted = max(1, int(self.timeout_s / costs.poll_interval_s))
-                self.polls += wasted
-                self.time_spent_s += self.timeout_s
-                raise RpcTimeoutError(
-                    f"RPC {method!r} to {self.server.node.name} timed out "
-                    f"after {self.timeout_s}s (server partitioned)"
-                )
-            result = self.server.dispatch(method, args, kwargs)
-            elapsed = costs.rpc_time()
-            self.polls += max(1, int(elapsed / costs.poll_interval_s))
-            self.time_spent_s += elapsed
-            self.node.fabric.stats.rpcs += 1
-            self.node.fabric.stats.busy_seconds += elapsed
-            return result, elapsed
-
-        self._patch(RpcServer, "dispatch", dispatch)
-        self._patch(RpcClient, "_attempt", _attempt)
+        self._patch(RpcServer, "_daemon_runs", _daemon_runs)
 
 
 class DoubleLendMutant(Mutant):

@@ -53,12 +53,14 @@ class GlobalMemoryController:
         self.agent_clients: Dict[str, RpcClient] = {}
         self.rpc = RpcServer(node)
         self.events = EventLog()
-        #: Fencing epoch: bumped on every failover; agents and the
-        #: secondary reject control calls from lower (deposed) epochs.
+        #: Fencing epoch: bumped on every failover; the agents' and the
+        #: secondary's RPC servers refuse calls stamped with a lower
+        #: (deposed) epoch.
         self.epoch = epoch
         #: The rack whose epochs these are, stamped beside the epoch on
-        #: every agent call: an agent serving several racks' primaries
-        #: keeps one watermark per rack (None for a standalone rack).
+        #: every agent call: an agent's server called by several racks'
+        #: primaries keeps one watermark per rack (None for a standalone
+        #: rack).
         self.rack = node.fabric.rack_of(node.name)
         #: Set once this controller learns it has been deposed; every
         #: subsequent GS_ handler call is rejected (split-brain guard).

@@ -18,7 +18,7 @@ import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.protocol import BufferDescriptor, BufferKind, Method
-from repro.errors import BufferError_, ControllerError, FencingError, RpcError
+from repro.errors import BufferError_, ControllerError, RpcError
 from repro.memory.buffers import BufferLease, RemotePageStore
 from repro.memory.frames import FrameAllocator, FrameRun
 from repro.rdma.fabric import RdmaNode
@@ -28,37 +28,6 @@ from repro.units import DEFAULT_BUFF_SIZE, PAGE_SIZE
 #: Global buffer-id allocator: the lender picks ids; a process-wide counter
 #: keeps them rack-unique (the paper leaves id assignment unspecified).
 _buffer_ids = itertools.count(1)
-
-
-class FencingWatermark:
-    """The highest fencing epoch an agent has seen, per issuing rack.
-
-    Every agent — a serving host's manager, a federation lending agent —
-    rejects a call stamped lower than the last epoch *that rack* used: a
-    deposed primary is fenced once the agent has heard from its
-    successor.  Epochs are per rack, so a tenant homed away from its own
-    rack keeps one watermark for each rack that calls it.
-    """
-
-    def __init__(self, owner: str):
-        self.owner = owner
-        self.epochs: Dict[Optional[str], int] = {}
-
-    def admit(self, epoch: Optional[int], rack: Optional[str]) -> None:
-        """Advance ``rack``'s watermark to ``epoch`` or raise if stale.
-
-        ``epoch=None`` (direct in-process calls, unit tests) bypasses the
-        check.
-        """
-        if epoch is None:
-            return
-        current = self.epochs.get(rack, 0)
-        if epoch < current:
-            raise FencingError(
-                f"{self.owner}: rejecting a call from rack {rack!r} with "
-                f"stale epoch {epoch} (current {current})"
-            )
-        self.epochs[rack] = epoch
 
 
 class _LentBuffer:
@@ -101,9 +70,6 @@ class RemoteMemoryManager:
         self._stores_by_buffer: Dict[int, RemotePageStore] = {}
         self._stores_needing_repair: List[RemotePageStore] = []
         self.reclaims_served = 0
-        #: Stale-epoch calls from a deposed (split-brain) primary are
-        #: rejected.
-        self.fencing = FencingWatermark(host)
 
     # -- wiring ----------------------------------------------------------
     def _call(self, method: Method, *args):
@@ -111,10 +77,8 @@ class RemoteMemoryManager:
             raise ControllerError(f"{self.host}: no controller attached")
         return self.controller.call(method.value, *args)
 
-    def heartbeat(self, epoch: Optional[int] = None,
-                  rack: Optional[str] = None) -> str:
+    def heartbeat(self) -> str:
         """Controller-invoked liveness probe of this serving host."""
-        self.fencing.admit(epoch, rack)
         return "alive"
 
     # -- lender side ---------------------------------------------------------
@@ -160,24 +124,19 @@ class RemoteMemoryManager:
     def announce_wake(self) -> None:
         self._call(Method.GS_WAKE, self.host)
 
-    def as_get_free_mem(self, epoch: Optional[int] = None,
-                        rack: Optional[str] = None) -> List[BufferDescriptor]:
+    def as_get_free_mem(self) -> List[BufferDescriptor]:
         """Controller-invoked: an active server lends part of its slack."""
-        self.fencing.admit(epoch, rack)
         free_bytes = self.allocator.free_frames * PAGE_SIZE
         lendable = int(free_bytes * (1.0 - self.lend_reserve_fraction))
         return self.carve_buffers(max_bytes=lendable)
 
-    def as_resync(self, buffer_ids: List[int],
-                  epoch: Optional[int] = None,
-                  rack: Optional[str] = None) -> int:
+    def as_resync(self, buffer_ids: List[int]) -> int:
         """Controller-invoked after this host healed from a crash/partition.
 
         The controller already invalidated ``buffer_ids`` rack-wide while
         we were gone; drop the stale lender-side records and take the
         frames back so they can be lent again.  Returns bytes recovered.
         """
-        self.fencing.admit(epoch, rack)
         recovered = 0
         for buffer_id in buffer_ids:
             lent = self._lent.pop(buffer_id, None)
@@ -275,15 +234,12 @@ class RemoteMemoryManager:
         if ids:
             self._call(Method.GS_TRANSFER, old_user, self.host, ids)
 
-    def us_reclaim(self, buffer_ids: List[int],
-                   epoch: Optional[int] = None,
-                   rack: Optional[str] = None) -> int:
+    def us_reclaim(self, buffer_ids: List[int]) -> int:
         """Controller-invoked revocation of buffers we are *using*.
 
         The store re-homes each page (remaining leases first, local backup
         as the slow path); outstanding page keys keep working.
         """
-        self.fencing.admit(epoch, rack)
         rehomed = 0
         for buffer_id in buffer_ids:
             store = self._stores_by_buffer.pop(buffer_id, None)
@@ -297,9 +253,7 @@ class RemoteMemoryManager:
         self.reclaims_served += 1
         return rehomed
 
-    def us_invalidate(self, host: str, buffer_ids: List[int],
-                      epoch: Optional[int] = None,
-                      rack: Optional[str] = None) -> int:
+    def us_invalidate(self, host: str, buffer_ids: List[int]) -> int:
         """Controller-invoked: serving host ``host`` is dead, drop its leases.
 
         Unlike ``US_reclaim`` (a cooperative revocation whose buffer is
@@ -309,7 +263,6 @@ class RemoteMemoryManager:
         :meth:`repair_stores` wins remote slots back.  Returns the number
         of pages that had to fall back to local storage.
         """
-        self.fencing.admit(epoch, rack)
         affected: List[RemotePageStore] = []
         for buffer_id in buffer_ids:
             store = self._stores_by_buffer.pop(buffer_id, None)

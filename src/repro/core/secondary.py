@@ -14,7 +14,7 @@ from typing import Callable, Optional, Set
 from repro.core.controller import GlobalMemoryController
 from repro.core.database import BufferDatabase
 from repro.core.protocol import Method
-from repro.errors import FailoverError, FencingError, RpcError
+from repro.errors import FailoverError, RpcError
 from repro.rdma.fabric import RdmaNode
 from repro.rdma.rpc import RpcClient, RpcServer
 from repro.sim.engine import Engine
@@ -38,10 +38,6 @@ class SecondaryController:
         self.engine = engine
         #: The mirrored replica of everything the primary's database holds.
         self.db = BufferDatabase()
-        #: Highest fencing epoch observed on the mirror channel; after a
-        #: promotion it is the *new* primary's epoch, and mirror ops from
-        #: the deposed primary are rejected with :class:`FencingError`.
-        self.epoch = 1
         #: Highest mirror-stream sequence number applied.  The primary
         #: re-sends any suffix a transport fault left undelivered; ops at
         #: or below this watermark were already applied (their replies
@@ -61,22 +57,16 @@ class SecondaryController:
                                         name="secondary-heartbeat")
 
     # -- mirroring ---------------------------------------------------------
-    def apply_mirror(self, op: str, args: tuple, epoch: int,
-                     seq: int) -> None:
+    def apply_mirror(self, op: str, args: tuple, seq: int) -> None:
         """Apply one mirrored mutation from the primary.
 
-        ``epoch`` fences the mirror stream: a deposed primary that heals
-        and keeps mirroring is rejected instead of silently corrupting the
-        standby state.  ``seq`` is the op's position in the primary's
-        replicated-op log; already-applied sequence numbers are skipped so
-        the primary's catch-up re-sends stay exactly-once.
+        The server has already fenced the op's epoch stamp: a deposed
+        primary that heals and keeps mirroring is refused instead of
+        silently corrupting the standby state.  ``seq`` is the op's
+        position in the primary's replicated-op log; already-applied
+        sequence numbers are skipped so the primary's catch-up re-sends
+        stay exactly-once.
         """
-        if epoch < self.epoch:
-            raise FencingError(
-                f"{self.node.name}: mirror op {op!r} carries stale "
-                f"epoch {epoch} (current {self.epoch})"
-            )
-        self.epoch = epoch
         if seq <= self.mirror_applied_seq:
             self.mirror_skips += 1
             return
@@ -135,8 +125,9 @@ class SecondaryController:
         """Become the primary, seeded with the mirrored state.
 
         Split-brain safety: the fencing epoch is bumped past anything the
-        old primary ever stamped, so its stale mirror ops and agent calls
-        are rejected once the rack has re-learned the new epoch.  The
+        old primary ever stamped and the mirror channel's watermark
+        raised to it, so the old primary's mirror ops are refused at once
+        and its agent calls once the rack has re-learned the epoch.  The
         mirrored database (built by replaying the primary's journaled
         mutations as they arrived: buffers, purposes, zombie and known
         hosts) seeds the fresh controller in one copy; the caller (the
@@ -144,9 +135,11 @@ class SecondaryController:
         """
         if self.promoted is not None:
             raise FailoverError("secondary already promoted")
-        self.epoch += 1
+        # The mirror stream stamps no rack (it never leaves its rack), so
+        # its watermark is the server's ``None`` entry.
+        epoch = self.rpc.epochs[None] = self.rpc.epochs.get(None, 1) + 1
         controller = GlobalMemoryController(self.node, buff_size=buff_size,
-                                            stripe=stripe, epoch=self.epoch)
+                                            stripe=stripe, epoch=epoch)
         controller.db.adopt(self.db)
         self.promoted = controller
         self._monitor.stop()

@@ -19,7 +19,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.protocol import Method
 from repro.core.rack import PrimaryChannel
-from repro.errors import AllocationError, ConfigurationError
+from repro.errors import AllocationError
 from repro.units import buffers_for
 
 #: Verbs whose AllocationError should trigger a cross-rack borrow.
@@ -134,18 +134,6 @@ class FederationGateway:
 
     def release(self, tenant: str, buffer_ids: List[int]) -> None:
         return self.call(tenant, Method.GS_RELEASE.value, tenant, buffer_ids)
-
-    def transfer(self, old_tenant: str, new_tenant: str,
-                 buffer_ids: List[int]) -> None:
-        """Ownership transfer is only defined within one home rack."""
-        old_home = self.home_of(old_tenant)
-        new_home = self.home_of(new_tenant)
-        if old_home != new_home:
-            raise ConfigurationError(
-                f"GS_transfer spans racks: {old_tenant!r} is homed on "
-                f"{old_home!r} but {new_tenant!r} on {new_home!r}")
-        return self.call(old_tenant, Method.GS_TRANSFER.value,
-                         old_tenant, new_tenant, buffer_ids)
 
     def stats(self) -> Dict[str, int]:
         return {

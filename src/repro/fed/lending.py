@@ -11,8 +11,9 @@ the *borrower's* rack that the donor's controller talks to exactly the
 way it talks to its own serving hosts.  That buys recall-for-free — a
 donor host waking up revokes loaned buffers through the existing
 ``US_reclaim`` plane, and the agent re-homes the borrower side — plus
-the same per-rack fencing-epoch watermark, so a deposed donor primary
-cannot recall loans it no longer owns.  The agent is registered in the
+fencing for free: the agent's RPC server keeps the same per-rack epoch
+watermark as any serving host's, so a deposed donor primary cannot
+recall loans it no longer owns.  The agent is registered in the
 donor rack's agent table, so a donor failover wires the promoted
 primary to it like any serving host.
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.manager import FencingWatermark
 from repro.core.protocol import Method
 from repro.core.rack import PrimaryChannel
 from repro.errors import (BufferError_, ConfigurationError, ControllerError,
@@ -57,8 +57,6 @@ class LendingAgent:
         #: Borrows and returns go to the donor's current primary.
         self.channel = PrimaryChannel(fed.racks[donor], self.node,
                                       fed.racks[borrower].retry_policy)
-        #: The same per-rack watermark a serving host's manager keeps.
-        self.fencing = FencingWatermark(self.node.name)
         register = self.rpc.register
         register(Method.US_RECLAIM.value, self.us_reclaim)
         register(Method.US_INVALIDATE.value, self.us_invalidate)
@@ -67,35 +65,22 @@ class LendingAgent:
         register(Method.HEARTBEAT.value, self.heartbeat)
 
     # -- the donor-facing revocation plane --------------------------------
-    def heartbeat(self, epoch: Optional[int] = None,
-                  rack: Optional[str] = None) -> str:
-        self.fencing.admit(epoch, rack)
+    def heartbeat(self) -> str:
         return "alive"
 
-    def us_reclaim(self, buffer_ids: List[int],
-                   epoch: Optional[int] = None,
-                   rack: Optional[str] = None) -> int:
+    def us_reclaim(self, buffer_ids: List[int]) -> int:
         """Donor-initiated recall: a waking host is taking loans back."""
-        self.fencing.admit(epoch, rack)
         return self.manager.recalled_by_donor(self.donor, buffer_ids)
 
-    def us_invalidate(self, host: str, buffer_ids: List[int],
-                      epoch: Optional[int] = None,
-                      rack: Optional[str] = None) -> int:
+    def us_invalidate(self, host: str, buffer_ids: List[int]) -> int:
         """Donor lost a serving host: the loaned content is gone."""
-        self.fencing.admit(epoch, rack)
         return self.manager.recalled_by_donor(self.donor, buffer_ids)
 
-    def as_get_free_mem(self, epoch: Optional[int] = None,
-                        rack: Optional[str] = None) -> list:
+    def as_get_free_mem(self) -> list:
         """A federation agent has no local frames to lend."""
-        self.fencing.admit(epoch, rack)
         return []
 
-    def as_resync(self, buffer_ids: List[int],
-                  epoch: Optional[int] = None,
-                  rack: Optional[str] = None) -> int:
-        self.fencing.admit(epoch, rack)
+    def as_resync(self, buffer_ids: List[int]) -> int:
         return 0
 
 

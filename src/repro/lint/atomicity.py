@@ -22,8 +22,8 @@ The rule, per function in the scoped modules:
 with no re-validation between the yield and the write, is one finding.
 Re-validation is a fresh read of the family (directly or through a
 called helper that reads it) or a fencing check (``self.fenced``, an
-agent's ``self.fencing.admit(...)``, an epoch read, or raising
-``FencingError``) — exactly the idioms the fencing layer already uses.
+epoch read, or raising ``FencingError``) — exactly the idioms the
+fencing layer already uses.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ STATE_FAMILIES: Dict[str, str] = {
     "_stores_by_buffer": "leases",
     "_stores_needing_repair": "leases",
     "epoch": "epochs",
-    "fencing": "epochs",
     "epochs": "epochs",
     "fenced": "epochs",
     "zombie_hosts": "zombie-pool",

@@ -267,6 +267,16 @@ _AUDIT_METRIC_CONTRACT = (
       "fed_cross_rack_joules_total")),
     (("fed", "directory.py"),
      ("fed_rack_alive", "fed_rack_free_zombie_bytes")),
+    # The Fig. 10 sweep's integrals most analyzers and calculators read,
+    # the control plane's retry count and the event-kind counts.
+    (("dc", "energy_sim.py"),
+     ("dc_energy_joules_total", "dc_ideal_joules_total",
+      "dc_mem_used_server_seconds_total",
+      "dc_remote_mem_server_seconds_total",
+      "dc_zombie_served_server_seconds_total",
+      "dc_demand_slot_seconds_total")),
+    (("rdma", "rpc.py"), ("rpc_retries_total",)),
+    (("core", "events.py"), ("rack_events_total",)),
 )
 
 

@@ -228,6 +228,9 @@ class RpcServer:
     the client-stamped request id replays the cached response instead of
     re-executing when the same logical request is delivered again (wire
     duplicate, or a retry after a lost reply).
+
+    The server also fences split brain (:meth:`_fence`), for every verb
+    it serves, so no handler takes the ``epoch``/``rack`` stamp.
     """
 
     #: Upper bound on cached responses; oldest entries are evicted first.
@@ -246,8 +249,9 @@ class RpcServer:
         #: produced a response, so caching them would wrongly suppress
         #: the re-execution a retry is asking for.
         self._dedup: "OrderedDict[tuple, tuple]" = OrderedDict()
-        #: The highest fencing epoch seen, per stamping rack.
-        self._dedup_watermarks: Dict[Optional[str], int] = {}
+        #: The fencing watermark: the highest epoch each stamping rack
+        #: has used here (``None`` keys calls that stamp no rack).
+        self.epochs: Dict[Optional[str], int] = {}
         self.dedup_replays = 0
         #: verb -> (``rpc_served_total`` child, ``serve.<verb>`` span
         #: name), resolved on the verb's first traced dispatch.
@@ -298,15 +302,16 @@ class RpcServer:
         self.idempotency.pop(method, None)
 
     def _serve_traced(self, tel, verb: str, handler: Handler, ctx,
-                      args: tuple, kwargs: dict) -> Any:
-        """Run ``handler`` inside a server-side ``serve.<verb>`` span.
+                      args: tuple, kwargs: dict, stamp: Optional[tuple]
+                      ) -> Any:
+        """Fence ``stamp``, then run ``handler``, in a ``serve.<verb>`` span.
 
         The span adopts the caller's propagated wire context as its
         parent, so the server side of an RPC hangs off the exact attempt
         that carried it — across retries and across a failover to a
-        promoted secondary.  A :class:`~repro.errors.FencingError` from
-        the handler tags the span ``fenced`` (the epoch-stale branch is
-        an *outcome* worth seeing in a timeline, not just an exception).
+        promoted secondary.  A :class:`~repro.errors.FencingError` tags
+        the span ``fenced`` (the epoch-stale branch is an *outcome* worth
+        seeing in a timeline, not just an exception).
         """
         served = self._served.get(verb)
         if served is None:
@@ -322,9 +327,10 @@ class RpcServer:
             counter.inc()
             with tracer.span(span_name, parent=ctx,
                              verb=verb, node=self.node.name) as span:
-                if "epoch" in kwargs:
-                    span.set_tag("epoch", kwargs["epoch"])
                 try:
+                    if stamp is not None:
+                        span.set_tag("epoch", stamp[1])
+                        self._fence(*stamp)
                     return handler(*args, **kwargs)
                 except FencingError:
                     span.set_tag("fenced", True)
@@ -348,50 +354,69 @@ class RpcServer:
         while len(self._dedup) > self.dedup_capacity:
             self._dedup.popitem(last=False)
 
-    def _dedup_advance_epoch(self, rack: Optional[str], epoch: int) -> None:
-        """Purge ``rack``'s entries stamped with a now-stale epoch.
+    def _fence(self, rack: Optional[str], epoch: int) -> None:
+        """Refuse a stale ``(rack, epoch)`` stamp, or advance to it.
 
-        Once the rack has moved to epoch ``E``, a retry of an epoch
-        ``< E`` request would be fenced by the handler anyway — there is
-        no response left worth replaying, so the entries only waste
-        capacity.  Epochs are per rack: an agent served by two racks (a
+        A call stamped below the rack's watermark comes from a deposed
+        primary: it is refused once this server has heard from the
+        successor.  Advancing the watermark purges the rack's entries
+        stamped with an older epoch from the dedup table: a retry of
+        one would be refused anyway, so there is no response left worth
+        replaying.  Epochs are per rack: an agent served by two racks (a
         tenant homed away from its own rack) keeps the other rack's
         entries, which that rack may still replay.
         """
-        if epoch <= self._dedup_watermarks.get(rack, 0):
+        current = self.epochs.get(rack, 0)
+        if epoch < current:
+            raise FencingError(
+                f"{self.node.name}: rejecting a call from rack {rack!r} "
+                f"with stale epoch {epoch} (current {current})"
+            )
+        if epoch == current:
             return
-        self._dedup_watermarks[rack] = epoch
+        self.epochs[rack] = epoch
         stale = [key for key, (_, _, stamp) in self._dedup.items()
                  if stamp is not None and stamp[0] == rack
                  and stamp[1] < epoch]
         for key in stale:
             del self._dedup[key]
 
+    def _daemon_runs(self) -> bool:
+        """Whether the node's RPC daemon runs (only on a live CPU); both
+        dispatch and a client's suspended-server timeout ask here."""
+        return self.node.cpu_alive
+
     def dispatch(self, method: str, args: tuple, kwargs: dict) -> Any:
         """Server-side dispatch; requires a live CPU.
 
         The transport strips the metadata keys (trace context, request
-        id, deadline budget) before the handler sees the arguments —
-        handlers keep their verb signatures.  In order, dispatch then:
+        id, deadline budget, fencing stamp) before the handler sees the
+        arguments — handlers keep their verb signatures.  In order,
+        dispatch then:
 
         1. replays the cached response for a re-delivered
            ``dedup_required`` request (exactly-once semantics);
         2. fast-fails with :class:`~repro.errors.DeadlineExceededError`
            if the delivered budget is already spent — the handler never
            runs, so no state is mutated for work nobody is waiting on;
-        3. runs the handler with the trace context active and the
-           delivered budget pushed on the fabric's deadline stack, so
-           nested downstream RPCs inherit the shrunk remainder;
-        4. caches the outcome (result *or* non-retryable error) for
-           future duplicates of ``dedup_required`` requests.  Retryable
-           outcomes are never cached: no response formed, and the whole
-           point of the client's retry is to re-execute.
+        3. refuses a stale fencing stamp (:meth:`_fence`) where the
+           handler would run, or else runs the handler with the trace
+           context active and the delivered budget pushed on the
+           fabric's deadline stack, so nested downstream RPCs inherit
+           the shrunk remainder;
+        4. caches the outcome (result *or* non-retryable error, a
+           refusal included) for future duplicates of ``dedup_required``
+           requests.  Retryable outcomes are never cached: no response
+           formed, and the whole point of the client's retry is to
+           re-execute.
         """
         ctx = kwargs.pop(WIRE_CONTEXT_KEY, None)
         req_id = kwargs.pop(REQUEST_ID_KEY, None)
         budget = kwargs.pop(DEADLINE_KEY, None)
+        epoch = kwargs.pop("epoch", None)
+        rack = kwargs.pop("rack", None)
         node = self.node
-        if not node.cpu_alive:
+        if not self._daemon_runs():
             raise RpcTimeoutError(
                 f"{node.name}: server suspended, RPC daemon not running"
             )
@@ -401,14 +426,10 @@ class RpcServer:
         fabric = node.fabric
         tel = fabric.telemetry
         traced = tel.enabled  # the server side's one traced-or-not decision
-        stamp = None
+        stamp = None if epoch is None else (rack, epoch)
         dedup = (req_id is not None
                  and self.idempotency.get(method) == _DEDUP_REQUIRED)
         if dedup:
-            epoch = kwargs.get("epoch")
-            if isinstance(epoch, int):
-                stamp = (kwargs.get("rack"), epoch)
-                self._dedup_advance_epoch(*stamp)
             hit = self._dedup_lookup(method, req_id)
             if hit is not None:
                 self.dedup_replays += 1
@@ -439,8 +460,10 @@ class RpcServer:
         try:
             if traced:
                 result = self._serve_traced(tel, method, handler, ctx,
-                                            args, kwargs)
+                                            args, kwargs, stamp)
             else:
+                if epoch is not None and epoch != self.epochs.get(rack):
+                    self._fence(rack, epoch)
                 result = handler(*args, **kwargs)
         # Any outcome the handler produced *is* the response; cache it
         # for dedup before letting it propagate.  Retryable faults mean
@@ -735,7 +758,7 @@ class RpcClient:
             fabric.require_reachable(node.name)  # raises
         server = self.server
         self.calls_made += 1
-        if server.node.name in partitioned or not server.node.cpu_alive:
+        if server.node.name in partitioned or not server._daemon_runs():
             # The request lands in the server's receive ring, but no daemon
             # runs; the client polls until its deadline passes.
             self._burn_timeout(method, "server suspended")

@@ -342,9 +342,11 @@ class MemorySanitizer:
             return descriptor
 
         def dispatch(self, method, args, kwargs):
-            # Read the request id before the original pops the metadata.
+            # Read the request id and the fencing stamp before the
+            # original pops the metadata.
             from repro.rdma.rpc import REQUEST_ID_KEY, is_retryable
             req_id = kwargs.get(REQUEST_ID_KEY)
+            epoch, rack = kwargs.get("epoch"), kwargs.get("rack")
             served_before = self.calls_served
             try:
                 result = orig_dispatch(self, method, args, kwargs)
@@ -358,8 +360,7 @@ class MemorySanitizer:
                 raise
             if self.calls_served > served_before:
                 san._note_execution(self, method, req_id)
-            san._check_dispatch(self, kwargs.get("epoch"),
-                                kwargs.get("rack"))
+            san._check_dispatch(self, epoch, rack)
             return result
 
         _patch(RemotePageStore, "add_lease", add_lease)

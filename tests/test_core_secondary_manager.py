@@ -19,6 +19,8 @@ from repro.units import MiB, PAGE_SIZE
 
 BUFF = 4 * MiB
 BUFF_PAGES = BUFF // PAGE_SIZE
+HEARTBEAT = Method.HEARTBEAT.value
+MIRROR_OP = Method.MIRROR_OP.value
 
 
 def _wired(lender_pages=4 * BUFF_PAGES, user_pages=4 * BUFF_PAGES):
@@ -249,26 +251,33 @@ class TestFencingEpochs:
     def test_stale_mirror_op_rejected(self):
         _, _, _, sec, _ = _wired()
         seq = sec.mirror_applied_seq + 1
-        sec.apply_mirror("zombie_add", ("h1",), epoch=1, seq=seq)
+
+        def mirror(host, epoch, seq):
+            return sec.rpc.dispatch(MIRROR_OP, ("zombie_add", (host,)),
+                                    {"epoch": epoch, "seq": seq})
+
+        mirror("h1", epoch=1, seq=seq)
         sec.promote(BUFF)  # epoch 1 -> 2
         with pytest.raises(FencingError):
-            sec.apply_mirror("zombie_add", ("h2",), epoch=1, seq=seq + 1)
-        sec.apply_mirror("zombie_add", ("h2",), epoch=2, seq=seq + 1)  # current
+            mirror("h2", epoch=1, seq=seq + 1)
+        mirror("h2", epoch=2, seq=seq + 1)  # current
         assert "h2" in sec.zombie_hosts
 
     def test_manager_rejects_stale_epoch(self):
         _, _, _, _, mgrs = _wired()
-        user = mgrs["user"]
-        assert user.heartbeat(epoch=2) == "alive"
+        dispatch = mgrs["user"].rpc.dispatch
+        assert dispatch(HEARTBEAT, (), {"epoch": 2}) == "alive"
         with pytest.raises(FencingError):
-            user.heartbeat(epoch=1)
+            dispatch(HEARTBEAT, (), {"epoch": 1})
         with pytest.raises(FencingError):
-            user.us_reclaim([], epoch=1)
-        assert user.heartbeat(epoch=2) == "alive"  # watermark kept
+            dispatch(Method.US_RECLAIM.value, ([],), {"epoch": 1})
+        # watermark kept
+        assert dispatch(HEARTBEAT, (), {"epoch": 2}) == "alive"
 
     def test_agent_call_from_deposed_controller_fences_it(self):
-        _, _, ctr, sec, mgrs = _wired()
-        mgrs["user"].heartbeat(epoch=sec.epoch + 1)  # rack learned epoch 2
+        _, _, ctr, _, mgrs = _wired()
+        # The rack learned epoch 2.
+        mgrs["user"].rpc.dispatch(HEARTBEAT, (), {"epoch": 2})
         assert not ctr.fenced
         with pytest.raises(FencingError):
             ctr._agent_call("user", Method.HEARTBEAT)  # stamps epoch 1

@@ -134,11 +134,7 @@ class TestExactlyOnce:
 
     def test_epoch_advance_purges_stale_entries(self):
         fabric, server, client = _channel()
-
-        def work(epoch=None):
-            return epoch
-
-        server.register("work", work, idempotency="dedup_required")
+        server.register("work", lambda: None, idempotency="dedup_required")
         server.dispatch("work", (), {REQUEST_ID_KEY: ("c#1", 1), "epoch": 1})
         server.dispatch("work", (), {REQUEST_ID_KEY: ("c#1", 2), "epoch": 1})
         assert len(server._dedup) == 2
@@ -154,23 +150,23 @@ class TestExactlyOnce:
         fabric, server, client = _channel()
         calls = []
 
-        def work(epoch=None, rack=None):
-            calls.append(rack)
-            return (rack, epoch)
+        def work(who):
+            calls.append(who)
+            return who
 
         server.register("work", work, idempotency="dedup_required")
         from_a = {REQUEST_ID_KEY: ("a#1", 1), "epoch": 1, "rack": "rackA"}
-        assert server.dispatch("work", (), dict(from_a)) == ("rackA", 1)
-        server.dispatch("work", (), {REQUEST_ID_KEY: ("b#1", 1),
-                                     "epoch": 3, "rack": "rackB"})
+        assert server.dispatch("work", ("A",), dict(from_a)) == "A"
+        server.dispatch("work", ("B",), {REQUEST_ID_KEY: ("b#1", 1),
+                                         "epoch": 3, "rack": "rackB"})
         assert ("work", ("a#1", 1)) in server._dedup
         # A's redelivery is answered from the cache, not re-executed.
-        assert server.dispatch("work", (), dict(from_a)) == ("rackA", 1)
+        assert server.dispatch("work", ("A",), dict(from_a)) == "A"
         assert server.dedup_replays == 1
-        assert calls == ["rackA", "rackB"]
+        assert calls == ["A", "B"]
         # A's own advance still purges A's stale entry, and only it.
-        server.dispatch("work", (), {REQUEST_ID_KEY: ("a#1", 2),
-                                     "epoch": 2, "rack": "rackA"})
+        server.dispatch("work", ("A",), {REQUEST_ID_KEY: ("a#1", 2),
+                                         "epoch": 2, "rack": "rackA"})
         assert set(server._dedup) == {("work", ("b#1", 1)),
                                       ("work", ("a#1", 2))}
 
@@ -200,7 +196,7 @@ class TestRegistration:
         server = RpcServer(fabric.add_node("server"))
         client = RpcClient(fabric.add_node("client"), server)
         calls = []
-        server.register(verb, lambda epoch=None: calls.append(1) or [])
+        server.register(verb, lambda: calls.append(1) or [])
         fabric.message_faults.script("client", "server", DUPLICATE,
                                      method=verb)
         assert client.call(verb) == []

@@ -105,7 +105,7 @@ class TestDonorFailover:
 
         # The failover pushed the new epoch to the agent, so the deposed
         # primary is fenced out of the revocation channel it used to own.
-        assert agent.fencing.epochs["rack1"] == promoted.epoch
+        assert agent.rpc.epochs["rack1"] == promoted.epoch
         with pytest.raises(FencingError):
             deposed._agent_call(agent.node.name, Method.HEARTBEAT)
 
@@ -178,7 +178,7 @@ class TestFailoverWiresEveryAgent:
                                 loans[:2])
         assert sorted(fed.lending.loans) == loans
         assert fed.lending.recalls == 0
-        assert agent.fencing.epochs["rack1"] == donor.controller.epoch
+        assert agent.rpc.epochs["rack1"] == donor.controller.epoch
 
     @pytest.mark.parametrize("seed", chaos_seeds())
     def test_each_issuing_rack_keeps_its_own_watermark(self, seed):
@@ -201,7 +201,7 @@ class TestFailoverWiresEveryAgent:
         assert own.controller.epoch == 2
         with pytest.raises(FencingError):
             deposed._agent_call(tenant, Method.HEARTBEAT)
-        assert manager.fencing.epochs == {"rack1": 2, "rack2": 2}
+        assert manager.rpc.epochs == {"rack1": 2, "rack2": 2}
 
 
 class TestInterRackMessageFaults:

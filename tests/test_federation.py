@@ -156,18 +156,6 @@ class TestGateway:
         fed.gateway.alloc_ext(tenant, BUFFER)
         assert tenant in fed.racks[home].controller.agent_clients
 
-    def test_cross_rack_transfer_is_rejected(self):
-        fed = _small_fed(n_racks=3)
-        homes = {}
-        for rack in fed.rack_names:
-            for j in range(1, 4):
-                name = f"{rack}/h{j}"
-                homes.setdefault(fed.gateway.home_of(name), name)
-        assert len(homes) >= 2, "need tenants homed on different racks"
-        (t1, t2) = list(homes.values())[:2]
-        with pytest.raises(ConfigurationError):
-            fed.gateway.transfer(t1, t2, [1])
-
     def test_federation_wide_dry_allocation_surfaces(self):
         fed = _small_fed()
         # No zombies anywhere beyond intra-rack growth: exhaust it.
@@ -221,10 +209,13 @@ class TestLending:
     def test_stale_donor_epoch_is_fenced(self):
         fed = self._lend_pair()
         agent = fed.lending.agents[("rack2", "rack1")]
-        epoch = agent.fencing.epochs.get("rack1", 0)
-        assert agent.heartbeat(epoch=epoch + 1, rack="rack1") == "alive"
+        epoch = agent.rpc.epochs.get("rack1", 0)
+        dispatch = agent.rpc.dispatch
+        assert dispatch(Method.HEARTBEAT.value, (),
+                        {"epoch": epoch + 1, "rack": "rack1"}) == "alive"
         with pytest.raises(FencingError):
-            agent.us_reclaim([], epoch=epoch, rack="rack1")
+            dispatch(Method.US_RECLAIM.value, ([],),
+                     {"epoch": epoch, "rack": "rack1"})
 
     def test_cross_rack_traffic_is_priced(self):
         fed = self._lend_pair()

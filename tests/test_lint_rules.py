@@ -320,6 +320,56 @@ class TestZL007FedMetricContract:
         assert "fed_rack_alive" in findings[0].message
 
 
+class TestZL007AuditInputContract:
+    """The ``dc_*``, retry and event series ZomAudit's analyzers read."""
+
+    _FILES = {
+        ("dc", "energy_sim.py"): (
+            "def publish(registry, labels):\n"
+            "    registry.counter('dc_energy_joules_total', 'J.').inc(1)\n"
+            "    registry.counter('dc_ideal_joules_total', 'I.').inc(1)\n"
+            "    registry.counter('dc_mem_used_server_seconds_total', 'M.')"
+            ".inc(1)\n"
+            "    registry.counter('dc_remote_mem_server_seconds_total', "
+            "'R.').inc(1)\n"
+            "    registry.counter('dc_zombie_served_server_seconds_total', "
+            "'Z.').inc(1)\n"
+            "    registry.counter('dc_demand_slot_seconds_total', 'S.')"
+            ".inc(1)\n"),
+        ("rdma", "rpc.py"): (
+            "def note(registry):\n"
+            "    registry.counter('rpc_retries_total', 'R.').inc(1)\n"),
+        ("core", "events.py"): (
+            "def emit(metrics):\n"
+            "    metrics.counter('rack_events_total', 'E.').inc()\n"),
+    }
+    NAMES = ("dc_energy_joules_total", "dc_ideal_joules_total",
+             "dc_mem_used_server_seconds_total",
+             "dc_remote_mem_server_seconds_total",
+             "dc_zombie_served_server_seconds_total",
+             "dc_demand_slot_seconds_total", "rpc_retries_total",
+             "rack_events_total")
+
+    def _tree(self, tmp_path, drop=None):
+        src = tmp_path / "src" / "repro"
+        for (package, module), source in self._FILES.items():
+            (src / package).mkdir(parents=True, exist_ok=True)
+            if drop is not None:
+                source = source.replace(f"'{drop}'", "'renamed_total'")
+            (src / package / module).write_text(source)
+        return tmp_path / "src"
+
+    def test_all_registered_is_clean(self, tmp_path):
+        assert _lint_tree([str(self._tree(tmp_path))], rules=["ZL007"]) == []
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_dropped_series_flagged(self, tmp_path, name):
+        findings = _lint_tree([str(self._tree(tmp_path, drop=name))],
+                              rules=["ZL007"])
+        assert _rules(findings) == ["ZL007"]
+        assert name in findings[0].message
+
+
 class TestDriver:
     def test_syntax_error_reported_as_zl000(self):
         findings = _lint("def broken(:\n")

@@ -76,12 +76,11 @@ KEEP: Dict[str, str] = {
         "observer of the platform's NIC-to-DRAM path per sleep state",
     "core.recovery:FaultSchedule.randomized":
         "the rack chaos tests draw replayable random fault schedules from it",
-    "fed.gateway:FederationGateway.transfer":
-        "GS_transfer through the gateway; the tests check it refuses cross-rack moves",
     "fed.lending:LendingManager.pump_recalls":
         "the federation chaos tests drive deferred recall retries with it",
     "hypervisor.split_driver:SplitDriverSwap.repair":
-        "the split-driver tests re-home fallback pages through it",
+        "the only path that re-homes pages that fell back at write time: "
+        "repair_stores only tracks stores a US_reclaim or US_invalidate degraded",
     "dc.packing:pack_neat":
         "first-fit-decreasing Neat packing the aggregate-model tests compare against",
     "dc.packing:pack_zombiestack":
