@@ -10,12 +10,14 @@ Run:  python examples/sz_state_deep_dive.py
 """
 
 from repro import GiB, SleepState, build_platform
+from repro.energy import HP_PROFILE, server_power_watts
 from repro.errors import RdmaError, RpcTimeoutError
 from repro.rdma import Fabric, RpcClient, RpcServer
 
 
 def show_platform(platform) -> None:
-    print(f"  state: {platform.state}, draw: {platform.power_draw():.1f} W")
+    watts = server_power_watts(HP_PROFILE, platform.state)
+    print(f"  state: {platform.state}, draw: {watts:.1f} W (Table 3, HP)")
     for name, on in sorted(platform.plane.report().items()):
         print(f"    domain {name:<10} {'ON' if on else 'off'}")
 
@@ -59,6 +61,10 @@ def main() -> None:
         peer.rdma_read(qp, mr.rkey, 0, 8)
     except RdmaError as exc:
         print(f"  one-sided READ now fails: {exc}")
+
+    print("\nTable 3 watts (HP, S0 idle) per state — what a rack of these boards sums:")
+    for state in SleepState:
+        print(f"  {state.value:<3} {server_power_watts(HP_PROFILE, state):6.1f} W")
 
     print("\nA legacy board (shared CPU+memory supply) cannot do Sz:")
     legacy = build_platform("legacy", split_power_domains=False)

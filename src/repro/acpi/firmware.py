@@ -4,8 +4,8 @@ Per Section 3.1, firmware work for Sz happens at three points: boot-time
 chipset initialisation, Sz enter (transition individual devices to their
 S-states, but leave memory and the NIC-to-memory path in active idle), and
 Sz exit (reinitialise the chipset and hand control back to the OS).  The
-sequencer also implements the classic S3/S4/S5 paths so the energy model can
-compare all states on the same platform.
+sequencer also implements the classic S3/S4/S5 paths so every state runs on
+the same platform.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class Firmware:
         self.transition_log.append("boot:init")
         self.sz_initialised = self.plane.split_cpu_memory
         for domain in self.plane.domains.values():
-            domain.switch(True)
+            domain.energised = True
         for device in self.devices:
             device.set_state(DeviceState.D0)
 
@@ -67,7 +67,7 @@ class Firmware:
         """Resume to S0: re-energise all domains, devices back to D0."""
         self.transition_log.append("exit:S0")
         for domain in self.plane.domains.values():
-            domain.switch(True)
+            domain.energised = True
         for device in self.devices:
             device.set_state(DeviceState.D0)
             if isinstance(device, MemoryBankDevice):
@@ -87,7 +87,7 @@ class Firmware:
             names_by_domain.setdefault(id(domain), []).append(name)
             objects[id(domain)] = domain
         for key, names in names_by_domain.items():
-            objects[key].switch(any(name in keep for name in names))
+            objects[key].energised = any(name in keep for name in names)
 
     def _enter_zombie(self) -> None:
         """Sz: the S3 sequence, except memory + NIC path stay live.

@@ -16,8 +16,7 @@ from repro.acpi.firmware import Firmware
 from repro.acpi.ospm import Ospm
 from repro.acpi.power import (CPU_DOMAIN, MEMORY_DOMAIN, NIC_DOMAIN,
                               PERIPHERAL_DOMAIN, STANDBY_DOMAIN,
-                              STORAGE_DOMAIN, PowerDomain, PowerPlane,
-                              PowerRail)
+                              STORAGE_DOMAIN, PowerDomain, PowerPlane)
 from repro.acpi.states import SleepState
 from repro.errors import PowerStateError
 from repro.units import GiB
@@ -65,17 +64,6 @@ class ServerPlatform:
     @property
     def memory_bytes(self) -> int:
         return sum(bank.capacity_bytes for bank in self.memory_banks)
-
-    def power_draw(self) -> float:
-        """Board draw in watts: rails plus device loads on energised domains."""
-        draw = self.plane.power_draw()
-        for device in self.devices:
-            domain = self.plane.domains.get(device.domain)
-            if domain is not None and domain.energised:
-                draw += device.power_draw()
-            elif device.state.value.startswith("D3") and device.power_draw():
-                draw += device.power_draw()  # aux/WoL standby power
-        return draw
 
     # -- transitions -----------------------------------------------------
     def suspend(self, target: SleepState) -> None:
@@ -143,22 +131,11 @@ def build_platform(name: str = "server",
     devices.append(StorageDevice())
 
     plane = PowerPlane()
-    plane.add_domain(PowerDomain(STANDBY_DOMAIN,
-                                 [PowerRail("pm-logic", draw_watts=1.5)]))
+    for domain in (STANDBY_DOMAIN, CPU_DOMAIN, NIC_DOMAIN, STORAGE_DOMAIN,
+                   PERIPHERAL_DOMAIN):
+        plane.add_domain(PowerDomain(domain))
     if split_power_domains:
-        plane.add_domain(PowerDomain(CPU_DOMAIN,
-                                     [PowerRail("vcore", draw_watts=4.0)]))
-        plane.add_domain(PowerDomain(MEMORY_DOMAIN,
-                                     [PowerRail("vdimm", draw_watts=1.0)]))
+        plane.add_domain(PowerDomain(MEMORY_DOMAIN))
     else:
-        shared = PowerDomain(CPU_DOMAIN, [PowerRail("vcore+vdimm", draw_watts=5.0)])
-        plane.add_domain(shared)
-        plane.domains[MEMORY_DOMAIN] = shared  # same domain object: no split
-    plane.add_domain(PowerDomain(NIC_DOMAIN,
-                                 [PowerRail("vnic", draw_watts=0.5),
-                                  PowerRail("vpcie", draw_watts=0.5)]))
-    plane.add_domain(PowerDomain(STORAGE_DOMAIN,
-                                 [PowerRail("vsata", draw_watts=0.5)]))
-    plane.add_domain(PowerDomain(PERIPHERAL_DOMAIN,
-                                 [PowerRail("vperiph", draw_watts=2.0)]))
+        plane.domains[MEMORY_DOMAIN] = plane.domains[CPU_DOMAIN]  # no split
     return ServerPlatform(name, plane, devices)

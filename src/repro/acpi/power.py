@@ -1,13 +1,12 @@
-"""Power rails, power domains, and the board power plane.
+"""Power domains and the board power plane.
 
 The paper's whole disaggregation premise is one hardware change: *the CPU and
-memory power-supply domains become independent*, so the memory rails (plus
-the NIC-to-memory path) can stay energised while everything else follows the
+memory power-supply domains become independent*, so the memory (plus the
+NIC-to-memory path) can stay energised while everything else follows the
 S3 shutdown sequence.  This module models that board-level wiring:
 
-- a :class:`PowerRail` is one switchable supply line with a draw in watts;
-- a :class:`PowerDomain` groups rails that switch together (what the paper
-  calls a "power supply domain");
+- a :class:`PowerDomain` is one supply the firmware switches as a unit
+  (what the paper calls a "power supply domain");
 - a :class:`PowerPlane` is the whole board: the set of domains plus the
   control signaling used by the firmware sequencer.
 """
@@ -15,53 +14,25 @@ S3 shutdown sequence.  This module models that board-level wiring:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Dict
 
 from repro.errors import ConfigurationError
 
 
-@dataclass
-class PowerRail:
-    """A single switchable supply rail."""
-
-    name: str
-    draw_watts: float
-    on: bool = True
-
-    def power_draw(self) -> float:
-        """Instantaneous draw of this rail in watts."""
-        return self.draw_watts if self.on else 0.0
-
-
 class PowerDomain:
-    """A named group of rails that are switched as a unit.
+    """A named supply the firmware energises or cuts independently.
 
     Domains expose the "additional switches and control signaling" the paper
-    says Sz requires: each domain can be energised or cut independently.
+    says Sz requires.
     """
 
-    def __init__(self, name: str, rails: Iterable[PowerRail]):
+    def __init__(self, name: str):
         self.name = name
-        self.rails: List[PowerRail] = list(rails)
-        if not self.rails:
-            raise ConfigurationError(f"power domain {name!r} has no rails")
-
-    @property
-    def energised(self) -> bool:
-        """True when every rail in the domain is on."""
-        return all(rail.on for rail in self.rails)
-
-    def switch(self, on: bool) -> None:
-        """Switch every rail in the domain."""
-        for rail in self.rails:
-            rail.on = on
-
-    def power_draw(self) -> float:
-        return sum(rail.power_draw() for rail in self.rails)
+        self.energised = True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "on" if self.energised else "off"
-        return f"PowerDomain({self.name!r}, {state}, {self.power_draw():.1f} W)"
+        return f"PowerDomain({self.name!r}, {state})"
 
 
 #: Canonical domain names used by the platform builder and firmware.
@@ -90,30 +61,12 @@ class PowerPlane:
         except KeyError:
             raise ConfigurationError(f"unknown power domain {name!r}") from None
 
-    def switch(self, name: str, on: bool) -> None:
-        self.domain(name).switch(on)
-
-    def power_draw(self) -> float:
-        """Total board draw in watts.
-
-        A domain registered under several names (legacy shared CPU+memory
-        supply) is counted once.
-        """
-        seen = set()
-        total = 0.0
-        for domain in self.domains.values():
-            if id(domain) in seen:
-                continue
-            seen.add(id(domain))
-            total += domain.power_draw()
-        return total
-
     @property
     def split_cpu_memory(self) -> bool:
         """Whether CPU and memory are on *independent* power domains.
 
         This is the single hardware prerequisite for Sz.  Legacy boards model
-        the shared supply by putting CPU and memory rails in one domain, in
+        the shared supply by registering one domain under both names, in
         which case this property is False and Sz entry must be refused.
         """
         return (

@@ -40,7 +40,7 @@ class SleepState(enum.Enum):
         """Typical resume-to-S0 latency, in seconds.
 
         Sz resumes like S3 (the board state is the same except the memory
-        and NIC rails, which are already up).  S4 must restore from disk and
+        and NIC domains, which are already up).  S4 must restore from disk and
         S5 is a cold boot.
         """
         return _WAKE_LATENCY[self]

@@ -32,6 +32,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.check import invariants, mutants
 from repro.check.model import Bounds
+from repro.core.recovery import (CRASH, HEAL, KILL_CONTROLLER, PARTITION,
+                                 FaultAction, apply_fault)
 from repro.errors import ReproError
 from repro.units import MiB
 
@@ -40,6 +42,15 @@ from repro.units import MiB
 #: remaining 14 MiB, both on ``GS_goto_zombie`` and ``AS_get_free_mem``.
 REPLAY_BUFF_SIZE = 8 * MiB
 REPLAY_HOST_MEMORY = 16 * MiB
+
+
+def _fault_step(kind: str):
+    """A step handler that injects ``kind`` through the recovery layer's
+    :func:`~repro.core.recovery.apply_fault`, as a fault schedule does."""
+    def handler(self, host: Optional[str] = None) -> None:
+        apply_fault(self._rack, FaultAction(self._rack.engine.now, kind, host))
+    return handler
+
 
 _STEP_RE = re.compile(r"^(\w+)(?:\((\w+)(?:,(\w+))?\))?$")
 
@@ -179,17 +190,11 @@ class TraceReplayer:
     def _do_AS_resync(self, host: str) -> None:
         self._rack.recovery.probe_tick()
 
-    def _do_partition(self, host: str) -> None:
-        self._rack.fabric.partition(host)
-
-    def _do_crash(self, host: str) -> None:
-        self._rack.crash_server(host)
-
-    def _do_heal(self, host: str) -> None:
-        self._rack.heal_server(host)
-
-    def _do_kill_controller(self) -> None:
-        self._rack.kill_controller()
+    _do_partition = _fault_step(PARTITION)
+    _do_crash = _fault_step(CRASH)
+    _do_heal = _fault_step(HEAL)
+    # The model spells ``kill_controller``; a FaultAction ``kill-controller``.
+    _do_kill_controller = _fault_step(KILL_CONTROLLER)
 
     def _do_promote(self) -> None:
         # Promotion is heartbeat-driven: advance simulated time past the

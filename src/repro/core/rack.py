@@ -16,6 +16,10 @@ from repro.core.protocol import Method
 from repro.core.recovery import RecoveryCoordinator
 from repro.core.secondary import SecondaryController
 from repro.core.server import RackServer
+from repro.energy.model import server_power_watts
+# The live rack is metered as the paper's HP testbed, the profile every
+# RackEnergyMonitor caller passes: one Table 3 row, not a Rack option.
+from repro.energy.profiles import HP_PROFILE
 from repro.errors import ConfigurationError, PlacementError, RpcError
 from repro.hypervisor.vm import Vm, VmSpec
 from repro.obs import Telemetry
@@ -386,4 +390,6 @@ class Rack:
         return self.controller.pool_summary()
 
     def total_power_watts(self) -> float:
-        return sum(s.platform.power_draw() for s in self.servers.values())
+        """Rack draw at zero load: each server's Table 3 watts for its S-state."""
+        return sum(server_power_watts(HP_PROFILE, s.state)
+                   for s in self.servers.values())

@@ -488,6 +488,26 @@ class FaultAction:
             raise ConfigurationError(f"fault scheduled in the past: {self.at_s}")
 
 
+def apply_fault(rack, action: FaultAction) -> None:
+    """Inject ``action`` into ``rack`` now (schedules and replays share it)."""
+    if action.kind == PARTITION:
+        rack.fabric.partition(action.host)
+    elif action.kind == CRASH:
+        rack.crash_server(action.host)
+    elif action.kind == HEAL:
+        rack.heal_server(action.host)
+    elif action.kind == KILL_CONTROLLER:
+        rack.kill_controller()
+    elif action.kind == MESSAGE_FAULTS:
+        rack.fabric.message_faults.set_link(action.src, action.host,
+                                            action.faults)
+    elif action.kind == CLEAR_MESSAGE_FAULTS:
+        if action.host is None:
+            rack.fabric.message_faults.clear()
+        else:
+            rack.fabric.message_faults.clear(action.src, action.host)
+
+
 class FaultSchedule:
     """A deterministic, engine-driven sequence of rack faults.
 
@@ -509,22 +529,7 @@ class FaultSchedule:
                                     lambda a=action: self._apply(rack, a))
 
     def _apply(self, rack, action: FaultAction) -> None:
-        if action.kind == PARTITION:
-            rack.fabric.partition(action.host)
-        elif action.kind == CRASH:
-            rack.crash_server(action.host)
-        elif action.kind == HEAL:
-            rack.heal_server(action.host)
-        elif action.kind == KILL_CONTROLLER:
-            rack.kill_controller()
-        elif action.kind == MESSAGE_FAULTS:
-            rack.fabric.message_faults.set_link(action.src, action.host,
-                                                action.faults)
-        elif action.kind == CLEAR_MESSAGE_FAULTS:
-            if action.host is None:
-                rack.fabric.message_faults.clear()
-            else:
-                rack.fabric.message_faults.clear(action.src, action.host)
+        apply_fault(rack, action)
         self.applied.append(action)
 
     @classmethod

@@ -40,15 +40,11 @@ class RackEnergyMonitor:
     """Per-server energy meters driven by periodic state sampling."""
 
     def __init__(self, rack, profile: MachineProfile,
-                 sample_period_s: float = 1.0,
-                 utilization_fn=None):
+                 sample_period_s: float = 1.0):
         if sample_period_s <= 0:
             raise ConfigurationError("sample_period_s must be positive")
         self.rack = rack
         self.profile = profile
-        #: Optional callable(server) -> CPU utilization in [0, 1] for S0
-        #: servers; defaults to a vCPU-booking proxy.
-        self.utilization_fn = utilization_fn or self._booking_utilization
         start = rack.engine.now
         self._registry = (rack.telemetry.registry
                           if rack.telemetry.enabled else None)
@@ -65,6 +61,7 @@ class RackEnergyMonitor:
 
     @staticmethod
     def _booking_utilization(server) -> float:
+        """CPU utilization of an S0 server, proxied by its vCPU bookings."""
         from repro.cloud.zombiestack import DEFAULT_VCPU_CAPACITY
         return min(1.0, server.hypervisor.vcpus_booked
                    / DEFAULT_VCPU_CAPACITY)
@@ -74,7 +71,7 @@ class RackEnergyMonitor:
         now = self.rack.engine.now
         for name, server in self.rack.servers.items():
             state = server.state
-            utilization = (self.utilization_fn(server)
+            utilization = (self._booking_utilization(server)
                            if state is SleepState.S0 else 0.0)
             watts = server_power_watts(self.profile, state, utilization)
             self.meters[name].set_power(now, watts)

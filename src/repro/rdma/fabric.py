@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
+from repro.acpi.devices import DeviceState
 from repro.acpi.platform import ServerPlatform
 from repro.acpi.states import SleepState
 from repro.errors import ConfigurationError, RdmaError
@@ -636,7 +637,7 @@ class Fabric:
         if platform.state.cpu_alive:
             return 0.0
         nic = platform.infiniband
-        if nic is None or nic.power_draw() <= 0.0:
+        if nic is None or nic.state is DeviceState.D3_COLD:
             raise RdmaError(
                 f"{name}: NIC has no standby power in "
                 f"{platform.state.value}; WoL packet lost"

@@ -38,7 +38,6 @@ Enable suite-wide with ``pytest --memsan`` (see
 page stores still holding leases.  See ``docs/SANITIZERS.md``.
 """
 
-from repro.sanitize.memsan import (FINDING_KINDS, MemorySanitizer,
-                                   MemSanFinding, ShadowState)
+from repro.sanitize.memsan import MemorySanitizer, MemSanFinding, ShadowState
 
-__all__ = ["MemorySanitizer", "MemSanFinding", "ShadowState", "FINDING_KINDS"]
+__all__ = ["MemorySanitizer", "MemSanFinding", "ShadowState"]

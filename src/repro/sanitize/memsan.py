@@ -29,16 +29,12 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.check import invariants
 # The decision logic lives in repro.check.invariants — shared with the
 # ZomCheck model checker so the two tools can never disagree on what
-# "safe" means.  Re-exported here for backwards compatibility.
+# "safe" means.
 from repro.check.invariants import (CPU_DEAD_DISPATCH, DOUBLE_FREE,
                                     DOUBLE_LEND, DUPLICATE_EXECUTION,
                                     EPOCH_REGRESSION, LOST_BUFFER_ACCESS,
                                     POWER_DOMAIN, USE_AFTER_RECLAIM,
                                     ShadowState)
-
-FINDING_KINDS = (USE_AFTER_RECLAIM, DOUBLE_FREE, LOST_BUFFER_ACCESS,
-                 POWER_DOMAIN, EPOCH_REGRESSION, DOUBLE_LEND,
-                 CPU_DEAD_DISPATCH, DUPLICATE_EXECUTION)
 
 
 @dataclass

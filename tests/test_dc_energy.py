@@ -128,6 +128,41 @@ class TestPlans:
         assert _slot_power(suspended, power) == server_power_watts(
             profile, SleepState.S3)
 
+    def test_live_rack_power_is_server_power_watts_bit_for_bit(self):
+        """The live rack, the rack monitor and Fig. 10 read one model:
+        Table 3's HP row through ``server_power_watts``, in every state."""
+        from repro.acpi.states import SleepState
+        from repro.core.rack import Rack
+        from repro.energy.model import server_power_watts
+        from repro.energy.rack_monitor import RackEnergyMonitor
+        from repro.units import MiB
+        rack = Rack(["a", "b", "c"], memory_bytes=128 * MiB,
+                    buff_size=8 * MiB)
+        host = rack.server("c")
+        seen = []
+
+        def check(state):
+            assert host.state is state
+            seen.append(state)
+            expected = sum(server_power_watts(HP_PROFILE, s.state)
+                           for s in rack.servers.values())
+            assert rack.total_power_watts() == expected
+            monitor = RackEnergyMonitor(rack, HP_PROFILE)
+            monitor.stop()
+            assert rack.total_power_watts() == sum(
+                meter.power_watts for meter in monitor.meters.values())
+
+        check(SleepState.S0)
+        rack.make_zombie("c")
+        check(SleepState.SZ)
+        rack.wake("c")
+        check(SleepState.S0)
+        for state in (SleepState.S3, SleepState.S4, SleepState.S5):
+            host.suspend(state)
+            check(state)
+            rack.wake("c")
+        assert set(seen) == set(SleepState)
+
 
 class TestEnergySimulation:
     @pytest.fixture(scope="class")

@@ -8,6 +8,7 @@ from repro.energy.model import estimate_sz_fraction, server_power_watts
 from repro.energy.profiles import HP_PROFILE
 from repro.energy.rack_monitor import RackEnergyMonitor
 from repro.errors import ConfigurationError
+from repro.hypervisor.vm import VmSpec
 from repro.units import MiB
 
 
@@ -66,8 +67,9 @@ class TestMonitoring:
             RackEnergyMonitor(rack, HP_PROFILE, sample_period_s=0.0)
 
     def test_utilization_hook(self, rack):
-        monitor = RackEnergyMonitor(rack, HP_PROFILE,
-                                    utilization_fn=lambda server: 1.0)
+        """32 booked vCPUs fill a host: it draws full S0 power."""
+        rack.create_vm("a", VmSpec("busy", 16 * MiB, vcpus=32))
+        monitor = RackEnergyMonitor(rack, HP_PROFILE)
         rack.engine.run(until=10.0)
         full = server_power_watts(HP_PROFILE, SleepState.S0, 1.0) * 10
         assert monitor.server_joules("a") == pytest.approx(full, rel=0.02)
