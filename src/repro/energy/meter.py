@@ -70,12 +70,3 @@ class EnergyMeter:
             if self._joules_counter is not None:
                 self._joules_counter.inc(delta)
             self._last_time = now
-
-    def accumulate(self, power_watts: float, duration_s: float) -> None:
-        """Directly add a constant-power segment from the last instant."""
-        if duration_s < 0:
-            raise SimulationError(f"negative duration {duration_s}")
-        self._joules += watts_x_seconds(power_watts, duration_s)
-        if self._joules_counter is not None:
-            self._joules_counter.inc(watts_x_seconds(power_watts, duration_s))
-        self._last_time += duration_s

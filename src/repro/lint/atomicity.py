@@ -15,8 +15,8 @@ The rule, per function in the scoped modules:
 1. a **read** of a shared-state family (leases, epochs, zombie-pool
    membership, mirror watermarks, recovery queues), followed by
 2. a **yield point** — a call that may transitively issue an outgoing
-   RPC (``RpcClient.call``/``call_timed``, the controller's ``mirror``
-   callback) or a literal ``yield``/``await``, followed by
+   RPC (``RpcClient.call``, the controller's ``mirror`` callback) or a
+   literal ``yield``/``await``, followed by
 3. a **write** to the same family,
 
 with no re-validation between the yield and the write, is one finding.
@@ -79,7 +79,7 @@ _MUTATORS = {
 #: Attribute-call names that ARE the outgoing-RPC surface, matched
 #: syntactically so the pass does not depend on resolving the client
 #: object's type (``client.call(...)``, ``self.mirror(...)``).
-_DIRECT_YIELD_ATTRS = {"call", "call_timed", "mirror"}
+_DIRECT_YIELD_ATTRS = {"call", "mirror"}
 
 
 class _Event:
@@ -137,7 +137,7 @@ def _is_direct_yield(node: ast.AST) -> bool:
 def direct_yield_functions(graph: CallGraph) -> Set[str]:
     """Functions whose own body issues (or is) an RPC round trip."""
     return {qual for qual, fn in graph.functions.items()
-            if qual.endswith(("RpcClient.call", "RpcClient.call_timed"))
+            if qual.endswith("RpcClient.call")
             or any(_is_direct_yield(node) for node in fn.nodes())}
 
 

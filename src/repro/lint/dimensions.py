@@ -135,8 +135,6 @@ SEED_ANNOTATIONS: Dict[str, Dict[str, str]] = {
     "energy.meter.EnergyMeter.set_power": {"now": "sim-seconds",
                                            "power_watts": "watts"},
     "energy.meter.EnergyMeter.advance": {"now": "sim-seconds"},
-    "energy.meter.EnergyMeter.accumulate": {"power_watts": "watts",
-                                            "duration_s": "seconds"},
     "energy.meter.EnergyMeter.joules": {"return": "joules"},
     "energy.meter.EnergyMeter.power_watts": {"return": "watts"},
     "energy.meter.EnergyMeter.kwh": {"return": "kwh"},
@@ -161,7 +159,7 @@ EXACT_ATTR_DIMS: Dict[str, str] = {"now": "sim-seconds"}
 
 #: Instrument-creating registry methods and value-feeding sinks.
 _METRIC_CREATORS = {"counter", "gauge", "histogram"}
-_METRIC_SINKS = {"inc", "dec", "set", "observe"}
+_METRIC_SINKS = {"inc", "set", "observe"}
 
 _NUMERIC = (int, float)
 

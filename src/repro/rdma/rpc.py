@@ -543,20 +543,11 @@ class RpcClient:
         client's polls never observe a response) and every configured
         retry attempt was exhausted.
         """
-        # The client side's one traced-or-not decision per logical call
-        # (:meth:`call_timed` is the same entry point, keeping the time).
+        # The client side's one traced-or-not decision per logical call.
         tel = self.node.fabric.telemetry
         if tel.enabled:
             return self._call_traced(tel, method, args, kwargs)[0]
         return self._call_with_retries(method, args, kwargs)[0]
-
-    def call_timed(self, method: str, *args: Any,
-                   **kwargs: Any) -> Tuple[Any, float]:
-        """Like :meth:`call` but also returns the simulated elapsed time."""
-        tel = self.node.fabric.telemetry
-        if tel.enabled:
-            return self._call_traced(tel, method, args, kwargs)
-        return self._call_with_retries(method, args, kwargs)
 
     def _call_traced(self, tel, method: str, args: tuple,
                      kwargs: dict) -> Tuple[Any, float]:

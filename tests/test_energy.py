@@ -143,7 +143,8 @@ class TestEnergyMeter:
 
     def test_kwh_conversion(self):
         meter = EnergyMeter()
-        meter.accumulate(1000.0, 3600.0)
+        meter.set_power(0.0, 1000.0)
+        meter.advance(3600.0)
         assert meter.kwh == pytest.approx(1.0)
 
     def test_time_cannot_go_backwards(self):
@@ -153,8 +154,10 @@ class TestEnergyMeter:
             meter.advance(5.0)
 
     def test_negative_duration_rejected(self):
+        # A power change reported before the meter's start would close a
+        # segment of negative length.
         with pytest.raises(SimulationError):
-            EnergyMeter().accumulate(10.0, -1.0)
+            EnergyMeter(start_time=1.0).set_power(0.0, 10.0)
 
     def test_segments_recorded(self):
         meter = EnergyMeter()
@@ -179,9 +182,9 @@ class TestEnergyMeter:
             meter.advance(60.0 * minute)
         assert meter.joules == pytest.approx(
             120.0 * 300_000.0 + 45.0 * 300_000.0)
-        meter.accumulate(45.0, 30.0)
+        meter.advance(600_030.0)
         assert meter.joules == pytest.approx(
             120.0 * 300_000.0 + 45.0 * 300_030.0)
-        meter.advance(600_040.0)  # integrates on from the accumulated end
+        meter.advance(600_040.0)  # integrates on from the last instant
         assert meter.joules == pytest.approx(
             120.0 * 300_000.0 + 45.0 * 300_040.0)

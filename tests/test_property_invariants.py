@@ -12,6 +12,7 @@ Each property encodes an invariant the system relies on:
 - the energy meter integral equals the sum of power × duration.
 """
 
+import itertools
 import math
 
 import pytest
@@ -291,9 +292,13 @@ def test_buffer_db_journal_replay_is_faithful(ops):
     st.floats(0.0, 100.0, allow_nan=False)), max_size=20))
 def test_energy_meter_equals_sum_of_segments(segments):
     meter = EnergyMeter()
-    for power, duration in segments:
-        meter.accumulate(power, duration)
-    expected = sum(power * duration for power, duration in segments)
+    times = list(itertools.accumulate(
+        (duration for _, duration in segments), initial=0.0))
+    for (power, _), start in zip(segments, times):
+        meter.set_power(start, power)
+    meter.advance(times[-1])
+    expected = sum(power * (end - start) for (power, _), start, end
+                   in zip(segments, times, times[1:]))
     assert math.isclose(meter.joules, expected, rel_tol=1e-9, abs_tol=1e-9)
 
 

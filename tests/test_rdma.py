@@ -241,9 +241,8 @@ class TestRpc:
     def test_call_timed_returns_elapsed(self):
         fabric, server, client, _ = self._endpoints()
         server.register("ping", lambda: "pong")
-        result, elapsed = client.call_timed("ping")
-        assert result == "pong"
-        assert elapsed == pytest.approx(fabric.costs.rpc_time())
+        assert client.call("ping") == "pong"
+        assert client.time_spent_s == pytest.approx(fabric.costs.rpc_time())
 
     def test_rpc_slower_than_one_sided(self):
         costs = RdmaCostModel()
