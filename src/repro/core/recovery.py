@@ -27,7 +27,7 @@ a :class:`HostRecoveryStats` incident for benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.controller import GlobalMemoryController
 from repro.core.events import EventKind
@@ -42,6 +42,47 @@ ControllerFn = Callable[[], GlobalMemoryController]
 
 #: Read once: every awake host costs one heartbeat per probe round.
 _HEARTBEAT = Method.HEARTBEAT
+
+
+class OwedWork(Dict[Tuple[str, str], List[int]]):
+    """Ids owed to a target until it takes them: ``(target, subject) → ids``.
+
+    Recovery's resyncs and invalidations and the federation's recalls are
+    each one of these.  Owing is a union, so a second debt never erases
+    the first; :meth:`settle` drops exactly the delivered ids from what is
+    owed *now*, so ids owed while a delivery was in flight survive it.
+    A key is present only while something is owed to it.
+    """
+
+    __slots__ = ()
+
+    def owe(self, target: str, subject: str, ids: Iterable[int]) -> None:
+        owed = self.get((target, subject), [])
+        owed += [x for x in ids if x not in owed]
+        if owed:
+            self[(target, subject)] = owed
+
+    def due(self) -> List[Tuple[Tuple[str, str], List[int]]]:
+        """Everything owed, by key: a snapshot a delivery may outlive."""
+        return [(key, list(ids)) for key, ids in sorted(self.items())]
+
+    def settle(self, target: str, subject: str, ids: List[int]) -> None:
+        remaining = [x for x in self.pop((target, subject), ())
+                     if x not in ids]
+        if remaining:
+            self[(target, subject)] = remaining
+
+    def pay(self, deliver: Callable[[str, str, List[int]], bool],
+            target: Optional[str] = None) -> int:
+        """Offer every debt (only ``target``'s, if given) to ``deliver``,
+        in key order, and settle each it took (it returns ``True``).
+        Returns the number of ids settled."""
+        paid = 0
+        for (to, subject), ids in self.due():
+            if (target is None or to == target) and deliver(to, subject, ids):
+                self.settle(to, subject, ids)
+                paid += len(ids)
+        return paid
 
 
 @dataclass
@@ -84,13 +125,14 @@ class RecoveryCoordinator:
         self.incidents: List[HostRecoveryStats] = []
         self._open_incident: Dict[str, HostRecoveryStats] = {}
         self._misses: Dict[str, int] = {}
-        #: Buffer ids invalidated per lost host, owed an ``AS_resync``.
-        self._pending_resync: Dict[str, List[int]] = {}
+        #: Buffer ids invalidated per lost host, owed an ``AS_resync``:
+        #: (host, host) → ids.
+        self._owed_resyncs = OwedWork()
         #: Invalidations a user could not receive (it was unreachable
-        #: itself during the recovery), owed a retry: user → serving host
+        #: itself during the recovery), owed a retry: (user, serving host)
         #: → buffer ids.  Without the retry the user keeps stale leases
         #: to purged buffers and uses them again once it heals.
-        self._pending_invalidate: Dict[str, Dict[str, List[int]]] = {}
+        self._owed_invalidations = OwedWork()
         self.probes_sent = 0
         self.reports_received = 0
         self._monitor: Optional[PeriodicProcess] = None
@@ -152,10 +194,10 @@ class RecoveryCoordinator:
         finally:
             # Counted per host visited, as probing each host would.
             self._count_probes(controller, probed)
-        if self._pending_resync:
-            self._flush_pending_resyncs()
-        if self._pending_invalidate:
-            self._flush_pending_invalidates()
+        if self._owed_resyncs:
+            self._owed_resyncs.pay(self._resync)
+        if self._owed_invalidations:
+            self._owed_invalidations.pay(self._invalidate)
 
     @staticmethod
     def _probe_view(controller: GlobalMemoryController) -> tuple:
@@ -287,12 +329,11 @@ class RecoveryCoordinator:
             if host in self.lost_hosts:
                 return None
             for user, ids in unreached:
-                owed = self._pending_invalidate.setdefault(user, {})
-                kept = owed.get(host, [])
-                owed[host] = kept + [x for x in ids if x not in kept]
+                self._owed_invalidations.owe(user, host, ids)
             self.lost_hosts.add(host)
             self._misses[host] = 0
-            self._pending_resync[host] = [d.buffer_id for d in descriptors]
+            self._owed_resyncs.owe(host, host,
+                                   [d.buffer_id for d in descriptors])
             self.incidents.append(stats)
             self._open_incident[host] = stats
             controller.events.emit(
@@ -341,83 +382,42 @@ class RecoveryCoordinator:
                     "recovery_outage_seconds",
                     "Declared-lost to recovered, per incident.",
                 ).observe(stats.recovered_at - stats.detected_at)
-        self._try_resync(host)
+        self._owed_resyncs.pay(self._resync, host)
 
-    def _try_resync(self, host: str) -> None:
+    def _resync(self, host: str, _: str, stale: List[int]) -> bool:
         """Tell a healed lender to drop its stale lent-buffer records."""
-        stale = self._pending_resync.get(host)
-        if not stale:
-            self._pending_resync.pop(host, None)
-            return
         controller = self.controller
         node = controller.node.fabric.nodes.get(host)
-        if node is None or not node.cpu_alive:
-            return  # still a zombie (CPU off): resync after it wakes
+        if host in self.lost_hosts or node is None or not node.cpu_alive:
+            return False  # lost, or still a zombie (CPU off): after it wakes
         try:
             controller._agent_call(host, Method.AS_RESYNC, stale)
         except (RpcError, ControllerError):
-            return  # keep pending; retried on the next probe tick
-        # The AS_resync round trip is a yield point: a recovery that runs
-        # while it is in flight may append fresh stale ids for this host.
-        # Dropping the whole key would lose them — clear only what this
-        # call actually resynced (ZL010).
-        owed = self._pending_resync.get(host)
-        if owed is None:
-            return
-        remaining = [x for x in owed if x not in stale]
-        if remaining:
-            self._pending_resync[host] = remaining
-        else:
-            del self._pending_resync[host]
+            return False  # still owed; retried on the next probe tick
+        return True
 
-    def _flush_pending_resyncs(self) -> None:
-        for host in sorted(self._pending_resync):
-            if host not in self.lost_hosts:
-                self._try_resync(host)
-
-    def _flush_pending_invalidates(self) -> None:
-        """Deliver ``US_invalidate`` to users that missed it.
-
-        A user that was itself unreachable while its serving host was
-        declared lost still holds leases on purged buffers — once it
-        heals it would keep reading memory the controller no longer
-        tracks.  Each probe round retries the owed invalidations until
-        the user takes them (found by ZomCheck's lost-buffer-access
-        exploration; the model's atomic-invalidation guard is made true
-        here, eventually, by this retry loop).
-        """
+    def _invalidate(self, user: str, host: str, ids: List[int]) -> bool:
+        """Deliver a ``US_invalidate`` the user missed while unreachable
+        (found by ZomCheck's lost-buffer-access exploration: this retry
+        makes the model's atomic invalidation eventually true)."""
         controller = self.controller
         fabric = controller.node.fabric
-        for user in sorted(self._pending_invalidate):
-            node = fabric.nodes.get(user)
-            if (node is None or not node.cpu_alive
-                    or not fabric.is_reachable(user)):
-                continue
-            for host, ids in sorted(self._pending_invalidate[user].items()):
-                try:
-                    fallbacks = controller._agent_call(
-                        user, Method.US_INVALIDATE, host, ids
-                    )
-                except FencingError:
-                    raise  # we were deposed: abort loudly, as in declare_host_lost
-                except (RpcError, ControllerError):  # zl: ignore[ZL005] kept pending; retried next probe tick
-                    continue
-                controller.events.emit(
-                    EventKind.BUFFERS_INVALIDATED, user, serving_host=host,
-                    buffers=len(ids), fallback_pages=fallbacks,
-                    deferred=True,
-                )
-                # The US_invalidate round trip is a yield point: a
-                # recovery that ran meanwhile may owe this user fresh ids.
-                # Drop only what this call delivered (ZL010).
-                owed = self._pending_invalidate.get(user, {})
-                remaining = [x for x in owed.get(host, ()) if x not in ids]
-                if remaining:
-                    owed[host] = remaining
-                else:
-                    owed.pop(host, None)
-                if not owed:
-                    self._pending_invalidate.pop(user, None)
+        node = fabric.nodes.get(user)
+        if (node is None or not node.cpu_alive
+                or not fabric.is_reachable(user)):
+            return False
+        try:
+            fallbacks = controller._agent_call(user, Method.US_INVALIDATE,
+                                               host, ids)
+        except FencingError:
+            raise  # we were deposed: abort loudly, as in declare_host_lost
+        except (RpcError, ControllerError):
+            return False  # still owed; retried on the next probe tick
+        controller.events.emit(
+            EventKind.BUFFERS_INVALIDATED, user, serving_host=host,
+            buffers=len(ids), fallback_pages=fallbacks, deferred=True,
+        )
+        return True
 
     # -- introspection -----------------------------------------------------
     def stats_for(self, host: str) -> List[HostRecoveryStats]:

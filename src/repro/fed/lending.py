@@ -25,10 +25,11 @@ request ids — a lost reply or duplicated borrow can never double-lend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.protocol import Method
 from repro.core.rack import PrimaryChannel
+from repro.core.recovery import OwedWork
 from repro.errors import (BufferError_, ConfigurationError, ControllerError,
                           RpcError)
 from repro.rdma.rpc import RpcServer
@@ -91,9 +92,9 @@ class LendingManager:
         self.fed = federation
         self.loans: Dict[int, Loan] = {}
         self.agents: Dict[Tuple[str, str], LendingAgent] = {}
-        #: Recalls whose borrower-side drop hit a transport/controller
-        #: fault; retried by :meth:`pump_recalls`.
-        self.pending_recalls: List[Tuple[str, List[int]]] = []
+        #: Recalled loans not yet dropped on their borrower: (borrower,
+        #: donor) → ids, settled by :meth:`pump_recalls`.
+        self.owed_recalls = OwedWork()
         self.borrows = 0
         self.returns = 0
         self.recalls = 0
@@ -122,6 +123,7 @@ class LendingManager:
         zombie-first priority.  Returns the number of buffers borrowed;
         raises :class:`AllocationError` when the donor pool is dry.
         """
+        self.pump_recalls()
         agent = self.agent_for(borrower, donor)
         granted = agent.channel.call(
             Method.FED_BORROW.value, agent.node.name, nb_buffers)
@@ -146,6 +148,7 @@ class LendingManager:
         same order a donor-initiated recall uses, so a crash between the
         two steps leaves the loan recallable, never double-owned.
         """
+        self.pump_recalls()
         pair = [loan.buffer_id for loan in self.loans.values()
                 if loan.borrower == borrower and loan.donor == donor]
         wanted = pair if buffer_ids is None else [
@@ -168,58 +171,41 @@ class LendingManager:
 
     # -- donor-initiated recall -------------------------------------------
     def recalled_by_donor(self, donor: str, buffer_ids: List[int]) -> int:
-        """The donor revoked loans; drop them on the borrower side.
+        """The donor revoked loans; owe their drop to each borrower and
+        settle what is owed (see :meth:`pump_recalls`)."""
+        for buffer_id in sorted(buffer_ids):
+            loan = self.loans.get(buffer_id)
+            if loan is not None and loan.donor == donor:
+                self.owed_recalls.owe(loan.borrower, donor, [buffer_id])
+        return self.pump_recalls()
 
-        A transport/controller fault while recalling the borrower's
-        local users queues the drop for :meth:`pump_recalls` instead of
-        failing the donor's revocation — the donor's reclaim must not
+    def pump_recalls(self) -> int:
+        """Drop every owed recall on its borrower; returns how many loans
+        were dropped.
+
+        Every lending operation starts here, so a drop a borrower could
+        not take (a transport/controller fault while revoking its local
+        users) is retried by the next one — the donor's reclaim must not
         block on a borrower's flaky user.
         """
-        per_borrower: Dict[str, List[int]] = {}
-        for buffer_id in buffer_ids:
-            loan = self.loans.get(buffer_id)
-            if loan is None or loan.donor != donor:
-                continue
-            per_borrower.setdefault(loan.borrower, []).append(buffer_id)
-        recalled = self._drop_or_defer(
-            (borrower, sorted(ids))
-            for borrower, ids in sorted(per_borrower.items()))
-        self.recalls += recalled
-        return recalled
-
-    def _drop_or_defer(self, batches: Iterable[Tuple[str, List[int]]]) -> int:
-        """Drop each ``(borrower, ids)`` batch of recalled loans on its
-        borrower, or queue it on ``pending_recalls`` for
-        :meth:`pump_recalls`; returns how many loans were dropped."""
-        dropped = 0
-        for borrower, ids in batches:
-            if not self._drop_on_borrower(borrower, ids):
-                self.pending_recalls.append((borrower, ids))
-                continue
-            for buffer_id in ids:
-                self.loans.pop(buffer_id, None)
-            dropped += len(ids)
+        if not self.owed_recalls:
+            return 0
+        dropped = self.owed_recalls.pay(self._drop_recalled)
+        self.recalls += dropped
         return dropped
 
-    def _drop_on_borrower(self, borrower: str, ids: List[int]) -> bool:
-        """Drop recalled loans from the borrower's database.
-
-        Returns ``False`` on any controller/transport fault so the batch
-        is deferred — deliberately no event emit here: this sits on the
-        donor's ``US_reclaim`` call graph, and the deferral is already
-        observable through ``pending_recalls``.
-        """
+    def _drop_recalled(self, borrower: str, _: str, ids: List[int]) -> bool:
+        """Drop recalled loans from the borrower's database, or return
+        ``False`` on a fault (no event: this sits on the donor's
+        ``US_reclaim`` call graph, and ``owed_recalls`` shows the debt)."""
         try:
             self.fed.racks[borrower].controller.fed_recall(ids)
         except (RpcError, ControllerError, BufferError_,
                 ConfigurationError):
             return False
+        for buffer_id in ids:
+            self.loans.pop(buffer_id, None)
         return True
-
-    def pump_recalls(self) -> int:
-        """Retry deferred borrower-side recall drops; returns completed."""
-        pending, self.pending_recalls = self.pending_recalls, []
-        return self._drop_or_defer(pending)
 
     # -- introspection ----------------------------------------------------
     def loans_from(self, donor: str) -> List[Loan]:

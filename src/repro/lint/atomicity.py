@@ -62,18 +62,20 @@ STATE_FAMILIES: Dict[str, str] = {
     "mirror_applied_seq": "mirror",
     "mirror_deferred": "mirror",
     "lost_hosts": "recovery",
-    "_pending_invalidate": "recovery",
-    "_pending_resync": "recovery",
+    "_owed_invalidations": "recovery",
+    "_owed_resyncs": "recovery",
     "_misses": "recovery",
     "_open_incident": "recovery",
 }
 
 #: Method names that mutate their receiver.  A call
-#: ``<...family-attr...>.<mutator>(...)`` is a write to the family.
+#: ``<...family-attr...>.<mutator>(...)`` is a write to the family
+#: (``owe``/``settle`` are the recovery queues' ``OwedWork`` writers).
 _MUTATORS = {
     "add", "remove", "set_kind", "assign", "unassign", "apply", "adopt",
     "host_add", "zombie_add", "zombie_remove", "pop", "popleft", "append",
     "extend", "clear", "update", "discard", "insert", "setdefault", "popitem",
+    "owe", "settle",
 }
 
 #: Attribute-call names that ARE the outgoing-RPC surface, matched

@@ -25,7 +25,7 @@ import enum
 import itertools
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import (CircuitOpenError, ConfigurationError,
                           DeadlineExceededError, FencingError, RpcError,
@@ -533,6 +533,8 @@ class RpcClient:
         #: Last delivered request, kept so an injected *reorder* can
         #: re-present it to the server as a stale retransmission.
         self._last_request: Optional[tuple] = None
+        #: The last completed attempt's wire time: its span's width.
+        self._elapsed = 0.0
         self._verbs: Dict[str, _ChannelVerb] = {}
         self._qp = node.connect_qp(server.node.name)
 
@@ -546,11 +548,11 @@ class RpcClient:
         # The client side's one traced-or-not decision per logical call.
         tel = self.node.fabric.telemetry
         if tel.enabled:
-            return self._call_traced(tel, method, args, kwargs)[0]
-        return self._call_with_retries(method, args, kwargs)[0]
+            return self._call_traced(tel, method, args, kwargs)
+        return self._call_with_retries(method, args, kwargs)
 
     def _call_traced(self, tel, method: str, args: tuple,
-                     kwargs: dict) -> Tuple[Any, float]:
+                     kwargs: dict) -> Any:
         """The retry loop inside a ``call.<verb>`` span, with its metrics."""
         registry = tel.registry
         verb = self._verbs.get(method)
@@ -565,8 +567,8 @@ class RpcClient:
             if "epoch" in kwargs:
                 span.set_tag("epoch", kwargs["epoch"])
             try:
-                result, elapsed = self._call_with_retries(
-                    method, args, kwargs, traced=True)
+                result = self._call_with_retries(method, args, kwargs,
+                                                 traced=True)
             except BaseException as exc:
                 if isinstance(exc, CircuitOpenError):
                     outcome = "breaker_open"
@@ -596,7 +598,7 @@ class RpcClient:
             # Simulated time does not flow while the handler runs, so the
             # span takes its width from the cost model, not the clock.
             span.end_s = span.start_s + logical
-        return result, elapsed
+        return result
 
     def _note_retries(self, registry, span, method: str, retried: int) -> None:
         if retried:
@@ -606,7 +608,7 @@ class RpcClient:
                              verb=method).inc(retried)
 
     def _call_with_retries(self, method: str, args: tuple, kwargs: dict,
-                           traced: bool = False) -> Tuple[Any, float]:
+                           traced: bool = False) -> Any:
         """The retry loop (single attempt without a policy).
 
         Each logical call gets one ``(client_id, seq)`` request id here —
@@ -646,7 +648,7 @@ class RpcClient:
             attempt += 1
             stats.attempts += 1
             try:
-                result, elapsed = attempt_once(method, args, kwargs)
+                result = attempt_once(method, args, kwargs)
             # Handlers may raise anything; the blind catch is deliberate —
             # non-retryable exceptions are re-raised right below, after
             # informing the breaker that the channel itself answered.
@@ -676,10 +678,10 @@ class RpcClient:
                 continue
             if breaker.state is not _CLOSED or breaker.consecutive_failures:
                 breaker.record_success()
-            return result, elapsed
+            return result
 
     def _attempt_traced(self, method: str, args: tuple,
-                        kwargs: dict) -> Tuple[Any, float]:
+                        kwargs: dict) -> Any:
         """One wire round (:meth:`_attempt`) as its own span.
 
         The trace context is (re-)injected into the request metadata per
@@ -694,12 +696,12 @@ class RpcClient:
             # parents to it.
             kwargs[WIRE_CONTEXT_KEY] = span.context
             try:
-                result, elapsed = self._attempt(method, args, kwargs)
+                result = self._attempt(method, args, kwargs)
             except RpcTimeoutError:
                 span.end_s = span.start_s + self.timeout_s
                 raise
-            span.end_s = span.start_s + elapsed
-            return result, elapsed
+            span.end_s = span.start_s + self._elapsed
+            return result
 
     def _burn_timeout(self, method: str, reason: str) -> None:
         """Poll fruitlessly for a full timeout, then raise (retryable)."""
@@ -728,8 +730,7 @@ class RpcClient:
         except Exception:  # noqa: BLE001
             pass
 
-    def _attempt(self, method: str, args: tuple,
-                 kwargs: dict) -> Tuple[Any, float]:
+    def _attempt(self, method: str, args: tuple, kwargs: dict) -> Any:
         """The wire-level request/poll round.
 
         Consults the fabric's message-fault injector for this link: a
@@ -800,12 +801,13 @@ class RpcClient:
             polls = costs.polls(elapsed)
         else:
             elapsed, polls = costs.rpc_round
+        self._elapsed = elapsed
         self.polls += polls
         self.time_spent_s += elapsed
         stats = fabric.stats
         stats.rpcs += 1
         stats.busy_seconds += elapsed
-        return result, elapsed
+        return result
 
     def close(self) -> None:
         self.node.pd.destroy_qp(self._qp.qp_num)

@@ -103,15 +103,21 @@ HOST_LOST_GUARD = (
     "                if descriptor.buffer_id not in controller.db:\n"
     "                    continue\n"
 )
-RESYNC_REREAD = (
-    "        owed = self._pending_resync.get(host)\n"
-    "        if owed is None:\n"
-    "            return\n"
-    "        remaining = [x for x in owed if x not in stale]\n"
+# The owed-work table's two rules: owing is a union, and settling drops
+# only the delivered ids.  The bugs: an overwrite (a second loss that owes
+# nothing erases the first loss's debt), and dropping the whole key after
+# the round trip (ids owed meanwhile are lost).
+OWE_UNION = (
+    "        owed = self.get((target, subject), [])\n"
+    "        owed += [x for x in ids if x not in owed]\n"
+    "        if owed:\n"
+    "            self[(target, subject)] = owed\n"
+)
+SETTLE_DELIVERED = (
+    "        remaining = [x for x in self.pop((target, subject), ())\n"
+    "                     if x not in ids]\n"
     "        if remaining:\n"
-    "            self._pending_resync[host] = remaining\n"
-    "        else:\n"
-    "            del self._pending_resync[host]\n"
+    "            self[(target, subject)] = remaining\n"
 )
 ALLOCATE_RECHECK = (
     "            chosen = [b for b in chosen if b.buffer_id in self.db\n"
@@ -127,28 +133,13 @@ REPAIR_REQUEUE = (
     "                if store not in self._stores_needing_repair:\n"
     "                    self._stores_needing_repair.append(store)\n"
 )
-# The bug: dropping the whole (user, host) key after the round trip loses
-# ids a recovery owed meanwhile.
-FLUSH_INVALIDATE_REREAD = (
-    "                owed = self._pending_invalidate.get(user, {})\n"
-    "                remaining = [x for x in owed.get(host, ()) "
-    "if x not in ids]\n"
-    "                if remaining:\n"
-    "                    owed[host] = remaining\n"
-    "                else:\n"
-    "                    owed.pop(host, None)\n"
-    "                if not owed:\n"
-    "                    self._pending_invalidate.pop(user, None)\n"
-)
-FLUSH_INVALIDATE_DROP_KEY = (
-    "                del self._pending_invalidate[user][host]\n"
-    "                if not self._pending_invalidate[user]:\n"
-    "                    del self._pending_invalidate[user]\n"
-)
 HOST_LOST_REREAD = (
     "            if host in self.lost_hosts:\n"
     "                return None\n"
     "            for user, ids in unreached:\n"
+)
+OWE_UNREACHED = (
+    "                self._owed_invalidations.owe(user, host, ids)\n"
 )
 PROBE_TICK_ORDER = (
     "                if host not in self.lost_hosts:\n"
@@ -191,10 +182,6 @@ MUTATIONS: Tuple[Mutation, ...] = (
         Lint("ZL010:repro.core.recovery:"
              "RecoveryCoordinator.declare_host_lost:leases"),
         (RECOVERY, HOST_LOST_GUARD, "")),
-    row("try-resync-reread",
-        Lint("ZL010:repro.core.recovery:"
-             "RecoveryCoordinator._try_resync:recovery"),
-        (RECOVERY, RESYNC_REREAD, "        del self._pending_resync[host]\n")),
     row("allocate-recheck",
         Lint("ZL010:repro.core.controller:"
              "GlobalMemoryController._allocate:leases"),
@@ -208,14 +195,19 @@ MUTATIONS: Tuple[Mutation, ...] = (
              "RemoteMemoryManager.repair_stores:leases"),
         ("src/repro/core/manager.py", REPAIR_REQUEUE,
          "                self._stores_needing_repair.append(store)\n")),
-    row("flush-invalidates-reread",
-        Lint("ZL010:repro.core.recovery:"
-             "RecoveryCoordinator._flush_pending_invalidates:recovery"),
-        (RECOVERY, FLUSH_INVALIDATE_REREAD, FLUSH_INVALIDATE_DROP_KEY)),
     row("declare-host-lost-reread",
         Lint("ZL010:repro.core.recovery:"
              "RecoveryCoordinator.declare_host_lost:recovery"),
         (RECOVERY, HOST_LOST_REREAD, "            for user, ids in unreached:\n")),
+    # ZL010 knows OwedWork's writers: owing before the re-read is a write
+    # the fan-out made stale.
+    row("owe-before-reread",
+        Lint("ZL010:repro.core.recovery:"
+             "RecoveryCoordinator.declare_host_lost:recovery"),
+        (RECOVERY, HOST_LOST_REREAD + OWE_UNREACHED,
+         "            for user, ids in unreached:\n" + OWE_UNREACHED
+         + "            if host in self.lost_hosts:\n"
+         "                return None\n")),
     row("probe-tick-branch-order",
         Lint("ZL010:repro.core.recovery:"
              "RecoveryCoordinator.probe_tick:recovery"),
@@ -266,6 +258,28 @@ MUTATIONS: Tuple[Mutation, ...] = (
         (RECOVERY, "for host in sorted(controller.known_hosts):",
          "for host in set(controller.known_hosts):")),
 
+    # Owed work: one merge rule and one settle, shared by recovery's
+    # resyncs and invalidations and the federation's recalls, and every
+    # lending operation settles the recalls still owed.
+    row("owe-overwrites",
+        ("tests/test_fault_injection.py::TestHostLossDetection::"
+         "test_second_loss_keeps_the_first_loss_owed_resync",),
+        (RECOVERY, OWE_UNION,
+         "        self[(target, subject)] = list(ids)\n")),
+    row("settle-drops-key",
+        ("tests/test_fault_injection.py::TestOwedWork::"
+         "test_ids_owed_between_due_and_settle_survive",),
+        (RECOVERY, SETTLE_DELIVERED,
+         "        self.pop((target, subject), None)\n")),
+    row("borrow-skips-owed-recalls",
+        ("tests/test_fed_chaos.py::TestBorrowerFaultDuringRecall::"
+         "test_owed_recall_is_settled_by_the_next_lending_operation",),
+        ("src/repro/fed/lending.py",
+         "        self.pump_recalls()\n"
+         "        agent = self.agent_for(borrower, donor)\n"
+         "        granted",
+         "        agent = self.agent_for(borrower, donor)\n"
+         "        granted")),
     # The pool indexes are live, not merely present.
     row("free-bucket-insert-dropped",
         ("tests/test_core_database.py::TestPoolIndex::"

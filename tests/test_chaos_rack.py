@@ -212,7 +212,7 @@ class TestRandomizedChaos:
             if rack.server(name).is_zombie:
                 rack.wake(name)
         rack.engine.run(until=duration + 20.0)
-        assert not rack.recovery._pending_resync
+        assert not rack.recovery._owed_resyncs
         assert_standby_agrees(rack)
 
 

@@ -10,6 +10,7 @@ import pytest
 
 from repro.acpi.states import SleepState
 from repro.core.rack import Rack
+from repro.core.recovery import OwedWork
 from repro.errors import FencingError, RdmaError, RpcTimeoutError
 from repro.hypervisor.vm import VmSpec
 from repro.memory.buffers import LOCAL_FALLBACK_S
@@ -232,12 +233,12 @@ class TestHostLossDetection:
         assert rack.recovery.stats_for("z1")[0].recovered_at is not None
         assert rack.events.of_kind(EventKind.HOST_RECOVERED)
         # Still a zombie (CPU off): the lender-side resync must wait.
-        assert "z1" in rack.recovery._pending_resync
+        assert ("z1", "z1") in rack.recovery._owed_resyncs
         lender = rack.server("z1").manager
         assert lender.lent_bytes > 0  # stale records held across the nap
         rack.wake("z1")
         rack.engine.run(until=14.0)
-        assert "z1" not in rack.recovery._pending_resync
+        assert ("z1", "z1") not in rack.recovery._owed_resyncs
         assert lender.lent_bytes == 0  # AS_resync dropped the stale leases
 
     def test_intentional_suspend_is_not_a_failure(self):
@@ -262,7 +263,7 @@ class TestHostLossDetection:
         # The reboot wiped lender state; resync had nothing left to drop.
         assert rack.server("z1").manager.lent_bytes == 0
         assert rack.engine.now >= 12.0
-        assert not rack.recovery._pending_resync
+        assert not rack.recovery._owed_resyncs
 
     def test_unreachable_user_invalidated_once_it_heals(self):
         # Found by ZomCheck: when a serving host dies while the *user* is
@@ -285,7 +286,7 @@ class TestHostLossDetection:
         # ...and the next probe tick delivers the deferred invalidation.
         rack.recovery.probe_tick()
         assert store.lease_ids() == []
-        assert not rack.recovery._pending_invalidate
+        assert not rack.recovery._owed_invalidations
 
     @staticmethod
     def _serving_host_of(rack, user):
@@ -304,12 +305,12 @@ class TestHostLossDetection:
         assert store.lease_ids()
         serving = self._serving_host_of(rack, "h1")
         # An earlier incident left id 999 owed for the same pair.
-        rack.recovery._pending_invalidate = {"h1": {serving: [999]}}
+        rack.recovery._owed_invalidations.owe("h1", serving, [999])
         rack.fabric.partition("h1")
         rack.crash_server(serving)
         stats = rack.recovery.declare_host_lost(serving)
         assert stats.notify_failures == 1
-        owed = rack.recovery._pending_invalidate["h1"][serving]
+        owed = rack.recovery._owed_invalidations[("h1", serving)]
         assert 999 in owed
         assert set(store.lease_ids()) <= set(owed)
 
@@ -325,7 +326,7 @@ class TestHostLossDetection:
         rack.fabric.partition("h1")
         rack.crash_server(serving)
         rack.recovery.declare_host_lost(serving)
-        assert rack.recovery._pending_invalidate
+        assert rack.recovery._owed_invalidations
         rack.fabric.heal("h1")
 
         def fenced_call(*args, **kwargs):
@@ -333,6 +334,77 @@ class TestHostLossDetection:
 
         rack.controller._agent_call = fenced_call
         with pytest.raises(FencingError):
-            rack.recovery._flush_pending_invalidates()
+            rack.recovery.probe_tick()
         # The owed ids survive for whoever holds the valid epoch.
-        assert rack.recovery._pending_invalidate
+        assert rack.recovery._owed_invalidations
+
+    def test_second_loss_keeps_the_first_loss_owed_resync(self):
+        # Regression: a second loss of a zombie still owed the first
+        # loss's AS_resync (healed, but its CPU is off) once *assigned*
+        # the second loss's ids, none, over the first's.  The lender then
+        # kept its stale lent records past the wake, and a reclaim asked
+        # the controller for buffers it no longer tracked.
+        rack = Rack(["u1", "z1"], memory_bytes=256 * MiB,
+                    buff_size=16 * MiB)
+        rack.make_zombie("z1")
+        rack.start_host_monitoring(probe_period_s=1.0, miss_threshold=2)
+        lender = rack.server("z1").manager
+        assert lender.lent_bytes > 0
+        for _ in range(2):
+            rack.fabric.partition("z1")
+            rack.engine.run(until=rack.engine.now + 5.0)
+            assert "z1" in rack.recovery.lost_hosts
+            rack.fabric.heal("z1")
+            rack.engine.run(until=rack.engine.now + 15.0)
+            assert "z1" not in rack.recovery.lost_hosts
+            assert rack.server("z1").is_zombie
+        rack.wake("z1")
+        rack.engine.run(until=rack.engine.now + 5.0)
+        assert not rack.recovery._owed_resyncs
+        assert lender.lent_bytes == 0
+        assert lender.reclaim_bytes(64 * MiB) == 0
+
+
+class TestOwedWork:
+    def test_owing_is_a_union_and_owing_nothing_owes_nothing(self):
+        owed = OwedWork()
+        owed.owe("z1", "z1", [])
+        assert not owed
+        owed.owe("z1", "z1", [3, 1])
+        owed.owe("z1", "z1", [])
+        owed.owe("z1", "z1", [1, 2])
+        assert owed.due() == [(("z1", "z1"), [3, 1, 2])]
+
+    def test_due_is_sorted_by_key(self):
+        owed = OwedWork()
+        owed.owe("u2", "h1", [5])
+        owed.owe("u1", "h2", [4])
+        owed.owe("u1", "h1", [6])
+        assert [key for key, _ in owed.due()] == [
+            ("u1", "h1"), ("u1", "h2"), ("u2", "h1")]
+
+    def test_ids_owed_between_due_and_settle_survive(self):
+        owed = OwedWork()
+        owed.owe("u1", "h1", [1, 2])
+        (key, ids), = owed.due()
+        owed.owe("u1", "h1", [3])  # owed while the delivery is in flight
+        owed.settle(*key, ids)
+        assert owed.due() == [(("u1", "h1"), [3])]
+        owed.settle("u1", "h1", [3])
+        assert not owed and owed.due() == []
+
+    def test_pay_settles_only_what_was_delivered(self):
+        owed = OwedWork()
+        owed.owe("u1", "h1", [1])
+        owed.owe("u2", "h1", [2])
+        owed.owe("u3", "h1", [3])
+
+        def deliver(target, subject, ids):
+            if target == "u1":
+                owed.owe("u1", "h1", [9])  # owed during the round trip
+            return target != "u2"
+
+        assert owed.pay(deliver) == 2
+        assert owed.due() == [(("u1", "h1"), [9]), (("u2", "h1"), [2])]
+        assert owed.pay(lambda *_: True, "u2") == 1
+        assert owed.due() == [(("u1", "h1"), [9])]

@@ -71,7 +71,7 @@ def _fingerprint(fed):
     loans = tuple(sorted((loan.donor, loan.borrower)
                          for loan in fed.lending.loans.values()))
     counters = (fed.lending.borrows, fed.lending.returns,
-                fed.lending.recalls, len(fed.lending.pending_recalls))
+                fed.lending.recalls, len(fed.lending.owed_recalls))
     return racks, loans, counters
 
 
@@ -112,7 +112,7 @@ class TestDonorFailover:
         # And the loans stay fully recallable through the new primary.
         fed.lending.return_loans("rack2", "rack1")
         assert fed.lending.loans == {}
-        assert fed.lending.pending_recalls == []
+        assert not fed.lending.owed_recalls
 
     def test_donor_recall_still_flows_after_failover(self):
         fed = _build(11)
@@ -126,9 +126,42 @@ class TestDonorFailover:
         fed.lending.pump_recalls()
         assert fed.lending.loans_from("rack1") == []
         assert fed.lending.recalls > 0
-        assert fed.lending.pending_recalls == []
+        assert not fed.lending.owed_recalls
         for rack in fed.racks.values():
             assert_standby_agrees(rack)
+
+
+class TestBorrowerFaultDuringRecall:
+    @pytest.mark.parametrize("next_op", ["borrow", "return_loans"])
+    def test_owed_recall_is_settled_by_the_next_lending_operation(
+            self, next_op):
+        # Regression: a recall whose borrower-side drop failed (the
+        # borrower's user was partitioned) was queued, and only a test
+        # ever retried it — the borrower kept records of buffers the
+        # donor had already taken back, however long it ran healed.
+        fed = _build(7)
+        recalled = sorted(fed.lending.loans)
+        assert recalled
+        fed.fabric.partition("rack2/h1")
+        fed.wake("rack1/h2", reclaim_bytes=MEMORY)
+        fed.wake("rack1/h3", reclaim_bytes=MEMORY)
+        assert fed.lending.owed_recalls
+        fed.fabric.heal("rack2/h1")
+        for rack in fed.racks.values():
+            rack.start_host_monitoring(probe_period_s=1.0, miss_threshold=3)
+        fed.engine.run(until=fed.engine.now + 60.0)
+        if next_op == "borrow":
+            fed.make_zombie("rack1/h2")
+            assert fed.lending.borrow("rack2", "rack1", 1) == 1
+        else:
+            assert fed.lending.return_loans("rack2", "rack1") == 0
+        borrower_db = fed.racks["rack2"].controller.db
+        assert [b for b in recalled if b in borrower_db] == []
+        assert [b for b in recalled if b in fed.lending.loans] == []
+        assert not fed.lending.owed_recalls
+        # Dropped as recalls, not handed back as returns.
+        assert fed.lending.recalls == len(recalled)
+        assert fed.lending.returns == 0
 
 
 def _tenant_homed_away(seed):

@@ -204,7 +204,7 @@ class TestLending:
         fed.wake("rack1/h3", reclaim_bytes=MEMORY)
         assert fed.lending.loans_from("rack1") == []
         assert fed.lending.recalls > 0
-        assert fed.lending.pending_recalls == []
+        assert not fed.lending.owed_recalls
 
     def test_stale_donor_epoch_is_fenced(self):
         fed = self._lend_pair()

@@ -77,8 +77,6 @@ KEEP: Dict[str, str] = {
         "observer of the platform's NIC-to-DRAM path per sleep state",
     "core.recovery:FaultSchedule.randomized":
         "the rack chaos tests draw replayable random fault schedules from it",
-    "fed.lending:LendingManager.pump_recalls":
-        "the federation chaos tests drive deferred recall retries with it",
     "hypervisor.split_driver:SplitDriverSwap.repair":
         "the only path that re-homes pages that fell back at write time: "
         "repair_stores only tracks stores a US_reclaim or US_invalidate degraded",
