@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.rack import Rack
+from repro.errors import RdmaError
 from repro.hypervisor.vm import VmSpec
 from repro.sim.rng import DeterministicRng
 from repro.units import MiB
@@ -76,6 +77,95 @@ def test_pinned_data_path_counters(policy):
     page_store = hv.store_for("vm")
     assert (page_store.pages_loaded, page_store.pages_stored,
             page_store.time_spent_s) == store
+
+
+
+def _zipf(vm):
+    return zipf_stream(vm.spec.total_pages, 20000, DeterministicRng(5),
+                       alpha=0.9, write_ratio=0.3)
+
+
+def _store_counters(store):
+    return dict(pages_loaded=store.pages_loaded,
+                pages_stored=store.pages_stored,
+                local_fallback_loads=store.local_fallback_loads,
+                local_fallback_stores=store.local_fallback_stores,
+                degraded_skips=store.degraded_skips,
+                fallback_count=store.fallback_count,
+                used_slots=store.used_slot_count,
+                time_spent_s=store.time_spent_s)
+
+
+def test_pinned_byte_carrying_run():
+    """Pages given bytes move them through ``rdma_read_timed`` and
+    ``rdma_write_timed``; every fill is checked against its bytes, and
+    every cost is the zero-page run's."""
+    rack = Rack(["user", "zombie"], memory_bytes=64 * MiB,
+                buff_size=4 * MiB, rng_seed=5)
+    rack.make_zombie("zombie")
+    vm = rack.create_vm("user", VmSpec("vm", 8 * MiB), local_fraction=0.5,
+                        policy="Mixed")
+    hv = rack.server("user").hypervisor
+    written = {}
+    for index, (ppn, write) in enumerate(_zipf(vm)):
+        if write:
+            written[ppn] = b"page %d write %d" % (ppn, index)
+            hv.write_page(vm, ppn, written[ppn])
+        else:
+            hv.access(vm, ppn)
+    stats, fabric, store = PINNED["Mixed"]
+    assert dataclasses.asdict(hv.stats("vm")) == stats
+    fs = rack.fabric.stats
+    assert (fs.reads, fs.writes, fs.bytes_read, fs.bytes_written,
+            fs.busy_seconds) == fabric
+    page_store = hv.store_for("vm")
+    assert (page_store.pages_loaded, page_store.pages_stored,
+            page_store.time_spent_s) == store
+    assert (len(written), len(page_store._backup)) == (1366, 543)
+    for ppn, data in written.items():
+        assert hv.read_page(vm, ppn) == data
+
+
+def test_pinned_degraded_run():
+    """One zombie is partitioned mid-run: faults on its pages are refused,
+    ``_place`` skips its leases and ``exchange`` falls back to the local
+    backup; after the heal ``restore_fallbacks`` brings them back."""
+    rack = Rack(["user", "z1", "z2"], memory_bytes=64 * MiB,
+                buff_size=1 * MiB, rng_seed=5)
+    rack.make_zombie("z1")
+    rack.make_zombie("z2")
+    vm = rack.create_vm("user", VmSpec("vm", 8 * MiB), local_fraction=0.5,
+                        policy="Mixed")
+    hv = rack.server("user").hypervisor
+    page_store = hv.store_for("vm")
+    assert [lease.host for lease in page_store.leases()] == [
+        "z1", "z2", "z1", "z2"]
+    refused = restored = 0
+    for index, (ppn, write) in enumerate(_zipf(vm)):
+        if index == 6000:
+            rack.fabric.partition("z2")
+        elif index == 14000:
+            rack.fabric.heal("z2")
+            restored = page_store.restore_fallbacks()
+        try:
+            hv.access(vm, ppn, write)
+        except RdmaError:
+            refused += 1
+    assert (refused, restored) == (112, 212)
+    assert dataclasses.asdict(hv.stats("vm")) == dict(
+        accesses=20000, page_faults=3936, demand_allocs=1939,
+        remote_fills=1885, prefetches=0, evictions=2800,
+        policy_cycles=355664, time_total_s=0.09123794426666021,
+        time_faults_s=0.08995282426666398)
+    assert (vm.policy.victims_selected, vm.policy.cycles_total) == (
+        2912, 367274)
+    assert dataclasses.asdict(rack.fabric.stats) == dict(
+        reads=1767, writes=2682, rpcs=124, bytes_read=7237632,
+        bytes_written=10985472, busy_seconds=0.01896152933333137)
+    assert _store_counters(page_store) == dict(
+        pages_loaded=1885, pages_stored=2800, local_fallback_loads=118,
+        local_fallback_stores=330, degraded_skips=1227, fallback_count=0,
+        used_slots=915, time_spent_s=0.08491888399999722)
 
 
 # -- no Enum member read through its class on the data path ------------------
