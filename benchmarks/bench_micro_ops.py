@@ -199,7 +199,7 @@ def test_victim_selection(benchmark, policy_name):
     table.clear_accessed_bits()
 
     def select_and_replace(state=[2048]):
-        victim = policy.select_victim(table)
+        victim = policy.select_victim(table).ppn
         table.demote(victim, remote_slot=victim)
         table.map_local(victim, Frame(victim))
         policy.note_resident(victim)

@@ -392,6 +392,8 @@ class RecoveryCoordinator:
             return False  # lost, or still a zombie (CPU off): after it wakes
         try:
             controller._agent_call(host, Method.AS_RESYNC, stale)
+        except FencingError:
+            raise  # we were deposed: abort loudly, as _invalidate does
         except (RpcError, ControllerError):
             return False  # still owed; retried on the next probe tick
         return True

@@ -113,7 +113,7 @@ class ExplicitSdVm:
     def _swap_out_one(self) -> float:
         stats = self.stats
         before = self.policy.cycles_total
-        victim = self.policy.select_victim(self.table)
+        victim = self.policy.select_victim(self.table).ppn
         cycles = self.policy.cycles_total - before
         stats.policy_cycles += cycles
         elapsed = self.device.swap_out((self.spec.name, victim))

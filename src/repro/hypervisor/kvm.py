@@ -178,21 +178,44 @@ class Hypervisor:
 
         Returns the simulated time the access took (local hit, or the full
         fault path: policy + eviction + remote fill).  Only the hypervisor
-        holding ``vm`` may run it.
+        holding ``vm`` may run it.  A hit reads its entry straight from
+        the table; a fault runs the paper's fault handler here: bring the
+        page in (:meth:`_page_in`), then verify it.
         """
         if vm.hypervisor is not self:
             raise HypervisorError(
                 f"{self.host}: VM {vm.name!r} is not held here")
         stats = vm.stats
         stats.accesses += 1
-        entry = vm.table.entry(ppn)
+        table = vm.table
+        entry = table.entries.get(ppn)
+        if entry is None:
+            entry = table.entry(ppn)  # first touch
         if entry.location is _LOCAL:
-            entry.accessed_epoch = vm.table.epoch
+            entry.accessed_epoch = table.epoch
             if write:
                 entry.dirty = True
             stats.time_total_s += LOCAL_ACCESS_S
             return LOCAL_ACCESS_S
-        cost = self._handle_fault(vm, entry)
+        stats.page_faults += 1
+        remote = entry.location is _REMOTE
+        data, read_s, evict_s = self._page_in(vm, entry)
+        cost = FAULT_BASE_S + read_s + evict_s
+        if remote:
+            stats.remote_fills += 1
+            if self._tel is not None:
+                self._m_remote_fills.inc()
+            expected = vm.contents.get(ppn)
+            if expected is not None and data[:len(expected)] != expected:
+                raise HypervisorError(
+                    f"VM {vm.name!r} ppn {ppn}: remote fill "
+                    "returned corrupted content"
+                )
+            if self.prefetch_window and vm.last_fill == ppn - 1:
+                cost += self._prefetch(vm, ppn)
+            vm.last_fill = ppn
+        else:
+            stats.demand_allocs += 1
         if write:
             entry.dirty = True
         stats.time_total_s += cost
@@ -217,38 +240,14 @@ class Hypervisor:
         self.access(vm, ppn)
         return vm.contents.get(ppn, b"")
 
-    def _handle_fault(self, vm: Vm, entry: PageTableEntry) -> float:
-        """The paper's fault handler: bring the page in, then verify it."""
-        stats = vm.stats
-        stats.page_faults += 1
-        remote = entry.location is _REMOTE
-        data, read_s, evict_s = self._page_in(vm, entry)
-        cost = FAULT_BASE_S + read_s + evict_s
-        if not remote:
-            stats.demand_allocs += 1
-            return cost
-        ppn = entry.ppn
-        stats.remote_fills += 1
-        if self._tel is not None:
-            self._m_remote_fills.inc()
-        expected = vm.contents.get(ppn)
-        if expected is not None and data[:len(expected)] != expected:
-            raise HypervisorError(
-                f"VM {vm.name!r} ppn {ppn}: remote fill "
-                "returned corrupted content"
-            )
-        if self.prefetch_window and vm.last_fill == ppn - 1:
-            cost += self._prefetch(vm, ppn)
-        vm.last_fill = ppn
-        return cost
-
     def _page_in(self, vm: Vm, entry: PageTableEntry
                  ) -> Tuple[Optional[bytes], float, float]:
         """Map ``entry``'s page onto a frame in one pass.
 
-        Under the quota a free frame is taken.  At the quota the victim
-        is chosen first, one store exchange trades it for the page, and
-        the page takes the victim's frame: the allocator is never
+        Under the quota a free frame is taken.  At the quota the policy
+        hands over the victim's entry, one store exchange trades the
+        victim for the page, and one page-table call demotes the victim
+        and maps the page onto its frame: the allocator is never
         touched.  Returns ``(bytes read or None, read seconds, eviction
         seconds)``; a refused read puts the victim back in line.
         """
@@ -274,9 +273,9 @@ class Hypervisor:
         spent_cycles = policy.cycles_total - before
         try:
             data, victim_key, read_s, write_s = store.exchange(
-                key, vm.contents.get(victim))
+                key, vm.contents.get(victim.ppn))
         except ReproError:
-            policy.requeue(victim)
+            policy.requeue(victim.ppn)
             raise
         stats = vm.stats
         stats.policy_cycles += spent_cycles
@@ -286,7 +285,7 @@ class Hypervisor:
                 "hv_evictions_total",
                 "Victim pages demoted to the remote store.",
                 host=self.host, policy=policy.name).inc()
-        table.map_local(entry.ppn, table.demote(victim, victim_key))
+        table.trade(victim, victim_key, entry)
         policy.note_resident(entry.ppn)
         return data, read_s, spent_cycles / CPU_HZ + write_s
 

@@ -221,19 +221,22 @@ class RemotePageStore:
         The new page takes the first free slot in lease order — the one
         just freed when its lease comes first — and falls back to the
         local backup when no reachable lease has room.  ``key=None``
-        only stores.  The read goes first, so a refused read leaves the
-        store as it was.  Returns ``(bytes read or None, new key, read
-        seconds, write seconds)``.
+        only stores.  The page's handle is read once; the read goes
+        first, so a refused read leaves the store as it was, and the
+        release goes through :meth:`_release`, as :meth:`free`'s does.
+        Returns ``(bytes read or None, new key, read seconds, write
+        seconds)``.
         """
-        payload = self._page_payload(data)
+        if data is not None:
+            data = self._page_payload(data)
         loaded, read_s = None, 0.0
         if key is not None:
-            loaded, read_s = self.load(key)
-            self.free(key)
+            handle = self._locations.get(key)
+            loaded, read_s = self._read(key, handle)
+            self._release(key, handle)
         new_key = next(self._keys)
-        placed = self._place(payload, new_key) or (_LOCAL, LOCAL_FALLBACK_S)
-        return loaded, new_key, read_s, self._settle(new_key, payload,
-                                                     *placed)
+        placed = self._place(data, new_key) or (_LOCAL, LOCAL_FALLBACK_S)
+        return loaded, new_key, read_s, self._settle(new_key, data, *placed)
 
     def restore_fallbacks(self) -> int:
         """Move local-fallback pages back into free remote slots.
@@ -261,9 +264,21 @@ class RemotePageStore:
         A zero page comes back as :data:`ZERO_PAGE` after paying the
         verb; a page with bytes is read out of the MR.
         """
-        handle = self._location(key)
+        return self._read(key, self._locations.get(key))
+
+    def free(self, key: int) -> None:
+        """Release a stored page (and its backup copy)."""
+        self._release(key, self._locations.get(key))
+
+    # -- helpers ---------------------------------------------------------
+    def _read(self, key: int, handle: Optional[SlotHandle]
+              ) -> Tuple[bytes, float]:
+        """:meth:`load` of ``key``, whose handle the caller has read
+        (None: the key is unknown)."""
+        if handle is None:
+            raise BufferError_(f"unknown page key {key}")
         payload = self._backup.get(key)
-        if handle == _LOCAL:
+        if handle is _LOCAL:
             data = ZERO_PAGE if payload is None else payload
             elapsed = LOCAL_FALLBACK_S
             self.local_fallback_loads += 1
@@ -285,10 +300,13 @@ class RemotePageStore:
         self.time_spent_s += elapsed
         return data, elapsed
 
-    def free(self, key: int) -> None:
-        """Release a stored page (and its backup copy)."""
-        handle = self._location(key)
-        if handle == _LOCAL:
+    def _release(self, key: int, handle: Optional[SlotHandle]) -> None:
+        """The one release point: :meth:`free` and :meth:`exchange` both
+        end here (and MemSan's double-free check hooks it).  ``handle``
+        is ``key``'s, or None when the key is unknown."""
+        if handle is None:
+            raise BufferError_(f"unknown page key {key}")
+        if handle is _LOCAL:
             self._add_fallbacks(-1)
         else:
             buffer_id, slot = handle
@@ -298,7 +316,6 @@ class RemotePageStore:
         del self._locations[key]
         self._backup.pop(key, None)
 
-    # -- helpers ---------------------------------------------------------
     def _settle(self, key: int, payload: Optional[bytes],
                 handle: SlotHandle, elapsed: float) -> float:
         """Record a page just stored at ``handle``; returns ``elapsed``."""
@@ -374,12 +391,6 @@ class RemotePageStore:
         self._count_op("orphaned", fallbacks)
         self._add_fallbacks(fallbacks)
         return fallbacks
-
-    def _location(self, key: int) -> SlotHandle:
-        handle = self._locations.get(key)
-        if handle is None:
-            raise BufferError_(f"unknown page key {key}")
-        return handle
 
     @staticmethod
     def _page_payload(data: Optional[bytes]) -> Optional[bytes]:

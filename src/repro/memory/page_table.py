@@ -54,7 +54,10 @@ class PageTable:
         if total_pages <= 0:
             raise ConfigurationError(f"page table needs >0 pages, got {total_pages}")
         self.total_pages = total_pages
-        self._entries: Dict[int, PageTableEntry] = {}
+        #: ppn → entry, for every page touched so far.  A hit and a
+        #: replacement candidate read it directly; :meth:`entry` runs
+        #: only on a page's first touch.
+        self.entries: Dict[int, PageTableEntry] = {}
         self.resident_pages = 0
         self.remote_pages = 0
         #: Accessed-bit epoch: an entry's bit is "set" iff its
@@ -64,7 +67,7 @@ class PageTable:
 
     def entry(self, ppn: int) -> PageTableEntry:
         """The entry for ``ppn``, created lazily as UNALLOCATED."""
-        entry = self._entries.get(ppn)
+        entry = self.entries.get(ppn)
         if entry is None:
             # Only in-range pages ever get an entry, so a hit needs no
             # range check.
@@ -73,7 +76,7 @@ class PageTable:
                     f"ppn {ppn} out of range [0, {self.total_pages})"
                 )
             entry = PageTableEntry(ppn)
-            self._entries[ppn] = entry
+            self.entries[ppn] = entry
         return entry
 
     # -- state transitions -------------------------------------------------
@@ -112,9 +115,38 @@ class PageTable:
         self.remote_pages += 1
         return frame
 
+    def trade(self, victim: PageTableEntry, remote_slot: Any,
+              entry: PageTableEntry) -> None:
+        """Demote ``victim`` to ``remote_slot`` and map ``entry`` onto the
+        frame it frees: :meth:`demote` then :meth:`map_local` in one call,
+        with their checks and counts, on entries the caller already holds.
+
+        Both checks come first, so a refused trade changes nothing.
+        """
+        frame = victim.frame
+        if victim.location is not _LOCAL or frame is None:
+            raise PageTableError(f"cannot demote non-present ppn {victim.ppn}")
+        location = entry.location
+        if location is _LOCAL:
+            raise PageTableError(f"ppn {entry.ppn} is already present")
+        victim.frame = None
+        victim.location = _REMOTE
+        victim.remote_slot = remote_slot
+        victim.accessed_epoch = -1
+        victim.dirty = False
+        # One page leaves residency and one enters: only a page that was
+        # never allocated changes the remote count.
+        if location is _REMOTE:
+            entry.remote_slot = None
+        else:
+            self.remote_pages += 1
+        entry.location = _LOCAL
+        entry.frame = frame
+        entry.accessed_epoch = self.epoch
+
     def discard(self, ppn: int) -> Optional[Frame]:
         """Drop a page entirely (VM teardown); returns its frame if local."""
-        entry = self._entries.pop(ppn, None)
+        entry = self.entries.pop(ppn, None)
         if entry is None:
             return None
         if entry.location is _LOCAL:
@@ -156,4 +188,4 @@ class PageTable:
     # -- views --------------------------------------------------------------
     def resident(self) -> Iterator[PageTableEntry]:
         """All present entries (iteration order is insertion order)."""
-        return (e for e in self._entries.values() if e.present)
+        return (e for e in self.entries.values() if e.present)

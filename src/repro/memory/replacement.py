@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.errors import ConfigurationError, PageTableError
-from repro.memory.page_table import PageLocation, PageTable
+from repro.memory.page_table import (PageLocation, PageTable,
+                                     PageTableEntry)
 
 #: Hot-path Enum members as module constants: see DESIGN.md,
 #: "Host-time conventions".
@@ -33,6 +34,8 @@ BASE_FAULT_CYCLES = 60        # bookkeeping common to every victim selection
 POP_CYCLES = 12               # dequeue + mapping lookup
 EXAMINE_CYCLES = 18           # read one entry's accessed bit
 CLEAR_CYCLES_PER_PAGE = 4     # reset one accessed bit during periodic sweep
+
+_NO_VICTIM = "no resident page available for eviction"
 
 
 class ReplacementPolicy(abc.ABC):
@@ -58,41 +61,24 @@ class ReplacementPolicy(abc.ABC):
             pass
 
     # -- victim selection --------------------------------------------------
-    def select_victim(self, table: PageTable) -> int:
-        """Pick and remove the next victim page; charges cycles.
+    @abc.abstractmethod
+    def select_victim(self, table: PageTable) -> PageTableEntry:
+        """Pick and remove the next victim page; returns its entry.
 
-        Entries whose pages are no longer resident (stale: their entry
-        is not LOCAL) are discarded lazily.
+        The whole selection is one frame: the policy pops candidates off
+        the FIFO list, reads each candidate's entry once and returns the
+        one it chose, so the caller never looks it up again.  Entries
+        whose pages are no longer resident (stale: their entry is not
+        LOCAL) are dropped as they come up.  Every selection charges
+        ``BASE_FAULT_CYCLES`` plus the policy's own work to
+        ``cycles_total``, and raises :class:`PageTableError` when no
+        resident page is left.
         """
-        cycles = BASE_FAULT_CYCLES
-        victim: Optional[int] = None
-        while self.fifo:
-            candidate, spent = self._pick(table)
-            cycles += spent
-            if candidate is not None:
-                victim = candidate
-                break
-        self.cycles_total += cycles
-        if victim is None:
-            raise PageTableError(
-                f"{self.name}: no resident page available for eviction"
-            )
-        self.victims_selected += 1
-        return victim
 
     def requeue(self, ppn: int) -> None:
         """Put back a victim whose eviction failed: it stays resident and
         is the next candidate."""
         self.fifo.appendleft(ppn)
-
-    @abc.abstractmethod
-    def _pick(self, table: PageTable):
-        """One selection attempt: return ``(ppn or None, cycles_spent)``.
-
-        Implementations must remove the returned page — and any stale
-        entries they encounter — from the FIFO list, and read each
-        candidate's page-table entry once.
-        """
 
 
 class FifoPolicy(ReplacementPolicy):
@@ -100,14 +86,39 @@ class FifoPolicy(ReplacementPolicy):
 
     name = "FIFO"
 
-    def _pick(self, table: PageTable):
-        ppn = self.fifo.popleft()
-        if table.entry(ppn).location is not _LOCAL:
-            return None, POP_CYCLES
-        return ppn, POP_CYCLES
+    def select_victim(self, table: PageTable) -> PageTableEntry:
+        fifo = self.fifo
+        entries = table.entries
+        cycles = BASE_FAULT_CYCLES
+        victim = None
+        while fifo:
+            entry = entries.get(fifo.popleft())
+            cycles += POP_CYCLES
+            if entry is not None and entry.location is _LOCAL:
+                victim = entry
+                break
+        self.cycles_total += cycles
+        if victim is None:
+            raise PageTableError(f"{self.name}: {_NO_VICTIM}")
+        self.victims_selected += 1
+        return victim
 
 
-class ClockPolicy(ReplacementPolicy):
+class _ClearingPolicy(ReplacementPolicy):
+    """A policy that reads accessed bits and clears them every
+    ``clear_interval`` victim selections, charging the sweep."""
+
+    def __init__(self, clear_interval: int = 256):
+        super().__init__()
+        if clear_interval <= 0:
+            raise ConfigurationError(
+                f"clear_interval must be > 0, got {clear_interval}"
+            )
+        self.clear_interval = clear_interval
+        self._since_clear = 0
+
+
+class ClockPolicy(_ClearingPolicy):
     """CLOCK: sweep the list for a page with a clear accessed bit.
 
     Pages with a set bit get a *second chance*: the hand passes them (they
@@ -120,51 +131,51 @@ class ClockPolicy(ReplacementPolicy):
 
     name = "Clock"
 
-    def __init__(self, clear_interval: int = 256):
-        super().__init__()
-        if clear_interval <= 0:
-            raise ConfigurationError(
-                f"clear_interval must be > 0, got {clear_interval}"
-            )
-        self.clear_interval = clear_interval
-        self._since_clear = 0
-
-    def _maybe_clear(self, table: PageTable) -> int:
-        self._since_clear += 1
-        if self._since_clear < self.clear_interval:
-            return 0
-        self._since_clear = 0
-        cleared = table.clear_accessed_bits()
-        return cleared * CLEAR_CYCLES_PER_PAGE
-
-    def _pick(self, table: PageTable):
-        cycles = self._maybe_clear(table)
-        # One full hand sweep at most: accessed pages rotate to the tail
-        # (second chance), stale entries are dropped, and the first
-        # clear-bit page is the victim.
+    def select_victim(self, table: PageTable) -> PageTableEntry:
         fifo = self.fifo
-        limit = len(fifo)
-        scanned = 0
-        while fifo and scanned < limit:
-            ppn = fifo.popleft()
-            scanned += 1
-            cycles += EXAMINE_CYCLES
-            entry = table.entry(ppn)
-            if entry.location is not _LOCAL:
-                continue
-            if not table.is_accessed(entry):
-                return ppn, cycles + POP_CYCLES
-            fifo.append(ppn)  # hand passes; bit cleared only periodically
-        # Every resident page was recently accessed: degrade to FIFO.
-        while fifo:
-            ppn = fifo.popleft()
-            cycles += POP_CYCLES
-            if table.entry(ppn).location is _LOCAL:
-                return ppn, cycles
-        return None, cycles
+        cycles = BASE_FAULT_CYCLES
+        victim = None
+        if fifo:
+            self._since_clear += 1
+            if self._since_clear >= self.clear_interval:
+                self._since_clear = 0
+                cycles += (table.clear_accessed_bits()
+                           * CLEAR_CYCLES_PER_PAGE)
+            entries = table.entries
+            # One full hand sweep at most: accessed pages rotate to the
+            # tail (second chance), stale entries are dropped, and the
+            # first clear-bit page is the victim.
+            limit = len(fifo)
+            scanned = 0
+            while fifo and scanned < limit:
+                ppn = fifo.popleft()
+                scanned += 1
+                cycles += EXAMINE_CYCLES
+                entry = entries.get(ppn)
+                if entry is None or entry.location is not _LOCAL:
+                    continue
+                if not table.is_accessed(entry):
+                    victim = entry
+                    cycles += POP_CYCLES
+                    break
+                fifo.append(ppn)  # hand passes; bit cleared only periodically
+            else:
+                # Every resident page was recently accessed: degrade to
+                # FIFO.
+                while fifo:
+                    entry = entries.get(fifo.popleft())
+                    cycles += POP_CYCLES
+                    if entry is not None and entry.location is _LOCAL:
+                        victim = entry
+                        break
+        self.cycles_total += cycles
+        if victim is None:
+            raise PageTableError(f"{self.name}: {_NO_VICTIM}")
+        self.victims_selected += 1
+        return victim
 
 
-class MixedPolicy(ReplacementPolicy):
+class MixedPolicy(_ClearingPolicy):
     """Clock on the first ``x`` FIFO entries, FIFO beyond them.
 
     The clock pass gives up to ``x`` head pages a second chance (set bit →
@@ -177,50 +188,52 @@ class MixedPolicy(ReplacementPolicy):
     name = "Mixed"
 
     def __init__(self, x: int = 5, clear_interval: int = 256):
-        super().__init__()
         if x <= 0:
             raise ConfigurationError(f"x must be > 0, got {x}")
-        if clear_interval <= 0:
-            raise ConfigurationError(
-                f"clear_interval must be > 0, got {clear_interval}"
-            )
+        super().__init__(clear_interval)
         self.x = x
-        self.clear_interval = clear_interval
-        self._since_clear = 0
 
-    def _maybe_clear(self, table: PageTable) -> int:
-        self._since_clear += 1
-        if self._since_clear < self.clear_interval:
-            return 0
-        self._since_clear = 0
-        cleared = table.clear_accessed_bits()
-        return cleared * CLEAR_CYCLES_PER_PAGE
-
-    def _pick(self, table: PageTable):
-        cycles = self._maybe_clear(table)
-        # Clock pass with second chance over the first x live entries.
+    def select_victim(self, table: PageTable) -> PageTableEntry:
         fifo = self.fifo
-        x = self.x
-        examined = 0
-        while fifo and examined < x:
-            ppn = fifo.popleft()
-            cycles += EXAMINE_CYCLES
-            entry = table.entry(ppn)
-            if entry.location is not _LOCAL:
-                continue
-            examined += 1
-            if not table.is_accessed(entry):
-                return ppn, cycles + POP_CYCLES
-            # Second chance: clear the bit as the hand passes, rotate.
-            entry.accessed_epoch = -1
-            fifo.append(ppn)
-        # FIFO on the rest of the list.
-        while fifo:
-            ppn = fifo.popleft()
-            cycles += POP_CYCLES
-            if table.entry(ppn).location is _LOCAL:
-                return ppn, cycles
-        return None, cycles
+        cycles = BASE_FAULT_CYCLES
+        victim = None
+        if fifo:
+            self._since_clear += 1
+            if self._since_clear >= self.clear_interval:
+                self._since_clear = 0
+                cycles += (table.clear_accessed_bits()
+                           * CLEAR_CYCLES_PER_PAGE)
+            entries = table.entries
+            # Clock pass with second chance over the first x live entries.
+            x = self.x
+            examined = 0
+            while fifo and examined < x:
+                ppn = fifo.popleft()
+                cycles += EXAMINE_CYCLES
+                entry = entries.get(ppn)
+                if entry is None or entry.location is not _LOCAL:
+                    continue
+                examined += 1
+                if not table.is_accessed(entry):
+                    victim = entry
+                    cycles += POP_CYCLES
+                    break
+                # Second chance: clear the bit as the hand passes, rotate.
+                entry.accessed_epoch = -1
+                fifo.append(ppn)
+            else:
+                # FIFO on the rest of the list.
+                while fifo:
+                    entry = entries.get(fifo.popleft())
+                    cycles += POP_CYCLES
+                    if entry is not None and entry.location is _LOCAL:
+                        victim = entry
+                        break
+        self.cycles_total += cycles
+        if victim is None:
+            raise PageTableError(f"{self.name}: {_NO_VICTIM}")
+        self.victims_selected += 1
+        return victim
 
 
 POLICIES = {

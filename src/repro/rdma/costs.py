@@ -16,7 +16,7 @@ from functools import cached_property
 from typing import Tuple
 
 from repro.errors import ConfigurationError
-from repro.units import MICROSECOND, NANOSECOND
+from repro.units import MICROSECOND, NANOSECOND, PAGE_SIZE
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,12 @@ class RdmaCostModel:
     def polls(self, waited_s: float) -> int:
         """Client polls over ``waited_s``: at least one observes the end."""
         return max(1, int(waited_s / self.poll_interval_s))
+
+    @cached_property
+    def page_transfer_s(self) -> float:
+        """``transfer_time(PAGE_SIZE)``: every page verb's cost, computed
+        once (the model is frozen)."""
+        return self.transfer_time(PAGE_SIZE)
 
     @cached_property
     def rpc_round(self) -> Tuple[float, int]:

@@ -28,6 +28,7 @@ from repro.obs import Telemetry
 from repro.rdma.costs import RdmaCostModel
 from repro.rdma.verbs import (AccessFlags, MemoryRegion, ProtectionDomain,
                               QpState, QueuePair)
+from repro.units import PAGE_SIZE
 
 #: Message-fault kinds the injector understands.  ``request_loss`` drops
 #: the request before the handler sees it; ``reply_loss`` drops the
@@ -432,31 +433,39 @@ class RdmaNode:
         if qp.state is not _RTS:
             qp.require_rts()
         fabric = self.fabric
+        remote = qp.remote
         if fabric.partitioned:
             fabric.require_reachable(self.name)
-            fabric.require_reachable(qp.remote)
+            fabric.require_reachable(remote)
         if qp.local != self.name:
             raise RdmaError(
                 f"{self.name}: QP{qp.qp_num} belongs to {qp.local!r}"
             )
-        if not self.cpu_alive:
+        # ``cpu_alive`` and ``memory_reachable``, read without their
+        # property frames.
+        platform = self.platform
+        if platform is not None and platform.ospm.current_state is not _S0:
             raise RdmaError(
                 f"{self.name}: cannot post work requests while suspended "
                 "(initiator CPU required)"
             )
-        target = fabric.node(qp.remote)
-        if not target.memory_reachable:
-            state = target.platform.state if target.platform else "?"
+        target = fabric.nodes.get(remote) or fabric.node(remote)
+        platform = target.platform
+        if platform is not None and not platform.remote_ok:
             raise RdmaError(
                 f"{target.name}: memory not remotely accessible "
-                f"(state {state}); one-sided verbs need the Sz or S0 "
-                "NIC-to-DRAM path"
+                f"(state {platform.state}); one-sided verbs need the Sz or "
+                "S0 NIC-to-DRAM path"
             )
-        mr = target.pd.lookup(rkey)
+        mr = target.pd.regions.get(rkey)
+        if mr is None or mr.invalidated:
+            mr = target.pd.lookup(rkey)  # refuses, with lookup's message
         mr.check(offset, length, write)
-        elapsed = fabric.costs.transfer_time(length)
+        costs = fabric.costs
+        elapsed = (costs.page_transfer_s if length == PAGE_SIZE
+                   else costs.transfer_time(length))
         if fabric.racks:
-            elapsed += fabric.charge_cross_rack(self.name, qp.remote,
+            elapsed += fabric.charge_cross_rack(self.name, remote,
                                                 nbytes=length)
         stats = fabric.stats
         if write:

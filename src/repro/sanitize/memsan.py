@@ -291,7 +291,7 @@ class MemorySanitizer:
         orig_add_lease = RemotePageStore.add_lease
         orig_remove_lease = RemotePageStore.remove_lease
         orig_drop_host = RemotePageStore.drop_host
-        orig_free = RemotePageStore.free
+        orig_release = RemotePageStore._release
         orig_verb = RdmaNode.verb
         orig_set_kind = BufferDatabase.set_kind
         orig_dispatch = RpcServer.dispatch
@@ -321,9 +321,11 @@ class MemorySanitizer:
                 san._mark_reclaimed(lease.host, lease.rkey)
             return result
 
-        def free(self, key):
+        def release(self, key, handle):
+            # The store's one release point: ``free`` and ``exchange``
+            # both pass through here.
             san._check_free(self, key)
-            result = orig_free(self, key)
+            result = orig_release(self, key, handle)
             san._note_freed(self, key)
             return result
 
@@ -362,7 +364,7 @@ class MemorySanitizer:
         _patch(RemotePageStore, "add_lease", add_lease)
         _patch(RemotePageStore, "remove_lease", remove_lease)
         _patch(RemotePageStore, "drop_host", drop_host)
-        _patch(RemotePageStore, "free", free)
+        _patch(RemotePageStore, "_release", release)
         _patch(RdmaNode, "verb", verb)
         _patch(BufferDatabase, "set_kind", set_kind)
         _patch(RpcServer, "dispatch", dispatch)

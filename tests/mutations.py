@@ -266,6 +266,14 @@ MUTATIONS: Tuple[Mutation, ...] = (
          "test_second_loss_keeps_the_first_loss_owed_resync",),
         (RECOVERY, OWE_UNION,
          "        self[(target, subject)] = list(ids)\n")),
+    row("resync-swallows-fencing",
+        ("tests/test_fault_injection.py::TestHostLossDetection::"
+         "test_owed_resync_aborts_on_fencing",),
+        (RECOVERY,
+         "        except FencingError:\n"
+         "            raise  # we were deposed: abort loudly, as _invalidate"
+         " does\n",
+         "")),
     row("settle-drops-key",
         ("tests/test_fault_injection.py::TestOwedWork::"
          "test_ids_owed_between_due_and_settle_survive",),
@@ -343,6 +351,25 @@ MUTATIONS: Tuple[Mutation, ...] = (
         ("src/repro/hypervisor/kvm.py",
          "        if entry.location is _LOCAL:\n",
          "        if entry.location is PageLocation.LOCAL:\n")),
+    # The fused exchange releases through the one hook point MemSan sees.
+    row("exchange-release-inlined",
+        ("tests/test_memsan.py::TestDoubleFree::"
+         "test_free_after_exchange_is_flagged",),
+        ("src/repro/memory/buffers.py",
+         "            self._release(key, handle)\n",
+         "            buffer_id, slot = handle\n"
+         "            state = self._leases[buffer_id]\n"
+         "            del state.used_slots[slot]\n"
+         "            state.free_slots.append(slot)\n"
+         "            del self._locations[key]\n"
+         "            self._backup.pop(key, None)\n")),
+    # The page verb's cached cost is transfer_time(PAGE_SIZE) to the bit.
+    row("page-verb-cost-drops-post-overhead",
+        ("tests/test_ramext_data_path.py::test_pinned_data_path_counters",),
+        ("src/repro/rdma/costs.py",
+         "        return self.transfer_time(PAGE_SIZE)\n",
+         "        return (self.transfer_time(PAGE_SIZE)"
+         " - self.post_overhead_s)\n")),
 )
 
 ROWS: Dict[str, Mutation] = {mutation.name: mutation for mutation in MUTATIONS}

@@ -365,6 +365,32 @@ class TestHostLossDetection:
         assert lender.reclaim_bytes(64 * MiB) == 0
 
 
+    def test_owed_resync_aborts_on_fencing(self):
+        # Regression: FencingError subclasses ControllerError, and the
+        # resync delivery once caught it as a routine failure, so a
+        # deposed primary's owed AS_resync failed quietly and was retried
+        # every probe tick instead of aborting loudly.
+        rack = Rack(["u1", "z1"], memory_bytes=256 * MiB,
+                    buff_size=16 * MiB)
+        rack.make_zombie("z1")
+        rack.start_host_monitoring(probe_period_s=1.0, miss_threshold=2)
+        rack.fabric.partition("z1")
+        rack.engine.run(until=rack.engine.now + 5.0)
+        rack.fabric.heal("z1")
+        rack.engine.run(until=rack.engine.now + 15.0)
+        assert len(rack.recovery._owed_resyncs[("z1", "z1")]) == 14
+        rack.wake("z1")
+
+        def fenced_call(*args, **kwargs):
+            raise FencingError("stale epoch: controller was deposed")
+
+        rack.controller._agent_call = fenced_call
+        with pytest.raises(FencingError):
+            rack.recovery.probe_tick()
+        # The owed ids survive for whoever holds the valid epoch.
+        assert len(rack.recovery._owed_resyncs[("z1", "z1")]) == 14
+
+
 class TestOwedWork:
     def test_owing_is_a_union_and_owing_nothing_owes_nothing(self):
         owed = OwedWork()

@@ -35,25 +35,25 @@ class TestFifo:
     def test_evicts_oldest_fault(self):
         policy = FifoPolicy()
         table = _resident_table(5, policy)
-        assert policy.select_victim(table) == 0
-        assert policy.select_victim(table) == 1
+        assert policy.select_victim(table).ppn == 0
+        assert policy.select_victim(table).ppn == 1
 
     def test_skips_stale_entries(self):
         policy = FifoPolicy()
         table = _resident_table(5, policy)
         table.demote(0, remote_slot=0)  # page 0 left residency elsewhere
-        assert policy.select_victim(table) == 1
+        assert policy.select_victim(table).ppn == 1
 
     def test_refaulted_page_moves_to_tail(self):
         policy = FifoPolicy()
         table = _resident_table(3, policy)
-        victim = policy.select_victim(table)
+        victim = policy.select_victim(table).ppn
         table.demote(victim, remote_slot=0)
         table.map_local(victim, Frame(60))
         policy.note_resident(victim)
-        assert policy.select_victim(table) == 1
-        assert policy.select_victim(table) == 2
-        assert policy.select_victim(table) == victim
+        assert policy.select_victim(table).ppn == 1
+        assert policy.select_victim(table).ppn == 2
+        assert policy.select_victim(table).ppn == victim
 
     def test_empty_list_raises(self):
         policy = FifoPolicy()
@@ -78,12 +78,12 @@ class TestClock:
         table.clear_accessed_bits()
         for ppn in (0, 1, 3):
             table.mark_accessed(ppn)
-        assert policy.select_victim(table) == 2
+        assert policy.select_victim(table).ppn == 2
 
     def test_degrades_to_fifo_when_all_accessed(self):
         policy = ClockPolicy(clear_interval=1000)
         table = _resident_table(4, policy)
-        assert policy.select_victim(table) == 0
+        assert policy.select_victim(table).ppn == 0
 
     def test_second_chance_rotates_accessed_pages(self):
         policy = ClockPolicy(clear_interval=1000)
@@ -91,12 +91,12 @@ class TestClock:
         table.clear_accessed_bits()
         table.clear_accessed_bits()
         table.mark_accessed(0)  # head page is hot
-        assert policy.select_victim(table) == 1
+        assert policy.select_victim(table).ppn == 1
         # page 0 survived and was rotated behind 2
         table.clear_accessed_bits()
         table.clear_accessed_bits()
-        assert policy.select_victim(table) == 2
-        assert policy.select_victim(table) == 0
+        assert policy.select_victim(table).ppn == 2
+        assert policy.select_victim(table).ppn == 0
 
     def test_periodic_clear_charged(self):
         policy = ClockPolicy(clear_interval=2)
@@ -128,19 +128,19 @@ class TestMixed:
         table.mark_accessed(0)
         table.mark_accessed(1)
         # 0 and 1 are hot: window skips them, evicts 2.
-        assert policy.select_victim(table) == 2
+        assert policy.select_victim(table).ppn == 2
 
     def test_fifo_beyond_window(self):
         policy = MixedPolicy(x=2, clear_interval=1000)
         table = _resident_table(5, policy)
         # every page accessed -> window exhausted -> FIFO on the rest
-        victim = policy.select_victim(table)
+        victim = policy.select_victim(table).ppn
         assert victim == 2  # pages 0,1 got second chances
 
     def test_degrades_when_rest_is_empty(self):
         policy = MixedPolicy(x=5, clear_interval=1000)
         table = _resident_table(2, policy)
-        assert policy.select_victim(table) in (0, 1)
+        assert policy.select_victim(table).ppn in (0, 1)
 
     def test_bounded_cost_vs_clock(self):
         mixed = MixedPolicy(x=5, clear_interval=10 ** 6)
@@ -161,7 +161,7 @@ class TestForget:
         policy = FifoPolicy()
         table = _resident_table(3, policy)
         policy.forget(0)
-        assert policy.select_victim(table) == 1
+        assert policy.select_victim(table).ppn == 1
 
     def test_forget_unknown_is_noop(self):
         FifoPolicy().forget(999)

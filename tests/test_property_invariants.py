@@ -213,7 +213,7 @@ def test_policies_only_evict_resident_pages(policy_name, accesses, quota):
             continue
         frame = alloc.try_alloc()
         if frame is None:
-            victim = policy.select_victim(table)
+            victim = policy.select_victim(table).ppn
             assert table.entry(victim).present, "evicted a non-resident page"
             slot += 1
             alloc.free(table.demote(victim, remote_slot=slot))

@@ -174,20 +174,20 @@ def test_pinned_degraded_run():
 #: Explicit SD access runs.
 DATA_PATH = {
     "repro.hypervisor.kvm": (
-        "Hypervisor.access", "Hypervisor._handle_fault",
-        "Hypervisor._page_in", "Hypervisor._prefetch"),
+        "Hypervisor.access", "Hypervisor._page_in", "Hypervisor._prefetch"),
     "repro.memory.page_table": (
-        "PageTable.entry", "PageTable.map_local", "PageTable.demote",
+        "PageTable.entry", "PageTable.map_local", "PageTable.trade",
         "PageTable.is_accessed"),
     "repro.memory.replacement": (
-        "FifoPolicy._pick", "ClockPolicy._pick", "MixedPolicy._pick",
-        "ReplacementPolicy.select_victim"),
-    "repro.rdma.fabric": (
-        "RdmaNode.verb", "RdmaNode.cpu_alive", "RdmaNode.memory_reachable"),
+        "FifoPolicy.select_victim", "ClockPolicy.select_victim",
+        "MixedPolicy.select_victim"),
+    "repro.rdma.fabric": ("RdmaNode.verb",),
+    "repro.rdma.costs": ("RdmaCostModel.page_transfer_s",),
     "repro.memory.buffers": (
         "RemotePageStore.exchange", "RemotePageStore.load",
-        "RemotePageStore.free", "RemotePageStore._place",
-        "RemotePageStore._settle"),
+        "RemotePageStore.free", "RemotePageStore._read",
+        "RemotePageStore._release",
+        "RemotePageStore._place", "RemotePageStore._settle"),
     "repro.hypervisor.explicit_sd": (
         "ExplicitSdVm.access", "ExplicitSdVm._fault"),
 }
@@ -218,7 +218,7 @@ def _module_reads(module_name):
     """Per data-path function of the module: its Enum member reads.
 
     The module's source is compiled afresh, so a hook wrapped around a
-    method at run time (MemSan's ``verb`` and ``free``) does not hide the
+    method at run time (MemSan's ``verb`` and ``_release``) does not hide the
     method's own bytecode.
     """
     module = importlib.import_module(module_name)
