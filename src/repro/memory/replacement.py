@@ -17,7 +17,6 @@ policy-duration comparison can be regenerated.
 
 from __future__ import annotations
 
-import abc
 from collections import deque
 from typing import Deque
 
@@ -38,7 +37,7 @@ CLEAR_CYCLES_PER_PAGE = 4     # reset one accessed bit during periodic sweep
 _NO_VICTIM = "no resident page available for eviction"
 
 
-class ReplacementPolicy(abc.ABC):
+class ReplacementPolicy:
     """Base class: the shared FIFO fault list plus cycle accounting."""
 
     name = "abstract"
@@ -61,19 +60,52 @@ class ReplacementPolicy(abc.ABC):
             pass
 
     # -- victim selection --------------------------------------------------
-    @abc.abstractmethod
+    #: Whether the policy sweeps accessed bits (Clock, Mixed): it then
+    #: ticks the periodic clear and runs its :meth:`_sweep` first.
+    sweeps = False
+
     def select_victim(self, table: PageTable) -> PageTableEntry:
         """Pick and remove the next victim page; returns its entry.
 
-        The whole selection is one frame: the policy pops candidates off
-        the FIFO list, reads each candidate's entry once and returns the
-        one it chose, so the caller never looks it up again.  Entries
-        whose pages are no longer resident (stale: their entry is not
-        LOCAL) are dropped as they come up.  Every selection charges
-        ``BASE_FAULT_CYCLES`` plus the policy's own work to
-        ``cycles_total``, and raises :class:`PageTableError` when no
-        resident page is left.
+        Candidates come off the FIFO list and each one's entry is read
+        once; the caller gets the chosen entry, so it never looks it up
+        again.  Entries whose pages are no longer resident (stale: their
+        entry is not LOCAL) are dropped as they come up.  A sweeping
+        policy first ticks the periodic clear and runs its sweep; when
+        the sweep finds nothing, or for FIFO, the head of the list is
+        evicted.  Every selection charges ``BASE_FAULT_CYCLES`` plus the
+        policy's own work to ``cycles_total``, and raises
+        :class:`PageTableError` when no resident page is left.
         """
+        fifo = self.fifo
+        cycles = BASE_FAULT_CYCLES
+        victim = None
+        if fifo:
+            if self.sweeps:
+                self._since_clear += 1
+                if self._since_clear >= self.clear_interval:
+                    self._since_clear = 0
+                    cycles += (table.clear_accessed_bits()
+                               * CLEAR_CYCLES_PER_PAGE)
+                victim, cycles = self._sweep(table, cycles)
+            if victim is None:
+                entries = table.entries
+                while fifo:
+                    entry = entries.get(fifo.popleft())
+                    cycles += POP_CYCLES
+                    if entry is not None and entry.location is _LOCAL:
+                        victim = entry
+                        break
+        self.cycles_total += cycles
+        if victim is None:
+            raise PageTableError(f"{self.name}: {_NO_VICTIM}")
+        self.victims_selected += 1
+        return victim
+
+    def _sweep(self, table: PageTable, cycles: int):
+        """A sweeping policy's clock pass over the non-empty FIFO list:
+        returns ``(victim entry or None, cycles)``, with its work added."""
+        raise NotImplementedError
 
     def requeue(self, ppn: int) -> None:
         """Put back a victim whose eviction failed: it stays resident and
@@ -86,27 +118,12 @@ class FifoPolicy(ReplacementPolicy):
 
     name = "FIFO"
 
-    def select_victim(self, table: PageTable) -> PageTableEntry:
-        fifo = self.fifo
-        entries = table.entries
-        cycles = BASE_FAULT_CYCLES
-        victim = None
-        while fifo:
-            entry = entries.get(fifo.popleft())
-            cycles += POP_CYCLES
-            if entry is not None and entry.location is _LOCAL:
-                victim = entry
-                break
-        self.cycles_total += cycles
-        if victim is None:
-            raise PageTableError(f"{self.name}: {_NO_VICTIM}")
-        self.victims_selected += 1
-        return victim
-
 
 class _ClearingPolicy(ReplacementPolicy):
     """A policy that reads accessed bits and clears them every
     ``clear_interval`` victim selections, charging the sweep."""
+
+    sweeps = True
 
     def __init__(self, clear_interval: int = 256):
         super().__init__()
@@ -131,48 +148,26 @@ class ClockPolicy(_ClearingPolicy):
 
     name = "Clock"
 
-    def select_victim(self, table: PageTable) -> PageTableEntry:
+    def _sweep(self, table: PageTable, cycles: int):
+        # One full hand sweep at most: accessed pages rotate to the tail
+        # (second chance), stale entries are dropped, and the first
+        # clear-bit page is the victim.  If every resident page was
+        # recently accessed, select_victim degrades to FIFO.
         fifo = self.fifo
-        cycles = BASE_FAULT_CYCLES
-        victim = None
-        if fifo:
-            self._since_clear += 1
-            if self._since_clear >= self.clear_interval:
-                self._since_clear = 0
-                cycles += (table.clear_accessed_bits()
-                           * CLEAR_CYCLES_PER_PAGE)
-            entries = table.entries
-            # One full hand sweep at most: accessed pages rotate to the
-            # tail (second chance), stale entries are dropped, and the
-            # first clear-bit page is the victim.
-            limit = len(fifo)
-            scanned = 0
-            while fifo and scanned < limit:
-                ppn = fifo.popleft()
-                scanned += 1
-                cycles += EXAMINE_CYCLES
-                entry = entries.get(ppn)
-                if entry is None or entry.location is not _LOCAL:
-                    continue
-                if not table.is_accessed(entry):
-                    victim = entry
-                    cycles += POP_CYCLES
-                    break
-                fifo.append(ppn)  # hand passes; bit cleared only periodically
-            else:
-                # Every resident page was recently accessed: degrade to
-                # FIFO.
-                while fifo:
-                    entry = entries.get(fifo.popleft())
-                    cycles += POP_CYCLES
-                    if entry is not None and entry.location is _LOCAL:
-                        victim = entry
-                        break
-        self.cycles_total += cycles
-        if victim is None:
-            raise PageTableError(f"{self.name}: {_NO_VICTIM}")
-        self.victims_selected += 1
-        return victim
+        entries = table.entries
+        limit = len(fifo)
+        scanned = 0
+        while fifo and scanned < limit:
+            ppn = fifo.popleft()
+            scanned += 1
+            cycles += EXAMINE_CYCLES
+            entry = entries.get(ppn)
+            if entry is None or entry.location is not _LOCAL:
+                continue
+            if not table.is_accessed(entry):
+                return entry, cycles + POP_CYCLES
+            fifo.append(ppn)  # hand passes; bit cleared only periodically
+        return None, cycles
 
 
 class MixedPolicy(_ClearingPolicy):
@@ -193,47 +188,26 @@ class MixedPolicy(_ClearingPolicy):
         super().__init__(clear_interval)
         self.x = x
 
-    def select_victim(self, table: PageTable) -> PageTableEntry:
+    def _sweep(self, table: PageTable, cycles: int):
+        # Clock pass with second chance over the first x live entries;
+        # select_victim runs FIFO on the rest of the list.
         fifo = self.fifo
-        cycles = BASE_FAULT_CYCLES
-        victim = None
-        if fifo:
-            self._since_clear += 1
-            if self._since_clear >= self.clear_interval:
-                self._since_clear = 0
-                cycles += (table.clear_accessed_bits()
-                           * CLEAR_CYCLES_PER_PAGE)
-            entries = table.entries
-            # Clock pass with second chance over the first x live entries.
-            x = self.x
-            examined = 0
-            while fifo and examined < x:
-                ppn = fifo.popleft()
-                cycles += EXAMINE_CYCLES
-                entry = entries.get(ppn)
-                if entry is None or entry.location is not _LOCAL:
-                    continue
-                examined += 1
-                if not table.is_accessed(entry):
-                    victim = entry
-                    cycles += POP_CYCLES
-                    break
-                # Second chance: clear the bit as the hand passes, rotate.
-                entry.accessed_epoch = -1
-                fifo.append(ppn)
-            else:
-                # FIFO on the rest of the list.
-                while fifo:
-                    entry = entries.get(fifo.popleft())
-                    cycles += POP_CYCLES
-                    if entry is not None and entry.location is _LOCAL:
-                        victim = entry
-                        break
-        self.cycles_total += cycles
-        if victim is None:
-            raise PageTableError(f"{self.name}: {_NO_VICTIM}")
-        self.victims_selected += 1
-        return victim
+        entries = table.entries
+        x = self.x
+        examined = 0
+        while fifo and examined < x:
+            ppn = fifo.popleft()
+            cycles += EXAMINE_CYCLES
+            entry = entries.get(ppn)
+            if entry is None or entry.location is not _LOCAL:
+                continue
+            examined += 1
+            if not table.is_accessed(entry):
+                return entry, cycles + POP_CYCLES
+            # Second chance: clear the bit as the hand passes, rotate.
+            entry.accessed_epoch = -1
+            fifo.append(ppn)
+        return None, cycles
 
 
 POLICIES = {

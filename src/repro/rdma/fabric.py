@@ -441,8 +441,9 @@ class RdmaNode:
             raise RdmaError(
                 f"{self.name}: QP{qp.qp_num} belongs to {qp.local!r}"
             )
-        # ``cpu_alive`` and ``memory_reachable``, read without their
-        # property frames.
+        # RdmaNode.cpu_alive and RdmaNode.memory_reachable, and below
+        # ProtectionDomain.lookup's refusal rule, read without their
+        # frames; test_rdma.py checks the gate against the properties.
         platform = self.platform
         if platform is not None and platform.ospm.current_state is not _S0:
             raise RdmaError(

@@ -286,6 +286,52 @@ class TestPageTable:
         assert table.remote_pages == 0
 
 
+def _table_state(table):
+    """Every entry's fields plus the table's counts and epoch."""
+    entries = {ppn: (e.location, e.frame, e.remote_slot, e.accessed_epoch,
+                     e.dirty) for ppn, e in table.entries.items()}
+    return entries, table.resident_pages, table.remote_pages, table.epoch
+
+
+class TestTrade:
+    """``trade`` is ``demote`` then ``map_local`` on held entries."""
+
+    @staticmethod
+    def _table(incoming):
+        table = PageTable(8)
+        table.map_local(0, Frame(0))
+        table.mark_accessed(0, write=True)  # the victim: accessed, dirty
+        table.map_local(2, Frame(2))
+        if incoming is PageLocation.REMOTE:
+            table.map_local(1, Frame(1))
+            table.demote(1, remote_slot="old")
+        table.entry(3)
+        table.clear_accessed_bits()
+        return table
+
+    @pytest.mark.parametrize("incoming", [PageLocation.UNALLOCATED,
+                                          PageLocation.REMOTE])
+    def test_equals_demote_then_map_local(self, incoming):
+        traded = self._table(incoming)
+        assert traded.entry(1).location is incoming
+        traded.trade(traded.entry(0), "slot", traded.entry(1))
+        reference = self._table(incoming)
+        reference.map_local(1, reference.demote(0, remote_slot="slot"))
+        assert _table_state(traded) == _table_state(reference)
+
+    @pytest.mark.parametrize("victim, incoming, message", [
+        (3, 1, "cannot demote non-present ppn 3"),
+        (0, 2, "ppn 2 is already present"),
+    ])
+    def test_refused_trade_changes_nothing(self, victim, incoming, message):
+        table = self._table(PageLocation.REMOTE)
+        victim, incoming = table.entry(victim), table.entry(incoming)
+        before = _table_state(table)
+        with pytest.raises(PageTableError, match=message):
+            table.trade(victim, "slot", incoming)
+        assert _table_state(table) == before
+
+
 class TestAccessedBits:
     def test_map_sets_accessed(self):
         table = PageTable(8)

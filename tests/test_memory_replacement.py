@@ -5,7 +5,8 @@ import pytest
 from repro.errors import ConfigurationError, PageTableError
 from repro.memory.frames import Frame
 from repro.memory.page_table import PageTable
-from repro.memory.replacement import (ClockPolicy, FifoPolicy, MixedPolicy,
+from repro.memory.replacement import (POLICIES, ClockPolicy, FifoPolicy,
+                                      MixedPolicy, ReplacementPolicy,
                                       make_policy)
 
 
@@ -29,6 +30,24 @@ class TestFactory:
 
     def test_kwargs_forwarded(self):
         assert make_policy("Mixed", x=9).x == 9
+
+
+@pytest.mark.parametrize("name", sorted(POLICIES))
+def test_every_selection_runs_under_the_base_class_name(name, monkeypatch):
+    # ZomBench's traced run wraps ReplacementPolicy.select_victim itself,
+    # so every policy's whole selection must run inside that function.
+    calls = []
+    select = ReplacementPolicy.select_victim
+
+    def counted(policy, table):
+        calls.append(policy.name)
+        return select(policy, table)
+
+    monkeypatch.setattr(ReplacementPolicy, "select_victim", counted)
+    policy = make_policy(name)
+    table = _resident_table(3, policy)
+    assert policy.select_victim(table).present
+    assert calls == [name]
 
 
 class TestFifo:

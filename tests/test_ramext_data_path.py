@@ -176,11 +176,11 @@ DATA_PATH = {
     "repro.hypervisor.kvm": (
         "Hypervisor.access", "Hypervisor._page_in", "Hypervisor._prefetch"),
     "repro.memory.page_table": (
-        "PageTable.entry", "PageTable.map_local", "PageTable.trade",
-        "PageTable.is_accessed"),
+        "PageTable.entry", "PageTable.map_local", "PageTable.demote",
+        "PageTable.trade", "PageTable.is_accessed"),
     "repro.memory.replacement": (
-        "FifoPolicy.select_victim", "ClockPolicy.select_victim",
-        "MixedPolicy.select_victim"),
+        "ReplacementPolicy.select_victim", "ClockPolicy._sweep",
+        "MixedPolicy._sweep"),
     "repro.rdma.fabric": ("RdmaNode.verb",),
     "repro.rdma.costs": ("RdmaCostModel.page_transfer_s",),
     "repro.memory.buffers": (
@@ -189,7 +189,8 @@ DATA_PATH = {
         "RemotePageStore._release",
         "RemotePageStore._place", "RemotePageStore._settle"),
     "repro.hypervisor.explicit_sd": (
-        "ExplicitSdVm.access", "ExplicitSdVm._fault"),
+        "ExplicitSdVm.access", "ExplicitSdVm._fault",
+        "ExplicitSdVm._swap_out_one"),
 }
 
 

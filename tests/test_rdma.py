@@ -184,6 +184,31 @@ class TestPowerGating:
         with pytest.raises(RdmaError):
             initiator.rdma_read(qp, mr.rkey, 0, 1)
 
+    @pytest.mark.parametrize("state", list(SleepState))
+    def test_verb_gate_agrees_with_the_node_properties(self, state):
+        # RdmaNode.verb reads the OSPM state and ``remote_ok`` inline:
+        # it must refuse exactly where cpu_alive / memory_reachable say.
+        fabric = Fabric()
+        peer = fabric.add_node("peer")
+        node = fabric.add_node(
+            "node", platform=build_platform("node", memory_bytes=1 * GiB))
+        peer_mr, node_mr = peer.register_mr(1 * MiB), node.register_mr(1 * MiB)
+        outbound, inbound = node.connect_qp("peer"), peer.connect_qp("node")
+        if state is not SleepState.S0:
+            node.platform.suspend(state)
+
+        def refused(post):
+            try:
+                post()
+            except RdmaError:
+                return True
+            return False
+
+        assert refused(lambda: node.rdma_read(
+            outbound, peer_mr.rkey, 0, PAGE_SIZE)) is not node.cpu_alive
+        assert refused(lambda: peer.rdma_write(
+            inbound, node_mr.rkey, 0, b"x")) is not node.memory_reachable
+
     def test_wake_restores_service(self):
         _, user, platform, mr, qp = self._gated()
         platform.suspend(SleepState.S3)
