@@ -60,8 +60,8 @@ class ReplacementPolicy:
             pass
 
     # -- victim selection --------------------------------------------------
-    #: Whether the policy sweeps accessed bits (Clock, Mixed): it then
-    #: ticks the periodic clear and runs its :meth:`_sweep` first.
+    #: Whether the policy sweeps accessed bits (a ``_ClearingPolicy``):
+    #: it then ticks the periodic clear and runs its ``_sweep`` first.
     sweeps = False
 
     def select_victim(self, table: PageTable) -> PageTableEntry:
@@ -102,11 +102,6 @@ class ReplacementPolicy:
         self.victims_selected += 1
         return victim
 
-    def _sweep(self, table: PageTable, cycles: int):
-        """A sweeping policy's clock pass over the non-empty FIFO list:
-        returns ``(victim entry or None, cycles)``, with its work added."""
-        raise NotImplementedError
-
     def requeue(self, ppn: int) -> None:
         """Put back a victim whose eviction failed: it stays resident and
         is the next candidate."""
@@ -133,6 +128,11 @@ class _ClearingPolicy(ReplacementPolicy):
             )
         self.clear_interval = clear_interval
         self._since_clear = 0
+
+    def _sweep(self, table: PageTable, cycles: int):
+        """The clock pass over the non-empty FIFO list: returns
+        ``(victim entry or None, cycles)``, with its work added."""
+        raise NotImplementedError
 
 
 class ClockPolicy(_ClearingPolicy):
