@@ -28,7 +28,6 @@ class Firmware:
         self.plane = plane
         self.devices = devices
         self.sz_initialised = False
-        self.transition_log: List[str] = []
 
     # -- boot ------------------------------------------------------------
     def boot_init(self) -> None:
@@ -37,7 +36,6 @@ class Firmware:
         Sz support is only advertised when the board wires CPU and memory to
         independent power domains.
         """
-        self.transition_log.append("boot:init")
         self.sz_initialised = self.plane.split_cpu_memory
         for domain in self.plane.domains.values():
             domain.energised = True
@@ -53,7 +51,6 @@ class Firmware:
         """Hardware-side entry into ``state`` (invoked via PM1 SLP_EN)."""
         if state is SleepState.S0:
             raise PowerStateError("use wake() to return to S0")
-        self.transition_log.append(f"enter:{state.value}")
         if state is SleepState.SZ:
             self._enter_zombie()
         elif state is SleepState.S3:
@@ -65,7 +62,6 @@ class Firmware:
 
     def wake(self) -> None:
         """Resume to S0: re-energise all domains, devices back to D0."""
-        self.transition_log.append("exit:S0")
         for domain in self.plane.domains.values():
             domain.energised = True
         for device in self.devices:

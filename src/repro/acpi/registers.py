@@ -61,7 +61,8 @@ class Pm1Registers:
     def __init__(self) -> None:
         self.pm1a_cnt = 0
         self.pm1b_cnt = 0
-        self.writes: List[int] = []  # audit log of raw register writes
+        #: The last transition's raw writes: SLP_TYP alone, then with SLP_EN.
+        self.writes: List[int] = []
         self._handler: Optional[Callable[[SleepState], None]] = None
 
     def connect(self, handler: Callable[[SleepState], None]) -> None:
@@ -75,13 +76,10 @@ class Pm1Registers:
         same type, then the enable bit fires the transition.
         """
         value = (int(sleep_type) << _SLP_TYP_SHIFT) & _SLP_TYP_MASK
-        self.pm1a_cnt = value
-        self.pm1b_cnt = value
-        self.writes.append(value)
-        value |= SLP_EN
-        self.pm1a_cnt = value
-        self.pm1b_cnt = value
-        self.writes.append(value)
+        self.writes = [value, value | SLP_EN]
+        for raw in self.writes:
+            self.pm1a_cnt = raw
+            self.pm1b_cnt = raw
         if self._handler is None:
             raise PowerStateError("PM1 registers not connected to a platform")
         self._handler(sleep_type.state)

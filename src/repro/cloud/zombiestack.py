@@ -20,6 +20,7 @@ from repro.core.server import RackServer
 from repro.errors import ConfigurationError, PlacementError
 from repro.hypervisor.vm import Vm, VmSpec
 from repro.sim.process import PeriodicProcess
+from repro.units import buffers_for
 
 #: Default vCPU capacity of one rack server.
 DEFAULT_VCPU_CAPACITY = 32
@@ -70,29 +71,43 @@ class ZombieStackOrchestrator:
             self._consolidator.start()
 
     # -- placement ----------------------------------------------------------
+    def _local_fraction(self, server: RackServer, spec: VmSpec) -> float:
+        """The share of ``spec`` placed on ``server``: everything that fits
+        locally, never less than the threshold (the Nova weigher's
+        behaviour)."""
+        return min(1.0, max(self.local_threshold,
+                            server.free_bytes / spec.memory_bytes))
+
     def _candidates(self, spec: VmSpec) -> List[RackServer]:
         """Hosts passing the CPU filter and the relaxed RAM filter."""
         needed_local = int(spec.memory_bytes * self.local_threshold)
-        pool_free = self.rack.pool_summary()["free_bytes"]
+        controller = self.rack.controller
+        buff_size = controller.buff_size
+        free = [controller.db.free_buckets(zombie) for zombie in (True, False)]
+        active = self.rack.active_servers()
         out = []
-        for server in self.rack.active_servers():
+        for server in active:
             hv = server.hypervisor
             if hv.vcpus_booked + spec.vcpus > self.vcpu_capacity:
                 continue
             if needed_local > server.free_bytes:
                 continue
-            # Whatever does not fit locally must be coverable remotely —
-            # by the existing pool or by slack carved out of *other*
-            # active servers (AS_get_free_mem).
-            local_possible = min(spec.memory_bytes, server.free_bytes)
-            remote_needed = spec.memory_bytes - local_possible
+            # Whatever does not fit locally must be coverable remotely, in
+            # whole buffers: by free pool buffers *another* host serves
+            # (the controller never grants a host its own memory) or by
+            # buffers carved out of other active servers' slack
+            # (AS_get_free_mem lends whole buffers only).
+            local = int(spec.memory_bytes * self._local_fraction(server, spec))
+            remote_needed = buffers_for(spec.memory_bytes - local, buff_size)
+            pooled = sum(len(ids) for tier in free
+                         for host, ids in tier.items() if host != server.name)
             lendable = sum(
                 int(peer.free_bytes
                     * (1.0 - peer.manager.lend_reserve_fraction))
-                for peer in self.rack.active_servers()
-                if peer.name != server.name
+                // buff_size
+                for peer in active if peer.name != server.name
             )
-            if remote_needed > pool_free + lendable:
+            if remote_needed > pooled + lendable:
                 continue
             out.append(server)
         # Stacking: most-booked first (consolidation-friendly).
@@ -110,7 +125,8 @@ class ZombieStackOrchestrator:
         self.admission.admit(spec.name, remote_part)
         try:
             return self._place(spec, policy)
-        except PlacementError:
+        except Exception:
+            # Not placed, whatever the reason: the reservation goes too.
             self.admission.release(spec.name)
             raise
 
@@ -128,14 +144,11 @@ class ZombieStackOrchestrator:
                     f"no host for VM {spec.name!r} even after waking "
                     f"{woken}"
                 )
-        host = candidates[0].name
-        # Give the VM everything that fits locally, never less than the
-        # threshold (the Nova weigher's behaviour).
-        server = self.rack.server(host)
-        fraction = min(1.0, max(self.local_threshold,
-                                server.free_bytes / spec.memory_bytes))
-        vm = self.rack.create_vm(host, spec, local_fraction=fraction,
-                                 policy=policy)
+        server = candidates[0]
+        host = server.name
+        vm = self.rack.create_vm(
+            host, spec, local_fraction=self._local_fraction(server, spec),
+            policy=policy)
         self.placements[spec.name] = host
         return vm
 

@@ -7,14 +7,15 @@ admission control) and best-effort swap memory (``GS_alloc_swap``).
 
 All replicated state lives in :class:`~repro.core.database.BufferDatabase`,
 whose journal is the replication log: every handler ends by offering the
-un-acknowledged suffix to the secondary through the ``mirror`` callback
-(``_pump_mirror``); the Rack wires that callback to an RPC over the fabric.
+un-acknowledged suffix to the secondary (``_pump_mirror``), one
+``mirror_op`` RPC per entry through ``mirror``, the controller's client to
+the standby's server.
 """
 
 from __future__ import annotations
 
 from itertools import chain, islice, zip_longest
-from typing import Callable, Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.core.database import BufferDatabase
 from repro.core.events import EventKind, EventLog
@@ -25,9 +26,9 @@ from repro.rdma.fabric import RdmaNode
 from repro.rdma.rpc import RpcClient, RpcServer
 from repro.units import DEFAULT_BUFF_SIZE, buffers_for
 
-#: ``(op, args, seq)`` — seq is the entry's position in the stream of
-#: everything the primary ever journaled, making re-sends idempotent.
-MirrorFn = Callable[[str, tuple, int], None]
+#: The verb string read once: ``Method.X.value`` is an enum descriptor
+#: call, and every journal entry is one ``mirror_op``.
+_MIRROR_OP = Method.MIRROR_OP.value
 
 
 class GlobalMemoryController:
@@ -43,7 +44,8 @@ class GlobalMemoryController:
         #: Every replicated fact (buffers, purposes, host sets) and the
         #: journal of mutations the standby has not acknowledged yet.
         self.db = BufferDatabase()
-        self.mirror: Optional[MirrorFn] = None
+        #: The RPC client to the standby's ``mirror_op`` (None: no standby).
+        self.mirror: Optional[RpcClient] = None
         #: Journal entries acknowledged so far == the sequence number of
         #: the journal's head.  Undelivered ops stay in the journal until
         #: a later pump retries them: no lost call desynchronises the standby.
@@ -161,7 +163,8 @@ class GlobalMemoryController:
         leaves the suffix queued, so the next boundary — or the standby's
         next heartbeat — retries it.  Sequence numbers make the re-send
         idempotent: an op the secondary already applied (its reply was
-        the lost message) is skipped there.  No standby: nothing to keep.
+        the lost message) is skipped there; the epoch stamp fences a
+        deposed primary's stream.  No standby: nothing to keep.
         """
         journal = self.db.journal
         if self.mirror is None:
@@ -170,7 +173,8 @@ class GlobalMemoryController:
         while journal:
             op, args = journal[0]
             try:
-                self.mirror(op, args, self._mirror_acked)
+                self.mirror.call(_MIRROR_OP, op, args, epoch=self.epoch,
+                                 seq=self._mirror_acked)
             except FencingError:
                 self._mark_fenced()
                 raise

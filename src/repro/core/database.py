@@ -5,7 +5,8 @@ who uses them and why, which hosts are known / parked in Sz — every fact a
 promoted standby must know.  Each mutator journals itself as ``(op, args)``;
 the journal is the replication log: the controller offers it to the secondary
 at every handler boundary and drops what is acknowledged, and the secondary
-replays it through :meth:`BufferDatabase.apply`.
+replays each entry through :meth:`BufferDatabase.apply` — that is, through
+the very mutator that journaled it, checks and all.
 
 The pool is indexed, not scanned: records per serving host, the free
 buffers bucketed by (zombie tier, serving host) in ascending id order, and
@@ -25,6 +26,10 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.core.protocol import BufferDescriptor, BufferKind
 from repro.errors import BufferError_, ControllerError
+
+#: The mutators that journal themselves: the names a mirrored entry may carry.
+_JOURNALED = frozenset({"add", "remove", "assign", "unassign", "set_kind",
+                        "host_add", "zombie_add", "zombie_remove"})
 
 
 class BufferDatabase:
@@ -48,13 +53,11 @@ class BufferDatabase:
 
     # -- the indexed store ------------------------------------------------
     def _put(self, descriptor: BufferDescriptor) -> None:
-        """Store ``descriptor`` (a new record or its id's replacement) and
-        index it; a replacement keeps its record's place in every order."""
+        """Store ``descriptor`` (a new record or its id's replacement on the
+        same host) and index it; a replacement keeps its record's place in
+        every order."""
         buffer_id = descriptor.buffer_id
         old = self._buffers.get(buffer_id)
-        if old is not None and old.host != descriptor.host:
-            self._pop(buffer_id)  # re-homed: indexed as a new record
-            old = None
         if old is None:
             self._total_bytes += descriptor.size_bytes
         else:
@@ -151,31 +154,15 @@ class BufferDatabase:
         self.journal.append(("zombie_remove", (host,)))
 
     def apply(self, op: str, args: tuple) -> None:
-        """Replay one journaled mutation (the standby's mirroring path).
-
-        Lenient where the mutators are strict (``add`` overwrites, an
-        unknown ``remove`` is a no-op): sequence numbers de-duplicated the
-        stream already.  Journals nothing: nobody reads a standby's log.
+        """Replay one journaled mutation through the mutator that journaled
+        it (the standby's mirroring path), with the primary's own checks:
+        a diverged replica refuses the entry with ``BufferError_``.  The
+        replay's own journal entry is dropped: nobody reads a standby's log.
         """
-        if op == "add":
-            self._put(args[0])
-        elif op == "remove":
-            self._pop(args[0])
-        elif op == "assign":
-            self._put(self.get(args[0]).with_user(args[1], args[2]))
-        elif op == "unassign":
-            self._put(self.get(args[0]).with_user(None))
-        elif op == "set_kind":
-            self._put(self.get(args[0]).with_kind(args[1]))
-        elif op == "host_add":
-            self.known_hosts.add(args[0])
-        elif op == "zombie_add":
-            self.zombie_hosts.add(args[0])
-            self.known_hosts.add(args[0])
-        elif op == "zombie_remove":
-            self.zombie_hosts.discard(args[0])
-        else:
+        if op not in _JOURNALED:
             raise ControllerError(f"unknown mirrored operation {op!r}")
+        getattr(self, op)(*args)
+        self.journal.clear()
 
     def adopt(self, other: "BufferDatabase") -> None:
         """Become a copy of ``other``'s state (a promotion's seed); it is

@@ -125,12 +125,8 @@ class Rack:
         self.secondary = SecondaryController(
             sec_node, self.engine, heartbeat_period_s=heartbeat_period_s
         )
-        mirror_client = RpcClient(ctr_node, self.secondary.rpc,
-                                  retry_policy=self.retry_policy)
-        primary = self.controller
-        self.controller.mirror = self.secondary.attach_rpc_mirror(
-            mirror_client, epoch_fn=lambda: primary.epoch
-        )
+        self.controller.mirror = RpcClient(ctr_node, self.secondary.rpc,
+                                           retry_policy=self.retry_policy)
         self.secondary.watch(RpcClient(sec_node, self.controller.rpc,
                                        retry_policy=self.monitor_policy))
         self.secondary.on_failover = self._failover

@@ -245,6 +245,8 @@ class RecoveryCoordinator:
             return True
         except RpcError:
             return False
+        except FencingError:
+            raise  # we were deposed: abort the round loudly, as _resync does
         except ControllerError:
             return True  # no channel to judge by; don't false-positive
 

@@ -20,12 +20,9 @@ from repro.rdma.rpc import RpcClient, RpcServer
 from repro.sim.engine import Engine
 from repro.sim.process import PeriodicProcess, check_monitor
 
-EpochFn = Callable[[], int]
-
-#: Verb strings read once: ``Method.X.value`` is an enum descriptor call,
-#: and the heartbeat fires every period for the life of the rack.
+#: The verb string read once: ``Method.X.value`` is an enum descriptor
+#: call, and the heartbeat fires every period for the life of the rack.
 _HEARTBEAT = Method.HEARTBEAT.value
-_MIRROR_OP = Method.MIRROR_OP.value
 
 
 class SecondaryController:
@@ -65,7 +62,9 @@ class SecondaryController:
         silently corrupting the standby state.  ``seq`` is the op's
         position in the primary's replicated-op log; already-applied
         sequence numbers are skipped so the primary's catch-up re-sends
-        stay exactly-once.
+        stay exactly-once.  The op replays through the primary's own
+        mutator, so a replica that diverged refuses it (``BufferError_``)
+        instead of absorbing it.
         """
         if seq <= self.mirror_applied_seq:
             self.mirror_skips += 1
@@ -80,20 +79,6 @@ class SecondaryController:
     @property
     def known_hosts(self) -> Set[str]:
         return self.db.known_hosts
-
-    def attach_rpc_mirror(self, client: RpcClient, epoch_fn: EpochFn):
-        """The callback to install as the primary's ``mirror``.
-
-        A closure over an RPC client, so mirroring crosses the fabric
-        like the real system (and fails if this node is down).
-        ``epoch_fn`` (usually ``lambda: primary.epoch``) stamps every
-        mirrored op with the emitting controller's fencing epoch so a
-        deposed primary cannot keep writing after a failover.
-        """
-        def forward(op: str, args: tuple, seq: int) -> None:
-            client.call(_MIRROR_OP, op, args,
-                        epoch=epoch_fn(), seq=seq)
-        return forward
 
     # -- heartbeat monitoring -----------------------------------------------
     def watch(self, heartbeat_client: RpcClient) -> None:

@@ -15,8 +15,7 @@ The rule, per function in the scoped modules:
 1. a **read** of a shared-state family (leases, epochs, zombie-pool
    membership, mirror watermarks, recovery queues), followed by
 2. a **yield point** — a call that may transitively issue an outgoing
-   RPC (``RpcClient.call``, the controller's ``mirror`` callback) or a
-   literal ``yield``/``await``, followed by
+   RPC (``RpcClient.call``) or a literal ``yield``/``await``, followed by
 3. a **write** to the same family,
 
 with no re-validation between the yield and the write, is one finding.
@@ -80,8 +79,8 @@ _MUTATORS = {
 
 #: Attribute-call names that ARE the outgoing-RPC surface, matched
 #: syntactically so the pass does not depend on resolving the client
-#: object's type (``client.call(...)``, ``self.mirror(...)``).
-_DIRECT_YIELD_ATTRS = {"call", "mirror"}
+#: object's type (``client.call(...)``, ``self.mirror.call(...)``).
+_DIRECT_YIELD_ATTRS = {"call"}
 
 
 class _Event:

@@ -111,25 +111,18 @@ class InterRackLink:
 
 @dataclass
 class MessageFaultDecision:
-    """What the injector decided for one message on one link."""
+    """What the injector decided for one message on one link: one flag per
+    fault kind, named as in ``MESSAGE_FAULT_KINDS`` (as :class:`LinkFaults`
+    names its probabilities)."""
 
-    drop_request: bool = False
-    drop_reply: bool = False
+    request_loss: bool = False
+    reply_loss: bool = False
     duplicate: bool = False
     reorder: bool = False
     extra_latency_s: float = 0.0
 
     def kinds(self) -> List[str]:
-        out = []
-        if self.drop_request:
-            out.append(REQUEST_LOSS)
-        if self.drop_reply:
-            out.append(REPLY_LOSS)
-        if self.duplicate:
-            out.append(DUPLICATE)
-        if self.reorder:
-            out.append(REORDER)
-        return out
+        return [kind for kind in MESSAGE_FAULT_KINDS if getattr(self, kind)]
 
 
 _NO_FAULTS = MessageFaultDecision()
@@ -188,46 +181,41 @@ class MessageFaultInjector:
     # -- configuration ----------------------------------------------------
     def set_link(self, src: str, dst: str, faults: LinkFaults) -> None:
         """Install a probabilistic plan for one link (``"*"`` wildcards)."""
-        if faults.probabilistic and self.rng is None:
-            raise ConfigurationError(
-                "probabilistic message faults need a seeded rng "
-                "(call bind_rng first): unseeded faults are not replayable"
-            )
-        self.plans[(src, dst)] = faults
-        self._refresh_active()
+        self._install_plan(self.plans, (src, dst), faults)
 
     def script(self, src: str, dst: str, kind: str,
                method: Optional[str] = None) -> None:
         """Queue a one-shot fault for the next matching message."""
-        if kind not in MESSAGE_FAULT_KINDS:
-            raise ConfigurationError(
-                f"unknown message-fault kind {kind!r}; "
-                f"expected one of {MESSAGE_FAULT_KINDS}"
-            )
-        self.scripted.setdefault((src, dst), []).append((kind, method))
-        self._refresh_active()
+        self._queue_script(self.scripted, (src, dst), kind, method)
 
     def set_rack_link(self, src_rack: str, dst_rack: str,
                       faults: LinkFaults) -> None:
         """Install a probabilistic plan for one inter-rack link."""
+        self._install_plan(self.rack_plans, (src_rack, dst_rack), faults)
+
+    def script_rack(self, src_rack: str, dst_rack: str, kind: str,
+                    method: Optional[str] = None) -> None:
+        """Queue a one-shot fault for the next matching cross-rack message."""
+        self._queue_script(self.rack_scripts, (src_rack, dst_rack), kind,
+                           method)
+
+    def _install_plan(self, plans, key, faults: LinkFaults) -> None:
         if faults.probabilistic and self.rng is None:
             raise ConfigurationError(
                 "probabilistic message faults need a seeded rng "
                 "(call bind_rng first): unseeded faults are not replayable"
             )
-        self.rack_plans[(src_rack, dst_rack)] = faults
+        plans[key] = faults
         self._refresh_active()
 
-    def script_rack(self, src_rack: str, dst_rack: str, kind: str,
-                    method: Optional[str] = None) -> None:
-        """Queue a one-shot fault for the next matching cross-rack message."""
+    def _queue_script(self, scripts, key, kind: str,
+                      method: Optional[str]) -> None:
         if kind not in MESSAGE_FAULT_KINDS:
             raise ConfigurationError(
                 f"unknown message-fault kind {kind!r}; "
                 f"expected one of {MESSAGE_FAULT_KINDS}"
             )
-        self.rack_scripts.setdefault((src_rack, dst_rack),
-                                     []).append((kind, method))
+        scripts.setdefault(key, []).append((kind, method))
         self._refresh_active()
 
     def clear(self, src: Optional[str] = None,
@@ -270,11 +258,7 @@ class MessageFaultInjector:
                 if not queue:
                     del scripts[key]
                 decision = MessageFaultDecision()
-                field = {REQUEST_LOSS: "drop_request",
-                         REPLY_LOSS: "drop_reply",
-                         DUPLICATE: "duplicate",
-                         REORDER: "reorder"}[kind]
-                setattr(decision, field, True)
+                setattr(decision, kind, True)
                 return decision
         return None
 
@@ -321,8 +305,8 @@ class MessageFaultInjector:
                 # Fixed draw count per message, in kind order: the stream
                 # never skews.
                 random = self.rng.random
-                decision.drop_request |= random() < plan.request_loss
-                decision.drop_reply |= random() < plan.reply_loss
+                decision.request_loss |= random() < plan.request_loss
+                decision.reply_loss |= random() < plan.reply_loss
                 decision.duplicate |= random() < plan.duplicate
                 decision.reorder |= random() < plan.reorder
             decision.extra_latency_s += plan.extra_latency_s

@@ -779,7 +779,7 @@ class RpcClient:
         if self._budget_left is not None:
             kwargs[DEADLINE_KEY] = self._budget_left - extra_latency
         if decision is not None:
-            if decision.drop_request:
+            if decision.request_loss:
                 self._burn_timeout(method, "request lost")
             if decision.reorder and self._last_request:
                 # The network delivers a stale retransmission of the
@@ -793,7 +793,7 @@ class RpcClient:
         if decision is not None:
             if decision.duplicate:
                 self._redeliver(delivered)
-            if decision.drop_reply:
+            if decision.reply_loss:
                 self._burn_timeout(method, "reply lost")
         costs = fabric.costs
         if extra_latency:

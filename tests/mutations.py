@@ -76,12 +76,16 @@ def row(name: str, witness: Union[Lint, Tuple[str, ...]],
 
 
 CONTROLLER = "src/repro/core/controller.py"
+DATABASE = "src/repro/core/database.py"
+FIRMWARE = "src/repro/acpi/firmware.py"
 RECOVERY = "src/repro/core/recovery.py"
 RACK_MONITOR = "src/repro/energy/rack_monitor.py"
 RPC = "src/repro/rdma/rpc.py"
 UNITS = "src/repro/units.py"
 REACHABLE = ("tests/test_public_api_reachable.py::"
              "test_every_public_name_is_reached_from_the_program",)
+FIELDS_READ = ("tests/test_public_api_reachable.py::"
+               "test_every_public_field_is_read",)
 
 GS_RECLAIM_REMOVE = (
     "            self.db.remove(descriptor.buffer_id)\n"
@@ -274,6 +278,14 @@ MUTATIONS: Tuple[Mutation, ...] = (
          "            raise  # we were deposed: abort loudly, as _invalidate"
          " does\n",
          "")),
+    row("alive-swallows-fencing",
+        ("tests/test_fault_injection.py::TestHostLossDetection::"
+         "test_probe_round_aborts_on_fencing",),
+        (RECOVERY,
+         "        except FencingError:\n"
+         "            raise  # we were deposed: abort the round loudly, as"
+         " _resync does\n",
+         "")),
     row("settle-drops-key",
         ("tests/test_fault_injection.py::TestOwedWork::"
          "test_ids_owed_between_due_and_settle_survive",),
@@ -292,17 +304,32 @@ MUTATIONS: Tuple[Mutation, ...] = (
     row("free-bucket-insert-dropped",
         ("tests/test_core_database.py::TestPoolIndex::"
          "test_indexes_match_scans_over_random_ops",),
-        ("src/repro/core/database.py",
-         "            insort(bucket, buffer_id)\n", "")),
+        (DATABASE, "            insort(bucket, buffer_id)\n", "")),
+    # The standby replays through the primary's mutators: a diverged
+    # replica refuses an entry instead of absorbing it.
+    row("lenient-replay",
+        ("tests/test_core_database.py::TestJournalAndMirroring::"
+         "test_replica_refuses_what_the_primary_refuses",),
+        (DATABASE, "        getattr(self, op)(*args)\n",
+         "        try:\n"
+         "            getattr(self, op)(*args)\n"
+         "        except BufferError_:\n"
+         "            pass\n")),
     # The reachability oracle sees constants and state, not only
     # functions, and neither an example nor a checker is a caller.
     row("unread-public-constant", REACHABLE,
         (UNITS, "PAGE_SIZE = 4 * KiB\n",
          "PAGE_SIZE = 4 * KiB\nNEVER_READ_CONSTANT = 0\n")),
-    row("write-only-field",
-        ("tests/test_public_api_reachable.py::test_every_public_field_is_read",),
+    row("write-only-field", FIELDS_READ,
         (RPC, "        self.dedup_replays = 0\n",
          "        self.dedup_replays = 0\n        self.never_read = 0\n")),
+    row("append-only-field", FIELDS_READ,
+        (FIRMWARE, "        self.sz_initialised = False\n",
+         "        self.sz_initialised = False\n"
+         "        self.transition_log = []\n"),
+        (FIRMWARE, "    def wake(self) -> None:\n",
+         "    def wake(self) -> None:\n"
+         "        self.transition_log.append(\"exit:S0\")\n")),
     row("example-only-caller", REACHABLE,
         (UNITS, "TiB = 1024 * GiB\n",
          "TiB = 1024 * GiB\n\n\ndef only_an_example_calls():\n"

@@ -46,6 +46,15 @@ class TestPm1Registers:
         assert not regs.writes[0] & SLP_EN
         assert regs.writes[1] & SLP_EN
 
+    def test_write_log_keeps_only_the_last_transition(self):
+        regs, once = Pm1Registers(), Pm1Registers()
+        for block in (regs, once):
+            block.connect(lambda state: None)
+        regs.write_sleep(SleepType.S3)
+        regs.write_sleep(SleepType.SZ)
+        once.write_sleep(SleepType.SZ)
+        assert regs.writes == once.writes
+
     def test_unconnected_registers_raise(self):
         with pytest.raises(PowerStateError):
             Pm1Registers().write_sleep(SleepType.S3)

@@ -8,7 +8,8 @@ from repro.acpi.states import SleepState
 from repro.cloud.admission import AdmissionController
 from repro.cloud.zombiestack import ZombieStackOrchestrator
 from repro.core.rack import Rack
-from repro.errors import AdmissionError, ConfigurationError, PlacementError
+from repro.errors import (AdmissionError, AllocationError, ConfigurationError,
+                          PlacementError)
 from repro.hypervisor.vm import VmSpec
 from repro.units import GiB, MiB, PAGE_SIZE
 
@@ -54,6 +55,30 @@ class TestPlacement:
         with pytest.raises(PlacementError):
             orch.boot_vm(_spec("v2", vcpus=8))
         assert "v2" not in orch.admission.reservations
+
+    def test_admitted_boot_is_refused_before_the_pool_runs_short(self):
+        # Hypothesis once drew this for test_cluster_never_overcommits:
+        # the filter counted a's own pool buffers (never granted to a) and
+        # b's and c's slack in bytes (lent in whole buffers only), so a
+        # passed, GS_alloc_ext ran 1 buffer short and the AllocationError
+        # kept vm1's reservation.
+        orch = ZombieStackOrchestrator(_rack(), vcpu_capacity=16)
+        orch.boot_vm(VmSpec("vm0", 425 * MiB, vcpus=1))
+        with pytest.raises(PlacementError):
+            orch.boot_vm(VmSpec("vm1", 433 * MiB, vcpus=1))
+        assert list(orch.admission.reservations) == ["vm0"]
+
+    def test_any_failed_boot_releases_admission(self):
+        rack = _rack()
+        orch = ZombieStackOrchestrator(rack)
+
+        def refuse(*args, **kwargs):
+            raise AllocationError("the pool ran short")
+
+        rack.create_vm = refuse
+        with pytest.raises(AllocationError):
+            orch.boot_vm(_spec("v1"))
+        assert not orch.admission.reservations
 
     def test_wakes_zombie_when_rack_is_tight(self):
         rack = _rack()

@@ -198,7 +198,14 @@ class TestMirroring:
     def test_mutations_forwarded(self):
         _, ctr, _ = _setup()
         mirrored = []
-        ctr.mirror = lambda op, args, seq: mirrored.append(op)
+
+        class Client:
+            """The standby's client, reduced to recording each entry."""
+
+            def call(self, verb, op, args, **stamp):
+                mirrored.append(op)
+
+        ctr.mirror = Client()
         ctr.gs_goto_zombie("z1", _buffers("z1", 10, 1))
         ctr.gs_alloc_ext("a1", BUFF)
         assert "zombie_add" in mirrored

@@ -143,6 +143,18 @@ class TestJournalAndMirroring:
         with pytest.raises(ControllerError):
             BufferDatabase().apply("frobnicate", ())
 
+    def test_replica_refuses_what_the_primary_refuses(self):
+        """A replayed entry passes the primary's own checks: a replica
+        that diverged refuses it instead of absorbing it."""
+        replica = BufferDatabase()
+        replica.apply("add", (_desc(1),))
+        with pytest.raises(BufferError_):
+            replica.apply("remove", (2,))                    # unknown id
+        with pytest.raises(BufferError_):
+            replica.apply("add", (_desc(1, host="h2"),))     # live id
+        assert replica.all_buffers() == [_desc(1)]
+        assert not replica.journal
+
     def test_snapshot_round_trip(self):
         db = self._make_db()
         replica = BufferDatabase()
@@ -294,13 +306,6 @@ class TestPoolIndex:
                 primary.set_kind(rng.choice(ids), rng.choice(self.KINDS))
             elif op == 7:
                 primary.zombie_add(rng.choice(self.HOSTS))
-            elif op == 8:
-                # A lenient replayed add over a live id: the record may
-                # change host, size, kind and user at once.
-                readd = descriptor(rng.choice(ids),
-                                   rng.choice([None, "u0"]))
-                primary.apply("add", (readd,))
-                replica.apply("add", (readd,))
             elif op == 9:
                 # A promotion seeds a fresh primary from the replica; the
                 # replica then re-adopts over its own populated pool.

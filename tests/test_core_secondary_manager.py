@@ -32,9 +32,7 @@ def _wired(lender_pages=4 * BUFF_PAGES, user_pages=4 * BUFF_PAGES):
     controller = GlobalMemoryController(ctr_node, buff_size=BUFF)
     secondary = SecondaryController(sec_node, engine,
                                     heartbeat_period_s=1.0, miss_threshold=3)
-    controller.mirror = secondary.attach_rpc_mirror(
-        RpcClient(ctr_node, secondary.rpc), epoch_fn=lambda: controller.epoch
-    )
+    controller.mirror = RpcClient(ctr_node, secondary.rpc)
     secondary.watch(RpcClient(sec_node, controller.rpc))
 
     managers = {}

@@ -9,6 +9,7 @@ and check the data survives.
 import pytest
 
 from repro.acpi.states import SleepState
+from repro.core.protocol import Method
 from repro.core.rack import Rack
 from repro.core.recovery import OwedWork
 from repro.errors import FencingError, RdmaError, RpcTimeoutError
@@ -380,6 +381,30 @@ class TestHostLossDetection:
         rack.engine.run(until=rack.engine.now + 15.0)
         assert len(rack.recovery._owed_resyncs[("z1", "z1")]) == 14
         rack.wake("z1")
+        agent_call = rack.controller._agent_call
+
+        def fenced_resync(host, method, *args):
+            # Only the resync is refused: the round's heartbeats answer,
+            # so the FencingError can come from nowhere but the resync.
+            if method is Method.AS_RESYNC:
+                raise FencingError("stale epoch: controller was deposed")
+            return agent_call(host, method, *args)
+
+        rack.controller._agent_call = fenced_resync
+        with pytest.raises(FencingError):
+            rack.recovery.probe_tick()
+        # The owed ids survive for whoever holds the valid epoch.
+        assert len(rack.recovery._owed_resyncs[("z1", "z1")]) == 14
+
+    def test_probe_round_aborts_on_fencing(self):
+        # Regression: the liveness rule caught FencingError (a
+        # ControllerError) as "no channel to judge by", so a deposed
+        # primary's probe round read every awake host as alive and
+        # carried on.
+        rack = Rack(["u1", "u2"], memory_bytes=256 * MiB,
+                    buff_size=16 * MiB)
+        assert not rack.recovery._owed_resyncs
+        assert not rack.recovery._owed_invalidations
 
         def fenced_call(*args, **kwargs):
             raise FencingError("stale epoch: controller was deposed")
@@ -387,8 +412,6 @@ class TestHostLossDetection:
         rack.controller._agent_call = fenced_call
         with pytest.raises(FencingError):
             rack.recovery.probe_tick()
-        # The owed ids survive for whoever holds the valid epoch.
-        assert len(rack.recovery._owed_resyncs[("z1", "z1")]) == 14
 
 
 class TestOwedWork:

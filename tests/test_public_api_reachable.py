@@ -16,8 +16,11 @@ Collects, in ``src/repro`` outside the checkers (``lint/``, ``check/``,
 - each public instance attribute (``self.x = ...``) and each public
   dataclass or NamedTuple field of a module-level class.  A field is
   *read* when ``src/``, ``benchmarks/``, ``examples/`` or ``tests/`` load
-  it as an attribute or spell it in a dotted string.  An example or a test
-  that reads a field is its observer, so fields need no keep-list.
+  it as an attribute or spell it in a dotted string.  A load that is only
+  the receiver of a mutating call (``self.log.append(...)``) writes the
+  field, as a ``+=`` does: a log nothing reads grows for nothing.  An
+  example or a test that reads a field is its observer, so fields need no
+  keep-list.
 
 A name that stays because a tier-1 test or a checker needs it to observe
 or drive the system goes on ``KEEP`` with its reason.
@@ -36,6 +39,9 @@ CHECKERS = ("lint", "check", "sanitize")
 PROGRAM = (ROOT / "src", ROOT / "benchmarks")
 OBSERVERS = PROGRAM + (ROOT / "examples", ROOT / "tests")
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+#: Calls that change their receiver and answer nothing about it.
+WRITERS = frozenset({"append", "appendleft", "add", "extend", "extendleft",
+                     "insert", "update", "discard", "clear"})
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: Public names no program code reaches by a name token, each with the
@@ -203,7 +209,8 @@ def _tokens(roots, loads_only: bool, checkers: bool) -> Set[str]:
 
     A plain name counts only when loaded, so a constant's own assignment
     does not reach it; ``loads_only`` extends that to attributes, so a
-    field that is only ever written is not read.  Without ``checkers``,
+    field that is only ever written — assigned, augmented or the receiver
+    of a :data:`WRITERS` call — is not read.  Without ``checkers``,
     ``lint/``, ``check/`` and ``sanitize/`` are skipped: a checker that
     names a method checks it, it does not call it.
     """
@@ -217,6 +224,10 @@ def _tokens(roots, loads_only: bool, checkers: bool) -> Set[str]:
             for node in ast.walk(tree):
                 if id(node) in skipped:
                     continue
+                if (loads_only and isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in WRITERS):
+                    skipped.add(id(node.func.value))
                 if isinstance(node, ast.Name):
                     if isinstance(node.ctx, ast.Load):
                         tokens.add(node.id)

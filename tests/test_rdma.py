@@ -319,8 +319,8 @@ class TestMessageFaultInjector:
         # The same draws, in the same order, as a script-free injector.
         plain = MessageFaultInjector(DeterministicRng(5))
         plain.set_link("*", "*", LinkFaults(reply_loss=0.5))
-        assert [d.drop_reply for d in decisions] == [
-            plain.decide("a", "b", method).drop_reply
+        assert [d.reply_loss for d in decisions] == [
+            plain.decide("a", "b", method).reply_loss
             for method in ("x", "m", "m", "y")]
 
     def test_active_turns_false_once_the_last_one_shot_is_consumed(self):
@@ -332,7 +332,7 @@ class TestMessageFaultInjector:
         assert injector.active
         assert injector.decide("a", "c", "m").kinds() == []  # no match
         assert injector.active
-        assert injector.decide("a", "b", "m").drop_reply
+        assert injector.decide("a", "b", "m").reply_loss
         assert not injector.active
         assert injector.injected[REPLY_LOSS] == 1
         assert injector.injected[DUPLICATE] == 1

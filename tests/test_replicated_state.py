@@ -35,8 +35,7 @@ def _pair():
     engine, fabric = Engine(), Fabric()
     ctr = GlobalMemoryController(fabric.add_node("ctr"), buff_size=BUFF)
     sec = SecondaryController(fabric.add_node("sec"), engine)
-    ctr.mirror = sec.attach_rpc_mirror(RpcClient(ctr.node, sec.rpc),
-                                       epoch_fn=lambda: ctr.epoch)
+    ctr.mirror = RpcClient(ctr.node, sec.rpc)
     sec.watch(RpcClient(sec.node, ctr.rpc))
     client = RpcClient(fabric.add_node("agent"), ctr.rpc)
     return engine, fabric, ctr, sec, client
