@@ -99,7 +99,7 @@ def test_disabled_telemetry_rpc_overhead():
             fn()
         return time.perf_counter() - start
 
-    run_bare = lambda: client._call_with_retries("echo", (42,), {})
+    run_bare = lambda: client._call_with_retries("echo", (42,), {}, None)
     run_wrapped = lambda: client.call("echo", 42)
     timed(run_wrapped, loops=500)  # warm up
     timed(run_bare, loops=500)

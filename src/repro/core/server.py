@@ -10,12 +10,11 @@ of these at once except zombie, which excludes running VMs.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.acpi.platform import ServerPlatform, build_platform
 from repro.acpi.states import SleepState
 from repro.core.manager import RemoteMemoryManager
-from repro.errors import PowerStateError, VmStateError
+from repro.errors import ConfigurationError, VmStateError
 from repro.hypervisor.kvm import Hypervisor
 from repro.memory.frames import FrameAllocator
 from repro.rdma.fabric import Fabric, RdmaNode
@@ -33,7 +32,8 @@ class ServerRole(enum.Enum):
 
 
 #: Memory the host OS / hypervisor keeps for itself (never lent, never
-#: given to VMs).
+#: given to VMs), capped at 1/8 of RAM for the scaled-down configurations
+#: experiments run with.
 DEFAULT_HOST_RESERVE = 1 * GiB
 
 
@@ -42,22 +42,17 @@ class RackServer:
 
     def __init__(self, name: str, fabric: Fabric,
                  memory_bytes: int = 16 * GiB,
-                 host_reserve_bytes: Optional[int] = None,
                  buff_size: int = DEFAULT_BUFF_SIZE):
-        if host_reserve_bytes is None:
-            # Default reserve: 1 GiB, capped at 1/8 of RAM for the scaled-
-            # down configurations experiments run with.
-            host_reserve_bytes = min(DEFAULT_HOST_RESERVE, memory_bytes // 8)
-        if host_reserve_bytes >= memory_bytes:
-            raise PowerStateError(
-                f"{name}: host reserve {host_reserve_bytes} >= total memory"
+        if memory_bytes <= 0:
+            raise ConfigurationError(
+                f"{name}: memory_bytes must be positive, got {memory_bytes}"
             )
         self.name = name
         self.platform: ServerPlatform = build_platform(
             name, memory_bytes=memory_bytes
         )
         self.node: RdmaNode = fabric.add_node(name, platform=self.platform)
-        usable = memory_bytes - host_reserve_bytes
+        usable = memory_bytes - min(DEFAULT_HOST_RESERVE, memory_bytes // 8)
         self.allocator = FrameAllocator(pages(usable))
         self.hypervisor = Hypervisor(name, self.allocator,
                                      telemetry=fabric.telemetry)

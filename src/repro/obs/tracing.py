@@ -7,14 +7,13 @@ open becomes its child, and the *root* of each tree mints a fresh
 ``trace_id`` every descendant inherits.
 
 Crossing the fabric works like real distributed tracing rather than by
-leaning on the shared process: :class:`~repro.rdma.rpc.RpcClient`
-injects the current span context into the call's metadata
-(:data:`WIRE_CONTEXT_KEY`), transport-level ``dispatch`` strips it and
-activates it as the **wire context**, and the server-side span adopts it
-as its parent.  Retries re-inject per attempt and a promoted secondary
-serves under the same propagated context, which is what keeps one
-logical operation a single connected tree across retries, circuit
-breaking and failover.
+leaning on the shared process: :class:`~repro.rdma.rpc.RpcClient` sends
+each attempt's span context beside the call's arguments, transport-level
+``dispatch`` activates it as the **wire context**, and the server-side
+span adopts it as its parent.  Every retry carries its own attempt's
+context and a promoted secondary serves under the same propagated
+context, which is what keeps one logical operation a single connected
+tree across retries, circuit breaking and failover.
 
 The tracer also records **timeline samples** (named numeric series with
 explicit timestamps) so slow simulations — the DC energy timeline behind
@@ -32,10 +31,6 @@ from typing import (Callable, Deque, Dict, Iterable, List, NamedTuple,
 from repro.errors import ConfigurationError
 
 Clock = Callable[[], float]
-
-#: Metadata key RPC clients inject and ``dispatch`` strips.  Handlers
-#: never see it; dispatch activates it as the tracer's wire context.
-WIRE_CONTEXT_KEY = "__obs_ctx__"
 
 #: (trace_id, span_id) as carried on the wire.
 SpanContext = Tuple[int, int]

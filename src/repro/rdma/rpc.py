@@ -6,12 +6,19 @@ cheaper than outbound ones.  Unlike one-sided verbs, an RPC needs the server
 CPU to dispatch the handler, so a zombie server cannot answer — this module
 enforces that, which is exactly why controllers stay in S0.
 
+A request is the handler's ``args``/``kwargs`` plus the transport's
+metadata beside them, never inside them: the request id, the deadline
+budget, the ``(rack, epoch)`` fencing stamp and the trace context are
+:meth:`RpcServer.dispatch` parameters, so handlers keep their verb
+signatures and nothing is stamped into or popped out of their arguments.
+
 Failure semantics: a transient fault (partition, suspended server) surfaces
-as :class:`RpcTimeoutError`, and an :class:`RpcClient` built with a
-:class:`RetryPolicy` retries it under bounded exponential backoff with
-deterministic jitter, a per-call deadline, and a per-channel circuit
-breaker.  All waiting is *simulated* time (accounted in ``time_spent_s``),
-never a wall-clock sleep, so fault tests stay deterministic.
+as :class:`RpcTimeoutError`, and every :class:`RpcClient` retries it under
+its :class:`RetryPolicy` (by default :meth:`RetryPolicy.no_retry`: one
+attempt, a breaker only): bounded exponential backoff with deterministic
+jitter, a per-call deadline, and a per-channel circuit breaker.  All
+waiting is *simulated* time (accounted in ``time_spent_s``), never a
+wall-clock sleep, so fault tests stay deterministic.
 
 A closed breaker is free: a call consults it only while it is open or
 half-open, or has consecutive failures to clear.  Otherwise ``allow()``
@@ -30,24 +37,11 @@ from typing import Any, Callable, Dict, Optional
 from repro.errors import (CircuitOpenError, ConfigurationError,
                           DeadlineExceededError, FencingError, RpcError,
                           RpcTimeoutError)
-from repro.obs.tracing import WIRE_CONTEXT_KEY
 from repro.rdma.fabric import RdmaNode
 from repro.sim.rng import DeterministicRng
 
 Handler = Callable[..., Any]
 Clock = Callable[[], float]
-
-#: Metadata key carrying the logical request id ``(client_id, seq)``.
-#: Stamped once per *logical* call (not per attempt): every retry and
-#: every injected duplicate of that call presents the same id, which is
-#: what lets the server deduplicate re-deliveries of mutating verbs.
-REQUEST_ID_KEY = "__req_id__"
-
-#: Metadata key carrying the caller's remaining deadline budget in
-#: simulated seconds.  Servers fast-fail non-positive budgets and push
-#: the delivered budget onto the fabric's deadline stack so nested
-#: downstream RPCs inherit the shrunk remainder.
-DEADLINE_KEY = "__deadline__"
 
 #: Mirrors :data:`repro.core.protocol.DEDUP_REQUIRED` (kept as a local
 #: literal so the transport layer never imports the protocol layer).
@@ -230,7 +224,7 @@ class RpcServer:
     duplicate, or a retry after a lost reply).
 
     The server also fences split brain (:meth:`_fence`), for every verb
-    it serves, so no handler takes the ``epoch``/``rack`` stamp.
+    it serves, on the request's ``(rack, epoch)`` stamp.
     """
 
     #: Upper bound on cached responses; oldest entries are evicted first.
@@ -386,13 +380,15 @@ class RpcServer:
         dispatch and a client's suspended-server timeout ask here."""
         return self.node.cpu_alive
 
-    def dispatch(self, method: str, args: tuple, kwargs: dict) -> Any:
+    def dispatch(self, method: str, args: tuple, kwargs: dict,
+                 req_id: Optional[tuple] = None,
+                 budget: Optional[float] = None,
+                 stamp: Optional[tuple] = None, ctx=None) -> Any:
         """Server-side dispatch; requires a live CPU.
 
-        The transport strips the metadata keys (trace context, request
-        id, deadline budget, fencing stamp) before the handler sees the
-        arguments — handlers keep their verb signatures.  In order,
-        dispatch then:
+        The handler gets exactly ``args`` and ``kwargs``; the request id,
+        deadline budget, ``(rack, epoch)`` fencing stamp and trace
+        context travel beside them.  In order, dispatch:
 
         1. replays the cached response for a re-delivered
            ``dedup_required`` request (exactly-once semantics);
@@ -410,11 +406,6 @@ class RpcServer:
            formed, and the whole point of the client's retry is to
            re-execute.
         """
-        ctx = kwargs.pop(WIRE_CONTEXT_KEY, None)
-        req_id = kwargs.pop(REQUEST_ID_KEY, None)
-        budget = kwargs.pop(DEADLINE_KEY, None)
-        epoch = kwargs.pop("epoch", None)
-        rack = kwargs.pop("rack", None)
         node = self.node
         if not self._daemon_runs():
             raise RpcTimeoutError(
@@ -426,7 +417,6 @@ class RpcServer:
         fabric = node.fabric
         tel = fabric.telemetry
         traced = tel.enabled  # the server side's one traced-or-not decision
-        stamp = None if epoch is None else (rack, epoch)
         dedup = (req_id is not None
                  and self.idempotency.get(method) == _DEDUP_REQUIRED)
         if dedup:
@@ -462,8 +452,8 @@ class RpcServer:
                 result = self._serve_traced(tel, method, handler, ctx,
                                             args, kwargs, stamp)
             else:
-                if epoch is not None and epoch != self.epochs.get(rack):
-                    self._fence(rack, epoch)
+                if stamp is not None and stamp[1] != self.epochs.get(stamp[0]):
+                    self._fence(*stamp)
                 result = handler(*args, **kwargs)
         # Any outcome the handler produced *is* the response; cache it
         # for dedup before letting it propagate.  Retryable faults mean
@@ -502,10 +492,10 @@ class _ChannelVerb:
 class RpcClient:
     """Client endpoint: sends a request, then polls for the response.
 
-    With a :class:`RetryPolicy` attached the client owns one circuit
-    breaker (the policy may be shared; the breaker never is) and retries
-    transient faults under the policy's backoff and deadline.  Without a
-    policy the client is a bare single-shot channel (unit-test mode).
+    The client owns one circuit breaker (the policy may be shared; the
+    breaker never is) and retries transient faults under its policy's
+    backoff and deadline.  Built without a policy, it gets its own
+    :meth:`RetryPolicy.no_retry`: one attempt per call.
     """
 
     def __init__(self, node: RdmaNode, server: RpcServer,
@@ -514,12 +504,9 @@ class RpcClient:
         self.node = node
         self.server = server
         self.timeout_s = timeout_s
-        self.retry_policy = retry_policy
-        self.breaker: Optional[CircuitBreaker] = (
-            retry_policy.make_breaker() if retry_policy is not None else None
-        )
-        if self.breaker is not None:
-            node.fabric.register_breaker(server.node.name, self.breaker)
+        self.retry_policy = retry_policy or RetryPolicy.no_retry()
+        self.breaker = self.retry_policy.make_breaker()
+        node.fabric.register_breaker(server.node.name, self.breaker)
         self.calls_made = 0
         self.polls = 0
         self.retries = 0
@@ -528,31 +515,33 @@ class RpcClient:
         #: shared by all its retries (and any injected duplicates).
         self.client_id = f"{node.name}#{next(_client_ids)}"
         self._seq = itertools.count(1)
-        self._req_id: Optional[tuple] = None
-        self._budget_left: Optional[float] = None
-        #: Last delivered request, kept so an injected *reorder* can
-        #: re-present it to the server as a stale retransmission.
+        #: Last delivered request (``dispatch``'s arguments), kept so an
+        #: injected *reorder* can re-present it as a stale retransmission.
         self._last_request: Optional[tuple] = None
         #: The last completed attempt's wire time: its span's width.
         self._elapsed = 0.0
         self._verbs: Dict[str, _ChannelVerb] = {}
         self._qp = node.connect_qp(server.node.name)
 
-    def call(self, method: str, *args: Any, **kwargs: Any) -> Any:
+    def call(self, method: str, *args: Any, epoch: Optional[int] = None,
+             rack: Optional[str] = None, **kwargs: Any) -> Any:
         """Invoke ``method`` on the server; returns its result.
 
-        Raises :class:`RpcTimeoutError` if the server CPU is down (the
-        client's polls never observe a response) and every configured
-        retry attempt was exhausted.
+        ``epoch`` (with the issuing ``rack``) is the fencing stamp the
+        server checks; the handler never sees it.  Raises
+        :class:`RpcTimeoutError` if the server CPU is down (the client's
+        polls never observe a response) and every configured retry
+        attempt was exhausted.
         """
+        stamp = None if epoch is None else (rack, epoch)
         # The client side's one traced-or-not decision per logical call.
         tel = self.node.fabric.telemetry
         if tel.enabled:
-            return self._call_traced(tel, method, args, kwargs)
-        return self._call_with_retries(method, args, kwargs)
+            return self._call_traced(tel, method, args, kwargs, stamp)
+        return self._call_with_retries(method, args, kwargs, stamp)
 
-    def _call_traced(self, tel, method: str, args: tuple,
-                     kwargs: dict) -> Any:
+    def _call_traced(self, tel, method: str, args: tuple, kwargs: dict,
+                     stamp: Optional[tuple]) -> Any:
         """The retry loop inside a ``call.<verb>`` span, with its metrics."""
         registry = tel.registry
         verb = self._verbs.get(method)
@@ -564,10 +553,10 @@ class RpcClient:
         with tel.tracer.span(verb.call_span, verb=method,
                              node=self.node.name,
                              target=self.server.node.name) as span:
-            if "epoch" in kwargs:
-                span.set_tag("epoch", kwargs["epoch"])
+            if stamp is not None:
+                span.set_tag("epoch", stamp[1])
             try:
-                result = self._call_with_retries(method, args, kwargs,
+                result = self._call_with_retries(method, args, kwargs, stamp,
                                                  traced=True)
             except BaseException as exc:
                 if isinstance(exc, CircuitOpenError):
@@ -608,8 +597,9 @@ class RpcClient:
                              verb=method).inc(retried)
 
     def _call_with_retries(self, method: str, args: tuple, kwargs: dict,
-                           traced: bool = False) -> Any:
-        """The retry loop (single attempt without a policy).
+                           stamp: Optional[tuple], traced: bool = False
+                           ) -> Any:
+        """The retry loop.
 
         Each logical call gets one ``(client_id, seq)`` request id here —
         all its retries present the same id, which is what the server's
@@ -623,11 +613,8 @@ class RpcClient:
         policy = self.retry_policy
         deadlines = self.node.fabric.deadlines
         inherited = deadlines[-1] if deadlines else None
-        self._req_id = (self.client_id, next(self._seq))
+        req_id = (self.client_id, next(self._seq))
         attempt_once = self._attempt_traced if traced else self._attempt
-        if policy is None:
-            self._budget_left = inherited
-            return attempt_once(method, args, kwargs)
         deadline = policy.deadline_s
         if inherited is not None:
             deadline = inherited if deadline is None else min(deadline,
@@ -638,7 +625,7 @@ class RpcClient:
         spent = 0.0
         attempt = 0
         while True:
-            self._budget_left = None if deadline is None else deadline - spent
+            budget = None if deadline is None else deadline - spent
             # A closed breaker always allows (see the module docstring).
             if breaker.state is not _CLOSED and not breaker.allow():
                 raise CircuitOpenError(
@@ -648,7 +635,8 @@ class RpcClient:
             attempt += 1
             stats.attempts += 1
             try:
-                result = attempt_once(method, args, kwargs)
+                result = attempt_once(method, args, kwargs, req_id, budget,
+                                      stamp)
             # Handlers may raise anything; the blind catch is deliberate —
             # non-retryable exceptions are re-raised right below, after
             # informing the breaker that the channel itself answered.
@@ -680,23 +668,20 @@ class RpcClient:
                 breaker.record_success()
             return result
 
-    def _attempt_traced(self, method: str, args: tuple,
-                        kwargs: dict) -> Any:
+    def _attempt_traced(self, method: str, args: tuple, kwargs: dict,
+                        req_id: tuple, budget: Optional[float],
+                        stamp: Optional[tuple]) -> Any:
         """One wire round (:meth:`_attempt`) as its own span.
 
-        The trace context is (re-)injected into the request metadata per
-        attempt — the server strips it on dispatch, so a retried request
-        must carry it again, and each server-side span then parents to
-        the attempt that actually reached it.
+        Each attempt carries its own span's context, so each server-side
+        span parents to the attempt that actually reached it.
         """
         tracer = self.node.fabric.telemetry.tracer
         with tracer.span(self._verbs[method].attempt_span, verb=method,
                          node=self.node.name) as span:
-            # The attempt is the innermost open span: the server side
-            # parents to it.
-            kwargs[WIRE_CONTEXT_KEY] = span.context
             try:
-                result = self._attempt(method, args, kwargs)
+                result = self._attempt(method, args, kwargs, req_id, budget,
+                                       stamp, span.context)
             except RpcTimeoutError:
                 span.end_s = span.start_s + self.timeout_s
                 raise
@@ -721,16 +706,17 @@ class RpcClient:
         the delivery itself must be harmless; MemSan's duplicate-
         execution invariant checks that it was.
         """
-        method, dup_args, dup_kwargs = request
         try:
-            self.server.dispatch(method, dup_args, dict(dup_kwargs))
+            self.server.dispatch(*request)
         # The response to an unsolicited copy has no reader; any error
         # it carries was already (or will be) delivered to the caller
         # via the copy that is actually awaited.
         except Exception:  # noqa: BLE001
             pass
 
-    def _attempt(self, method: str, args: tuple, kwargs: dict) -> Any:
+    def _attempt(self, method: str, args: tuple, kwargs: dict,
+                 req_id: tuple, budget: Optional[float],
+                 stamp: Optional[tuple], ctx=None) -> Any:
         """The wire-level request/poll round.
 
         Consults the fabric's message-fault injector for this link: a
@@ -772,12 +758,8 @@ class RpcClient:
             # shrinks too.
             extra_latency += fabric.charge_cross_rack(
                 node.name, server.node.name, rpcs=1)
-        # Stamp the exactly-once / deadline metadata (re-stamped per
-        # attempt: dispatch pops it, like the trace context).
-        if self._req_id is not None:
-            kwargs[REQUEST_ID_KEY] = self._req_id
-        if self._budget_left is not None:
-            kwargs[DEADLINE_KEY] = self._budget_left - extra_latency
+        if budget is not None:
+            budget -= extra_latency
         if decision is not None:
             if decision.request_loss:
                 self._burn_timeout(method, "request lost")
@@ -785,14 +767,12 @@ class RpcClient:
                 # The network delivers a stale retransmission of the
                 # previous request ahead of this one.
                 self._redeliver(self._last_request)
-        # The one copy: dispatch strips the metadata from the dict it is
-        # handed, a later reorder must re-present it intact.
-        delivered = (method, args, dict(kwargs))
-        self._last_request = delivered
-        result = server.dispatch(method, args, kwargs)
+        request = (method, args, kwargs, req_id, budget, stamp, ctx)
+        self._last_request = request
+        result = server.dispatch(*request)
         if decision is not None:
             if decision.duplicate:
-                self._redeliver(delivered)
+                self._redeliver(request)
             if decision.reply_loss:
                 self._burn_timeout(method, "reply lost")
         costs = fabric.costs

@@ -199,15 +199,16 @@ class MemorySanitizer:
     def _note_freed(self, store: Any, key: int) -> None:
         self._freed.setdefault(store, set()).add(key)
 
-    def _check_dispatch(self, server: Any, epoch: Any, rack: Any) -> None:
+    def _check_dispatch(self, server: Any, stamp: Any) -> None:
         """Called after an RPC dispatch *succeeded*."""
         if not invariants.dispatch_permitted(server.node.cpu_alive):
             self._record(CPU_DEAD_DISPATCH, (
                 f"server {server.node.name!r} dispatched an RPC handler "
                 f"while its CPU is dead — a zombie (Sz) host must never "
                 f"run its RPC daemon"))
-        if not isinstance(epoch, int):
+        if stamp is None:
             return
+        rack, epoch = stamp
         watermarks = self._epochs.setdefault(server, {})
         watermark = watermarks.get(rack)
         if invariants.epoch_regressed(watermark, epoch):
@@ -280,7 +281,7 @@ class MemorySanitizer:
         from repro.core.server import RackServer
         from repro.memory.buffers import RemotePageStore
         from repro.rdma.fabric import RdmaNode
-        from repro.rdma.rpc import RpcServer
+        from repro.rdma.rpc import RpcServer, is_retryable
 
         san = self
 
@@ -339,15 +340,12 @@ class MemorySanitizer:
             san._on_set_kind(descriptor, lost=kind is BufferKind.LOST)
             return descriptor
 
-        def dispatch(self, method, args, kwargs):
-            # Read the request id and the fencing stamp before the
-            # original pops the metadata.
-            from repro.rdma.rpc import REQUEST_ID_KEY, is_retryable
-            req_id = kwargs.get(REQUEST_ID_KEY)
-            epoch, rack = kwargs.get("epoch"), kwargs.get("rack")
+        def dispatch(self, method, args, kwargs, req_id=None, budget=None,
+                     stamp=None, ctx=None):
             served_before = self.calls_served
             try:
-                result = orig_dispatch(self, method, args, kwargs)
+                result = orig_dispatch(self, method, args, kwargs, req_id,
+                                       budget, stamp, ctx)
             # A handler that raised still *executed*; only retryable
             # outcomes are exempt (no response formed — the client's
             # retry is supposed to re-execute those).
@@ -358,7 +356,7 @@ class MemorySanitizer:
                 raise
             if self.calls_served > served_before:
                 san._note_execution(self, method, req_id)
-            san._check_dispatch(self, epoch, rack)
+            san._check_dispatch(self, stamp)
             return result
 
         _patch(RemotePageStore, "add_lease", add_lease)

@@ -356,6 +356,17 @@ MUTATIONS: Tuple[Mutation, ...] = (
          "test_every_verb_of_a_federation_refuses_a_stale_stamp",
          "tests/test_fencing.py::test_ad_hoc_verb_on_an_agent_is_fenced_too"),
         (RPC, "        if epoch < current:\n", "        if False:\n")),
+    # Injected latency is charged to the budget the request delivers.
+    row("budget-ignores-injected-latency",
+        ("tests/test_exactly_once.py::TestDeadlinePropagation::"
+         "test_injected_latency_exhausts_the_budget_end_to_end",),
+        (RPC, "            budget -= extra_latency\n", "            pass\n")),
+    # A re-delivered request keeps the request id the server dedups on.
+    row("redelivery-drops-request-id",
+        ("tests/test_exactly_once.py::TestExactlyOnce::"
+         "test_wire_duplicate_executes_once",),
+        (RPC, "            self.server.dispatch(*request)\n",
+         "            self.server.dispatch(*request[:3])\n")),
     # One server power model: the live rack reads Table 3's HP row.
     row("live-rack-reads-dell-row",
         ("tests/test_dc_energy.py::TestPlans::"

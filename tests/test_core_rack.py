@@ -4,9 +4,10 @@ import pytest
 
 from repro.acpi.states import SleepState
 from repro.core.rack import Rack
-from repro.core.server import ServerRole
+from repro.core.server import RackServer, ServerRole
 from repro.errors import (ConfigurationError, PlacementError, VmStateError)
 from repro.hypervisor.vm import VmSpec
+from repro.rdma.fabric import Fabric
 from repro.units import MiB, PAGE_SIZE
 
 
@@ -18,6 +19,10 @@ class TestConstruction:
     def test_empty_rack_rejected(self):
         with pytest.raises(ConfigurationError):
             Rack([])
+
+    def test_server_without_memory_is_a_configuration_fault(self):
+        with pytest.raises(ConfigurationError):
+            RackServer("s0", Fabric(), memory_bytes=0)
 
     def test_controller_nodes_exist(self, small_rack):
         assert "global-mem-ctr" in small_rack.fabric.nodes

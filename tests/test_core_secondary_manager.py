@@ -252,7 +252,7 @@ class TestFencingEpochs:
 
         def mirror(host, epoch, seq):
             return sec.rpc.dispatch(MIRROR_OP, ("zombie_add", (host,)),
-                                    {"epoch": epoch, "seq": seq})
+                                    {"seq": seq}, stamp=(None, epoch))
 
         mirror("h1", epoch=1, seq=seq)
         sec.promote(BUFF)  # epoch 1 -> 2
@@ -264,18 +264,18 @@ class TestFencingEpochs:
     def test_manager_rejects_stale_epoch(self):
         _, _, _, _, mgrs = _wired()
         dispatch = mgrs["user"].rpc.dispatch
-        assert dispatch(HEARTBEAT, (), {"epoch": 2}) == "alive"
+        assert dispatch(HEARTBEAT, (), {}, stamp=(None, 2)) == "alive"
         with pytest.raises(FencingError):
-            dispatch(HEARTBEAT, (), {"epoch": 1})
+            dispatch(HEARTBEAT, (), {}, stamp=(None, 1))
         with pytest.raises(FencingError):
-            dispatch(Method.US_RECLAIM.value, ([],), {"epoch": 1})
+            dispatch(Method.US_RECLAIM.value, ([],), {}, stamp=(None, 1))
         # watermark kept
-        assert dispatch(HEARTBEAT, (), {"epoch": 2}) == "alive"
+        assert dispatch(HEARTBEAT, (), {}, stamp=(None, 2)) == "alive"
 
     def test_agent_call_from_deposed_controller_fences_it(self):
         _, _, ctr, _, mgrs = _wired()
         # The rack learned epoch 2.
-        mgrs["user"].rpc.dispatch(HEARTBEAT, (), {"epoch": 2})
+        mgrs["user"].rpc.dispatch(HEARTBEAT, (), {}, stamp=(None, 2))
         assert not ctr.fenced
         with pytest.raises(FencingError):
             ctr._agent_call("user", Method.HEARTBEAT)  # stamps epoch 1

@@ -3,9 +3,9 @@
 The client stamps every logical call with one ``(client_id, seq)``
 request id that all retries share; servers answer re-deliveries of
 ``dedup_required`` verbs from a bounded, epoch-aware dedup table instead
-of re-executing.  The remaining deadline budget travels in the request
-metadata: servers fast-fail work whose budget is already spent and push
-the delivered remainder for nested RPCs to inherit.
+of re-executing.  The remaining deadline budget travels in the request,
+beside the arguments: servers fast-fail work whose budget is already
+spent and push the delivered remainder for nested RPCs to inherit.
 """
 
 import pytest
@@ -14,9 +14,9 @@ from repro.core.protocol import Method
 from repro.errors import (ConfigurationError, DeadlineExceededError,
                           RpcTimeoutError)
 from repro.obs import Telemetry
-from repro.rdma.fabric import DUPLICATE, REPLY_LOSS, Fabric, LinkFaults
-from repro.rdma.rpc import (DEADLINE_KEY, REQUEST_ID_KEY, RetryPolicy,
-                            RpcClient, RpcServer, is_retryable)
+from repro.rdma.fabric import (DUPLICATE, REORDER, REPLY_LOSS, Fabric,
+                               LinkFaults)
+from repro.rdma.rpc import RetryPolicy, RpcClient, RpcServer, is_retryable
 from repro.sim.rng import DeterministicRng
 
 
@@ -62,6 +62,25 @@ class TestExactlyOnce:
         assert len(calls) == 1
         assert server.dedup_replays == 1
 
+    def test_reorder_re_presents_the_previous_request_under_its_own_id(self):
+        # A stale retransmission of call 1 reaches the server ahead of
+        # call 2, still carrying call 1's request id.
+        fabric, server, client = _channel()
+        bumps, plain = [], []
+        _register_counter(server, "bump", bumps)
+        server.register("plain", lambda: plain.append(1) or len(plain))
+        assert client.call("bump") == 1
+        fabric.message_faults.script("client", "server", REORDER)
+        assert client.call("bump") == 2
+        assert len(bumps) == 2  # the stale copy was answered from the table
+        assert server.dedup_replays == 1
+        client.call("plain")
+        fabric.message_faults.script("client", "server", REORDER)
+        client.call("plain")
+        assert len(plain) == 3  # an unclassified verb re-runs it
+        assert server.dedup_replays == 1
+        assert fabric.message_faults.injected[REORDER] == 2
+
     def test_unclassified_verb_falls_back_to_at_least_once(self):
         # Verbs without an idempotency class get no dedup protection —
         # the wire duplicate re-executes.  This is the documented
@@ -105,9 +124,9 @@ class TestExactlyOnce:
         server.register("boom", boom, idempotency="dedup_required")
         req_id = ("client#1", 1)
         with pytest.raises(ValueError):
-            server.dispatch("boom", (), {REQUEST_ID_KEY: req_id})
+            server.dispatch("boom", (), {}, req_id=req_id)
         with pytest.raises(ValueError):
-            server.dispatch("boom", (), {REQUEST_ID_KEY: req_id})
+            server.dispatch("boom", (), {}, req_id=req_id)
         assert len(calls) == 1  # the error is the response; replay it
         assert server.dedup_replays == 1
 
@@ -127,7 +146,7 @@ class TestExactlyOnce:
         calls = []
         _register_counter(server, "bump", calls)
         for seq in range(1, 6):
-            server.dispatch("bump", (), {REQUEST_ID_KEY: ("c#1", seq)})
+            server.dispatch("bump", (), {}, req_id=("c#1", seq))
         assert len(server._dedup) == 3
         # The oldest ids were evicted; the newest survive.
         assert set(server._dedup) == {("bump", ("c#1", s)) for s in (3, 4, 5)}
@@ -135,12 +154,12 @@ class TestExactlyOnce:
     def test_epoch_advance_purges_stale_entries(self):
         fabric, server, client = _channel()
         server.register("work", lambda: None, idempotency="dedup_required")
-        server.dispatch("work", (), {REQUEST_ID_KEY: ("c#1", 1), "epoch": 1})
-        server.dispatch("work", (), {REQUEST_ID_KEY: ("c#1", 2), "epoch": 1})
+        server.dispatch("work", (), {}, req_id=("c#1", 1), stamp=(None, 1))
+        server.dispatch("work", (), {}, req_id=("c#1", 2), stamp=(None, 1))
         assert len(server._dedup) == 2
         # The rack moves to epoch 2: epoch-1 responses would be fenced on
         # replay anyway, so they are purged rather than kept warm.
-        server.dispatch("work", (), {REQUEST_ID_KEY: ("c#1", 3), "epoch": 2})
+        server.dispatch("work", (), {}, req_id=("c#1", 3), stamp=(None, 2))
         assert set(server._dedup) == {("work", ("c#1", 3))}
 
     def test_epoch_watermark_is_kept_per_rack(self):
@@ -155,18 +174,18 @@ class TestExactlyOnce:
             return who
 
         server.register("work", work, idempotency="dedup_required")
-        from_a = {REQUEST_ID_KEY: ("a#1", 1), "epoch": 1, "rack": "rackA"}
-        assert server.dispatch("work", ("A",), dict(from_a)) == "A"
-        server.dispatch("work", ("B",), {REQUEST_ID_KEY: ("b#1", 1),
-                                         "epoch": 3, "rack": "rackB"})
+        from_a = {"req_id": ("a#1", 1), "stamp": ("rackA", 1)}
+        assert server.dispatch("work", ("A",), {}, **from_a) == "A"
+        server.dispatch("work", ("B",), {}, req_id=("b#1", 1),
+                        stamp=("rackB", 3))
         assert ("work", ("a#1", 1)) in server._dedup
         # A's redelivery is answered from the cache, not re-executed.
-        assert server.dispatch("work", ("A",), dict(from_a)) == "A"
+        assert server.dispatch("work", ("A",), {}, **from_a) == "A"
         assert server.dedup_replays == 1
         assert calls == ["A", "B"]
         # A's own advance still purges A's stale entry, and only it.
-        server.dispatch("work", ("A",), {REQUEST_ID_KEY: ("a#1", 2),
-                                         "epoch": 2, "rack": "rackA"})
+        server.dispatch("work", ("A",), {}, req_id=("a#1", 2),
+                        stamp=("rackA", 2))
         assert set(server._dedup) == {("work", ("b#1", 1)),
                                       ("work", ("a#1", 2))}
 
@@ -182,8 +201,8 @@ class TestRegistration:
         server.unregister("work")
         server.register("work", lambda: calls.append(1))  # unclassified
         req_id = ("c#1", 1)
-        server.dispatch("work", (), {REQUEST_ID_KEY: req_id})
-        server.dispatch("work", (), {REQUEST_ID_KEY: req_id})
+        server.dispatch("work", (), {}, req_id=req_id)
+        server.dispatch("work", (), {}, req_id=req_id)
         assert len(calls) == 2
         assert server.dedup_replays == 0
 
@@ -223,7 +242,7 @@ class TestDeadlinePropagation:
         calls = []
         server.register("work", lambda: calls.append(1))
         with pytest.raises(DeadlineExceededError):
-            server.dispatch("work", (), {DEADLINE_KEY: 0.0})
+            server.dispatch("work", (), {}, budget=0.0)
         assert calls == []
         assert server.calls_served == 0  # never counted as served
 

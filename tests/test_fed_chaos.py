@@ -7,11 +7,11 @@ plane:
   loan intact on the promoted secondary (the journal mirrors the grant),
   re-attachable by the lending plane, recallable under the new fencing
   epoch, and the deposed primary fenced out of the revocation channel;
-- **message faults**: ``REPLY_LOSS``/``DUPLICATE`` injected on the
-  inter-rack links must leave the borrow/return/recall storm's final
+- **message faults**: ``REPLY_LOSS``/``DUPLICATE``/``REORDER`` injected
+  on the inter-rack links must leave the borrow/return/recall storm's final
   state fingerprint-identical to the fault-free run — the ``FED_*``
-  verbs are ``dedup_required``, so a lost reply or duplicated request
-  can never double-lend or double-free.
+  verbs are ``dedup_required``, so a lost reply or a duplicated or
+  stale re-delivered request can never double-lend or double-free.
 
 CI sweeps seeds via ``ZOMNET_CHAOS_SEEDS`` (same contract as the
 intra-rack chaos matrix); any failure replays locally with the same
@@ -23,7 +23,7 @@ import pytest
 from repro.core.protocol import Method
 from repro.errors import AllocationError, FencingError
 from repro.fed import Federation
-from repro.rdma.fabric import DUPLICATE, REPLY_LOSS, LinkFaults
+from repro.rdma.fabric import DUPLICATE, REORDER, REPLY_LOSS, LinkFaults
 from repro.tour import BUFFER, MEMORY, fed_tour
 from tests.agreement import assert_standby_agrees, chaos_seeds
 
@@ -244,12 +244,16 @@ class TestInterRackMessageFaults:
         _lending_storm(clean)
         baseline = _fingerprint(clean)
 
-        # One scripted loss on top of the probabilistic plan: whatever
-        # the seed's draw stream does, at least one fault provably fires.
+        # One scripted loss and one scripted reorder on top of the
+        # probabilistic plan: the storm sends under twenty cross-rack
+        # messages, so whatever the seed's draw stream does, both kinds
+        # provably fire.  A script draws no uniform of its own.
         def install(inj):
             inj.set_rack_link("*", "*",
-                              LinkFaults(reply_loss=0.08, duplicate=0.12))
+                              LinkFaults(reply_loss=0.08, duplicate=0.12,
+                                         reorder=0.1))
             inj.script_rack("*", "*", REPLY_LOSS, method="FED_borrow")
+            inj.script_rack("*", "*", REORDER, method="FED_return")
 
         faulty = _build(seed, install_faults=install)
         _lending_storm(faulty)
@@ -259,6 +263,7 @@ class TestInterRackMessageFaults:
         assert injected[REPLY_LOSS] + injected[DUPLICATE] >= 1, (
             "the inter-rack fault plan never fired — the storm has no "
             "cross-rack traffic to attack?")
+        assert injected[REORDER] > 0
         for rack in (*clean.racks.values(), *faulty.racks.values()):
             assert_standby_agrees(rack)
 

@@ -211,11 +211,11 @@ class TestLending:
         agent = fed.lending.agents[("rack2", "rack1")]
         epoch = agent.rpc.epochs.get("rack1", 0)
         dispatch = agent.rpc.dispatch
-        assert dispatch(Method.HEARTBEAT.value, (),
-                        {"epoch": epoch + 1, "rack": "rack1"}) == "alive"
+        assert dispatch(Method.HEARTBEAT.value, (), {},
+                        stamp=("rack1", epoch + 1)) == "alive"
         with pytest.raises(FencingError):
-            dispatch(Method.US_RECLAIM.value, ([],),
-                     {"epoch": epoch, "rack": "rack1"})
+            dispatch(Method.US_RECLAIM.value, ([],), {},
+                     stamp=("rack1", epoch))
 
     def test_cross_rack_traffic_is_priced(self):
         fed = self._lend_pair()

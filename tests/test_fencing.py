@@ -43,10 +43,9 @@ def _unfenced(monkeypatch, servers):
             monkeypatch.setitem(server.handlers, verb,
                                 lambda *a, calls=calls, **k: calls.append(a))
             fresh = server.epochs.get(issuer, 0) + 1
-            server.dispatch(verb, (), {"epoch": fresh, "rack": issuer})
+            server.dispatch(verb, (), {}, stamp=(issuer, fresh))
             try:
-                server.dispatch(verb, (), {"epoch": fresh - 1,
-                                           "rack": issuer})
+                server.dispatch(verb, (), {}, stamp=(issuer, fresh - 1))
             except FencingError:
                 pass
             else:
@@ -91,12 +90,12 @@ def test_ad_hoc_verb_on_an_agent_is_fenced_too():
     server = rack.server("user").manager.rpc
     calls = []
     server.register("ad_hoc", lambda: calls.append(1) or "ran")
-    stamp = {"rack": rack.controller.rack}
-    assert server.dispatch("ad_hoc", (), dict(stamp, epoch=3)) == "ran"
+    issuer = rack.controller.rack
+    assert server.dispatch("ad_hoc", (), {}, stamp=(issuer, 3)) == "ran"
     with pytest.raises(FencingError):
-        server.dispatch("ad_hoc", (), dict(stamp, epoch=2))
+        server.dispatch("ad_hoc", (), {}, stamp=(issuer, 2))
     assert calls == [1]
     # The watermark is the server's, shared by every verb it serves.
     with pytest.raises(FencingError):
-        server.dispatch("heartbeat", (), dict(stamp, epoch=2))
+        server.dispatch("heartbeat", (), {}, stamp=(issuer, 2))
 

@@ -2,8 +2,8 @@
 
 The acceptance scenario drives the rack tour (``repro.tour.rack_tour``,
 every intra-rack verb) plus one controller failover, twice — once
-fault-free, once with reply loss and duplication injected on every link
-from a fixed seed — and asserts the final rack states are identical: no
+fault-free, once with reply loss, duplication and reordering injected on
+every link from a fixed seed — and asserts the final rack states are identical: no
 double-executed mutating verb, no lease leak, no deadline-dead call
 executed server-side.  A per-verb property test then does the same with
 a scripted fault aimed at each verb in turn.
@@ -19,7 +19,7 @@ import pytest
 from repro.core.protocol import Method
 from repro.core.rack import Rack
 from repro.obs import Telemetry
-from repro.rdma.fabric import DUPLICATE, REPLY_LOSS, LinkFaults
+from repro.rdma.fabric import DUPLICATE, REORDER, REPLY_LOSS, LinkFaults
 from repro.sanitize.pytest_plugin import get_session_sanitizer
 from repro.tour import BUFFER, MEMORY, RACK_TOUR, rack_tour, verbs
 from tests.agreement import assert_standby_agrees, chaos_seeds
@@ -126,13 +126,15 @@ class TestChaosMatrix:
         faulty_rack, faulty_vm = _run_scenario(
             seed=seed, telemetry=True,
             install_faults=lambda inj: inj.set_link(
-                "*", "*", LinkFaults(reply_loss=0.08, duplicate=0.12)))
+                "*", "*", LinkFaults(reply_loss=0.08, duplicate=0.12,
+                                     reorder=0.1)))
         assert _fingerprint(faulty_rack, faulty_vm) == clean_fp
 
         # The adversary actually fired, and dedup actually absorbed
         # re-deliveries — the equivalence above is not vacuous.
         injected = faulty_rack.fabric.message_faults.injected
         assert injected[REPLY_LOSS] > 0 and injected[DUPLICATE] > 0
+        assert injected[REORDER] > 0
         assert _dedup_replays(faulty_rack) > 0
 
         # Every verb the rack tour declares crossed the adversarial fabric.

@@ -74,16 +74,20 @@ class TestStraightLine:
         assert client.call("echo", 43) == 43
         assert hub.reads == 4
 
-    def test_dispatch_strips_metadata_yet_the_kept_copy_stays_intact(self):
-        # One copy per attempt: dispatch pops the metadata off the dict it
-        # is handed; what a later reorder would re-present still has it.
+    def test_kept_request_carries_metadata_beside_its_arguments(self):
+        # What a later reorder would re-present is dispatch's own
+        # argument tuple: the handler's arguments exactly as the caller
+        # passed them, and the request id, budget and stamp beside them.
         server, client = self._pair()
         server.register("echo", lambda x, tag=None: (x, tag))
-        assert client.call("echo", 1, tag="t") == (1, "t")
-        method, args, kwargs = client._last_request
-        assert (method, args, kwargs["tag"]) == ("echo", (1,), "t")
-        assert kwargs["__req_id__"] == (client.client_id, 1)
-        assert "__deadline__" in kwargs
+        assert client.call("echo", 1, tag="t", epoch=4, rack="r") == (1, "t")
+        method, args, kwargs, req_id, budget, stamp, ctx = \
+            client._last_request
+        assert (method, args, kwargs) == ("echo", (1,), {"tag": "t"})
+        assert req_id == (client.client_id, 1)
+        assert budget == RetryPolicy().deadline_s
+        assert stamp == ("r", 4)
+        assert ctx is None  # untraced
 
 
 def _mini_rack_day(telemetry):

@@ -101,9 +101,18 @@ class TestRetryLoop:
             client.call("anything")
         assert policy.stats.attempts == 1
 
-    def test_bare_client_has_no_breaker(self):
-        _, _, client = _channel(policy=None)
-        assert client.breaker is None
+    def test_client_without_a_policy_tries_once_behind_a_fabric_breaker(self):
+        fabric, _, client = _channel(policy=None)
+        threshold = client.breaker.failure_threshold
+        fabric.partition("server")
+        for _ in range(threshold):
+            with pytest.raises(RpcTimeoutError):
+                client.call("anything")
+        stats = client.retry_policy.stats
+        assert stats.calls == stats.attempts == threshold  # one per call
+        assert client.breaker.state is BreakerState.OPEN
+        fabric.heal("server")  # the fabric knows this breaker
+        assert client.breaker.state is BreakerState.HALF_OPEN
 
 
 class TestCircuitBreaker:
