@@ -9,7 +9,7 @@ them all in O(T + S) for T tasks and S slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
 
 from repro.errors import TraceFormatError
 from repro.traces.schema import Task, Trace
@@ -41,12 +41,28 @@ def aggregate_demand(tasks: Sequence[Task], slot_s: float = HOUR,
     here; the full slots between them are one +/- pair in a step array,
     which a single prefix sum resolves.  Summation order differs from a
     per-slot walk, so slot fields agree with one to rounding, not bitwise.
+
+    A :class:`~repro.traces.schema.Trace` keeps its slots per ``(slot_s,
+    duration_s)``: its columns never change, and one Fig. 10 sweep asks
+    for the modified trace's slots twice.  Each call gets a new list of
+    the kept (frozen) slots.
     """
     if slot_s <= 0:
         raise TraceFormatError(f"slot_s must be positive: {slot_s}")
     if not tasks:
         return []
     trace = Trace.from_tasks(tasks)
+    key = (slot_s, duration_s)
+    slots = trace._demand_slots.get(key)
+    if slots is None:
+        slots = trace._demand_slots[key] = _aggregate(trace, slot_s,
+                                                      duration_s)
+    return list(slots)
+
+
+def _aggregate(trace: Trace, slot_s: float,
+               duration_s: float) -> Tuple[DemandSlot, ...]:
+    """The slots :func:`aggregate_demand` describes, computed afresh."""
     horizon = duration_s or max(trace.end_s)
     n_slots = max(1, int(horizon / slot_s + 0.999999))
     last_slot = n_slots - 1
@@ -107,7 +123,7 @@ def aggregate_demand(tasks: Sequence[Task], slot_s: float = HOUR,
     for total, step in zip(totals, steps):
         _add_prefix_sum(total, step)
     _add_prefix_sum(counts, count_steps)
-    return [
+    return tuple(
         DemandSlot(
             start_s=slot * slot_s, duration_s=slot_s,
             cpu_booked=cpu_b[slot], mem_booked=mem_b[slot],
@@ -116,7 +132,7 @@ def aggregate_demand(tasks: Sequence[Task], slot_s: float = HOUR,
             task_count=counts[slot],
         )
         for slot in range(n_slots)
-    ]
+    )
 
 
 def _add_prefix_sum(total: list, step: list) -> None:

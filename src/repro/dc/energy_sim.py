@@ -48,9 +48,11 @@ IDLE_WSS_FRACTION = 0.30
 ZS_LOCAL_WSS_FRACTION = 0.30
 
 
-@dataclass(frozen=True)
-class SlotPlan:
-    """One policy's server disposition for one slot."""
+class SlotPlan(NamedTuple):
+    """One policy's server disposition for one slot.
+
+    A tuple, not a frozen dataclass: every policy pass builds two per slot.
+    """
 
     active: float          # servers in S0 running VMs
     utilization: float     # actual CPU utilization of active servers

@@ -1,14 +1,12 @@
 """Deterministic random-number helpers.
 
 Every stochastic component takes an explicit seeded generator so whole
-experiments replay bit-identically.  The wrapper adds the two distributions
-the workload models need beyond the standard library: bounded Zipf sampling
-and a clamped log-normal.
+experiments replay bit-identically.  The wrapper adds the distribution the
+workload models need beyond the standard library: bounded Zipf sampling.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List, Sequence, TypeVar
 
@@ -25,6 +23,15 @@ class DeterministicRng:
     def fork(self, salt: int) -> "DeterministicRng":
         """Derive an independent stream; same (seed, salt) → same stream."""
         return DeterministicRng(hash((self.seed, salt)) & 0x7FFFFFFF)
+
+    @property
+    def stream(self) -> random.Random:
+        """The underlying ``random.Random``, for a hot loop to bind its
+        methods once.  Binding them on the instance instead would break
+        ``copy.deepcopy``: a copied bound builtin method still draws from
+        the original's stream.
+        """
+        return self._random
 
     # -- passthroughs ---------------------------------------------------
     def random(self) -> float:
@@ -67,12 +74,6 @@ class DeterministicRng:
             else:
                 hi = mid
         return lo
-
-    def lognormal_clamped(self, mu: float, sigma: float,
-                          lo: float, hi: float) -> float:
-        """Log-normal sample clamped into ``[lo, hi]``."""
-        value = math.exp(self._random.gauss(mu, sigma))
-        return max(lo, min(hi, value))
 
     _zipf_cache: dict = {}
 

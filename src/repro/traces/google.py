@@ -51,10 +51,16 @@ def generate_trace(config: TraceConfig) -> Trace:
     mem_to_cpu = config.mem_to_cpu
     idle_fraction = config.idle_fraction
 
-    # The loop runs once per task: draws and appends are bound once.
-    expovariate, random, uniform = rng.expovariate, rng.random, rng.uniform
-    gauss, lognormal = rng.gauss, rng.lognormal_clamped
-    sin, two_pi = math.sin, 2 * math.pi
+    # The loop runs once per task, so it draws straight from the stream
+    # with each method bound once.  The clamps, ``uniform`` and the
+    # ``min``/``max`` calls are inlined as the identical expressions:
+    # ``uniform(a, b)`` is ``a + (b - a) * random()``, ``min(x, y)`` is
+    # ``y if y < x else x`` and ``max(x, y)`` is ``y if y > x else x``.
+    stream = rng.stream
+    expovariate, random, gauss = (stream.expovariate, stream.random,
+                                  stream.gauss)
+    exp, sin, two_pi = math.exp, math.sin, 2 * math.pi
+    min_duration_s = 5 * 60.0
     columns = tuple(array(typecode) for typecode in TYPECODES)
     (add_job, add_index, add_start, add_end, add_cpu_req, add_mem_req,
      add_cpu_use, add_mem_use) = (column.append for column in columns)
@@ -71,17 +77,25 @@ def generate_trace(config: TraceConfig) -> Trace:
             continue
         job_id += 1
         n_tasks = 1 + int(expovariate(fanout_rate))
-        duration = lognormal(duration_mu, duration_sigma,
-                             lo=5 * 60.0, hi=duration_s)
+        # Log-normal clamped into [5 min, duration_s]: max(lo, min(hi, x)).
+        duration = exp(gauss(duration_mu, duration_sigma))
+        duration = duration if duration < duration_s else duration_s
+        duration = duration if duration > min_duration_s else min_duration_s
         for index in range(n_tasks):
-            cpu_req = lognormal(cpu_mu, cpu_sigma, lo=0.01, hi=0.9)
-            ratio = max(0.2, gauss(mem_to_cpu, 0.35))
-            mem_req = min(0.95, cpu_req * ratio)
+            # Log-normal clamped into [0.01, 0.9].
+            cpu_req = exp(gauss(cpu_mu, cpu_sigma))
+            cpu_req = cpu_req if cpu_req < 0.9 else 0.9
+            cpu_req = cpu_req if cpu_req > 0.01 else 0.01
+            ratio = gauss(mem_to_cpu, 0.35)
+            ratio = ratio if ratio > 0.2 else 0.2
+            mem_req = cpu_req * ratio
+            mem_req = mem_req if mem_req < 0.95 else 0.95
             idle = random() < idle_fraction
-            cpu_usage = (uniform(0.0, 0.009) if idle
-                         else cpu_req * uniform(0.25, 0.75))
-            mem_usage = mem_req * uniform(0.5, 0.95)
-            end = min(t + duration * uniform(0.8, 1.2), duration_s)
+            cpu_usage = (0.0 + (0.009 - 0.0) * random() if idle
+                         else cpu_req * (0.25 + (0.75 - 0.25) * random()))
+            mem_usage = mem_req * (0.5 + (0.95 - 0.5) * random())
+            end = t + duration * (0.8 + (1.2 - 0.8) * random())
+            end = duration_s if duration_s < end else end
             if end <= t:
                 continue
             add_job(job_id)
@@ -90,8 +104,10 @@ def generate_trace(config: TraceConfig) -> Trace:
             add_end(end)
             add_cpu_req(round(cpu_req, 6))
             add_mem_req(round(mem_req, 6))
-            add_cpu_use(round(min(cpu_usage, cpu_req), 6))
-            add_mem_use(round(min(mem_usage, mem_req), 6))
+            add_cpu_use(round(cpu_req if cpu_req < cpu_usage else cpu_usage,
+                              6))
+            add_mem_use(round(mem_req if mem_req < mem_usage else mem_usage,
+                              6))
     return Trace(*columns)
 
 

@@ -9,6 +9,12 @@ A :class:`Task` is one row.  A whole trace is a :class:`Trace`: the same
 eight fields stored as ``array`` columns, which is what the generator,
 the transforms and demand aggregation work on.  A ``Trace`` is still a
 sequence of ``Task`` rows to any caller that indexes or iterates it.
+
+A ``Trace`` also keeps the demand slots
+:func:`~repro.dc.datacenter.aggregate_demand` computed for it, per
+``(slot_s, duration_s)``: the Fig. 10 sweep asks for the modified trace's
+slots once for the policy comparison and again for the enacted sweep, and
+the columns cannot change under them.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from operator import eq, lt
 from typing import Iterable, Iterator, Tuple, Union
 
@@ -51,11 +57,11 @@ class Task:
             raise TraceFormatError(
                 f"task {self.job_id}/{self.task_index}: end before start"
             )
-        for field in _FRACTIONS:
-            value = getattr(self, field)
+        for name in _FRACTIONS:
+            value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise TraceFormatError(
-                    f"task {self.job_id}/{self.task_index}: {field}={value} "
+                    f"task {self.job_id}/{self.task_index}: {name}={value} "
                     "out of [0, 1]"
                 )
 
@@ -99,6 +105,11 @@ class Trace(Sequence[Task]):
     mem_request: array
     cpu_usage: array
     mem_usage: array
+    #: :func:`~repro.dc.datacenter.aggregate_demand`'s slots of this
+    #: trace, per ``(slot_s, duration_s)``.  Not an init field, so
+    #: ``replace()`` and slicing start with none.
+    _demand_slots: dict = field(init=False, compare=False, repr=False,
+                                default_factory=dict)
 
     def __post_init__(self) -> None:
         for name, typecode in zip(FIELDS, TYPECODES):

@@ -37,7 +37,8 @@ def scale_demand(tasks: Sequence[Task], mem_to_cpu: float) -> Trace:
     for cpu_req, mem_req, mem_use in zip(trace.cpu_request,
                                          trace.mem_request, trace.mem_usage):
         usage_ratio = mem_use / mem_req if mem_req > 0 else 0.0
-        new_request = min(0.95, cpu_req * mem_to_cpu)
+        new_request = cpu_req * mem_to_cpu
+        new_request = new_request if new_request < 0.95 else 0.95
         add_request(round(new_request, 6))
         add_usage(round(new_request * usage_ratio, 6))
     return replace(trace, mem_request=mem_request, mem_usage=mem_usage)

@@ -401,6 +401,14 @@ MUTATIONS: Tuple[Mutation, ...] = (
          "            state.free_slots.append(slot)\n"
          "            del self._locations[key]\n"
          "            self._backup.pop(key, None)\n")),
+    # A Trace keeps its demand slots per (slot_s, duration_s): a key
+    # without the slot width hands out another width's slots.
+    row("demand-cache-ignores-slot",
+        ("tests/test_demand_slots.py::TestKeptSlots::"
+         "test_slot_and_horizon_do_not_collide",),
+        ("src/repro/dc/datacenter.py",
+         "    key = (slot_s, duration_s)\n",
+         "    key = duration_s\n")),
     # The page verb's cached cost is transfer_time(PAGE_SIZE) to the bit.
     row("page-verb-cost-drops-post-overhead",
         ("tests/test_ramext_data_path.py::test_pinned_data_path_counters",),

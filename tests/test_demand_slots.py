@@ -5,17 +5,23 @@ its full middle slots into a step array.  The oracle below is the direct
 definition it replaced: walk every slot a task overlaps and add the
 task's values weighted by the overlap fraction.  Summation order differs
 between the two, so float fields agree to rounding; ``task_count`` must
-agree exactly.
+agree exactly.  The slots a ``Trace`` keeps must equal a fresh
+aggregation of the same rows, bit for bit.
 """
 
 import math
+from array import array
+from dataclasses import replace
 from typing import List
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.dc.datacenter import DemandSlot, aggregate_demand
-from repro.traces.schema import Task, Trace
-from repro.units import HOUR
+from repro.traces.google import generate_trace
+from repro.traces.schema import Task, Trace, TraceConfig
+from repro.traces.transform import scale_demand
+from repro.units import DAY, HOUR
 
 FLOAT_FIELDS = ("start_s", "duration_s", "cpu_booked", "mem_booked",
                 "cpu_used", "mem_used", "idle_cpu_booked", "idle_mem_booked")
@@ -138,3 +144,49 @@ def test_long_task_counts_in_every_middle_slot():
     assert [slot.task_count for slot in slots] == [1] * 11
     assert [slot.cpu_booked for slot in slots[1:10]] == [0.2] * 9
     assert slots[0].cpu_booked == slots[10].cpu_booked == 0.1
+
+
+@pytest.fixture
+def trace():
+    return generate_trace(TraceConfig(n_servers=20, duration_days=1.0,
+                                      seed=5))
+
+
+def _fresh(trace: Trace, **kwargs) -> List[DemandSlot]:
+    """The slots of a new ``Trace`` of the same rows: nothing kept."""
+    return aggregate_demand(list(trace), **kwargs)
+
+
+class TestKeptSlots:
+    """A Trace keeps its slots per (slot_s, duration_s) and never leaks them."""
+
+    def test_kept_slots_equal_a_fresh_aggregation(self, trace):
+        first = aggregate_demand(trace)
+        assert aggregate_demand(trace) == first == _fresh(trace)
+
+    def test_each_call_gets_its_own_list(self, trace):
+        first = aggregate_demand(trace)
+        second = aggregate_demand(trace)
+        assert first == second and first is not second
+        want = list(second)
+        first.reverse()
+        first.pop()
+        assert second == want == aggregate_demand(trace)
+
+    @pytest.mark.parametrize("slot_s,duration_s", [
+        (HOUR / 2, 0.0), (2 * HOUR, 0.0), (HOUR, DAY / 2), (HOUR, 2 * DAY)])
+    def test_slot_and_horizon_do_not_collide(self, trace, slot_s,
+                                             duration_s):
+        default = aggregate_demand(trace)
+        got = aggregate_demand(trace, slot_s=slot_s, duration_s=duration_s)
+        assert got == _fresh(trace, slot_s=slot_s, duration_s=duration_s)
+        assert got != default
+        assert aggregate_demand(trace) == default
+
+    def test_derived_traces_aggregate_their_own_columns(self, trace):
+        kept = aggregate_demand(trace)
+        idle = array("d", [0.0]) * len(trace)
+        for derived in (scale_demand(trace, 2.0),
+                        replace(trace, cpu_usage=idle),
+                        trace[:len(trace) // 2]):
+            assert aggregate_demand(derived) == _fresh(derived) != kept

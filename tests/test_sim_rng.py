@@ -1,5 +1,7 @@
 """Deterministic RNG helpers."""
 
+import copy
+
 import pytest
 
 from repro.sim.rng import DeterministicRng
@@ -53,17 +55,43 @@ class TestZipf:
             DeterministicRng(1).zipf(0, 1.0)
 
 
-class TestLognormalClamped:
-    def test_within_bounds(self):
-        rng = DeterministicRng(3)
-        for _ in range(200):
-            value = rng.lognormal_clamped(0.0, 2.0, lo=0.5, hi=3.0)
-            assert 0.5 <= value <= 3.0
+def _drawn(rng: DeterministicRng) -> DeterministicRng:
+    """``rng`` after a few draws; the odd gauss leaves one value cached."""
+    [rng.random() for _ in range(3)]
+    rng.gauss(0.0, 1.0)
+    return rng
 
-    def test_mean_tracks_mu(self):
-        rng = DeterministicRng(3)
-        import math
-        samples = [rng.lognormal_clamped(math.log(10), 0.1, lo=0.1, hi=1000)
-                   for _ in range(2000)]
-        mean = sum(samples) / len(samples)
-        assert 9.0 < mean < 11.0
+
+def _draws(rng: DeterministicRng) -> list:
+    """One draw through each passthrough and one straight from the stream."""
+    return [rng.random(), rng.gauss(0.0, 1.0), rng.uniform(0.0, 1.0),
+            rng.expovariate(2.0), rng.randint(0, 1 << 30), rng.zipf(50),
+            rng.stream.random()]
+
+
+class TestCopy:
+    """A deep copy is a second generator at the same point of the stream."""
+
+    def test_copy_continues_the_sequence(self):
+        rng = _drawn(DeterministicRng(7))
+        twin = copy.deepcopy(rng)
+        assert _draws(twin) == _draws(rng)
+
+    def test_drawing_from_the_copy_leaves_the_original(self):
+        rng = _drawn(DeterministicRng(7))
+        twin = copy.deepcopy(rng)
+        _draws(twin)
+        assert _draws(rng) == _draws(_drawn(DeterministicRng(7)))
+
+    def test_drawing_from_the_original_leaves_the_copy(self):
+        rng = _drawn(DeterministicRng(7))
+        twin = copy.deepcopy(rng)
+        _draws(rng)
+        assert _draws(twin) == _draws(_drawn(DeterministicRng(7)))
+
+    def test_fork_ignores_the_stream_position(self):
+        rng = _drawn(DeterministicRng(7))
+        twin = copy.deepcopy(rng)
+        _draws(twin)
+        assert (_draws(twin.fork(3)) == _draws(rng.fork(3))
+                == _draws(DeterministicRng(7).fork(3)))

@@ -84,6 +84,26 @@ class TestGenerator:
         idle = sum(1 for t in tasks if t.idle)
         assert idle / len(tasks) == pytest.approx(0.2, abs=0.05)
 
+    def test_cpu_request_is_a_clamped_lognormal(self):
+        # Mean 0.12 of a server, clamped into [0.01, 0.9].
+        cpu = generate_trace(_small_config()).cpu_request
+        assert all(0.01 <= value <= 0.9 for value in cpu)
+        assert min(cpu) == 0.01
+        assert sum(cpu) / len(cpu) == pytest.approx(0.12, rel=0.1)
+
+    def test_mem_request_is_capped_below_a_server(self):
+        mem = generate_trace(_small_config()).mem_request
+        assert all(0.0 < value <= 0.95 for value in mem)
+        assert max(mem) == 0.95
+
+    def test_job_duration_is_at_least_five_minutes(self):
+        # Each task runs 0.8-1.2x its job's duration, or to the horizon.
+        config = _small_config()
+        horizon = config.duration_days * DAY
+        durations = [task.duration_s for task in generate_trace(config)
+                     if task.end_s < horizon]
+        assert min(durations) >= 0.8 * 5 * 60.0
+
 
 class TestTransforms:
     def test_double_memory_sets_2x_ratio(self):
