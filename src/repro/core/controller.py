@@ -54,7 +54,7 @@ class GlobalMemoryController:
         self.mirror_deferred = 0
         self.agent_clients: Dict[str, RpcClient] = {}
         self.rpc = RpcServer(node)
-        self.events = EventLog()
+        self.events = EventLog(node.fabric.clock)
         #: Fencing epoch: bumped on every failover; the agents' and the
         #: secondary's RPC servers refuse calls stamped with a lower
         #: (deposed) epoch.
@@ -230,7 +230,7 @@ class GlobalMemoryController:
                          buffers=len(self.db.by_host(host)))
         tel = self.node.fabric.telemetry
         if tel.enabled:
-            self._sz_entered[host] = tel.now()
+            self._sz_entered[host] = self.node.fabric.clock()
             tel.registry.counter("sz_transitions_total",
                                  "Sz entries and exits observed.",
                                  direction="enter").inc()
@@ -254,7 +254,7 @@ class GlobalMemoryController:
                 tel.registry.histogram(
                     "sz_dwell_seconds",
                     "Time hosts spent parked in Sz before waking.",
-                ).observe(tel.now() - entered)
+                ).observe(self.node.fabric.clock() - entered)
             tel.registry.counter("sz_transitions_total",
                                  "Sz entries and exits observed.",
                                  direction="exit").inc()

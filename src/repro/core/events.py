@@ -69,9 +69,9 @@ class EventLog:
     runs that must not lose events.
     """
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
+    def __init__(self, clock: Callable[[], float],
                  capacity: Optional[int] = 100_000):
-        self._clock = clock or (lambda: 0.0)
+        self._clock = clock
         self._events: Deque[Event] = deque(maxlen=capacity)
         self._seq = 0
         #: Duck-typed metrics registry (see :meth:`attach_metrics`); kept

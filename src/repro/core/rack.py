@@ -26,7 +26,6 @@ from repro.obs import Telemetry
 from repro.rdma.costs import RdmaCostModel
 from repro.rdma.fabric import Fabric, RdmaNode
 from repro.rdma.rpc import RetryPolicy, RpcClient, RpcServer
-from repro.sim.engine import Engine
 from repro.sim.rng import DeterministicRng
 from repro.units import DEFAULT_BUFF_SIZE, GiB
 
@@ -67,7 +66,6 @@ class Rack:
     def __init__(self, server_names: List[str],
                  memory_bytes: int = 16 * GiB,
                  buff_size: int = DEFAULT_BUFF_SIZE,
-                 engine: Optional[Engine] = None,
                  costs: Optional[RdmaCostModel] = None,
                  heartbeat_period_s: float = 1.0,
                  stripe: bool = True,
@@ -79,17 +77,21 @@ class Rack:
             raise ConfigurationError("a rack needs at least one server")
         if len(set(server_names)) != len(server_names):
             raise ConfigurationError("duplicate server names")
+        if fabric is not None and (costs is not None
+                                   or telemetry is not None):
+            raise ConfigurationError(
+                "a rack on a given fabric takes that fabric's costs and "
+                "telemetry; pass them to Fabric(...) instead")
         #: Federation identity: set when this rack joins a multi-rack
         #: fabric.  Controller/secondary node names are then prefixed
         #: ``"<name>/"`` so N racks coexist in one node directory, and
         #: every node is registered under this rack for inter-rack
         #: link costing.  A standalone rack (name=None) is unchanged.
         self.name = name
-        self.engine = engine or Engine()
         self.fabric = fabric or Fabric(costs=costs, telemetry=telemetry)
-        # All spans/metrics run on simulated time, whichever hub we carry.
+        #: The fabric's engine: everything in the rack runs on its clock.
+        self.engine = self.fabric.engine
         self.telemetry = self.fabric.telemetry
-        self.telemetry.bind_clock(lambda: self.engine.now)
         self.buff_size = buff_size
         self.stripe = stripe
         self.rng = DeterministicRng(rng_seed)
@@ -103,12 +105,8 @@ class Rack:
         #: One policy for request/response control traffic, retried under
         #: backoff, and one single-attempt policy for monitoring paths
         #: (heartbeats have their own period as the retry loop).
-        self.retry_policy = RetryPolicy(rng=self.rng.fork(1),
-                                        clock=lambda: self.engine.now,
-                                        cooldown_s=5.0)
-        self.monitor_policy = RetryPolicy.no_retry(
-            clock=lambda: self.engine.now, cooldown_s=5.0
-        )
+        self.retry_policy = RetryPolicy(rng=self.rng.fork(1), cooldown_s=5.0)
+        self.monitor_policy = RetryPolicy.no_retry(cooldown_s=5.0)
 
         # Dedicated controller machines (always-on S0 nodes).
         prefix = f"{name}/" if name else ""
@@ -119,7 +117,6 @@ class Rack:
             self.fabric.set_rack(sec_node.name, name)
         self.controller = GlobalMemoryController(ctr_node, buff_size=buff_size,
                                                  stripe=stripe)
-        self.controller.events._clock = lambda: self.engine.now
         if self.telemetry.enabled:
             self.controller.events.attach_metrics(self.telemetry.registry)
         self.secondary = SecondaryController(

@@ -24,7 +24,6 @@ from repro.obs import Telemetry
 from repro.rdma.costs import RdmaCostModel
 from repro.rdma.fabric import Fabric, InterRackLink
 from repro.rdma.rpc import RetryPolicy
-from repro.sim.engine import Engine
 from repro.units import DEFAULT_BUFF_SIZE, GiB
 
 
@@ -47,20 +46,20 @@ class Federation:
         if hosts_per_rack < 1:
             raise ConfigurationError(
                 f"hosts_per_rack must be >= 1, got {hosts_per_rack}")
-        self.engine = Engine()
         self.fabric = Fabric(costs=costs, telemetry=telemetry)
+        self.engine = self.fabric.engine
         self.telemetry = self.fabric.telemetry
         self.fabric.set_inter_rack_link(inter_rack_link or InterRackLink())
         #: The directory's vantage point.  Deliberately rack-less: its
         #: monitoring heartbeats probe liveness without paying (or
         #: polluting) the cross-rack energy accounting.
         self.gateway_node = self.fabric.add_node("fed/gateway")
-        self.monitor_policy = RetryPolicy.no_retry(
-            clock=lambda: self.engine.now, cooldown_s=5.0)
+        self.monitor_policy = RetryPolicy.no_retry(cooldown_s=5.0)
 
-        #: name → Rack, built on the shared engine + fabric.  Each rack
-        #: forks its RNG streams from ``rng_seed + index`` so per-rack
-        #: draws stay decoupled and the whole federation is replayable.
+        #: name → Rack, built on the shared fabric (and so its engine).
+        #: Each rack forks its RNG streams from ``rng_seed + index`` so
+        #: per-rack draws stay decoupled and the whole federation is
+        #: replayable.
         self.racks: Dict[str, Rack] = {}
         for index in range(n_racks):
             rname = f"rack{index + 1}"
@@ -68,7 +67,6 @@ class Federation:
                 [f"{rname}/h{j + 1}" for j in range(hosts_per_rack)],
                 memory_bytes=memory_bytes,
                 buff_size=buff_size,
-                engine=self.engine,
                 heartbeat_period_s=heartbeat_period_s,
                 rng_seed=rng_seed + index,
                 fabric=self.fabric,

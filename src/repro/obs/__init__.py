@@ -15,17 +15,16 @@ Three layers, all simulation-time aware:
   gate (``python -m repro.obs --self-check``) runs in CI.
 
 The :class:`Telemetry` hub bundles one registry and one tracer behind a
-single ``enabled`` flag and a single clock.  A :class:`~repro.rdma.fabric.
-Fabric` always carries a (disabled) hub, so instrumented code reaches its
-telemetry through objects it already holds — no global state, and a
-disabled hub costs one attribute read and one branch per instrumented
-operation.  See docs/OBSERVABILITY.md.
+single ``enabled`` flag; the fabric that carries it supplies the clock.
+A :class:`~repro.rdma.fabric.Fabric` always carries a (disabled) hub, so
+instrumented code reaches its telemetry through objects it already holds
+— no global state, and a disabled hub costs one attribute read and one
+branch per instrumented operation.  See docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
+from repro.errors import ConfigurationError
 from repro.obs.metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                                NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM)
 from repro.obs.tracing import Span, Tracer
@@ -36,37 +35,30 @@ __all__ = [
     "NULL_COUNTER", "NULL_GAUGE", "NULL_HISTOGRAM",
 ]
 
-Clock = Callable[[], float]
+
+def _no_fabric_clock() -> float:
+    raise ConfigurationError(
+        "this Telemetry hub is carried by no Fabric, so it has no simulated "
+        "clock; pass it to Fabric(telemetry=...), Rack or Federation")
 
 
 class Telemetry:
-    """One registry + one tracer behind a shared clock and enable flag.
+    """One registry + one tracer behind a shared enable flag.
 
     ``enabled`` is fixed at construction: a disabled hub hands out no-op
     instruments and never records a span, so instrumented hot paths pay
-    only the ``if tel.enabled`` branch.  The clock (usually a rack
-    engine's ``lambda: engine.now``) may be bound late because racks
-    build their engine after their fabric.
+    only the ``if tel.enabled`` branch.  A hub has no clock of its own:
+    the :class:`~repro.rdma.fabric.Fabric` that carries it hands its
+    tracer the fabric engine's clock.  Until then, opening a span raises
+    :class:`~repro.errors.ConfigurationError` rather than stamp a
+    made-up time.
     """
 
-    def __init__(self, enabled: bool = True, clock: Optional[Clock] = None,
-                 max_spans: int = 100_000):
+    def __init__(self, enabled: bool = True, max_spans: int = 100_000):
         self.enabled = enabled
         self.registry = MetricsRegistry(enabled=enabled)
-        self.tracer = Tracer(enabled=enabled, max_spans=max_spans)
-        self.bind_clock(clock or (lambda: 0.0))
-
-    def now(self) -> float:
-        """Current simulated time according to the bound clock."""
-        return self._clock()
-
-    def bind_clock(self, clock: Clock) -> None:
-        """(Re)bind the simulated-time source (idempotent, last wins).
-
-        The tracer and the registry get the clock itself, not a
-        forwarder, so a span start reads it in one call.
-        """
-        self._clock = self.tracer.clock = self.registry.clock = clock
+        self.tracer = Tracer(_no_fabric_clock, enabled=enabled,
+                             max_spans=max_spans)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "enabled" if self.enabled else "disabled"

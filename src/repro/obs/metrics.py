@@ -23,11 +23,10 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
-Clock = Callable[[], float]
 LabelKey = Tuple[Tuple[str, str], ...]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -222,9 +221,8 @@ class MetricsRegistry:
     only a new one is validated, normalised and filed by :meth:`_child`.
     """
 
-    def __init__(self, enabled: bool = True, clock: Optional[Clock] = None):
+    def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.clock: Clock = clock or (lambda: 0.0)
         self._families: Dict[str, MetricFamily] = {}
         #: Spelling -> child, for spellings whose label values are all
         #: ``str`` (``1``, ``1.0`` and ``True`` hash alike but label

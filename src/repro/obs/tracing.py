@@ -132,13 +132,13 @@ class Tracer:
     ``dropped_samples``.
     """
 
-    def __init__(self, enabled: bool = True, clock: Optional[Clock] = None,
+    def __init__(self, clock: Clock, enabled: bool = True,
                  max_spans: int = 100_000):
         if max_spans < 1:
             raise ConfigurationError(
                 f"max_spans must be >= 1, got {max_spans}")
         self.enabled = enabled
-        self.clock: Clock = clock or (lambda: 0.0)
+        self.clock = clock
         self.spans: Deque[Span] = deque()
         self.samples: Deque[TimelineSample] = deque()
         self.max_spans = max_spans

@@ -28,6 +28,7 @@ from repro.obs import Telemetry
 from repro.rdma.costs import RdmaCostModel
 from repro.rdma.verbs import (AccessFlags, MemoryRegion, ProtectionDomain,
                               QpState, QueuePair)
+from repro.sim.engine import Engine
 from repro.units import PAGE_SIZE
 
 #: Message-fault kinds the injector understands.  ``request_loss`` drops
@@ -473,15 +474,24 @@ class Fabric:
     """
 
     def __init__(self, costs: Optional[RdmaCostModel] = None,
-                 telemetry: Optional[Telemetry] = None):
+                 telemetry: Optional[Telemetry] = None,
+                 engine: Optional[Engine] = None):
         self.costs = costs or RdmaCostModel()
         self.nodes: Dict[str, RdmaNode] = {}
         self.stats = FabricStats()
         self.partitioned: set = set()
+        #: The one simulated clock of everything on this fabric: racks,
+        #: breakers, event logs and spans all read ``engine.now``.
+        self.engine = engine = engine or Engine()
+        #: That clock as a callable, built once and handed out as is.
+        self.clock = lambda: engine.now
         #: The rack's ZomTrace hub.  Every fabric carries one so
         #: instrumented code can always reach ``node.fabric.telemetry``;
         #: the default hub is disabled (no-op instruments, no spans).
+        #: The hub is built before its fabric, so its spans get their
+        #: clock here.
         self.telemetry = telemetry or Telemetry(enabled=False)
+        self.telemetry.tracer.clock = self.clock
         #: Message-level adversary (off until a plan/script is installed).
         self.message_faults = MessageFaultInjector()
         #: Circuit breakers per *server* node name, so :meth:`heal` can

@@ -87,15 +87,15 @@ class CircuitBreaker:
     closes the breaker, failure re-opens it for another cooldown.
     """
 
-    def __init__(self, failure_threshold: int = 5, cooldown_s: float = 30.0,
-                 clock: Optional[Clock] = None):
+    def __init__(self, clock: Clock, failure_threshold: int = 5,
+                 cooldown_s: float = 30.0):
         if failure_threshold < 1:
             raise ValueError(
                 f"failure_threshold must be >= 1, got {failure_threshold}"
             )
         self.failure_threshold = failure_threshold
         self.cooldown_s = cooldown_s
-        self.clock: Clock = clock or (lambda: 0.0)
+        self.clock = clock
         self.state = BreakerState.CLOSED
         self.consecutive_failures = 0
         self.opened_at: Optional[float] = None
@@ -163,9 +163,9 @@ class RetryPolicy:
     """Bounded exponential backoff with deterministic jitter.
 
     ``rng`` must be a :class:`~repro.sim.rng.DeterministicRng` (or fork)
-    so whole fault-injection experiments replay bit-identically; ``clock``
-    should read the sim engine's clock so circuit-breaker cooldowns follow
-    simulated — not wall-clock — time.
+    so whole fault-injection experiments replay bit-identically.  A
+    policy holds no clock: each channel's breaker reads its fabric's, so
+    one policy may serve channels on several racks.
     """
 
     max_attempts: int = 3
@@ -180,7 +180,6 @@ class RetryPolicy:
     rng: DeterministicRng = field(default_factory=lambda: DeterministicRng(0))
     failure_threshold: int = 5
     cooldown_s: float = 30.0
-    clock: Optional[Clock] = None
     stats: RetryStats = field(default_factory=RetryStats)
 
     def __post_init__(self) -> None:
@@ -188,19 +187,13 @@ class RetryPolicy:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
 
     @classmethod
-    def no_retry(cls, clock: Optional[Clock] = None,
-                 failure_threshold: int = 5,
+    def no_retry(cls, failure_threshold: int = 5,
                  cooldown_s: float = 30.0) -> "RetryPolicy":
         """Single attempt, breaker only — for heartbeat/monitoring paths
         whose own period is the retry loop."""
-        return cls(max_attempts=1, deadline_s=None, clock=clock,
+        return cls(max_attempts=1, deadline_s=None,
                    failure_threshold=failure_threshold,
                    cooldown_s=cooldown_s)
-
-    def make_breaker(self) -> CircuitBreaker:
-        """A fresh per-channel breaker sharing this policy's clock."""
-        return CircuitBreaker(failure_threshold=self.failure_threshold,
-                              cooldown_s=self.cooldown_s, clock=self.clock)
 
     def backoff_delay(self, attempt: int) -> float:
         """Simulated wait before retry number ``attempt`` (1-based)."""
@@ -493,9 +486,10 @@ class RpcClient:
     """Client endpoint: sends a request, then polls for the response.
 
     The client owns one circuit breaker (the policy may be shared; the
-    breaker never is) and retries transient faults under its policy's
-    backoff and deadline.  Built without a policy, it gets its own
-    :meth:`RetryPolicy.no_retry`: one attempt per call.
+    breaker never is), which cools down on its fabric's clock, and
+    retries transient faults under its policy's backoff and deadline.
+    Built without a policy, it gets its own :meth:`RetryPolicy.no_retry`:
+    one attempt per call.
     """
 
     def __init__(self, node: RdmaNode, server: RpcServer,
@@ -504,8 +498,10 @@ class RpcClient:
         self.node = node
         self.server = server
         self.timeout_s = timeout_s
-        self.retry_policy = retry_policy or RetryPolicy.no_retry()
-        self.breaker = self.retry_policy.make_breaker()
+        policy = self.retry_policy = retry_policy or RetryPolicy.no_retry()
+        self.breaker = CircuitBreaker(node.fabric.clock,
+                                      policy.failure_threshold,
+                                      policy.cooldown_s)
         node.fabric.register_breaker(server.node.name, self.breaker)
         self.calls_made = 0
         self.polls = 0

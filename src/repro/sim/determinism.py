@@ -19,7 +19,7 @@ A scenario is any callable taking the engine to build on and returning the
 canonical trace (a sequence of strings)::
 
     def scenario(engine):
-        rack = Rack(["s1", "s2", "s3"], engine=engine)
+        rack = Rack(["s1", "s2", "s3"], fabric=Fabric(engine=engine))
         ...drive it...
         return [f"{e.time_s:.6f} {e.kind.value} {e.host}" for e in rack.events]
 
@@ -144,10 +144,11 @@ def rack_fault_scenario(engine: Engine) -> List[str]:
     from repro.core.rack import Rack
     from repro.core.recovery import CRASH, HEAL, FaultAction, FaultSchedule
     from repro.hypervisor.vm import VmSpec
+    from repro.rdma.fabric import Fabric
     from repro.units import MiB
 
     rack = Rack(["s1", "s2", "s3", "s4"], memory_bytes=256 * MiB,
-                buff_size=16 * MiB, engine=engine)
+                buff_size=16 * MiB, fabric=Fabric(engine=engine))
     rack.make_zombie("s3")
     rack.make_zombie("s4")
     rack.create_vm("s1", VmSpec("vm0", memory_bytes=64 * MiB),

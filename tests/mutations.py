@@ -367,6 +367,12 @@ MUTATIONS: Tuple[Mutation, ...] = (
          "test_wire_duplicate_executes_once",),
         (RPC, "            self.server.dispatch(*request)\n",
          "            self.server.dispatch(*request[:3])\n")),
+    # A breaker cools down on its fabric's clock, policy or not: freeze it.
+    row("breaker-clock-frozen",
+        ("tests/test_rpc_retry.py::TestCircuitBreaker::"
+         "test_policy_less_breaker_cools_down_on_the_fabric_engine",),
+        (RPC, "        self.breaker = CircuitBreaker(node.fabric.clock,\n",
+         "        self.breaker = CircuitBreaker(lambda: 0.0,\n")),
     # One server power model: the live rack reads Table 3's HP row.
     row("live-rack-reads-dell-row",
         ("tests/test_dc_energy.py::TestPlans::"

@@ -8,9 +8,14 @@ from repro.hypervisor.vm import VmSpec
 from repro.units import MiB
 
 
+def _still() -> float:
+    """A stub clock that never advances."""
+    return 0.0
+
+
 class TestEventLog:
     def test_emit_and_order(self):
-        log = EventLog()
+        log = EventLog(_still)
         log.emit(EventKind.ZOMBIE_ENTER, "h1", buffers=4)
         log.emit(EventKind.ALLOC_EXT, "h2", buffers=2)
         assert len(log) == 2
@@ -19,19 +24,19 @@ class TestEventLog:
         assert log.last().host == "h2"
 
     def test_sequence_numbers_monotone(self):
-        log = EventLog()
+        log = EventLog(_still)
         events = [log.emit(EventKind.HEARTBEAT if False else
                            EventKind.ALLOC_EXT, "h") for _ in range(5)]
         assert [e.seq for e in events] == [0, 1, 2, 3, 4]
 
     def test_clock_source(self):
         now = [0.0]
-        log = EventLog(clock=lambda: now[0])
+        log = EventLog(lambda: now[0])
         now[0] = 42.5
         assert log.emit(EventKind.FAILOVER, "sec").time_s == 42.5
 
     def test_queries(self):
-        log = EventLog()
+        log = EventLog(_still)
         log.emit(EventKind.ZOMBIE_ENTER, "h1")
         log.emit(EventKind.ZOMBIE_EXIT, "h1")
         log.emit(EventKind.ZOMBIE_ENTER, "h2")
@@ -39,7 +44,7 @@ class TestEventLog:
         assert log.counts() == {"zombie-enter": 2, "zombie-exit": 1}
 
     def test_capacity_drops_oldest(self):
-        log = EventLog(capacity=3)
+        log = EventLog(_still, capacity=3)
         for i in range(5):
             log.emit(EventKind.ALLOC_EXT, f"h{i}")
         assert len(log) == 3
@@ -47,13 +52,13 @@ class TestEventLog:
         assert [e.host for e in log] == ["h2", "h3", "h4"]
 
     def test_detail_payload(self):
-        log = EventLog()
+        log = EventLog(_still)
         event = log.emit(EventKind.VM_MIGRATED, "dst", vm="web",
                          from_host="src")
         assert event.detail == {"vm": "web", "from_host": "src"}
 
     def test_unbounded_log_never_drops(self):
-        log = EventLog(capacity=None)
+        log = EventLog(_still, capacity=None)
         for _ in range(250):
             log.emit(EventKind.ALLOC_EXT, "h")
         assert len(log) == 250
@@ -62,7 +67,7 @@ class TestEventLog:
     def test_metrics_bridge_counts_by_kind(self):
         from repro.obs.metrics import MetricsRegistry
         registry = MetricsRegistry()
-        log = EventLog(capacity=2)
+        log = EventLog(_still, capacity=2)
         log.attach_metrics(registry)
         for _ in range(3):
             log.emit(EventKind.ALLOC_EXT, "h")

@@ -7,6 +7,8 @@ from repro.core.rack import Rack
 from repro.core.server import RackServer, ServerRole
 from repro.errors import (ConfigurationError, PlacementError, VmStateError)
 from repro.hypervisor.vm import VmSpec
+from repro.obs import Telemetry
+from repro.rdma.costs import RdmaCostModel
 from repro.rdma.fabric import Fabric
 from repro.units import MiB, PAGE_SIZE
 
@@ -19,6 +21,16 @@ class TestConstruction:
     def test_empty_rack_rejected(self):
         with pytest.raises(ConfigurationError):
             Rack([])
+
+    def test_costs_beside_a_fabric_are_refused(self):
+        # The rack would use the fabric's cost model and drop these.
+        with pytest.raises(ConfigurationError):
+            Rack(["a"], fabric=Fabric(), costs=RdmaCostModel())
+
+    def test_telemetry_beside_a_fabric_is_refused(self):
+        # The rack would carry the fabric's hub and drop this one.
+        with pytest.raises(ConfigurationError):
+            Rack(["a"], fabric=Fabric(), telemetry=Telemetry(enabled=True))
 
     def test_server_without_memory_is_a_configuration_fault(self):
         with pytest.raises(ConfigurationError):

@@ -26,7 +26,7 @@ MIRROR_OP = Method.MIRROR_OP.value
 def _wired(lender_pages=4 * BUFF_PAGES, user_pages=4 * BUFF_PAGES):
     """Controller + secondary + two managers, fully wired on one fabric."""
     engine = Engine()
-    fabric = Fabric()
+    fabric = Fabric(engine=engine)
     ctr_node = fabric.add_node("ctr")
     sec_node = fabric.add_node("sec")
     controller = GlobalMemoryController(ctr_node, buff_size=BUFF)

@@ -14,6 +14,7 @@ from repro.obs.export import (to_chrome_trace, to_prometheus_text,
 from repro.obs.report import render_report, report_data
 from repro.obs.selfcheck import run_golden_scenario
 from repro.obs.tracing import Tracer
+from repro.rdma.fabric import Fabric
 from repro.tables import dumps
 
 #: sha256 of the golden scenario's two exports.  Any change to a span's
@@ -31,7 +32,7 @@ def _synthetic_tracer(traces: int, nodes: int, depth: int) -> Tracer:
     """``traces`` chains of ``depth`` nested spans, each on its own node
     of ``nodes``, so every trace uses ``depth`` of the ``nodes`` lanes."""
     now = [0.0]
-    tracer = Tracer(clock=lambda: now[0])
+    tracer = Tracer(lambda: now[0])
     for t in range(traces):
         handles = []
         for level in range(depth):
@@ -46,7 +47,7 @@ def _synthetic_tracer(traces: int, nodes: int, depth: int) -> Tracer:
 
 
 def _populated_hub():
-    tel = Telemetry(enabled=True)
+    tel = Fabric(telemetry=Telemetry(enabled=True)).telemetry  # at time 0
     tel.registry.counter("rpc_calls_total", "Calls.", verb="GS_wake").inc(3)
     tel.registry.gauge("zombie_hosts", "Hosts in Sz.").set(2)
     hist = tel.registry.histogram("rpc_call_seconds", "Latency.",

@@ -7,9 +7,14 @@ from repro.obs import Telemetry
 from repro.obs.tracing import (NULL_SPAN, Span, Tracer, span_forest_errors)
 
 
+def _still() -> float:
+    """A stub clock that never advances."""
+    return 0.0
+
+
 class TestSpanNesting:
     def test_root_span_mints_a_trace(self):
-        tracer = Tracer()
+        tracer = Tracer(_still)
         with tracer.span("root") as handle:
             pass
         (span,) = tracer.finished()
@@ -17,7 +22,7 @@ class TestSpanNesting:
         assert span.trace_id != span.span_id
 
     def test_stack_nesting_builds_parent_links(self):
-        tracer = Tracer()
+        tracer = Tracer(_still)
         with tracer.span("outer") as outer:
             with tracer.span("inner") as inner:
                 assert tracer.current_context() == inner.context
@@ -29,7 +34,7 @@ class TestSpanNesting:
         assert span_forest_errors(tracer.finished()) == []
 
     def test_explicit_parent_attaches_across_the_fabric(self):
-        tracer = Tracer()
+        tracer = Tracer(_still)
         with tracer.span("call") as call:
             remote_ctx = call.context
         # The "server side": nothing on the stack, parent from the wire.
@@ -42,7 +47,7 @@ class TestSpanNesting:
         assert serve.trace_id == call.trace_id
 
     def test_exception_marks_error_and_propagates(self):
-        tracer = Tracer()
+        tracer = Tracer(_still)
         with pytest.raises(ValueError):
             with tracer.span("doomed"):
                 raise ValueError("boom")
@@ -51,7 +56,7 @@ class TestSpanNesting:
         assert span.tags["error"] == "ValueError"
 
     def test_out_of_order_finish_closes_inner_spans(self):
-        tracer = Tracer()
+        tracer = Tracer(_still)
         outer = tracer.span("outer")
         tracer.span("inner")  # never explicitly closed
         tracer.finish(outer)
@@ -60,7 +65,7 @@ class TestSpanNesting:
 
     def test_preset_end_time_is_preserved(self):
         now = [0.0]
-        tracer = Tracer(clock=lambda: now[0])
+        tracer = Tracer(lambda: now[0])
         with tracer.span("rpc") as handle:
             # Sim time does not flow during a synchronous handler; the
             # cost model sets the width explicitly.
@@ -68,7 +73,7 @@ class TestSpanNesting:
         assert tracer.finished("rpc")[0].duration_s == 0.125
 
     def test_double_finish_is_idempotent(self):
-        tracer = Tracer()
+        tracer = Tracer(_still)
         handle = tracer.span("once")
         tracer.finish(handle)
         tracer.finish(handle)
@@ -77,7 +82,7 @@ class TestSpanNesting:
 
 class TestTracerModes:
     def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
+        tracer = Tracer(_still, enabled=False)
         handle = tracer.span("ignored")
         assert handle is NULL_SPAN
         with handle:
@@ -88,7 +93,7 @@ class TestTracerModes:
         assert tracer.current_context() is None
 
     def test_ring_buffer_bounds_finished_spans(self):
-        tracer = Tracer(max_spans=3)
+        tracer = Tracer(_still, max_spans=3)
         for i in range(5):
             with tracer.span(f"s{i}"):
                 pass
@@ -99,10 +104,10 @@ class TestTracerModes:
     def test_ring_needs_room_for_one_entry(self):
         for bad in (0, -1):
             with pytest.raises(ConfigurationError):
-                Tracer(max_spans=bad)
+                Tracer(_still, max_spans=bad)
             with pytest.raises(ConfigurationError):
                 Telemetry(max_spans=bad)
-        tracer = Tracer(max_spans=1)
+        tracer = Tracer(_still, max_spans=1)
         for name in ("a", "b"):
             with tracer.span(name):
                 pass
@@ -111,7 +116,7 @@ class TestTracerModes:
         assert (tracer.dropped, tracer.dropped_samples) == (1, 1)
 
     def test_span_is_its_own_handle(self):
-        tracer = Tracer()
+        tracer = Tracer(_still)
         with tracer.span("op", node="h1") as span:
             span.set_tag("k", 1)
             assert tracer.current_context() == span.context
@@ -121,7 +126,7 @@ class TestTracerModes:
 
     def test_timeline_samples_take_explicit_timestamps(self):
         now = [5.0]
-        tracer = Tracer(clock=lambda: now[0])
+        tracer = Tracer(lambda: now[0])
         tracer.sample("power", 120.0, track="rack", time_s=3600.0)
         tracer.sample("power", 90.0)
         assert [(s.time_s, s.value) for s in tracer.samples] == [
@@ -129,7 +134,7 @@ class TestTracerModes:
         ]
 
     def test_sample_ring_evicts_oldest_first_and_counts(self):
-        tracer = Tracer(max_spans=3)
+        tracer = Tracer(_still, max_spans=3)
         for i in range(5):
             tracer.sample("power", float(i), time_s=float(i))
         assert [s.value for s in tracer.samples] == [2.0, 3.0, 4.0]
@@ -137,7 +142,7 @@ class TestTracerModes:
         assert tracer.dropped == 0  # spans only
 
     def test_trace_and_slowest_queries(self):
-        tracer = Tracer()
+        tracer = Tracer(_still)
         with tracer.span("a") as a:
             a.end_s = a.start_s + 3.0
         with tracer.span("b") as b:

@@ -32,7 +32,8 @@ def _pair():
     """A controller and its standby on one fabric, plus an RPC client that
     reaches the controller the way a remote-mem-mgr does (through the
     guarded handlers)."""
-    engine, fabric = Engine(), Fabric()
+    engine = Engine()
+    fabric = Fabric(engine=engine)
     ctr = GlobalMemoryController(fabric.add_node("ctr"), buff_size=BUFF)
     sec = SecondaryController(fabric.add_node("sec"), engine)
     ctr.mirror = RpcClient(ctr.node, sec.rpc)

@@ -11,8 +11,8 @@ from repro.sim.engine import Engine
 from repro.sim.rng import DeterministicRng
 
 
-def _channel(policy=None, timeout_s=1.0):
-    fabric = Fabric()
+def _channel(policy=None, timeout_s=1.0, engine=None):
+    fabric = Fabric(engine=engine)
     a = fabric.add_node("client")
     b = fabric.add_node("server")
     server = RpcServer(b)
@@ -118,9 +118,8 @@ class TestRetryLoop:
 class TestCircuitBreaker:
     def test_trips_after_threshold_and_fails_fast(self):
         engine = Engine()
-        policy = RetryPolicy.no_retry(clock=lambda: engine.now,
-                                      failure_threshold=3, cooldown_s=10.0)
-        fabric, server, client = _channel(policy)
+        policy = RetryPolicy.no_retry(failure_threshold=3, cooldown_s=10.0)
+        fabric, server, client = _channel(policy, engine=engine)
         fabric.partition("server")
         for _ in range(3):
             with pytest.raises(RpcTimeoutError):
@@ -135,9 +134,8 @@ class TestCircuitBreaker:
 
     def test_half_open_probe_success_closes(self):
         engine = Engine()
-        policy = RetryPolicy.no_retry(clock=lambda: engine.now,
-                                      failure_threshold=2, cooldown_s=5.0)
-        fabric, server, client = _channel(policy)
+        policy = RetryPolicy.no_retry(failure_threshold=2, cooldown_s=5.0)
+        fabric, server, client = _channel(policy, engine=engine)
         server.register("ping", lambda: "pong")
         fabric.partition("server")
         for _ in range(2):
@@ -160,9 +158,8 @@ class TestCircuitBreaker:
         # breaker moves OPEN → HALF_OPEN immediately so the next call is
         # a probe, instead of fast-failing for the rest of the cooldown.
         engine = Engine()
-        policy = RetryPolicy.no_retry(clock=lambda: engine.now,
-                                      failure_threshold=2, cooldown_s=500.0)
-        fabric, server, client = _channel(policy)
+        policy = RetryPolicy.no_retry(failure_threshold=2, cooldown_s=500.0)
+        fabric, server, client = _channel(policy, engine=engine)
         server.register("ping", lambda: "pong")
         fabric.partition("server")
         for _ in range(2):
@@ -179,9 +176,8 @@ class TestCircuitBreaker:
 
     def test_heal_leaves_closed_and_half_open_breakers_alone(self):
         engine = Engine()
-        policy = RetryPolicy.no_retry(clock=lambda: engine.now,
-                                      failure_threshold=2, cooldown_s=5.0)
-        fabric, server, client = _channel(policy)
+        policy = RetryPolicy.no_retry(failure_threshold=2, cooldown_s=5.0)
+        fabric, server, client = _channel(policy, engine=engine)
         assert client.breaker.state is BreakerState.CLOSED
         fabric.heal("server")  # healing an unbroken channel: no-op
         assert client.breaker.state is BreakerState.CLOSED
@@ -198,9 +194,8 @@ class TestCircuitBreaker:
 
     def test_half_open_probe_failure_reopens(self):
         engine = Engine()
-        policy = RetryPolicy.no_retry(clock=lambda: engine.now,
-                                      failure_threshold=2, cooldown_s=5.0)
-        fabric, server, client = _channel(policy)
+        policy = RetryPolicy.no_retry(failure_threshold=2, cooldown_s=5.0)
+        fabric, server, client = _channel(policy, engine=engine)
         fabric.partition("server")
         for _ in range(2):
             with pytest.raises(RpcTimeoutError):
@@ -218,9 +213,8 @@ class TestCircuitBreaker:
         engine = Engine()
         policy = RetryPolicy(max_attempts=10, deadline_s=None,
                              failure_threshold=2, cooldown_s=5.0,
-                             clock=lambda: engine.now,
                              rng=DeterministicRng(7))
-        fabric, server, client = _channel(policy)
+        fabric, server, client = _channel(policy, engine=engine)
         fabric.partition("server")
         with pytest.raises(RpcTimeoutError):
             client.call("x")
@@ -228,11 +222,31 @@ class TestCircuitBreaker:
         assert policy.stats.attempts == 2
         assert client.breaker.state is BreakerState.OPEN
 
+    def test_policy_less_breaker_cools_down_on_the_fabric_engine(self,
+                                                                monkeypatch):
+        # A client built without a policy still has a breaker on its
+        # fabric's clock: after cooldown_s of engine time the next call
+        # is a half-open probe, and it succeeds once the daemon is back.
+        fabric, server, client = _channel(policy=None)
+        server.register("ping", lambda: "pong")
+        breaker = client.breaker
+        monkeypatch.setattr(server, "_daemon_runs", lambda: False)
+        for _ in range(breaker.failure_threshold):
+            with pytest.raises(RpcTimeoutError):
+                client.call("ping")
+        assert breaker.state is BreakerState.OPEN
+        monkeypatch.undo()
+        with pytest.raises(CircuitOpenError):
+            client.call("ping")  # still cooling down
+        fabric.engine.run(until=fabric.engine.now + breaker.cooldown_s)
+        assert client.call("ping") == "pong"
+        assert breaker.half_opens == 1
+        assert breaker.state is BreakerState.CLOSED
+
     def test_breaker_is_per_channel_even_with_shared_policy(self):
         engine = Engine()
-        policy = RetryPolicy.no_retry(clock=lambda: engine.now,
-                                      failure_threshold=1)
-        fabric = Fabric()
+        policy = RetryPolicy.no_retry(failure_threshold=1)
+        fabric = Fabric(engine=engine)
         n = fabric.add_node("client")
         s1 = RpcServer(fabric.add_node("s1"))
         s2 = RpcServer(fabric.add_node("s2"))
@@ -248,7 +262,7 @@ class TestCircuitBreaker:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
+            CircuitBreaker(Fabric().clock, failure_threshold=0)
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
 
@@ -265,9 +279,8 @@ class TestClosedBreakerIsFree:
         engine = Engine()
         policy = RetryPolicy(max_attempts=2, deadline_s=None,
                              failure_threshold=3, cooldown_s=5.0,
-                             clock=lambda: engine.now,
                              rng=DeterministicRng(7))
-        fabric, server, client = _channel(policy)
+        fabric, server, client = _channel(policy, engine=engine)
         failures = [1]
 
         def flaky():
@@ -302,9 +315,8 @@ class TestClosedBreakerIsFree:
 
     def test_half_open_success_counts_one_close(self):
         engine = Engine()
-        policy = RetryPolicy.no_retry(clock=lambda: engine.now,
-                                      failure_threshold=2, cooldown_s=500.0)
-        fabric, server, client = _channel(policy)
+        policy = RetryPolicy.no_retry(failure_threshold=2, cooldown_s=500.0)
+        fabric, server, client = _channel(policy, engine=engine)
         server.register("ping", lambda: "pong")
         fabric.partition("server")
         for _ in range(2):
@@ -319,9 +331,8 @@ class TestClosedBreakerIsFree:
 
     def test_closed_breaker_never_holds_an_open_time(self):
         engine = Engine()
-        policy = RetryPolicy.no_retry(clock=lambda: engine.now,
-                                      failure_threshold=2, cooldown_s=5.0)
-        fabric, server, client = _channel(policy)
+        policy = RetryPolicy.no_retry(failure_threshold=2, cooldown_s=5.0)
+        fabric, server, client = _channel(policy, engine=engine)
         server.register("ping", lambda: "pong")
         breaker = client.breaker
         seen = []
