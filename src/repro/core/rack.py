@@ -120,8 +120,7 @@ class Rack:
         if self.telemetry.enabled:
             self.controller.events.attach_metrics(self.telemetry.registry)
         self.secondary = SecondaryController(
-            sec_node, self.engine, heartbeat_period_s=heartbeat_period_s
-        )
+            sec_node, heartbeat_period_s=heartbeat_period_s)
         self.controller.mirror = RpcClient(ctr_node, self.secondary.rpc,
                                            retry_policy=self.retry_policy)
         self.secondary.watch(RpcClient(sec_node, self.controller.rpc,
@@ -131,8 +130,7 @@ class Rack:
         # Serving-host failure detection + rack-wide invalidation.  The
         # coordinator reads ``self.controller`` lazily so it follows a
         # secondary promotion; monitoring starts on demand.
-        self.recovery = RecoveryCoordinator(lambda: self.controller,
-                                            self.engine)
+        self.recovery = RecoveryCoordinator(lambda: self.controller)
         self.controller.recovery = self.recovery
         self._crashed: set = set()
 

@@ -34,7 +34,6 @@ from repro.core.events import EventKind
 from repro.core.protocol import BufferKind, Method
 from repro.errors import (ConfigurationError, ControllerError, FencingError,
                           RpcError)
-from repro.sim.engine import Engine
 from repro.sim.process import PeriodicProcess, check_monitor
 from repro.sim.rng import DeterministicRng
 
@@ -113,12 +112,13 @@ class RecoveryCoordinator:
     """Rack-wide failure detector + buffer invalidator for the primary.
 
     Built with a *callable* returning the current primary so the same
-    coordinator keeps working across a secondary promotion.
+    coordinator keeps working across a secondary promotion; it runs on
+    the engine of that primary's fabric.
     """
 
-    def __init__(self, controller_fn: ControllerFn, engine: Engine):
+    def __init__(self, controller_fn: ControllerFn):
         self._controller_fn = controller_fn
-        self.engine = engine
+        self.engine = controller_fn().node.fabric.engine
         #: Consecutive missed probes before a host is lost (set by start).
         self.miss_threshold = 3
         self.lost_hosts: Set[str] = set()

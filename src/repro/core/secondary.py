@@ -17,7 +17,6 @@ from repro.core.protocol import Method
 from repro.errors import FailoverError, RpcError
 from repro.rdma.fabric import RdmaNode
 from repro.rdma.rpc import RpcClient, RpcServer
-from repro.sim.engine import Engine
 from repro.sim.process import PeriodicProcess, check_monitor
 
 #: The verb string read once: ``Method.X.value`` is an enum descriptor
@@ -28,11 +27,10 @@ _HEARTBEAT = Method.HEARTBEAT.value
 class SecondaryController:
     """Hot standby: mirrored state + heartbeat-driven failover."""
 
-    def __init__(self, node: RdmaNode, engine: Engine,
-                 heartbeat_period_s: float = 1.0, miss_threshold: int = 3):
+    def __init__(self, node: RdmaNode, heartbeat_period_s: float = 1.0,
+                 miss_threshold: int = 3):
         check_monitor(heartbeat_period_s, miss_threshold)
         self.node = node
-        self.engine = engine
         #: The mirrored replica of everything the primary's database holds.
         self.db = BufferDatabase()
         #: Highest mirror-stream sequence number applied.  The primary
@@ -49,7 +47,8 @@ class SecondaryController:
         self.promoted: Optional[GlobalMemoryController] = None
         self.on_failover: Optional[Callable[["SecondaryController"], None]] = None
         self._heartbeat_client: Optional[RpcClient] = None
-        self._monitor = PeriodicProcess(engine, heartbeat_period_s,
+        self._monitor = PeriodicProcess(node.fabric.engine,
+                                        heartbeat_period_s,
                                         self._check_heartbeat,
                                         name="secondary-heartbeat")
 

@@ -18,8 +18,9 @@ sample also publishes the fleet-accountability gauges ZomAudit grades on
 
 plus per-host ``host_energy_joules_total`` / ``host_power_watts`` via
 each meter's :meth:`~repro.energy.meter.EnergyMeter.attach_metrics`.
-The ZL007 lint rule pins these registrations so they cannot silently
-drop out of the exporters again.
+The four gauges ZomAudit reads are pinned by the ZL007 lint rule, and
+the obs self-check requires all six in its golden run, so none can
+silently drop out of the exporters again.
 """
 
 from __future__ import annotations

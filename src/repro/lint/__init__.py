@@ -9,20 +9,25 @@ invariants mechanical.  One run reads and parses each file once
 (:mod:`repro.lint.engine`) and walks each module once
 (:func:`~repro.lint.callgraph.walk_module`: import aliases, function body
 nodes, ``self.x`` sites, parent links).  The per-file rules read that
-walk's aliases; the whole-program passes share one call graph
-(:mod:`repro.lint.callgraph`), built only when one of them is selected,
-with one callee table, one method index and one fixpoint solver that
-ZL010's and ZL011's summaries run to convergence:
+walk's aliases and ZL007 its nodes; the whole-program passes share one
+call graph (:mod:`repro.lint.callgraph`), built only when one of them is
+selected, with one callee table, one method index and one fixpoint solver
+that ZL010's and ZL011's summaries run to convergence.  No rule keeps a
+copy of a fact the tree owns: the ``errors.py`` class hierarchy is read
+once per run (:func:`~repro.lint.rules.parse_hierarchy`) and ZL005 and
+ZL011 share it, and ZL007 requires exactly the series ``obs/audit/``
+reads:
 
 =================  =============================================  ==========
 rules              implemented in                                 scope
 =================  =============================================  ==========
 ZL001 ZL002        :mod:`repro.lint.rules`                        per file
-ZL004 ZL005        :mod:`repro.lint.rules`                        per file
-ZL007              :mod:`repro.lint.rules`                        project
+ZL004              :mod:`repro.lint.rules`                        per file
+ZL005              :mod:`repro.lint.rules` (+ ``errors.py``)      per file
+ZL007              :mod:`repro.lint.rules` (reads of obs/audit/)  project
 ZL009              :mod:`repro.lint.purity`                       call graph
 ZL010              :mod:`repro.lint.atomicity`                    call graph
-ZL011              :mod:`repro.lint.contracts`                    call graph
+ZL011              :mod:`repro.lint.contracts` (+ ``errors.py``)  call graph
 ZL012 ZL013 ZL014  :mod:`repro.lint.dimensions`                   call graph
 =================  =============================================  ==========
 
@@ -53,7 +58,8 @@ from repro.lint.engine import (Finding, Text, apply_suppressions,
 from repro.lint.purity import check_purity
 from repro.lint.rules import (ALL_RULES, PER_FILE_RULES, RULE_DESCRIPTIONS,
                               WHOLE_PROGRAM_RULES,
-                              check_audit_metric_registrations, check_file)
+                              check_audit_metric_registrations, check_file,
+                              parse_hierarchy)
 
 __all__ = ["ALL_RULES", "Finding", "RULE_DESCRIPTIONS", "check_sources",
            "load_sources"]
@@ -69,13 +75,13 @@ def check_sources(sources: Mapping[Path, Text],
     """
     enabled = frozenset(rules) if rules is not None else frozenset(ALL_RULES)
     trees, findings = parse_sources(sources)
-    infos = ([walk_module(path, tree) for path, tree in trees.items()]
-             if enabled & (PER_FILE_RULES | WHOLE_PROGRAM_RULES) else [])
+    infos = [walk_module(path, tree) for path, tree in trees.items()]
+    hierarchy = parse_hierarchy(trees)
     if enabled & PER_FILE_RULES:
         for info in infos:
-            findings.extend(check_file(info, enabled))
+            findings.extend(check_file(info, enabled, hierarchy))
     if "ZL007" in enabled:
-        findings.extend(check_audit_metric_registrations(trees))
+        findings.extend(check_audit_metric_registrations(infos))
     if enabled & WHOLE_PROGRAM_RULES:
         graph = link_modules(infos)
         if "ZL009" in enabled:
@@ -83,7 +89,7 @@ def check_sources(sources: Mapping[Path, Text],
         if "ZL010" in enabled:
             findings.extend(check_atomicity(graph))
         if "ZL011" in enabled:
-            findings.extend(check_contracts(graph, trees))
+            findings.extend(check_contracts(graph, trees, hierarchy))
         if enabled & {"ZL012", "ZL013", "ZL014"}:
             findings.extend(f for f in check_dimensions(graph, trees)
                             if f.rule in enabled)

@@ -33,60 +33,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.callgraph import CallGraph, FunctionNode
 from repro.lint.engine import Finding, dotted_name, raised_name
-from repro.lint.rules import protocol_rows
+from repro.lint.rules import ErrorHierarchy, protocol_rows
 
 #: Exception families allowed to cross every verb boundary regardless of
 #: the per-verb declaration (see module docstring).
 IMPLICITLY_ALLOWED_ROOTS = ("FencingError", "ConfigurationError")
-
-
-class ErrorHierarchy:
-    """Class → ancestor map parsed from the tree's ``errors`` module."""
-
-    def __init__(self, parents: Dict[str, List[str]]):
-        self.parents = parents
-
-    def ancestors(self, name: str) -> Set[str]:
-        seen: Set[str] = set()
-        frontier = list(self.parents.get(name, ()))
-        while frontier:
-            current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            frontier.extend(self.parents.get(current, ()))
-        return seen
-
-    def is_a(self, name: str, base: str) -> bool:
-        if base in ("Exception", "BaseException"):
-            return True
-        return name == base or base in self.ancestors(name)
-
-    def covered(self, name: str, declared: Sequence[str]) -> bool:
-        return any(self.is_a(name, base) for base in declared)
-
-    def retryable_family(self) -> Set[str]:
-        """Mirror of ``rdma.rpc.is_retryable``: RpcTimeoutError, plus the
-        RdmaError subtree minus the RpcError subtree."""
-        family = {"RpcTimeoutError"}
-        for name in self.parents:
-            lineage = self.ancestors(name) | {name}
-            if "RdmaError" in lineage and "RpcError" not in lineage:
-                family.add(name)
-        return family
-
-
-def parse_hierarchy(trees: Dict[Path, ast.Module]) -> ErrorHierarchy:
-    parents: Dict[str, List[str]] = {}
-    for path in sorted(trees):
-        if path.name != "errors.py":
-            continue
-        for node in trees[path].body:
-            if isinstance(node, ast.ClassDef):
-                bases = [b for b in (dotted_name(base) for base in node.bases)
-                         if b is not None]
-                parents[node.name] = [b.split(".")[-1] for b in bases]
-    return ErrorHierarchy(parents)
 
 
 class _Plan:
@@ -244,15 +195,14 @@ def _handler_types(handler: ast.ExceptHandler) -> List[str]:
     return names
 
 
-def check_contracts(graph: CallGraph,
-                    trees: Dict[Path, ast.Module]) -> List[Finding]:
-    """Run ZL011 over a built call graph."""
+def check_contracts(graph: CallGraph, trees: Dict[Path, ast.Module],
+                    hierarchy: ErrorHierarchy) -> List[Finding]:
+    """Run ZL011 over a built call graph and the tree's error hierarchy."""
     _, rows = protocol_rows(trees)
     if not rows:
         return []  # fixture tree without a verb table: nothing to check
     contract = {row.verb: row.errors for row in rows}
     member_map = {row.member: row.verb for row in rows}
-    hierarchy = parse_hierarchy(trees)
     implicitly_allowed = (set(hierarchy.retryable_family())
                           | set(IMPLICITLY_ALLOWED_ROOTS))
     analysis = _EscapeAnalysis(graph, hierarchy)

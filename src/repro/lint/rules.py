@@ -1,17 +1,20 @@
-"""The rule catalogue and the per-file and project-wide rules.
+"""The rule catalogue, the per-file and project-wide rules, and the
+tree's facts they read.
 
 Per-file rules (ZL001/ZL002/ZL004/ZL005) are plain AST walks; the one
-project-wide rule keeps the fleet-audit metrics registered (ZL007).
-ZL009-ZL014 are the whole-program passes over the call graph
-(:mod:`repro.lint.callgraph`); ZL011 reads the :class:`Method` verb table
-through :func:`protocol_rows`.
+project-wide rule keeps every series the fleet audit reads registered
+(ZL007).  ZL009-ZL014 are the whole-program passes over the call graph
+(:mod:`repro.lint.callgraph`); ZL005 and ZL011 read the ``errors.py``
+class tree through :func:`parse_hierarchy`, and ZL011 the :class:`Method`
+verb table through :func:`protocol_rows`.
 """
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import AbstractSet, Dict, List, NamedTuple, Optional, Tuple
+from typing import (AbstractSet, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.lint.callgraph import ModuleInfo
 from repro.lint.engine import (Finding, dotted_name, expand_alias,
@@ -21,9 +24,10 @@ RULE_DESCRIPTIONS = {
     "ZL001": "wall-clock time in library code (use Engine.now)",
     "ZL002": "module-level random instead of repro.sim.rng.DeterministicRng",
     "ZL004": "float ==/!= on a simulated timestamp",
-    "ZL005": "RpcError swallowed without raise, return, or event emission",
-    "ZL007": "fleet-audit metric no longer registered by its owning "
-             "module",
+    "ZL005": "RpcError (or a subclass in errors.py) swallowed without "
+             "raise, return, or event emission",
+    "ZL007": "a series the fleet audit (obs/audit/) reads is registered "
+             "by no module of the tree",
     "ZL009": "transitive sim-purity taint: a wall-clock/global-random/"
              "urandom/unordered-iteration source reaches sim context "
              "through the call graph",
@@ -93,9 +97,6 @@ _TIMESTAMP_EXACT = {
 }
 _TIMESTAMP_SUFFIXES = ("_time", "_time_s", "_timestamp", "_now", "_at_s")
 
-#: The RPC failure family ZL005 watches (``errors.py`` hierarchy).
-_RPC_ERROR_NAMES = {"RpcError", "RpcTimeoutError", "CircuitOpenError"}
-
 
 def _is_timestamp_operand(node: ast.AST) -> bool:
     name = terminal_name(node)
@@ -108,10 +109,11 @@ class _FileVisitor(ast.NodeVisitor):
     """One pass collecting ZL001/ZL002/ZL004/ZL005 findings."""
 
     def __init__(self, path: str, rules: AbstractSet[str],
-                 aliases: Dict[str, str]):
+                 aliases: Dict[str, str], hierarchy: ErrorHierarchy):
         self.path = path
         self.rules = rules
         self.aliases = aliases
+        self.hierarchy = hierarchy
         self.findings: List[Finding] = []
 
     def _add(self, rule: str, node: ast.AST, message: str) -> None:
@@ -166,20 +168,23 @@ class _FileVisitor(ast.NodeVisitor):
 
     # -- ZL005: swallowed RpcError ----------------------------------------
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        if self._catches_rpc_error(node.type):
-            if not self._body_handles(node.body):
-                self._add("ZL005", node,
-                          "RpcError caught and discarded; re-raise, return "
-                          "the failure, or emit an audit event")
+        caught = self._rpc_error_caught(node.type)
+        if caught is not None and not self._body_handles(node.body):
+            self._add("ZL005", node,
+                      f"{caught} caught and discarded; re-raise, return "
+                      "the failure, or emit an audit event")
         self.generic_visit(node)
 
-    @staticmethod
-    def _catches_rpc_error(type_node: Optional[ast.AST]) -> bool:
+    def _rpc_error_caught(self, type_node: Optional[ast.AST]
+                          ) -> Optional[str]:
+        """The first caught name that is ``RpcError`` or a subclass."""
         if type_node is None:
-            return False
+            return None
         nodes = (type_node.elts if isinstance(type_node, ast.Tuple)
                  else [type_node])
-        return any(terminal_name(n) in _RPC_ERROR_NAMES for n in nodes)
+        return next((name for name in map(terminal_name, nodes)
+                     if name is not None
+                     and self.hierarchy.is_a(name, "RpcError")), None)
 
     @staticmethod
     def _body_handles(body: List[ast.stmt]) -> bool:
@@ -195,10 +200,11 @@ class _FileVisitor(ast.NodeVisitor):
         return False
 
 
-def check_file(info: ModuleInfo, rules: AbstractSet[str]) -> List[Finding]:
+def check_file(info: ModuleInfo, rules: AbstractSet[str],
+               hierarchy: ErrorHierarchy) -> List[Finding]:
     """Run the enabled per-file rules over one walked module; returns raw
     (unsuppressed) findings."""
-    visitor = _FileVisitor(info.path, rules, aliases=info.aliases)
+    visitor = _FileVisitor(info.path, rules, info.aliases, hierarchy)
     visitor.visit(info.tree)
     return visitor.findings
 
@@ -246,72 +252,102 @@ def protocol_rows(trees: Dict[Path, ast.Module]
     return path, rows
 
 
-#: The fleet-audit metric contract (ZL007): metric-name
-#: literals each module must register via ``registry.gauge("...")`` /
-#: ``.counter("...")`` calls.  ZomAudit's scored dimensions read these
-#: series from registry snapshots, so a deleted registration silently
-#: turns a graded dimension into "not measurable" — exactly the ad-hoc
-#: invisibility the audit layer was built to end.
-_AUDIT_METRIC_CONTRACT = (
-    (("energy", "rack_monitor.py"),
-     ("host_memory_bytes", "stranded_bytes",
-      "zombie_pool_bytes", "zombie_pool_free_bytes")),
-    (("energy", "meter.py"),
-     ("host_energy_joules_total", "host_power_watts")),
-    (("memory", "buffers.py"),
-     ("page_store_fallback_pages", "page_store_ops_total")),
-    # ZomFed: the inter-rack energy surcharge (the J/hour term placement
-    # quality is graded on) and the per-rack capacity/liveness gauges.
-    (("rdma", "fabric.py"),
-     ("fed_cross_rack_ops_total", "fed_cross_rack_bytes_total",
-      "fed_cross_rack_joules_total")),
-    (("fed", "directory.py"),
-     ("fed_rack_alive", "fed_rack_free_zombie_bytes")),
-    # The Fig. 10 sweep's integrals most analyzers and calculators read,
-    # the control plane's retry count and the event-kind counts.
-    (("dc", "energy_sim.py"),
-     ("dc_energy_joules_total", "dc_ideal_joules_total",
-      "dc_mem_used_server_seconds_total",
-      "dc_remote_mem_server_seconds_total",
-      "dc_zombie_served_server_seconds_total",
-      "dc_demand_slot_seconds_total")),
-    (("rdma", "rpc.py"), ("rpc_retries_total",)),
-    (("core", "events.py"), ("rack_events_total",)),
-)
+# -- the error hierarchy --------------------------------------------------------
+
+class ErrorHierarchy:
+    """Class → ancestor map parsed from the tree's ``errors`` module."""
+
+    def __init__(self, parents: Dict[str, List[str]]):
+        self.parents = parents
+
+    def ancestors(self, name: str) -> Set[str]:
+        seen: Set[str] = set()
+        frontier = list(self.parents.get(name, ()))
+        while frontier:
+            current = frontier.pop()
+            if current in seen:
+                continue
+            seen.add(current)
+            frontier.extend(self.parents.get(current, ()))
+        return seen
+
+    def is_a(self, name: str, base: str) -> bool:
+        if base in ("Exception", "BaseException"):
+            return True
+        return name == base or base in self.ancestors(name)
+
+    def covered(self, name: str, declared: Sequence[str]) -> bool:
+        return any(self.is_a(name, base) for base in declared)
+
+    def retryable_family(self) -> Set[str]:
+        """Mirror of ``rdma.rpc.is_retryable``: RpcTimeoutError, plus the
+        RdmaError subtree minus the RpcError subtree."""
+        family = {"RpcTimeoutError"}
+        for name in self.parents:
+            lineage = self.ancestors(name) | {name}
+            if "RdmaError" in lineage and "RpcError" not in lineage:
+                family.add(name)
+        return family
 
 
-def check_audit_metric_registrations(trees: Dict[Path, ast.Module]
-                                     ) -> List[Finding]:
-    """ZL007: the fleet-audit metrics must stay registered.
-
-    Statically scans each contract module for instrument-factory calls
-    (``.gauge(...)``, ``.counter(...)``, ``.histogram(...)``) whose first
-    argument is the required name literal.  Renaming or deleting one of
-    these registrations breaks the ZomAudit dimension that reads it; the
-    golden-audit self-check would catch it at runtime, but this fails at
-    lint time with a pointer to the module that owns the series.
-    """
-    findings: List[Finding] = []
-    for tail, required in _AUDIT_METRIC_CONTRACT:
-        path = next((p for p in sorted(trees)
-                     if p.parts[-len(tail):] == tail), None)
-        if path is None:
+def parse_hierarchy(trees: Dict[Path, ast.Module]) -> ErrorHierarchy:
+    """The class tree of every ``errors.py`` in the tree, read statically;
+    built once per run and read by ZL005 and ZL011."""
+    parents: Dict[str, List[str]] = {}
+    for path in sorted(trees):
+        if path.name != "errors.py":
             continue
-        registered = set()
-        for node in ast.walk(trees[path]):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("gauge", "counter", "histogram")
-                    and node.args
-                    and isinstance(node.args[0], ast.Constant)
-                    and isinstance(node.args[0].value, str)):
-                registered.add(node.args[0].value)
-        for name in required:
-            if name not in registered:
-                findings.append(Finding(
-                    "ZL007", str(path), 1,
-                    f"fleet-audit metric {name!r} is no longer registered "
-                    "in this module; the ZomAudit dimensions that read it "
-                    "would silently go unmeasurable"
-                ))
-    return findings
+        for node in trees[path].body:
+            if isinstance(node, ast.ClassDef):
+                bases = [b for b in (dotted_name(base) for base in node.bases)
+                         if b is not None]
+                parents[node.name] = [b.split(".")[-1] for b in bases]
+    return ErrorHierarchy(parents)
+
+
+# -- ZL007: the series the fleet audit reads ------------------------------------
+
+#: How ``obs/audit/`` reads a series (``inputs.value("name", ...)``) and
+#: how any other module registers one (``registry.gauge("name", ...)``).
+_AUDIT_READS = frozenset({"value", "series", "has_series"})
+_REGISTRATIONS = frozenset({"counter", "gauge", "histogram"})
+
+
+def _named_series(info: ModuleInfo, methods: AbstractSet[str]
+                  ) -> Iterator[Tuple[int, str]]:
+    """``(line, name)`` of each ``x.<method>("name", ...)`` in a module."""
+    for node in info.parent:  # every node of the module but its root
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in methods and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)):
+            yield node.args[0].lineno, node.args[0].value
+
+
+def check_audit_metric_registrations(infos: Sequence[ModuleInfo]
+                                     ) -> List[Finding]:
+    """ZL007: every series the fleet audit reads is registered somewhere.
+
+    The required series are the name literals ``obs/audit/`` itself
+    passes to ``.value``/``.series``/``.has_series``; the registered ones
+    are the name literals every other module passes to ``.counter``/
+    ``.gauge``/``.histogram``.  A read that nothing registers is one
+    finding at the read: the audit dimension behind it would read 0 (or
+    "not measurable") at run time, silently.  A tree without an
+    ``obs/audit/`` package reads nothing and is exempt.
+    """
+    reads: List[Tuple[str, int, str]] = []
+    registered: Set[str] = set()
+    for info in infos:
+        if Path(info.path).parts[-3:-1] == ("obs", "audit"):
+            reads.extend((info.path, line, name)
+                         for line, name in _named_series(info, _AUDIT_READS))
+        else:
+            registered.update(
+                name for _, name in _named_series(info, _REGISTRATIONS))
+    return [Finding("ZL007", path, line,
+                    f"the fleet audit reads series {name!r}, but no module "
+                    "registers it; the ZomAudit dimension that reads it "
+                    "would silently go unmeasurable")
+            for path, line, name in reads if name not in registered]

@@ -39,7 +39,7 @@ class PageTableEntry:
     location: PageLocation = PageLocation.UNALLOCATED
     frame: Optional[Frame] = None
     remote_slot: Optional[Any] = None  # opaque store token (page key)
-    accessed_epoch: int = -1  # >= table.epoch means "accessed bit set"
+    accessed_epoch: int = -1  # >= table.epoch - 1: "accessed bit set"
     dirty: bool = False
 
     @property
@@ -61,8 +61,10 @@ class PageTable:
         self.resident_pages = 0
         self.remote_pages = 0
         #: Accessed-bit epoch: an entry's bit is "set" iff its
-        #: ``accessed_epoch`` equals the current epoch, which makes the
-        #: periodic clear an O(1) bump instead of a full sweep.
+        #: ``accessed_epoch`` is at least the previous epoch
+        #: (:meth:`is_accessed`), which makes the periodic clear an O(1)
+        #: bump instead of a full sweep.  A clear writes -1, which still
+        #: reads as set while the epoch is 0 (ROADMAP item 23).
         self.epoch = 0
 
     def entry(self, ppn: int) -> PageTableEntry:

@@ -184,9 +184,10 @@ def self_check() -> List[str]:
         if total < minimum:
             problems.append(f"golden: metric {name} at {total}, "
                             f"expected >= {minimum}")
-    # The fleet-audit gauges (ZL007's metric contract) must be present
-    # in the registry even when their current value is legitimately 0
-    # (e.g. the zombie pool after the last Sz host woke).
+    # The rack's accountability gauges must be present in the registry
+    # even when their current value is legitimately 0 (e.g. the zombie
+    # pool after the last Sz host woke).  ZL007 only checks statically
+    # that some module registers each series the audit reads.
     for name in ("host_power_watts", "stranded_bytes",
                  "zombie_pool_bytes", "zombie_pool_free_bytes"):
         if not tel.registry.labels_for(name):

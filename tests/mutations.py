@@ -261,6 +261,28 @@ MUTATIONS: Tuple[Mutation, ...] = (
              "iteration over unordered set 'set expression'"),
         (RECOVERY, "for host in sorted(controller.known_hosts):",
          "for host in set(controller.known_hosts):")),
+    # ZL007 requires what the audit reads: the suspended-fleet calculator
+    # reads dc_mean_servers, which no hand table ever listed.
+    row("audit-read-series-unregistered",
+        Lint("ZL007:repro.obs.audit.recommend:the fleet audit reads series "
+             "'dc_mean_servers', but no module registers it; the ZomAudit "
+             "dimension that reads it would silently go unmeasurable",
+             ("dc_mean_servers",)),
+        ("src/repro/dc/energy_sim.py", '"dc_mean_servers", "Mean servers',
+         '"dc_mean_server_count", "Mean servers')),
+    # ZL005's family is errors.py's RpcError subtree: a probe that
+    # swallows a deadline failure is caught by a name no list spells.
+    row("deadline-error-swallowed",
+        Lint("ZL005:repro.core.recovery:DeadlineExceededError caught and "
+             "discarded; re-raise, return the failure, or emit an audit "
+             "event"),
+        (RECOVERY,
+         "        except RpcError:\n"
+         "            return False\n"
+         "        except FencingError:\n",
+         "        except DeadlineExceededError:\n"
+         "            pass\n"
+         "        except FencingError:\n")),
 
     # Owed work: one merge rule and one settle, shared by recovery's
     # resyncs and invalidations and the federation's recalls, and every

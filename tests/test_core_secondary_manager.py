@@ -30,8 +30,8 @@ def _wired(lender_pages=4 * BUFF_PAGES, user_pages=4 * BUFF_PAGES):
     ctr_node = fabric.add_node("ctr")
     sec_node = fabric.add_node("sec")
     controller = GlobalMemoryController(ctr_node, buff_size=BUFF)
-    secondary = SecondaryController(sec_node, engine,
-                                    heartbeat_period_s=1.0, miss_threshold=3)
+    secondary = SecondaryController(sec_node, heartbeat_period_s=1.0,
+                                    miss_threshold=3)
     controller.mirror = RpcClient(ctr_node, secondary.rpc)
     secondary.watch(RpcClient(sec_node, controller.rpc))
 
@@ -152,13 +152,12 @@ class TestSecondaryParameters:
         # With 0 it would fail over on its first missed heartbeat.
         fabric = Fabric()
         with pytest.raises(ConfigurationError):
-            SecondaryController(fabric.add_node("sec"), Engine(),
-                                miss_threshold=0)
+            SecondaryController(fabric.add_node("sec"), miss_threshold=0)
 
     def test_non_finite_heartbeat_period_rejected(self):
         fabric = Fabric()
         with pytest.raises(ConfigurationError):
-            SecondaryController(fabric.add_node("sec"), Engine(),
+            SecondaryController(fabric.add_node("sec"),
                                 heartbeat_period_s=float("nan"))
 
 

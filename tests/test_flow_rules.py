@@ -19,6 +19,7 @@ from repro.lint.atomicity import check_atomicity
 from repro.lint.callgraph import build_graph
 from repro.lint.contracts import check_contracts
 from repro.lint.purity import check_purity
+from repro.lint.rules import parse_hierarchy
 
 
 def _trees(sources):
@@ -27,6 +28,11 @@ def _trees(sources):
 
 def _graph(sources):
     return build_graph(_trees(sources))
+
+
+def _contracts(sources):
+    trees = _trees(sources)
+    return check_contracts(build_graph(trees), trees, parse_hierarchy(trees))
 
 
 def _findings(sources, rules=None):
@@ -305,7 +311,7 @@ def _contract_fixture(raise_stmt, declared=("DeclaredError",)):
 class TestContracts:
     def test_undeclared_escape_fires_with_chain(self):
         sources = _contract_fixture("raise UndeclaredError('boom')")
-        findings = check_contracts(_graph(sources), _trees(sources))
+        findings = _contracts(sources)
         assert [f.rule for f in findings] == ["ZL011"]
         finding = findings[0]
         assert finding.fingerprint == "ZL011:do_thing:UndeclaredError"
@@ -329,24 +335,24 @@ class TestContracts:
             + "    def h30(self):\n"
               "        raise UndeclaredError('deep')\n"
         )
-        findings = check_contracts(_graph(sources), _trees(sources))
+        findings = _contracts(sources)
         assert [f.fingerprint for f in findings] == [
             "ZL011:do_thing:UndeclaredError"]
         assert "Server.handle -> Server.h1 -> " in findings[0].message
 
     def test_declared_escape_is_clean(self):
         sources = _contract_fixture("raise DeclaredError('boom')")
-        assert check_contracts(_graph(sources), _trees(sources)) == []
+        assert _contracts(sources) == []
 
     def test_declared_base_class_covers_subclass(self):
         sources = _contract_fixture("raise UndeclaredError('boom')",
                                     declared=("ReproError",))
-        assert check_contracts(_graph(sources), _trees(sources)) == []
+        assert _contracts(sources) == []
 
     def test_retryable_transport_family_is_implicitly_allowed(self):
         sources = _contract_fixture("raise RpcTimeoutError('slow')",
                                     declared=())
-        assert check_contracts(_graph(sources), _trees(sources)) == []
+        assert _contracts(sources) == []
 
     def test_caught_exception_does_not_escape(self):
         sources = _contract_fixture("raise UndeclaredError('boom')")
@@ -363,7 +369,7 @@ class TestContracts:
             "    def helper(self):\n"
             "        raise UndeclaredError('boom')\n"
         )
-        assert check_contracts(_graph(sources), _trees(sources)) == []
+        assert _contracts(sources) == []
 
     def test_catching_base_class_subtracts_subclass(self):
         sources = _contract_fixture("raise UndeclaredError('boom')")
@@ -380,7 +386,7 @@ class TestContracts:
             "    def helper(self):\n"
             "        raise UndeclaredError('boom')\n"
         )
-        assert check_contracts(_graph(sources), _trees(sources)) == []
+        assert _contracts(sources) == []
 
 
 # -- suppressions, CLI ----------------------------------------------------------

@@ -9,6 +9,9 @@ from repro.lint import (ALL_RULES, RULE_DESCRIPTIONS, check_sources,
                         load_sources)
 from repro.lint.__main__ import main
 
+#: The tree's exception hierarchy, where ZL005 finds its RPC failure family.
+ERRORS = Path(__file__).resolve().parents[1] / "src" / "repro" / "errors.py"
+
 
 def _rules(findings):
     return [f.rule for f in findings]
@@ -153,6 +156,9 @@ class TestZL004TimestampEquality:
 
 
 class TestZL005SwallowedRpcError:
+    """The RPC failure family is ``RpcError`` and every subclass of it in
+    the tree's ``errors.py``: each snippet is linted beside the real one."""
+
     BAD = (
         "def probe(client):\n"
         "    try:\n"
@@ -164,14 +170,19 @@ class TestZL005SwallowedRpcError:
     GOOD_RETURN = BAD.replace("pass", "return False")
     GOOD_EMIT = BAD.replace("pass", "events.emit(EventKind.HOST_LOST, 'h')")
 
+    @staticmethod
+    def _lint(source):
+        return check_sources({Path("errors.py"): ERRORS.read_text(),
+                              Path("mod.py"): source})[0]
+
     def test_bad(self):
-        findings = _lint(self.BAD)
+        findings = self._lint(self.BAD)
         assert _rules(findings) == ["ZL005"]
         assert findings[0].line == 4
 
     @pytest.mark.parametrize("source", [GOOD_RAISE, GOOD_RETURN, GOOD_EMIT])
     def test_good(self, source):
-        assert _lint(source) == []
+        assert self._lint(source) == []
 
     def test_tuple_catch_flagged(self):
         source = (
@@ -180,7 +191,18 @@ class TestZL005SwallowedRpcError:
             "except (RpcTimeoutError, ValueError):\n"
             "    count += 1\n"
         )
-        assert _rules(_lint(source)) == ["ZL005"]
+        assert _rules(self._lint(source)) == ["ZL005"]
+
+    def test_deadline_exceeded_flagged(self):
+        # DeadlineExceededError(RpcError) is in the family because
+        # errors.py says so, not because a list names it.
+        findings = self._lint(self.BAD.replace("RpcError",
+                                               "DeadlineExceededError"))
+        assert _rules(findings) == ["ZL005"]
+        assert "DeadlineExceededError" in findings[0].message
+
+    def test_superclass_catch_not_flagged(self):
+        assert self._lint(self.BAD.replace("RpcError", "RdmaError")) == []
 
 
 class TestSuppressions:
@@ -223,140 +245,43 @@ def _protocol_tree(tmp_path):
     return tmp_path / "src"
 
 
-class TestZL007AuditMetricContract:
-    _MONITOR_OK = (
-        "class Monitor:\n"
-        "    def publish(self, registry):\n"
-        "        registry.gauge('host_memory_bytes', 'Cap.').set(1)\n"
-        "        registry.gauge('stranded_bytes', 'Idle.').set(0)\n"
-        "        registry.gauge('zombie_pool_bytes', 'Pool.').set(0)\n"
-        "        registry.gauge('zombie_pool_free_bytes', 'Free.').set(0)\n"
-    )
-
-    def _tree(self, tmp_path, monitor_source):
-        src = tmp_path / "src" / "repro"
-        energy = src / "energy"
-        energy.mkdir(parents=True)
-        (energy / "rack_monitor.py").write_text(monitor_source)
-        return tmp_path / "src"
-
-    def test_all_audit_gauges_registered_is_clean(self, tmp_path):
-        src = self._tree(tmp_path, self._MONITOR_OK)
-        assert _lint_tree([str(src)], rules=["ZL007"]) == []
-
-    def test_dropped_audit_gauge_flagged(self, tmp_path):
-        dropped = self._MONITOR_OK.replace(
-            "        registry.gauge('stranded_bytes', 'Idle.').set(0)\n", "")
-        src = self._tree(tmp_path, dropped)
-        findings = _lint_tree([str(src)], rules=["ZL007"])
-        assert _rules(findings) == ["ZL007"]
-        assert "stranded_bytes" in findings[0].message
-        assert "unmeasurable" in findings[0].message
-
-    def test_renamed_audit_gauge_flagged(self, tmp_path):
-        renamed = self._MONITOR_OK.replace("'zombie_pool_bytes'",
-                                           "'zombie_bytes'")
-        src = self._tree(tmp_path, renamed)
-        findings = _lint_tree([str(src)], rules=["ZL007"])
-        assert [f for f in findings
-                if "zombie_pool_bytes" in f.message]
-
-    def test_tree_without_contract_modules_is_exempt(self, tmp_path):
-        src = tmp_path / "src" / "repro" / "util"
-        src.mkdir(parents=True)
-        (src / "misc.py").write_text("X = 1\n")
-        assert _lint_tree([str(tmp_path / "src")], rules=["ZL007"]) == []
-
-    def test_repository_satisfies_audit_metric_contract(self, real_findings):
-        assert [f for f in real_findings if f.rule == "ZL007"] == []
-
-
-class TestZL007FedMetricContract:
-    """The ZomFed entries of the fleet-audit metric contract."""
-
-    _FABRIC_OK = (
-        "class Fabric:\n"
-        "    def charge(self, registry):\n"
-        "        registry.counter('fed_cross_rack_ops_total', 'O.').inc()\n"
-        "        registry.counter('fed_cross_rack_bytes_total', 'B.')"
-        ".inc(1)\n"
-        "        registry.counter('fed_cross_rack_joules_total', 'J.')"
-        ".inc(0.1)\n"
-    )
-    _DIRECTORY_OK = (
-        "class Directory:\n"
-        "    def publish(self, registry):\n"
-        "        registry.gauge('fed_rack_alive', 'Up.').set(1)\n"
-        "        registry.gauge('fed_rack_free_zombie_bytes', 'F.').set(0)\n"
-    )
-
-    def _tree(self, tmp_path, fabric_source, directory_source):
-        src = tmp_path / "src" / "repro"
-        (src / "rdma").mkdir(parents=True)
-        (src / "rdma" / "fabric.py").write_text(fabric_source)
-        (src / "fed").mkdir(parents=True)
-        (src / "fed" / "directory.py").write_text(directory_source)
-        return tmp_path / "src"
-
-    def test_all_fed_metrics_registered_is_clean(self, tmp_path):
-        src = self._tree(tmp_path, self._FABRIC_OK, self._DIRECTORY_OK)
-        assert _lint_tree([str(src)], rules=["ZL007"]) == []
-
-    def test_dropped_cross_rack_energy_counter_flagged(self, tmp_path):
-        dropped = self._FABRIC_OK.replace(
-            "        registry.counter('fed_cross_rack_joules_total', 'J.')"
-            ".inc(0.1)\n", "")
-        src = self._tree(tmp_path, dropped, self._DIRECTORY_OK)
-        findings = _lint_tree([str(src)], rules=["ZL007"])
-        assert _rules(findings) == ["ZL007"]
-        assert "fed_cross_rack_joules_total" in findings[0].message
-
-    def test_dropped_rack_liveness_gauge_flagged(self, tmp_path):
-        dropped = self._DIRECTORY_OK.replace(
-            "        registry.gauge('fed_rack_alive', 'Up.').set(1)\n", "")
-        src = self._tree(tmp_path, self._FABRIC_OK, dropped)
-        findings = _lint_tree([str(src)], rules=["ZL007"])
-        assert _rules(findings) == ["ZL007"]
-        assert "fed_rack_alive" in findings[0].message
-
-
 class TestZL007AuditInputContract:
-    """The ``dc_*``, retry and event series ZomAudit's analyzers read."""
+    """ZL007 requires exactly the series ``obs/audit/`` reads: a tree of
+    one audit reader and one registering module."""
 
-    _FILES = {
-        ("dc", "energy_sim.py"): (
-            "def publish(registry, labels):\n"
-            "    registry.counter('dc_energy_joules_total', 'J.').inc(1)\n"
-            "    registry.counter('dc_ideal_joules_total', 'I.').inc(1)\n"
-            "    registry.counter('dc_mem_used_server_seconds_total', 'M.')"
-            ".inc(1)\n"
-            "    registry.counter('dc_remote_mem_server_seconds_total', "
-            "'R.').inc(1)\n"
-            "    registry.counter('dc_zombie_served_server_seconds_total', "
-            "'Z.').inc(1)\n"
-            "    registry.counter('dc_demand_slot_seconds_total', 'S.')"
-            ".inc(1)\n"),
-        ("rdma", "rpc.py"): (
-            "def note(registry):\n"
-            "    registry.counter('rpc_retries_total', 'R.').inc(1)\n"),
-        ("core", "events.py"): (
-            "def emit(metrics):\n"
-            "    metrics.counter('rack_events_total', 'E.').inc()\n"),
-    }
     NAMES = ("dc_energy_joules_total", "dc_ideal_joules_total",
              "dc_mem_used_server_seconds_total",
              "dc_remote_mem_server_seconds_total",
              "dc_zombie_served_server_seconds_total",
              "dc_demand_slot_seconds_total", "rpc_retries_total",
              "rack_events_total")
+    READER = (
+        "def grade(inputs, labels):\n"
+        "    joules = inputs.value('dc_energy_joules_total', **labels)\n"
+        "    ideal = inputs.value('dc_ideal_joules_total', **labels)\n"
+        "    used = inputs.has_series('dc_mem_used_server_seconds_total')\n"
+        "    remote = inputs.value('dc_remote_mem_server_seconds_total')\n"
+        "    served = inputs.value(\n"
+        "        'dc_zombie_served_server_seconds_total', role='zombie')\n"
+        "    span = inputs.value('dc_demand_slot_seconds_total', **labels)\n"
+        "    retries = inputs.value('rpc_retries_total')\n"
+        "    events = inputs.series('rack_events_total', kind='host-lost')\n"
+        "    return joules, ideal, used, remote, served, span, retries, "
+        "events\n"
+    )
+    REGISTRY = "def publish(registry):\n" + "".join(
+        f"    registry.counter({name!r}, 'Help.').inc(1)\n" for name in NAMES)
 
-    def _tree(self, tmp_path, drop=None):
+    def _tree(self, tmp_path, drop=None, audit=True):
         src = tmp_path / "src" / "repro"
-        for (package, module), source in self._FILES.items():
-            (src / package).mkdir(parents=True, exist_ok=True)
-            if drop is not None:
-                source = source.replace(f"'{drop}'", "'renamed_total'")
-            (src / package / module).write_text(source)
+        (src / "dc").mkdir(parents=True)
+        registry = self.REGISTRY
+        if drop is not None:
+            registry = registry.replace(f"'{drop}'", "'renamed_total'")
+        (src / "dc" / "energy_sim.py").write_text(registry)
+        package = src / ("obs/audit" if audit else "obs")
+        package.mkdir(parents=True)
+        (package / "analyzers.py").write_text(self.READER)
         return tmp_path / "src"
 
     def test_all_registered_is_clean(self, tmp_path):
@@ -368,6 +293,18 @@ class TestZL007AuditInputContract:
                               rules=["ZL007"])
         assert _rules(findings) == ["ZL007"]
         assert name in findings[0].message
+        assert findings[0].path.endswith("analyzers.py")
+        assert findings[0].line == next(
+            number for number, line in enumerate(
+                self.READER.splitlines(), start=1) if f"'{name}'" in line)
+
+    def test_tree_without_audit_package_is_exempt(self, tmp_path):
+        # The same reads outside obs/audit/ require nothing.
+        src = self._tree(tmp_path, drop="rack_events_total", audit=False)
+        assert _lint_tree([str(src)], rules=["ZL007"]) == []
+
+    def test_repository_satisfies_audit_metric_contract(self, real_findings):
+        assert [f for f in real_findings if f.rule == "ZL007"] == []
 
 
 class TestDriver:
@@ -394,18 +331,27 @@ class TestDriver:
                                      f"{problem}")
 
     def test_each_file_is_parsed_once(self, tmp_path, monkeypatch):
-        # A tree that feeds every reader of a module: the per-file rules,
-        # ZL007's contract module, the call graph, ZL011's verb table and
+        # A tree that feeds every reader of a module: the per-file rules
+        # (ZL005 over errors.py's hierarchy), ZL007's audit reader and
+        # registering module, the call graph, ZL011's verb table and
         # errors.py, and ZomDim's units.py.
         src = _protocol_tree(tmp_path)
         repro = src / "repro"
         (repro / "errors.py").write_text(
-            "class ReproError(Exception):\n    pass\n")
+            "class ReproError(Exception):\n    pass\n"
+            "class RpcError(ReproError):\n    pass\n")
         (repro / "units.py").write_text("METRIC_UNIT_SUFFIXES = {}\n")
         (repro / "energy").mkdir()
         (repro / "energy" / "meter.py").write_text(
             "def publish(registry):\n"
             "    registry.gauge('host_power_watts', 'W.').set(0)\n")
+        (repro / "obs" / "audit").mkdir(parents=True)
+        (repro / "obs" / "audit" / "analyzers.py").write_text(
+            "def grade(inputs):\n"
+            "    try:\n"
+            "        return inputs.value('host_power_watts')\n"
+            "    except RpcError:\n"
+            "        return 0.0\n")
         parsed = []
         real_parse = ast.parse
 

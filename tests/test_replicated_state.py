@@ -35,7 +35,7 @@ def _pair():
     engine = Engine()
     fabric = Fabric(engine=engine)
     ctr = GlobalMemoryController(fabric.add_node("ctr"), buff_size=BUFF)
-    sec = SecondaryController(fabric.add_node("sec"), engine)
+    sec = SecondaryController(fabric.add_node("sec"))
     ctr.mirror = RpcClient(ctr.node, sec.rpc)
     sec.watch(RpcClient(sec.node, ctr.rpc))
     client = RpcClient(fabric.add_node("agent"), ctr.rpc)
