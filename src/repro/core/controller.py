@@ -303,16 +303,16 @@ class GlobalMemoryController:
         (``AS_get_free_mem``), and finally buffers revoked from other
         users' best-effort swap (``US_reclaim``).
         """
-        nb = buffers_for(mem_size, self.buff_size)
-        granted = self._allocate(user, nb, purpose="ext", best_effort=False)
+        granted = self._allocate(user, mem_size, purpose="ext",
+                                 best_effort=False)
         self.events.emit(EventKind.ALLOC_EXT, user, buffers=len(granted),
                          bytes=mem_size)
         return granted
 
     def gs_alloc_swap(self, user: str, mem_size: int) -> List[BufferDescriptor]:
         """Best-effort swap allocation: may return fewer buffers than asked."""
-        nb = buffers_for(mem_size, self.buff_size)
-        granted = self._allocate(user, nb, purpose="swap", best_effort=True)
+        granted = self._allocate(user, mem_size, purpose="swap",
+                                 best_effort=True)
         self.events.emit(EventKind.ALLOC_SWAP, user, buffers=len(granted))
         return granted
 
@@ -468,8 +468,12 @@ class GlobalMemoryController:
         return dropped
 
     # -- allocation engine ------------------------------------------------
-    def _allocate(self, user: str, nb: int, purpose: str,
+    def _allocate(self, user: str, mem_size: int, purpose: str,
                   best_effort: bool) -> List[BufferDescriptor]:
+        try:
+            nb = buffers_for(mem_size, self.buff_size)
+        except ValueError as exc:  # a bad size is the caller's error
+            raise ControllerError(f"{user}: {exc}") from exc
         chosen = self._pick_free(user, nb)
         if len(chosen) < nb:
             self._grow_pool_from_active(user)

@@ -2,6 +2,10 @@
 
 Every subsystem raises exceptions derived from :class:`ReproError` so that
 callers can catch library failures without masking programming errors.
+
+A class that sets ``retryable`` decides for its subtree whether the RPC
+client retries the fault (``rdma.rpc.is_retryable``); ZomLint's ZL011
+reads the same flags to allow that family across every verb boundary.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ class FirmwareError(ReproError):
 class RdmaError(ReproError):
     """Base class for RDMA fabric errors."""
 
+    retryable = True  # a link-level fault: another attempt may get through
+
 
 class QueuePairError(RdmaError):
     """A verb was posted on a queue pair in the wrong state."""
@@ -38,9 +44,13 @@ class MemoryRegionError(RdmaError):
 class RpcError(RdmaError):
     """An RPC-over-RDMA call failed."""
 
+    retryable = False  # the server answered: retrying gets the same answer
+
 
 class RpcTimeoutError(RpcError):
     """The client polled past its deadline without a server response."""
+
+    retryable = True  # no response formed
 
 
 class CircuitOpenError(RpcError):

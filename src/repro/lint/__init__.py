@@ -11,11 +11,12 @@ invariants mechanical.  One run reads and parses each file once
 nodes, ``self.x`` sites, parent links).  The per-file rules read that
 walk's aliases and ZL007 its nodes; the whole-program passes share one
 call graph (:mod:`repro.lint.callgraph`), built only when one of them is
-selected, with one callee table, one method index and one fixpoint solver
-that ZL010's and ZL011's summaries run to convergence.  No rule keeps a
-copy of a fact the tree owns: the ``errors.py`` class hierarchy is read
+selected.  It is the one call resolver: every pass reads the callees it
+bound, and ZL010's, ZL011's and ZomDim's summaries run to convergence on
+its one fixpoint solver.  No rule keeps a copy of a fact the tree owns:
+the ``errors.py`` class hierarchy and its ``retryable`` flags are read
 once per run (:func:`~repro.lint.rules.parse_hierarchy`) and ZL005 and
-ZL011 share it, and ZL007 requires exactly the series ``obs/audit/``
+ZL011 share them, and ZL007 requires exactly the series ``obs/audit/``
 reads:
 
 =================  =============================================  ==========

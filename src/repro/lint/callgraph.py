@@ -6,6 +6,7 @@ a verb handler, escapes every single-file AST walk.  This module builds
 the shared substrate the interprocedural passes (ZL009-ZL014) run
 on: every function and method in the analyzed tree becomes a node, and
 edges record *may-call* relations resolved module-qualifiedly —
+plain calls to nested, module and imported functions,
 ``self.method(...)``, attribute calls through ``__init__``-assigned
 instance types, local variables bound to constructor calls, property
 return annotations, and bare function references passed as callbacks
@@ -13,9 +14,10 @@ return annotations, and bare function references passed as callbacks
 ``engine.schedule(..., cb)``, ``PeriodicProcess(engine, period, fn)``).
 
 Resolution is deliberately an over-approximation where it must be (an
-unresolvable attribute call falls back to a unique-name match, excluding
-a blocklist of ubiquitous method names) and an under-approximation where
-guessing would flood the passes with junk edges.  An extra edge surfaces
+attribute call it cannot type falls back to a unique-name match,
+excluding a blocklist of ubiquitous method names) and an
+under-approximation where guessing would flood the passes with junk
+edges.  An extra edge surfaces
 as a finding to fix or suppress with a reason, a missing one as a blind
 spot the injected-defect tests guard, never as silent test breakage.
 
@@ -23,8 +25,9 @@ This is the one place that walks a module: :func:`walk_module` visits
 each node once and records what every pass reads — the import aliases,
 each function's body nodes, the ``self.x`` assignment sites and each
 node's parent — and the graph holds the tables the passes share (the
-callee-by-line table, the method-name index, the class-by-name lookup)
-plus the one fixpoint solver their summaries converge on.
+callee of each call, the callee-by-line table, the method-name index,
+the class-by-name lookup) plus the one fixpoint solver their summaries
+converge on.  It is the only call resolver: no pass binds a call itself.
 """
 
 from __future__ import annotations
@@ -183,6 +186,8 @@ class CallGraph:
         self.parent: Dict[ast.AST, ast.AST] = {}
         #: Function name → quals defining it, in graph order.
         self.methods_named: Dict[str, List[str]] = {}
+        #: Each resolved call expression → its callee's qual.
+        self.callee_of: Dict[ast.Call, str] = {}
         #: Class name → the first class qual of that name.
         self.class_by_name: Dict[str, str] = {}
         self._out: Optional[Dict[str, Set[str]]] = None
@@ -515,6 +520,7 @@ class _FunctionResolver:
             kind, qual = callee
             self.graph.edges.append(
                 Edge(self.fn.qual, qual, node.lineno, kind))
+            self.graph.callee_of[node] = qual
         else:
             dotted = dotted_name(node.func)
             if dotted is not None:
@@ -543,9 +549,13 @@ class _FunctionResolver:
         """Resolve the called expression to ``(edge kind, qual)``."""
         dotted = dotted_name(func)
         if dotted is None:
+            # A computed receiver (``self.meters[name].set_power(...)``):
+            # only the method name is known.
+            if isinstance(func, ast.Attribute):
+                return self._unique_name(func.attr)
             return None
         parts = dotted.split(".")
-        # Plain name: module function, local class ctor, or alias.
+        # Plain name: nested, module or imported function, or class ctor.
         if len(parts) == 1:
             qual = self._named_function(parts[0])
             if qual is not None:
@@ -584,7 +594,10 @@ class _FunctionResolver:
         mod_fn = f"{head}.{attr}" if len(parts) == 2 else None
         if mod_fn is not None and mod_fn in self.graph.functions:
             return ("call", mod_fn)
-        # Unique-name fallback for distinctive method names.
+        return self._unique_name(attr)
+
+    def _unique_name(self, attr: str) -> Optional[Tuple[str, str]]:
+        """The one fallback: the only function of a distinctive name."""
         if attr not in _FALLBACK_BLOCKLIST:
             matches = self.graph.methods_named.get(attr, [])
             if len(matches) == 1:
@@ -654,8 +667,10 @@ class _FunctionResolver:
         return None
 
     def _named_function(self, name: str) -> Optional[str]:
-        """A bare name bound to a def nested here or a module function."""
-        for qual in (f"{self.fn.qual}.{name}", f"{self.fn.module}.{name}"):
+        """A bare name bound to a def nested here, a module function or
+        an imported one (``from m import f``)."""
+        for qual in (f"{self.fn.qual}.{name}", f"{self.fn.module}.{name}",
+                     self.info.aliases.get(name)):
             if qual in self.graph.functions:
                 return qual
         return None

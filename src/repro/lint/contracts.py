@@ -10,8 +10,8 @@ that contract explicit and checks it interprocedurally:
 - each ``Method`` row in ``core/protocol.py`` declares the exception
   class names its verb may raise (a declared base class covers its
   subtree);
-- the transport-retryable family (``is_retryable``: ``RpcTimeoutError``
-  plus ``RdmaError`` descendants outside the ``RpcError`` subtree),
+- the transport-retryable family (the classes whose ``errors.py``
+  ``retryable`` flag ``is_retryable`` reads as true, and no others),
   ``FencingError`` and ``ConfigurationError`` are implicitly allowed on
   every verb — they belong to the transport, fencing and configuration
   planes, not to any one verb (a ``ConfigurationError`` marks a
@@ -203,8 +203,7 @@ def check_contracts(graph: CallGraph, trees: Dict[Path, ast.Module],
         return []  # fixture tree without a verb table: nothing to check
     contract = {row.verb: row.errors for row in rows}
     member_map = {row.member: row.verb for row in rows}
-    implicitly_allowed = (set(hierarchy.retryable_family())
-                          | set(IMPLICITLY_ALLOWED_ROOTS))
+    retryable = hierarchy.retryable_family()
     analysis = _EscapeAnalysis(graph, hierarchy)
     analysis.run()
     findings: List[Finding] = []
@@ -219,10 +218,8 @@ def check_contracts(graph: CallGraph, trees: Dict[Path, ast.Module],
             for exc_type in sorted(analysis.summaries.get(handler, ())):
                 if (verb, exc_type) in seen:
                     continue
-                if any(hierarchy.is_a(exc_type, base)
-                       for base in implicitly_allowed):
-                    continue
-                if hierarchy.covered(exc_type, declared):
+                if exc_type in retryable or hierarchy.covered(
+                        exc_type, IMPLICITLY_ALLOWED_ROOTS + declared):
                     continue
                 seen.add((verb, exc_type))
                 findings.append(_finding_for(graph, analysis, handler,

@@ -11,10 +11,12 @@ module *enforces* them over the whole-program call graph:
   declarative tables in ``repro.units`` (:data:`UNIT_DIMENSIONS`,
   :data:`UNIT_CONVERSIONS`), naming conventions (``*_bytes``,
   ``power_watts=``, …) and the :data:`SEED_ANNOTATIONS` below, then
-  propagated interprocedurally.  Mixed-dimension ``+``/``-``/comparison,
-  mismatched call arguments and returns that contradict the function's
-  declared dimension are findings, with the full inference chain naming
-  source and sink in the message.
+  propagated interprocedurally: each call's callee is the one the call
+  graph bound (ZomDim resolves no call itself), and return dimensions
+  converge on the graph's solver.  Mixed-dimension ``+``/``-``/
+  comparison, mismatched call arguments and returns that contradict the
+  function's declared dimension are findings, with the full inference
+  chain naming source and sink in the message.
 - **ZL013 time-domain separation** — simulated seconds (``engine.now``)
   and wall-clock seconds (``time.time()`` et al.) are *distinct
   sub-dimensions* of seconds: a sim timestamp can never feed a
@@ -45,8 +47,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro import units as _units
-from repro.lint.callgraph import (AttrSite, CallGraph, FunctionNode,
-                                  _FALLBACK_BLOCKLIST)
+from repro.lint.callgraph import AttrSite, CallGraph, FunctionNode
 from repro.lint.engine import Finding, dotted_name, expand_alias
 from repro.lint.rules import WALL_CLOCK_CALLS
 
@@ -324,9 +325,8 @@ class _DimAnalysis:
     def run(self) -> List[Finding]:
         self._seed_return_contracts()
         self._collect_attributes()
-        for _ in range(2):  # interprocedural return-dim fixpoint
-            for fn in self.graph.functions.values():
-                self._infer_function(fn, emit=False)
+        self.graph.fixpoint(lambda qual: self._infer_function(
+            self.graph.functions[qual], emit=False))
         for fn in self.graph.functions.values():
             self._infer_function(fn, emit=True)
         self._check_module_level()
@@ -442,15 +442,21 @@ class _DimAnalysis:
             return (dim, f"parameter '{name}' of {fn.short} [name]")
         return None
 
-    def _infer_function(self, fn: FunctionNode, emit: bool) -> None:
+    def _infer_function(self, fn: FunctionNode, emit: bool) -> bool:
+        """Walk one body; say whether it gave the function a return dim.
+
+        A return dimension, declared or inferred, is never replaced, so
+        each function grows at most once and the solver terminates.
+        """
         ctx = self._fresh_ctx(fn, emit=emit)
         for stmt in getattr(fn.node, "body", []):
             self._stmt(stmt, ctx)
-        if fn.qual not in self.declared:
-            agreed = _agree(ctx.return_dims)
-            if agreed is not None:
-                self.returns[fn.qual] = (
-                    agreed[0], f"return of {fn.short} ({agreed[1]})")
+        agreed = _agree(ctx.return_dims)
+        if fn.qual in self.returns or agreed is None:
+            return False
+        self.returns[fn.qual] = (
+            agreed[0], f"return of {fn.short} ({agreed[1]})")
+        return True
 
     def _stmt(self, stmt: ast.stmt, ctx: _Ctx) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -790,7 +796,7 @@ class _DimAnalysis:
         builtin = self._builtin_dim(expr, dotted, arg_dims, ctx)
         if builtin is not None:
             return builtin
-        qual = self._resolve_callee(expr, dotted, expanded, ctx)
+        qual = self.graph.callee_of.get(expr)
         if qual is not None:
             self._check_args(expr, qual, arg_dims, kw_dims, ctx)
             return self.returns.get(qual)
@@ -836,55 +842,6 @@ class _DimAnalysis:
         if dotted in ("min", "max", "sum"):
             return _agree([d for d in arg_dims if d is not None])
         return None
-
-    def _resolve_callee(self, expr: ast.Call, dotted: Optional[str],
-                        expanded: Optional[str],
-                        ctx: _Ctx) -> Optional[str]:
-        if dotted is None:
-            # The call target is itself an expression (subscripts like
-            # ``self.meters[name].set_power(...)``): fall back to a
-            # unique method name.
-            if isinstance(expr.func, ast.Attribute):
-                return self._unique_method(expr.func.attr)
-            return None
-        if expanded in self.graph.functions:
-            return expanded
-        parts = dotted.split(".")
-        fn = ctx.fn
-        if len(parts) == 1:
-            for candidate in (f"{fn.qual}.{parts[0]}",
-                              f"{fn.module}.{parts[0]}"):
-                if candidate in self.graph.functions:
-                    return candidate
-            # A constructor call: check the __init__ if we know the class.
-            info = self.graph.modules.get(fn.module)
-            if info is not None:
-                cls = info.classes.get(parts[0])
-                if cls is None:
-                    alias = expand_alias(parts[0], info.aliases)
-                    if f"{alias}.__init__" in self.graph.functions:
-                        cls = alias
-                if cls is not None \
-                        and f"{cls}.__init__" in self.graph.functions:
-                    return f"{cls}.__init__"
-            return None
-        if parts[0] == "self" and fn.class_name is not None \
-                and len(parts) == 2:
-            candidate = f"{fn.module}.{fn.class_name}.{parts[1]}"
-            if candidate in self.graph.functions:
-                return candidate
-        if len(parts) == 2:
-            head = expand_alias(parts[0], ctx.aliases)
-            candidate = f"{head}.{parts[1]}"
-            if candidate in self.graph.functions:
-                return candidate
-        return self._unique_method(parts[-1])
-
-    def _unique_method(self, name: str) -> Optional[str]:
-        if name in _FALLBACK_BLOCKLIST:
-            return None
-        matches = self.graph.methods_named.get(name, [])
-        return matches[0] if len(matches) == 1 else None
 
     def _check_args(self, expr: ast.Call, qual: str,
                     arg_dims: List[Optional[Dim]],

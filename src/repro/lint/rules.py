@@ -255,10 +255,13 @@ def protocol_rows(trees: Dict[Path, ast.Module]
 # -- the error hierarchy --------------------------------------------------------
 
 class ErrorHierarchy:
-    """Class → ancestor map parsed from the tree's ``errors`` module."""
+    """Class → ancestor map parsed from the tree's ``errors`` module, and
+    the ``retryable`` flags its classes set."""
 
-    def __init__(self, parents: Dict[str, List[str]]):
+    def __init__(self, parents: Dict[str, List[str]],
+                 retryable: Dict[str, bool]):
         self.parents = parents
+        self.retryable = retryable
 
     def ancestors(self, name: str) -> Set[str]:
         seen: Set[str] = set()
@@ -280,20 +283,23 @@ class ErrorHierarchy:
         return any(self.is_a(name, base) for base in declared)
 
     def retryable_family(self) -> Set[str]:
-        """Mirror of ``rdma.rpc.is_retryable``: RpcTimeoutError, plus the
-        RdmaError subtree minus the RpcError subtree."""
-        family = {"RpcTimeoutError"}
-        for name in self.parents:
-            lineage = self.ancestors(name) | {name}
-            if "RdmaError" in lineage and "RpcError" not in lineage:
-                family.add(name)
-        return family
+        """The classes ``rdma.rpc.is_retryable`` retries: each inherits
+        the ``retryable`` flag of its nearest class that sets one."""
+        return {name for name in self.parents if self._retryable(name)}
+
+    def _retryable(self, name: str) -> Optional[bool]:
+        """The flag ``name`` sets or inherits (bases left to right)."""
+        if name in self.retryable:
+            return self.retryable[name]
+        flags = (self._retryable(b) for b in self.parents.get(name, ()))
+        return next((flag for flag in flags if flag is not None), None)
 
 
 def parse_hierarchy(trees: Dict[Path, ast.Module]) -> ErrorHierarchy:
     """The class tree of every ``errors.py`` in the tree, read statically;
     built once per run and read by ZL005 and ZL011."""
     parents: Dict[str, List[str]] = {}
+    retryable: Dict[str, bool] = {}
     for path in sorted(trees):
         if path.name != "errors.py":
             continue
@@ -302,7 +308,13 @@ def parse_hierarchy(trees: Dict[Path, ast.Module]) -> ErrorHierarchy:
                 bases = [b for b in (dotted_name(base) for base in node.bases)
                          if b is not None]
                 parents[node.name] = [b.split(".")[-1] for b in bases]
-    return ErrorHierarchy(parents)
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.Assign)
+                            and [dotted_name(t) for t in stmt.targets]
+                            == ["retryable"]
+                            and isinstance(stmt.value, ast.Constant)):
+                        retryable[node.name] = bool(stmt.value.value)
+    return ErrorHierarchy(parents, retryable)
 
 
 # -- ZL007: the series the fleet audit reads ------------------------------------

@@ -581,23 +581,10 @@ class Fabric:
         self.cross_rack_ops += rpcs
         self.cross_rack_bytes += nbytes
         self.cross_rack_joules += joules
-        registry = self.telemetry.registry
-        labels = {"src_rack": self.racks[src],
-                  "dst_rack": self.racks[dst]}
-        if rpcs:
-            registry.counter(
-                "fed_cross_rack_ops_total",
-                "messages that crossed an inter-rack link",
-                **labels).inc(rpcs)
-        if nbytes:
-            registry.counter(
-                "fed_cross_rack_bytes_total",
-                "payload bytes that crossed an inter-rack link",
-                **labels).inc(nbytes)
-        registry.counter(
+        self.telemetry.registry.counter(
             "fed_cross_rack_joules_total",
             "energy surcharge accrued on inter-rack links",
-            **labels).inc(joules)
+            src_rack=self.racks[src], dst_rack=self.racks[dst]).inc(joules)
         return link.extra_latency_s
 
     # -- fault injection ---------------------------------------------------

@@ -57,12 +57,10 @@ def is_retryable(exc: BaseException) -> bool:
 
     Protocol/handler errors (unknown method, controller rejections,
     fencing) and a suspended *client* CPU are deterministic — retrying
-    cannot help, so they propagate immediately.
+    cannot help, so they propagate immediately.  Which is which is the
+    ``retryable`` flag the classes in :mod:`repro.errors` set.
     """
-    from repro.errors import RdmaError
-    if isinstance(exc, RpcTimeoutError):
-        return True
-    return isinstance(exc, RdmaError) and not isinstance(exc, RpcError)
+    return getattr(exc, "retryable", False)
 
 
 class BreakerState(enum.Enum):

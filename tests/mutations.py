@@ -225,6 +225,16 @@ MUTATIONS: Tuple[Mutation, ...] = (
          '                    ("AllocationError", "BufferError_", '
          '"ControllerError"))',
          '("GS_alloc_ext", "dedup_required", ())')),
+    # ZL011 sees through the imported helper: without the mapping,
+    # ``buffers_for``'s ValueError crosses the GS_alloc_* boundaries.
+    row("alloc-size-unmapped",
+        Lint("ZL011:GS_alloc_ext:ValueError", ("GS_alloc_ext",)),
+        (CONTROLLER,
+         "        try:\n"
+         "            nb = buffers_for(mem_size, self.buff_size)\n"
+         "        except ValueError as exc:  # a bad size is the caller's error\n"
+         "            raise ControllerError(f\"{user}: {exc}\") from exc\n",
+         "        nb = buffers_for(mem_size, self.buff_size)\n")),
     # ZomDim: each finding names its sink and its source.
     row("watts-for-joules",
         Lint("ZL012:repro.energy.meter:EnergyMeter.advance:aug:joules:watts",

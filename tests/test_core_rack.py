@@ -3,9 +3,11 @@
 import pytest
 
 from repro.acpi.states import SleepState
-from repro.core.rack import Rack
+from repro.core.protocol import Method
+from repro.core.rack import PrimaryChannel, Rack
 from repro.core.server import RackServer, ServerRole
-from repro.errors import (ConfigurationError, PlacementError, VmStateError)
+from repro.errors import (ConfigurationError, ControllerError, PlacementError,
+                          VmStateError)
 from repro.hypervisor.vm import VmSpec
 from repro.obs import Telemetry
 from repro.rdma.costs import RdmaCostModel
@@ -43,6 +45,18 @@ class TestConstruction:
     def test_unknown_server_lookup(self, small_rack):
         with pytest.raises(ConfigurationError):
             small_rack.server("nope")
+
+
+class TestAllocationVerbs:
+    @pytest.mark.parametrize("verb", [Method.GS_ALLOC_EXT,
+                                      Method.GS_ALLOC_SWAP])
+    def test_negative_size_is_a_controller_error(self, rack_with_zombie,
+                                                 verb):
+        # A bad size crosses the wire as an error the verb declares.
+        channel = rack_with_zombie.server("s1").manager.controller
+        assert isinstance(channel, PrimaryChannel)
+        with pytest.raises(ControllerError):
+            channel.call(verb.value, "s1", -1)
 
 
 class TestZombieTransitions:

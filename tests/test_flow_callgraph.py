@@ -13,11 +13,22 @@ from pathlib import Path
 
 from repro.lint.callgraph import build_graph
 from repro.lint.engine import module_name_for
+from repro.lint.purity import check_purity
 from repro.lint.rules import protocol_rows
 
 
 def _graph(path, source):
     return build_graph({Path(path): ast.parse(source)})
+
+
+#: A helper module whose one function reads the wall clock.
+CLOCK_HELPER = {
+    "fx/pkg/clock.py": (
+        "import time\n"
+        "def stamp():\n"
+        "    return time.time()\n"
+    ),
+}
 
 
 class TestRealTreeResolution:
@@ -93,6 +104,55 @@ class TestFixtureResolution:
         ))
         edges = {(e.caller, e.callee) for e in graph.edges}
         assert ("fx.mod.App.run", "fx.mod.Store.save") in edges
+
+    def test_imported_function_call_resolves(self):
+        # ``from m import f; f()`` binds the call to ``m.f``.
+        trees = {Path(p): ast.parse(s) for p, s in {
+            **CLOCK_HELPER,
+            "fx/svc.py": (
+                "from fx.pkg.clock import stamp\n"
+                "def f():\n"
+                "    return stamp()\n"
+            ),
+        }.items()}
+        graph = build_graph(trees)
+        call = next(node for node in ast.walk(trees[Path("fx/svc.py")])
+                    if isinstance(node, ast.Call))
+        assert graph.callee_of[call] == "fx.pkg.clock.stamp"
+        assert ("fx.svc.f", "fx.pkg.clock.stamp", "call") in {
+            (e.caller, e.callee, e.kind) for e in graph.edges}
+
+    def test_taint_through_imported_helper_reaches_handler(self):
+        graph = build_graph({Path(p): ast.parse(s) for p, s in {
+            **CLOCK_HELPER,
+            "fx/svc.py": (
+                "from fx.pkg.clock import stamp\n"
+                "class Service:\n"
+                "    def __init__(self, rpc):\n"
+                "        rpc.register('verb_x', self.handle)\n"
+                "    def handle(self):\n"
+                "        return stamp()\n"
+            ),
+        }.items()})
+        findings = check_purity(graph)
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("ZL009", "fx/pkg/clock.py", 3)]
+        assert "Service.handle -> stamp" in findings[0].message
+
+    def test_taint_through_imported_scheduled_callback(self):
+        graph = build_graph({Path(p): ast.parse(s) for p, s in {
+            **CLOCK_HELPER,
+            "fx/svc.py": (
+                "from fx.pkg.clock import stamp\n"
+                "class Sampler:\n"
+                "    def __init__(self, engine):\n"
+                "        engine.schedule(1.0, stamp)\n"
+            ),
+        }.items()})
+        assert "fx.pkg.clock.stamp" in graph.scheduled_callbacks
+        findings = check_purity(graph)
+        assert [(f.rule, f.path, f.line) for f in findings] == [
+            ("ZL009", "fx/pkg/clock.py", 3)]
 
     def test_shortest_chain_and_render(self):
         graph = _graph("fx/mod.py", (

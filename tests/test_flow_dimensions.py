@@ -96,6 +96,26 @@ class TestDimensionSoundness:
         assert [f.rule for f in findings] == ["ZL012"]
         assert "return of idle_watts" in findings[0].message
 
+    def test_return_dim_climbs_a_deep_helper_chain(self):
+        # Callers come first, so the bytes dimension climbs one helper per
+        # sweep of the solver: it must reach f1 however deep the chain.
+        findings = _findings({
+            "fx/energy.py": (
+                "def f1():\n"
+                "    return f2()\n"
+                "def f2():\n"
+                "    return f3()\n"
+                "def f3():\n"
+                "    return f4(4096)\n"
+                "def f4(size_bytes):\n"
+                "    return size_bytes\n"
+                "def drive(power_watts):\n"
+                "    return f1() + power_watts\n"
+            ),
+        })
+        assert [(f.rule, f.line) for f in findings] == [("ZL012", 10)]
+        assert "return of f1" in findings[0].message
+
     def test_call_argument_dimension_mismatch(self):
         findings = _findings({
             "fx/energy.py": (

@@ -276,9 +276,9 @@ class TestAtomicity:
 
 ERRORS_FIXTURE = (
     "class ReproError(Exception):\n    pass\n"
-    "class RdmaError(ReproError):\n    pass\n"
-    "class RpcError(RdmaError):\n    pass\n"
-    "class RpcTimeoutError(RpcError):\n    pass\n"
+    "class RdmaError(ReproError):\n    retryable = True\n"
+    "class RpcError(RdmaError):\n    retryable = False\n"
+    "class RpcTimeoutError(RpcError):\n    retryable = True\n"
     "class FencingError(ReproError):\n    pass\n"
     "class DeclaredError(ReproError):\n    pass\n"
     "class UndeclaredError(ReproError):\n    pass\n"
@@ -353,6 +353,14 @@ class TestContracts:
         sources = _contract_fixture("raise RpcTimeoutError('slow')",
                                     declared=())
         assert _contracts(sources) == []
+
+    def test_non_retryable_rpc_error_is_not_implicitly_allowed(self):
+        sources = _contract_fixture("raise RpcError('unknown method')",
+                                    declared=())
+        sources["fx/core/server.py"] = sources["fx/core/server.py"].replace(
+            "import DeclaredError", "import DeclaredError, RpcError")
+        assert [f.fingerprint for f in _contracts(sources)] == [
+            "ZL011:do_thing:RpcError"]
 
     def test_caught_exception_does_not_escape(self):
         sources = _contract_fixture("raise UndeclaredError('boom')")
