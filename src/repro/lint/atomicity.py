@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.callgraph import DEFS, CallGraph, FunctionNode
+from repro.lint.callgraph import CallGraph, FunctionNode
 from repro.lint.engine import Finding, raised_name, terminal_name
 
 #: Modules the pass scopes to (path tails).  The cooperative-concurrency
@@ -175,11 +175,8 @@ class _BodyScanner:
         self.events: List[_Event] = []
 
     def scan(self) -> List[_Event]:
-        for nodes in self.fn.body:
-            if isinstance(nodes[0], DEFS):
-                continue  # a nested def is its own function
-            for node in nodes:
-                self._scan_node(node)
+        for node in self.fn.nodes():
+            self._scan_node(node)
         self.events.sort(key=lambda e: (e.line, e.col))
         return self.events
 

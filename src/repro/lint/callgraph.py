@@ -71,7 +71,8 @@ class FunctionNode:
     node: ast.AST             # the FunctionDef
     class_name: Optional[str] = None
     #: One list per body statement: its nodes in ``ast.walk`` order, the
-    #: statement first and any def nested in it included.
+    #: statement first.  The body of a declared def nested in it is that
+    #: def's alone; the def's decorators and defaults stay here.
     body: List[List[ast.AST]] = field(default_factory=list, repr=False)
 
     @property
@@ -302,7 +303,8 @@ def walk_module(path: Path, tree: ast.Module) -> ModuleInfo:
     class and each def nested directly in one of those (a def nested in
     a nested def stays part of its body), and records the import
     aliases (the last binding wins), each declared function's body
-    nodes, the ``self.x`` assignment sites and every node's parent.
+    nodes (a declared nested def's body is its own, not its enclosing
+    function's), the ``self.x`` assignment sites and every node's parent.
     """
     info = ModuleInfo(name=module_name_for(path), path=str(path), tree=tree)
     #: each module-level function or method → the defs nested in it.
@@ -349,7 +351,9 @@ def walk_module(path: Path, tree: ast.Module) -> ModuleInfo:
                 stmt_lists = {}
                 for stmt in node.body:
                     fn.body.append([])
-                    stmt_lists[stmt] = lists + (fn.body[-1],)
+                    # The body belongs to this def alone; its decorators
+                    # and defaults run in the enclosing function.
+                    stmt_lists[stmt] = (fn.body[-1],)
                 for child in ast.iter_child_nodes(node):
                     parent[child] = node
                     todo.append((child, cls, outer, owners,
@@ -470,8 +474,6 @@ class _FunctionResolver:
         self._seed_parameter_types()
         for nodes in self.fn.body:
             stmt = nodes[0]
-            if isinstance(stmt, DEFS):
-                continue  # nested defs are their own nodes
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
                     and isinstance(stmt.targets[0], ast.Name):
                 tag = self._expr_type(stmt.value)

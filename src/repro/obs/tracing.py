@@ -77,7 +77,23 @@ class Span:
         if exc is not None:
             self.status = "error"
             self.tags.setdefault("error", type(exc).__name__)
-        self.tracer.finish(self)  # type: ignore[union-attr]
+        tracer = self.tracer
+        stack = tracer._stack  # type: ignore[union-attr]
+        if not stack or stack[-1] is not self:
+            # Closed out of order, or closed already: the tracer sorts it.
+            tracer.finish(self)  # type: ignore[union-attr]
+            return False
+        # The innermost open span closes here, in this one frame.  This is
+        # the only place a span enters the ring: the oldest goes first.
+        stack.pop()
+        if self.end_s is None:
+            self.end_s = tracer.clock()
+        self.recorded = True
+        spans = tracer.spans
+        if len(spans) >= tracer.max_spans:
+            spans.popleft()
+            tracer.dropped += 1
+        spans.append(self)
         return False
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
@@ -200,29 +216,17 @@ class Tracer:
 
         A span whose ``end_s`` was set explicitly (sim time does not flow
         while a handler runs, so RPC spans take their width from the cost
-        model) keeps it; anything else closes at the current clock.
+        model) keeps it; anything else closes at the current clock.  A
+        span already closed, or not opened by this tracer, is left as it is.
         """
-        if span.recorded:
+        if span.recorded or span.tracer is not self:
             return
         stack = self._stack
-        while stack:
-            top = stack.pop()
-            if top.end_s is None:
-                top.end_s = self.clock()
-            self._record(top)
+        while True:
+            top = stack[-1]
+            top.__exit__(None, None, None)  # the innermost: closes at once
             if top is span:
                 return
-        # Span was not on the stack (already force-finished): record anyway.
-        if span.end_s is None:
-            span.end_s = self.clock()
-        self._record(span)
-
-    def _record(self, span: Span) -> None:
-        span.recorded = True
-        if len(self.spans) >= self.max_spans:
-            self.spans.popleft()
-            self.dropped += 1
-        self.spans.append(span)
 
     # -- timeline samples --------------------------------------------------
     def sample(self, name: str, value: float, track: str = "main",

@@ -242,8 +242,9 @@ class MessageFaultInjector:
     def _lookup_keys(self, src: str, dst: str):
         return ((src, dst), ("*", dst), (src, "*"), ("*", "*"))
 
-    def _pop_script(self, scripts, keys, method):
-        """Consume the first matching one-shot across ``keys`` (FIFO).
+    def _pop_script(self, scripts, keys, method) -> Optional[str]:
+        """Consume the first matching one-shot across ``keys`` (FIFO) and
+        return its kind.
 
         A queue emptied here leaves ``scripts``, so ``scripts`` is empty
         exactly when nothing is queued.
@@ -258,15 +259,15 @@ class MessageFaultInjector:
                 queue.pop(index)
                 if not queue:
                     del scripts[key]
-                decision = MessageFaultDecision()
-                setattr(decision, kind, True)
-                return decision
+                return kind
         return None
 
     def decide(self, src: str, dst: str,
                method: str) -> MessageFaultDecision:
         """One message is about to cross ``src → dst``: what happens?
 
+        A message that gets no fault and no extra latency gets the shared
+        all-clear decision, so only a faulted message allocates one.
         Only a consumed one-shot changes what is installed, so only then
         is ``active`` recomputed; with no one-shot queued, the script
         queues are not scanned at all.
@@ -282,12 +283,12 @@ class MessageFaultInjector:
             if (src_rack is not None and dst_rack is not None
                     and src_rack != dst_rack):
                 rack_keys = self._lookup_keys(src_rack, dst_rack)
-        decision = None
+        scripted = None
         if self.scripted:
-            decision = self._pop_script(self.scripted, node_keys, method)
-        if decision is None and rack_keys is not None and self.rack_scripts:
-            decision = self._pop_script(self.rack_scripts, rack_keys, method)
-        if decision is not None:
+            scripted = self._pop_script(self.scripted, node_keys, method)
+        if scripted is None and rack_keys is not None and self.rack_scripts:
+            scripted = self._pop_script(self.rack_scripts, rack_keys, method)
+        if scripted is not None:
             self._refresh_active()
         plan = None
         for key in node_keys:
@@ -299,20 +300,25 @@ class MessageFaultInjector:
                 plan = self.rack_plans.get(key)
                 if plan is not None:
                     break
+        request_loss = reply_loss = duplicate = reorder = False
+        extra_latency_s = 0.0
         if plan is not None:
-            if decision is None:
-                decision = MessageFaultDecision()
             if plan.probabilistic:
-                # Fixed draw count per message, in kind order: the stream
-                # never skews.
+                # Fixed draw count per message, in kind order, whether or
+                # not a script fired: the stream never skews.
                 random = self.rng.random
-                decision.request_loss |= random() < plan.request_loss
-                decision.reply_loss |= random() < plan.reply_loss
-                decision.duplicate |= random() < plan.duplicate
-                decision.reorder |= random() < plan.reorder
-            decision.extra_latency_s += plan.extra_latency_s
-        if decision is None:
+                request_loss = random() < plan.request_loss
+                reply_loss = random() < plan.reply_loss
+                duplicate = random() < plan.duplicate
+                reorder = random() < plan.reorder
+            extra_latency_s = plan.extra_latency_s
+        if scripted is None and not (request_loss or reply_loss or duplicate
+                                     or reorder or extra_latency_s):
             return _NO_FAULTS
+        decision = MessageFaultDecision(request_loss, reply_loss, duplicate,
+                                        reorder, extra_latency_s)
+        if scripted is not None:
+            setattr(decision, scripted, True)
         for kind in decision.kinds():
             self.injected[kind] += 1
         return decision
@@ -483,8 +489,9 @@ class Fabric:
         #: The one simulated clock of everything on this fabric: racks,
         #: breakers, event logs and spans all read ``engine.now``.
         self.engine = engine = engine or Engine()
-        #: That clock as a callable, built once and handed out as is.
-        self.clock = lambda: engine.now
+        #: That clock as a callable, built once and handed out as is: one
+        #: call per read.
+        self.clock = engine._clock
         #: The rack's ZomTrace hub.  Every fabric carries one so
         #: instrumented code can always reach ``node.fabric.telemetry``;
         #: the default hub is disabled (no-op instruments, no spans).

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, Optional
 from repro.errors import (CircuitOpenError, ConfigurationError,
                           DeadlineExceededError, FencingError, RpcError,
                           RpcTimeoutError)
-from repro.rdma.fabric import RdmaNode
+from repro.rdma.fabric import _NO_FAULTS, RdmaNode
 from repro.sim.rng import DeterministicRng
 
 Handler = Callable[..., Any]
@@ -315,7 +315,8 @@ class RpcServer:
                 try:
                     if stamp is not None:
                         span.set_tag("epoch", stamp[1])
-                        self._fence(*stamp)
+                        if stamp[1] != self.epochs.get(stamp[0]):
+                            self._fence(*stamp)
                     return handler(*args, **kwargs)
                 except FencingError:
                     span.set_tag("fenced", True)
@@ -565,13 +566,16 @@ class RpcClient:
                 registry.counter(
                     "rpc_failures_total", "Logical RPC calls that raised.",
                     verb=method, outcome=outcome).inc()
-                self._note_retries(registry, span, method,
-                                   self.retries - retries_before)
                 span.end_s = span.start_s + (self.time_spent_s - spent_before)
                 raise
+            finally:
+                retried = self.retries - retries_before
+                if retried:
+                    span.set_tag("retries", retried)
+                    registry.counter("rpc_retries_total",
+                                     "Retry attempts beyond the first.",
+                                     verb=method).inc(retried)
             logical = self.time_spent_s - spent_before
-            self._note_retries(registry, span, method,
-                               self.retries - retries_before)
             if verb.seconds is None:
                 verb.seconds = registry.histogram(
                     "rpc_call_seconds",
@@ -582,13 +586,6 @@ class RpcClient:
             # span takes its width from the cost model, not the clock.
             span.end_s = span.start_s + logical
         return result
-
-    def _note_retries(self, registry, span, method: str, retried: int) -> None:
-        if retried:
-            span.set_tag("retries", retried)
-            registry.counter("rpc_retries_total",
-                             "Retry attempts beyond the first.",
-                             verb=method).inc(retried)
 
     def _call_with_retries(self, method: str, args: tuple, kwargs: dict,
                            stamp: Optional[tuple], traced: bool = False
@@ -739,12 +736,13 @@ class RpcClient:
         injector = fabric.message_faults
         if injector.active:
             decision = injector.decide(node.name, server.node.name, method)
-            for kind in decision.kinds():
-                fabric.telemetry.registry.counter(
-                    "rpc_injected_faults_total",
-                    "Message faults injected by the adversarial fabric.",
-                    kind=kind).inc()
-            extra_latency = decision.extra_latency_s
+            if decision is not _NO_FAULTS:
+                for kind in decision.kinds():
+                    fabric.telemetry.registry.counter(
+                        "rpc_injected_faults_total",
+                        "Message faults injected by the adversarial fabric.",
+                        kind=kind).inc()
+                extra_latency = decision.extra_latency_s
         if fabric.racks:
             # Cross-rack federation surcharge: charged per attempt (every
             # attempt is a fresh crossing of the inter-rack link) and

@@ -399,6 +399,21 @@ MUTATIONS: Tuple[Mutation, ...] = (
          "test_wire_duplicate_executes_once",),
         (RPC, "            self.server.dispatch(*request)\n",
          "            self.server.dispatch(*request[:3])\n")),
+    # A message no fault touches shares the all-clear decision.
+    row("clean-message-allocates-decision",
+        ("tests/test_rdma.py::TestMessageFaultInjector::"
+         "test_a_clean_message_gets_the_shared_all_clear",),
+        ("src/repro/rdma/fabric.py", "            return _NO_FAULTS\n"
+         "        decision = MessageFaultDecision(",
+         "            pass\n"
+         "        decision = MessageFaultDecision(")),
+    # A span closed in ``__exit__``'s one frame is marked closed, so a
+    # repeated exit closes nothing else.
+    row("fast-close-leaves-span-unrecorded",
+        ("tests/test_obs_tracing.py::TestSpanCloseThroughWith::"
+         "test_second_exit_records_nothing",),
+        ("src/repro/obs/tracing.py", "        self.recorded = True\n",
+         "        pass\n")),
     # A breaker cools down on its fabric's clock, policy or not: freeze it.
     row("breaker-clock-frozen",
         ("tests/test_rpc_retry.py::TestCircuitBreaker::"

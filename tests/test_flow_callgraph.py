@@ -154,6 +154,38 @@ class TestFixtureResolution:
         assert [(f.rule, f.path, f.line) for f in findings] == [
             ("ZL009", "fx/pkg/clock.py", 3)]
 
+    def test_nested_def_body_belongs_to_the_nested_def_alone(self):
+        # ``inner``'s body runs when ``inner`` is called, not when
+        # ``outer`` runs, wherever in ``outer`` the def statement sits.
+        graph = _graph("fx/m.py", (
+            "def helper():\n"
+            "    return 1\n"
+            "def outer(flag):\n"
+            "    if flag:\n"
+            "        def inner():\n"
+            "            return helper()\n"
+            "        return inner\n"
+        ))
+        edges = {(e.caller, e.callee, e.kind) for e in graph.edges}
+        assert ("fx.m.outer.inner", "fx.m.helper", "call") in edges
+        assert ("fx.m.outer", "fx.m.helper", "call") not in edges
+
+    def test_nested_def_decorator_runs_in_the_enclosing_function(self):
+        graph = _graph("fx/m.py", (
+            "def deco(fn):\n"
+            "    return fn\n"
+            "def helper():\n"
+            "    return 1\n"
+            "def outer():\n"
+            "    @deco\n"
+            "    def inner(x=helper()):\n"
+            "        return x\n"
+            "    return inner\n"
+        ))
+        edges = {(e.caller, e.callee, e.kind) for e in graph.edges}
+        assert ("fx.m.outer", "fx.m.helper", "call") in edges
+        assert ("fx.m.outer.inner", "fx.m.helper", "call") not in edges
+
     def test_shortest_chain_and_render(self):
         graph = _graph("fx/mod.py", (
             "def a():\n"

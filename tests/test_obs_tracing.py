@@ -80,6 +80,47 @@ class TestSpanNesting:
         assert len(tracer.finished()) == 1
 
 
+class TestSpanCloseThroughWith:
+    """``__exit__`` closes the innermost span itself, and hands anything
+    else to ``Tracer.finish``: both ways record the same spans."""
+
+    def test_exit_with_an_inner_span_open_records_both(self):
+        tracer = Tracer(_still)
+        with tracer.span("outer") as outer:
+            inner = tracer.span("inner")  # never explicitly closed
+        assert tracer.finished() == [inner, outer]
+        assert outer.recorded and inner.recorded
+        assert tracer._stack == []
+
+    def test_second_exit_records_nothing(self):
+        tracer = Tracer(_still)
+        with tracer.span("outer") as outer:
+            handle = tracer.span("once")
+            handle.__exit__(None, None, None)
+            handle.__exit__(None, None, None)
+            # The repeat closed nothing else: ``outer`` is still open.
+            assert tracer._stack == [outer]
+        assert [s.name for s in tracer.finished()] == ["once", "outer"]
+
+    def test_preset_end_is_kept_when_an_outer_exit_closes_the_span(self):
+        now = [2.0]
+        tracer = Tracer(lambda: now[0])
+        with tracer.span("outer") as outer:
+            inner = tracer.span("inner")
+            inner.end_s = inner.start_s + 0.5
+            now[0] = 3.0
+        assert (inner.end_s, outer.end_s) == (2.5, 3.0)
+
+    def test_ring_overflow_counts_drops_on_both_ways_of_closing(self):
+        tracer = Tracer(_still, max_spans=2)
+        with tracer.span("a"):
+            pass
+        with tracer.span("outer"):
+            tracer.span("inner")
+        assert [s.name for s in tracer.finished()] == ["inner", "outer"]
+        assert tracer.dropped == 1
+
+
 class TestTracerModes:
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer(_still, enabled=False)

@@ -7,8 +7,9 @@ from repro.acpi.states import SleepState
 from repro.errors import (MemoryRegionError, QueuePairError, RdmaError,
                           RpcError, RpcTimeoutError)
 from repro.rdma.costs import RdmaCostModel
-from repro.rdma.fabric import (DUPLICATE, REPLY_LOSS, Fabric, LinkFaults,
-                               MessageFaultInjector)
+from repro.obs import Telemetry
+from repro.rdma.fabric import (_NO_FAULTS, DUPLICATE, REPLY_LOSS, Fabric,
+                               LinkFaults, MessageFaultInjector)
 from repro.rdma.rpc import RpcClient, RpcServer
 from repro.rdma.verbs import AccessFlags, MemoryRegion, QpState, QueuePair
 from repro.sim.rng import DeterministicRng
@@ -322,6 +323,52 @@ class TestMessageFaultInjector:
         assert [d.reply_loss for d in decisions] == [
             plain.decide("a", "b", method).reply_loss
             for method in ("x", "m", "m", "y")]
+
+    def test_a_clean_message_gets_the_shared_all_clear(self):
+        injector = MessageFaultInjector(DeterministicRng(5))
+        injector.set_link("*", "*", LinkFaults(reply_loss=0.5))
+        decisions = [injector.decide("a", "b", "m") for _ in range(16)]
+        clean = [d for d in decisions if not d.reply_loss]
+        assert clean and len(clean) < len(decisions)
+        assert all(d is _NO_FAULTS for d in clean)
+        assert injector.injected[REPLY_LOSS] == len(decisions) - len(clean)
+
+    def test_a_latency_only_plan_gets_a_fresh_decision(self):
+        injector = MessageFaultInjector()
+        injector.set_link("a", "b", LinkFaults(extra_latency_s=0.25))
+        first = injector.decide("a", "b", "m")
+        second = injector.decide("a", "b", "m")
+        assert first is not second and first is not _NO_FAULTS
+        assert (first.extra_latency_s, first.kinds()) == (0.25, [])
+        assert _NO_FAULTS.extra_latency_s == 0.0
+        assert sum(injector.injected.values()) == 0
+
+    def test_a_script_keeps_the_plans_flags_and_latency(self):
+        injector = MessageFaultInjector(DeterministicRng(5))
+        injector.set_link("*", "*", LinkFaults(reply_loss=1.0,
+                                               extra_latency_s=0.5))
+        injector.script("a", "b", DUPLICATE)
+        decision = injector.decide("a", "b", "m")
+        assert decision.kinds() == [REPLY_LOSS, DUPLICATE]
+        assert decision.extra_latency_s == 0.5
+        assert (injector.injected[REPLY_LOSS],
+                injector.injected[DUPLICATE]) == (1, 1)
+
+    def test_injected_fault_series_only_for_kinds_that_fired(self):
+        fabric = Fabric(telemetry=Telemetry(enabled=True))
+        server = RpcServer(fabric.add_node("srv"))
+        client = RpcClient(fabric.add_node("cli"), server)
+        server.register("echo", lambda x: x)
+        injector = fabric.message_faults
+        injector.bind_rng(DeterministicRng(3))
+        injector.set_link("*", "*", LinkFaults(duplicate=0.5))
+        assert [client.call("echo", i) for i in range(16)] == list(range(16))
+        registry = fabric.telemetry.registry
+        assert registry.labels_for("rpc_injected_faults_total") == [
+            {"kind": DUPLICATE}]
+        assert registry.value("rpc_injected_faults_total",
+                              kind=DUPLICATE) == injector.injected[DUPLICATE]
+        assert 0 < injector.injected[DUPLICATE] < 16
 
     def test_active_turns_false_once_the_last_one_shot_is_consumed(self):
         injector = MessageFaultInjector()
