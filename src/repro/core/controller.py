@@ -55,6 +55,8 @@ class GlobalMemoryController:
         self.agent_clients: Dict[str, RpcClient] = {}
         self.rpc = RpcServer(node)
         self.events = EventLog(node.fabric.clock)
+        if node.fabric.telemetry.enabled:
+            self.events.attach_metrics(node.fabric.telemetry.registry)
         #: Fencing epoch: bumped on every failover; the agents' and the
         #: secondary's RPC servers refuse calls stamped with a lower
         #: (deposed) epoch.
@@ -231,9 +233,6 @@ class GlobalMemoryController:
         tel = self.node.fabric.telemetry
         if tel.enabled:
             self._sz_entered[host] = self.node.fabric.clock()
-            tel.registry.counter("sz_transitions_total",
-                                 "Sz entries and exits observed.",
-                                 direction="enter").inc()
             tel.registry.gauge("zombie_hosts",
                                "Hosts currently parked in Sz.").set(
                 len(self.zombie_hosts))
@@ -255,9 +254,6 @@ class GlobalMemoryController:
                     "sz_dwell_seconds",
                     "Time hosts spent parked in Sz before waking.",
                 ).observe(self.node.fabric.clock() - entered)
-            tel.registry.counter("sz_transitions_total",
-                                 "Sz entries and exits observed.",
-                                 direction="exit").inc()
             tel.registry.gauge("zombie_hosts",
                                "Hosts currently parked in Sz.").set(
                 len(self.zombie_hosts))

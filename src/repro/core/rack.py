@@ -117,8 +117,6 @@ class Rack:
             self.fabric.set_rack(sec_node.name, name)
         self.controller = GlobalMemoryController(ctr_node, buff_size=buff_size,
                                                  stripe=stripe)
-        if self.telemetry.enabled:
-            self.controller.events.attach_metrics(self.telemetry.registry)
         self.secondary = SecondaryController(
             sec_node, heartbeat_period_s=heartbeat_period_s)
         self.controller.mirror = RpcClient(ctr_node, self.secondary.rpc,
@@ -261,18 +259,10 @@ class Rack:
                 # The cost model, not the sim clock, knows how long the
                 # migration took; give the span that width.
                 root.end_s = root.start_s + result.total_time_s
-                registry = tel.registry
-                registry.counter("vm_migrations_total",
-                                 "Live migrations completed.",
-                                 protocol=result.protocol).inc()
-                registry.histogram("migration_seconds",
-                                   "Total migration duration.",
-                                   protocol=result.protocol
-                                   ).observe(result.total_time_s)
-                registry.histogram("migration_downtime_seconds",
-                                   "Stop-and-copy downtime per migration.",
-                                   protocol=result.protocol
-                                   ).observe(result.downtime_s)
+                tel.registry.histogram("migration_seconds",
+                                       "Total migration duration.",
+                                       protocol=result.protocol
+                                       ).observe(result.total_time_s)
         self.events.emit(EventKind.VM_MIGRATED, dst, vm=vm_name,
                          from_host=src,
                          pages_moved=result.pages_transferred)
@@ -296,9 +286,8 @@ class Rack:
         follow on their own: a :class:`PrimaryChannel` re-opens on its
         next call.
         """
-        tel = self.telemetry
-        with tel.tracer.span("failover.promote",
-                             node="secondary-ctr") as span:
+        with self.telemetry.tracer.span("failover.promote",
+                                        node="secondary-ctr") as span:
             new_controller = secondary.promote(self.buff_size,
                                                stripe=self.stripe)
             new_controller.events = self.controller.events
@@ -324,9 +313,6 @@ class Rack:
             self.events.emit(EventKind.FAILOVER, "secondary-ctr",
                              epoch=new_controller.epoch)
             span.set_tag("epoch", new_controller.epoch)
-        if tel.enabled:
-            tel.registry.counter("failovers_total",
-                                 "Secondary promotions performed.").inc()
 
     def kill_controller(self) -> None:
         """Simulate a primary-controller crash (for failover tests).

@@ -348,19 +348,8 @@ class RecoveryCoordinator:
             span.set_tag("buffers_lost", stats.buffers_lost)
             span.set_tag("users_affected", stats.users_affected)
         if tel.enabled:
-            registry = tel.registry
-            registry.counter("recovery_incidents_total",
-                             "Serving-host-loss incidents declared.").inc()
-            registry.counter(
-                "recovery_buffers_invalidated_total",
-                "Buffer records purged by host-loss recovery.",
-            ).inc(stats.buffers_lost)
-            registry.counter(
-                "recovery_fallback_pages_total",
-                "Pages forced onto the local mirror by host loss.",
-            ).inc(stats.pages_fallback)
-            registry.gauge("lost_hosts",
-                           "Hosts currently declared lost.").set(
+            tel.registry.gauge("lost_hosts",
+                               "Hosts currently declared lost.").set(
                 len(self.lost_hosts))
         return stats
 
@@ -379,11 +368,6 @@ class RecoveryCoordinator:
             tel.registry.gauge("lost_hosts",
                                "Hosts currently declared lost.").set(
                 len(self.lost_hosts))
-            if stats is not None:
-                tel.registry.histogram(
-                    "recovery_outage_seconds",
-                    "Declared-lost to recovered, per incident.",
-                ).observe(stats.recovered_at - stats.detected_at)
         self._owed_resyncs.pay(self._resync, host)
 
     def _resync(self, host: str, _: str, stale: List[int]) -> bool:

@@ -172,6 +172,27 @@ def _slot_power(plan: SlotPlan, power: _ProfilePower) -> float:
     return fraction * power.max_power_watts
 
 
+def _baseline_joules(slots: Sequence[DemandSlot], n_servers: int,
+                     power: _ProfilePower) -> float:
+    """The baseline's energy over ``slots``: every saving's denominator."""
+    joules = 0.0
+    for slot in slots:
+        joules += watts_x_seconds(
+            _slot_power(plan_baseline(slot, n_servers), power),
+            slot.duration_s)
+    return joules
+
+
+def _plan_fn(policy: str) -> PlanFn:
+    """The plan function ``policy`` names."""
+    plan_fn = POLICIES.get(policy)
+    if plan_fn is None:
+        raise ConfigurationError(
+            f"unknown policy {policy!r}; expected one of {sorted(POLICIES)}"
+        )
+    return plan_fn
+
+
 def simulate_energy(tasks: Sequence[Task], n_servers: int,
                     profile: MachineProfile, policy: str,
                     slot_s: float = HOUR,
@@ -184,8 +205,7 @@ def simulate_energy(tasks: Sequence[Task], n_servers: int,
     With a :class:`~repro.obs.Telemetry` hub attached, every slot's rack
     power lands on a ``rack_power_watts.<policy>`` timeline track (a
     Chrome-trace counter series — the Fig. 10 curve becomes scrubbable in
-    Perfetto) and the per-slot power distribution feeds a
-    ``dc_slot_power_watts`` histogram.
+    Perfetto).
 
     ``backend`` selects how the ZombieStack policy is evaluated:
 
@@ -198,11 +218,7 @@ def simulate_energy(tasks: Sequence[Task], n_servers: int,
       cross-rack), and the inter-rack energy surcharge is added to the
       integral — so poor placement shows up in the J/hour result.
     """
-    plan_fn = POLICIES.get(policy)
-    if plan_fn is None:
-        raise ConfigurationError(
-            f"unknown policy {policy!r}; expected one of {sorted(POLICIES)}"
-        )
+    plan_fn = _plan_fn(policy)
     if backend not in ("aggregate", "federation"):
         raise ConfigurationError(
             f"unknown backend {backend!r}; expected 'aggregate' or "
@@ -217,15 +233,19 @@ def simulate_energy(tasks: Sequence[Task], n_servers: int,
             fleet = build_fleet(n_servers, telemetry=telemetry)
     if slots is None:
         slots = aggregate_demand(tasks, slot_s=slot_s)
-    obs = telemetry is not None and telemetry.enabled
-    if obs:
-        power_hist = telemetry.registry.histogram(
-            "dc_slot_power_watts", "Per-slot rack power by policy.",
-            buckets=(10.0, 100.0, 1e3, 1e4, 1e5, 1e6),
-            policy=policy, profile=profile.name)
     power = _ProfilePower.of(profile)
+    return _integrate(slots, n_servers, profile, power, policy, plan_fn,
+                      _baseline_joules(slots, n_servers, power),
+                      telemetry, fleet)
+
+
+def _integrate(slots: Sequence[DemandSlot], n_servers: int,
+               profile: MachineProfile, power: _ProfilePower, policy: str,
+               plan_fn: PlanFn, baseline_joules: float,
+               telemetry=None, fleet=None) -> PolicyEnergyResult:
+    """One policy pass over ``slots`` against a precomputed baseline."""
+    obs = telemetry is not None and telemetry.enabled
     joules = 0.0
-    baseline_joules = 0.0
     active_sum = 0.0
     zombie_sum = 0.0
     memory_sum = 0.0
@@ -238,8 +258,6 @@ def simulate_energy(tasks: Sequence[Task], n_servers: int,
     remote_server_s = 0.0
     zombie_served_server_s = 0.0
     slot_seconds = 0.0
-    cross_rack_joules = 0.0
-    fed_borrows = 0
     for slot in slots:
         plan = plan_fn(slot, n_servers)
         watts = _slot_power(plan, power)
@@ -248,14 +266,8 @@ def simulate_energy(tasks: Sequence[Task], n_servers: int,
             # The scale model's cross-rack surcharge, re-scaled to the
             # sweep's fleet size, joins the energy integral.
             deltas = fleet.enact(plan, slot, n_servers)
-            surcharge = (deltas["cross_rack_joules"]
-                         * n_servers / fleet.n_hosts)
-            joules += surcharge
-            cross_rack_joules += surcharge
-            fed_borrows += deltas["borrows"]
-        baseline = plan_baseline(slot, n_servers)
-        baseline_joules += watts_x_seconds(_slot_power(baseline, power),
-                                           slot.duration_s)
+            joules += (deltas["cross_rack_joules"]
+                       * n_servers / fleet.n_hosts)
         active_sum += plan.active
         zombie_sum += plan.zombies
         memory_sum += plan.memory_servers
@@ -269,7 +281,6 @@ def simulate_energy(tasks: Sequence[Task], n_servers: int,
         zombie_served_server_s += served * slot.duration_s
         slot_seconds += slot.duration_s
         if obs:
-            power_hist.observe(watts)
             telemetry.tracer.sample(f"rack_power_watts.{policy}", watts,
                                     track=profile.name, time_s=slot.start_s)
     n = max(1, len(slots))
@@ -286,9 +297,6 @@ def simulate_energy(tasks: Sequence[Task], n_servers: int,
         registry.counter(
             "dc_energy_joules_total", "Integrated rack energy by policy.",
             **labels).inc(joules)
-        registry.gauge(
-            "dc_energy_saving_pct", "Energy saving vs. baseline.",
-            **labels).set(result.saving_pct)
         registry.counter(
             "dc_ideal_joules_total",
             "Ideal energy-proportional demand energy (zPUE denominator).",
@@ -309,15 +317,6 @@ def simulate_energy(tasks: Sequence[Task], n_servers: int,
             "dc_demand_slot_seconds_total",
             "Total simulated time across demand slots.",
             **labels).inc(slot_seconds)
-        if fleet is not None:
-            registry.counter(
-                "dc_fed_cross_rack_joules_total",
-                "Inter-rack lending surcharge folded into the sweep.",
-                **labels).inc(cross_rack_joules)
-            registry.counter(
-                "dc_fed_borrows_total",
-                "Cross-rack buffer borrows during the enacted sweep.",
-                **labels).inc(fed_borrows)
         for role, mean in (("active", active_sum / n),
                            ("zombie", zombie_sum / n),
                            ("memory", memory_sum / n),
@@ -336,12 +335,14 @@ def energy_saving_comparison(tasks: Sequence[Task], n_servers: int,
                              ) -> Dict[str, Dict[str, float]]:
     """Fig. 10 bars: ``{profile: {policy: saving %}}`` for one trace set."""
     slots = aggregate_demand(tasks, slot_s=slot_s)
+    plan_fns = {policy: _plan_fn(policy) for policy in policies}
     out: Dict[str, Dict[str, float]] = {}
     for profile in profiles:
-        row = {}
-        for policy in policies:
-            result = simulate_energy(tasks, n_servers, profile, policy,
-                                     slot_s=slot_s, slots=slots)
-            row[policy] = result.saving_pct
-        out[profile.name] = row
+        # The baseline is integrated once per profile, not per policy.
+        power = _ProfilePower.of(profile)
+        baseline_joules = _baseline_joules(slots, n_servers, power)
+        out[profile.name] = {
+            policy: _integrate(slots, n_servers, profile, power, policy,
+                               plan_fn, baseline_joules).saving_pct
+            for policy, plan_fn in plan_fns.items()}
     return out

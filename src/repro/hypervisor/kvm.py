@@ -62,9 +62,6 @@ class Hypervisor:
             self._m_fault_seconds = registry.histogram(
                 "hv_fault_seconds", "Full fault-path latency per fault.",
                 host=host)
-            self._m_remote_fills = registry.counter(
-                "hv_remote_fills_total",
-                "Faults served by reading a remote slot.", host=host)
         #: Sequential readahead: after two consecutive remote fills of
         #: adjacent pages, pull up to this many following remote pages in
         #: one batched transfer (0 = off, the paper's configuration).
@@ -203,8 +200,6 @@ class Hypervisor:
         cost = FAULT_BASE_S + read_s + evict_s
         if remote:
             stats.remote_fills += 1
-            if self._tel is not None:
-                self._m_remote_fills.inc()
             expected = vm.contents.get(ppn)
             if expected is not None and data[:len(expected)] != expected:
                 raise HypervisorError(

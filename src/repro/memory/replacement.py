@@ -52,13 +52,6 @@ class ReplacementPolicy:
         """Record that ``ppn`` just faulted in (append to the FIFO list)."""
         self.fifo.append(ppn)
 
-    def forget(self, ppn: int) -> None:
-        """Drop a page from tracking (VM teardown).  O(n), rarely used."""
-        try:
-            self.fifo.remove(ppn)
-        except ValueError:
-            pass
-
     # -- victim selection --------------------------------------------------
     #: Whether the policy sweeps accessed bits (a ``_ClearingPolicy``):
     #: it then ticks the periodic clear and runs its ``_sweep`` first.

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, TYPE_CHECKING
 
+from repro.core.events import EventKind
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.tables import Table, to_text
 from repro.units import fmt_time
@@ -81,10 +82,10 @@ def report_data(telemetry: "Telemetry", top_n: int = 10) -> dict:
             "max_dwell_s": dwell.max if stays else None,
             "hosts_in_sz": (int(current.value)  # type: ignore[union-attr]
                             if current is not None else None),
-            "entered": int(registry.value("sz_transitions_total",
-                                          direction="enter")),
-            "exited": int(registry.value("sz_transitions_total",
-                                         direction="exit")),
+            "entered": int(registry.value(
+                "rack_events_total", kind=EventKind.ZOMBIE_ENTER.value)),
+            "exited": int(registry.value(
+                "rack_events_total", kind=EventKind.ZOMBIE_EXIT.value)),
         },
         "registry": {
             "families": [

@@ -8,12 +8,12 @@ open becomes its child, and the *root* of each tree mints a fresh
 
 Crossing the fabric works like real distributed tracing rather than by
 leaning on the shared process: :class:`~repro.rdma.rpc.RpcClient` sends
-each attempt's span context beside the call's arguments, transport-level
-``dispatch`` activates it as the **wire context**, and the server-side
-span adopts it as its parent.  Every retry carries its own attempt's
-context and a promoted secondary serves under the same propagated
-context, which is what keeps one logical operation a single connected
-tree across retries, circuit breaking and failover.
+each attempt's span context beside the call's arguments, and
+transport-level ``dispatch`` passes it to the server-side span as its
+parent.  Every retry carries its own attempt's context and a promoted
+secondary serves under the same propagated context, which is what keeps
+one logical operation a single connected tree across retries, circuit
+breaking and failover.
 
 The tracer also records **timeline samples** (named numeric series with
 explicit timestamps) so slow simulations — the DC energy timeline behind
@@ -161,29 +161,7 @@ class Tracer:
         self.dropped = 0
         self.dropped_samples = 0
         self._stack: List[Span] = []
-        self._wire: List[Optional[SpanContext]] = []
         self._ids = itertools.count(1)
-
-    # -- context ----------------------------------------------------------
-    def current_context(self) -> Optional[SpanContext]:
-        """The innermost open span's context (what a client injects)."""
-        if not self._stack:
-            return None
-        return self._stack[-1].context
-
-    def push_wire_context(self, ctx: Optional[SpanContext]) -> None:
-        """Transport layer: a propagated context arrived with a request."""
-        self._wire.append(ctx)
-
-    def pop_wire_context(self) -> None:
-        if self._wire:
-            self._wire.pop()
-
-    def wire_context(self) -> Optional[SpanContext]:
-        """The innermost propagated-over-RPC context, if any."""
-        if not self._wire:
-            return None
-        return self._wire[-1]
 
     # -- spans ------------------------------------------------------------
     def span(self, name: str, parent: Optional[SpanContext] = None,
@@ -191,7 +169,7 @@ class Tracer:
         """Open a span (use as a context manager).
 
         ``parent`` defaults to the innermost open span; pass an explicit
-        context (e.g. the wire context) to attach across the fabric, or
+        context (the one an RPC propagated) to attach across the fabric, or
         rely on the stack for same-process nesting.  A span with no
         parent roots a new trace.  The span keeps ``tags`` itself: the
         keyword dict is fresh per call, so nobody else holds it.

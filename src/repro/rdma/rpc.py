@@ -237,6 +237,7 @@ class RpcServer:
         #: The fencing watermark: the highest epoch each stamping rack
         #: has used here (``None`` keys calls that stamp no rack).
         self.epochs: Dict[Optional[str], int] = {}
+        #: Re-delivered requests answered from the dedup table.
         self.dedup_replays = 0
         #: verb -> (``rpc_served_total`` child, ``serve.<verb>`` span
         #: name), resolved on the verb's first traced dispatch.
@@ -291,8 +292,8 @@ class RpcServer:
                       ) -> Any:
         """Fence ``stamp``, then run ``handler``, in a ``serve.<verb>`` span.
 
-        The span adopts the caller's propagated wire context as its
-        parent, so the server side of an RPC hangs off the exact attempt
+        The span adopts the caller's propagated span context ``ctx`` as
+        its parent, so the server side of an RPC hangs off the exact attempt
         that carried it — across retries and across a failover to a
         promoted secondary.  A :class:`~repro.errors.FencingError` tags
         the span ``fenced`` (the epoch-stale branch is an *outcome* worth
@@ -306,23 +307,18 @@ class RpcServer:
                     verb=verb, node=self.node.name),
                 f"serve.{verb}")
         counter, span_name = served
-        tracer = tel.tracer
-        tracer.push_wire_context(ctx)
-        try:
-            counter.inc()
-            with tracer.span(span_name, parent=ctx,
+        counter.inc()
+        with tel.tracer.span(span_name, parent=ctx,
                              verb=verb, node=self.node.name) as span:
-                try:
-                    if stamp is not None:
-                        span.set_tag("epoch", stamp[1])
-                        if stamp[1] != self.epochs.get(stamp[0]):
-                            self._fence(*stamp)
-                    return handler(*args, **kwargs)
-                except FencingError:
-                    span.set_tag("fenced", True)
-                    raise
-        finally:
-            tracer.pop_wire_context()
+            try:
+                if stamp is not None:
+                    span.set_tag("epoch", stamp[1])
+                    if stamp[1] != self.epochs.get(stamp[0]):
+                        self._fence(*stamp)
+                return handler(*args, **kwargs)
+            except FencingError:
+                span.set_tag("fenced", True)
+                raise
 
     def _dedup_lookup(self, method: str, req_id: tuple) -> Optional[tuple]:
         """Cached ``(status, payload)`` for a request id, or ``None``."""
@@ -388,8 +384,8 @@ class RpcServer:
            if the delivered budget is already spent — the handler never
            runs, so no state is mutated for work nobody is waiting on;
         3. refuses a stale fencing stamp (:meth:`_fence`) where the
-           handler would run, or else runs the handler with the trace
-           context active and the delivered budget pushed on the
+           handler would run, or else runs the handler in a span
+           parented on the trace context, with the delivered budget on the
            fabric's deadline stack, so nested downstream RPCs inherit
            the shrunk remainder;
         4. caches the outcome (result *or* non-retryable error, a
@@ -415,12 +411,6 @@ class RpcServer:
             hit = self._dedup_lookup(method, req_id)
             if hit is not None:
                 self.dedup_replays += 1
-                if traced:
-                    tel.registry.counter(
-                        "rpc_dedup_replays_total",
-                        "Re-delivered requests answered from the dedup "
-                        "table instead of re-executed.",
-                        verb=method, node=node.name).inc()
                 status, payload = hit
                 if status == "error":
                     raise payload

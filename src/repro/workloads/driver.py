@@ -42,10 +42,9 @@ def run_stream(stream: Iterable[Tuple[int, bool]], access_fn: AccessFn,
                workload: str = "workload") -> WorkloadResult:
     """Drive every access in ``stream`` through ``access_fn``.
 
-    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) records
-    the run into ``workload_accesses_total{workload=...}`` and
-    ``workload_memory_seconds_total`` / ``workload_compute_seconds_total``
-    so benchmark harnesses can assert on the registry.
+    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`) counts
+    the run's accesses into ``workload_accesses_total{workload=...}``;
+    the modelled times are the returned :class:`WorkloadResult`'s.
     """
     if compute_s < 0:
         raise ConfigurationError(f"negative compute_s {compute_s}")
@@ -59,12 +58,6 @@ def run_stream(stream: Iterable[Tuple[int, bool]], access_fn: AccessFn,
         metrics.counter("workload_accesses_total",
                         "Memory accesses driven through a paging engine.",
                         workload=workload).inc(count)
-        metrics.counter("workload_memory_seconds_total",
-                        "Modelled memory-access time.",
-                        workload=workload).inc(memory_time)
-        metrics.counter("workload_compute_seconds_total",
-                        "Modelled compute time.",
-                        workload=workload).inc(compute_time)
     return WorkloadResult(
         accesses=count,
         sim_time_s=memory_time + compute_time,

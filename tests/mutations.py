@@ -86,6 +86,8 @@ REACHABLE = ("tests/test_public_api_reachable.py::"
              "test_every_public_name_is_reached_from_the_program",)
 FIELDS_READ = ("tests/test_public_api_reachable.py::"
                "test_every_public_field_is_read",)
+SERIES_READ = ("tests/test_public_api_reachable.py::"
+               "test_every_series_is_read",)
 
 GS_RECLAIM_REMOVE = (
     "            self.db.remove(descriptor.buffer_id)\n"
@@ -362,6 +364,19 @@ MUTATIONS: Tuple[Mutation, ...] = (
         (FIRMWARE, "    def wake(self) -> None:\n",
          "    def wake(self) -> None:\n"
          "        self.transition_log.append(\"exit:S0\")\n")),
+    # A series registered in src/ that nothing reads.
+    row("unread-series-registered", SERIES_READ,
+        (RECOVERY, "        self.probes_sent += probes\n",
+         "        self.probes_sent += probes\n"
+         "        controller.node.fabric.telemetry.registry.counter(\n"
+         "            \"recovery_probe_rounds_total\", \"Never read.\")\n")),
+    # The audited actions are counted once, by the event log's bridge.
+    row("event-bridge-dropped",
+        ("tests/test_obs_selfcheck.py::TestGoldenScenario::"
+         "test_self_check_is_green",
+         "tests/test_obs_selfcheck.py::TestEventCounts::test_golden_scenario"),
+        ("src/repro/core/events.py", "        if self._metrics is not None:\n",
+         "        if False:\n")),
     row("example-only-caller", REACHABLE,
         (UNITS, "TiB = 1024 * GiB\n",
          "TiB = 1024 * GiB\n\n\ndef only_an_example_calls():\n"

@@ -173,14 +173,3 @@ class TestMixed:
     def test_invalid_x(self):
         with pytest.raises(ConfigurationError):
             MixedPolicy(x=0)
-
-
-class TestForget:
-    def test_forget_removes_tracking(self):
-        policy = FifoPolicy()
-        table = _resident_table(3, policy)
-        policy.forget(0)
-        assert policy.select_victim(table).ppn == 1
-
-    def test_forget_unknown_is_noop(self):
-        FifoPolicy().forget(999)

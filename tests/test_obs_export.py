@@ -22,9 +22,9 @@ from repro.tables import dumps
 #: count, or to the rendering itself moves one of them.
 GOLDEN_DIGESTS = {
     "chrome_trace":
-        "3c5c25351e145a59e41e2593936d6aedeeaa8c010d008a0a1cdb568dd5885ec0",
+        "98b196bfbb3ad70d4ce8927b7e495a0c78b27b0e903232eeddfb94f4e2736276",
     "prometheus_text":
-        "e267b2ddc4d37961c53c748da238d0fca61319844fb21f7e4d7a4c437c2b9e90",
+        "fe29ddeb39f43d3b3da6357dd81c2c72ef1d7c5d1a171e80db3734da91a49188",
 }
 
 

@@ -115,7 +115,7 @@ class TestFailoverPropagation:
         assert any(s.status == "ok" for s in serves)
         assert tel.registry.value("rpc_retries_total",
                                   verb="GS_goto_zombie") == 2
-        assert tel.registry.value("failovers_total") == 1
+        assert tel.registry.value("rack_events_total", kind="failover") == 1
 
     def test_fenced_epoch_probe_leaves_a_tagged_span(self):
         tel, _ = run_failover_retry_scenario()

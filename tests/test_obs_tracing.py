@@ -1,4 +1,4 @@
-"""Causal spans: nesting, wire context, ring bound, forest validation."""
+"""Causal spans: nesting, explicit parents, ring bound, forest validation."""
 
 import pytest
 
@@ -25,8 +25,8 @@ class TestSpanNesting:
         tracer = Tracer(_still)
         with tracer.span("outer") as outer:
             with tracer.span("inner") as inner:
-                assert tracer.current_context() == inner.context
-            assert tracer.current_context() == outer.context
+                assert tracer._stack == [outer, inner]
+            assert tracer._stack == [outer]
         inner_span = tracer.finished("inner")[0]
         outer_span = tracer.finished("outer")[0]
         assert inner_span.parent_id == outer_span.span_id
@@ -38,10 +38,8 @@ class TestSpanNesting:
         with tracer.span("call") as call:
             remote_ctx = call.context
         # The "server side": nothing on the stack, parent from the wire.
-        tracer.push_wire_context(remote_ctx)
-        with tracer.span("serve", parent=tracer.wire_context()):
+        with tracer.span("serve", parent=remote_ctx):
             pass
-        tracer.pop_wire_context()
         serve = tracer.finished("serve")[0]
         assert serve.parent_id == call.span_id
         assert serve.trace_id == call.trace_id
@@ -131,7 +129,7 @@ class TestTracerModes:
         tracer.sample("power", 40.0)
         assert tracer.finished() == []
         assert list(tracer.samples) == []
-        assert tracer.current_context() is None
+        assert tracer._stack == []
 
     def test_ring_buffer_bounds_finished_spans(self):
         tracer = Tracer(_still, max_spans=3)
@@ -160,7 +158,7 @@ class TestTracerModes:
         tracer = Tracer(_still)
         with tracer.span("op", node="h1") as span:
             span.set_tag("k", 1)
-            assert tracer.current_context() == span.context
+            assert tracer._stack == [span]
         assert tracer.finished() == [span]
         assert span.tags == {"node": "h1", "k": 1}
         assert span.recorded

@@ -9,10 +9,12 @@ Collects, in ``src/repro`` outside the checkers (``lint/``, ``check/``,
   an attribute, import it, or spell it in a string holding nothing but a
   dotted name (``getattr``, the span tables).  A package ``__init__.py``
   does not reach what it imports or lists in ``__all__``: a re-export only
-  repeats a name.  Comments, prose docstrings, checkers, examples and
-  tests do not count: a name only tests call is an extension point no
-  workload uses, a checker's table names what it checks, and an example
-  shows a caller without being one.
+  repeats a name.  Nor does ``benchmarks/wall/spans.py``'s ``DENY`` set,
+  which lists what the span wrapper must not wrap, not what runs.
+  Comments, prose docstrings, checkers, examples and tests do not count:
+  a name only tests call is an extension point no workload uses, a
+  checker's table names what it checks, and an example shows a caller
+  without being one.
 - each public instance attribute (``self.x = ...``) and each public
   dataclass or NamedTuple field of a module-level class.  A field is
   *read* when ``src/``, ``benchmarks/``, ``examples/`` or ``tests/`` load
@@ -21,9 +23,16 @@ Collects, in ``src/repro`` outside the checkers (``lint/``, ``check/``,
   field, as a ``+=`` does: a log nothing reads grows for nothing.  An
   example or a test that reads a field is its observer, so fields need no
   keep-list.
+- each metric series a module outside the checkers registers (the first
+  literal argument of a ``.counter``/``.gauge``/``.histogram`` call).  A
+  series is *read* when ``src/`` outside the checkers, ``benchmarks/`` or
+  ``tests/`` hold another string that is exactly its name (prose does not
+  count): a series nobody reads costs every traced run a lookup and an
+  export line for nothing.
 
 A name that stays because a tier-1 test or a checker needs it to observe
-or drive the system goes on ``KEEP`` with its reason.
+or drive the system goes on ``KEEP`` with its reason, and a series read
+by nothing that still stays goes on ``KEEP_SERIES`` with its reason.
 """
 
 from __future__ import annotations
@@ -43,6 +52,11 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 WRITERS = frozenset({"append", "appendleft", "add", "extend", "extendleft",
                      "insert", "update", "discard", "clear"})
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+#: Module-level tables that name what *not* to call, by file: a name they
+#: spell is not reached.
+DENY_TABLES = {ROOT / "benchmarks" / "wall" / "spans.py": "DENY"}
+#: How a module registers a metric series (``registry.gauge("name", ...)``).
+REGISTRATIONS = frozenset({"counter", "gauge", "histogram"})
 
 #: Public names no program code reaches by a name token, each with the
 #: reason it stays.  Keys are ``module:Name`` or ``module:Class.method``.
@@ -104,6 +118,20 @@ KEEP: Dict[str, str] = {
         "MemSan's leak report reads the frames no owner accounts for",
     "rdma.fabric:MessageFaultInjector.script":
         "the ZomCheck replayer and the chaos tests script one-shot message faults",
+    "sim.engine:Engine.pending":
+        "test oracle: the engine and process tests count the queued events",
+    "memory.frames:FrameAllocator.is_allocated":
+        "test oracle: the frame and MemSan tests check which frames are held",
+}
+
+#: Registered series no program code or test reads, each with the reason it
+#: stays.  Keys are ``module:series``.
+_REPORT_FORMAT = ("the audit's Prometheus report format (`python -m repro.obs audit "
+                  "--format prom`), not instrumentation: a scraper reads it")
+KEEP_SERIES: Dict[str, str] = {
+    f"obs.audit.render:{name}": _REPORT_FORMAT
+    for name in ("audit_dimension_score", "audit_dimension_value",
+                 "audit_recommendations", "audit_top_impact_j_per_hour")
 }
 
 
@@ -194,18 +222,23 @@ def public_fields() -> Dict[str, str]:
     return found
 
 
-def _reexports(tree: ast.Module) -> Set[int]:
-    """Ids of an ``__init__.py``'s import aliases and ``__all__`` strings."""
+def _repeats(path: Path, tree: ast.Module) -> Set[int]:
+    """Ids of the nodes that repeat a name without using it: an
+    ``__init__.py``'s import aliases and ``__all__`` strings, and a
+    :data:`DENY_TABLES` table."""
+    package = path.name == "__init__.py"
+    tables = {"__all__"} if package else set()
+    tables.update({DENY_TABLES[path]} if path in DENY_TABLES else ())
     skipped: Set[int] = set()
     for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)) or any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in _targets(node)):
+        if (package and isinstance(node, (ast.Import, ast.ImportFrom))) or any(
+                isinstance(t, ast.Name) and t.id in tables for t in _targets(node)):
             skipped.update(id(child) for child in ast.walk(node))
     return skipped
 
 
 def _tokens(roots, loads_only: bool, checkers: bool) -> Set[str]:
-    """Every name the files under ``roots`` use, skipping package re-exports.
+    """Every name the files under ``roots`` use, skipping :func:`_repeats`.
 
     A plain name counts only when loaded, so a constant's own assignment
     does not reach it; ``loads_only`` extends that to attributes, so a
@@ -220,7 +253,7 @@ def _tokens(roots, loads_only: bool, checkers: bool) -> Set[str]:
             if not checkers and _is_checker(path):
                 continue
             tree = ast.parse(path.read_text())
-            skipped = _reexports(tree) if path.name == "__init__.py" else set()
+            skipped = _repeats(path, tree)
             for node in ast.walk(tree):
                 if id(node) in skipped:
                     continue
@@ -275,3 +308,53 @@ def test_every_keep_entry_names_something_that_exists():
     names = public_names()
     stale = sorted(key for key in KEEP if key not in names)
     assert not stale, f"KEEP names what no longer exists: {stale}"
+
+
+def _registrations(tree: ast.Module) -> Iterator[ast.Constant]:
+    """The name literal of each ``x.counter|gauge|histogram("name", ...)``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in REGISTRATIONS and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)):
+            yield node.args[0]
+
+
+def registered_series() -> Dict[str, str]:
+    """``module:series`` -> the series name, for every registration."""
+    return {f"{module}:{name.value}": name.value
+            for module, tree in _modules() for name in _registrations(tree)}
+
+
+def series_reads() -> Set[str]:
+    """Every string outside the checkers that is not a registration's name.
+
+    This file is skipped: ``KEEP_SERIES`` names what nothing reads.
+    """
+    spelled: Set[str] = set()
+    for root in PROGRAM + (ROOT / "tests",):
+        for path in root.rglob("*.py"):
+            if _is_checker(path) or path == Path(__file__).resolve():
+                continue
+            tree = ast.parse(path.read_text())
+            names = {id(node) for node in _registrations(tree)}
+            spelled.update(node.value for node in ast.walk(tree)
+                           if isinstance(node, ast.Constant)
+                           and isinstance(node.value, str) and id(node) not in names)
+    return spelled
+
+
+def test_every_series_is_read():
+    reads = series_reads()
+    unread = sorted(key for key, name in registered_series().items()
+                    if name not in reads and key not in KEEP_SERIES)
+    assert not unread, (
+        f"{len(unread)} registered series are read by none of src/ (outside the "
+        f"checkers), benchmarks/ or tests/; delete them or add each to "
+        f"KEEP_SERIES with its reason: {unread}"
+    )
+
+
+def test_every_keep_series_entry_names_a_registration():
+    stale = sorted(key for key in KEEP_SERIES if key not in registered_series())
+    assert not stale, f"KEEP_SERIES names what no module registers: {stale}"
